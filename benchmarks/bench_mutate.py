@@ -47,12 +47,12 @@ FLUSH_EVERY = 10
 
 
 def _scan_entry(result, wall_s: float) -> dict:
-    stats = result.stats  # legacy ScanStats shape (Table.scan)
+    stats = result.stats
     return {
         "wall_ms": wall_s * 1e3,
         "rows_out": result.n_rows,
         "rows_masked": stats.rows_masked,
-        "chunks_pruned": stats.chunks_pruned,
+        "chunks_pruned": stats.granules_pruned,
         "chunks_scanned": stats.chunks_scanned,
         "bytes_read": stats.bytes_read,
     }

@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from repro.exec import Plan, Range
+from repro.exec import MorselScheduler, Plan, Range
 from repro.mutate import MutableTable
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import parse_text, set_enabled
@@ -73,9 +73,10 @@ def _overhead_arms(directory: str, n: int) -> dict:
     """Best-of timings for the 0.5%-selectivity scan: metrics off /
     metrics on / metrics on + full trace."""
     plan = Plan.scan(["val"]).where(Range("ts", 0, n // 200))
-    with Table.open(directory) as table:
+    with Table.open(directory) as table, \
+            MorselScheduler(workers=2, name="bench-obs") as sched:
         source = StoreSource(table)
-        run = lambda **opts: plan.execute(source, threads=2, **opts)
+        run = lambda **opts: plan.execute(source, scheduler=sched, **opts)
         run()  # warm the chunk cache: measure bookkeeping, not IO
 
         # interleave the arms round-robin (see _process_tier_arms):

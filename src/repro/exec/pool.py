@@ -1,12 +1,10 @@
 """The shared morsel scheduler: one worker pool, many concurrent plans.
 
-Before PR 7 every :func:`repro.exec.run.execute` call spun up its own
-``ThreadPoolExecutor`` — fine for one caller, but N concurrent queries
-meant N pools fighting over the same cores.  :class:`MorselScheduler`
-is the process-wide replacement: a fixed set of worker threads pulls
-*granules* (not whole queries) from every in-flight plan, so concurrent
-queries interleave at morsel granularity on a bounded number of threads
-instead of oversubscribing.
+:class:`MorselScheduler` is the only pool
+:func:`repro.exec.run.execute` fans granules out on: a fixed set of
+worker threads pulls *granules* (not whole queries) from every
+in-flight plan, so concurrent queries interleave at morsel granularity
+on a bounded number of threads instead of oversubscribing.
 
 * **Policy** — ``"fair"`` round-robins one granule per in-flight query
   per turn (no query starves); ``"sjf"`` always serves the query with
@@ -27,8 +25,10 @@ instead of oversubscribing.
   documents.
 
 :func:`shared_scheduler` is the lazily-built process-wide instance
-``execute`` uses for auto-threaded queries; servers build their own
-bounded instance.
+``execute`` uses when no scheduler is passed; servers build their own
+bounded instance.  Pool width has one home — the ``workers`` argument,
+:func:`configure_shared_scheduler` / ``REPRO_THREADS`` for the shared
+instance — and one default, :func:`auto_workers`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ from collections import deque
 from repro.exec.errors import ServerBusy
 from repro.obs import metrics as obs_metrics
 
-#: cap on auto-selected worker threads (matches the executor's old cap)
-MAX_AUTO_WORKERS = 8
+
+def auto_workers() -> int:
+    """Default pool width: one worker per CPU, at most 8."""
+    return max(1, min(os.cpu_count() or 1, 8))
+
 
 #: scheduling policies
 POLICIES = ("fair", "sjf")
@@ -119,7 +122,7 @@ class MorselScheduler:
                  queue_depth: int | None = None,
                  name: str = "morsel-scheduler"):
         if workers is None:
-            workers = max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+            workers = auto_workers()
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if policy not in POLICIES:
@@ -429,14 +432,14 @@ def _env_workers() -> int | None:
 
 
 def shared_scheduler() -> MorselScheduler:
-    """The process-wide scheduler auto-threaded ``execute`` calls share.
+    """The process-wide scheduler ``execute`` calls share.
 
     Built lazily with fair policy and unbounded admission — a plain
     ``execute`` call must never see :class:`ServerBusy` — and never
     torn down on its own: its threads are daemons.  Worker-count
     precedence: an explicit :func:`configure_shared_scheduler` call
     wins, then the ``REPRO_THREADS`` env var (read when the instance is
-    lazily built), then the auto default ``min(cpu, 8)``.
+    lazily built), then :func:`auto_workers`.
     """
     global _shared
     if _shared is None:
@@ -458,10 +461,10 @@ def configure_shared_scheduler(workers: int | None = None,
     installs a fresh one with the requested shape.  ``workers=None``
     falls back to ``REPRO_THREADS`` and then the auto default — the
     documented precedence is *configure > env > auto*.  ``tier`` may be
-    ``"process"`` to make every auto-threaded ``execute`` call run its
-    granules on :class:`repro.par.ProcessScheduler` worker processes
-    (``start_method`` passes through to it).  Admission stays unbounded
-    either way.
+    ``"process"`` to make every ``execute`` call that uses the shared
+    scheduler run its granules on :class:`repro.par.ProcessScheduler`
+    worker processes (``start_method`` passes through to it).
+    Admission stays unbounded either way.
     """
     if tier not in ("thread", "process"):
         raise ValueError(

@@ -2,8 +2,9 @@
 
 :func:`execute` runs a logical :class:`~repro.exec.plan.Plan` over any
 :class:`~repro.exec.source.ColumnSource`, morsel-driven: each granule
-(row group / column chunk / memory slice) is an independent task on a
-thread pool, and per granule the pipeline is
+(row group / column chunk / memory slice) is an independent task — on the
+calling thread or on a :class:`~repro.exec.pool.MorselScheduler` — and
+per granule the pipeline is
 
 1. **Zone-map pruning** — ``expr.maybe_match`` against the source's
    conservative per-column bounds; failing granules are skipped without
@@ -23,21 +24,17 @@ thread pool, and per granule the pipeline is
    max)`` states merged exactly across granules (never merged means);
    HashJoin probes the granule's batch against the built side.
 
-:class:`ExecStats` subsumes the store's ``ScanStats`` (granule/chunk/
-byte/cache accounting) and the engine's ``QueryResult`` CPU/IO
-breakdown; :meth:`ExecResult.explain` renders the plan annotated with
-pruning counts and the full cost split.
+:class:`ExecStats` is the one work-accounting type (granule/chunk/
+byte/cache counts plus the CPU/IO breakdown); :meth:`ExecResult.explain`
+renders the plan annotated with pruning counts and the full cost split.
 """
 
 from __future__ import annotations
 
 import errno
-import os
 import random
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +43,8 @@ from repro.exec.errors import (CorruptChunkError, ExecTimeout,
                                GranuleError, ServerBusy)
 from repro.exec.expr import And, split_pushdown
 from repro.exec.plan import Aggregate, HashJoin, Plan
+from repro.exec.pool import auto_workers, shared_scheduler
 from repro.obs import metrics as obs_metrics
-
-#: cap on auto-selected executor threads
-MAX_AUTO_THREADS = 8
 
 #: transient-read retry budget per granule load (EIO only)
 DEFAULT_IO_RETRIES = 2
@@ -130,11 +125,8 @@ def _charge_query_metrics(stats: ExecStats, status: str) -> None:
 
 @dataclass
 class ExecStats:
-    """Work accounting for one plan execution (merged across granules).
-
-    Subsumes the store's ``ScanStats`` (granules/chunks/bytes/cache) and
-    the engine's ``QueryResult`` breakdown (CPU per phase + charged IO).
-    """
+    """Work accounting for one plan execution (merged across granules):
+    granules/chunks/bytes/cache counts, CPU per phase and charged IO."""
 
     granules_total: int = 0    # granules examined by the planner
     granules_pruned: int = 0   # skipped whole via zone maps / bitmaps
@@ -273,8 +265,9 @@ class _Partial:
     ``spans`` is only populated by a *worker process* running a traced
     descriptor: a ``(granule_start, granule_end, extra_spans)`` tuple
     whose timestamps are absolute on the worker's ``perf_counter``
-    clock.  The "granule" span ships as bare timestamps (its attrs
-    are resynthesized driver-side from ``stats``); ``extra_spans`` is
+    clock.  The "granule" span ships as bare timestamps (the driver
+    rebuilds its attrs with :func:`granule_span_attrs`);
+    ``extra_spans`` is
     ``None`` or raw ``(name, start, end, tid, attrs)`` tuples for the
     load/filter/... spans of a granule that survived pruning.  The
     driver re-anchors everything onto the query trace via the lane's
@@ -291,13 +284,30 @@ class _Partial:
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _thread_count(source, n_granules: int, threads: int | None) -> int:
-    if not getattr(source, "parallel_safe", True):
-        # unlocked accounting state (e.g. a caller's IOModel): stay serial
-        return 1
-    if threads is not None:
-        return max(1, threads)
-    return max(1, min(n_granules, os.cpu_count() or 1, MAX_AUTO_THREADS))
+def _on_calling_thread(source, n_granules: int, threads: int | None,
+                       scheduler) -> bool:
+    """The one dispatch decision: does this query stay on its caller's
+    thread, or do its granules go to a scheduler?"""
+    if threads == 1 or not getattr(source, "parallel_safe", True):
+        # unlocked accounting state (e.g. a caller's IOModel) must never
+        # be touched from two threads, whatever scheduler was passed
+        return True
+    if scheduler is not None:
+        return False  # an explicit scheduler also does admission control
+    return n_granules <= 1 or (threads is None and auto_workers() == 1)
+
+
+def granule_span_attrs(index: int, st: ExecStats) -> dict:
+    """Attrs of one granule's "granule" span, taken from that granule's
+    own stats — so over a query they sum to its :class:`ExecStats`.
+    Called where the span is recorded (:meth:`GranulePipeline.run`) and
+    where a worker process's bare timestamps are re-attributed
+    (``ProcessScheduler._adopt_spans``)."""
+    return {"granule": index,
+            "pruned": bool(st.granules_pruned),
+            "cache_hits": st.cache_hits,
+            "cache_misses": st.cache_misses,
+            "rows": st.rows_scanned}
 
 
 def _ordered_unique(*column_lists) -> tuple:
@@ -416,12 +426,12 @@ class GranulePipeline:
 
     Factored out of :func:`execute` so every execution tier runs the
     *identical* code path: the in-process driver calls :meth:`run` from
-    scheduler threads, and a :mod:`repro.par` worker process rebuilds
-    the same pipeline from a shipped descriptor (its own mmap-opened
-    copy of the table) and calls :meth:`run` there.  Construction does
-    the plan/source validation, implicit-filter composition and
-    pushdown splitting once; :meth:`run` is pure per-granule work and
-    is safe to call concurrently from many threads.
+    its own or a scheduler's threads, and a :mod:`repro.par` worker
+    process rebuilds the same pipeline from a shipped descriptor (its
+    own mmap-opened copy of the table) and calls :meth:`run` there.
+    Construction does the plan/source validation, implicit-filter
+    composition and pushdown splitting once; :meth:`run` is pure
+    per-granule work and is safe to call concurrently from many threads.
     """
 
     def __init__(self, plan: Plan, source, *, prune: bool = True,
@@ -557,12 +567,13 @@ class GranulePipeline:
                 shard=shard_of(granule) if callable(shard_of) else None,
                 column=where["column"]) from err
         if trace is not None:
-            trace.add("granule", t_span, trace.now(),
-                      granule=granule.index,
-                      pruned=bool(st.granules_pruned),
-                      cache_hits=st.cache_hits,
-                      cache_misses=st.cache_misses,
-                      rows=st.rows_scanned)
+            # the raw record Trace.add would build, minus its **attrs
+            # re-pack (~0.5 µs): this runs once per granule, and the
+            # 15 % traced-overhead gate on a sub-millisecond scan
+            # (bench_obs.py) cannot spare it
+            trace._spans.append(
+                ("granule", t_span, trace.now(), threading.get_ident(),
+                 granule_span_attrs(granule.index, st)))
         return part
 
     def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
@@ -695,13 +706,16 @@ def execute(plan: Plan, source, threads: int | None = None,
     Parameters
     ----------
     threads:
-        Granule-level parallelism (``None`` = auto; clamped to 1 for
-        sources that are not ``parallel_safe``).  Auto-threaded queries
-        run on the process-wide shared
-        :class:`~repro.exec.pool.MorselScheduler` — one worker pool no
-        matter how many queries are in flight; an *explicit* count
-        keeps the legacy per-call pool (the pool-per-query baseline
-        ``BENCH_serve.json`` measures against).
+        ``1`` pins the query to the calling thread.  Any other value
+        runs its granules on a :class:`~repro.exec.pool.MorselScheduler`
+        — ``scheduler`` if given, else the process-wide shared one,
+        whose width is set by
+        :func:`~repro.exec.pool.configure_shared_scheduler` /
+        ``REPRO_THREADS``, not here.  Two cases stay on the calling
+        thread regardless: a source that is not ``parallel_safe``, and
+        (without an explicit ``scheduler``) a query with nothing to
+        spread — at most one granule, or ``threads=None`` on a 1-CPU
+        machine.
     prune:
         Zone-map granule pruning (disable for the unpruned baseline;
         results are identical).
@@ -725,11 +739,11 @@ def execute(plan: Plan, source, threads: int | None = None,
         granule failing past the budget — propagates wrapped in
         :class:`GranuleError`.
     scheduler:
-        An explicit :class:`~repro.exec.pool.MorselScheduler` to run
-        granules on (the table server passes its bounded instance, so
-        admission control and fair/SJF interleaving apply; may raise
-        :class:`~repro.exec.errors.ServerBusy`).  ``None`` uses the
-        shared process pool for auto-threaded queries.
+        The :class:`~repro.exec.pool.MorselScheduler` (thread or
+        process tier) to run granules on instead of the shared one.
+        The table server passes its bounded instance, so admission
+        control and fair/SJF interleaving apply and
+        :class:`~repro.exec.errors.ServerBusy` may be raised.
     trace:
         A :class:`repro.obs.Trace` to record spans into (pay-as-you-go:
         the default ``None`` skips all tracing).  The trace travels as
@@ -758,24 +772,15 @@ def execute(plan: Plan, source, threads: int | None = None,
                             trace=trace)
 
     granules = source.granules()
-    n_threads = _thread_count(source, len(granules), threads)
     partials: list[_Partial] = []
     timed_out = False
     failure: BaseException | None = None
     try:
-        if scheduler is None and (n_threads == 1 or len(granules) <= 1):
-            for granule in granules:
-                part = run_granule(granule)
-                if part is None:
-                    timed_out = True
-                    break
-                partials.append(part)
-        elif scheduler is not None or threads is None:
-            # the shared morsel scheduler: granules from every in-flight
-            # query interleave on one process-wide pool (an explicit
-            # ``threads=N`` keeps the legacy per-call pool below)
-            from repro.exec.pool import shared_scheduler
-
+        if _on_calling_thread(source, len(granules), threads, scheduler):
+            # lazy: once the deadline or a failure sets ``cancel``,
+            # every later granule returns None without doing work
+            results = map(run_granule, granules)
+        else:
             sched = scheduler if scheduler is not None \
                 else shared_scheduler()
             kwargs = {}
@@ -792,45 +797,13 @@ def execute(plan: Plan, source, threads: int | None = None,
                     trace_enabled=trace is not None)
                 if desc is not None:
                     kwargs["descriptor"] = desc
-            for part in sched.run_query(run_granule, granules, cancel,
-                                        deadline, trace=trace, **kwargs):
-                if part is None:
-                    timed_out = True
-                else:
-                    partials.append(part)
-        else:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                futures = [pool.submit(run_granule, g) for g in granules]
-                for fut in futures:
-                    if failure is not None or timed_out:
-                        # first failure/timeout wins: cancel everything
-                        # not yet started; running granules see the
-                        # cancel event
-                        fut.cancel()
-                        continue
-                    remaining = None if deadline is None \
-                        else deadline - time.perf_counter()
-                    try:
-                        if remaining is not None and remaining <= 0:
-                            raise FutureTimeout()
-                        part = fut.result(timeout=remaining)
-                    except FutureTimeout:
-                        timed_out = True
-                        cancel.set()
-                        fut.cancel()
-                        continue
-                    except CancelledError:
-                        continue
-                    except BaseException as err:
-                        failure = err
-                        cancel.set()
-                        fut.cancel()
-                        continue
-                    if part is None:
-                        timed_out = True
-                        cancel.set()
-                        continue
-                    partials.append(part)
+            results = sched.run_query(run_granule, granules, cancel,
+                                      deadline, trace=trace, **kwargs)
+        for part in results:
+            if part is None:
+                timed_out = True
+            else:
+                partials.append(part)
     except BaseException as err:
         failure = err
 

@@ -91,14 +91,14 @@ class LearnedSortedIndex:
             return -1
         leaf = self._leaf_for(key)
         pred = leaf.predict(key)
-        lo = max(leaf.lo, pred - leaf.err)
-        hi = min(leaf.hi, pred + leaf.err + 1)
+        # a key far past the leaf's last key predicts a slot beyond the
+        # array: keep the window inside [0, n) and non-empty
+        lo = min(max(leaf.lo, pred - leaf.err), n - 1)
+        hi = max(min(leaf.hi, pred + leaf.err + 1), lo + 1)
         # widen in the rare case the error window missed (defensive)
         if lo > 0 and keys[lo] > key:
             lo = 0
-        if hi < n and keys[hi - 1] <= key < keys[hi]:
-            pass
-        elif hi < n and keys[hi] <= key:
+        if hi < n and keys[hi] <= key:
             hi = n
         idx = int(np.searchsorted(keys[lo:hi], key, side="right")) + lo - 1
         return idx

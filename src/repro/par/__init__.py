@@ -4,8 +4,8 @@ The exec layer's morsel-driven design (PR 4) and the shared
 :class:`~repro.exec.pool.MorselScheduler` (PR 7) made granules the unit
 of scheduling; this package makes them the unit of *multiprocessing*.
 Pure-python codec decode (LeCo residuals, rANS, fsst, varint blocks)
-serializes under one GIL no matter how many threads run it —
-``BENCH_serve.json`` showed QPS flat from 8 to 64 clients.  Shards are
+serializes under one GIL no matter how many threads run it — served
+QPS stayed flat from 8 to 64 clients.  Shards are
 mmap-able and snapshots immutable, so worker processes can open tables
 read-only (page cache shared for free), be told *which* granule of
 *which* pinned query to run via a compact JSON descriptor, and ship

@@ -34,7 +34,8 @@ import pickle
 import time
 
 from repro.exec.errors import GranuleError
-from repro.exec.pool import MorselScheduler, _Job
+from repro.exec.pool import MorselScheduler, _Job, auto_workers
+from repro.exec.run import granule_span_attrs
 from repro.obs import metrics as obs_metrics
 from repro.par.worker import revive_error, worker_main
 
@@ -238,11 +239,7 @@ class ProcessScheduler(MorselScheduler):
         # build lanes BEFORE the base class starts its threads: forking
         # a process that is not yet multi-threaded sidesteps the whole
         # fork-with-held-locks class of bugs for the children
-        resolved = workers
-        if resolved is None:
-            from repro.exec.pool import MAX_AUTO_WORKERS
-
-            resolved = max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+        resolved = auto_workers() if workers is None else workers
         if resolved < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self._lanes = [
@@ -425,9 +422,9 @@ class ProcessScheduler(MorselScheduler):
                      part, item) -> None:
         """Fold a worker partial's spans into the query trace.  The
         wire carries ``(granule_start, granule_end, extra_spans)`` —
-        the "granule" span's attrs are resynthesized here from
-        ``part.stats`` (the worker ships only its two timestamps; see
-        :meth:`repro.par.worker.WorkerState.run_granule`)."""
+        the worker ships only the "granule" span's two timestamps (see
+        :meth:`repro.par.worker.WorkerState.run_granule`) and its attrs
+        are rebuilt here from ``part.stats``."""
         wire = getattr(part, "spans", None)
         if not wire:
             return
@@ -439,14 +436,10 @@ class ProcessScheduler(MorselScheduler):
         proc = f"w{lane.index}"
         g_start, g_end, extra = wire
         if g_start is not None:
-            st = part.stats
             job.trace.adopt(
                 [("granule", g_start, g_end, lane.tid,
-                  {"granule": getattr(item, "index", item),
-                   "pruned": bool(st.granules_pruned),
-                   "cache_hits": st.cache_hits,
-                   "cache_misses": st.cache_misses,
-                   "rows": st.rows_scanned})],
+                  granule_span_attrs(getattr(item, "index", item),
+                                     part.stats))],
                 shift=shift, pid=pid, proc=proc)
         if extra:
             job.trace.adopt(extra, shift=shift, pid=pid, proc=proc)

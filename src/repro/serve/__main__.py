@@ -53,9 +53,6 @@ def main(argv=None) -> int:
                         help="multiprocessing start method for "
                              "--worker-tier process (default: fork "
                              "where available)")
-    parser.add_argument("--pool-per-query", action="store_true",
-                        help="baseline mode: no shared scheduler "
-                             "(benchmarks only)")
     parser.add_argument("--metrics-port", type=int, default=None,
                         help="also serve HTTP GET /metrics on this "
                              "port (0 picks a free port)")
@@ -74,7 +71,6 @@ def main(argv=None) -> int:
         queue_depth=args.queue_depth,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         default_timeout_s=args.timeout_s,
-        shared=not args.pool_per_query,
         worker_tier=args.worker_tier,
         start_method=args.start_method,
         metrics_port=args.metrics_port,

@@ -86,11 +86,9 @@ class _MetricsHandler(http.server.BaseHTTPRequestHandler):
 class TableServer:
     """Serve store tables under ``root`` to concurrent socket clients.
 
-    ``shared=True`` (the default) runs every query on one bounded
-    morsel scheduler; ``shared=False`` is the pool-per-query baseline
-    (each request spins its own executor pool) that
-    ``benchmarks/bench_serve.py`` measures the scheduler against.
-    ``worker_tier="process"`` swaps the shared scheduler for a
+    Every query runs on one bounded morsel scheduler, ``workers`` wide
+    (default :func:`~repro.exec.pool.auto_workers`).
+    ``worker_tier="process"`` makes it a
     :class:`repro.par.ProcessScheduler` — granule decode runs in worker
     processes, escaping the GIL on multi-core boxes.
     """
@@ -100,7 +98,6 @@ class TableServer:
                  max_inflight: int = 8, queue_depth: int = 16,
                  cache_bytes: int = DEFAULT_CAPACITY_BYTES,
                  default_timeout_s: float = DEFAULT_TIMEOUT_S,
-                 shared: bool = True,
                  worker_tier: str = "thread",
                  start_method: str | None = None,
                  metrics_port: int | None = None,
@@ -111,7 +108,6 @@ class TableServer:
                              f"'process', got {worker_tier!r}")
         self.root = root
         self.default_timeout_s = default_timeout_s
-        self.shared = shared
         self.worker_tier = worker_tier
         # slow-query log: when a threshold is set, every query runs
         # traced (that is the opt-in cost) and offenders are appended
@@ -119,9 +115,7 @@ class TableServer:
         self.slow_query_ms = slow_query_ms
         self.slow_query_log = slow_query_log
         self._slow_lock = threading.Lock()
-        if not shared:
-            self.scheduler = None
-        elif worker_tier == "process":
+        if worker_tier == "process":
             from repro.par import ProcessScheduler
 
             self.scheduler = ProcessScheduler(
@@ -133,7 +127,6 @@ class TableServer:
                 workers=workers, policy=policy,
                 max_inflight=max_inflight, queue_depth=queue_depth,
                 name="repro-serve")
-        self._baseline_threads = workers
         self.cache = ChunkCache(cache_bytes)
         self._tables: dict[str, tuple[Table, StoreSource]] = {}
         self._tables_lock = threading.Lock()
@@ -241,14 +234,8 @@ class TableServer:
             if self.slow_query_ms is not None else None
         t_query = time.perf_counter()
         try:
-            if self.shared:
-                res = plan.execute(source, scheduler=self.scheduler,
-                                   timeout_s=timeout_s, trace=trace,
-                                   **opts)
-            else:
-                res = plan.execute(source, threads=self._baseline_threads
-                                   or None, timeout_s=timeout_s,
-                                   trace=trace, **opts)
+            res = plan.execute(source, scheduler=self.scheduler,
+                               timeout_s=timeout_s, trace=trace, **opts)
         except ExecTimeout:
             # a timed-out query is by definition slow: log it with
             # whatever spans it managed to record
@@ -286,7 +273,7 @@ class TableServer:
             "table": table,
             "elapsed_ms": elapsed_s * 1e3,
             "timed_out": timed_out,
-            "worker_tier": self.worker_tier if self.shared else "thread",
+            "worker_tier": self.worker_tier,
             "lanes": lanes,
             "plan": plan.to_json(),
             "explain": explain,
@@ -340,17 +327,13 @@ class TableServer:
                 "rejected_busy": self.rejected_busy,
             }
         p50, p90, p99 = self._latencies.quantiles(0.50, 0.90, 0.99)
-        sched = self.scheduler.stats() if self.scheduler is not None \
-            else {"mode": "pool-per-query",
-                  "threads": self._baseline_threads}
+        sched = self.scheduler.stats()
         return {
             "uptime_s": uptime,
-            "mode": "shared-scheduler" if self.shared
-            else "pool-per-query",
             **totals,
             "qps": totals["queries_ok"] / uptime if uptime else 0.0,
-            "inflight": sched.get("inflight", 0),
-            "queue_depth": sched.get("parked", 0),
+            "inflight": sched["inflight"],
+            "queue_depth": sched["parked"],
             "latency_ms": {
                 "p50": p50 * 1e3,
                 "p90": p90 * 1e3,
@@ -445,8 +428,7 @@ class TableServer:
         deadline = time.perf_counter() + timeout
         for thread in self._conn_threads:
             thread.join(timeout=max(deadline - time.perf_counter(), 0.1))
-        if self.scheduler is not None:
-            self.scheduler.close(drain=True, timeout=timeout)
+        self.scheduler.close(drain=True, timeout=timeout)
         with self._tables_lock:
             for table, _ in self._tables.values():
                 table.close()

@@ -33,7 +33,7 @@ and the integrity check ``scrub``.
 
 from repro.exec.errors import CorruptChunkError
 from repro.store.cache import ChunkCache
-from repro.store.executor import ScanResult, ScanStats, StoreSource
+from repro.store.executor import StoreSource
 from repro.store.format import ChunkMeta, Manifest, ShardFooter
 from repro.store.scrub import ScrubReport, ShardReport, scrub_table
 from repro.store.table import Shard, Table
@@ -51,8 +51,6 @@ __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_SHARD_ROWS",
     "Manifest",
-    "ScanResult",
-    "ScanStats",
     "ScrubReport",
     "Shard",
     "ShardReport",

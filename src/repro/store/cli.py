@@ -16,13 +16,13 @@ and the mutation layer (:mod:`repro.mutate`)::
 
 ``ingest`` materialises one of the named dataset fixtures (any table from
 ``repro.datasets.load_table`` or the ``sensors`` stream) into a table
-directory; ``scan`` builds a :class:`repro.exec.Plan` over the unified
-execution layer, runs it morsel-parallel with pruning + pushdown, and
-prints the work accounting next to the first result rows (pass
-``--explain`` for the annotated plan).  ``append``/``delete`` adopt the
-table into the generation chain, log through the WAL, and flush a new
-snapshot (``--no-flush`` leaves the mutation buffered for a later
-commit); ``versions`` lists every published generation a reader can
+directory; ``scan`` runs :meth:`Table.scan` — a :class:`repro.exec.Plan`
+on the unified execution layer, morsel-parallel with pruning +
+pushdown — and prints the work accounting next to the first result
+rows (pass ``--explain`` for the annotated plan).  ``append``/``delete``
+adopt the table into the generation chain, log through the WAL, and
+flush a new snapshot (``--no-flush`` leaves the mutation buffered for a
+later commit); ``versions`` lists every published generation a reader can
 time-travel to (``scan --version G``).  Unknown projection or predicate
 columns exit with a clean one-line error naming the available columns.
 """
@@ -34,8 +34,7 @@ import json
 import sys
 import time
 
-from repro.exec import ExecTimeout, Plan, Range
-from repro.store.executor import StoreSource
+from repro.exec import ExecTimeout
 from repro.store.table import Table
 from repro.store.writer import (
     DEFAULT_CHUNK_ROWS,
@@ -202,15 +201,10 @@ def _cmd_scan(args) -> int:
                   + f"; available: {', '.join(table.column_names)}",
                   file=sys.stderr)
             return 2
-        plan = Plan.scan(tuple(columns) if columns else None)
-        if args.where is not None:
-            pred_col, lo, hi = args.where
-            plan = plan.where(Range(pred_col, lo, hi))
         try:
-            result = plan.execute(StoreSource(table),
-                                  threads=args.threads,
-                                  prune=not args.no_prune,
-                                  timeout_s=args.timeout_s)
+            result = table.scan(columns=columns, where=args.where,
+                                prune=not args.no_prune,
+                                timeout_s=args.timeout_s)
         except ExecTimeout as exc:
             stats = exc.stats
             print(f"error: {exc}", file=sys.stderr)
@@ -280,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="range predicate lo <= col < hi")
     scan.add_argument("--version", type=int, default=None,
                       help="time-travel to a published generation")
-    scan.add_argument("--threads", type=int, default=None)
     scan.add_argument("--timeout-s", type=float, default=None,
                       help="cancel the scan after this many seconds "
                            "(prints partial stats, exits 1)")

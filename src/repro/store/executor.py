@@ -1,79 +1,23 @@
-"""The store's execution adapter: ``StoreSource`` + the scan shim.
+"""The store's execution adapter: :class:`StoreSource`.
 
-Since PR 4 the store has no private scan executor: scans run through
-the unified :mod:`repro.exec` layer.  This module contributes
-
-* :class:`StoreSource` — the :class:`~repro.exec.source.ColumnSource`
-  over an open :class:`~repro.store.table.Table`.  Granules are the
-  column-aligned chunks (morsel = one chunk row range across all
-  columns); zone maps come straight from the footer catalog; loads
-  revive envelopes through the table's bounded LRU chunk cache, and the
-  source is ``parallel_safe`` (the hot paths release the GIL), so the
-  executor fans granules out on its thread pool.
-* :func:`run_scan` — the legacy entry :meth:`Table.scan` still calls.
-  It builds a one-predicate plan, executes it, and folds the unified
-  :class:`~repro.exec.run.ExecStats` back into the historical
-  :class:`ScanStats` shape (bytes *scanned* vs bytes *read* etc.) so
-  existing callers and benchmarks keep their accounting.
+The store has no private scan executor: scans run through the unified
+:mod:`repro.exec` layer (:meth:`Table.scan` builds a one-predicate
+:class:`~repro.exec.Plan` and returns its
+:class:`~repro.exec.ExecResult`).  This module contributes
+:class:`StoreSource` — the :class:`~repro.exec.source.ColumnSource`
+over an open :class:`~repro.store.table.Table`.  Granules are the
+column-aligned chunks (morsel = one chunk row range across all
+columns); zone maps come straight from the footer catalog; loads revive
+envelopes through the table's bounded LRU chunk cache, and the source
+is ``parallel_safe`` (the hot paths release the GIL), so the executor
+may fan granules out on a scheduler.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.exec import Plan, Range, execute
 from repro.exec.source import ColumnSource, Granule
-
-#: cap on auto-selected scan threads (kept for backward compatibility;
-#: the exec layer applies its own identical cap)
-MAX_AUTO_THREADS = 8
-
-
-@dataclass
-class ScanStats:
-    """Work accounting for one scan (legacy shape; see ``ExecStats``)."""
-
-    chunks_total: int = 0     # predicate granules considered by the planner
-    chunks_pruned: int = 0    # skipped whole via zone maps
-    chunks_scanned: int = 0   # chunks materialized (predicate + projection)
-    bytes_scanned: int = 0    # stored bytes of materialized chunks
-    bytes_read: int = 0       # stored bytes actually read (cache misses)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0  # entries this scan's inserts evicted
-    rows_scanned: int = 0     # rows surviving the predicate
-    rows_masked: int = 0      # rows deletion vectors suppressed
-    chunks_corrupt: int = 0   # granules quarantined (on_corruption=skip)
-    wall_s: float = 0.0
-
-    def merge(self, other: "ScanStats") -> None:
-        self.chunks_total += other.chunks_total
-        self.chunks_pruned += other.chunks_pruned
-        self.chunks_scanned += other.chunks_scanned
-        self.bytes_scanned += other.bytes_scanned
-        self.bytes_read += other.bytes_read
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.rows_scanned += other.rows_scanned
-        self.rows_masked += other.rows_masked
-        self.chunks_corrupt += other.chunks_corrupt
-
-
-@dataclass
-class ScanResult:
-    """Projected columns + global row ids + work accounting."""
-
-    columns: dict[str, np.ndarray]
-    row_ids: np.ndarray
-    stats: ScanStats = field(default_factory=ScanStats)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_ids)
 
 
 class StoreSource(ColumnSource):
@@ -183,37 +127,3 @@ class StoreSource(ColumnSource):
             "n_granules": len(self._granules),
         }
 
-
-def run_scan(table, projection: tuple[str, ...],
-             where: tuple[str, int, int] | None, prune: bool,
-             threads: int | None, **opts) -> ScanResult:
-    """Execute one scan over ``table`` (see :meth:`Table.scan`).
-
-    A thin shim over :func:`repro.exec.execute`: the historical
-    ``(column, lo, hi)`` predicate becomes a pushable range term, and
-    the unified stats fold back into :class:`ScanStats`.  Resilience
-    knobs (``on_corruption``, ``timeout_s``, ``io_retries``) pass
-    through ``**opts``.
-    """
-    plan = Plan.scan(projection)
-    if where is not None:
-        column, lo, hi = where
-        plan = plan.where(Range(column, int(lo), int(hi)))
-    res = execute(plan, StoreSource(table), threads=threads, prune=prune,
-                  **opts)
-    stats = ScanStats(
-        chunks_total=res.stats.granules_total if where is not None else 0,
-        chunks_pruned=res.stats.granules_pruned,
-        chunks_scanned=res.stats.chunks_scanned,
-        bytes_scanned=res.stats.bytes_scanned,
-        bytes_read=res.stats.bytes_read,
-        cache_hits=res.stats.cache_hits,
-        cache_misses=res.stats.cache_misses,
-        cache_evictions=res.stats.cache_evictions,
-        rows_scanned=res.stats.rows_scanned,
-        rows_masked=res.stats.rows_masked,
-        chunks_corrupt=res.stats.chunks_corrupt,
-        wall_s=res.stats.wall_s,
-    )
-    return ScanResult(columns=res.columns, row_ids=res.row_ids,
-                      stats=stats)

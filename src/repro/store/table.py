@@ -23,10 +23,11 @@ import zlib
 import numpy as np
 
 from repro import codecs, faults
+from repro.exec import ExecResult, Plan, Range
 from repro.exec.errors import CorruptChunkError
 from repro.obs import metrics as obs_metrics
 from repro.store.cache import DEFAULT_CAPACITY_BYTES, ChunkCache
-from repro.store.executor import ScanResult, run_scan
+from repro.store.executor import StoreSource
 from repro.store.format import (
     ChunkMeta,
     Manifest,
@@ -264,8 +265,11 @@ class Table:
 
     def scan(self, columns: list[str] | tuple[str, ...] | None = None,
              where: tuple[str, int, int] | None = None, prune: bool = True,
-             threads: int | None = None, **opts) -> ScanResult:
-        """Projection + predicate-pushdown scan.
+             threads: int | None = None, **opts) -> ExecResult:
+        """Projection + predicate-pushdown scan: a one-predicate
+        :class:`~repro.exec.Plan` over this snapshot, returned as the
+        executor's :class:`~repro.exec.ExecResult` (``columns``,
+        ``row_ids``, ``stats`` — an :class:`~repro.exec.ExecStats`).
 
         Parameters
         ----------
@@ -281,7 +285,8 @@ class Table:
             Disable to force the filter onto every chunk (the benchmark's
             unpruned baseline); results are identical.
         threads:
-            Shard-level parallelism (``None`` = auto).
+            ``1`` pins the scan to the calling thread; otherwise chunks
+            fan out on the shared scheduler.
         **opts:
             Resilience knobs forwarded to the executor —
             ``on_corruption="raise"|"skip"``, ``timeout_s``,
@@ -294,13 +299,15 @@ class Table:
             if name not in self.column_names:
                 raise KeyError(f"unknown projection column {name!r}; "
                                f"available: {available}")
+        plan = Plan.scan(projection)
         if where is not None:
             pred_col, lo, hi = where
             if pred_col not in self.column_names:
                 raise KeyError(f"unknown predicate column {pred_col!r}; "
                                f"available: {available}")
-            where = (pred_col, int(lo), int(hi))
-        return run_scan(self, projection, where, prune, threads, **opts)
+            plan = plan.where(Range(pred_col, int(lo), int(hi)))
+        return plan.execute(StoreSource(self), threads=threads,
+                            prune=prune, **opts)
 
     def read_column(self, name: str, threads: int | None = None
                     ) -> np.ndarray:

@@ -1,0 +1,64 @@
+"""Checks on an :class:`~repro.exec.ExecResult` shared by the exec, obs
+and par suites (imported as a plain module: pytest puts ``tests/`` on
+``sys.path``)."""
+
+import dataclasses
+
+import numpy as np
+
+from repro.obs.trace import Trace
+
+
+def count_fields(stats) -> dict:
+    """Every integer field of an ``ExecStats`` — the work counts, which
+    do not depend on where the granules ran (the float fields are
+    timings, which do).  The cache hit/miss split is only comparable
+    between runs over an uncached table or the same warm cache."""
+    return {f.name: getattr(stats, f.name)
+            for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), int)}
+
+
+def assert_granule_spans_match(trace, stats) -> None:
+    """A traced run recorded exactly one "granule" span per granule —
+    every index once, none duplicated, count honoured — and the spans'
+    attrs sum to the query's stats."""
+    spans = [s for s in trace.spans if s.name == "granule"]
+    assert sorted(s.attrs["granule"] for s in spans) \
+        == list(range(stats.granules_total))
+    for attr, want in (("pruned", stats.granules_pruned),
+                       ("cache_hits", stats.cache_hits),
+                       ("cache_misses", stats.cache_misses),
+                       ("rows", stats.rows_scanned)):
+        assert sum(s.attrs[attr] for s in spans) == want, attr
+
+
+def assert_rows_equal(got, expected) -> None:
+    assert np.array_equal(got.row_ids, expected.row_ids)
+    assert set(got.columns) == set(expected.columns)
+    for name in expected.columns:
+        assert np.array_equal(np.asarray(got.columns[name]),
+                              np.asarray(expected.columns[name])), name
+
+
+def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
+    """Run ``plan`` traced on the calling thread, on a thread-tier
+    scheduler and on a process-tier one.  Each run must examine every
+    granule exactly once (stats and "granule" spans), and the two
+    scheduler tiers must return the caller's rows/groups and the
+    caller's counts — so ``source`` must be uncached (see
+    :func:`count_fields`).  Returns the calling-thread result."""
+    results = []
+    for where in ({"threads": 1}, {"scheduler": thread_sched},
+                  {"scheduler": proc_sched}):
+        trace = Trace("tier")
+        res = plan.execute(source, trace=trace, **where, **opts)
+        assert res.stats.granules_total == len(source.granules())
+        assert_granule_spans_match(trace, res.stats)
+        results.append(res)
+    expected = results[0]
+    for got in results[1:]:
+        assert got.groups == expected.groups
+        assert_rows_equal(got, expected)
+        assert count_fields(got.stats) == count_fields(expected.stats)
+    return expected

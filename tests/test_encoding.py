@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.encoding import (
@@ -17,6 +17,14 @@ int_arrays = st.lists(st.integers(-(1 << 50), 1 << 50), min_size=1,
                       max_size=400).map(
                           lambda v: np.array(v, dtype=np.int64))
 
+# 2-6 values mixing near-zero steps with 40-bit jumps: the variable
+# partitioner cuts these into a handful of one- or two-row partitions,
+# which is where the partition-start index is probed far past its keys
+jumpy_arrays = st.lists(
+    st.one_of(st.integers(-1, 1),
+              st.integers(1 << 40, 1 << 45).map(lambda v: v - 1)),
+    min_size=2, max_size=6).map(lambda v: np.array(v, dtype=np.int64))
+
 
 def roundtrip_checks(values: np.ndarray, arr: CompressedArray) -> None:
     """The full lossless contract every encoded array must satisfy."""
@@ -25,11 +33,16 @@ def roundtrip_checks(values: np.ndarray, arr: CompressedArray) -> None:
     assert np.array_equal(arr.decode_all_serial(), values)
     clone = CompressedArray.from_bytes(arr.to_bytes())
     assert np.array_equal(clone.decode_all(), values)
-    # random access must agree at a sample of positions
-    rng = np.random.default_rng(0)
-    for pos in rng.integers(0, len(values), min(len(values), 40)):
+    # random access must agree with decode_all: everywhere on a short
+    # array, at a sample of positions on a long one
+    if len(values) <= 40:
+        positions = np.arange(len(values))
+    else:
+        positions = np.random.default_rng(0).integers(0, len(values), 40)
+    for pos in positions:
         assert arr.get(int(pos)) == values[pos]
         assert clone.get(int(pos)) == values[pos]
+    assert np.array_equal(arr.take(positions), values[positions])
 
 
 class TestRoundTrip:
@@ -39,7 +52,8 @@ class TestRoundTrip:
         arr = LecoEncoder("linear", partitioner=32).encode(values)
         roundtrip_checks(values, arr)
 
-    @given(int_arrays)
+    @given(st.one_of(int_arrays, jumpy_arrays))
+    @example(np.array([21990232555519, -1, 0, 0, 0, 0], dtype=np.int64))
     @settings(max_examples=25, deadline=None)
     def test_variable_partitions_lossless(self, values):
         arr = LecoEncoder("linear", partitioner="variable").encode(values)

@@ -14,6 +14,11 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
+from exec_checks import (
+    assert_granule_spans_match,
+    assert_tiers_agree,
+    count_fields,
+)
 from repro import codecs
 from repro.engine import (
     ENCODINGS,
@@ -27,12 +32,16 @@ from repro.exec import (
     ArraySource,
     Bitmap,
     InSet,
+    MorselScheduler,
     Or,
     Plan,
     Range,
     col,
+    execute,
     split_pushdown,
 )
+from repro.obs.trace import Trace
+from repro.par import ProcessScheduler
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
 
@@ -232,6 +241,51 @@ class TestBackendEquivalence:
             for column in ("ts", "reading"):
                 assert np.array_equal(res.columns[column],
                                       reference.columns[column])
+        # the same plans on the calling thread, a 2-worker thread tier
+        # and a 2-worker process tier: every granule examined exactly
+        # once wherever it ran, same answer, same counts (no chunk
+        # cache, so the read counts are tier-invariant too)
+        grouped = (Plan.scan().where(expr)
+                   .aggregate({"n": ("count", "reading"),
+                               "hi": ("max", "reading")},
+                              group_by="sensor_id"))
+        with Table.open(sources["store"].table.path,
+                        cache_bytes=0) as table, \
+                MorselScheduler(workers=2, name="t-exec") as thread_tier, \
+                ProcessScheduler(workers=2, name="t-exec-par") as proc_tier:
+            source = StoreSource(table)
+            rows = assert_tiers_agree(plan, source, thread_tier, proc_tier)
+            assert np.array_equal(rows.row_ids, reference.row_ids)
+            groups = assert_tiers_agree(grouped, source, thread_tier,
+                                        proc_tier).groups
+            assert len(groups) > 1
+
+    def test_unsafe_source_stays_on_the_calling_thread(self, backends):
+        """A source that is not ``parallel_safe`` (ParquetSource charges
+        a caller-owned, unlocked IOModel) never reaches a scheduler,
+        even one passed explicitly."""
+        columns, _, file = backends
+        ts = columns["ts"]
+        plan = (Plan.scan(["ts", "reading"])
+                .where(col("ts").between(int(ts[500]), int(ts[4000]))))
+        serial_io = IOModel()
+        serial = execute(plan, ParquetSource(file, io=serial_io),
+                         threads=1)
+        io = IOModel()
+        trace = Trace("q")
+        with MorselScheduler(workers=2, name="t-unsafe") as sched:
+            res = execute(plan, ParquetSource(file, io=io),
+                          scheduler=sched, trace=trace)
+            assert sched.stats()["granules_executed"] == 0
+        assert (io.bytes_read, io.reads) \
+            == (serial_io.bytes_read, serial_io.reads)
+        assert io.reads > 0
+        assert np.array_equal(res.row_ids, serial.row_ids)
+        for column in ("ts", "reading"):
+            assert np.array_equal(res.columns[column],
+                                  serial.columns[column])
+        assert count_fields(res.stats) == count_fields(serial.stats)
+        assert_granule_spans_match(trace, res.stats)
 
 
 class TestOperators:

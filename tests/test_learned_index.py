@@ -7,9 +7,17 @@ from hypothesis import strategies as st
 
 from repro.learned_index import LearnedSortedIndex
 
-sorted_keys = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
-                       max_size=400).map(
-                           lambda v: np.sort(np.array(v, dtype=np.int64)))
+# 2-6 keys mixing unit steps with 40-bit jumps: a handful of partition
+# starts is the common case for the decoder's index, and a huge jump is
+# what throws a leaf's prediction past the end of the array
+tiny_jumpy = st.lists(
+    st.one_of(st.integers(0, 3), st.integers(1 << 40, 1 << 41)),
+    min_size=2, max_size=6)
+
+sorted_keys = st.one_of(
+    st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=400),
+    tiny_jumpy,
+).map(lambda v: np.sort(np.array(v, dtype=np.int64)))
 
 
 class TestLowerBound:
@@ -17,10 +25,18 @@ class TestLowerBound:
     @settings(max_examples=50, deadline=None)
     def test_matches_searchsorted(self, keys, data):
         index = LearnedSortedIndex(keys, leaf_size=16)
-        probe = data.draw(st.integers(int(keys[0]) - 10,
-                                      int(keys[-1]) + 10))
+        probe = data.draw(st.one_of(
+            st.integers(int(keys[0]) - 10, int(keys[-1]) + 10),
+            st.integers(int(keys[-1]), int(keys[-1]) + (1 << 41))))
         expected = int(np.searchsorted(keys, probe, side="right")) - 1
         assert index.lower_bound(probe) == expected
+
+    def test_probe_far_past_last_key(self):
+        """Regression: two partition starts, probe 3 — the leaf predicts
+        slot 3 of a 2-key array, and the window must be clamped."""
+        index = LearnedSortedIndex(np.array([0, 1], dtype=np.int64))
+        assert [index.lower_bound(p) for p in range(6)] == \
+            [0, 1, 1, 1, 1, 1]
 
     def test_below_first_key(self):
         index = LearnedSortedIndex(np.array([10, 20], dtype=np.int64))

@@ -217,7 +217,7 @@ class TestMutableTable:
             assert np.array_equal(res.columns["k"], np.arange(30, 250))
             # chunk_rows=25: the all-dead chunk [0,25) prunes whole, the
             # half-dead chunk [25,50) masks its 5 dead rows positionally
-            assert res.stats.chunks_pruned == 1
+            assert res.stats.granules_pruned == 1
             assert res.stats.rows_masked == 5
             # explain reports the deletion-vector bitmap + masked rows
             text = Plan.scan(["k"]).execute(StoreSource(snap)).explain()

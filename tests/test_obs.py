@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exec_checks import assert_granule_spans_match
 from repro.exec import ExecTimeout, MorselScheduler, Plan, Range
 from repro.obs import __main__ as obs_main
 from repro.obs import metrics as obs_metrics
@@ -438,16 +439,7 @@ class TestTracing:
         stats = res.stats
         assert stats.granules_total == 2
         assert stats.granules_pruned == 1  # zone maps drop rows 512+
-        granule_spans = [s for s in trace.spans if s.name == "granule"]
-        assert len(granule_spans) == stats.granules_total
-        assert sum(s.attrs["pruned"] for s in granule_spans) \
-            == stats.granules_pruned
-        assert sum(s.attrs["cache_hits"] for s in granule_spans) \
-            == stats.cache_hits
-        assert sum(s.attrs["cache_misses"] for s in granule_spans) \
-            == stats.cache_misses
-        assert sum(s.attrs["rows"] for s in granule_spans) \
-            == stats.rows_scanned
+        assert_granule_spans_match(trace, stats)
         names = {s.name for s in trace.spans}
         assert {"granule", "filter", "gather", "load", "merge"} <= names
         assert res.trace is trace
@@ -468,10 +460,11 @@ class TestTracing:
         trace = Trace("q")
         with MorselScheduler(workers=2, name="t-obs") as sched, \
                 Table.open(path) as table:
-            Plan.scan(("val",)).execute(StoreSource(table),
-                                        scheduler=sched, trace=trace)
+            res = Plan.scan(("val",)).execute(
+                StoreSource(table), scheduler=sched, trace=trace)
         names = [s.name for s in trace.spans]
         assert "admit" in names and "granule" in names
+        assert_granule_spans_match(trace, res.stats)
 
     def test_chrome_export_valid_and_monotonic(self, tmp_path):
         path = str(tmp_path / "t")
@@ -530,11 +523,7 @@ class TestTracing:
             for t in threads:
                 t.join()
         for i in range(2):
-            granules = [s for s in traces[i].spans
-                        if s.name == "granule"]
-            assert len(granules) == results[i].stats.granules_total
-            assert {s.attrs["granule"] for s in granules} \
-                == set(range(len(granules)))
+            assert_granule_spans_match(traces[i], results[i].stats)
 
 
 # ===================================================================

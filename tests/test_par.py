@@ -50,12 +50,18 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
+from exec_checks import (
+    assert_granule_spans_match,
+    assert_rows_equal,
+    assert_tiers_agree,
+)
 from repro import codecs, faults
 from repro.datasets import sensor_fixture
 from repro.exec import (
     ArraySource,
     ExecTimeout,
     GranuleError,
+    MorselScheduler,
     Plan,
     ServerBusy,
     col,
@@ -121,17 +127,24 @@ def sched():
     scheduler.close()
 
 
+@pytest.fixture(scope="module")
+def cold_source(root):
+    """The same table with no chunk cache: every load is a read, so
+    every ``ExecStats`` count is the same whichever tier ran it."""
+    with Table.open(os.path.join(root, "events"),
+                    cache_bytes=0) as table:
+        yield StoreSource(table)
+
+
+@pytest.fixture(scope="module")
+def thread_sched():
+    with MorselScheduler(workers=2, name="par-tests-threads") as scheduler:
+        yield scheduler
+
+
 FILTER_PLAN = (Plan.scan(["ts", "sensor_id", "reading"])
                .where(col("reading").between(950, 1100)
                       & (col("status") <= 1)))
-
-
-def _assert_rows_equal(got, expected):
-    assert np.array_equal(got.row_ids, expected.row_ids)
-    assert set(got.columns) == set(expected.columns)
-    for name in expected.columns:
-        assert np.array_equal(np.asarray(got.columns[name]),
-                              np.asarray(expected.columns[name])), name
 
 
 def _merge_partials(parts, names):
@@ -274,19 +287,27 @@ if HAVE_HYPOTHESIS:
 # process equivalence
 # ===================================================================
 class TestProcessEquivalence:
-    def test_filter_scan_matches(self, source, sched):
+    def test_filter_scan_matches(self, source, cold_source,
+                                 thread_sched, sched):
         expected = FILTER_PLAN.execute(source, threads=1)
         got = FILTER_PLAN.execute(source, scheduler=sched)
         assert len(expected.row_ids) > 0
-        _assert_rows_equal(got, expected)
+        assert_rows_equal(got, expected)
+        assert_rows_equal(assert_tiers_agree(
+            FILTER_PLAN, cold_source, thread_sched, sched), expected)
 
-    def test_naive_mode_matches(self, source, sched):
+    def test_naive_mode_matches(self, source, cold_source, thread_sched,
+                                sched):
         expected = FILTER_PLAN.execute(source, threads=1)
         got = FILTER_PLAN.execute(source, scheduler=sched,
                                   prune=False, pushdown=False)
-        _assert_rows_equal(got, expected)
+        assert_rows_equal(got, expected)
+        assert_rows_equal(assert_tiers_agree(
+            FILTER_PLAN, cold_source, thread_sched, sched,
+            prune=False, pushdown=False), expected)
 
-    def test_grouped_aggregate_matches(self, source, sched):
+    def test_grouped_aggregate_matches(self, source, cold_source,
+                                       thread_sched, sched):
         plan = (Plan.scan()
                 .where(col("status") <= 1)
                 .aggregate({"n": ("count", "reading"),
@@ -297,8 +318,11 @@ class TestProcessEquivalence:
         got = plan.execute(source, scheduler=sched)
         assert got.groups == expected.groups
         assert len(got.groups) > 1
+        assert assert_tiers_agree(plan, cold_source, thread_sched,
+                                   sched).groups == expected.groups
 
-    def test_join_matches(self, source, sched):
+    def test_join_matches(self, source, cold_source, thread_sched,
+                          sched):
         plan = (Plan.scan(["ts", "sensor_id"])
                 .where(col("reading") >= 1000)
                 .join(on="sensor_id",
@@ -306,9 +330,12 @@ class TestProcessEquivalence:
                              "zone": [10, 11, 12, 13]}))
         expected = plan.execute(source, threads=1)
         got = plan.execute(source, scheduler=sched)
-        _assert_rows_equal(got, expected)
+        assert_rows_equal(got, expected)
+        assert_rows_equal(assert_tiers_agree(
+            plan, cold_source, thread_sched, sched), expected)
 
-    def test_deletion_vector_snapshot_matches(self, tmp_path, sched):
+    def test_deletion_vector_snapshot_matches(self, tmp_path,
+                                              thread_sched, sched):
         with MutableTable.create(str(tmp_path / "mt"),
                                  schema=("k", "v"), shard_rows=200,
                                  chunk_rows=50) as table:
@@ -325,9 +352,15 @@ class TestProcessEquivalence:
                 # the DV bitmap is re-derived worker-side from the
                 # pinned generation, never shipped
                 assert len(expected.row_ids) == 691
-                _assert_rows_equal(got, expected)
+                assert_rows_equal(got, expected)
+            with Table.open(table.path, cache_bytes=0) as snap:
+                cold = assert_tiers_agree(plan, StoreSource(snap),
+                                           thread_sched, sched)
+                assert_rows_equal(cold, expected)
+                assert cold.stats.rows_masked > 0
 
-    def test_memory_source_falls_back_in_driver(self, sched):
+    def test_memory_source_falls_back_in_driver(self, thread_sched,
+                                                sched):
         array = ArraySource(
             {"v": np.arange(5000, dtype=np.int64),
              "w": (np.arange(5000, dtype=np.int64) * 7) % 101},
@@ -335,7 +368,8 @@ class TestProcessEquivalence:
         plan = Plan.scan(["v", "w"]).where(col("w") <= 50)
         expected = plan.execute(array, threads=1)
         got = plan.execute(array, scheduler=sched)
-        _assert_rows_equal(got, expected)
+        assert_rows_equal(got, expected)
+        assert_tiers_agree(plan, array, thread_sched, sched)
 
     def test_evicted_descriptor_asks_for_resend(self, source):
         desc = describe_query(FILTER_PLAN, source, prune=True,
@@ -375,7 +409,7 @@ class TestProcessEquivalence:
                 t.join()
             assert errors == []
             for got in results:
-                _assert_rows_equal(got, expected)
+                assert_rows_equal(got, expected)
         finally:
             one_lane.close()
 
@@ -392,7 +426,7 @@ class TestProcessEquivalence:
                                        name="par-spawn")
         try:
             got = FILTER_PLAN.execute(source, scheduler=spawn_sched)
-            _assert_rows_equal(got, expected)
+            assert_rows_equal(got, expected)
             assert spawn_sched.stats()["start_method"] == "spawn"
         finally:
             spawn_sched.close()
@@ -438,7 +472,7 @@ class TestCrashMatrix:
                                   fault_spec=inj.to_spec())
         try:
             got = FILTER_PLAN.execute(source, scheduler=crashy)
-            _assert_rows_equal(got, expected)
+            assert_rows_equal(got, expected)
             assert crashy.respawns >= 1
             assert crashy.stats()["workers_alive"] == 1
         finally:
@@ -460,12 +494,12 @@ class TestCrashMatrix:
         victim = ProcessScheduler(workers=1, name="par-kill")
         try:
             got = FILTER_PLAN.execute(source, scheduler=victim)
-            _assert_rows_equal(got, expected)
+            assert_rows_equal(got, expected)
             proc = victim._lanes[0].proc
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(timeout=10)
             got = FILTER_PLAN.execute(source, scheduler=victim)
-            _assert_rows_equal(got, expected)
+            assert_rows_equal(got, expected)
             assert victim.respawns >= 1
         finally:
             victim.close()
@@ -483,7 +517,7 @@ class TestCrashMatrix:
             # the abandoned granules' late results must be discarded by
             # sequence number, not misattributed to the next query
             got = FILTER_PLAN.execute(source, scheduler=slow)
-            _assert_rows_equal(got, expected)
+            assert_rows_equal(got, expected)
         finally:
             slow.close()
 
@@ -523,7 +557,7 @@ class TestSharedSchedulerConfig:
             assert fresh.tier == "process"
             # auto-threaded execute: no scheduler argument at all
             got = FILTER_PLAN.execute(source)
-            _assert_rows_equal(got, expected)
+            assert_rows_equal(got, expected)
         finally:
             assert configure_shared_scheduler().tier == "thread"
 
@@ -656,14 +690,9 @@ class TestCrossProcessObs:
                                                     sched):
         trace = Trace("q")
         res = FILTER_PLAN.execute(source, scheduler=sched, trace=trace)
-        stats = res.stats
+        assert res.stats.granules_total > 0
+        assert_granule_spans_match(trace, res.stats)
         granules = [s for s in trace.spans if s.name == "granule"]
-        assert len(granules) == stats.granules_total > 0
-        for attr, want in (("rows", stats.rows_scanned),
-                           ("pruned", stats.granules_pruned),
-                           ("cache_hits", stats.cache_hits),
-                           ("cache_misses", stats.cache_misses)):
-            assert sum(s.attrs[attr] for s in granules) == want, attr
         # every granule ran in a worker: real pid, proc attribution
         here = os.getpid()
         assert {s.attrs["proc"] for s in granules} <= {"w0", "w1"}

@@ -585,7 +585,6 @@ class TestTableServer:
         _, columns = served_root
         client.query("events", _selective_plan(columns))
         stats = client.stats()
-        assert stats["mode"] == "shared-scheduler"
         assert stats["queries_ok"] >= 1
         assert stats["qps"] > 0
         assert {"p50", "p90", "p99"} <= set(stats["latency_ms"])
@@ -766,7 +765,7 @@ class TestCliTimeout:
         inj = FaultInjector().slow_at("chunk.read", delay_s=0.05,
                                       times=None)
         with inj:
-            rc = store_cli.main(["scan", directory, "--threads", "2",
+            rc = store_cli.main(["scan", directory,
                                  "--timeout-s", "0.02"])
         assert rc == 1
         err = capsys.readouterr().err

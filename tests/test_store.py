@@ -293,7 +293,7 @@ class TestScanCorrectness:
             assert res.columns["v"].size == 0
             stats = res.stats
             # plain zone maps are exact: every chunk pruned, zero bytes
-            assert stats.chunks_pruned == stats.chunks_total == 20
+            assert stats.granules_pruned == stats.granules_total == 20
             assert stats.bytes_read == 0
             # empty range inside the domain
             res = table.scan(where=("v", 1500, 1500))
@@ -324,8 +324,8 @@ class TestScanCorrectness:
                                   prune=False)
             assert np.array_equal(pruned.columns["reading"],
                                   unpruned.columns["reading"])
-            assert pruned.stats.chunks_pruned > 0
-            assert unpruned.stats.chunks_pruned == 0
+            assert pruned.stats.granules_pruned > 0
+            assert unpruned.stats.granules_pruned == 0
             assert pruned.stats.bytes_read < unpruned.stats.bytes_read
 
 
@@ -638,10 +638,10 @@ class TestCacheStatsExplain:
             assert (f"cache: {warm.stats.cache_hits} hits, 0 misses"
                     in warm.explain())
             assert warm.stats.bytes_read == 0
-            # the legacy ScanStats shape carries the same split
-            legacy = table.scan(columns=["reading"])
-            assert legacy.stats.cache_hits > 0
-            assert legacy.stats.cache_misses == 0
+            # Table.scan returns the same ExecStats
+            scanned = table.scan(columns=["reading"])
+            assert scanned.stats.cache_hits > 0
+            assert scanned.stats.cache_misses == 0
 
     def test_uncached_table_counts_no_cache_traffic(self, tmp_path):
         from repro.exec import Plan
