@@ -6,6 +6,10 @@ The module provides three building blocks:
   integers with O(1) random slot access and vectorised full decode.
 * zigzag transforms for mapping signed integers onto unsigned ones.
 * LEB128-style varints used by the block compressor and string codecs.
+
+:mod:`repro.bitio.colblocks` is the odd one out — byte-level, not
+bit-level: the header + raw int64 column-block record that the WAL's
+append record and the table server's binary row reply share.
 """
 
 from repro.bitio.bitpack import (

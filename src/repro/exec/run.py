@@ -16,7 +16,8 @@ per granule the pipeline is
 3. **Residual predicate** — whatever the planner could not push (IN
    terms, OR trees, half-unbounded ranges) is evaluated vectorized on
    batches gathered at the surviving positions only.
-4. **Late materialization** — output columns ``gather`` the survivors;
+4. **Late materialization** — output columns ``gather`` the survivors
+   (or ``decode_all`` when the whole granule survived);
    ``pushdown=False`` instead decodes every needed column fully and
    filters afterwards (the naive baseline ``BENCH_exec.json`` measures
    against).
@@ -648,16 +649,22 @@ class GranulePipeline:
         if positions is not None and positions.size == 0:
             return _Partial(_EMPTY, {c: _EMPTY for c in output_cols},
                             None, st)
+        if pushdown and positions is not None and positions.size == n:
+            # every row survived, so positions is arange(n): decode
+            # sequentially instead of gathering each one (the codecs'
+            # gather(idx) == decode_all()[idx] contract makes the two
+            # equal; the same chunks are loaded, so the counts are too)
+            positions = None
 
         t0 = time.perf_counter()
         out: dict[str, np.ndarray] = {}
         for c in self.mat_cols:
-            if positions is None:
+            if c in residual_values:
+                out[c] = residual_values[c]
+            elif positions is None:
                 out[c] = load(c).decode_all()
             elif c in naive_batch:
                 out[c] = naive_batch[c][positions]
-            elif c in residual_values:
-                out[c] = residual_values[c]
             elif not pushdown:
                 out[c] = load(c).decode_all()[positions]
             else:

@@ -13,6 +13,8 @@ The file layout::
     record := payload_len (4 B LE) | crc32(payload) (4 B LE) | payload
     payload := op (1 B: A/U/D) | header_len (4 B LE) | header JSON | data
 
+Everything after the op byte is one :mod:`repro.bitio.colblocks` record
+(the table server's binary row reply is the other user of that layout).
 ``A`` (append) carries the batch schema in the header and the raw
 column values — int64 little-endian, one contiguous block per column in
 header order — as the data section.  ``U`` (update-by-key) and ``D``
@@ -30,7 +32,6 @@ double-apply on reopen (the stale file's generation no longer matches).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import zlib
@@ -38,6 +39,7 @@ import zlib
 import numpy as np
 
 from repro import faults
+from repro.bitio.colblocks import pack_blocks, unpack_blocks
 from repro.exec.expr import And, Expr, InSet, Or, Range
 from repro.obs import metrics as obs_metrics
 
@@ -99,50 +101,42 @@ def expr_from_doc(doc: dict) -> Expr:
 
 
 # ------------------------------------------------------------ records
+# every payload is the op byte + one ``colblocks`` record: header-only
+# for U/D, header + one block per column for A
 def _encode_append(columns: dict[str, np.ndarray]) -> bytes:
     names = list(columns)
     n = len(next(iter(columns.values())))
-    header = json.dumps({"columns": names, "n": n},
-                        separators=(",", ":")).encode("utf-8")
-    parts = [OP_APPEND, len(header).to_bytes(4, "little"), header]
-    for name in names:
-        parts.append(np.ascontiguousarray(
-            columns[name], dtype="<i8").tobytes())
-    return b"".join(parts)
+    return b"".join([OP_APPEND, *pack_blocks(
+        {"columns": names, "n": n}, [columns[name] for name in names])])
 
 
 def _encode_update(key_column: str, key: int, values: dict) -> bytes:
-    header = json.dumps(
+    return b"".join([OP_UPDATE, *pack_blocks(
         {"key_column": key_column, "key": int(key),
-         "values": {k: int(v) for k, v in values.items()}},
-        separators=(",", ":")).encode("utf-8")
-    return OP_UPDATE + len(header).to_bytes(4, "little") + header
+         "values": {k: int(v) for k, v in values.items()}})])
 
 
 def _encode_delete(expr: Expr) -> bytes:
-    header = json.dumps({"predicate": expr_to_doc(expr)},
-                        separators=(",", ":")).encode("utf-8")
-    return OP_DELETE + len(header).to_bytes(4, "little") + header
+    return b"".join([OP_DELETE, *pack_blocks(
+        {"predicate": expr_to_doc(expr)})])
+
+
+def _append_counts(header: dict) -> list[int]:
+    return [header["n"]] * len(header["columns"])
 
 
 def _decode_payload(payload: bytes):
     """One replayable record: ``("append", columns)`` /
     ``("update", key_column, key, values)`` / ``("delete", expr)``."""
     op = payload[:1]
-    hlen = int.from_bytes(payload[1:5], "little")
-    header = json.loads(payload[5: 5 + hlen])
     if op == OP_APPEND:
-        data = payload[5 + hlen:]
-        n = header["n"]
-        names = header["columns"]
-        if len(data) != 8 * n * len(names):
-            raise ValueError("append record data section truncated")
-        columns = {}
-        for i, name in enumerate(names):
-            raw = data[i * 8 * n: (i + 1) * 8 * n]
-            columns[name] = np.frombuffer(raw, dtype="<i8").astype(
-                np.int64)
-        return ("append", columns)
+        header, blocks = unpack_blocks(payload, _append_counts, offset=1)
+        # the blocks are read-only views of the log's bytes; the
+        # memtable gets its own arrays
+        return ("append", {name: block.astype(np.int64)
+                           for name, block in zip(header["columns"],
+                                                  blocks)})
+    header, _ = unpack_blocks(payload, lambda _header: (), offset=1)
     if op == OP_UPDATE:
         return ("update", header["key_column"], int(header["key"]),
                 {k: int(v) for k, v in header["values"].items()})

@@ -1,11 +1,16 @@
 """``ServeClient`` — small blocking client for :class:`TableServer`.
 
 One TCP connection, one request in flight at a time; responses arrive
-in request order.  Server-side failures come back as typed exceptions:
+in request order.  Requests are sent as wire version 2, so query rows
+come back as a binary result frame (:mod:`repro.serve.wire`).
+Server-side failures come back as typed exceptions and leave the
+connection usable:
 :class:`~repro.exec.errors.ServerBusy` when admission control rejects,
 :class:`~repro.exec.errors.ExecTimeout` when the per-request deadline
 fires, plain :class:`RuntimeError` carrying the server's one-line
-message otherwise.
+message otherwise.  A transport failure — a socket error, a torn or
+malformed reply (:class:`~repro.serve.wire.WireError`) — closes the
+connection; every later call raises :class:`ConnectionError`.
 
 ::
 
@@ -19,8 +24,6 @@ message otherwise.
 from __future__ import annotations
 
 import socket
-
-import numpy as np
 
 from repro.exec.errors import CorruptChunkError, ExecTimeout, ServerBusy
 from repro.serve import wire
@@ -38,16 +41,27 @@ class ServeClient:
 
     def __init__(self, host: str, port: int,
                  connect_timeout_s: float = 5.0):
-        self._sock = socket.create_connection(
+        self._sock: socket.socket | None = socket.create_connection(
             (host, port), timeout=connect_timeout_s)
         self._sock.settimeout(None)  # requests block until the response
 
     # ---------------------------------------------------------- transport
-    def _call(self, req: dict) -> dict:
+    def _call(self, req: dict):
+        if self._sock is None:
+            raise ConnectionError("the connection is closed")
         req.setdefault("v", wire.WIRE_VERSION)
-        wire.send_frame(self._sock, req)
-        resp = wire.recv_frame(self._sock)
+        frame = wire.json_frame(req)  # too big: refused, nothing sent
+        try:
+            wire.write_frame(self._sock, frame)
+            resp = wire.recv_frame(self._sock)
+        except BaseException:
+            # whatever stopped the exchange part-way (a torn or
+            # malformed reply, a socket error, an interrupt), unread
+            # bytes may remain: the stream cannot carry another request
+            self.close()
+            raise
         if resp is None:
+            self.close()
             raise ConnectionError("server closed the connection")
         if resp.get("ok"):
             return resp["result"]
@@ -75,17 +89,16 @@ class ServeClient:
         """Execute ``plan`` (a :class:`~repro.exec.plan.Plan` or an
         already-encoded plan dict) and return the decoded result:
         ``n_rows`` / ``stats`` / ``explain`` plus either ``groups``
-        (list of ``[key, row]`` pairs) or numpy ``row_ids``/``columns``
-        capped at ``limit``."""
-        result = self._call(self._request("query", table, plan,
-                                          timeout_s, limit, opts))
-        if result.get("row_ids") is not None:
-            result["row_ids"] = np.asarray(result["row_ids"],
-                                           dtype=np.int64)
-            result["columns"] = {
-                name: np.asarray(values, dtype=np.int64)
-                for name, values in result["columns"].items()}
-        return result
+        (list of ``[key, row]`` pairs) or ``row_ids``/``columns``
+        capped at ``limit``, with ``truncated`` saying whether the cap
+        cut anything.
+
+        The rows are writable ``int64`` arrays that are views of this
+        reply's receive buffer (nothing is parsed or copied per
+        element); keeping any one of them alive keeps the whole reply's
+        bytes alive, so ``.copy()`` a column to hold on to it alone."""
+        return self._call(self._request("query", table, plan,
+                                        timeout_s, limit, opts))
 
     def explain(self, table: str, plan,
                 timeout_s: float | None = None, **opts) -> dict:
@@ -107,10 +120,12 @@ class ServeClient:
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -1,7 +1,7 @@
 """``TableServer`` — many concurrent clients, one scheduler, one cache.
 
 The serving shape of the whole stack: a socket server that accepts
-length-prefixed JSON requests (see :mod:`repro.serve.wire`) from many
+length-prefixed requests (see :mod:`repro.serve.wire`) from many
 concurrent connections and executes their plans over the store through
 **shared resources**:
 
@@ -62,6 +62,10 @@ _M_REQUEST_SECONDS = obs_metrics.histogram(
 _M_SLOW_QUERIES = obs_metrics.counter(
     "repro_serve_slow_queries_total",
     "queries recorded to the slow-query log")
+
+
+def _ok(result) -> list:
+    return wire.json_frame({"ok": True, "result": result})
 
 
 class _MetricsHandler(http.server.BaseHTTPRequestHandler):
@@ -198,24 +202,27 @@ class TableServer:
             return self._tables[name]
 
     # ------------------------------------------------------------ request
-    def _handle_request(self, req: dict) -> dict:
+    def _handle_request(self, req: dict) -> list:
+        """Answer one request; returns the reply as a ready-to-write
+        frame, so an answer too big for one is an error like any
+        other — raised here, before a byte of it is sent."""
         version = req.get("v")
-        if version != wire.WIRE_VERSION:
+        if version not in wire.WIRE_VERSIONS:
             raise ValueError(
-                f"unsupported request version {version!r} "
-                f"(this server speaks {wire.WIRE_VERSION})")
+                f"unsupported request version {version!r} (this server "
+                f"speaks {' and '.join(map(str, wire.WIRE_VERSIONS))})")
         op = req.get("op")
         if op not in wire.OPS:
             raise ValueError(f"unknown op {op!r}; supported: "
                              f"{', '.join(wire.OPS)}")
         if op == "ping":
-            return {"ok": True, "result": "pong"}
+            return _ok("pong")
         if op == "stats":
-            return {"ok": True, "result": self.stats()}
+            return _ok(self.stats())
         if op == "metrics":
-            return {"ok": True, "result": obs_metrics.render_text()}
+            return _ok(obs_metrics.render_text())
         if op == "list_tables":
-            return {"ok": True, "result": self.table_names()}
+            return _ok(self.table_names())
         # query / explain share the execution path
         table_name = req.get("table")
         _, source = self._resolve(table_name)
@@ -246,8 +253,8 @@ class TableServer:
         self._maybe_log_slow(op, table_name, plan, trace,
                              time.perf_counter() - t_query,
                              explain=res.explain(), timed_out=False)
-        return {"ok": True, "result": wire.encode_result(
-            res, limit=limit, include_rows=(op == "query"))}
+        return wire.result_frame(res, version, limit=limit,
+                                 include_rows=(op == "query"))
 
     def _maybe_log_slow(self, op: str, table: str, plan: Plan, trace,
                         elapsed_s: float, explain: str | None,
@@ -284,24 +291,25 @@ class TableServer:
             with open(self.slow_query_log, "a", encoding="utf-8") as fh:
                 fh.write(line)
 
-    def _serve_one(self, req: dict) -> dict:
+    def _serve_one(self, req: dict) -> list:
+        """One request in, one frame out (never an exception)."""
         start = time.perf_counter()
         op = req.get("op")
         op_label = op if op in wire.OPS else "invalid"
         try:
-            response = self._handle_request(req)
+            frame = self._handle_request(req)
         except ServerBusy as err:
             with self._stats_lock:
                 self.queries_total += 1
                 self.rejected_busy += 1
             self._charge_request(op_label, "busy", start)
-            return wire.error_response(err)
+            return wire.json_frame(wire.error_response(err))
         except Exception as err:  # typed, one line, server stays up
             with self._stats_lock:
                 self.queries_total += 1
                 self.queries_err += 1
             self._charge_request(op_label, "error", start)
-            return wire.error_response(err)
+            return wire.json_frame(wire.error_response(err))
         elapsed = time.perf_counter() - start
         with self._stats_lock:
             self.queries_total += 1
@@ -309,7 +317,7 @@ class TableServer:
                 self.queries_ok += 1
                 self._latencies.observe(elapsed)
         self._charge_request(op_label, "ok", start)
-        return response
+        return frame
 
     def _charge_request(self, op: str, status: str, start: float) -> None:
         _M_REQUESTS.labels(op=op, status=status).inc()
@@ -398,7 +406,7 @@ class TableServer:
                     return  # peer closed cleanly
                 conn.settimeout(None)  # don't tear mid-response
                 try:
-                    wire.send_frame(conn, self._serve_one(req))
+                    wire.write_frame(conn, self._serve_one(req))
                 except OSError:
                     return  # peer vanished mid-response
                 conn.settimeout(0.25)

@@ -40,6 +40,7 @@ from repro.exec import (
     execute,
     split_pushdown,
 )
+from repro.mutate import MutableTable
 from repro.obs.trace import Trace
 from repro.par import ProcessScheduler
 from repro.store import Table, write_table
@@ -72,6 +73,14 @@ def backends(tmp_path_factory):
     }
     yield columns, sources, file
     table.close()
+
+
+@pytest.fixture(scope="module")
+def tiers():
+    """A 2-worker thread tier and a 2-worker process tier."""
+    with MorselScheduler(workers=2, name="t-exec") as thread_tier, \
+            ProcessScheduler(workers=2, name="t-exec-par") as proc_tier:
+        yield thread_tier, proc_tier
 
 
 class TestExpr:
@@ -223,7 +232,7 @@ class TestBackendEquivalence:
             assert f"{res.stats.granules_pruned} pruned" in text
             assert "Filter[pushed:" in text and "Scan[" in text
 
-    def test_pushdown_modes_and_threads_agree(self, backends):
+    def test_pushdown_modes_and_threads_agree(self, backends, tiers):
         columns, sources, _ = backends
         ts = columns["ts"]
         expr = (col("ts").between(int(ts[500]), int(ts[4000]))
@@ -250,15 +259,80 @@ class TestBackendEquivalence:
                                "hi": ("max", "reading")},
                               group_by="sensor_id"))
         with Table.open(sources["store"].table.path,
-                        cache_bytes=0) as table, \
-                MorselScheduler(workers=2, name="t-exec") as thread_tier, \
-                ProcessScheduler(workers=2, name="t-exec-par") as proc_tier:
+                        cache_bytes=0) as table:
             source = StoreSource(table)
-            rows = assert_tiers_agree(plan, source, thread_tier, proc_tier)
+            rows = assert_tiers_agree(plan, source, *tiers)
             assert np.array_equal(rows.row_ids, reference.row_ids)
-            groups = assert_tiers_agree(grouped, source, thread_tier,
-                                        proc_tier).groups
+            groups = assert_tiers_agree(grouped, source, *tiers).groups
             assert len(groups) > 1
+
+    @pytest.mark.parametrize("codec", INT_CODECS)
+    def test_fully_selected_granules_decode_sequentially(
+            self, codec, tmp_path, tiers):
+        """A granule whose every row survives the filter is decoded
+        whole, not gathered row by row — and nothing else changes: on
+        every tier the rows and every integer ``ExecStats`` field are
+        what naive decode-all-then-filter execution returns.  Granules
+        are 32 rows; the range covers rows 64–191, i.e. granules 2–5
+        exactly, and the rest are pruned by their zone maps."""
+        k = np.arange(256, dtype=np.int64)
+        columns = {"k": k, "v": k * 3 + 7, "w": k // 5}  # all sorted
+        whole = col("k").between(64, 192)
+        plans = {
+            "pushed range only": Plan.scan(["k", "v", "w"]).where(whole),
+            # v >= 0 is half-unbounded, so it runs as the residual —
+            # and keeps every row
+            "range + residual": Plan.scan(["k", "w"]).where(
+                whole & (col("v") >= 0)),
+        }
+
+        def check(path, live):
+            with Table.open(path, cache_bytes=0) as table:
+                source = StoreSource(table)
+                for name, plan in plans.items():
+                    naive = plan.execute(source, threads=1,
+                                         pushdown=False)
+                    fast = assert_tiers_agree(plan, source, *tiers)
+                    assert np.array_equal(fast.row_ids,
+                                          k[64:192][live]), name
+                    assert np.array_equal(fast.row_ids, naive.row_ids)
+                    for column in fast.columns:
+                        want = columns[column][64:192][live]
+                        assert np.array_equal(fast.columns[column], want)
+                        assert np.array_equal(naive.columns[column], want)
+                    assert count_fields(fast.stats) \
+                        == count_fields(naive.stats), name
+                    assert fast.stats.rows_scanned == int(live.sum())
+                # only the residual's own column is ever gathered
+                gathers = []
+                spy = StoreSource(table)
+                load = spy.load
+
+                def spying_load(granule, column, st):
+                    seq = load(granule, column, st)
+                    gather = seq.gather
+                    seq.gather = lambda idx: (gathers.append(column),
+                                              gather(idx))[1]
+                    return seq
+
+                spy.load = spying_load
+                plans["pushed range only"].execute(spy, threads=1)
+                assert gathers == []
+                plans["range + residual"].execute(spy, threads=1)
+                assert set(gathers) == {"v"}
+
+        path = str(tmp_path / "t")
+        with MutableTable.create(path, schema=("k", "v", "w"),
+                                 codec=codec, shard_rows=64,
+                                 chunk_rows=32) as table:
+            table.append(columns)
+            table.flush()
+            check(path, np.ones(128, dtype=bool))
+            # a deletion vector that empties granule 2 and touches no
+            # other: that granule is pruned, 3-5 are still whole
+            assert table.delete(col("k").between(64, 96)) == 32
+            table.flush()
+            check(path, np.arange(64, 192) >= 96)
 
     def test_unsafe_source_stays_on_the_calling_thread(self, backends):
         """A source that is not ``parallel_safe`` (ParquetSource charges

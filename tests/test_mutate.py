@@ -110,6 +110,52 @@ class TestWal:
         assert records[1][1:] == ("a", 3, {"b": 77})
         assert records[2][1] == Range("a", 0, 2) | InSet("b", [5, 6])
 
+    #: a log written by the commit before the record packer was shared
+    #: with the serving wire: two appends (int64 extremes; a strided and
+    #: an int32 input), one update, one delete
+    GOLDEN_LOG = bytes.fromhex(
+        "5250574c01"
+        "500000007489f31c" "411b000000"
+        "7b22636f6c756d6e73223a5b226b222c2276225d2c226e223a337d"
+        "010000000000000002000000000000000300000000000000"
+        "ffffffffffffffffffffffffffffff7f0000000000000080"
+        "31000000f7b79fab" "552c000000"
+        "7b226b65795f636f6c756d6e223a226b222c226b6579223a322c2276616c"
+        "756573223a7b2276223a39397d7d"
+        "36000000df59056d" "4431000000"
+        "7b22707265646963617465223a7b2274223a2272616e6765222c2263223a"
+        "226b222c226c6f223a302c226869223a327d7d"
+        "40000000bf37cf7e" "411b000000"
+        "7b22636f6c756d6e73223a5b226b222c2276225d2c226e223a327d"
+        "00000000000000000500000000000000"
+        "07000000000000000800000000000000")
+
+    def test_log_bytes_match_the_golden_log_and_replay(self, tmp_path):
+        path = str(tmp_path / "w.log")
+        wal = wal_mod.WriteAheadLog(path)
+        wal.log_append(
+            {"k": np.array([1, 2, 3], dtype=np.int64),
+             "v": np.array([-1, 2**63 - 1, -2**63], dtype=np.int64)})
+        wal.log_update("k", 2, {"v": 99})
+        wal.log_delete(Range("k", 0, 2))
+        wal.log_append({"k": np.arange(10, dtype=np.int64)[::5],
+                        "v": np.array([7, 8], dtype=np.int32)})
+        wal.close()
+        assert open(path, "rb").read() == self.GOLDEN_LOG
+        golden = str(tmp_path / "golden.log")
+        open(golden, "wb").write(self.GOLDEN_LOG)
+        first, update, delete, second = replay(golden)
+        assert first[0] == second[0] == "append"
+        assert first[1]["k"].tolist() == [1, 2, 3]
+        assert first[1]["v"].tolist() == [-1, 2**63 - 1, -2**63]
+        assert update == ("update", "k", 2, {"v": 99})
+        assert delete == ("delete", Range("k", 0, 2))
+        assert second[1]["k"].tolist() == [0, 5]
+        assert second[1]["v"].tolist() == [7, 8]
+        for column in (*first[1].values(), *second[1].values()):
+            # the memtable's own arrays, not views of the log's bytes
+            assert column.dtype == np.int64 and column.flags.writeable
+
     def test_expr_doc_roundtrip(self):
         exprs = [
             Range("x", None, 9),

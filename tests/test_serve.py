@@ -44,6 +44,8 @@ from repro.datasets import sensor_fixture
 from repro.exec import (
     And,
     Bitmap,
+    ExecResult,
+    ExecStats,
     ExecTimeout,
     InSet,
     MorselScheduler,
@@ -55,6 +57,7 @@ from repro.exec import (
     expr_from_json,
 )
 from repro.faults import FaultInjector
+from repro.obs import metrics as obs_metrics
 from repro.serve import ServeClient, TableServer, wire
 from repro.store import StoreSource, Table, TableWriter
 from repro.store import cli as store_cli
@@ -524,6 +527,178 @@ class TestWire:
         b.close()
 
 
+    # ------------------------------------------------ result frames (v2)
+    @staticmethod
+    def _result(columns, row_ids):
+        """A row result as the executor would hand it to the wire."""
+        return ExecResult(
+            columns=columns, row_ids=row_ids, groups=None,
+            stats=ExecStats(granules_total=3, granules_pruned=1,
+                            chunks_scanned=4, rows_scanned=len(row_ids)),
+            plan=Plan.scan(list(columns) or None).where(col("ts") >= -10),
+            source_desc="golden", residual_desc="ts >= -10")
+
+    def _reply(self, res, version, limit=None):
+        """What a ``"v": version`` client receives for ``res``: the
+        frame's payload bytes and ``recv_frame``'s reading of it."""
+        a, b = self._pair()
+        frame = wire.result_frame(res, version, limit=limit)
+        wire.write_frame(a, frame)
+        a.close()
+        reply = wire.recv_frame(b)
+        b.close()
+        assert reply["ok"] is True
+        return b"".join(frame[1:]), reply["result"]
+
+    @staticmethod
+    def _parent_encode_result(res, limit=None):
+        """``encode_result`` as the parent commit wrote it — the
+        per-element loop, kept as the reference for the v1 bytes."""
+        from dataclasses import asdict
+
+        out = {"n_rows": int(res.n_rows), "stats": asdict(res.stats),
+               "explain": res.explain(), "groups": None}
+        n = res.n_rows if limit is None else min(limit, res.n_rows)
+        out["row_ids"] = [int(v) for v in res.row_ids[:n]]
+        out["columns"] = {name: [int(v) for v in values[:n]]
+                          for name, values in res.columns.items()}
+        out["truncated"] = n < res.n_rows
+        return out
+
+    def test_v1_reply_is_byte_for_byte_the_parents(self, served_root):
+        res = self._result(
+            {"ts": np.array([5, -7, 2**63 - 1], dtype=np.int64),
+             "reading": np.array([0, -2**63, 9], dtype=np.int64)},
+            np.array([0, 4, 9], dtype=np.int64))
+        # captured from the parent commit's server for this result
+        payload, _ = self._reply(res, 1)
+        assert payload.startswith(
+            b'{"ok":true,"result":{"n_rows":3,"stats":{"granules_total":3,')
+        assert payload.endswith(
+            b'"groups":null,"row_ids":[0,4,9],"columns":{"ts":[5,-7,'
+            b'9223372036854775807],"reading":[0,-9223372036854775808,9]},'
+            b'"truncated":false}}')
+        payload, _ = self._reply(res, 1, limit=2)
+        assert payload.endswith(
+            b'"groups":null,"row_ids":[0,4],"columns":{"ts":[5,-7],'
+            b'"reading":[0,-9223372036854775808]},"truncated":true}}')
+        # and a real query's reply, against the parent's encoder
+        root, columns = served_root
+        with Table.open(os.path.join(root, "events")) as table:
+            real = _selective_plan(columns, width=700).execute(
+                StoreSource(table), threads=1)
+        for limit in (None, 0, 13, 10_000):
+            payload, _ = self._reply(real, 1, limit=limit)
+            assert payload == json.dumps(
+                {"ok": True,
+                 "result": self._parent_encode_result(real, limit)},
+                separators=(",", ":")).encode()
+
+    if HAVE_HYPOTHESIS:
+        _I64 = st.integers(-2**63, 2**63 - 1)
+
+        @settings(max_examples=120, deadline=None)
+        @given(data=st.data(), n=st.integers(0, 40),
+               names=st.lists(st.sampled_from("abcdef"), max_size=4,
+                              unique=True),
+               limit=st.one_of(st.none(), st.integers(0, 60)))
+        def test_property_rows_round_trip_both_versions(
+                self, data, n, names, limit):
+            """Every value lands exactly once, in order, none
+            duplicated, ``limit`` honoured — through the result frame
+            and through the JSON frame alike, whatever the memory
+            layout of the arrays handed to the wire."""
+            def column():
+                layout = data.draw(st.sampled_from(
+                    ["plain", "strided", "sliced"]))
+                size = {"plain": n, "strided": 2 * n, "sliced": n + 5}
+                base = np.array(
+                    data.draw(st.lists(self._I64, min_size=size[layout],
+                                       max_size=size[layout])),
+                    dtype=np.int64)
+                return {"plain": base, "strided": base[::2],
+                        "sliced": base[3:3 + n]}[layout]
+
+            res = self._result({name: column() for name in names},
+                               column())
+            keep = n if limit is None else min(limit, n)
+            _, binary = self._reply(res, 2, limit=limit)
+            _, listed = self._reply(res, 1, limit=limit)
+            assert set(binary) == set(listed)
+            for key in ("n_rows", "stats", "explain", "groups",
+                        "truncated"):
+                assert binary[key] == listed[key], key
+            assert binary["n_rows"] == n
+            assert binary["truncated"] == (keep < n)
+            assert list(binary["columns"]) == names \
+                == list(listed["columns"])
+            for got, old, want in [
+                    (binary["row_ids"], listed["row_ids"], res.row_ids),
+                    *((binary["columns"][name], listed["columns"][name],
+                       res.columns[name]) for name in names)]:
+                assert got.dtype == np.int64 and got.flags.writeable
+                assert got.flags.aligned
+                assert got.tolist() == old == want[:keep].tolist()
+
+    #: payloads that start like a result frame (or almost) and are not
+    MALFORMED_RESULT_PAYLOADS = {
+        "header length past the payload":
+            wire.RESULT_MAGIC + struct.pack("<I", 9999) + b"{}",
+        "payload ends inside the header length":
+            wire.RESULT_MAGIC + b"\x02\x00",
+        "block bytes != 8 x sum(counts)":
+            wire.RESULT_MAGIC + struct.pack("<I", 23)
+            + b'{"blocks":[["row_ids",2]]}'[:23] + b"\x00" * 8,
+        "no block list":
+            wire.RESULT_MAGIC + struct.pack("<I", 12) + b'{"n_rows":0}',
+        "negative count":
+            wire.RESULT_MAGIC + struct.pack("<I", 24)
+            + b'{"blocks":[["row_ids",-1]]}'[:24],
+        "header is not JSON":
+            wire.RESULT_MAGIC + struct.pack("<I", 4) + b"\xff\xfe{}",
+        "unknown magic":
+            b"RPRX" + struct.pack("<I", 2) + b"{}",
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULT_PAYLOADS))
+    def test_malformed_result_frame_rejected(self, case):
+        payload = self.MALFORMED_RESULT_PAYLOADS[case]
+        a, b = self._pair()
+        a.sendall(struct.pack(">I", len(payload)) + payload)
+        with pytest.raises(wire.WireError):
+            wire.recv_frame(b)
+        a.close()
+        b.close()
+
+    def test_torn_result_frame_rejected(self):
+        res = self._result({}, np.arange(50, dtype=np.int64))
+        whole = b"".join(wire.result_frame(res, 2))
+        a, b = self._pair()
+        a.sendall(whole[:-100])  # the connection dies inside a block
+        a.close()
+        with pytest.raises(wire.WireError, match="mid-frame"):
+            wire.recv_frame(b)
+        b.close()
+
+    def test_frame_past_the_cap_is_refused_before_it_is_sent(
+            self, monkeypatch):
+        res = self._result({"ts": np.arange(500, dtype=np.int64)},
+                           np.arange(500, dtype=np.int64))
+        for version in (2, 1):  # the JSON reply is the smaller one
+            size = len(b"".join(wire.result_frame(res, version))) - 4
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", size)
+            assert wire.result_frame(res, version)  # at the cap: fine
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", size - 1)
+            with pytest.raises(
+                    wire.WireError,
+                    match=f"result of {size} bytes exceeds the "
+                          f"{size - 1}-byte cap; pass limit="):
+                wire.result_frame(res, version)
+        assert wire.result_frame(res, 2, limit=10)
+        with pytest.raises(wire.WireError, match="frame of .* exceeds"):
+            wire.json_frame({"pad": "x" * size})
+
+
 # ---------------------------------------------------------------- server
 @pytest.fixture()
 def server(served_root):
@@ -540,7 +715,88 @@ def client(server):
         yield c
 
 
+def _query_v1(address, table, plan, **fields):
+    """A row query as a pre-v2 client sends it: one hand-rolled JSON
+    frame on its own socket, the reply read back as plain JSON."""
+    body = json.dumps({"v": 1, "op": "query", "table": table,
+                       "plan": plan.to_json(), **fields}).encode()
+    with socket.create_connection(address) as raw, \
+            raw.makefile("rb") as reader:
+        raw.sendall(struct.pack(">I", len(body)) + body)
+        (length,) = struct.unpack(">I", reader.read(4))
+        return json.loads(reader.read(length))
+
+
 class TestTableServer:
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_v2_client_and_v1_request_agree_key_for_key(
+            self, served_root, tier):
+        root, columns = served_root
+        plan = _selective_plan(columns, width=5000)
+        # no chunk cache: every read count in the stats repeats exactly
+        with TableServer(root, workers=2, worker_tier=tier,
+                         cache_bytes=0) as srv, \
+                ServeClient(*srv.address) as c:
+            for limit in (None, 40):
+                fields = {} if limit is None else {"limit": limit}
+                new = c.query("events", plan, **fields)
+                reply = _query_v1(srv.address, "events", plan, **fields)
+                assert reply["ok"] is True
+                old = reply["result"]
+                assert set(new) == set(old) == {
+                    "n_rows", "stats", "explain", "groups", "row_ids",
+                    "columns", "truncated"}
+                assert new["n_rows"] == old["n_rows"] == 5000
+                assert new["truncated"] == old["truncated"] \
+                    == (limit is not None)
+                assert new["groups"] is None and old["groups"] is None
+                assert isinstance(old["row_ids"], list)
+                assert new["row_ids"].dtype == np.int64
+                assert new["row_ids"].tolist() == old["row_ids"]
+                assert len(old["row_ids"]) == (limit or 5000)
+                assert list(new["columns"]) == list(old["columns"])
+                for name, values in new["columns"].items():
+                    assert values.dtype == np.int64
+                    assert values.tolist() == old["columns"][name]
+                assert set(new["stats"]) == set(old["stats"])
+                for field, value in new["stats"].items():
+                    if isinstance(value, int) and \
+                            field != "cache_evictions":
+                        assert value == old["stats"][field], field
+                assert new["explain"].splitlines()[:2] \
+                    == old["explain"].splitlines()[:2]
+            # what carries no rows is a JSON frame for both versions
+            grouped = Plan.scan(["reading"]).aggregate(
+                {"n": ("count", "reading")}, group_by="status")
+            assert c.query("events", grouped)["groups"] \
+                == _query_v1(srv.address, "events",
+                             grouped)["result"]["groups"]
+
+    def test_result_over_the_frame_cap_is_a_typed_answer(
+            self, served_root, server, client, monkeypatch):
+        """An answer too big for one frame is refused before any of it
+        is sent: a one-line error on the same connection, charged as an
+        error, and the connection keeps working."""
+        _, columns = served_root
+        plan = _selective_plan(columns, width=5000)
+        errors = obs_metrics.default_registry().get(
+            "repro_serve_requests_total").labels(op="query",
+                                                 status="error")
+        before = errors.value, server.stats()["queries_err"]
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 16_000)
+        with pytest.raises(RuntimeError,
+                           match=r"result of \d+ bytes exceeds the "
+                                 r"16000-byte cap; pass limit="):
+            client.query("events", plan)
+        reply = _query_v1(server.address, "events", plan)
+        assert reply == {"ok": False, "kind": "WireError",
+                         "error": reply["error"]}
+        assert "exceeds the 16000-byte cap; pass limit=" in reply["error"]
+        assert (errors.value, server.stats()["queries_err"]) \
+            == (before[0] + 2, before[1] + 2)
+        assert len(client.query("events", plan, limit=50)["row_ids"]) == 50
+        assert client.ping() == "pong"
+
     def test_ping_and_list_tables(self, client):
         assert client.ping() == "pong"
         assert client.list_tables() == ["events"]
@@ -608,9 +864,14 @@ class TestTableServer:
             client.query("events", blob)
 
     def test_unknown_wire_version_is_one_liner(self, client):
-        with pytest.raises(RuntimeError,
-                           match="unsupported request version 9"):
-            client._call({"op": "ping", "v": 9})
+        for version in (3, 9, 0, None):
+            with pytest.raises(
+                    RuntimeError,
+                    match=f"unsupported request version {version} "
+                          r"\(this server speaks 1 and 2\)$"):
+                client._call({"op": "ping", "v": version})
+        assert client._call({"op": "ping", "v": 1}) == "pong"
+        assert client.ping() == "pong"  # sent as wire.WIRE_VERSION (2)
 
     def test_unknown_op_and_opts_rejected(self, client):
         with pytest.raises(RuntimeError, match="unknown op"):
@@ -629,6 +890,48 @@ class TestTableServer:
         # the server dropped both connections and kept serving
         with ServeClient(host, port) as c:
             assert c.ping() == "pong"
+
+    @pytest.mark.parametrize(
+        "case", sorted(TestWire.MALFORMED_RESULT_PAYLOADS))
+    def test_malformed_result_frame_drops_that_connection_only(
+            self, server, client, case):
+        payload = TestWire.MALFORMED_RESULT_PAYLOADS[case]
+        with socket.create_connection(server.address) as raw:
+            raw.sendall(struct.pack(">I", len(payload)) + payload)
+            raw.settimeout(10)
+            assert raw.recv(1) == b""  # dropped without an answer
+        assert client.ping() == "pong"
+
+    def test_typed_server_errors_leave_the_connection_open(self, client):
+        with pytest.raises(RuntimeError, match="unknown table"):
+            client.query("nope", Plan.scan(None))
+        assert client.ping() == "pong"
+
+    @pytest.mark.parametrize("reply", [
+        struct.pack(">I", 64) + b'{"ok": tr',        # torn, then EOF
+        struct.pack(">I", 9) + b"not json!" + b"x",  # garbage + extra
+        struct.pack(">I", 10) + wire.RESULT_MAGIC    # malformed result
+        + struct.pack("<I", 999) + b"{}",
+    ])
+    def test_transport_failure_closes_the_client(self, reply):
+        """A reply that cannot be read leaves unread bytes behind: the
+        client drops the connection instead of parsing them next."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def serve():
+                conn, _ = listener.accept()
+                with conn:
+                    wire.recv_frame(conn)
+                    conn.sendall(reply)
+
+            peer = threading.Thread(target=serve)
+            peer.start()
+            with ServeClient(*listener.getsockname()) as c:
+                with pytest.raises(wire.WireError):
+                    c.ping()
+                peer.join(timeout=10)
+                assert not peer.is_alive()
+                with pytest.raises(ConnectionError, match="closed"):
+                    c.ping()
 
     def test_request_deadline_raises_exec_timeout(self, served_root):
         root, columns = served_root
