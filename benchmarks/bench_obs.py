@@ -6,10 +6,8 @@ budgeted: metrics must stay within **5%** on the executor's
 0.5%-selectivity store scan (the pruning-heavy path where per-granule
 bookkeeping is the largest relative cost), and a full trace within
 **15%**.  This bench measures all three arms best-of-N against the
-``set_enabled(False)`` kill switch, then runs a mixed query +
-mutation + compaction workload and fetches the ``metrics`` wire op
-from a live :class:`TableServer`, asserting every core family is
-populated — the series a Prometheus scraper would actually see.
+``set_enabled(False)`` kill switch, on the thread tier and on the
+process tier.
 
 Writes a ``BENCH_obs.json`` trajectory with pass/fail checks::
 
@@ -29,11 +27,9 @@ import time
 import numpy as np
 
 from repro.exec import MorselScheduler, Plan, Range
-from repro.mutate import MutableTable
 from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import parse_text, set_enabled
+from repro.obs.metrics import set_enabled
 from repro.obs.trace import Trace
-from repro.serve import ServeClient, TableServer
 from repro.store import StoreSource, Table, write_table
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -55,18 +51,6 @@ PROC_BATCH = 3
 #: regression gates (relative to the kill-switch baseline)
 MAX_METRICS_OVERHEAD = 0.05
 MAX_TRACE_OVERHEAD = 0.15
-
-#: wire-op families that must be non-zero after the mixed workload
-CORE_FAMILIES = (
-    "repro_serve_requests_total",
-    "repro_sched_granules_total",
-    "repro_cache_lookups_total",
-    "repro_exec_queries_total",
-    "repro_exec_rows_total",
-    "repro_wal_appends_total",
-    "repro_mutate_generations_total",
-    "repro_mutate_compact_passes_total",
-)
 
 
 def _overhead_arms(directory: str, n: int) -> dict:
@@ -214,41 +198,6 @@ def _best_of(first: dict, second: dict) -> dict:
     return out
 
 
-def _mixed_workload(root: str, mutate_dir: str, n: int) -> dict:
-    """Queries through a live server + WAL churn, flush, and
-    compaction in the same process, then the ``metrics`` wire op."""
-    rng = np.random.default_rng(1)
-    with MutableTable.create(mutate_dir,
-                             schema=("ts", "val")) as mutable:
-        for batch in range(4):
-            size = n // 40
-            mutable.append({
-                "ts": np.arange(batch * size, (batch + 1) * size,
-                                dtype=np.int64),
-                "val": rng.integers(0, 1000, size).astype(np.int64)})
-            mutable.flush()
-        mutable.delete(("val", 0, 500))
-        mutable.flush()
-        mutable.compact()
-
-    with TableServer(root) as server:
-        host, port = server.address
-        with ServeClient(host, port) as client:
-            plan = Plan.scan(["val"]).where(Range("ts", 0, n // 200))
-            for _ in range(10):
-                client.query("events", plan, limit=16)
-            client.explain("events", plan)
-            text = client.metrics()
-
-    families = parse_text(text)
-    populated = {}
-    for name in CORE_FAMILIES:
-        samples = families.get(name, {}).get("samples", ())
-        populated[name] = sum(v for _, _, v in samples)
-    return {"series_rendered": len(families),
-            "core_family_totals": populated}
-
-
 def run(root: str, n: int) -> dict:
     directory = os.path.join(root, "events")
     rng = np.random.default_rng(0)
@@ -272,7 +221,6 @@ def run(root: str, n: int) -> dict:
             break
         time.sleep(1.0)
         proc = _best_of(proc, _process_tier_arms(directory, n))
-    mixed = _mixed_workload(root, os.path.join(root, "churn"), n)
 
     checks = {
         "metrics_overhead_within_budget": bool(
@@ -295,9 +243,6 @@ def run(root: str, n: int) -> dict:
             and proc["merged_lanes"]),
         "worker_spans_crossed_the_pipe": bool(
             proc["worker_spans"] > 0),
-        "wire_metrics_all_core_families_populated": all(
-            total > 0
-            for total in mixed["core_family_totals"].values()),
     }
 
     emit(f"scan (0.5% selectivity, n={n}): "
@@ -319,10 +264,6 @@ def run(root: str, n: int) -> dict:
          f"merged granules "
          f"{proc['merged_worker_granules']:g} over lanes "
          f"{','.join(proc['merged_lanes'])}")
-    emit(f"mixed workload: {mixed['series_rendered']} families "
-         f"rendered over the wire")
-    for name, total in mixed["core_family_totals"].items():
-        emit(f"  {name:<42} {total:>12g}")
     emit("checks: " + ", ".join(f"{k}={v}" for k, v in checks.items()))
 
     return {
@@ -331,7 +272,6 @@ def run(root: str, n: int) -> dict:
         "process_tier": proc,
         "budgets": {"metrics": MAX_METRICS_OVERHEAD,
                     "trace": MAX_TRACE_OVERHEAD},
-        "mixed_workload": mixed,
         "checks": checks,
     }
 
@@ -347,7 +287,7 @@ def main(argv=None) -> None:
     emit(headline(
         "Observability overhead benchmark",
         f"metrics + tracing cost on a 0.5%-selectivity scan (n={n}), "
-        "then a mixed query/mutation workload scraped over the wire"))
+        "thread tier and process tier"))
     root = args.dir or tempfile.mkdtemp(prefix="repro_obs_bench_")
     try:
         payload = run(root, n)

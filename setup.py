@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Package metadata; this file is its only copy.
 
-The canonical metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works in offline environments that lack the ``wheel``
-package (legacy editable installs via ``--no-use-pep517`` need a setup.py).
+It is a ``setup.py`` so that ``pip install -e .`` works in offline
+environments that lack the ``wheel`` package (legacy editable installs
+via ``--no-use-pep517`` need one).
 """
 
 from setuptools import find_packages, setup

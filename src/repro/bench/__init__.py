@@ -1,4 +1,4 @@
-"""Benchmark harness utilities shared by benchmarks/."""
+"""Harness for benchmarks/ (Figs. 2–22, Tab. 1); not on the serving path."""
 
 from repro.bench.harness import Measurement, measure_codec, weighted_average
 from repro.bench.report import percent, render_table

@@ -17,8 +17,6 @@ from repro.datasets.strings import (
     load_strings,
 )
 from repro.datasets.store_fixtures import (
-    apply_churn_op,
-    churn_fixture,
     ingest_fixture,
     sensor_fixture,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "Table",
     "load_table",
     "TABLE_NAMES",
-    "apply_churn_op",
-    "churn_fixture",
     "ingest_fixture",
     "sensor_fixture",
     "load_strings",

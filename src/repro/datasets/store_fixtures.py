@@ -42,68 +42,3 @@ def ingest_fixture(name: str = "sensors", n: int | None = None,
         return dict(load_table(name, n=n, seed=seed).columns)
     raise KeyError(
         f"unknown fixture {name!r}; known: sensors, {', '.join(TABLE_NAMES)}")
-
-
-def churn_fixture(n: int = 50_000, n_ops: int = 200, seed: int = 0,
-                  n_sensors: int = 64):
-    """A mutation workload for the mutate layer: base + operation stream.
-
-    Returns ``(base, ops)``: the sensor telemetry base table plus
-    ``n_ops`` mutation events shaped like live traffic — mostly appends
-    of fresh telemetry (timestamps continue past the base), mixed with
-    range deletes on ``ts`` (data retention), targeted deletes on
-    ``sensor_id`` (device decommissioning), and update-by-key status
-    flips.  Each op is a dict with an ``"op"`` key (``append`` /
-    ``delete`` / ``update``) and the keyword payload of the matching
-    :class:`~repro.mutate.MutableTable` method, so drivers (benchmark,
-    tests, CLI demos) replay it uniformly.
-    """
-    rng = np.random.default_rng(seed)
-    base = sensor_fixture(n, n_sensors=n_sensors, seed=seed)
-    next_ts = int(base["ts"][-1]) + 1
-    retention_lo = 0
-    ops: list[dict] = []
-    for _ in range(n_ops):
-        kind = rng.choice(["append", "append", "append", "delete_range",
-                           "delete_sensor", "update"])
-        if kind == "append":
-            m = int(rng.integers(200, 2000))
-            ts = next_ts + np.cumsum(rng.integers(1, 20, m)).astype(
-                np.int64)
-            next_ts = int(ts[-1]) + 1
-            drift = np.cumsum(rng.normal(0, 3, m))
-            ops.append({"op": "append", "batch": {
-                "ts": ts,
-                "sensor_id": rng.integers(0, n_sensors, m).astype(
-                    np.int64),
-                "reading": (1000 + drift + rng.normal(0, 40, m)).astype(
-                    np.int64),
-                "status": rng.choice(
-                    np.array([0, 0, 0, 0, 1, 2], dtype=np.int64), m),
-            }})
-        elif kind == "delete_range":
-            # retention: drop a slice of the oldest surviving window
-            span = int(rng.integers(50, next_ts // 20 + 51))
-            ops.append({"op": "delete", "where": (
-                "ts", retention_lo, retention_lo + span)})
-            retention_lo += span
-        elif kind == "delete_sensor":
-            victim = int(rng.integers(0, n_sensors))
-            ops.append({"op": "delete",
-                        "where": ("sensor_id", victim, victim + 1)})
-        else:
-            ops.append({"op": "update",
-                        "key_column": "sensor_id",
-                        "key": int(rng.integers(0, n_sensors)),
-                        "values": {"status": int(rng.integers(0, 3))}})
-    return base, ops
-
-
-def apply_churn_op(table, op: dict) -> int:
-    """Replay one churn-fixture op on a ``MutableTable``; returns the
-    rows the op touched."""
-    if op["op"] == "append":
-        return table.append(op["batch"])
-    if op["op"] == "delete":
-        return table.delete(op["where"])
-    return table.update(op["key_column"], op["key"], op["values"])

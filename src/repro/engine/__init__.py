@@ -1,16 +1,10 @@
-"""Columnar execution engine substrate (paper §5.1)."""
+"""Paper §5.1 engine substrate for Figs. 14, 18–21; not on the serving path."""
 
 from repro.engine.array import ENCODINGS, EncodedColumn
 from repro.engine.blockzstd import block_compress, block_decompress
 from repro.engine.dictjoin import ProbeResult, run_hash_probe
 from repro.engine.io import IOModel
-from repro.engine.ops import (
-    bitmap_sum,
-    filter_to_bitmap,
-    groupby_avg,
-    groupby_sum_count,
-    zipf_cluster_bitmap,
-)
+from repro.engine.ops import zipf_cluster_bitmap
 from repro.engine.parquet import (
     ColumnChunk,
     ParquetLikeFile,
@@ -31,10 +25,6 @@ __all__ = [
     "ProbeResult",
     "run_hash_probe",
     "IOModel",
-    "bitmap_sum",
-    "filter_to_bitmap",
-    "groupby_avg",
-    "groupby_sum_count",
     "zipf_cluster_bitmap",
     "ColumnChunk",
     "ParquetLikeFile",

@@ -1,61 +1,13 @@
-"""Compute kernels of the execution engine (§5.1).
+"""Fig. 19's clustered selection bitmaps.
 
-Late-materialization operators working on encoded columns and position
-bitmaps, mirroring the Arrow Compute functions the paper builds on:
-``filter`` (predicate pushdown), ``groupby_avg``, and ``bitmap_sum``.
+The filter / group-by / bitmap-sum operators themselves live in
+:mod:`repro.exec` (``exec/run.py``); :mod:`repro.engine.queries` builds
+their plans.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.engine.array import EncodedColumn
-
-
-def filter_to_bitmap(column: EncodedColumn, lo: int, hi: int) -> np.ndarray:
-    """Pushed-down range predicate ``lo <= v < hi`` over an encoded chunk."""
-    return column.filter_range(lo, hi)
-
-
-def groupby_sum_count(ids: EncodedColumn, vals: EncodedColumn,
-                      bitmap: np.ndarray) -> dict[int, tuple[int, int]]:
-    """Per-group ``(sum, count)`` partials over bitmap-selected rows.
-
-    Only decodes entries whose bit is set (random access into the encoded
-    arrays — the paper's groupby/aggregation path).  Returning the
-    partials, not the means, is what makes cross-row-group merging exact:
-    averages of unevenly split groups cannot be combined, sums and counts
-    can.
-    """
-    positions = np.flatnonzero(bitmap)
-    if positions.size == 0:
-        return {}
-    id_vals = ids.take(positions)
-    val_vals = vals.take(positions)
-    order = np.argsort(id_vals, kind="stable")
-    sorted_ids = id_vals[order]
-    sorted_vals = val_vals[order]
-    starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_ids)) + 1])
-    sums = np.add.reduceat(sorted_vals, starts)
-    counts = np.diff(np.append(starts, sorted_ids.size))
-    return {int(key): (int(total), int(count))
-            for key, total, count in zip(sorted_ids[starts], sums, counts)}
-
-
-def groupby_avg(ids: EncodedColumn, vals: EncodedColumn,
-                bitmap: np.ndarray) -> dict[int, float]:
-    """``SELECT AVG(val) GROUP BY id`` over bitmap-selected rows."""
-    return {key: total / count for key, (total, count)
-            in groupby_sum_count(ids, vals, bitmap).items()}
-
-
-def bitmap_sum(vals: EncodedColumn, bitmap: np.ndarray) -> int:
-    """Sum of the bitmap-selected entries (Fig. 19's aggregation)."""
-    positions = np.flatnonzero(bitmap)
-    if positions.size == 0:
-        return 0
-    return int(vals.take(positions).sum())
 
 
 def zipf_cluster_bitmap(n: int, selectivity: float, clusters: int = 10,

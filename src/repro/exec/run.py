@@ -19,8 +19,8 @@ per granule the pipeline is
 4. **Late materialization** — output columns ``gather`` the survivors
    (or ``decode_all`` when the whole granule survived);
    ``pushdown=False`` instead decodes every needed column fully and
-   filters afterwards (the naive baseline ``BENCH_exec.json`` measures
-   against).
+   filters afterwards (the naive reference the property suite in
+   ``tests/test_exec.py`` compares against).
 5. **Operator partials** — Aggregate partials are ``(sum, count, min,
    max)`` states merged exactly across granules (never merged means);
    HashJoin probes the granule's batch against the built side.
@@ -724,13 +724,12 @@ def execute(plan: Plan, source, threads: int | None = None,
         spread — at most one granule, or ``threads=None`` on a 1-CPU
         machine.
     prune:
-        Zone-map granule pruning (disable for the unpruned baseline;
+        Zone-map granule pruning (disable for the unpruned reference;
         results are identical).
     pushdown:
         ``False`` switches to naive decode-all-then-filter execution
-        (no ``filter_range``, no late materialization) — the honest
-        baseline the exec benchmark compares against.  Results are
-        identical.
+        (no ``filter_range``, no late materialization) — the reference
+        the tests compare against.  Results are identical.
     on_corruption:
         ``"raise"`` (default) propagates :class:`CorruptChunkError` from
         a failed chunk checksum; ``"skip"`` quarantines the granule —

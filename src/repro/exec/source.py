@@ -218,15 +218,15 @@ class ArraySource(ColumnSource):
 
     ``morsel_rows`` slices the table into fixed-size granules (``None``
     = one granule).  For ndarray columns, per-granule min/max zone maps
-    are precomputed (``zone_maps=False`` disables, e.g. to benchmark
-    unpruned execution); sequence-backed columns report
-    ``model_bounds()`` where the codec exposes it.
+    are precomputed; sequence-backed columns report ``model_bounds()``
+    where the codec exposes it.  ``execute(prune=False)`` is the way to
+    run unpruned.
     """
 
     parallel_safe = True
 
     def __init__(self, columns: dict, morsel_rows: int | None = None,
-                 name: str = "memory", zone_maps: bool = True):
+                 name: str = "memory"):
         if not columns:
             raise ValueError("ArraySource needs at least one column")
         self._columns = {}
@@ -250,8 +250,7 @@ class ArraySource(ColumnSource):
             Granule(i, start, min(step, self._n - start))
             for i, start in enumerate(range(0, max(self._n, 1), step)))
         self._bounds: dict[tuple[int, str], tuple | None] = {}
-        if zone_maps:
-            self._precompute_bounds()
+        self._precompute_bounds()
 
     def _precompute_bounds(self) -> None:
         for cname, backing in self._columns.items():

@@ -1,4 +1,4 @@
-"""RocksDB-like LSM key-value store substrate (paper §5.2)."""
+"""Paper §5.2 LSM key-value substrate for Fig. 22; not on the serving path."""
 
 from repro.kvstore.blocks import (
     DEFAULT_BLOCK_SIZE,

@@ -37,7 +37,7 @@ from repro.exec.plan import Plan
 __all__ = ["DESCRIPTOR_VERSION", "QueryDescriptor", "describe_query"]
 
 #: bumped on any incompatible change to the descriptor wire format
-DESCRIPTOR_VERSION = 1
+DESCRIPTOR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class QueryDescriptor:
 
     table_path: str            # absolute table directory
     version: int | None        # pinned generation (None = legacy manifest)
-    verify_checksums: bool     # match the driver's open
     cache_bytes: int           # per-worker chunk-cache budget (0 = none)
     n_rows: int                # drift guard: snapshot row count
     n_granules: int            # drift guard: snapshot granule count
@@ -63,7 +62,6 @@ class QueryDescriptor:
             "v": DESCRIPTOR_VERSION,
             "table_path": self.table_path,
             "version": self.version,
-            "verify_checksums": self.verify_checksums,
             "cache_bytes": self.cache_bytes,
             "n_rows": self.n_rows,
             "n_granules": self.n_granules,
@@ -85,7 +83,6 @@ class QueryDescriptor:
         return cls(
             table_path=obj["table_path"],
             version=obj["version"],
-            verify_checksums=bool(obj["verify_checksums"]),
             cache_bytes=int(obj["cache_bytes"]),
             n_rows=int(obj["n_rows"]),
             n_granules=int(obj["n_granules"]),
@@ -94,9 +91,7 @@ class QueryDescriptor:
             pushdown=bool(obj["pushdown"]),
             on_corruption=obj["on_corruption"],
             io_retries=int(obj["io_retries"]),
-            # added by the cross-process tracing work; absent in wire
-            # payloads from older drivers, same descriptor version
-            trace_enabled=bool(obj.get("trace_enabled", False)),
+            trace_enabled=bool(obj["trace_enabled"]),
         )
 
     def build_plan(self) -> Plan:

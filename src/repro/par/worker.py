@@ -180,15 +180,13 @@ class WorkerState:
         self._trace: Trace | None = None
 
     def _source_for(self, desc: QueryDescriptor):
-        key = (desc.table_path, desc.version, desc.verify_checksums,
-               desc.cache_bytes)
+        key = (desc.table_path, desc.version, desc.cache_bytes)
         source = self._sources.get(key)
         if source is None:
             from repro.store.executor import StoreSource
             from repro.store.table import Table
 
             table = Table.open(desc.table_path, version=desc.version,
-                               verify_checksums=desc.verify_checksums,
                                cache_bytes=desc.cache_bytes)
             source = StoreSource(table)
             self._sources[key] = source

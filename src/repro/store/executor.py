@@ -120,7 +120,6 @@ class StoreSource(ColumnSource):
         return {
             "table_path": os.path.abspath(self.table.path),
             "version": generation if generation else None,
-            "verify_checksums": self.table.verify_checksums,
             "cache_bytes": self.table.cache.capacity_bytes
             if self.table.cache is not None else 0,
             "n_rows": self.table.n_rows,

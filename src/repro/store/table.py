@@ -85,10 +85,9 @@ class Table:
     """Read-only snapshot of one store directory (use :meth:`open`)."""
 
     def __init__(self, path: str, cache_bytes: int = DEFAULT_CAPACITY_BYTES,
-                 version: int | None = None, verify_checksums: bool = True,
+                 version: int | None = None,
                  cache: ChunkCache | None = None):
         self.path = path
-        self.verify_checksums = verify_checksums
         self.manifest: Manifest = read_manifest(path, version=version)
         self.shards: list[Shard] = []
         try:
@@ -134,21 +133,16 @@ class Table:
     @classmethod
     def open(cls, path: str, cache_bytes: int = DEFAULT_CAPACITY_BYTES,
              version: int | None = None,
-             verify_checksums: bool = True,
              cache: ChunkCache | None = None) -> "Table":
         """Open the current snapshot, or pin an older published
         ``version`` of a mutated table (time travel).
 
-        ``verify_checksums=False`` skips the per-chunk crc32 check on
-        cache-miss revive (the un-checksummed baseline the faults bench
-        measures against); corruption then surfaces only as codec decode
-        errors or silently wrong rows — leave it on outside benchmarks.
         ``cache`` injects a shared :class:`ChunkCache` (the table server
         gives every open table one cache); it overrides ``cache_bytes``
         and is left intact when this table closes.
         """
         return cls(path, cache_bytes=cache_bytes, version=version,
-                   verify_checksums=verify_checksums, cache=cache)
+                   cache=cache)
 
     @staticmethod
     def versions(path: str) -> list[int]:
@@ -254,8 +248,7 @@ class Table:
         and skip the check.
         """
         blob = self.chunk_bytes(shard_idx, meta)
-        if self.verify_checksums and meta.crc is not None \
-                and zlib.crc32(blob) != meta.crc:
+        if meta.crc is not None and zlib.crc32(blob) != meta.crc:
             raise CorruptChunkError(
                 "chunk envelope checksum mismatch",
                 file=os.path.basename(self.shards[shard_idx].path),
@@ -282,8 +275,8 @@ class Table:
             codecs' vectorised ``filter_range``, and projected columns
             ``gather`` only surviving positions.
         prune:
-            Disable to force the filter onto every chunk (the benchmark's
-            unpruned baseline); results are identical.
+            Disable to force the filter onto every chunk (the unpruned
+            reference the tests compare against); results are identical.
         threads:
             ``1`` pins the scan to the calling thread; otherwise chunks
             fan out on the shared scheduler.

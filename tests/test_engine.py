@@ -17,7 +17,6 @@ from repro.engine import (
     run_hash_probe,
     zipf_cluster_bitmap,
 )
-from repro.engine.ops import bitmap_sum, groupby_avg
 
 int_columns = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
                        max_size=300).map(
@@ -263,14 +262,6 @@ class TestQueries:
 
 
 class TestOps:
-    def test_groupby_avg_empty_bitmap(self):
-        col = EncodedColumn(np.arange(10), "plain")
-        assert groupby_avg(col, col, np.zeros(10, dtype=bool)) == {}
-
-    def test_bitmap_sum_empty(self):
-        col = EncodedColumn(np.arange(10), "plain")
-        assert bitmap_sum(col, np.zeros(10, dtype=bool)) == 0
-
     def test_zipf_bitmap_selectivity(self):
         bitmap = zipf_cluster_bitmap(100_000, 0.01)
         assert 0.004 <= bitmap.mean() <= 0.03

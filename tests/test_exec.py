@@ -1,8 +1,5 @@
 """Tests for the unified execution layer (``repro.exec``)."""
 
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -549,27 +546,3 @@ if HAVE_HYPOTHESIS:
                                       columns[name][mask])
                 assert np.array_equal(naive.columns[name],
                                       pushed.columns[name])
-
-
-class TestBenchExec:
-    def test_bench_exec_quick(self, tmp_path):
-        import importlib.util
-        import sys
-
-        bench_path = os.path.join(os.path.dirname(__file__), "..",
-                                  "benchmarks", "bench_exec.py")
-        spec = importlib.util.spec_from_file_location("bench_exec",
-                                                      bench_path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_exec"] = module
-        spec.loader.exec_module(module)
-        json_path = str(tmp_path / "BENCH_exec.json")
-        module.main(["--quick", "--json", json_path,
-                     "--dir", str(tmp_path / "bench_table")])
-        with open(json_path) as fh:
-            payload = json.load(fh)
-        assert all(payload["checks"].values()), payload["checks"]
-        selective = payload["backends"]["store"]["preds1_sel0.005"]
-        assert selective["pushdown_ms"] < selective["naive_ms"]
-        assert selective["granules_pruned"] > 0
-        assert "pruned" in payload["explain"]

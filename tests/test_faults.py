@@ -532,14 +532,6 @@ class TestCorruptionDetection:
         with pytest.raises(ValueError, match="footer checksum"):
             Table.open(directory)
 
-    def test_verify_checksums_off_is_the_unchecked_baseline(
-            self, small_table):
-        directory, columns = small_table
-        with Table.open(directory, verify_checksums=False) as table:
-            res = table.scan()
-            np.testing.assert_array_equal(res.columns["ts"],
-                                          columns["ts"])
-
     def test_v1_files_still_readable_without_checksums(self, small_table):
         directory, columns = small_table
         for name in _shard_files(directory):

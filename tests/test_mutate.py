@@ -287,13 +287,18 @@ class TestMutableTable:
             table.delete(("k", 0, 260))
             table.flush()
             before = table.scan().columns["v"].copy()
+            with table.snapshot() as snap:
+                bytes_before = snap.stored_bytes()
             generation = table.compact(threshold=0.9)
             assert generation is not None
             with table.snapshot() as snap:
                 assert snap.n_rows == snap.live_rows == 240
                 assert all(s.deleted is None for s in snap.shards)
                 assert all(f == 1.0 for f in live_fractions(snap))
-            assert np.array_equal(table.scan().columns["v"], before)
+                assert snap.stored_bytes() < bytes_before
+            after = table.scan()
+            assert np.array_equal(after.columns["v"], before)
+            assert after.stats.rows_masked == 0
             # nothing left to compact
             assert table.compact(threshold=0.9) is None
 

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from exec_checks import assert_granule_spans_match
 from repro.exec import ExecTimeout, MorselScheduler, Plan, Range
+from repro.mutate import MutableTable
 from repro.obs import __main__ as obs_main
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
@@ -539,6 +540,12 @@ def served(tmp_path):
 
 class TestServeSurfaces:
     def test_metrics_wire_op(self, served):
+        with MutableTable.create(os.path.join(served, "churn"),
+                                 schema=("k", "v")) as mutable:
+            mutable.append({"k": np.arange(64), "v": np.arange(64)})
+            mutable.flush()
+            mutable.delete(("k", 0, 40))
+            assert mutable.compact(threshold=0.9) is not None
         with TableServer(served, max_inflight=4) as server:
             host, port = server.address
             with ServeClient(host, port) as client:
@@ -562,6 +569,13 @@ class TestServeSurfaces:
                    in fams["repro_sched_granules_total"]["samples"])
         assert any(v > 0 for _, _, v
                    in fams["repro_cache_lookups_total"]["samples"])
+        # ... and rows out, and the mutation layer's WAL / commit /
+        # compaction counters from the round above
+        for name in ("repro_exec_rows_total",
+                     "repro_wal_appends_total",
+                     "repro_mutate_generations_total",
+                     "repro_mutate_compact_passes_total"):
+            assert any(v > 0 for _, _, v in fams[name]["samples"]), name
 
     def test_http_metrics_endpoint(self, served):
         with TableServer(served, metrics_port=0) as server:

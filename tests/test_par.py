@@ -173,7 +173,8 @@ class TestDescriptor:
         wire = json.loads(json.dumps(desc.to_json()))
         wire = pickle.loads(pickle.dumps(
             wire, protocol=pickle.HIGHEST_PROTOCOL))
-        assert wire["v"] == DESCRIPTOR_VERSION
+        assert wire["v"] == DESCRIPTOR_VERSION == 2
+        assert "verify_checksums" not in wire
         revived = QueryDescriptor.from_json(wire)
         assert revived == desc
         assert revived.build_plan().to_json() == FILTER_PLAN.to_json()
@@ -183,9 +184,14 @@ class TestDescriptor:
                               pushdown=True, on_corruption="raise",
                               io_retries=2)
         wire = desc.to_json()
-        wire["v"] = DESCRIPTOR_VERSION + 1
-        with pytest.raises(ValueError, match="descriptor version"):
-            QueryDescriptor.from_json(wire)
+        # v1 carried a required "verify_checksums" key that v2 dropped
+        for foreign in (1, DESCRIPTOR_VERSION + 1):
+            wire["v"] = foreign
+            with pytest.raises(
+                    ValueError,
+                    match=f"^unsupported descriptor version {foreign} "
+                          rf"\(this worker speaks {DESCRIPTOR_VERSION}\)$"):
+                QueryDescriptor.from_json(wire)
 
     def test_memory_sources_are_not_describable(self):
         array = ArraySource({"v": np.arange(100)}, morsel_rows=10)

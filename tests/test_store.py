@@ -537,31 +537,6 @@ class TestEndToEnd:
             full = table.scan(columns=["sensor_id", "reading"])
             assert 0 < res.stats.bytes_read < full.stats.bytes_read
 
-    def test_bench_store_scan_quick(self, tmp_path):
-        import importlib.util
-        import sys
-
-        bench_path = os.path.join(os.path.dirname(__file__), "..",
-                                  "benchmarks", "bench_store_scan.py")
-        spec = importlib.util.spec_from_file_location("bench_store_scan",
-                                                      bench_path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_store_scan"] = module
-        spec.loader.exec_module(module)
-        json_path = str(tmp_path / "BENCH_store.json")
-        module.main(["--quick", "--json", json_path,
-                     "--dir", str(tmp_path / "bench_table")])
-        with open(json_path) as fh:
-            payload = json.load(fh)
-        checks = payload["checks"]
-        assert checks["pruned_matches_naive"] is True
-        assert checks["pruned_reads_fewer_bytes"] is True
-        assert checks["warm_reads_zero_bytes"] is True
-        assert payload["scans"]["selective_pruned"]["bytes_read"] < \
-            payload["scans"]["full_cold"]["bytes_read"]
-        # pruning must win on wall clock at this selectivity
-        assert checks["pruned_faster_than_unpruned"] is True
-
 
 class TestForwardCompat:
     """Readers must reject newer format versions with a clear error
