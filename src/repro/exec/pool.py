@@ -6,11 +6,8 @@ worker threads pulls *granules* (not whole queries) from every
 in-flight plan, so concurrent queries interleave at morsel granularity
 on a bounded number of threads instead of oversubscribing.
 
-* **Policy** — ``"fair"`` round-robins one granule per in-flight query
-  per turn (no query starves); ``"sjf"`` always serves the query with
-  the fewest granules still queued (shortest-job-first by
-  remaining-granule estimate — small selective probes overtake big full
-  scans).
+* **Dispatch order** — fair: one granule per in-flight query per turn,
+  round-robin, so no query starves.
 * **Admission control** — at most ``max_inflight`` queries execute at
   once; up to ``queue_depth`` more park in FIFO order waiting for a
   slot, and anything beyond that is rejected immediately with
@@ -46,9 +43,6 @@ def auto_workers() -> int:
     """Default pool width: one worker per CPU, at most 8."""
     return max(1, min(os.cpu_count() or 1, 8))
 
-
-#: scheduling policies
-POLICIES = ("fair", "sjf")
 
 # process-wide scheduler metrics, labelled by scheduler name so the
 # server's bounded instance and the shared in-process one stay distinct
@@ -97,11 +91,6 @@ class _Job:
         self.trace = trace
         self.t_enqueued = time.perf_counter()
 
-    @property
-    def remaining(self) -> int:
-        """Granules still queued (the SJF job-size estimate)."""
-        return len(self.queue)
-
 
 class MorselScheduler:
     """Process-wide worker pool interleaving granules of many queries.
@@ -117,7 +106,7 @@ class MorselScheduler:
     #: descriptor (the process tier ships those to worker processes)
     wants_descriptors = False
 
-    def __init__(self, workers: int | None = None, policy: str = "fair",
+    def __init__(self, workers: int | None = None,
                  max_inflight: int | None = None,
                  queue_depth: int | None = None,
                  name: str = "morsel-scheduler"):
@@ -125,9 +114,6 @@ class MorselScheduler:
             workers = auto_workers()
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; supported: "
-                             f"{', '.join(POLICIES)}")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be positive, got {max_inflight}")
@@ -135,7 +121,6 @@ class MorselScheduler:
             raise ValueError(
                 f"queue_depth must be >= 0, got {queue_depth}")
         self.workers = workers
-        self.policy = policy
         self.max_inflight = max_inflight
         self.queue_depth = queue_depth
         self.name = name
@@ -157,10 +142,6 @@ class MorselScheduler:
         self._inflight = 0
         self._closed = False
         self._shutdown = False
-        # lifetime counters (the server's /stats reads these)
-        self.queries_completed = 0
-        self.queries_rejected = 0
-        self.granules_executed = 0
         self._threads = [
             threading.Thread(target=self._worker, args=(i,), daemon=True,
                              name=f"{name}-{i}")
@@ -188,7 +169,6 @@ class MorselScheduler:
                 return True
             if self.queue_depth is not None and \
                     len(self._admit_queue) >= self.queue_depth:
-                self.queries_rejected += 1
                 self._m_rejected.inc()
                 raise ServerBusy(
                     f"scheduler at capacity: {self._inflight} queries in "
@@ -240,22 +220,10 @@ class MorselScheduler:
     def _release(self) -> None:
         with self._cond:
             self._inflight -= 1
-            self.queries_completed += 1
             self._m_inflight.dec()
             self._cond.notify_all()
 
     # ---------------------------------------------------------- dispatch
-    def _pick_job_locked(self) -> _Job:
-        """Next job to serve, per policy (caller holds the lock and has
-        checked ``self._ready``)."""
-        if self.policy == "sjf":
-            best = min(range(len(self._ready)),
-                       key=lambda i: self._ready[i].remaining)
-            job = self._ready[best]
-            del self._ready[best]
-            return job
-        return self._ready.popleft()
-
     def _drain_locked(self, job: _Job) -> None:
         """Drop a job's queued granules without running them (deadline
         passed or a sibling granule failed)."""
@@ -272,7 +240,6 @@ class MorselScheduler:
     def _complete_locked(self, job: _Job, idx: int, result) -> None:
         job.results[idx] = result
         job.outstanding -= 1
-        self.granules_executed += 1
         job.executed += 1  # charged to the metric once, in run_query
         if job.outstanding == 0:
             job.done.set()
@@ -291,7 +258,7 @@ class MorselScheduler:
                     self._cond.wait()
                 if self._shutdown and not self._ready:
                     return
-                job = self._pick_job_locked()
+                job = self._ready.popleft()  # round-robin: fair share
                 idx, item = job.queue.popleft()
                 if job.queue:
                     self._ready.append(job)
@@ -359,19 +326,16 @@ class MorselScheduler:
 
     # --------------------------------------------------------------- stats
     def stats(self) -> dict:
-        """Current occupancy + lifetime counters (for ``/stats``)."""
+        """Configuration + current occupancy (for ``/stats``); lifetime
+        totals are the ``repro_sched_*`` registry series."""
         with self._cond:
             return {
                 "workers": self.workers,
                 "tier": self.tier,
-                "policy": self.policy,
                 "max_inflight": self.max_inflight,
                 "queue_depth": self.queue_depth,
                 "inflight": self._inflight,
                 "parked": len(self._admit_queue),
-                "queries_completed": self.queries_completed,
-                "queries_rejected": self.queries_rejected,
-                "granules_executed": self.granules_executed,
             }
 
     # ----------------------------------------------------------- lifecycle
@@ -434,7 +398,7 @@ def _env_workers() -> int | None:
 def shared_scheduler() -> MorselScheduler:
     """The process-wide scheduler ``execute`` calls share.
 
-    Built lazily with fair policy and unbounded admission — a plain
+    Built lazily with unbounded admission — a plain
     ``execute`` call must never see :class:`ServerBusy` — and never
     torn down on its own: its threads are daemons.  Worker-count
     precedence: an explicit :func:`configure_shared_scheduler` call
@@ -451,7 +415,6 @@ def shared_scheduler() -> MorselScheduler:
 
 
 def configure_shared_scheduler(workers: int | None = None,
-                               policy: str = "fair",
                                tier: str = "thread",
                                start_method: str | None = None
                                ) -> MorselScheduler:
@@ -475,11 +438,10 @@ def configure_shared_scheduler(workers: int | None = None,
         from repro.par import ProcessScheduler
 
         fresh: MorselScheduler = ProcessScheduler(
-            workers=workers, policy=policy,
-            start_method=start_method, name="repro-exec-shared")
+            workers=workers, start_method=start_method,
+            name="repro-exec-shared")
     else:
-        fresh = MorselScheduler(workers=workers, policy=policy,
-                                name="repro-exec-shared")
+        fresh = MorselScheduler(workers=workers, name="repro-exec-shared")
     global _shared
     with _shared_lock:
         old, _shared = _shared, fresh

@@ -43,6 +43,7 @@ the whole process tree.
 from __future__ import annotations
 
 import bisect
+import itertools
 import os
 import random
 import threading
@@ -221,17 +222,6 @@ class _HistogramChild:
             self.counts[idx] += 1
             self.sum += value
             self.count += 1
-
-    def snapshot(self) -> tuple[list[int], float, int]:
-        """(cumulative bucket counts incl. +Inf, sum, count)."""
-        with self._lock:
-            counts = list(self.counts)
-            total, n = self.sum, self.count
-        cumulative, running = [], 0
-        for c in counts:
-            running += c
-            cumulative.append(running)
-        return cumulative, total, n
 
     def raw(self) -> tuple[tuple[int, ...], float, int]:
         """(per-bucket counts incl. +Inf — *not* cumulative, sum, count);
@@ -441,37 +431,50 @@ class MetricsRegistry:
             return list(self._instruments.values())
 
     # ---------------------------------------------------------- exposition
-    def render(self) -> str:
-        """Prometheus text exposition (format 0.0.4) of every series —
-        local children first, then merged-in remote series with their
-        extra ``proc`` label."""
-        lines: list[str] = []
+    def _walk(self, remote: bool):
+        """The one series walk :meth:`render` and :meth:`snapshot` both
+        read: ``(instrument, [(labelnames, key, value), ...])`` per
+        instrument in name order — local children first, then (with
+        ``remote``) the merged-in series with their extra ``proc``
+        label.  ``value`` is a float (counter / gauge, function-backed
+        gauges evaluated) or a histogram's
+        ``(per_bucket_counts, sum, count)``."""
         for inst in sorted(self.instruments(), key=lambda i: i.name):
+            hist = inst.kind == "histogram"
+
+            def read(names, children):
+                return [(names, key,
+                         child.raw() if hist else float(child.value))
+                        for key, child in sorted(children.items())]
+
+            series = read(inst.labelnames, inst.children())
+            if remote:
+                series += read(inst.labelnames + ("proc",),
+                               inst.remote_children())
+            yield inst, series
+
+    def render(self) -> str:
+        """Prometheus text exposition (format 0.0.4) of every series."""
+        lines: list[str] = []
+        for inst, series in self._walk(remote=True):
             if inst.help:
                 lines.append(f"# HELP {inst.name} {inst.help}")
             lines.append(f"# TYPE {inst.name} {inst.kind}")
-            series = [(inst.labelnames, key, child)
-                      for key, child in sorted(inst.children().items())]
-            series += [(inst.labelnames + ("proc",), key, child)
-                       for key, child
-                       in sorted(inst.remote_children().items())]
-            for labelnames, key, child in series:
-                if inst.kind == "histogram":
-                    cumulative, total, n = child.snapshot()
-                    edges = list(inst.buckets) + [float("inf")]
-                    for edge, c in zip(edges, cumulative):
-                        labels = _format_labels(
-                            labelnames + ("le",),
-                            key + (_format_value(edge),))
-                        lines.append(f"{inst.name}_bucket{labels} {c}")
-                    labels = _format_labels(labelnames, key)
+            for labelnames, key, value in series:
+                labels = _format_labels(labelnames, key)
+                if inst.kind != "histogram":
                     lines.append(
-                        f"{inst.name}_sum{labels} {_format_value(total)}")
-                    lines.append(f"{inst.name}_count{labels} {n}")
-                else:
-                    labels = _format_labels(labelnames, key)
-                    lines.append(f"{inst.name}{labels} "
-                                 f"{_format_value(child.value)}")
+                        f"{inst.name}{labels} {_format_value(value)}")
+                    continue
+                counts, total, n = value
+                edges = inst.buckets + (float("inf"),)
+                for edge, c in zip(edges, itertools.accumulate(counts)):
+                    le = _format_labels(labelnames + ("le",),
+                                        key + (_format_value(edge),))
+                    lines.append(f"{inst.name}_bucket{le} {c}")
+                lines.append(
+                    f"{inst.name}_sum{labels} {_format_value(total)}")
+                lines.append(f"{inst.name}_count{labels} {n}")
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------- cross-process merge
@@ -487,15 +490,10 @@ class MetricsRegistry:
         merge never double-counts.
         """
         snap: dict = {}
-        for inst in self.instruments():
-            series: dict = {}
-            for key, child in inst.children().items():
-                if inst.kind == "histogram":
-                    series[key] = child.raw()
-                else:
-                    series[key] = float(child.value)
+        for inst, series in self._walk(remote=False):
             entry = {"kind": inst.kind, "help": inst.help,
-                     "labels": inst.labelnames, "series": series}
+                     "labels": inst.labelnames,
+                     "series": {key: value for _, key, value in series}}
             if inst.kind == "histogram":
                 entry["buckets"] = inst.buckets
             snap[inst.name] = entry

@@ -22,7 +22,6 @@ whole life.
 from __future__ import annotations
 
 import time
-import urllib.request
 
 from repro.obs.metrics import parse_text
 
@@ -31,6 +30,10 @@ __all__ = ["compute_view", "format_view", "run_top", "scrape"]
 
 def scrape(url: str, timeout: float = 5.0) -> dict:
     """Fetch and parse one ``/metrics`` exposition."""
+    # imported here: the table server reads this module's helpers and
+    # should not carry an HTTP client for them
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         text = resp.read().decode("utf-8")
     return parse_text(text)
@@ -48,10 +51,10 @@ def _samples(fams: dict, family: str, sample: str | None = None):
             in entry["samples"] if name == want]
 
 
-def counter_total(fams: dict, family: str,
-                  where: dict | None = None) -> float:
-    """Sum of a counter family's samples matching ``where`` (matching
-    includes ``proc``-labelled worker series, so totals are
+def sample_total(fams: dict, family: str,
+                 where: dict | None = None) -> float:
+    """Sum of a counter or gauge family's samples matching ``where``
+    (matching includes ``proc``-labelled worker series, so totals are
     process-tree-wide)."""
     total = 0.0
     for labels, value in _samples(fams, family):
@@ -63,8 +66,8 @@ def counter_total(fams: dict, family: str,
 
 def counter_delta(prev: dict, curr: dict, family: str,
                   where: dict | None = None) -> float:
-    return max(0.0, counter_total(curr, family, where)
-               - counter_total(prev, family, where))
+    return max(0.0, sample_total(curr, family, where)
+               - sample_total(prev, family, where))
 
 
 def by_label(fams: dict, family: str, label: str) -> dict[str, float]:
@@ -119,16 +122,6 @@ def hist_quantile(prev: dict, curr: dict, family: str,
     return lo_edge
 
 
-def gauge_value(fams: dict, family: str,
-                where: dict | None = None) -> float:
-    total = 0.0
-    for labels, value in _samples(fams, family):
-        if where and any(labels.get(k) != v for k, v in where.items()):
-            continue
-        total += value
-    return total
-
-
 # --------------------------------------------------------------- the view
 def compute_view(prev: dict, curr: dict, dt: float) -> dict:
     """Rates/deltas between two parsed scrapes, ``dt`` seconds apart."""
@@ -168,10 +161,10 @@ def compute_view(prev: dict, curr: dict, dt: float) -> dict:
         "granules_per_s": counter_delta(
             prev, curr, "repro_exec_granules_total") / dt,
         "cache_hit_rate": (hits / lookups) if lookups else None,
-        "cache_used_bytes": gauge_value(curr, "repro_cache_used_bytes"),
-        "inflight": gauge_value(curr, "repro_sched_inflight"),
-        "parked": gauge_value(curr, "repro_sched_parked"),
-        "workers": gauge_value(curr, "repro_par_workers"),
+        "cache_used_bytes": sample_total(curr, "repro_cache_used_bytes"),
+        "inflight": sample_total(curr, "repro_sched_inflight"),
+        "parked": sample_total(curr, "repro_sched_parked"),
+        "workers": sample_total(curr, "repro_par_workers"),
         "respawns": counter_delta(prev, curr,
                                   "repro_par_respawns_total"),
         "needdesc": counter_delta(prev, curr,

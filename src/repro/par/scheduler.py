@@ -1,8 +1,8 @@
 """`ProcessScheduler`: the morsel scheduler's multiprocessing tier.
 
-Same interface, same admission control, same policies — the only thing
-that changes is *where a granule's CPU burns*.  The scheduler keeps the
-base class's worker threads, but each thread owns a **lane**: one
+Same interface, same admission control, same dispatch order — the only
+thing that changes is *where a granule's CPU burns*.  The scheduler
+keeps the base class's worker threads, but each thread owns a **lane**: one
 long-lived worker process plus a duplex pipe.  A descriptor-bearing job
 (see :mod:`repro.par.descriptor`) is executed by sending the lane's
 worker a compact ``(seq, desc_id, desc?, granule_index)`` task and
@@ -202,7 +202,7 @@ class ProcessScheduler(MorselScheduler):
     tier = "process"
     wants_descriptors = True
 
-    def __init__(self, workers: int | None = None, policy: str = "fair",
+    def __init__(self, workers: int | None = None,
                  max_inflight: int | None = None,
                  queue_depth: int | None = None,
                  name: str = "process-scheduler",
@@ -220,7 +220,6 @@ class ProcessScheduler(MorselScheduler):
         self._fault_spec = fault_spec
         self._desc_ids = itertools.count(1)
         self._terminating = False
-        self.respawns = 0
         self._m_workers = _M_WORKERS.labels(sched=name)
         self._m_ok = _M_GRANULES.labels(sched=name, outcome="ok")
         self._m_error = _M_GRANULES.labels(sched=name, outcome="error")
@@ -247,8 +246,7 @@ class ProcessScheduler(MorselScheduler):
             for i in range(resolved)]
         self._m_workers.set(len(self._lanes))
         try:
-            super().__init__(workers=resolved, policy=policy,
-                             max_inflight=max_inflight,
+            super().__init__(workers=resolved, max_inflight=max_inflight,
                              queue_depth=queue_depth, name=name)
         except BaseException:
             for lane in self._lanes:
@@ -304,7 +302,6 @@ class ProcessScheduler(MorselScheduler):
         if lane.proc is not None:
             lane.proc.join(timeout=1.0)
         lane.start()
-        self.respawns += 1
         self._m_respawns.inc()
 
     def _dispatch(self, lane: _Lane, job: _Job, wire: _WireDescriptor,
@@ -435,12 +432,11 @@ class ProcessScheduler(MorselScheduler):
         pid = lane.pid or 0
         proc = f"w{lane.index}"
         g_start, g_end, extra = wire
-        if g_start is not None:
-            job.trace.adopt(
-                [("granule", g_start, g_end, lane.tid,
-                  granule_span_attrs(getattr(item, "index", item),
-                                     part.stats))],
-                shift=shift, pid=pid, proc=proc)
+        job.trace.adopt(
+            [("granule", g_start, g_end, lane.tid,
+              granule_span_attrs(getattr(item, "index", item),
+                                 part.stats))],
+            shift=shift, pid=pid, proc=proc)
         if extra:
             job.trace.adopt(extra, shift=shift, pid=pid, proc=proc)
 
@@ -448,7 +444,6 @@ class ProcessScheduler(MorselScheduler):
     def stats(self) -> dict:
         out = super().stats()
         out["start_method"] = self.start_method
-        out["respawns"] = self.respawns
         out["workers_alive"] = sum(
             1 for lane in self._lanes
             if lane.proc is not None and lane.proc.is_alive())

@@ -9,7 +9,6 @@ speaks a tiny length-prefixed pickle protocol over its duplex pipe::
     ("needdesc", seq, None, delta | None)                     # ← worker
     ("hello", 0, {"pid", "epoch0"}, None)                     # ← worker
     ("telemetry", 0, None, delta)                             # ← worker
-    ("ping", seq) / ("pong", seq, None, delta | None)         # liveness
     ("exit",)                                                 # driver →
 
 Every worker → driver envelope carries an optional *telemetry delta* —
@@ -81,8 +80,7 @@ IDLE_FLUSH_S = 0.5
 
 #: floor between registry snapshots — a snapshot walks every series,
 #: which dwarfs a microsecond granule, so result envelopes carry a
-#: delta at most this often (forced flushes — idle, ping, exit —
-#: bypass it)
+#: delta at most this often (forced flushes — idle, exit — bypass it)
 TELEMETRY_MIN_INTERVAL_S = 0.05
 
 # Charged worker-side, merged into the driver under the lane's ``proc``
@@ -254,21 +252,16 @@ class WorkerState:
         spans = local._spans
         spans.clear()
         part = pipeline.run(granules[granule_index], trace=local)
-        if part is not None and spans:
+        if part is not None:
+            # GranulePipeline.run appends the "granule" span last
+            # whenever it returns a partial
             t0 = local.t0
-            if spans[-1][0] == "granule":
-                _, g_start, g_end, _tid, _attrs = spans[-1]
-                rest = spans[:-1]
-                part.spans = (
-                    t0 + g_start, t0 + g_end,
-                    [(name, t0 + start, t0 + end, tid, attrs)
-                     for name, start, end, tid, attrs in rest]
-                    or None)
-            else:  # unexpected layout: ship everything verbatim
-                part.spans = (
-                    None, None,
-                    [(name, t0 + start, t0 + end, tid, attrs)
-                     for name, start, end, tid, attrs in spans])
+            _, g_start, g_end, _tid, _attrs = spans[-1]
+            part.spans = (
+                t0 + g_start, t0 + g_end,
+                [(name, t0 + start, t0 + end, tid, attrs)
+                 for name, start, end, tid, attrs in spans[:-1]]
+                or None)
         return part
 
 
@@ -314,7 +307,7 @@ def worker_main(conn, fault_spec: dict | None = None,
         """Rate-limited telemetry: a registry snapshot costs far more
         than a microsecond-scale granule, so per-response deltas are
         throttled to one per ``TELEMETRY_MIN_INTERVAL_S``.  ``force``
-        bypasses the throttle (idle flush, ping, exit)."""
+        bypasses the throttle (idle flush, exit)."""
         nonlocal prev_snap, last_snap
         now = time.perf_counter()
         if not force and now - last_snap < TELEMETRY_MIN_INTERVAL_S:
@@ -355,14 +348,6 @@ def worker_main(conn, fault_spec: dict | None = None,
                 except (BrokenPipeError, OSError):
                     pass
             break
-        if op == "ping":
-            delta = maybe_delta(force=True)
-            try:
-                conn.send_bytes(pickle.dumps(
-                    ("pong", request[1], None, delta)))
-            except (BrokenPipeError, OSError):
-                break
-            continue
         _, seq, desc_id, desc_json, granule_index = request
         try:
             desc = None if desc_json is None else \

@@ -30,8 +30,6 @@ def main(argv=None) -> int:
                         help="0 picks a free port (printed on stdout)")
     parser.add_argument("--workers", type=int, default=None,
                         help="scheduler worker threads (default: auto)")
-    parser.add_argument("--policy", choices=("fair", "sjf"),
-                        default="fair", help="granule scheduling policy")
     parser.add_argument("--max-inflight", type=int, default=8,
                         help="concurrent queries admitted at once")
     parser.add_argument("--queue-depth", type=int, default=16,
@@ -67,8 +65,7 @@ def main(argv=None) -> int:
 
     server = TableServer(
         args.root, host=args.host, port=args.port, workers=args.workers,
-        policy=args.policy, max_inflight=args.max_inflight,
-        queue_depth=args.queue_depth,
+        max_inflight=args.max_inflight, queue_depth=args.queue_depth,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         default_timeout_s=args.timeout_s,
         worker_tier=args.worker_tier,

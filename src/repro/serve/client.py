@@ -77,6 +77,9 @@ class ServeClient:
         return self._call({"op": "list_tables"})
 
     def stats(self) -> dict:
+        """Load, latency, cache and scheduler report: the counts are
+        the server's metrics registry (what :meth:`metrics` returns)
+        since that server started."""
         return self._call({"op": "stats"})
 
     def metrics(self) -> str:

@@ -6,8 +6,8 @@ concurrent connections and executes their plans over the store through
 **shared resources**:
 
 * one :class:`~repro.exec.pool.MorselScheduler` — granules from every
-  in-flight query interleave on a fixed worker pool (fair-share or
-  shortest-job-first), with admission control turning overload into
+  in-flight query interleave fair-share on a fixed worker pool, with
+  admission control turning overload into
   :class:`~repro.exec.errors.ServerBusy` responses instead of a pile-up;
 * one :class:`~repro.store.cache.ChunkCache` — every table the server
   opens revives chunks through the same bounded LRU, with per-query
@@ -36,6 +36,7 @@ from repro.exec import Plan
 from repro.exec.errors import ExecTimeout, ServerBusy
 from repro.exec.pool import MorselScheduler
 from repro.obs import metrics as obs_metrics
+from repro.obs import top as obs_top
 from repro.obs.metrics import ReservoirQuantiles
 from repro.obs.trace import Trace
 from repro.serve import wire
@@ -57,6 +58,12 @@ LATENCY_WINDOW = 4096
 _M_REQUESTS = obs_metrics.counter(
     "repro_serve_requests_total", "wire requests by op and status",
     labels=("op", "status"))
+# every (op, status) child bound once; the request path charges the
+# bound child and ``stats()`` reads the same series back
+_M_REQUEST_CHILD = {
+    (op, status): _M_REQUESTS.labels(op=op, status=status)
+    for op in (*wire.OPS, "invalid")
+    for status in ("ok", "error", "busy")}
 _M_REQUEST_SECONDS = obs_metrics.histogram(
     "repro_serve_request_seconds", "wire request handling time")
 _M_SLOW_QUERIES = obs_metrics.counter(
@@ -98,7 +105,7 @@ class TableServer:
     """
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
-                 workers: int | None = None, policy: str = "fair",
+                 workers: int | None = None,
                  max_inflight: int = 8, queue_depth: int = 16,
                  cache_bytes: int = DEFAULT_CAPACITY_BYTES,
                  default_timeout_s: float = DEFAULT_TIMEOUT_S,
@@ -123,23 +130,19 @@ class TableServer:
             from repro.par import ProcessScheduler
 
             self.scheduler = ProcessScheduler(
-                workers=workers, policy=policy,
-                max_inflight=max_inflight, queue_depth=queue_depth,
-                start_method=start_method, name="repro-serve")
+                workers=workers, max_inflight=max_inflight,
+                queue_depth=queue_depth, start_method=start_method,
+                name="repro-serve")
         else:
             self.scheduler = MorselScheduler(
-                workers=workers, policy=policy,
-                max_inflight=max_inflight, queue_depth=queue_depth,
-                name="repro-serve")
+                workers=workers, max_inflight=max_inflight,
+                queue_depth=queue_depth, name="repro-serve")
         self.cache = ChunkCache(cache_bytes)
         self._tables: dict[str, tuple[Table, StoreSource]] = {}
         self._tables_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         self._latencies = ReservoirQuantiles(LATENCY_WINDOW)
-        self.queries_total = 0
-        self.queries_ok = 0
-        self.queries_err = 0
-        self.rejected_busy = 0
+        # stats() reports the registry's growth since this scrape
+        self._baseline = obs_metrics.parse_text(obs_metrics.render_text())
         self._started = time.perf_counter()
         self._draining = threading.Event()
         self._conn_threads: list[threading.Thread] = []
@@ -295,51 +298,59 @@ class TableServer:
         """One request in, one frame out (never an exception)."""
         start = time.perf_counter()
         op = req.get("op")
-        op_label = op if op in wire.OPS else "invalid"
+        if op not in wire.OPS:
+            op = "invalid"
+        status = "ok"
         try:
             frame = self._handle_request(req)
         except ServerBusy as err:
-            with self._stats_lock:
-                self.queries_total += 1
-                self.rejected_busy += 1
-            self._charge_request(op_label, "busy", start)
-            return wire.json_frame(wire.error_response(err))
+            status = "busy"
+            frame = wire.json_frame(wire.error_response(err))
         except Exception as err:  # typed, one line, server stays up
-            with self._stats_lock:
-                self.queries_total += 1
-                self.queries_err += 1
-            self._charge_request(op_label, "error", start)
-            return wire.json_frame(wire.error_response(err))
+            status = "error"
+            frame = wire.json_frame(wire.error_response(err))
         elapsed = time.perf_counter() - start
-        with self._stats_lock:
-            self.queries_total += 1
-            if op in ("query", "explain"):
-                self.queries_ok += 1
-                self._latencies.observe(elapsed)
-        self._charge_request(op_label, "ok", start)
+        if status == "ok" and op in ("query", "explain"):
+            self._latencies.observe(elapsed)
+        _M_REQUEST_CHILD[op, status].inc()
+        _M_REQUEST_SECONDS.observe(elapsed)
         return frame
-
-    def _charge_request(self, op: str, status: str, start: float) -> None:
-        _M_REQUESTS.labels(op=op, status=status).inc()
-        _M_REQUEST_SECONDS.observe(time.perf_counter() - start)
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:
-        """The ``/stats`` report: load, latency, cache, scheduler."""
+        """The ``/stats`` report: load, latency, cache, scheduler.
+
+        Every count is a view of the metrics registry — one scrape,
+        diffed against the one taken at construction through the
+        helpers ``obs top`` uses — so it is what ``/metrics`` says,
+        process-tree-wide (lane workers' cache traffic included), since
+        this server started, and frozen while instrumentation is
+        switched off.  Only occupancy, configuration and the
+        sample-exact latency reservoir are this object's own state.
+        """
         uptime = time.perf_counter() - self._started
-        with self._stats_lock:
-            totals = {
-                "queries_total": self.queries_total,
-                "queries_ok": self.queries_ok,
-                "queries_err": self.queries_err,
-                "rejected_busy": self.rejected_busy,
-            }
+        scrape = obs_metrics.parse_text(obs_metrics.render_text())
+
+        def since(family: str, **where) -> int:
+            return int(obs_top.counter_delta(self._baseline, scrape,
+                                             family, where))
+
+        ok = sum(since(_M_REQUESTS.name, op=op, status="ok")
+                 for op in ("query", "explain"))
+        hits = since("repro_cache_lookups_total", outcome="hit")
+        misses = since("repro_cache_lookups_total", outcome="miss")
         p50, p90, p99 = self._latencies.quantiles(0.50, 0.90, 0.99)
         sched = self.scheduler.stats()
+        if self.worker_tier == "process":
+            sched["respawns"] = since("repro_par_respawns_total",
+                                      sched=self.scheduler.name)
         return {
             "uptime_s": uptime,
-            **totals,
-            "qps": totals["queries_ok"] / uptime if uptime else 0.0,
+            "queries_total": since(_M_REQUESTS.name),
+            "queries_ok": ok,
+            "queries_err": since(_M_REQUESTS.name, status="error"),
+            "rejected_busy": since(_M_REQUESTS.name, status="busy"),
+            "qps": ok / uptime if uptime else 0.0,
             "inflight": sched["inflight"],
             "queue_depth": sched["parked"],
             "latency_ms": {
@@ -351,7 +362,14 @@ class TableServer:
                 "window": len(self._latencies),
                 "observed": self._latencies.count,
             },
-            "cache": self.cache.stats(),
+            "cache": {
+                **self.cache.stats(),
+                "hits": hits,
+                "misses": misses,
+                "evictions": since("repro_cache_evictions_total"),
+                "hit_rate": hits / (hits + misses)
+                if hits + misses else 0.0,
+            },
             "scheduler": sched,
             "tables": self.table_names(),
         }

@@ -48,6 +48,10 @@ errors (:class:`~repro.exec.errors.ServerBusy`,
 :class:`~repro.exec.errors.ExecTimeout`, ...).  Oversized frames and
 unknown protocol versions are rejected with one-line errors — a
 malformed request never takes the server down.
+
+``stats`` and ``metrics`` are two readings of one ledger: ``metrics``
+returns the registry's text exposition, ``stats`` the same registry
+diffed against the server's start (see ``TableServer.stats``).
 """
 
 from __future__ import annotations

@@ -9,13 +9,14 @@ are evicted least-recently-used, and all operations are lock-protected so
 the thread-pool executor — and, since PR 7, *every query of a table
 server* — can share one cache.
 
-Attribution contract: the global :attr:`hits` / :attr:`misses` /
-:attr:`evictions` counters are monotonic totals for operators (the
-server's ``/stats`` hit rate).  Per-query accounting never reads them —
-:meth:`get_or_load` returns this call's own ``(hit, evictions)`` outcome
-so concurrent queries each charge exactly their own deltas to their own
-:class:`~repro.exec.run.ExecStats`, instead of diffing a racy global
-snapshot.
+Attribution contract: lifetime totals live in the metrics registry only
+(``repro_cache_lookups_total`` / ``repro_cache_evictions_total``, summed
+over every cache in the process tree — what ``/metrics`` and the
+server's ``/stats`` hit rate read).  Per-query accounting never reads
+them — :meth:`get_or_load` returns this call's own ``(hit, evictions)``
+outcome so concurrent queries each charge exactly their own deltas to
+their own :class:`~repro.exec.run.ExecStats`, instead of diffing a racy
+global snapshot.
 """
 
 from __future__ import annotations
@@ -78,9 +79,6 @@ class ChunkCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._used_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         with _LIVE_LOCK:
             _LIVE_CACHES.add(self)
 
@@ -94,18 +92,13 @@ class ChunkCache:
             return self._used_bytes
 
     def stats(self) -> dict:
-        """One consistent snapshot of the global counters (operators
-        only — per-query attribution uses :meth:`get_or_load`'s return)."""
+        """One consistent snapshot of this cache's occupancy (lookup
+        and eviction totals are registry series, not instance state)."""
         with self._lock:
-            lookups = self.hits + self.misses
             return {
                 "entries": len(self._entries),
                 "used_bytes": self._used_bytes,
                 "capacity_bytes": self.capacity_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": self.hits / lookups if lookups else 0.0,
             }
 
     def get_or_load(self, key: Hashable, loader: Callable[[], Any],
@@ -121,10 +114,8 @@ class ChunkCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
                 _M_HIT.inc()
                 return entry[0], True, 0
-            self.misses += 1
             _M_MISS.inc()
         value = loader()
         evicted = 0
@@ -143,7 +134,6 @@ class ChunkCache:
             _, (_, dropped) = self._entries.popitem(last=False)
             self._used_bytes -= dropped
             evicted += 1
-        self.evictions += evicted
         return evicted
 
     def clear(self) -> None:

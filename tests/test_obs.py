@@ -198,7 +198,7 @@ class TestMetricsConformance:
         assert c.value == total
         assert sum(child.value
                    for child in lc.children().values()) == total
-        _, hist_sum, count = h._default_child().snapshot()
+        _, hist_sum, count = h._default_child().raw()
         assert count == total
         assert hist_sum == pytest.approx(0.25 * total)
 

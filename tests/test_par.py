@@ -75,7 +75,12 @@ from repro.exec.pool import (
 from repro.exec.run import execute
 from repro.faults import FaultInjector
 from repro.mutate import MutableTable
-from repro.obs.metrics import parse_text, render_text, set_enabled
+from repro.obs.metrics import (
+    default_registry,
+    parse_text,
+    render_text,
+    set_enabled,
+)
 from repro.obs.trace import Trace
 from repro.par import (
     DESCRIPTOR_VERSION,
@@ -469,6 +474,11 @@ class TestProcessEquivalence:
 # ===================================================================
 # crash matrix
 # ===================================================================
+def _respawns(sched_name: str) -> float:
+    return default_registry().get("repro_par_respawns_total").labels(
+        sched=sched_name).value
+
+
 class TestCrashMatrix:
     def test_injected_crash_respawns_and_retries(self, source):
         expected = FILTER_PLAN.execute(source, threads=1)
@@ -479,7 +489,7 @@ class TestCrashMatrix:
         try:
             got = FILTER_PLAN.execute(source, scheduler=crashy)
             assert_rows_equal(got, expected)
-            assert crashy.respawns >= 1
+            assert _respawns("par-crash") >= 1
             assert crashy.stats()["workers_alive"] == 1
         finally:
             crashy.close()
@@ -506,7 +516,7 @@ class TestCrashMatrix:
             proc.join(timeout=10)
             got = FILTER_PLAN.execute(source, scheduler=victim)
             assert_rows_equal(got, expected)
-            assert victim.respawns >= 1
+            assert _respawns("par-kill") >= 1
         finally:
             victim.close()
 

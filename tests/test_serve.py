@@ -2,7 +2,7 @@
 
 Five suites:
 
-* the **morsel scheduler** itself — ordering, policies, admission
+* the **morsel scheduler** itself — ordering, admission
   control (``ServerBusy``, FIFO parking), cancellation, failure
   propagation, lifecycle;
 * **plan wire format** — ``Plan.to_json``/``from_json`` round-trips
@@ -58,6 +58,7 @@ from repro.exec import (
 )
 from repro.faults import FaultInjector
 from repro.obs import metrics as obs_metrics
+from repro.obs import top as obs_top
 from repro.serve import ServeClient, TableServer, wire
 from repro.store import StoreSource, Table, TableWriter
 from repro.store import cli as store_cli
@@ -82,6 +83,12 @@ def served_root(tmp_path_factory):
     return root, columns
 
 
+def _series(family, **labels):
+    """One live registry series (read ``.value``) — lifetime totals
+    are registry-only, so tests name their scheduler and diff these."""
+    return obs_metrics.default_registry().get(family).labels(**labels)
+
+
 def _selective_plan(columns, width=100):
     ts = columns["ts"]
     lo, hi = int(ts[9000]), int(ts[9000 + width])
@@ -91,17 +98,24 @@ def _selective_plan(columns, width=100):
 
 # ------------------------------------------------------------- scheduler
 class TestMorselScheduler:
-    @pytest.mark.parametrize("policy", ["fair", "sjf"])
-    def test_results_come_back_in_item_order(self, policy):
-        with MorselScheduler(workers=4, policy=policy) as sched:
+    def test_results_come_back_in_item_order(self):
+        granules = _series("repro_sched_granules_total", sched="t-order")
+        admitted = _series("repro_sched_queries_total", sched="t-order",
+                           outcome="admitted")
+        before = granules.value, admitted.value
+        with MorselScheduler(workers=4, name="t-order") as sched:
             out = sched.run_query(lambda i: i * i, range(50),
                                   threading.Event())
             assert out == [i * i for i in range(50)]
-            assert sched.granules_executed == 50
-            assert sched.queries_completed == 1
+            assert sched.stats()["inflight"] == 0
+        assert (granules.value, admitted.value) \
+            == (before[0] + 50, before[1] + 1)
 
     def test_concurrent_queries_interleave_on_one_pool(self):
-        with MorselScheduler(workers=2) as sched:
+        granules = _series("repro_sched_granules_total",
+                           sched="t-interleave")
+        before = granules.value
+        with MorselScheduler(workers=2, name="t-interleave") as sched:
             results = {}
 
             def submit(name, n):
@@ -116,13 +130,11 @@ class TestMorselScheduler:
                 t.join()
             for k in ("a", "b", "c"):
                 assert results[k] == [(k, i) for i in range(30)]
-            assert sched.granules_executed == 90
+            assert granules.value == before + 90
             # one fixed pool: never more threads than workers
             assert len(sched._threads) == 2
 
     def test_arg_validation(self):
-        with pytest.raises(ValueError, match="policy"):
-            MorselScheduler(policy="lifo")
         with pytest.raises(ValueError, match="workers"):
             MorselScheduler(workers=0)
         with pytest.raises(ValueError, match="max_inflight"):
@@ -147,12 +159,16 @@ class TestMorselScheduler:
         return gate, holder
 
     def test_admission_rejects_with_server_busy(self):
-        sched = MorselScheduler(workers=1, max_inflight=1, queue_depth=0)
+        rejected = _series("repro_sched_queries_total", sched="t-busy",
+                           outcome="rejected")
+        before = rejected.value
+        sched = MorselScheduler(workers=1, max_inflight=1, queue_depth=0,
+                                name="t-busy")
         gate, holder = self._hold_one_slot(sched)
         try:
             with pytest.raises(ServerBusy, match="at capacity"):
                 sched.run_query(lambda i: i, [1], threading.Event())
-            assert sched.queries_rejected == 1
+            assert rejected.value == before + 1
         finally:
             gate.set()
             holder.join()
@@ -445,6 +461,9 @@ class TestSharedExecution:
         hits+misses covering exactly its own chunk loads, and evictions
         land on the query whose insert pushed entries out."""
         root, columns = served_root
+        evictions = obs_metrics.default_registry().get(
+            "repro_cache_evictions_total")
+        before = evictions.value
         with Table.open(os.path.join(root, "events"),
                         cache_bytes=2048) as table:
             source = StoreSource(table)
@@ -472,10 +491,11 @@ class TestSharedExecution:
                     assert res.stats.cache_evictions == 0
             # the tiny cache really thrashed, and the evictions were
             # attributed to the queries that caused them
-            assert table.cache.evictions > 0
+            evicted = evictions.value - before
+            assert evicted > 0
             total_attributed = serial.stats.cache_evictions + \
                 sum(r.stats.cache_evictions for r in results)
-            assert total_attributed == table.cache.evictions
+            assert total_attributed == evicted
 
 
 # ------------------------------------------------------------------ wire
@@ -727,7 +747,72 @@ def _query_v1(address, table, plan, **fields):
         return json.loads(reader.read(length))
 
 
+def _scrape_then_stats(client, plan, first):
+    """Query, then take a ``metrics`` scrape and a ``stats`` reply back
+    to back on one connection.  Lane workers ship their counters as
+    rate-limited deltas that the driver folds in while it dispatches,
+    so keep querying until a scrape shows cache traffic since
+    ``first``."""
+    for _ in range(50):
+        client.query("events", plan)
+        scrape = obs_metrics.parse_text(client.metrics())
+        stats = client.stats()
+        if obs_top.counter_delta(first, scrape,
+                                 "repro_cache_lookups_total"):
+            break
+        time.sleep(0.1)
+    return scrape, stats
+
+
+def _assert_stats_equal_scrape_growth(stats, first, last, tier):
+    """``stats`` is a view of the registry: each count in it equals the
+    growth between ``first`` — the server's first request, so its
+    construction-time baseline — and ``last``, the scrape taken just
+    before it on the same connection."""
+    def grown(family, **where):
+        return obs_top.counter_delta(first, last, family, where)
+
+    requests = "repro_serve_requests_total"
+    # + 1: ``last`` was rendered before its own request was charged
+    assert stats["queries_total"] == grown(requests) + 1
+    assert stats["queries_ok"] \
+        == grown(requests, op="query", status="ok") \
+        + grown(requests, op="explain", status="ok")
+    assert stats["queries_err"] == grown(requests, status="error")
+    assert stats["rejected_busy"] == grown(requests, status="busy")
+    cache = stats["cache"]
+    hits = grown("repro_cache_lookups_total", outcome="hit")
+    misses = grown("repro_cache_lookups_total", outcome="miss")
+    assert (cache["hits"], cache["misses"]) == (hits, misses)
+    assert hits + misses > 0
+    assert cache["hit_rate"] == hits / (hits + misses)
+    assert cache["evictions"] == grown("repro_cache_evictions_total")
+    if tier == "process":
+        assert stats["scheduler"]["respawns"] == grown(
+            "repro_par_respawns_total", sched="repro-serve")
+
+
 class TestTableServer:
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_stats_counts_equal_the_metrics_scrape_growth(
+            self, served_root, tier):
+        """One ledger: whatever ``stats`` counts, ``metrics`` counts the
+        same.  On the process tier the lookups happen in lane workers'
+        caches — the driver's is never touched — and still show."""
+        root, columns = served_root
+        plan = _selective_plan(columns, width=4000)
+        with TableServer(root, workers=2, worker_tier=tier) as srv, \
+                ServeClient(*srv.address) as c:
+            first = obs_metrics.parse_text(c.metrics())
+            assert "cache:" in c.explain("events", plan)["explain"]
+            with pytest.raises(RuntimeError, match="unknown table"):
+                c.query("nope", plan)
+            last, stats = _scrape_then_stats(c, plan, first)
+            _assert_stats_equal_scrape_growth(stats, first, last, tier)
+            assert stats["queries_ok"] >= 2
+            assert stats["queries_err"] == 1
+            assert stats["cache"]["misses"] > 0
+
     @pytest.mark.parametrize("tier", ["thread", "process"])
     def test_v2_client_and_v1_request_agree_key_for_key(
             self, served_root, tier):
@@ -1028,7 +1113,12 @@ class TestTableServer:
 
 # ----------------------------------------------------------- entry point
 class TestServeMain:
-    def test_subprocess_lifecycle(self, served_root):
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_subprocess_lifecycle(self, served_root, tier):
+        """The live-server drill on both tiers: rows agree across wire
+        versions, the core families are populated over the ``metrics``
+        op (worker series under ``proc="wN"`` on the process tier),
+        ``stats`` agrees with ``metrics``, SIGINT drains to exit 0."""
         root, columns = served_root
         src = os.path.abspath(os.path.join(
             os.path.dirname(__file__), "..", "src"))
@@ -1036,24 +1126,51 @@ class TestServeMain:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "--root", root,
-             "--max-inflight", "4"],
+             "--max-inflight", "4", "--worker-tier", tier,
+             "--workers", "2"],
             stdout=subprocess.PIPE, text=True, env=env)
         try:
             banner = proc.stdout.readline().strip()
             assert banner.startswith("listening on ")
             host, port = banner.split()[-1].rsplit(":", 1)
             with ServeClient(host, int(port)) as c:
+                first = obs_metrics.parse_text(c.metrics())
                 assert c.list_tables() == ["events"]
-                res = c.query("events", _selective_plan(columns),
-                              limit=5)
+                plan = _selective_plan(columns)
+                res = c.query("events", plan, limit=5)
                 assert res["n_rows"] == 100
-                assert c.stats()["queries_ok"] >= 1
+                assert len(res["row_ids"]) == 5
+                rows = _selective_plan(columns, width=3000)
+                new = c.query("events", rows)
+                old = _query_v1((host, int(port)), "events",
+                                rows)["result"]
+                assert new["n_rows"] == old["n_rows"] == 3000
+                assert new["row_ids"].tolist() == old["row_ids"]
+                assert {k: v.tolist()
+                        for k, v in new["columns"].items()} \
+                    == old["columns"], "v1 and v2 replies differ"
+                last, stats = _scrape_then_stats(c, plan, first)
+                for family in ("repro_serve_requests_total",
+                               "repro_sched_granules_total",
+                               "repro_cache_lookups_total",
+                               "repro_exec_queries_total",
+                               "repro_exec_rows_total"):
+                    assert obs_top.sample_total(last, family) > 0, family
+                lanes = obs_top.by_label(
+                    last, "repro_par_worker_granules_total", "proc")
+                assert (tier == "process") == any(
+                    lane.startswith("w") and n > 0
+                    for lane, n in lanes.items())
+                _assert_stats_equal_scrape_growth(stats, first, last,
+                                                  tier)
+                assert stats["queries_ok"] >= 3
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=30) == 0  # graceful drain exit
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
 
 # --------------------------------------------------------- CLI timeout-s

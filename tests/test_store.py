@@ -15,6 +15,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
 from repro import codecs
+from repro.obs import metrics as obs_metrics
 from repro.engine import ParquetLikeFile
 from repro.store import (
     ChunkCache,
@@ -429,6 +430,9 @@ class TestParallelAndCache:
             assert first.stats.bytes_read == second.stats.bytes_read > 0
 
     def test_lru_eviction_order(self):
+        evictions = obs_metrics.default_registry().get(
+            "repro_cache_evictions_total")
+        before = evictions.value
         cache = ChunkCache(capacity_bytes=100)
         cache.get_or_load("a", lambda: 1, 40)
         cache.get_or_load("b", lambda: 2, 40)
@@ -438,8 +442,10 @@ class TestParallelAndCache:
         value, hit, _ = cache.get_or_load("b", lambda: 9, 40)
         assert (value, hit) == (9, False)
         assert cache.get_or_load("a", lambda: None, 40)[1] in (True, False)
-        assert cache.evictions >= 1
-        assert cache.stats()["evictions"] == cache.evictions
+        assert evictions.value - before >= 1
+        assert cache.stats() == {"entries": len(cache),
+                                 "used_bytes": cache.used_bytes,
+                                 "capacity_bytes": 100}
 
 
 class TestBridge:
