@@ -93,10 +93,11 @@ class LecoCodec(Codec):
     def __init__(self, regressor: Regressor | str = "linear",
                  partitioner="fixed", tau: float = 0.05,
                  max_partition_size: int = 10_000,
-                 name: str | None = None):
+                 name: str | None = None, selector=None):
         self._encoder = LecoEncoder(regressor=regressor,
                                     partitioner=partitioner, tau=tau,
-                                    max_partition_size=max_partition_size)
+                                    max_partition_size=max_partition_size,
+                                    selector=selector)
         if name is not None:
             self.name = name
         else:

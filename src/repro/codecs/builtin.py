@@ -10,28 +10,12 @@ cheap to import and free of circular dependencies.
 from __future__ import annotations
 
 import importlib
-from dataclasses import replace
 
-from repro.baselines.base import Codec, as_int64
 from repro.codecs.registry import register, register_wire
 from repro.codecs.spec import CodecSpec
 
-
-class SpecLecoCodec(Codec):
-    """LeCo driven by a :class:`CodecSpec` (auto modes, mixed regressors)."""
-
-    supports_range_pruning = True
-
-    def __init__(self, spec: CodecSpec):
-        self.spec = spec
-        self.name = f"leco-{spec.mode}"
-
-    def encode(self, values):
-        from repro.baselines.leco import LecoEncodedSequence
-        from repro.core.api import encode_with_spec
-
-        return LecoEncodedSequence(
-            encode_with_spec(as_int64(values), self.spec))
+#: the LecoEncoder partitioner spec each CodecSpec mode names
+_MODE_PARTITIONER = {"fix": "fixed", "var": "variable", "auto": "auto"}
 
 
 def _make_leco(mode: str | None, spec: CodecSpec | None = None, *,
@@ -44,9 +28,9 @@ def _make_leco(mode: str | None, spec: CodecSpec | None = None, *,
     name-implied mode and a spec are given, the more specific name wins.
     ``None`` (the generic ``leco`` entry) defers to the spec.
     """
-    if partitioner is not None:
-        from repro.baselines.leco import LecoCodec
+    from repro.baselines.leco import LecoCodec
 
+    if partitioner is not None:
         return LecoCodec(regressor, partitioner=partitioner, tau=tau,
                          max_partition_size=max_partition_size)
     if spec is None:
@@ -54,9 +38,11 @@ def _make_leco(mode: str | None, spec: CodecSpec | None = None, *,
                          regressor=regressor, tau=tau,
                          max_partition_size=max_partition_size,
                          selector=selector)
-    elif mode is not None and spec.mode != mode:
-        spec = replace(spec, mode=mode)
-    return SpecLecoCodec(spec)
+    mode = mode or spec.mode
+    return LecoCodec(spec.regressor,
+                     partitioner=_MODE_PARTITIONER[mode], tau=spec.tau,
+                     max_partition_size=spec.max_partition_size,
+                     name=f"leco-{mode}", selector=spec.selector)
 
 
 @register("leco", summary="learned compression, fixed partitions (§3)",

@@ -68,8 +68,3 @@ class CodecSpec:
         if self.mode not in _MODES:
             raise ValueError(
                 f"mode must be one of {_MODES}, got {self.mode!r}")
-
-    def resolve_selector(self):
-        """The injected selector, or the shared lazily-built default."""
-        return self.selector if self.selector is not None \
-            else default_selector()

@@ -30,13 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.spec import CodecSpec
-from repro.core.encoding import CompressedArray, LecoEncoder, encode_partition
-from repro.core.partitioners import (
-    AutoFixedPartitioner,
-    SplitMergePartitioner,
-    advise_partitioning,
-)
-from repro.core.regressors import get_regressor
+from repro.core.encoding import CompressedArray
 
 #: registry names whose sequences wrap a :class:`CompressedArray`
 _LECO_FAMILY = ("leco", "leco-fix", "leco-var", "leco-auto")
@@ -77,47 +71,6 @@ def compress(values: np.ndarray, mode: str | CodecSpec = "fix",
 
     return codecs.get(spec.codec, spec=spec).encode(
         np.asarray(values)).array
-
-
-def encode_with_spec(values: np.ndarray, spec: CodecSpec
-                     ) -> CompressedArray:
-    """LeCo encode driven by a :class:`CodecSpec` (registry back end)."""
-    values = np.asarray(values)
-    mode = spec.mode
-    if mode == "auto":
-        report = advise_partitioning(values.astype(np.int64))
-        mode = "var" if report.recommend_variable else "fix"
-
-    if spec.regressor == "auto":
-        return _compress_mixed(values.astype(np.int64), mode, spec)
-    encoder = LecoEncoder(
-        regressor=spec.regressor,
-        partitioner="variable" if mode == "var" else "fixed",
-        tau=spec.tau, max_partition_size=spec.max_partition_size)
-    return encoder.encode(values)
-
-
-def _compress_mixed(values: np.ndarray, mode: str, spec: CodecSpec
-                    ) -> CompressedArray:
-    """Partition with the linear cost model, then recommend per partition."""
-    planner = get_regressor("linear")
-    if mode == "var":
-        partitioner = SplitMergePartitioner(tau=spec.tau)
-    else:
-        partitioner = AutoFixedPartitioner(max_size=spec.max_partition_size)
-    bounds = partitioner.partition(values, planner)
-    selector = spec.resolve_selector()
-    partitions = []
-    for start, end in bounds:
-        seg = values[start:end]
-        reg = selector.recommend(seg)
-        if len(seg) < reg.min_partition_size:
-            reg = get_regressor("constant")
-        partitions.append(encode_partition(seg, start, reg))
-    fixed_size = None
-    if partitioner.fixed_length and bounds:
-        fixed_size = bounds[0][1] - bounds[0][0]
-    return CompressedArray(len(values), partitions, fixed_size, "linear")
 
 
 def decompress(compressed: CompressedArray | bytes) -> np.ndarray:

@@ -94,21 +94,28 @@ class LecoEncoder:
     ----------
     regressor:
         A :class:`Regressor` instance or registered name (``"linear"``,
-        ``"poly2"``, ...).
+        ``"poly2"``, ...), or ``"auto"``: partition with the linear cost
+        model, then let the Regressor Selector recommend a family per
+        partition (§3.1).
     partitioner:
         A :class:`Partitioner`, or one of the convenience specs:
         ``"fixed"`` (sampling-based size search, §3.2.1), ``"variable"``
-        (split–merge greedy, §3.2.2), or an ``int`` fixed partition size.
+        (split–merge greedy, §3.2.2), ``"auto"`` (hardness-based advice
+        picks one of the two per input, §3.2.3), or an ``int`` fixed
+        partition size.
     tau:
         Split aggressiveness for ``"variable"`` (paper sweeps [0, 0.15]).
     build_corrections:
         Whether to build the §3.3 serial-decode correction lists.
+    selector:
+        The Regressor Selector ``regressor="auto"`` consults; ``None``
+        means the shared lazily-built default.
     """
 
     def __init__(self, regressor: Regressor | str = "linear",
                  partitioner="fixed", tau: float = 0.05,
                  max_partition_size: int = 10_000,
-                 build_corrections: bool = True):
+                 build_corrections: bool = True, selector=None):
         from repro.core.partitioners import (
             AutoFixedPartitioner,
             FixedLengthPartitioner,
@@ -116,16 +123,25 @@ class LecoEncoder:
             SplitMergePartitioner,
         )
 
+        #: ``regressor="auto"``: the linear model plans the partitions,
+        #: the selector then picks each partition's family
+        self.selecting = regressor == "auto"
         if isinstance(regressor, str):
-            regressor = get_regressor(regressor)
+            regressor = get_regressor(
+                "linear" if self.selecting else regressor)
         self.regressor = regressor
-        if isinstance(partitioner, Partitioner):
+        self.selector = selector
+        #: the two plans ``partitioner="auto"`` is advised between
+        self._advised = {
+            False: AutoFixedPartitioner(max_size=max_partition_size),
+            True: SplitMergePartitioner(tau=tau),
+        }
+        if isinstance(partitioner, Partitioner) or partitioner == "auto":
             self.partitioner = partitioner
         elif partitioner == "fixed":
-            self.partitioner = AutoFixedPartitioner(
-                max_size=max_partition_size)
+            self.partitioner = self._advised[False]
         elif partitioner == "variable":
-            self.partitioner = SplitMergePartitioner(tau=tau)
+            self.partitioner = self._advised[True]
         elif isinstance(partitioner, int):
             self.partitioner = FixedLengthPartitioner(partitioner)
         else:
@@ -138,14 +154,30 @@ class LecoEncoder:
         if values.dtype.kind not in "iu":
             raise TypeError(f"integer input required, got {values.dtype}")
         values = values.astype(np.int64)
-        bounds = self.partitioner.partition(values, self.regressor)
-        partitions = [
-            encode_partition(values[a:b], a, self.regressor,
-                             self.build_corrections)
-            for a, b in bounds
-        ]
+        partitioner = self.partitioner
+        if partitioner == "auto":
+            from repro.core.partitioners import advise_partitioning
+
+            partitioner = self._advised[
+                advise_partitioning(values).recommend_variable]
+        selector = None
+        if self.selecting:
+            from repro.codecs.spec import default_selector
+
+            selector = self.selector if self.selector is not None \
+                else default_selector()
+        bounds = partitioner.partition(values, self.regressor)
+        partitions = []
+        for a, b in bounds:
+            regressor = self.regressor
+            if selector is not None:
+                regressor = selector.recommend(values[a:b])
+                if b - a < regressor.min_partition_size:
+                    regressor = get_regressor("constant")
+            partitions.append(encode_partition(
+                values[a:b], a, regressor, self.build_corrections))
         fixed_size = None
-        if self.partitioner.fixed_length and bounds:
+        if partitioner.fixed_length and bounds:
             fixed_size = bounds[0][1] - bounds[0][0]
         return CompressedArray(len(values), partitions, fixed_size,
                                self.regressor.name)

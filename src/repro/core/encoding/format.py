@@ -199,20 +199,13 @@ class CompressedArray:
     def __len__(self) -> int:
         return self.n
 
-    def _partition_for(self, position: int) -> Partition:
-        if self.fixed_size is not None:
-            return self.partitions[position // self.fixed_size]
-        if self._index is None:
-            self._index = LearnedSortedIndex(self._starts)
-        return self.partitions[self._index.lower_bound(position)]
-
     def get(self, position: int) -> int:
         """Random access to one value (paper's point-query path)."""
         if position < 0:
             position += self.n
         if not 0 <= position < self.n:
             raise IndexError(f"position {position} out of [0, {self.n})")
-        part = self._partition_for(position)
+        part = self.partitions[self._partition_index_for(position)]
         return part.decode_one(position - part.start)
 
     def __getitem__(self, position: int) -> int:

@@ -188,8 +188,8 @@ class Plan:
                 prune: bool = True, pushdown: bool = True, **opts):
         """Run over ``source`` (see :func:`repro.exec.run.execute`).
 
-        Resilience knobs (``on_corruption``, ``timeout_s``,
-        ``io_retries``) pass through ``**opts`` verbatim.
+        Resilience knobs (``on_corruption``, ``timeout_s``) pass
+        through ``**opts`` verbatim.
         """
         from repro.exec.run import execute
 

@@ -48,7 +48,7 @@ from repro.exec.pool import auto_workers, shared_scheduler
 from repro.obs import metrics as obs_metrics
 
 #: transient-read retry budget per granule load (EIO only)
-DEFAULT_IO_RETRIES = 2
+IO_RETRIES = 2
 
 # process-wide executor metrics — charged ONCE per query from the merged
 # ExecStats (never per row, never per granule), so always-on cost is a
@@ -436,8 +436,7 @@ class GranulePipeline:
     """
 
     def __init__(self, plan: Plan, source, *, prune: bool = True,
-                 pushdown: bool = True, on_corruption: str = "raise",
-                 io_retries: int = DEFAULT_IO_RETRIES):
+                 pushdown: bool = True, on_corruption: str = "raise"):
         if on_corruption not in ("raise", "skip"):
             raise ValueError(
                 f"on_corruption must be 'raise' or 'skip', "
@@ -447,7 +446,6 @@ class GranulePipeline:
         self.prune = prune
         self.pushdown = pushdown
         self.on_corruption = on_corruption
-        self.io_retries = io_retries
         names = tuple(source.column_names)
         expr = plan.filter_expr()
         # sources may imply a filter of their own — a mutated table's
@@ -527,8 +525,7 @@ class GranulePipeline:
                 except OSError as err:
                     # only EIO is plausibly transient; seeded jittered
                     # backoff keeps a failing schedule replayable
-                    if err.errno != errno.EIO or \
-                            attempt >= self.io_retries:
+                    if err.errno != errno.EIO or attempt >= IO_RETRIES:
                         raise
                     attempt += 1
                     st.io_retries += 1
@@ -706,7 +703,6 @@ def execute(plan: Plan, source, threads: int | None = None,
             prune: bool = True, pushdown: bool = True,
             on_corruption: str = "raise",
             timeout_s: float | None = None,
-            io_retries: int = DEFAULT_IO_RETRIES,
             scheduler=None, trace=None) -> ExecResult:
     """Run ``plan`` over ``source``.
 
@@ -739,11 +735,6 @@ def execute(plan: Plan, source, threads: int | None = None,
         Wall-clock budget for the whole query.  On expiry outstanding
         granules are cancelled cooperatively and :class:`ExecTimeout`
         is raised carrying the partial stats accumulated so far.
-    io_retries:
-        Bounded retries (with seeded jittered backoff) for granule loads
-        that fail with a transient ``EIO``; anything else — or the same
-        granule failing past the budget — propagates wrapped in
-        :class:`GranuleError`.
     scheduler:
         The :class:`~repro.exec.pool.MorselScheduler` (thread or
         process tier) to run granules on instead of the shared one.
@@ -765,8 +756,7 @@ def execute(plan: Plan, source, threads: int | None = None,
     cancel = threading.Event()
     pipeline = GranulePipeline(plan, source, prune=prune,
                                pushdown=pushdown,
-                               on_corruption=on_corruption,
-                               io_retries=io_retries)
+                               on_corruption=on_corruption)
     terminal = pipeline.terminal
     output_cols = pipeline.output_cols
     ranges, bitmaps, residual = \
@@ -799,7 +789,7 @@ def execute(plan: Plan, source, threads: int | None = None,
 
                 desc = describe_query(
                     plan, source, prune=prune, pushdown=pushdown,
-                    on_corruption=on_corruption, io_retries=io_retries,
+                    on_corruption=on_corruption,
                     trace_enabled=trace is not None)
                 if desc is not None:
                     kwargs["descriptor"] = desc

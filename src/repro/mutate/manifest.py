@@ -1,7 +1,8 @@
-"""Generation-chain commits for mutable tables.
+"""Generation-chain commits of the mutation layer.
 
-A mutable table's catalog is a chain of immutable manifests —
-``_table.<gen>.json`` — plus one ``CURRENT`` pointer file.  A commit
+A table's catalog is a chain of immutable manifests —
+``_table.<gen>.json`` — plus one ``CURRENT`` pointer file
+(:mod:`repro.store.format`).  A commit
 
 1. stages everything the new generation needs (shards via
    :class:`~repro.store.TableWriter`, deletion-vector sidecars here),
@@ -30,7 +31,7 @@ from repro.store import format as store_format
 from repro.store.format import (
     Manifest,
     dv_file_name,
-    list_versions,
+    manifest_generation,
     pack_deletion_vector,
     read_manifest,
     write_current,
@@ -140,17 +141,13 @@ def rotate_wal(directory: str, generation: int) -> str:
 
 
 def adopt(directory: str) -> int:
-    """Upgrade a table to the generation chain; returns the current gen.
-
-    A legacy immutable table (single ``_table.json``) is republished as
-    generation 0 — its shard files are referenced as-is, nothing is
-    rewritten.  Tables already on a chain return their ``CURRENT``.
-    """
+    """The generation ``CURRENT`` names — after publishing the chain
+    files of a directory written before the chain existed, which reads
+    as generation 0 (its shard files are referenced as-is)."""
     current = store_format.read_current(directory)
     if current is not None:
         return current
-    manifest = read_manifest(directory)
-    write_manifest(directory, manifest, generation=0)
+    write_manifest(directory, read_manifest(directory), generation=0)
     write_current(directory, 0)
     return 0
 
@@ -163,18 +160,10 @@ def clean_orphans(directory: str, current: int) -> None:
     files are left for the next commit's namer to step over — they are
     unreferenced data, never wrong data.)"""
     for name in os.listdir(directory):
-        gen = None
-        match = store_format.GEN_MANIFEST_RE.fullmatch(name)
-        if match:
-            gen = int(match.group(1))
-        else:
+        gen = manifest_generation(name)
+        if gen is None:
             match = _DV_RE.fullmatch(name)
             if match:
                 gen = int(match.group(1))
         if (gen is not None and gen > current) or name.endswith(".tmp"):
             os.remove(os.path.join(directory, name))
-
-
-def published_versions(directory: str, current: int) -> list[int]:
-    """Generations safely opened for time travel (≤ ``CURRENT``)."""
-    return [g for g in list_versions(directory) if g <= current]

@@ -47,7 +47,6 @@ from repro.mutate.wal import (
     wal_file_name,
 )
 from repro.store.executor import StoreSource
-from repro.store.format import read_current, read_manifest
 from repro.store.table import Table
 from repro.store.writer import (
     DEFAULT_CHUNK_ROWS,
@@ -77,10 +76,10 @@ def _as_expr(where) -> Expr:
 class MutableTable:
     """One writer's handle on a mutable table directory.
 
-    Use :meth:`create` for a new table or :meth:`open` on an existing
-    one (a plain immutable store table is adopted into the generation
-    chain on first open).  One ``MutableTable`` per directory — writes
-    are serialised through an internal lock, readers are unlimited.
+    Use :meth:`create` for a new, empty table or :meth:`open` on an
+    existing one — anything :class:`~repro.store.TableWriter` published
+    included.  One ``MutableTable`` per directory — writes are
+    serialised through an internal lock, readers are unlimited.
     """
 
     def __init__(self, path: str, codec="auto", sync: bool = False):
@@ -120,16 +119,10 @@ class MutableTable:
         if schema is None:
             raise ValueError("create() needs an explicit schema")
         os.makedirs(path, exist_ok=True)
-        if read_current(path) is not None:
-            raise ValueError(f"{path!r} already holds a mutable table")
-        try:
-            read_manifest(path)
-        except ValueError:
-            pass
-        else:
+        if Table.versions(path):
             raise ValueError(
                 f"{path!r} already holds a store table (open it with "
-                "MutableTable.open to adopt it)")
+                "MutableTable.open)")
         from repro.codecs.spec import CodecSpec
         from repro.store.format import Manifest
 
@@ -146,7 +139,7 @@ class MutableTable:
     @classmethod
     def open(cls, path: str, codec=None,
              sync: bool = False) -> "MutableTable":
-        """Open (and if needed adopt) an existing table for mutation."""
+        """Open an existing table for mutation."""
         return cls(path, codec=codec, sync=sync)
 
     def _manifest_codec(self):
@@ -189,7 +182,7 @@ class MutableTable:
 
     def versions(self) -> list[int]:
         """Published generations, oldest first (time-travel targets)."""
-        return chain.published_versions(self.path, self.generation)
+        return Table.versions(self.path)
 
     def snapshot(self, version: int | None = None) -> Table:
         """An independent read snapshot (caller closes it)."""

@@ -585,17 +585,20 @@ def _parse_labels(text: str) -> dict[str, str]:
     i = 0
     while i < len(text):
         eq = text.index("=", i)
-        name = text[i:eq].strip().rstrip()
-        assert text[eq + 1] == '"', f"unquoted label value in {text!r}"
+        name = text[i:eq].strip()
+        if text[eq + 1: eq + 2] != '"':
+            raise ValueError(f"unquoted label value in {text!r}")
         j = eq + 2
         raw = []
-        while text[j] != '"':
+        while j < len(text) and text[j] != '"':
             if text[j] == "\\":
                 raw.append(text[j: j + 2])
                 j += 2
             else:
                 raw.append(text[j])
                 j += 1
+        if j >= len(text):
+            raise ValueError(f"unterminated label value in {text!r}")
         labels[name] = _unescape("".join(raw))
         i = j + 1
         if i < len(text) and text[i] == ",":
@@ -609,7 +612,8 @@ def parse_text(text: str) -> dict[str, dict]:
     Returns ``{family_name: {"type": kind, "help": str|None,
     "samples": [(sample_name, labels_dict, value), ...]}}``.  Histogram
     ``_bucket``/``_sum``/``_count`` samples belong to their family.
-    Raises on anything the renderer would never produce.
+    Raises :class:`ValueError` on anything the renderer would never
+    produce.
     """
     families: dict[str, dict] = {}
     current: str | None = None

@@ -8,20 +8,20 @@ table directory, the pinned manifest generation, the plan (reusing the
 PR 7 :meth:`~repro.exec.plan.Plan.to_json` wire format, which carries
 the pushdown expression — ranges, IN-sets, OR trees and positional
 bitmaps alike), and the executor knobs (``prune`` / ``pushdown`` /
-``on_corruption`` / ``io_retries``) so the worker-side
+``on_corruption``) so the worker-side
 :class:`~repro.exec.run.GranulePipeline` is configured exactly like the
 driver's.
 
 Two deliberate choices:
 
-* **Generation pinning.**  ``version`` names the manifest generation
-  the driver's snapshot was opened at (``None`` for a legacy
-  single-manifest table, which has no ``CURRENT`` chain).  The worker
+* **Generation pinning.**  ``version`` is always the integer manifest
+  generation the driver's snapshot was opened at — generation numbers
+  are never reused, so it names that snapshot forever.  The worker
   re-opens that exact generation, so deletion-vector sidecars — the
   source's implicit Bitmap filter — are re-derived identically rather
-  than shipped.  ``n_rows`` / ``n_granules`` are cross-checked after
-  the open: any drift (a reaped generation, a half-visible publish)
-  fails loudly before a single granule runs.
+  than shipped.  ``version`` / ``n_rows`` / ``n_granules`` are
+  cross-checked after the open: any drift (a reaped generation, a
+  half-visible publish) fails loudly before a single granule runs.
 * **JSON-able throughout.**  The descriptor round-trips through
   :meth:`to_json`/:meth:`from_json` losslessly, and the process tier
   sends the JSON form over the pipe — so "survives pickle *and* JSON"
@@ -37,7 +37,7 @@ from repro.exec.plan import Plan
 __all__ = ["DESCRIPTOR_VERSION", "QueryDescriptor", "describe_query"]
 
 #: bumped on any incompatible change to the descriptor wire format
-DESCRIPTOR_VERSION = 2
+DESCRIPTOR_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class QueryDescriptor:
     """Everything a worker needs to rebuild one query's pipeline."""
 
     table_path: str            # absolute table directory
-    version: int | None        # pinned generation (None = legacy manifest)
+    version: int               # pinned manifest generation
     cache_bytes: int           # per-worker chunk-cache budget (0 = none)
     n_rows: int                # drift guard: snapshot row count
     n_granules: int            # drift guard: snapshot granule count
@@ -53,7 +53,6 @@ class QueryDescriptor:
     prune: bool
     pushdown: bool
     on_corruption: str         # "raise" | "skip"
-    io_retries: int
     trace_enabled: bool = False  # worker records per-granule spans
 
     def to_json(self) -> dict:
@@ -69,7 +68,6 @@ class QueryDescriptor:
             "prune": self.prune,
             "pushdown": self.pushdown,
             "on_corruption": self.on_corruption,
-            "io_retries": self.io_retries,
             "trace_enabled": self.trace_enabled,
         }
 
@@ -82,7 +80,7 @@ class QueryDescriptor:
                 f"(this worker speaks {DESCRIPTOR_VERSION})")
         return cls(
             table_path=obj["table_path"],
-            version=obj["version"],
+            version=int(obj["version"]),
             cache_bytes=int(obj["cache_bytes"]),
             n_rows=int(obj["n_rows"]),
             n_granules=int(obj["n_granules"]),
@@ -90,7 +88,6 @@ class QueryDescriptor:
             prune=bool(obj["prune"]),
             pushdown=bool(obj["pushdown"]),
             on_corruption=obj["on_corruption"],
-            io_retries=int(obj["io_retries"]),
             trace_enabled=bool(obj["trace_enabled"]),
         )
 
@@ -99,8 +96,7 @@ class QueryDescriptor:
 
 
 def describe_query(plan: Plan, source, *, prune: bool, pushdown: bool,
-                   on_corruption: str, io_retries: int,
-                   trace_enabled: bool = False
+                   on_corruption: str, trace_enabled: bool = False
                    ) -> QueryDescriptor | None:
     """Describe ``plan`` over ``source`` for out-of-process execution.
 
@@ -118,5 +114,4 @@ def describe_query(plan: Plan, source, *, prune: bool, pushdown: bool,
         return None
     return QueryDescriptor(
         plan=plan.to_json(), prune=prune, pushdown=pushdown,
-        on_corruption=on_corruption, io_retries=io_retries,
-        trace_enabled=trace_enabled, **base)
+        on_corruption=on_corruption, trace_enabled=trace_enabled, **base)

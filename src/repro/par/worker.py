@@ -203,18 +203,19 @@ class WorkerState:
         if desc is None:
             raise NeedDescriptor(desc_id)
         source = self._source_for(desc)
-        if source.n_rows != desc.n_rows or \
+        if source.table.generation != desc.version or \
+                source.n_rows != desc.n_rows or \
                 len(source.granules()) != desc.n_granules:
             raise RuntimeError(
                 f"generation drift: descriptor pinned "
                 f"{desc.table_path!r} version={desc.version} with "
                 f"{desc.n_rows} rows / {desc.n_granules} granules, "
-                f"worker opened {source.n_rows} rows / "
+                f"worker opened version={source.table.generation} with "
+                f"{source.n_rows} rows / "
                 f"{len(source.granules())} granules")
         pipeline = GranulePipeline(
             desc.build_plan(), source, prune=desc.prune,
-            pushdown=desc.pushdown, on_corruption=desc.on_corruption,
-            io_retries=desc.io_retries)
+            pushdown=desc.pushdown, on_corruption=desc.on_corruption)
         entry = (pipeline, source, desc.trace_enabled)
         self._pipelines[desc_id] = entry
         while len(self._pipelines) > self.max_pipelines:

@@ -45,7 +45,7 @@ from repro.store.executor import StoreSource
 from repro.store.table import Table
 
 #: executor knobs a request may set (anything else is rejected)
-ALLOWED_OPTS = ("prune", "pushdown", "on_corruption", "io_retries")
+ALLOWED_OPTS = ("prune", "pushdown", "on_corruption")
 
 #: per-request deadline when the client does not send one
 DEFAULT_TIMEOUT_S = 30.0
@@ -169,18 +169,14 @@ class TableServer:
 
     # ------------------------------------------------------------- tables
     def table_names(self) -> list[str]:
-        """Discover every servable table under ``root``."""
-
-        def is_table(path: str) -> bool:
-            return os.path.exists(os.path.join(path, "CURRENT")) or \
-                os.path.exists(os.path.join(path, "_table.json"))
-
-        if is_table(self.root):
+        """Discover every servable table under ``root``: the
+        directories holding at least one published generation."""
+        if Table.versions(self.root):
             return [os.path.basename(os.path.abspath(self.root))]
         return sorted(
             name for name in os.listdir(self.root)
             if os.path.isdir(os.path.join(self.root, name))
-            and is_table(os.path.join(self.root, name)))
+            and Table.versions(os.path.join(self.root, name)))
 
     def _resolve(self, name) -> tuple[Table, StoreSource]:
         if not isinstance(name, str) or not name or os.sep in name \

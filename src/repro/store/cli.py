@@ -20,10 +20,9 @@ directory; ``scan`` runs :meth:`Table.scan` — a :class:`repro.exec.Plan`
 on the unified execution layer, morsel-parallel with pruning +
 pushdown — and prints the work accounting next to the first result
 rows (pass ``--explain`` for the annotated plan).  ``append``/``delete``
-adopt the table into the generation chain, log through the WAL, and
-flush a new snapshot (``--no-flush`` leaves the mutation buffered for a
-later commit); ``versions`` lists every published generation a reader can
-time-travel to (``scan --version G``).  Unknown projection or predicate
+log through the WAL and flush a new generation (``--no-flush`` leaves
+the mutation buffered for a later commit); ``versions`` lists every
+published generation a reader can time-travel to (``scan --version G``).  Unknown projection or predicate
 columns exit with a clean one-line error naming the available columns.
 """
 
@@ -149,10 +148,6 @@ def _cmd_compact(args) -> int:
 
 def _cmd_versions(args) -> int:
     versions = Table.versions(args.table)
-    if not versions:
-        print(f"{args.table}: no published generations "
-              "(immutable table; mutate it once to start the chain)")
-        return 0
     for generation in versions:
         with Table.open(args.table, version=generation) as table:
             mark = "*" if generation == versions[-1] else " "

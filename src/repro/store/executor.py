@@ -112,14 +112,12 @@ class StoreSource(ColumnSource):
     def wire_descriptor(self) -> dict:
         """The fields a :class:`repro.par.QueryDescriptor` needs to
         rebuild this exact snapshot in a worker process: the table
-        directory plus the pinned generation (``None`` pins a legacy
-        single-manifest table, which has no ``CURRENT`` chain), and the
-        row/granule counts the worker cross-checks against its own open
-        to detect generation drift before running anything."""
-        generation = self.table.generation
+        directory plus the pinned generation, and the row/granule
+        counts the worker cross-checks against its own open to detect
+        generation drift before running anything."""
         return {
             "table_path": os.path.abspath(self.table.path),
-            "version": generation if generation else None,
+            "version": self.table.generation,
             "cache_bytes": self.table.cache.capacity_bytes
             if self.table.cache is not None else 0,
             "n_rows": self.table.n_rows,

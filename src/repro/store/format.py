@@ -1,21 +1,30 @@
 """On-disk layout of the persistent table store (shards + footer catalog).
 
-A table is a directory: a manifest naming the schema and the shard
-files, plus one ``shard-NNNNN.rps`` file per row-group shard.  Immutable
-tables written by :class:`~repro.store.writer.TableWriter` keep the
-original single-manifest layout; tables that have been mutated through
-:mod:`repro.mutate` carry a *generation chain* — every commit publishes
-a fresh ``_table.<gen>.json`` and atomically swaps the ``CURRENT``
-pointer, so a reader always opens one consistent snapshot and older
-generations stay readable for time travel::
+A table is a directory holding a *generation chain*: every publish — a
+:class:`~repro.store.writer.TableWriter` ingest, a :mod:`repro.mutate`
+flush or compaction — writes a fresh immutable ``_table.<gen>.json``
+manifest naming the schema and the shard files, then atomically swaps
+the ``CURRENT`` pointer to it.  A reader resolves the pointer once, so
+it always opens one consistent snapshot; ``(directory, generation)``
+names that snapshot forever, because a generation number is never
+reused — an overwrite publishes ``CURRENT + 1`` and reaps what it
+superseded.  Generations a mutation left behind stay readable for time
+travel::
 
     table_dir/
-      _table.json          manifest: schema, shard list, writer geometry
-      CURRENT              (mutable tables) text file naming the live gen
-      _table.000001.json   one immutable manifest per committed generation
+      CURRENT              text file naming the live generation
+      _table.000000.json   one immutable manifest per published generation
+      _table.000001.json
       shard-00000.rps
-      shard-00001.rps
-      shard-00001.rps.000002.dv   deletion-vector sidecar (bit = deleted)
+      shard-00001.g000001.rps
+      shard-00000.rps.000001.dv   deletion-vector sidecar (bit = deleted)
+      wal-000001.log       (mutated tables) the live generation's WAL
+
+Directories written before the chain existed hold a lone ``_table.json``
+and no pointer.  They stay readable through this module alone —
+:func:`read_manifest`, :func:`list_versions` and
+:func:`manifest_generation` treat that file as the manifest of
+generation 0 — and nothing writes one any more.
 
 Each shard file is self-describing — concatenated codec envelopes
 (:mod:`repro.codecs.envelope`, so any chunk revives via
@@ -64,9 +73,7 @@ VERSION = 2
 CHECKSUM_VERSION = 2
 #: deletion-vector sidecar layout version
 DV_VERSION = 1
-#: manifest file name inside a table directory
-MANIFEST_NAME = "_table.json"
-#: generation pointer file name (mutable tables)
+#: generation pointer file name
 CURRENT_NAME = "CURRENT"
 #: manifest format identifier
 MANIFEST_FORMAT = "repro.store"
@@ -80,7 +87,9 @@ FOOTER_CRC_LEN = 4
 #: dv sidecar header: magic + version + 8-byte LE row count + 4-byte crc
 DV_HEADER_LEN = len(DV_MAGIC) + 1 + 8 + 4
 
-GEN_MANIFEST_RE = re.compile(r"_table\.(\d{6})\.json$")
+_GEN_MANIFEST_RE = re.compile(r"_table\.(\d{6})\.json$")
+#: the lone manifest of a directory written before the generation chain
+_LEGACY_MANIFEST_NAME = "_table.json"
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ class Manifest:
 
 def shard_file_name(index: int, generation: int | None = None) -> str:
     """Shard file name; generation-suffixed names never collide across
-    the commits of a mutable table's manifest chain."""
+    the commits of a table's manifest chain."""
     if generation is None:
         return f"shard-{index:05d}.rps"
     return f"shard-{index:05d}.g{generation:06d}.rps"
@@ -208,6 +217,15 @@ def dv_file_name(shard_file: str, generation: int) -> str:
 
 def manifest_file_name(generation: int) -> str:
     return f"_table.{generation:06d}.json"
+
+
+def manifest_generation(name: str) -> int | None:
+    """The generation whose manifest the file ``name`` is (``None`` for
+    every other file); the pre-chain ``_table.json`` is generation 0."""
+    if name == _LEGACY_MANIFEST_NAME:
+        return 0
+    match = _GEN_MANIFEST_RE.fullmatch(name)
+    return int(match.group(1)) if match else None
 
 
 def write_atomic(path: str, data: bytes, point: str = "atomic") -> None:
@@ -230,19 +248,14 @@ def write_atomic(path: str, data: bytes, point: str = "atomic") -> None:
 
 
 def write_manifest(directory: str, manifest: Manifest,
-                   generation: int | None = None) -> None:
-    """Write one manifest file (atomically).
-
-    ``generation=None`` writes the legacy single ``_table.json``;
-    otherwise the immutable ``_table.<gen>.json`` of a generation chain
-    (the commit only becomes visible once ``write_current`` swaps the
-    pointer).
-    """
+                   generation: int) -> None:
+    """Write the immutable ``_table.<gen>.json`` of one generation
+    (atomically).  The publish only becomes visible once
+    :func:`write_current` swaps the pointer to it."""
     doc = {
         "format": MANIFEST_FORMAT,
         "version": VERSION,
-        "generation": generation if generation is not None
-        else manifest.generation,
+        "generation": generation,
         "columns": list(manifest.columns),
         "n_rows": manifest.n_rows,
         "shard_rows": manifest.shard_rows,
@@ -250,15 +263,14 @@ def write_manifest(directory: str, manifest: Manifest,
         "codecs": dict(manifest.codecs),
         "shards": list(manifest.shards),
     }
-    name = MANIFEST_NAME if generation is None \
-        else manifest_file_name(generation)
     body = json.dumps(doc, indent=1).encode("utf-8")
-    write_atomic(os.path.join(directory, name), body, point="manifest")
+    write_atomic(os.path.join(directory, manifest_file_name(generation)),
+                 body, point="manifest")
 
 
 def read_current(directory: str) -> int | None:
-    """The generation the ``CURRENT`` pointer names (``None`` = legacy
-    single-manifest table)."""
+    """The generation the ``CURRENT`` pointer names (``None``: the
+    directory has no pointer — a pre-chain table, or not a table)."""
     path = os.path.join(directory, CURRENT_NAME)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -280,40 +292,43 @@ def write_current(directory: str, generation: int) -> None:
 
 
 def list_versions(directory: str) -> list[int]:
-    """Published manifest generations, oldest first (time travel menu).
+    """Published generations, oldest first — exactly the ``version=``
+    values :func:`read_manifest` opens (empty: not a table).
 
     Only generations the ``CURRENT`` pointer has reached count: a
-    manifest staged by a commit that crashed before the pointer swap is
+    manifest staged by a publish that crashed before the pointer swap is
     an orphan, not a version (the next mutable open reaps it).
     """
     current = read_current(directory)
+    if current is None:
+        legacy = os.path.join(directory, _LEGACY_MANIFEST_NAME)
+        return [0] if os.path.exists(legacy) else []
     gens = []
     for name in os.listdir(directory):
-        match = GEN_MANIFEST_RE.fullmatch(name)
-        if match:
-            gen = int(match.group(1))
-            if current is None or gen <= current:
-                gens.append(gen)
+        match = _GEN_MANIFEST_RE.fullmatch(name)
+        if match and int(match.group(1)) <= current:
+            gens.append(int(match.group(1)))
     return sorted(gens)
 
 
 def read_manifest(directory: str, version: int | None = None) -> Manifest:
-    """Read one manifest: a pinned ``version`` generation, else whatever
-    ``CURRENT`` points at, else the legacy ``_table.json``."""
+    """Read one published manifest: a pinned ``version`` generation,
+    else whatever ``CURRENT`` points at."""
+    current = read_current(directory)
+    name = None
+    if current is None:
+        # a pre-chain directory: its lone manifest is generation 0
+        current, name = 0, _LEGACY_MANIFEST_NAME
     if version is None:
-        version = read_current(directory)
-    if version is None:
-        path = os.path.join(directory, MANIFEST_NAME)
-        if not os.path.exists(path):
+        version = current
+    path = os.path.join(directory, name or manifest_file_name(version))
+    if version > current or not os.path.exists(path):
+        published = ", ".join(str(g) for g in list_versions(directory))
+        if not published:
             raise ValueError(f"{directory!r} is not a store table "
-                             f"(missing {MANIFEST_NAME})")
-    else:
-        path = os.path.join(directory, manifest_file_name(version))
-        if not os.path.exists(path):
-            known = ", ".join(str(g) for g in list_versions(directory))
-            raise ValueError(
-                f"no manifest for version {version} in {directory!r}"
-                + (f" (published: {known})" if known else ""))
+                             "(no published generation)")
+        raise ValueError(f"no manifest for version {version} in "
+                         f"{directory!r} (published: {published})")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MANIFEST_FORMAT:
@@ -329,7 +344,7 @@ def read_manifest(directory: str, version: int | None = None) -> Manifest:
         chunk_rows=doc["chunk_rows"],
         codecs=dict(doc.get("codecs", {})),
         shards=tuple(doc.get("shards", ())),
-        generation=int(doc.get("generation", version or 0)),
+        generation=int(doc.get("generation", version)),
     )
 
 

@@ -1,11 +1,10 @@
 """``Table`` — the mmap-backed read side of the persistent store.
 
-Opening a table reads one manifest — the ``CURRENT`` generation of a
-mutated table, a ``version=`` pinned older generation (time travel), or
-the legacy single ``_table.json`` — memory-maps every shard file it
-names, parses each shard's footer catalog (schema, codec ids, row
-counts, zone maps), and loads any deletion-vector sidecars the manifest
-references.  A :class:`Table` is therefore an immutable *snapshot*:
+Opening a table reads one manifest — the generation ``CURRENT`` names,
+or a ``version=`` pinned older one (time travel) — memory-maps every
+shard file it names, parses each shard's footer catalog (schema, codec
+ids, row counts, zone maps), and loads any deletion-vector sidecars the
+manifest references.  A :class:`Table` is therefore an immutable *snapshot*:
 commits publish new manifests and swap ``CURRENT`` atomically, so a
 concurrent reader never sees a torn table.  No chunk bytes are touched
 until a scan asks for them, and zone-map-pruned chunks are never touched
@@ -135,7 +134,7 @@ class Table:
              version: int | None = None,
              cache: ChunkCache | None = None) -> "Table":
         """Open the current snapshot, or pin an older published
-        ``version`` of a mutated table (time travel).
+        ``version`` (time travel).
 
         ``cache`` injects a shared :class:`ChunkCache` (the table server
         gives every open table one cache); it overrides ``cache_bytes``
@@ -146,8 +145,8 @@ class Table:
 
     @staticmethod
     def versions(path: str) -> list[int]:
-        """Published manifest generations of a mutable table, oldest
-        first (empty for a plain immutable table)."""
+        """Published generations, oldest first — exactly the values
+        ``open(path, version=)`` accepts."""
         return list_versions(path)
 
     # ------------------------------------------------------------ catalog
@@ -282,8 +281,8 @@ class Table:
             fan out on the shared scheduler.
         **opts:
             Resilience knobs forwarded to the executor —
-            ``on_corruption="raise"|"skip"``, ``timeout_s``,
-            ``io_retries`` (see :func:`repro.exec.run.execute`).
+            ``on_corruption="raise"|"skip"``, ``timeout_s`` (see
+            :func:`repro.exec.run.execute`).
         """
         projection = tuple(columns) if columns is not None \
             else self.column_names

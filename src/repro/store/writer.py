@@ -35,21 +35,23 @@ from repro import codecs, faults
 from repro.codecs.spec import CodecSpec
 from repro.faults import SimulatedCrash
 from repro.store.format import (
-    CURRENT_NAME,
     SHARD_MAGIC,
     VERSION,
     ChunkMeta,
     Manifest,
     ShardFooter,
+    list_versions,
+    manifest_file_name,
+    manifest_generation,
     pack_footer,
-    read_manifest,
     shard_file_name,
+    write_current,
     write_manifest,
 )
 
 _SHARD_INDEX_RE = re.compile(r"shard-(\d+)\b.*\.rps$")
-_GEN_STATE_RE = re.compile(
-    r"(_table\.\d{6}\.json|.*\.dv|wal-\d+\.log(\.corrupt)?)$")
+#: per-generation state an overwrite supersedes along with the shards
+_SIDE_STATE_RE = re.compile(r"(.*\.dv|wal-\d+\.log(\.corrupt)?)$")
 
 #: default shard (row group) size in rows
 DEFAULT_SHARD_ROWS = 1 << 16
@@ -139,24 +141,26 @@ class TableWriter:
         self._start_row = start_row
         self._generation = generation
         self._name_base = 0
+        self._publish_generation = 0
         os.makedirs(path, exist_ok=True)
         if publish_manifest:
-            try:
-                read_manifest(path)
-            except ValueError:
-                pass
-            else:
+            published = list_versions(path)
+            if published:
                 if not overwrite:
                     raise ValueError(
                         f"{path!r} already holds a store table "
                         "(pass overwrite=True to replace it)")
-                # republish under fresh names: a reader holding the old
-                # manifest keeps resolving the old files until the new
-                # manifest is swapped in and the old files are reaped
+                # republish under fresh names and the next generation
+                # number: a reader holding the old snapshot keeps
+                # resolving the old files until the pointer is swapped
+                # and they are reaped, and (directory, generation) never
+                # comes to name two different tables
                 self._name_base = next_shard_index(path)
-            # leftovers of a writer that crashed mid-write are never data
+                self._publish_generation = published[-1] + 1
+            # leftovers of a writer that crashed mid-write or mid-publish
+            # are never data
             for stale in os.listdir(path):
-                if stale.endswith(".rps.tmp"):
+                if stale.endswith(".tmp"):
                     os.remove(os.path.join(path, stale))
         else:
             self._name_base = next_shard_index(path)
@@ -235,12 +239,15 @@ class TableWriter:
             self._flush_shard(self.shard_rows)
 
     def close(self) -> None:
-        """Publish the table: finalise shards, then write the manifest.
+        """Publish the table: finalise shards, write the generation's
+        manifest, swap ``CURRENT`` — the same two steps a flush or a
+        compaction commits through.  A fresh directory publishes
+        generation 0, an overwrite ``CURRENT + 1``.
 
         Shards are staged as ``.rps.tmp`` files and only renamed into
         place here, so a writer that fails before ``close`` (the context
         manager skips it on exceptions) leaves a pre-existing table — and
-        its still-valid manifest — untouched.
+        its still-current generation — untouched.
         """
         if self._closed:
             return
@@ -255,9 +262,10 @@ class TableWriter:
         if not self._publish_manifest:
             self._closed = True
             return
-        # the manifest swap is the publication point: it lands atomically
+        # the pointer swap is the publication point: it lands atomically
         # before any superseded file is reaped, so a concurrent reader
         # resolves either the complete old table or the complete new one
+        generation = self._publish_generation
         write_manifest(self.path, Manifest(
             columns=self._schema,
             n_rows=self._rows_written,
@@ -265,14 +273,16 @@ class TableWriter:
             chunk_rows=self.chunk_rows,
             codecs={name: self._codec_label(name) for name in self._schema},
             shards=tuple(self._shards),
-        ))
-        live = {entry["file"] for entry in self._shards}
+        ), generation=generation)
+        write_current(self.path, generation)
+        # a full overwrite replaces the whole generation chain, not just
+        # its newest snapshot
+        keep = {entry["file"] for entry in self._shards}
+        keep.add(manifest_file_name(generation))
         for name in os.listdir(self.path):
-            if name.endswith(".rps") and name not in live:
-                os.remove(os.path.join(self.path, name))
-            elif name == CURRENT_NAME or _GEN_STATE_RE.fullmatch(name):
-                # a full overwrite replaces a mutable table's whole
-                # generation chain, not just its newest snapshot
+            if name not in keep and (
+                    name.endswith(".rps") or _SIDE_STATE_RE.fullmatch(name)
+                    or manifest_generation(name) is not None):
                 os.remove(os.path.join(self.path, name))
         self._closed = True
 

@@ -5,8 +5,9 @@ Four suites:
 * the injector itself (rule arming, counters, determinism, lifecycle);
 * the **crash matrix** — a simulated crash at every hook point of the
   flush commit protocol (shard write → DV write → manifest publish →
-  CURRENT swap → WAL rotate) and of compaction, asserting that
-  reopening yields exactly the pre- or post-commit snapshot with every
+  CURRENT swap → WAL rotate), of compaction, and of a ``TableWriter``'s
+  own publish (fresh directory and overwrite), asserting that reopening
+  yields exactly the pre- or post-commit snapshot with every
   acknowledged operation intact;
 * **corruption detection** — envelope/footer crc32, the
   ``on_corruption`` scan policy, the v1 compatibility path, the scrub
@@ -178,6 +179,12 @@ FLUSH_CRASH_POINTS = [
     "wal.rotate.write", "wal.rotate.fsync", "wal.rotate.rename",
 ]
 
+#: the two-step publish a ``TableWriter`` shares with every commit
+PUBLISH_CRASH_POINTS = [
+    "manifest.write", "manifest.fsync", "manifest.rename",
+    "current.write", "current.fsync", "current.rename",
+]
+
 COMPACT_CRASH_POINTS = [
     "compact.rewrite", "shard.write", "shard.publish", "compact.commit",
     "manifest.rename", "current.write", "current.rename",
@@ -264,6 +271,45 @@ class TestCrashMatrix:
         got = _sorted_by(reopened.scan().columns, "k")
         np.testing.assert_array_equal(got["k"], reference["k"])
         reopened.close()
+        assert scrub_table(directory).ok
+
+    @pytest.mark.parametrize("overwrite", [False, True],
+                             ids=["fresh", "overwrite"])
+    @pytest.mark.parametrize("point", PUBLISH_CRASH_POINTS)
+    def test_writer_publish_crash_point(self, tmp_path, point, overwrite):
+        """An ingest dies inside its publish, before the pointer moves:
+        the directory still holds exactly what it held — no table, or
+        the old one — and the next write lands and reaps the debris."""
+        directory = str(tmp_path / "t")
+        old = np.arange(3000, dtype=np.int64)
+        new = np.arange(5000, dtype=np.int64) * 2
+        if overwrite:
+            write_table(directory, {"k": old}, shard_rows=1024)
+        inj = FaultInjector(seed=19).crash_at(point)
+        with inj, pytest.raises(SimulatedCrash):
+            write_table(directory, {"k": new}, shard_rows=1024,
+                        overwrite=overwrite)
+        assert inj.fired(point) == 1, f"{point} never fired"
+
+        if overwrite:
+            assert Table.versions(directory) == [0]
+            with Table.open(directory) as snap:
+                np.testing.assert_array_equal(snap.read_column("k"), old)
+            assert scrub_table(directory).ok
+        else:
+            assert Table.versions(directory) == []
+            with pytest.raises(ValueError, match="not a store table"):
+                Table.open(directory)
+
+        write_table(directory, {"k": new}, shard_rows=1024,
+                    overwrite=overwrite)
+        generation = int(overwrite)  # the crashed number was never used
+        assert Table.versions(directory) == [generation]
+        with Table.open(directory) as snap:
+            np.testing.assert_array_equal(snap.read_column("k"), new)
+            live = [os.path.basename(s.path) for s in snap.shards]
+        assert sorted(os.listdir(directory)) == sorted(
+            live + ["CURRENT", store_format.manifest_file_name(generation)])
         assert scrub_table(directory).ok
 
     def test_background_compactor_crash_with_concurrent_readers(

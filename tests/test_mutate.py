@@ -37,10 +37,19 @@ from repro.mutate import (
 from repro.mutate import wal as wal_mod
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
-from repro.store.format import dv_file_name
+from repro.store.format import dv_file_name, manifest_file_name
 
 INT_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_integers]
+
+
+def _downgrade_to_single_manifest(path):
+    """Rewrite a freshly ingested table into the layout written before
+    the generation chain existed: a lone ``_table.json``, no pointer.
+    Nothing in ``src/`` writes that layout any more."""
+    os.rename(os.path.join(path, manifest_file_name(0)),
+              os.path.join(path, "_table.json"))
+    os.remove(os.path.join(path, "CURRENT"))
 
 
 # --------------------------------------------------------------- reference
@@ -332,12 +341,24 @@ class TestMutableTable:
             assert 900 in res.columns["k"]
 
     def test_adopts_legacy_immutable_table(self, tmp_path):
+        """A directory written before the generation chain — one
+        ``_table.json``, no ``CURRENT`` — reads as generation 0 and is
+        upgraded in place by the first mutable open."""
         path = str(tmp_path / "t")
         write_table(path, {"k": np.arange(300), "v": np.arange(300)},
                     shard_rows=100, chunk_rows=50)
-        assert Table.versions(path) == []
+        _downgrade_to_single_manifest(path)
+        assert Table.versions(path) == [0]
+        with Table.open(path) as snap:
+            assert snap.generation == 0
+            assert StoreSource(snap).wire_descriptor()["version"] == 0
+            res = snap.scan(where=("k", 120, 180))
+            assert np.array_equal(res.columns["v"], np.arange(120, 180))
+        with pytest.raises(ValueError, match="no manifest for version 1"):
+            Table.open(path, version=1)
         with MutableTable.open(path) as table:
             assert table.generation == 0
+            assert os.path.exists(os.path.join(path, "CURRENT"))
             table.delete(("k", 0, 100))
             generation = table.flush()
         assert Table.versions(path) == [0, generation]
@@ -345,6 +366,30 @@ class TestMutableTable:
             assert snap.live_rows == 300
         with Table.open(path) as snap:
             assert snap.live_rows == 200
+
+    def test_overwrite_supersedes_the_whole_chain(self, tmp_path):
+        """``write_table(overwrite=True)`` publishes ``CURRENT + 1`` and
+        reaps every file of the generations before it — manifests,
+        sidecars, WAL, and a pre-chain ``_table.json`` alike."""
+        for legacy in (False, True):
+            path = str(tmp_path / f"t{int(legacy)}")
+            write_table(path, {"k": np.arange(300)}, shard_rows=100)
+            if legacy:
+                _downgrade_to_single_manifest(path)
+            with MutableTable.open(path) as table:
+                table.delete(("k", 0, 50))
+                table.flush()
+                table.append({"k": [900]})
+                last = table.flush()
+            assert Table.versions(path) == [0, 1, 2] and last == 2
+            write_table(path, {"k": np.arange(40)}, overwrite=True)
+            assert Table.versions(path) == [3]
+            assert sorted(os.listdir(path)) == [
+                "CURRENT", manifest_file_name(3), "shard-00004.rps"]
+            with MutableTable.open(path) as table:
+                assert table.generation == 3
+                assert np.array_equal(table.read_column("k"),
+                                      np.arange(40))
 
     def test_background_compactor_under_load(self, tmp_path):
         with self.make(tmp_path) as table:
@@ -423,15 +468,19 @@ class TestMutableTable:
                 table.append({"k": [0.5], "v": [1]})
 
     def test_create_collisions_rejected(self, tmp_path):
-        path = str(tmp_path / "t")
-        MutableTable.create(path, schema=("a",)).close()
-        with pytest.raises(ValueError, match="already holds a mutable"):
-            MutableTable.create(path, schema=("a",))
-        legacy = str(tmp_path / "u")
+        """Whoever published it, a directory that holds a table is
+        opened, never created over."""
+        created = str(tmp_path / "t")
+        MutableTable.create(created, schema=("a",)).close()
+        ingested = str(tmp_path / "u")
+        write_table(ingested, {"a": np.arange(5)})
+        legacy = str(tmp_path / "w")
         write_table(legacy, {"a": np.arange(5)})
-        with pytest.raises(ValueError, match="open it with "
-                                             "MutableTable.open"):
-            MutableTable.create(legacy, schema=("a",))
+        _downgrade_to_single_manifest(legacy)
+        for path in (created, ingested, legacy):
+            with pytest.raises(ValueError, match="already holds a store "
+                               "table .open it with MutableTable.open"):
+                MutableTable.create(path, schema=("a",))
 
     def test_crash_before_commit_recovers_via_wal(self, tmp_path):
         """Staged generation files without a CURRENT swap are orphans:
@@ -573,6 +622,76 @@ if HAVE_HYPOTHESIS:
             for generation, expected in published:
                 assert_columns_equal(scan_version(path, generation),
                                      expected, f"gen {generation}")
+
+    class TestGenerationChainProperty:
+        """Whoever publishes — an ingest, a flush, a compaction — the
+        directory is one generation chain: every generation number is
+        used at most once, none is ever reused, and the listed versions
+        are exactly the openable ones."""
+
+        @given(data=st.data())
+        @settings(max_examples=12, deadline=None)
+        def test_generations_never_reused(self, tmp_path_factory, data):
+            path = str(tmp_path_factory.mktemp("chain") / "t")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+            ref = RefTable(("k",))
+            openable: dict[int, dict] = {}  # generation -> numpy model
+            used: list[int] = []            # every number ever published
+
+            def published(generation):
+                assert not used or generation > used[-1], \
+                    f"generation {generation} reused after {used}"
+                used.append(generation)
+                openable[generation] = ref.copy()
+
+            def batch():
+                return {"k": rng.integers(0, 1000, int(rng.integers(
+                    1, 120))).astype(np.int64)}
+
+            ops = ["ingest"] + data.draw(st.lists(st.sampled_from(
+                ["ingest", "append", "delete", "compact"]),
+                min_size=2, max_size=8))
+            for op in ops:
+                if op == "ingest":
+                    ref = RefTable(("k",))
+                    ref.append(batch())
+                    write_table(path, ref.cols, shard_rows=64,
+                                chunk_rows=16, overwrite=True)
+                    openable.clear()  # the whole old chain is reaped
+                    with Table.open(path) as snap:
+                        published(snap.generation)
+                    continue
+                with MutableTable.open(path) as table:
+                    if op == "append":
+                        rows = batch()
+                        table.append(rows)
+                        ref.append(rows)
+                        published(table.flush())
+                    elif op == "delete":
+                        lo = int(rng.integers(0, 1000))
+                        expr = Range("k", lo, lo + 200)
+                        ref.delete(expr)
+                        if table.delete(expr):  # else nothing to flush
+                            published(table.flush())
+                    else:
+                        generation = table.compact(threshold=0.9)
+                        if generation is not None:
+                            published(generation)
+
+                assert Table.versions(path) == sorted(openable)
+                for generation, expected in openable.items():
+                    with Table.open(path, version=generation,
+                                    cache_bytes=0) as snap:
+                        assert snap.generation == generation
+                        assert StoreSource(snap).wire_descriptor()[
+                            "version"] == generation
+                        assert_columns_equal(
+                            {"k": np.sort(snap.scan().columns["k"])},
+                            {"k": np.sort(expected["k"])},
+                            f"gen {generation}")
+                for generation in set(used) - set(openable):
+                    with pytest.raises(ValueError, match="no manifest"):
+                        Table.open(path, version=generation)
 
     class TestCrashRecoveryProperty:
         """Truncating the WAL loses at most the uncommitted tail."""

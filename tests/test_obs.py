@@ -116,6 +116,16 @@ class TestMetricsConformance:
         [(_, labels, v)] = fams["t_weird_total"]["samples"]
         assert labels == {"path": value} and v == 1.0
 
+    @pytest.mark.parametrize("line", [
+        't_total{op=query} 1',      # unquoted label value
+        't_total{op="query} 1',     # unterminated label value
+        't_total{op} 1',            # label without a value
+        't_total{op="query"} one',  # not a number
+    ])
+    def test_parse_rejects_what_render_never_produces(self, line):
+        with pytest.raises(ValueError):
+            parse_text(f"# TYPE t_total counter\n{line}\n")
+
     def test_get_or_create_and_conflicts(self, registry):
         c1 = registry.counter("t_total", "x")
         assert registry.counter("t_total") is c1

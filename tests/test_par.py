@@ -31,6 +31,7 @@ Seven suites:
   rows as in-process execution.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -95,6 +96,7 @@ from repro.serve import ServeClient, TableServer
 from repro.store import Table, write_table
 from repro.store.cache import ChunkCache
 from repro.store.executor import StoreSource
+from repro.store.format import manifest_file_name
 
 INT_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_integers]
@@ -170,27 +172,29 @@ def _merge_partials(parts, names):
 class TestDescriptor:
     def test_json_and_pickle_round_trip(self, source):
         desc = describe_query(FILTER_PLAN, source, prune=True,
-                              pushdown=True, on_corruption="raise",
-                              io_retries=2)
+                              pushdown=True, on_corruption="raise")
         assert desc is not None
-        assert desc.version == (source.table.generation or None)
+        # an ingest-only table is pinned like any other: by the integer
+        # generation it was opened at, never by "whatever is current"
+        assert source.table.generation == 0
+        assert desc.version == 0 and isinstance(desc.version, int)
         assert desc.n_granules == len(source.granules())
         wire = json.loads(json.dumps(desc.to_json()))
         wire = pickle.loads(pickle.dumps(
             wire, protocol=pickle.HIGHEST_PROTOCOL))
-        assert wire["v"] == DESCRIPTOR_VERSION == 2
-        assert "verify_checksums" not in wire
+        assert wire["v"] == DESCRIPTOR_VERSION == 3
+        assert wire["version"] == 0
+        assert "io_retries" not in wire
         revived = QueryDescriptor.from_json(wire)
         assert revived == desc
         assert revived.build_plan().to_json() == FILTER_PLAN.to_json()
 
     def test_foreign_version_is_refused(self, source):
         desc = describe_query(FILTER_PLAN, source, prune=True,
-                              pushdown=True, on_corruption="raise",
-                              io_retries=2)
+                              pushdown=True, on_corruption="raise")
         wire = desc.to_json()
-        # v1 carried a required "verify_checksums" key that v2 dropped
-        for foreign in (1, DESCRIPTOR_VERSION + 1):
+        # v2 carried "io_retries" and a nullable "version"
+        for foreign in (2, DESCRIPTOR_VERSION + 1):
             wire["v"] = foreign
             with pytest.raises(
                     ValueError,
@@ -201,8 +205,7 @@ class TestDescriptor:
     def test_memory_sources_are_not_describable(self):
         array = ArraySource({"v": np.arange(100)}, morsel_rows=10)
         desc = describe_query(Plan.scan(["v"]), array, prune=True,
-                              pushdown=True, on_corruption="raise",
-                              io_retries=2)
+                              pushdown=True, on_corruption="raise")
         assert desc is None
 
     def test_fault_spec_round_trip(self):
@@ -272,8 +275,7 @@ if HAVE_HYPOTHESIS:
                 expected = plan.execute(src, threads=1)
                 desc = describe_query(plan, src, prune=True,
                                       pushdown=True,
-                                      on_corruption="raise",
-                                      io_retries=2)
+                                      on_corruption="raise")
                 wire = pickle.loads(pickle.dumps(
                     json.loads(json.dumps(desc.to_json())),
                     protocol=pickle.HIGHEST_PROTOCOL))
@@ -370,6 +372,64 @@ class TestProcessEquivalence:
                 assert_rows_equal(cold, expected)
                 assert cold.stats.rows_masked > 0
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_generation_zero_snapshot_stays_pinned(
+            self, tmp_path, thread_sched, start_method):
+        """A snapshot held at generation 0 answers with its own rows on
+        every tier while a later generation is committed behind it (a
+        deletion vector moves neither ``n_rows`` nor ``n_granules``, so
+        only the pinned generation keeps a lane worker off ``CURRENT``)."""
+        path = str(tmp_path / "t")
+        ts = np.arange(20_000)
+        write_table(path, {"ts": ts, "v": ts * 3}, shard_rows=5000,
+                    chunk_rows=1000)
+        lanes = ProcessScheduler(workers=2, start_method=start_method,
+                                 name=f"par-pin-{start_method}")
+        try:
+            with Table.open(path, cache_bytes=0) as held, \
+                    MutableTable.open(path) as table:
+                assert table.delete(("ts", 0, 5000)) == 5000
+                assert table.flush() == 1
+                src = StoreSource(held)
+                assert src.wire_descriptor()["version"] == 0
+                res = assert_tiers_agree(Plan.scan(["ts", "v"]), src,
+                                         thread_sched, lanes)
+                assert np.array_equal(res.columns["ts"], ts)
+        finally:
+            lanes.close()
+
+    def test_reaped_generation_is_a_typed_error(self, tmp_path, sched):
+        """An overwrite behind a held snapshot reaps its generation: the
+        holder still reads its mapped files, a lane worker can no longer
+        open that generation and says so — it never answers from the
+        table that replaced it."""
+        path = str(tmp_path / "t")
+        ts = np.arange(4000)
+        write_table(path, {"ts": ts}, shard_rows=1000, chunk_rows=250)
+        plan = Plan.scan(["ts"])
+        with Table.open(path) as held:
+            write_table(path, {"ts": ts + 1}, shard_rows=1000,
+                        chunk_rows=250, overwrite=True)
+            src = StoreSource(held)
+            assert np.array_equal(
+                plan.execute(src, threads=1).columns["ts"], ts)
+            with pytest.raises(GranuleError,
+                               match="no manifest for version 0"):
+                plan.execute(src, scheduler=sched)
+            desc = describe_query(plan, src, prune=True, pushdown=True,
+                                  on_corruption="raise")
+        # a manifest naming another generation than the one it is
+        # published as is drift too, caught before any granule runs
+        manifest_path = os.path.join(path, manifest_file_name(1))
+        with open(manifest_path) as fh:
+            doc = json.load(fh)
+        doc["generation"] = 7
+        with open(manifest_path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(RuntimeError, match="generation drift"):
+            WorkerState().run_granule(
+                1, dataclasses.replace(desc, version=1), 0)
+
     def test_memory_source_falls_back_in_driver(self, thread_sched,
                                                 sched):
         array = ArraySource(
@@ -384,8 +444,7 @@ class TestProcessEquivalence:
 
     def test_evicted_descriptor_asks_for_resend(self, source):
         desc = describe_query(FILTER_PLAN, source, prune=True,
-                              pushdown=True, on_corruption="raise",
-                              io_retries=2)
+                              pushdown=True, on_corruption="raise")
         state = WorkerState(max_pipelines=1)
         state.run_granule(1, desc, 0)
         state.run_granule(2, desc, 0)  # evicts pipeline 1

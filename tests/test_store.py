@@ -160,14 +160,23 @@ class TestWriter:
     def test_overwrite_protection_and_cleanup(self, tmp_path):
         path = str(tmp_path / "t")
         write_table(path, {"a": np.arange(5000)}, shard_rows=1000)
+        assert Table.versions(path) == [0]  # on a chain from the start
         with pytest.raises(ValueError, match="already holds"):
             TableWriter(path)
         write_table(path, {"a": np.arange(800)}, shard_rows=1000,
                     overwrite=True)
+        # the next generation, never generation 0 again — and nothing
+        # of the superseded one (shards, manifest) is left behind
+        assert Table.versions(path) == [1]
         shard_files = [f for f in os.listdir(path) if f.endswith(".rps")]
-        assert len(shard_files) == 1  # stale shards removed
+        assert len(shard_files) == 1
+        assert sorted(set(os.listdir(path)) - set(shard_files)) == \
+            ["CURRENT", store_format.manifest_file_name(1)]
         with Table.open(path) as table:
-            assert table.n_rows == 800
+            assert table.n_rows == 800 and table.generation == 1
+        with pytest.raises(ValueError, match=r"no manifest for version 0 "
+                                             r".*\(published: 1\)"):
+            Table.open(path, version=0)
 
     def test_rejected_batch_leaves_writer_untouched(self, tmp_path):
         writer = TableWriter(str(tmp_path / "t"))
@@ -561,7 +570,8 @@ class TestForwardCompat:
     def test_newer_manifest_version_named_in_error(self, tmp_path):
         path = str(tmp_path / "t")
         write_table(path, {"a": np.arange(10)})
-        manifest_path = os.path.join(path, store_format.MANIFEST_NAME)
+        manifest_path = os.path.join(
+            path, store_format.manifest_file_name(0))
         with open(manifest_path) as fh:
             doc = json.load(fh)
         doc["version"] = store_format.VERSION + 1
