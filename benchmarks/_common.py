@@ -23,6 +23,9 @@ import os
 BENCH_N = int(os.environ.get("REPRO_BENCH_N", "30000"))
 #: random-access probes per (codec, dataset) pair
 BENCH_PROBES = int(os.environ.get("REPRO_BENCH_PROBES", "300"))
+#: the paper's Fig. 10 line-up, by registry name (rANS and Elias-Fano are
+#: added by the scripts where they apply)
+LINEUP = ("for", "delta", "delta-var", "leco-fix", "leco-var")
 
 
 def headline(title: str, caption: str) -> str:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.baselines import LecoCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.datasets import load
 
@@ -26,7 +26,7 @@ def run_experiment(n: int = 100_000, repeats: int = 5) -> str:
     rows = []
     for name in DATASETS:
         values = load(name, n=n).values
-        arr = LecoCodec("linear", partitioner=10_000).encode(values).array
+        arr = codecs.get("leco", partitioner=10_000).encode(values)
         assert np.array_equal(arr.decode_all_serial(), values)
         direct = min(_time(arr.decode_all) for _ in range(repeats))
         serial = min(_time(arr.decode_all_serial) for _ in range(repeats))

@@ -9,20 +9,14 @@ access than Delta at comparable ratio.
 
 import sys
 
-from repro.baselines import DeltaCodec, EliasFanoCodec, FORCodec, LecoCodec
+from repro import codecs
 from repro.bench import measure_codec, render_table, weighted_average
 from repro.datasets import FIG10_DATASETS, load
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import emit, BENCH_N, BENCH_PROBES, headline
 
-CODECS = [
-    FORCodec(),
-    EliasFanoCodec(),
-    DeltaCodec("fix"),
-    LecoCodec("linear", partitioner="fixed"),
-    LecoCodec("linear", partitioner="variable"),
-]
+CODECS = ("for", "elias-fano", "delta", "leco-fix", "leco-var")
 
 
 def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
@@ -30,10 +24,11 @@ def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
     for name in FIG10_DATASETS:
         ds = load(name, n=n)
         for codec in CODECS:
-            if isinstance(codec, EliasFanoCodec) and not ds.sorted:
+            if codecs.info(codec).requires_sorted and not ds.sorted:
                 continue
-            m = measure_codec(codec, ds, n_random=BENCH_PROBES, repeats=1)
-            per_codec.setdefault(codec.name, []).append(m)
+            m = measure_codec(codecs.get(codec), ds, n_random=BENCH_PROBES,
+                              repeats=1)
+            per_codec.setdefault(m.codec, []).append(m)
     rows = []
     for name, ms in per_codec.items():
         rows.append([

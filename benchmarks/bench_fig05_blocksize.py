@@ -7,7 +7,7 @@ search of §3.2.1.
 
 import sys
 
-from repro.baselines import LecoCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.datasets import load
 
@@ -24,7 +24,7 @@ def run_experiment(n: int = BENCH_N) -> str:
         for size in SIZES:
             if size > n:
                 continue
-            enc = LecoCodec("linear", partitioner=size).encode(ds.values)
+            enc = codecs.get("leco", partitioner=size).encode(ds.values)
             ratio = enc.compressed_size_bytes() / ds.uncompressed_bytes
             rows.append([name, size, f"{ratio:.1%}"])
     return headline(

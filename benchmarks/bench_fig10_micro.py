@@ -9,12 +9,12 @@ slice because its Python decode is strictly sequential.
 
 import sys
 
-from repro.baselines import EliasFanoCodec, RansCodec, standard_codecs
+from repro import codecs
 from repro.bench import measure_codec, render_table
 from repro.datasets import FIG10_DATASETS, load
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, BENCH_PROBES, headline
+from _common import emit, BENCH_N, BENCH_PROBES, LINEUP, headline
 
 _RANS_N = min(BENCH_N, 8000)
 
@@ -23,13 +23,10 @@ def collect(n: int = BENCH_N):
     rows = []
     for name in FIG10_DATASETS:
         ds = load(name, n=n)
-        for codec in standard_codecs(include_rans=False):
-            rows.append(measure_codec(codec, ds, n_random=BENCH_PROBES,
-                                      repeats=1))
-        if ds.sorted:
-            rows.append(measure_codec(EliasFanoCodec(), ds,
+        for codec in LINEUP + (("elias-fano",) if ds.sorted else ()):
+            rows.append(measure_codec(codecs.get(codec), ds,
                                       n_random=BENCH_PROBES, repeats=1))
-        rows.append(measure_codec(RansCodec(), load(name, n=_RANS_N),
+        rows.append(measure_codec(codecs.get("rans"), load(name, n=_RANS_N),
                                   n_random=10, repeats=1))
     return rows
 
@@ -58,12 +55,10 @@ def run_experiment(n: int = BENCH_N) -> str:
 
 def test_fig10_micro(benchmark):
     """Representative kernel: LeCo-fix encode+decode on booksale."""
-    from repro.baselines import LecoCodec
-
     ds = load("booksale", n=min(BENCH_N, 20_000))
 
     def kernel():
-        enc = LecoCodec("linear", partitioner="fixed").encode(ds.values)
+        enc = codecs.get("leco-fix").encode(ds.values)
         enc.decode_all()
         return enc
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from repro.baselines import FORCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.core.advisor import RegressorSelector, optimal_regressor_name
 from repro.core.encoding import CompressedArray, encode_partition
@@ -45,7 +45,7 @@ def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
         ds = load(name, n=n)
         values = ds.values
         raw = ds.uncompressed_bytes
-        for_size = FORCodec(frame_size=PARTITION).encode(
+        for_size = codecs.get("for", partitioner=PARTITION).encode(
             values).compressed_size_bytes()
         linear = _encode_with(values, lambda seg: "linear")
         recommend = _encode_with(values, selector.recommend_name)

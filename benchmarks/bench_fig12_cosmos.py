@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from repro.baselines import FORCodec, LecoCodec, RansCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.core.regressors import PolynomialRegressor, SinusoidalRegressor
 from repro.datasets import load
@@ -26,18 +26,16 @@ def run_experiment(n: int = min(BENCH_N, 30_000)) -> str:
     ds = load("cosmos", n=n)
     raw = ds.uncompressed_bytes
     configs = [
-        ("rans", RansCodec()),
-        ("for", FORCodec()),
-        ("leco-fix", LecoCodec("linear", partitioner="fixed")),
-        ("leco-var", LecoCodec("linear", partitioner="variable")),
-        ("leco-poly-fix", LecoCodec(PolynomialRegressor(3),
-                                    partitioner=2000, name="poly-fix")),
-        ("sin", LecoCodec(SinusoidalRegressor(1), partitioner="fixed",
-                          name="sin")),
-        ("2sin", LecoCodec(SinusoidalRegressor(2), partitioner="fixed",
-                           name="2sin")),
-        ("2sin-freq", LecoCodec(SinusoidalRegressor(2, freqs=TRUE_FREQS),
-                                partitioner="fixed", name="2sin-freq")),
+        ("rans", codecs.get("rans")),
+        ("for", codecs.get("for")),
+        ("leco-fix", codecs.get("leco-fix")),
+        ("leco-var", codecs.get("leco-var")),
+        ("leco-poly-fix", codecs.get(
+            "leco", regressor=PolynomialRegressor(3), partitioner=2000)),
+        ("sin", codecs.get("leco-fix", regressor=SinusoidalRegressor(1))),
+        ("2sin", codecs.get("leco-fix", regressor=SinusoidalRegressor(2))),
+        ("2sin-freq", codecs.get(
+            "leco-fix", regressor=SinusoidalRegressor(2, freqs=TRUE_FREQS))),
     ]
     rows = []
     for label, codec in configs:

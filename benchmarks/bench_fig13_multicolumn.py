@@ -11,27 +11,23 @@ import sys
 
 import numpy as np
 
-from repro.baselines import DeltaCodec, FORCodec, LecoCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.datasets import TABLE_NAMES, load_table
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import emit, headline
 
-CODECS = [
-    ("for", lambda: FORCodec()),
-    ("delta-fix", lambda: DeltaCodec("fix")),
-    ("delta-var", lambda: DeltaCodec("var")),
-    ("leco-fix", lambda: LecoCodec("linear", partitioner="fixed")),
-    ("leco-var", lambda: LecoCodec("linear", partitioner="variable")),
-]
+#: column label -> registry name
+CODECS = [("for", "for"), ("delta-fix", "delta"), ("delta-var", "delta-var"),
+          ("leco-fix", "leco-fix"), ("leco-var", "leco-var")]
 
 
-def _table_ratio(columns: dict[str, np.ndarray], codec_factory) -> float:
+def _table_ratio(columns: dict[str, np.ndarray], codec: str) -> float:
     total_raw = 0
     total_compressed = 0
     for col in columns.values():
-        enc = codec_factory().encode(col)
+        enc = codecs.get(codec).encode(col)
         total_raw += col.nbytes
         total_compressed += enc.compressed_size_bytes()
     return total_compressed / max(total_raw, 1)
@@ -44,11 +40,11 @@ def run_experiment(n: int = 6000) -> str:
         high = table.high_cardinality_columns()
         entry = [name, f"{table.average_sortedness():.2f}",
                  f"{len(high)}/{table.numeric_column_count}"]
-        for _, factory in CODECS:
-            entry.append(f"{_table_ratio(table.columns, factory):.1%}")
+        for _, codec in CODECS:
+            entry.append(f"{_table_ratio(table.columns, codec):.1%}")
         if high:
-            leco_high = _table_ratio(high, CODECS[3][1])
-            for_high = _table_ratio(high, CODECS[0][1])
+            leco_high = _table_ratio(high, "leco-fix")
+            for_high = _table_ratio(high, "for")
             entry.append(f"{leco_high:.1%} vs {for_high:.1%}")
         else:
             entry.append("-")

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from repro.baselines import LecoCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.core.partitioners import (
     LaVectorPartitioner,
@@ -28,18 +28,14 @@ DATASETS = ("normal", "house_price", "booksale", "movieid")
 
 def _configs():
     return [
-        ("leco-fix", LecoCodec("linear", partitioner="fixed")),
-        ("leco-pla", LecoCodec("linear",
-                               partitioner=PLAPartitioner(epsilon=64),
-                               name="leco-pla")),
-        ("leco-la-vec", LecoCodec("linear",
-                                  partitioner=LaVectorPartitioner(),
-                                  name="leco-la-vec")),
-        ("sim-piece", LecoCodec("linear",
-                                partitioner=SimPiecePartitioner(epsilon=64),
-                                name="sim-piece")),
-        ("leco-var", LecoCodec("linear", partitioner="variable",
-                               tau=0.05)),
+        ("leco-fix", codecs.get("leco-fix")),
+        ("leco-pla", codecs.get(
+            "leco", partitioner=PLAPartitioner(epsilon=64))),
+        ("leco-la-vec", codecs.get(
+            "leco", partitioner=LaVectorPartitioner())),
+        ("sim-piece", codecs.get(
+            "leco", partitioner=SimPiecePartitioner(epsilon=64))),
+        ("leco-var", codecs.get("leco-var", tau=0.05)),
     ]
 
 
@@ -52,7 +48,7 @@ def run_experiment(n: int = 20_000) -> str:
             enc = codec.encode(ds.values)
             assert np.array_equal(enc.decode_all(), ds.values), label
             ratio = enc.compressed_size_bytes() / ds.uncompressed_bytes
-            parts = len(enc.array.partitions)
+            parts = len(enc.partitions)
             entry.append(f"{ratio:.1%} ({parts}p)")
         rows.append(entry)
     return headline(

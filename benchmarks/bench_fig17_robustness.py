@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from repro.baselines import LecoCodec
+from repro import codecs
 from repro.bench import render_table
 from repro.core.partitioners import PLAPartitioner
 from repro.datasets import load
@@ -28,17 +28,15 @@ def run_experiment(n: int = 20_000) -> str:
     rows = []
     var_ratios = []
     for tau in TAUS:
-        enc = LecoCodec("linear", partitioner="variable",
-                        tau=tau).encode(ds.values)
+        enc = codecs.get("leco-var", tau=tau).encode(ds.values)
         ratio = enc.compressed_size_bytes() / raw
         var_ratios.append(ratio)
         rows.append(["leco-var", f"tau={tau:.2f}", f"{ratio:.1%}"])
     pla_ratios = []
     for exp in EPS_EXPONENTS:
-        codec = LecoCodec("linear",
-                          partitioner=PLAPartitioner(epsilon=2.0 ** exp),
-                          name="leco-pla")
-        enc = codec.encode(ds.values)
+        enc = codecs.get(
+            "leco", partitioner=PLAPartitioner(epsilon=2.0 ** exp)
+        ).encode(ds.values)
         ratio = enc.compressed_size_bytes() / raw
         pla_ratios.append(ratio)
         rows.append(["leco-pla", f"eps=2^{exp}", f"{ratio:.1%}"])

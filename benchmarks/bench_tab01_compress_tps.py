@@ -10,24 +10,21 @@ import sys
 
 import numpy as np
 
-from repro.baselines import EliasFanoCodec, standard_codecs
+from repro import codecs
 from repro.bench import measure_codec, render_table
 from repro.datasets import FIG10_DATASETS, load
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, headline
+from _common import emit, BENCH_N, LINEUP, headline
 
 
 def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
     per_codec: dict[str, list[float]] = {}
     for name in FIG10_DATASETS:
         ds = load(name, n=n)
-        for codec in standard_codecs(include_rans=False):
-            m = measure_codec(codec, ds, n_random=5, repeats=1)
-            per_codec.setdefault(codec.name, []).append(m.compress_gbps)
-        if ds.sorted:
-            m = measure_codec(EliasFanoCodec(), ds, n_random=5, repeats=1)
-            per_codec.setdefault("elias-fano", []).append(m.compress_gbps)
+        for codec in LINEUP + (("elias-fano",) if ds.sorted else ()):
+            m = measure_codec(codecs.get(codec), ds, n_random=5, repeats=1)
+            per_codec.setdefault(m.codec, []).append(m.compress_gbps)
     rows = []
     for name, values in per_codec.items():
         arr = np.array(values)

@@ -17,6 +17,8 @@ print("registered codecs:", ", ".join(codecs.available()))
 
 # Construct a codec by name; encode returns the vectorised sequence
 # protocol: gather / decode_range / decode_all / size_bytes / to_bytes.
+# Every partitioned codec (leco*, for, delta*) takes its plan as
+# partitioner= "fixed" | "variable" | "auto" | an int | a Partitioner.
 leco = codecs.get("leco")
 seq = leco.encode(timestamps)
 
@@ -53,13 +55,15 @@ print(f"delta: sequential_access={info.sequential_access}, "
       f"pruning={info.supports_range_pruning}")
 
 # ---------------------------------------------------------------- CodecSpec
-# Configuration travels as one CodecSpec instead of loose kwargs; the
-# classic compress/decompress shims accept it (and the legacy keywords).
+# Configuration travels as one CodecSpec; compress() is the one-call shim
+# over codecs.get(spec.codec, spec=spec).encode(values), so what it
+# returns is the same sequence object as above.
 spec = CodecSpec(mode="var", regressor="auto", tau=0.05)
 arr = compress(timestamps, spec)
 print(f"\nvariable+auto:     {arr.compressed_size_bytes():,} bytes "
       f"({len(arr.partitions)} partitions)")
 assert np.array_equal(decompress(arr), timestamps)
+assert np.array_equal(decompress(arr.to_bytes()), timestamps)
 
 # Strings go through the same registry (LeCo §3.4 and FSST).
 urls = [f"https://example.com/item/{i:07d}".encode() for i in range(2000)]

@@ -10,7 +10,7 @@ Run:  python examples/regressor_tour.py
 
 import numpy as np
 
-from repro import compress
+from repro import codecs, compress
 from repro.core.advisor import RegressorSelector, optimal_regressor_name
 from repro.core.regressors import SinusoidalRegressor, get_regressor
 from repro.datasets import load
@@ -47,11 +47,9 @@ linear_arr = compress(cosmos.values, mode="fix")
 print(f"\ncosmos with linear models: "
       f"{linear_arr.compressed_size_bytes() / raw:.1%}")
 
-from repro.core.encoding import LecoEncoder
-
 freqs = np.array([1.0 / (60 * np.pi), 3.0 / (60 * np.pi)])
-sine = LecoEncoder(SinusoidalRegressor(2, freqs=freqs),
-                   partitioner=5000).encode(cosmos.values)
+sine = codecs.get("leco", regressor=SinusoidalRegressor(2, freqs=freqs),
+                  partitioner=5000).encode(cosmos.values)
 assert np.array_equal(sine.decode_all(), cosmos.values)
 print(f"cosmos with 2 known sine terms: "
       f"{sine.compressed_size_bytes() / raw:.1%} (lossless)")

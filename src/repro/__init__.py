@@ -10,9 +10,10 @@ Public surface:
 * :mod:`repro.codecs` — the unified codec registry, :class:`CodecSpec`,
   and the self-describing serialization envelope;
 * :func:`repro.compress` / :func:`repro.decompress` — integer columns
-  (thin shims over the registry);
+  (the one-call shim over ``codecs.get``);
 * :class:`repro.StringCompressor` — varchar columns (§3.4);
-* :mod:`repro.baselines` — FOR, RLE, Delta, Elias-Fano, rANS, FSST;
+* :mod:`repro.baselines` — RLE, Delta, Elias-Fano, rANS, FSST (FOR is
+  ``codecs.get("for")``: LeCo with the constant regressor);
 * :mod:`repro.engine` — Arrow/Parquet-like columnar engine (§5.1);
 * :mod:`repro.exec` — the unified planner/operator layer (plans run
   unchanged over the engine, the store, or in-memory arrays);

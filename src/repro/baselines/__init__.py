@@ -1,28 +1,15 @@
-"""Baseline compression schemes evaluated against LeCo (paper §4.1)."""
+"""Baseline compression schemes evaluated against LeCo (paper §4.1).
+
+FOR is not here: it is LeCo with the constant regressor
+(``codecs.get("for")``), as the paper describes it (§2).
+"""
 
 from repro.baselines.base import Codec, EncodedSequence, as_int64
 from repro.baselines.delta import DeltaCodec, DeltaCostAdapter
 from repro.baselines.elias_fano import EliasFanoCodec, EliasFanoSequence
 from repro.baselines.fsst import FSSTCodec, build_symbol_table
-from repro.baselines.leco import FORCodec, LecoCodec, LecoEncodedSequence
 from repro.baselines.rans import RansCodec, infer_value_width
 from repro.baselines.rle import RLECodec
-
-
-def standard_codecs(include_rans: bool = True) -> list[Codec]:
-    """The paper's Fig. 10 line-up (Elias-Fano added where applicable)."""
-    codecs: list[Codec] = []
-    if include_rans:
-        codecs.append(RansCodec())
-    codecs += [
-        FORCodec(),
-        DeltaCodec("fix"),
-        DeltaCodec("var"),
-        LecoCodec("linear", partitioner="fixed"),
-        LecoCodec("linear", partitioner="variable"),
-    ]
-    return codecs
-
 
 __all__ = [
     "Codec",
@@ -34,11 +21,7 @@ __all__ = [
     "EliasFanoSequence",
     "FSSTCodec",
     "build_symbol_table",
-    "FORCodec",
-    "LecoCodec",
-    "LecoEncodedSequence",
     "RansCodec",
     "infer_value_width",
     "RLECodec",
-    "standard_codecs",
 ]

@@ -13,9 +13,10 @@ contract is vectorised end to end:
 * ``EncodedSequence.to_bytes()`` / ``repro.codecs.from_bytes`` —
   self-describing serialisation envelope
 
-Scalar ``get`` is a convenience wrapper over :meth:`gather`; subclasses
-with a cheaper point-read path (one model inference + one slot read)
-override it, but no consumer may loop it over more than O(1) positions.
+Scalar ``get`` normalises its position exactly as :meth:`gather` does and
+reads it through :meth:`_get` — a one-element gather unless the subclass
+has a cheaper point-read path (one model inference + one slot read); no
+consumer may loop it over more than O(1) positions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 
 def normalize_indices(indices, n: int) -> np.ndarray:
-    """Gather-index contract: int64, negatives wrap once, bounds checked."""
+    """Index contract of ``gather`` and scalar ``get``: int64, negatives
+    wrap once, bounds checked."""
     indices = np.asarray(indices, dtype=np.int64)
     indices = np.where(indices < 0, indices + n, indices)
     if indices.size and ((indices < 0).any() or (indices >= n).any()):
@@ -99,7 +101,11 @@ class EncodedSequence(SelfDescribing, ABC):
         return self.decode_all()[indices]
 
     def get(self, position: int) -> int:
-        """Random access to one decoded value (wrapper over ``gather``)."""
+        """Random access to one decoded value (negatives wrap once)."""
+        return self._get(int(normalize_indices(position, len(self))))
+
+    def _get(self, position: int) -> int:
+        """Point read of an in-range position (default: one-element gather)."""
         return int(self.gather(np.array([position], dtype=np.int64))[0])
 
     def __getitem__(self, position: int) -> int:
@@ -122,9 +128,9 @@ class EncodedSequence(SelfDescribing, ABC):
     def filter_range(self, lo: int, hi: int) -> np.ndarray:
         """Boolean bitmap of positions with ``lo <= value < hi``.
 
-        Base contract: materialise and compare.  Codecs advertising
-        ``supports_range_pruning`` override this to skip whole partitions
-        via model-derived value bounds (§5.1.1).
+        Base contract: materialise and compare.  Codecs whose registry
+        entry sets ``supports_range_pruning`` override this to skip whole
+        partitions via model-derived value bounds (§5.1.1).
         """
         values = self.decode_all()
         return (values >= lo) & (values < hi)
@@ -136,8 +142,8 @@ class EncodedSequence(SelfDescribing, ABC):
         Contract: when not ``None``, every encoded value satisfies
         ``lo <= v <= hi`` — the bounds may be loose but never exclude a
         stored value (consumers use them to prune, e.g. the store's zone
-        maps).  The base returns ``None`` (no cheap bound); LeCo-family
-        sequences derive bounds from the model band + residual width.
+        maps).  The base returns ``None`` (no cheap bound); the LeCo format
+        derives bounds from the model band + residual width.
         """
         return None
 
@@ -153,8 +159,6 @@ class Codec(ABC):
     name: str = "abstract"
     #: True when :meth:`EncodedSequence.get` requires sequential decoding
     sequential_access: bool = False
-    #: True when ``filter_range`` prunes partitions without decoding
-    supports_range_pruning: bool = False
 
     @abstractmethod
     def encode(self, values: np.ndarray) -> EncodedSequence: ...

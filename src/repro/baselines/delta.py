@@ -22,11 +22,7 @@ from repro.bitio import (
     encode_svarint,
     encode_uvarint,
 )
-from repro.core.partitioners import (
-    AutoFixedPartitioner,
-    FixedLengthPartitioner,
-    SplitMergePartitioner,
-)
+from repro.core.partitioners import resolve_partitioner
 from repro.core.regressors.base import FittedModel, Regressor
 
 
@@ -147,9 +143,7 @@ class DeltaEncodedSequence(EncodedSequence):
     def __len__(self) -> int:
         return self.n
 
-    def get(self, position: int) -> int:
-        if not 0 <= position < self.n:
-            raise IndexError(f"position {position} out of [0, {self.n})")
+    def _get(self, position: int) -> int:
         idx = int(np.searchsorted(self._starts, position, side="right")) - 1
         part = self.partitions[idx]
         return part.decode_prefix(position - part.start)
@@ -227,24 +221,17 @@ class DeltaEncodedSequence(EncodedSequence):
 
 
 class DeltaCodec(Codec):
-    """Delta encoding; ``variant="fix"`` or ``"var"``."""
+    """Delta encoding under any partition plan (``partitioner=`` as read by
+    :func:`repro.core.partitioners.resolve_partitioner`)."""
 
     sequential_access = True
 
-    def __init__(self, variant: str = "fix", partition_size: int | None = None,
-                 tau: float = 0.05, max_partition_size: int = 10_000):
-        if variant not in ("fix", "var"):
-            raise ValueError(f"variant must be 'fix' or 'var', got {variant}")
-        self.variant = variant
-        self.name = f"delta-{variant}"
+    def __init__(self, partitioner="fixed", tau: float = 0.05,
+                 max_partition_size: int = 10_000):
+        self.name = "delta-var" if partitioner == "variable" else "delta-fix"
         self._cost = DeltaCostAdapter()
-        if variant == "var":
-            self._partitioner = SplitMergePartitioner(tau=tau)
-        elif partition_size is not None:
-            self._partitioner = FixedLengthPartitioner(partition_size)
-        else:
-            self._partitioner = AutoFixedPartitioner(
-                max_size=max_partition_size)
+        self._partitioner = resolve_partitioner(partitioner, tau,
+                                                max_partition_size)
 
     def encode(self, values: np.ndarray) -> DeltaEncodedSequence:
         values = as_int64(values)

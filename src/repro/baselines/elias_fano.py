@@ -58,9 +58,7 @@ class EliasFanoSequence(EncodedSequence):
     def __len__(self) -> int:
         return self.n
 
-    def get(self, position: int) -> int:
-        if not 0 <= position < self.n:
-            raise IndexError(f"position {position} out of [0, {self.n})")
+    def _get(self, position: int) -> int:
         high = int(self._ones[position]) - position
         low = self._lows[position] if self._low_bits else 0
         return self._base + (high << self._low_bits) + low

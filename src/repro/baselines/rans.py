@@ -116,9 +116,7 @@ class RansEncodedSequence(EncodedSequence):
             raise IndexError(f"bad range [{lo}, {hi}) for n={self.n}")
         return self._decode_prefix_values(hi)[lo:hi]
 
-    def get(self, position: int) -> int:
-        if not 0 <= position < self.n:
-            raise IndexError(f"position {position} out of [0, {self.n})")
+    def _get(self, position: int) -> int:
         raw = self._decode_bytes((position + 1) * self.width)
         chunk = raw[position * self.width: (position + 1) * self.width]
         value = 0

@@ -34,9 +34,7 @@ class RLEEncodedSequence(EncodedSequence):
     def __len__(self) -> int:
         return self.n
 
-    def get(self, position: int) -> int:
-        if not 0 <= position < self.n:
-            raise IndexError(f"position {position} out of [0, {self.n})")
+    def _get(self, position: int) -> int:
         idx = int(np.searchsorted(self._starts, position, side="right")) - 1
         return int(self._values[idx])
 

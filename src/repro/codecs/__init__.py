@@ -4,7 +4,7 @@ One coherent surface for every compression scheme in the repo::
 
     from repro import codecs
 
-    codec = codecs.get("leco", mode="var")      # any registered scheme
+    codec = codecs.get("leco", partitioner="variable")   # any scheme
     seq = codec.encode(values)                  # EncodedSequence protocol
     seq.gather(indices)                         # batch random access
     seq.decode_range(lo, hi)                    # partition-pruned decode

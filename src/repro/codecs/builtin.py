@@ -14,88 +14,51 @@ import importlib
 from repro.codecs.registry import register, register_wire
 from repro.codecs.spec import CodecSpec
 
-#: the LecoEncoder partitioner spec each CodecSpec mode names
-_MODE_PARTITIONER = {"fix": "fixed", "var": "variable", "auto": "auto"}
 
+def _partitioned(module: str, cls_name: str, spec_fields=(), **preset):
+    """Factory for a partitioned codec: one constructor, three sources.
 
-def _make_leco(mode: str | None, spec: CodecSpec | None = None, *,
-               regressor: str = "linear", tau: float = 0.05,
-               max_partition_size: int = 10_000, partitioner=None,
-               selector=None):
-    """LeCo factory: a CodecSpec, a raw partitioner spec, or knobs.
-
-    ``mode`` is the name-implied mode (``leco-var`` etc.); when both a
-    name-implied mode and a spec are given, the more specific name wins.
-    ``None`` (the generic ``leco`` entry) defers to the spec.
+    ``spec=`` (a :class:`CodecSpec`) supplies the plan plus ``spec_fields``,
+    explicit keywords override it, and what the registered name itself
+    implies (``leco-var``'s plan, ``for``'s constant regressor) wins over
+    both.
     """
-    from repro.baselines.leco import LecoCodec
-
-    if partitioner is not None:
-        return LecoCodec(regressor, partitioner=partitioner, tau=tau,
-                         max_partition_size=max_partition_size)
-    if spec is None:
-        spec = CodecSpec(codec="leco", mode=mode or "fix",
-                         regressor=regressor, tau=tau,
-                         max_partition_size=max_partition_size,
-                         selector=selector)
-    mode = mode or spec.mode
-    return LecoCodec(spec.regressor,
-                     partitioner=_MODE_PARTITIONER[mode], tau=spec.tau,
-                     max_partition_size=spec.max_partition_size,
-                     name=f"leco-{mode}", selector=spec.selector)
+    def factory(spec: CodecSpec | None = None, **kwargs):
+        cls = getattr(importlib.import_module(module), cls_name)
+        if spec is not None:
+            kwargs = {**{f: getattr(spec, f) for f in spec_fields},
+                      **spec.plan(), **kwargs}
+        return cls(**{**kwargs, **preset})
+    return factory
 
 
-@register("leco", summary="learned compression, fixed partitions (§3)",
-          supports_range_pruning=True, supports_model_bounds=True,
-          wire_id="leco")
-def _leco(spec=None, *, mode=None, **kwargs):
-    return _make_leco(mode, spec, **kwargs)
+def _leco(**preset):
+    return _partitioned("repro.core.encoding", "LecoEncoder",
+                        ("regressor", "selector"), **preset)
 
 
-@register("leco-fix", summary="LeCo with sampled fixed-length partitions",
-          supports_range_pruning=True, supports_model_bounds=True,
-          wire_id="leco")
-def _leco_fix(spec=None, **kwargs):
-    return _make_leco("fix", spec, **kwargs)
+def _delta(**preset):
+    return _partitioned("repro.baselines.delta", "DeltaCodec", **preset)
 
 
-@register("leco-var", summary="LeCo with split-merge variable partitions",
-          supports_range_pruning=True, supports_model_bounds=True,
-          wire_id="leco")
-def _leco_var(spec=None, **kwargs):
-    return _make_leco("var", spec, **kwargs)
+_LECO_CAPS = dict(supports_range_pruning=True, supports_model_bounds=True,
+                  partitioned=True, wire_id="leco")
+_DELTA_CAPS = dict(sequential_access=True, partitioned=True, wire_id="delta")
 
-
-@register("leco-auto", summary="LeCo with hardness-advised partitioning",
-          supports_range_pruning=True, supports_model_bounds=True,
-          wire_id="leco")
-def _leco_auto(spec=None, **kwargs):
-    return _make_leco("auto", spec, **kwargs)
-
-
-@register("for", summary="frame-of-reference (constant-model LeCo, §2)",
-          supports_range_pruning=True, supports_model_bounds=True,
-          wire_id="leco")
-def _for(**kwargs):
-    from repro.baselines.leco import FORCodec
-
-    return FORCodec(**kwargs)
-
-
-@register("delta", summary="delta encoding, fixed partitions (§2)",
-          sequential_access=True, wire_id="delta")
-def _delta(**kwargs):
-    from repro.baselines.delta import DeltaCodec
-
-    return DeltaCodec(kwargs.pop("variant", "fix"), **kwargs)
-
-
-@register("delta-var", summary="delta with split-merge partitions (§3.2.2)",
-          sequential_access=True, wire_id="delta")
-def _delta_var(**kwargs):
-    from repro.baselines.delta import DeltaCodec
-
-    return DeltaCodec("var", **kwargs)
+register("leco", summary="learned compression, fixed partitions (§3)",
+         **_LECO_CAPS)(_leco())
+register("leco-fix", summary="LeCo with sampled fixed-length partitions",
+         **_LECO_CAPS)(_leco(partitioner="fixed"))
+register("leco-var", summary="LeCo with split-merge variable partitions",
+         **_LECO_CAPS)(_leco(partitioner="variable"))
+register("leco-auto", summary="LeCo with hardness-advised partitioning",
+         **_LECO_CAPS)(_leco(partitioner="auto"))
+register("for", summary="frame-of-reference (constant-model LeCo, §2)",
+         **_LECO_CAPS)(_leco(regressor="constant", name="for"))
+register("delta", summary="delta encoding, fixed partitions (§2)",
+         **_DELTA_CAPS)(_delta())
+register("delta-var", summary="delta with split-merge partitions (§3.2.2)",
+         **_DELTA_CAPS)(_delta(partitioner="variable"))
 
 
 @register("dict", summary="sorted dictionary + bit-packed codes (§5.1)",
@@ -162,7 +125,7 @@ def _wire(module: str, cls_name: str):
     return decode
 
 
-register_wire("leco", _wire("repro.baselines.leco", "LecoEncodedSequence"))
+register_wire("leco", _wire("repro.core.encoding", "CompressedArray"))
 register_wire("delta", _wire("repro.baselines.delta",
                              "DeltaEncodedSequence"))
 register_wire("rle", _wire("repro.baselines.rle", "RLEEncodedSequence"))

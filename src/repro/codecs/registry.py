@@ -6,7 +6,7 @@ store, the benchmark harness, the conformance suite — discover and
 construct codecs uniformly instead of hard-coding per-scheme imports:
 
 * :func:`register` — decorator adding a factory under a name;
-* :func:`get` — construct a codec (``get("leco", mode="var")``);
+* :func:`get` — construct a codec (``get("leco", partitioner="variable")``);
 * :func:`available` — all registered names;
 * :func:`info` — the :class:`CodecInfo` capability record;
 * :func:`from_bytes` — revive any sequence from its envelope image.
@@ -45,6 +45,10 @@ class CodecInfo:
     #: it get computed zone maps from the writer and no model-derived
     #: pruning bounds from in-memory sources.
     supports_model_bounds: bool = False
+    #: encodes in partitions planned by a ``partitioner=`` keyword, and
+    #: takes ``spec=`` (a :class:`CodecSpec`) in its place — what the store
+    #: writer reads to pin its plan on a bare codec name
+    partitioned: bool = False
     #: input must be non-decreasing (e.g. Elias-Fano)
     requires_sorted: bool = False
     #: envelope codec id its sequences serialise under

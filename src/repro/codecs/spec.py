@@ -15,7 +15,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-_MODES = ("fix", "var", "auto")
+#: the ``partitioner=`` plan each :attr:`CodecSpec.mode` names
+_PLANS = {"fix": "fixed", "var": "variable", "auto": "auto"}
 
 _default_selector_lock = threading.Lock()
 _default_selector: Any = None
@@ -42,9 +43,9 @@ class CodecSpec:
     codec:
         Registry name (``"leco"``, ``"delta"``, ...).
     mode:
-        Partitioning strategy for LeCo-family codecs: ``"fix"`` (sampled
-        fixed-length), ``"var"`` (split-merge), or ``"auto"``
-        (hardness-advised, paper §3.2.3).
+        Partitioning strategy for partitioned codecs (LeCo family,
+        ``for``, ``delta``): ``"fix"`` (sampled fixed-length), ``"var"``
+        (split-merge), or ``"auto"`` (hardness-advised, paper §3.2.3).
     regressor:
         Registered regressor name, or ``"auto"`` for the per-partition
         Regressor Selector (§3.1).
@@ -65,6 +66,11 @@ class CodecSpec:
     selector: Any = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in _PLANS:
             raise ValueError(
-                f"mode must be one of {_MODES}, got {self.mode!r}")
+                f"mode must be one of {tuple(_PLANS)}, got {self.mode!r}")
+
+    def plan(self) -> dict:
+        """The partition-plan keywords every partitioned codec takes."""
+        return {"partitioner": _PLANS[self.mode], "tau": self.tau,
+                "max_partition_size": self.max_partition_size}

@@ -9,14 +9,15 @@ Typical usage::
     keys = np.cumsum(np.random.poisson(40, 100_000))
     arr = compress(keys)                    # CompressedArray
     arr[12_345]                             # random access, no full decode
+    blob = arr.to_bytes()                   # self-describing envelope
     assert np.array_equal(decompress(arr), keys)
 
     arr = compress(keys, CodecSpec(mode="var", regressor="auto"))
 
-:func:`compress` / :func:`decompress` are thin shims over the codec
-registry (:mod:`repro.codecs`): configuration travels as one
-:class:`~repro.codecs.CodecSpec` instead of loose string/kwarg soup, and
-the legacy keyword form builds a spec on the fly.  ``mode`` picks the
+:func:`compress` is the one-call shim over ``codecs.get(spec.codec,
+spec=spec).encode(values)``: configuration travels as one
+:class:`~repro.codecs.CodecSpec`, and the keyword form builds a spec on
+the fly.  ``mode`` picks the
 partitioning strategy: ``"fix"`` (sampling-searched fixed-length
 partitions), ``"var"`` (split–merge variable-length), or ``"auto"``
 (hardness-based advice, §3.2.3).  ``regressor="auto"`` lets the
@@ -29,11 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import codecs
 from repro.codecs.spec import CodecSpec
 from repro.core.encoding import CompressedArray
-
-#: registry names whose sequences wrap a :class:`CompressedArray`
-_LECO_FAMILY = ("leco", "leco-fix", "leco-var", "leco-auto")
 
 
 def compress(values: np.ndarray, mode: str | CodecSpec = "fix",
@@ -63,28 +62,24 @@ def compress(values: np.ndarray, mode: str | CodecSpec = "fix",
         spec = CodecSpec(codec="leco", mode=mode, regressor=regressor,
                          tau=tau, max_partition_size=max_partition_size,
                          selector=selector)
-    if spec.codec not in _LECO_FAMILY:
+    if codecs.info(spec.codec).wire_id != CompressedArray.wire_id:
         raise ValueError(
             f"compress() is the LeCo shim; use repro.codecs.get({spec.codec!r})"
             " for other schemes")
-    from repro import codecs
-
-    return codecs.get(spec.codec, spec=spec).encode(
-        np.asarray(values)).array
+    return codecs.get(spec.codec, spec=spec).encode(values)
 
 
 def decompress(compressed: CompressedArray | bytes) -> np.ndarray:
     """Inverse of :func:`compress`; accepts the object or its bytes.
 
-    Byte inputs may be either a raw ``CompressedArray`` image or any
+    Byte inputs may be either a raw ``CompressedArray`` payload or any
     registered codec's self-describing envelope
     (:func:`repro.codecs.from_bytes`).
     """
     if isinstance(compressed, (bytes, bytearray)):
         blob = bytes(compressed)
-        from repro import codecs
-
         if blob[:4] == codecs.MAGIC:
-            return np.asarray(codecs.from_bytes(blob).decode_all())
-        compressed = CompressedArray.from_bytes(blob)
-    return compressed.decode_all()
+            compressed = codecs.from_bytes(blob)
+        else:
+            compressed = CompressedArray.from_payload(blob)
+    return np.asarray(compressed.decode_all())

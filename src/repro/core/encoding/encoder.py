@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Codec, as_int64
 from repro.bitio import BitPackedArray
 from repro.core.encoding.format import (
     CompressedArray,
@@ -66,6 +67,8 @@ def encode_partition(values: np.ndarray, start: int,
         model = fallback.fit(values)
         residuals = _safe_residuals(values, model)
         name = fallback.name
+    if residuals is None:
+        return _encode_wide(values, start)
     if residuals.size:
         bias = int(residuals.min())
         packed = BitPackedArray.from_values(
@@ -87,8 +90,29 @@ def encode_partition(values: np.ndarray, start: int,
                      corrections, serial_ok)
 
 
-class LecoEncoder:
-    """High-level compression entry point.
+def _encode_wide(values: np.ndarray, start: int) -> Partition:
+    """A partition spanning more than 2**63 (64-bit hashes): no model keeps
+    its residuals inside int64, so store ``v - floor`` as uint64 slots.
+
+    ``floor`` is the largest float64 at or below the minimum (integral, and
+    inside int64, so the decoder's prediction is exactly it); a span below
+    2**64 keeps every slot in range, and int64 decode arithmetic wraps back
+    to the value.
+    """
+    lowest = int(values.min())
+    floor = np.float64(lowest)
+    if int(floor) > lowest:
+        floor = np.nextafter(floor, -np.inf)
+    slots = values.astype(np.uint64) - np.uint64(int(floor) % (1 << 64))
+    return Partition(start, len(values), "constant", [floor], 0,
+                     BitPackedArray.from_values(slots))
+
+
+class LecoEncoder(Codec):
+    """The LeCo codec: a partitioner plus a regressor (paper §2–§3).
+
+    ``codecs.get("leco" | "leco-fix" | "leco-var" | "leco-auto" | "for")``
+    all return one of these; FOR is the constant-regressor special case.
 
     Parameters
     ----------
@@ -98,30 +122,27 @@ class LecoEncoder:
         model, then let the Regressor Selector recommend a family per
         partition (§3.1).
     partitioner:
-        A :class:`Partitioner`, or one of the convenience specs:
-        ``"fixed"`` (sampling-based size search, §3.2.1), ``"variable"``
-        (split–merge greedy, §3.2.2), ``"auto"`` (hardness-based advice
-        picks one of the two per input, §3.2.3), or an ``int`` fixed
-        partition size.
-    tau:
-        Split aggressiveness for ``"variable"`` (paper sweeps [0, 0.15]).
+        The partition plan, as read by
+        :func:`repro.core.partitioners.resolve_partitioner`: ``"fixed"``,
+        ``"variable"``, ``"auto"``, an ``int`` fixed partition size, or a
+        :class:`Partitioner`; ``tau`` and ``max_partition_size`` tune the
+        variable and the searched-fixed plan.
     build_corrections:
         Whether to build the §3.3 serial-decode correction lists.
     selector:
         The Regressor Selector ``regressor="auto"`` consults; ``None``
         means the shared lazily-built default.
+    name:
+        Reported codec name; defaults to ``leco-fix`` / ``leco-var`` /
+        ``leco-auto`` after the plan.
     """
 
     def __init__(self, regressor: Regressor | str = "linear",
                  partitioner="fixed", tau: float = 0.05,
                  max_partition_size: int = 10_000,
-                 build_corrections: bool = True, selector=None):
-        from repro.core.partitioners import (
-            AutoFixedPartitioner,
-            FixedLengthPartitioner,
-            Partitioner,
-            SplitMergePartitioner,
-        )
+                 build_corrections: bool = True, selector=None,
+                 name: str | None = None):
+        from repro.core.partitioners import resolve_partitioner
 
         #: ``regressor="auto"``: the linear model plans the partitions,
         #: the selector then picks each partition's family
@@ -131,35 +152,16 @@ class LecoEncoder:
                 "linear" if self.selecting else regressor)
         self.regressor = regressor
         self.selector = selector
-        #: the two plans ``partitioner="auto"`` is advised between
-        self._advised = {
-            False: AutoFixedPartitioner(max_size=max_partition_size),
-            True: SplitMergePartitioner(tau=tau),
-        }
-        if isinstance(partitioner, Partitioner) or partitioner == "auto":
-            self.partitioner = partitioner
-        elif partitioner == "fixed":
-            self.partitioner = self._advised[False]
-        elif partitioner == "variable":
-            self.partitioner = self._advised[True]
-        elif isinstance(partitioner, int):
-            self.partitioner = FixedLengthPartitioner(partitioner)
-        else:
-            raise ValueError(f"unknown partitioner spec {partitioner!r}")
+        self.partitioner = resolve_partitioner(partitioner, tau,
+                                               max_partition_size)
         self.build_corrections = build_corrections
+        self.name = name or {"variable": "leco-var", "auto": "leco-auto"
+                             }.get(partitioner, "leco-fix")
 
     def encode(self, values: np.ndarray) -> CompressedArray:
         """Compress ``values`` (any integer array) losslessly."""
-        values = np.asarray(values)
-        if values.dtype.kind not in "iu":
-            raise TypeError(f"integer input required, got {values.dtype}")
-        values = values.astype(np.int64)
-        partitioner = self.partitioner
-        if partitioner == "auto":
-            from repro.core.partitioners import advise_partitioning
-
-            partitioner = self._advised[
-                advise_partitioning(values).recommend_variable]
+        values = as_int64(values)
+        partitioner = self.partitioner.choose(values)
         selector = None
         if self.selecting:
             from repro.codecs.spec import default_selector

@@ -15,12 +15,18 @@ Linear partitions may carry a *correction list* for the serial-decoding
 optimisation (§3.3): full-range decodes replace the per-position
 ``theta0 + theta1 * i`` with a running accumulation, and the list patches
 the few positions where floating-point accumulation floors differently.
+
+:class:`CompressedArray` *is* the ``"leco"`` wire format's
+:class:`~repro.baselines.base.EncodedSequence`: ``payload_bytes()`` is the
+raw ``LECO`` image above, ``to_bytes()`` wraps it in the registry envelope
+like every other sequence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import EncodedSequence
 from repro.bitio import (
     BitPackedArray,
     decode_svarint,
@@ -171,18 +177,23 @@ def accumulate_predictions(theta0: float, theta1: float, n: int
     return np.add.accumulate(steps)
 
 
-class CompressedArray:
+class CompressedArray(EncodedSequence):
     """A losslessly compressed integer sequence with random access.
 
-    The public decompression surface:
+    The sequence protocol plus what only this format can do:
 
     * ``arr[i]`` / :meth:`get` — random access (two bounded memory reads);
-    * :meth:`decode_range` — vectorised range decode;
-    * :meth:`decode_all` — full decompression;
+    * :meth:`gather` — batch random access, grouped by partition;
+    * :meth:`decode_range` / :meth:`decode_all` — partition-pruned decodes;
     * :meth:`decode_all_serial` — full decode via the §3.3 accumulation
       optimisation (bit-identical output, validated in tests);
-    * :meth:`compressed_size_bytes` / :meth:`to_bytes` — serialised format.
+    * :meth:`filter_range` / :meth:`model_bounds` / :meth:`search_sorted`
+      — pruning and search on :meth:`partition_value_bounds`;
+    * :meth:`payload_bytes` (raw image, what
+      :meth:`compressed_size_bytes` measures) / :meth:`to_bytes`.
     """
+
+    wire_id = "leco"
 
     def __init__(self, n: int, partitions: list[Partition],
                  fixed_size: int | None, default_regressor: str):
@@ -199,17 +210,10 @@ class CompressedArray:
     def __len__(self) -> int:
         return self.n
 
-    def get(self, position: int) -> int:
+    def _get(self, position: int) -> int:
         """Random access to one value (paper's point-query path)."""
-        if position < 0:
-            position += self.n
-        if not 0 <= position < self.n:
-            raise IndexError(f"position {position} out of [0, {self.n})")
         part = self.partitions[self._partition_index_for(position)]
         return part.decode_one(position - part.start)
-
-    def __getitem__(self, position: int) -> int:
-        return self.get(position)
 
     def decode_range(self, lo: int, hi: int) -> np.ndarray:
         """Decode positions ``[lo, hi)`` as an int64 array."""
@@ -240,18 +244,16 @@ class CompressedArray:
     def decode_all(self) -> np.ndarray:
         return self.decode_range(0, self.n)
 
-    def take(self, positions: np.ndarray) -> np.ndarray:
+    def gather(self, indices: np.ndarray) -> np.ndarray:
         """Decode an arbitrary set of positions (late materialization).
 
         Positions are grouped by partition; dense groups decode the covering
         slice vectorised, sparse groups batch-gather their slots — the
         decoder-side analogue of the engine's bitmap-driven scans (§5.1).
         """
-        positions = np.asarray(positions, dtype=np.int64)
+        positions = self._check_indices(indices)
         if positions.size == 0:
             return np.empty(0, dtype=np.int64)
-        if np.any((positions < 0) | (positions >= self.n)):
-            raise IndexError("take positions out of range")
         out = np.empty(len(positions), dtype=np.int64)
         if self.fixed_size is not None:
             part_ids = positions // self.fixed_size
@@ -317,27 +319,58 @@ class CompressedArray:
 
         Derived from the model band plus the residual width without touching
         the delta array — the basis of LeCo's filter pruning (§5.1.1).
+        Where there is no cheap sound bound the partition gets the whole
+        int64 range, which never prunes: a non-monotone model, or a band
+        that leaves int64 (the decoder's arithmetic wrapped — predictions
+        at the int64 edge, or a partition spanning more than 2**63).
         """
+        info = np.iinfo(np.int64)
         bounds = np.empty((len(self.partitions), 2), dtype=np.int64)
         for j, part in enumerate(self.partitions):
+            band = (info.min, info.max)
             if part.length == 0:
-                bounds[j] = (0, -1)
-                continue
-            if part.regressor_name in ("constant", "linear"):
+                band = (0, -1)
+            elif part.regressor_name in ("constant", "linear"):
                 # linear predictions are monotone in the position, so the
                 # partition edges bound the whole prediction band
-                edge_pos = np.array([0, part.length - 1])
-                pred = part.model.predict_int(edge_pos)
-                pred_lo, pred_hi = int(pred.min()), int(pred.max())
-            else:
-                # non-monotone models: no cheap sound bound, disable pruning
-                bounds[j] = (np.iinfo(np.int64).min // 2,
-                             np.iinfo(np.int64).max // 2)
-                continue
-            span = (1 << part.deltas.width) - 1 if part.deltas.width else 0
-            bounds[j, 0] = pred_lo + part.bias
-            bounds[j, 1] = pred_hi + part.bias + span
+                pred = part.model.predict_int(np.array([0, part.length - 1]))
+                lo = int(pred.min()) + part.bias
+                hi = int(pred.max()) + part.bias \
+                    + (1 << part.deltas.width) - 1
+                if info.min <= lo and hi <= info.max:
+                    band = (lo, hi)
+            bounds[j] = band
         return bounds
+
+    def filter_range(self, lo: int, hi: int) -> np.ndarray:
+        """Range predicate with model-based partition pruning (§5.1.1).
+
+        Partitions whose model + residual-width band cannot intersect
+        ``[lo, hi)`` are skipped without touching their delta arrays.
+        """
+        bitmap = np.zeros(self.n, dtype=bool)
+        bounds = self.partition_value_bounds()
+        for j, part in enumerate(self.partitions):
+            if bounds[j, 1] < lo or bounds[j, 0] >= hi:
+                continue  # pruned: cannot contain matches
+            decoded = part.decode_slice(0, part.length)
+            bitmap[part.start: part.end] = (decoded >= lo) & (decoded < hi)
+        return bitmap
+
+    def model_bounds(self) -> tuple[int, int] | None:
+        """Sequence-wide value bounds from the per-partition model bands.
+
+        No delta array is touched, so the store's zone maps come for free.
+        Conservative (the residual-width band may be loose); ``None`` when
+        some partition has no cheap bound — the caller's exact min/max is
+        then both sound and tighter than the whole int64 range.
+        """
+        if self.n == 0:
+            return None
+        bounds = self.partition_value_bounds()
+        lo, hi = int(bounds[:, 0].min()), int(bounds[:, 1].max())
+        info = np.iinfo(np.int64)
+        return None if (lo, hi) == (info.min, info.max) else (lo, hi)
 
     def decode_all_serial(self) -> np.ndarray:
         """Full decode using slope accumulation + corrections (§3.3)."""
@@ -347,7 +380,8 @@ class CompressedArray:
 
     # ---------------------------------------------------------------- size
     def compressed_size_bytes(self) -> int:
-        return len(self.to_bytes())
+        """Length of the raw payload (the envelope header is not counted)."""
+        return len(self.payload_bytes())
 
     def model_size_bytes(self) -> int:
         """Total bytes spent on model parameters (Fig. 10's cross pattern)."""
@@ -358,7 +392,8 @@ class CompressedArray:
         return self.compressed_size_bytes() / max(uncompressed_bytes, 1)
 
     # ------------------------------------------------------- serialisation
-    def to_bytes(self) -> bytes:
+    def payload_bytes(self) -> bytes:
+        """The raw ``LECO`` image (``to_bytes()`` adds the envelope)."""
         if self._serialized is not None:
             return self._serialized
         names = sorted({p.regressor_name for p in self.partitions})
@@ -370,7 +405,9 @@ class CompressedArray:
         out += MAGIC
         out.append(VERSION)
         out.append(flags)
-        default = self.default_regressor
+        # partitions carry a name only when mixed: a lone name (every
+        # partition took the encoder's fallback) is the header's default
+        default = self.default_regressor if mixed or not names else names[0]
         out.append(len(default))
         out += default.encode()
         out += encode_uvarint(self.n)
@@ -393,7 +430,7 @@ class CompressedArray:
         return self._serialized
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "CompressedArray":
+    def from_payload(cls, buf: bytes) -> "CompressedArray":
         if buf[:4] != MAGIC:
             raise ValueError("not a LeCo buffer (bad magic)")
         if buf[4] != VERSION:

@@ -1,10 +1,12 @@
 """Partitioners: sequence segmentation strategies (paper §3.2)."""
 
 from repro.core.partitioners.advisor import (
+    AdvisedPartitioner,
     HardnessReport,
     advise_partitioning,
     global_hardness,
     local_hardness,
+    resolve_partitioner,
 )
 from repro.core.partitioners.base import Bounds, Partitioner
 from repro.core.partitioners.cost import (
@@ -52,6 +54,8 @@ __all__ = [
     "simpiece_segments",
     "LaVectorPartitioner",
     "HardnessReport",
+    "AdvisedPartitioner",
+    "resolve_partitioner",
     "advise_partitioning",
     "local_hardness",
     "global_hardness",

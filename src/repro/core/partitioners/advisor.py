@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.partitioners.base import Bounds, Partitioner
+from repro.core.partitioners.fixed import (
+    AutoFixedPartitioner,
+    FixedLengthPartitioner,
+)
 from repro.core.partitioners.pla import pla_segments
+from repro.core.partitioners.variable import SplitMergePartitioner
 
 LOCAL_EPSILON = 7.0
 GLOBAL_EPSILON = 4096.0
@@ -112,3 +118,44 @@ def advise_partitioning(values: np.ndarray,
     recommend = loc < local_threshold and glo >= global_threshold
     return HardnessReport(local=loc, global_=glo,
                           recommend_variable=recommend)
+
+
+class AdvisedPartitioner(Partitioner):
+    """``partitioner="auto"``: the hardness advice picks fixed or variable
+    partitioning per input (§3.2.3)."""
+
+    name = "advised"
+
+    def __init__(self, fixed: Partitioner, variable: Partitioner):
+        self._plans = {False: fixed, True: variable}
+
+    def choose(self, values: np.ndarray) -> Partitioner:
+        return self._plans[advise_partitioning(values).recommend_variable]
+
+    def partition(self, values: np.ndarray, regressor) -> Bounds:
+        return self.choose(values).partition(values, regressor)
+
+
+def resolve_partitioner(partitioner, tau: float = 0.05,
+                        max_partition_size: int = 10_000) -> Partitioner:
+    """The one reading of a codec's ``partitioner=`` plan.
+
+    ``"fixed"`` is the sampling-searched fixed length bounded by
+    ``max_partition_size`` (§3.2.1), ``"variable"`` the split–merge greedy
+    with aggressiveness ``tau`` (§3.2.2), ``"auto"`` the hardness-advised
+    choice between those two, an ``int`` that exact fixed length, and a
+    :class:`Partitioner` is used as given.
+    """
+    if isinstance(partitioner, Partitioner):
+        return partitioner
+    fixed = AutoFixedPartitioner(max_size=max_partition_size)
+    variable = SplitMergePartitioner(tau=tau)
+    if partitioner == "fixed":
+        return fixed
+    if partitioner == "variable":
+        return variable
+    if partitioner == "auto":
+        return AdvisedPartitioner(fixed, variable)
+    if isinstance(partitioner, int):
+        return FixedLengthPartitioner(partitioner)
+    raise ValueError(f"unknown partitioner spec {partitioner!r}")

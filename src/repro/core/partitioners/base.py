@@ -21,3 +21,7 @@ class Partitioner(ABC):
     @abstractmethod
     def partition(self, values: np.ndarray, regressor: Regressor) -> Bounds:
         """Return contiguous, complete ``[(start, end), ...]`` bounds."""
+
+    def choose(self, values: np.ndarray) -> "Partitioner":
+        """The concrete partitioner that plans ``values`` (normally self)."""
+        return self

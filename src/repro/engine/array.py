@@ -24,19 +24,9 @@ import numpy as np
 from repro import codecs
 
 ENCODINGS = ("plain", "dict", "for", "delta", "leco")
-
-
-def _codec_for(encoding: str, partition_size: int):
-    """Registry construction kwargs for one engine encoding."""
-    if encoding == "plain":
-        return codecs.get("plain")
-    if encoding == "dict":
-        return codecs.get("dict", plain_fallback=True)
-    if encoding == "for":
-        return codecs.get("for", frame_size=partition_size)
-    if encoding == "delta":
-        return codecs.get("delta", partition_size=partition_size)
-    return codecs.get("leco", partitioner=partition_size)
+#: registry keywords beyond the partition plan (Parquet's dict falls back
+#: to plain at high cardinality)
+_OPTIONS = {"dict": {"plain_fallback": True}}
 
 
 class EncodedColumn:
@@ -49,12 +39,15 @@ class EncodedColumn:
             raise ValueError(f"unknown encoding {encoding!r}")
         self.requested_encoding = encoding
         self.n = len(values)
-        self._seq = _codec_for(encoding, partition_size).encode(values)
-        # dict falls back to plain beyond the cardinality threshold; the
-        # effective encoding is what the sequence actually is
-        self.effective_encoding = encoding
-        if encoding == "dict" and self._seq.wire_id == "plain":
-            self.effective_encoding = "plain"
+        info = codecs.info(encoding)
+        kwargs = dict(_OPTIONS.get(encoding, {}))
+        if info.partitioned:
+            kwargs["partitioner"] = partition_size
+        self._seq = codecs.get(encoding, **kwargs).encode(values)
+        # the effective encoding is what the sequence actually is (a dict
+        # column beyond the cardinality threshold is a plain one)
+        self.effective_encoding = encoding \
+            if self._seq.wire_id == info.wire_id else self._seq.wire_id
 
     @property
     def encoding(self) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.leco import FORCodec, LecoCodec
+from repro import codecs
 from repro.engine.io import IODelta, IOModel
 from repro.exec import ArraySource, Bitmap, Plan
 
@@ -41,18 +41,10 @@ def _encode_dictionary(uniques: np.ndarray, method: str):
     """Returns (decode_fn, stored_bytes) for the dictionary values."""
     if method == "raw":
         return (lambda codes: uniques[codes]), uniques.nbytes
-    if method == "for":
-        seq = FORCodec(frame_size=128).encode(uniques)
-    elif method == "leco":
-        seq = LecoCodec("linear", partitioner=128).encode(uniques)
-    else:
+    if method not in ("for", "leco"):
         raise ValueError(f"unknown dictionary method {method!r}")
-    arr = seq.array
-
-    def decode(codes: np.ndarray) -> np.ndarray:
-        return arr.take(codes)
-
-    return decode, seq.compressed_size_bytes()
+    seq = codecs.get(method, partitioner=128).encode(uniques)
+    return seq.gather, seq.compressed_size_bytes()
 
 
 class _DictionaryColumn:

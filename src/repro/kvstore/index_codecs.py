@@ -133,11 +133,8 @@ class LecoIndex(IndexBlock):
         return self._keys.compressed_size_bytes()
 
 
-#: registry construction for each block-handle method (paper §5.2)
-_HANDLE_CODECS = {
-    "leco": lambda: codecs.get("leco", partitioner=64),
-    "delta": lambda: codecs.get("delta", partition_size=64),
-}
+#: block-handle methods that are registry codecs (paper §5.2)
+_HANDLE_CODECS = ("leco", "delta")
 
 
 def encode_block_handles(offsets: np.ndarray, method: str) -> int:
@@ -147,7 +144,7 @@ def encode_block_handles(offsets: np.ndarray, method: str) -> int:
         return offsets.nbytes
     if method not in _HANDLE_CODECS:
         raise ValueError(f"unknown handle method {method!r}")
-    return _HANDLE_CODECS[method]().encode(offsets).size_bytes()
+    return codecs.get(method, partitioner=64).encode(offsets).size_bytes()
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:

@@ -74,27 +74,25 @@ def next_shard_index(path: str) -> int:
 
 
 def _partition_rows(chunk_rows: int) -> int:
-    """LeCo/delta partition length used inside one chunk."""
+    """Rows per partition the store pins inside one chunk."""
     return max(min(1024, chunk_rows), 16)
 
 
 def _build_codec(spec, chunk_rows: int):
-    """Construct one registry codec from a name or a :class:`CodecSpec`."""
+    """Construct one registry codec from a name or a :class:`CodecSpec`.
+
+    A spec means exactly the spec.  A bare name means the store's pinned
+    plan: the registry's ``partitioned`` capability says whether the codec
+    takes one — ``_partition_rows`` as the partition length, and as the
+    ceiling of any length search the name itself implies.
+    """
+    name = spec.codec if isinstance(spec, CodecSpec) else str(spec)
+    if not codecs.info(name).partitioned:
+        return codecs.get(name)
     if isinstance(spec, CodecSpec):
-        if spec.codec.startswith("leco"):
-            return codecs.get(spec.codec, spec=spec)
-        return codecs.get(spec.codec)
-    name = str(spec)
+        return codecs.get(name, spec=spec)
     part = _partition_rows(chunk_rows)
-    if name in ("leco", "leco-fix", "leco-var", "leco-auto"):
-        if name == "leco":
-            return codecs.get("leco", partitioner=part)
-        return codecs.get(name, max_partition_size=part)
-    if name == "delta":
-        return codecs.get("delta", partition_size=part)
-    if name == "for":
-        return codecs.get("for", frame_size=part)
-    return codecs.get(name)
+    return codecs.get(name, partitioner=part, max_partition_size=part)
 
 
 class TableWriter:

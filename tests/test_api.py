@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import CompressedArray, compress, decompress
+from repro import CompressedArray, LecoEncoder, codecs, compress, decompress
 from repro.bench import Measurement, measure_codec, render_table
-from repro.baselines import LecoCodec
 from repro.datasets import load
 
 
@@ -20,7 +19,11 @@ class TestCompressDecompress:
     def test_roundtrip_from_bytes(self):
         values = np.arange(1000, dtype=np.int64) * 3
         arr = compress(values)
+        # the envelope and the raw payload are both accepted
+        assert arr.to_bytes()[:4] == codecs.MAGIC
         assert np.array_equal(decompress(arr.to_bytes()), values)
+        assert np.array_equal(decompress(arr.payload_bytes()), values)
+        assert arr.compressed_size_bytes() == len(arr.payload_bytes())
 
     def test_auto_regressor_mixed_partitions(self):
         rng = np.random.default_rng(1)
@@ -50,7 +53,7 @@ class TestCompressDecompress:
 class TestBenchHarness:
     def test_measure_codec_fields(self):
         ds = load("linear", n=5000)
-        m = measure_codec(LecoCodec("linear", partitioner=256), ds,
+        m = measure_codec(codecs.get("leco", partitioner=256), ds,
                           n_random=50, repeats=1)
         assert isinstance(m, Measurement)
         assert 0 < m.compression_ratio < 1
@@ -60,7 +63,7 @@ class TestBenchHarness:
         assert 0 <= m.model_ratio <= m.compression_ratio
 
     def test_measure_codec_detects_lossy(self):
-        class Lossy(LecoCodec):
+        class Lossy(LecoEncoder):
             def encode(self, values):
                 seq = super().encode(values)
                 broken = np.array(seq.decode_all())
@@ -95,12 +98,12 @@ class TestBenchHarness:
 
     def test_scalar_access_mode_selectable(self):
         ds = load("linear", n=2000)
-        m = measure_codec(LecoCodec("linear", partitioner=256), ds,
+        m = measure_codec(codecs.get("leco", partitioner=256), ds,
                           n_random=20, repeats=1, access_mode="scalar")
         assert m.access_mode == "scalar"
         assert m.random_access_ns > 0
         with pytest.raises(ValueError):
-            measure_codec(LecoCodec("linear", partitioner=256), ds,
+            measure_codec(codecs.get("leco", partitioner=256), ds,
                           access_mode="bogus")
 
 

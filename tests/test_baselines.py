@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import codecs
 from repro.baselines import (
-    DeltaCodec,
     EliasFanoCodec,
-    FORCodec,
-    LecoCodec,
     RansCodec,
     RLECodec,
     infer_value_width,
-    standard_codecs,
 )
 
 int_arrays = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
@@ -36,14 +33,13 @@ class TestFOR:
     @given(int_arrays)
     @settings(max_examples=25, deadline=None)
     def test_roundtrip(self, values):
-        check_codec(FORCodec(frame_size=32), values)
+        check_codec(codecs.get("for", partitioner=32), values)
 
     def test_is_constant_special_case(self):
         """FOR frames store a horizontal-line model (paper §2)."""
         values = np.arange(1000, dtype=np.int64)
-        enc = FORCodec(frame_size=100).encode(values)
-        assert all(p.regressor_name == "constant"
-                   for p in enc.array.partitions)
+        enc = codecs.get("for", partitioner=100).encode(values)
+        assert all(p.regressor_name == "constant" for p in enc.partitions)
 
     def test_leco_never_worse_than_for(self):
         """LeCo's linear model subsumes FOR's constant (paper §4.3.1)."""
@@ -51,9 +47,9 @@ class TestFOR:
         for seed in range(3):
             values = np.cumsum(
                 rng.integers(0, 100, 20_000)).astype(np.int64)
-            for_size = FORCodec(frame_size=256).encode(
+            for_size = codecs.get("for", partitioner=256).encode(
                 values).compressed_size_bytes()
-            leco_size = LecoCodec("linear", partitioner=256).encode(
+            leco_size = codecs.get("leco", partitioner=256).encode(
                 values).compressed_size_bytes()
             assert leco_size <= for_size * 1.01
 
@@ -62,27 +58,29 @@ class TestDelta:
     @given(int_arrays)
     @settings(max_examples=25, deadline=None)
     def test_fix_roundtrip(self, values):
-        check_codec(DeltaCodec("fix", partition_size=32), values)
+        check_codec(codecs.get("delta", partitioner=32), values)
 
     @given(int_arrays)
     @settings(max_examples=15, deadline=None)
     def test_var_roundtrip(self, values):
-        check_codec(DeltaCodec("var"), values)
+        check_codec(codecs.get("delta-var"), values)
 
     def test_variant_validation(self):
-        with pytest.raises(ValueError):
-            DeltaCodec("nope")
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            codecs.get("delta", partitioner="nope")
+        assert codecs.get("delta", partitioner="variable").name == \
+            codecs.get("delta-var").name == "delta-var"
 
     def test_sequential_access_flag(self):
-        assert DeltaCodec("fix").sequential_access
+        assert codecs.get("delta").sequential_access
 
     def test_arithmetic_progression_is_tiny(self):
         values = (7 * np.arange(10_000)).astype(np.int64)
-        enc = DeltaCodec("fix", partition_size=1000).encode(values)
+        enc = codecs.get("delta", partitioner=1000).encode(values)
         assert enc.compressed_size_bytes() < values.nbytes / 50
 
     def test_empty_input(self):
-        enc = DeltaCodec("fix").encode(np.array([], dtype=np.int64))
+        enc = codecs.get("delta").encode(np.array([], dtype=np.int64))
         assert enc.decode_all().size == 0
 
 
@@ -169,32 +167,49 @@ class TestRans:
         assert infer_value_width(np.array([-1])) == 8
 
 
-class TestLecoCodec:
+class TestLecoEncoder:
     @given(int_arrays)
     @settings(max_examples=20, deadline=None)
     def test_roundtrip(self, values):
-        check_codec(LecoCodec("linear", partitioner=32), values)
+        check_codec(codecs.get("leco", partitioner=32), values)
 
     def test_model_size_exposed(self):
-        enc = LecoCodec("linear", partitioner=100).encode(
+        enc = codecs.get("leco", partitioner=100).encode(
             np.arange(1000, dtype=np.int64))
         assert enc.model_size_bytes() == 16 * 10
 
     def test_names(self):
-        assert LecoCodec(partitioner="fixed").name == "leco-fix"
-        assert LecoCodec(partitioner="variable").name == "leco-var"
-        assert FORCodec().name == "for"
+        assert codecs.get("leco", partitioner="fixed").name == "leco-fix"
+        assert codecs.get("leco", partitioner="variable").name == "leco-var"
+        assert codecs.get("leco", partitioner="auto").name == "leco-auto"
+        assert codecs.get("leco", partitioner=64).name == "leco-fix"
+        assert codecs.get("for").name == "for"
 
 
 class TestStandardLineup:
+    """The paper's Fig. 10 line-up is a tuple of registry names
+    (``benchmarks/_common.py``); the codecs report the figure labels."""
+
+    @staticmethod
+    def _lineup():
+        import importlib.util
+        import os
+
+        spec = importlib.util.spec_from_file_location(
+            "_bench_common", os.path.join(
+                os.path.dirname(__file__), "..", "benchmarks", "_common.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.LINEUP
+
     def test_lineup_contents(self):
-        names = [c.name for c in standard_codecs()]
+        names = [codecs.get(n).name for n in ("rans",) + self._lineup()]
         assert names == ["rans", "for", "delta-fix", "delta-var",
                          "leco-fix", "leco-var"]
 
     def test_lineup_without_rans(self):
-        names = [c.name for c in standard_codecs(include_rans=False)]
-        assert "rans" not in names
+        assert "rans" not in self._lineup()
+        assert set(self._lineup()) <= set(codecs.available())
 
 
 class TestDeltaFullRangeRandomAccess:
@@ -202,7 +217,7 @@ class TestDeltaFullRangeRandomAccess:
         # adjacent differences spanning >= 2**63 force width-64 slots whose
         # int64 view is negative; random access must still be exact
         values = np.array([0, 2 ** 62, -(2 ** 62), 5, -7], dtype=np.int64)
-        enc = DeltaCodec("fix").encode(values)
+        enc = codecs.get("delta").encode(values)
         for i, v in enumerate(values):
             assert enc.get(i) == int(v), i
         assert np.array_equal(enc.decode_all(), values)

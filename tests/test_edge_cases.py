@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import compress, decompress
-from repro.baselines import DeltaCodec, FORCodec, LecoCodec, RLECodec
-from repro.core.encoding import CompressedArray, LecoEncoder
+from repro import codecs, compress, decompress
+from repro.core.encoding import CompressedArray
 from repro.core.regressors import get_regressor
 from repro.core.strings import StringCompressor
 
@@ -37,18 +36,18 @@ class TestAdversarialShapes:
     @pytest.mark.parametrize("idx", range(8))
     def test_all_codecs_stay_lossless(self, idx):
         values = _adversarial_arrays()[idx]
-        for codec in (FORCodec(frame_size=16),
-                      LecoCodec("linear", partitioner=16),
-                      LecoCodec("linear", partitioner="variable"),
-                      DeltaCodec("fix", partition_size=16),
-                      RLECodec()):
+        for codec in (codecs.get("for", partitioner=16),
+                      codecs.get("leco", partitioner=16),
+                      codecs.get("leco", partitioner="variable"),
+                      codecs.get("delta", partitioner=16),
+                      codecs.get("rle")):
             enc = codec.encode(values)
             assert np.array_equal(enc.decode_all(), values), codec.name
 
     @pytest.mark.parametrize("idx", range(8))
     def test_serial_decode_agrees(self, idx):
         values = _adversarial_arrays()[idx]
-        arr = LecoEncoder("linear", partitioner=16).encode(values)
+        arr = codecs.get("leco", partitioner=16).encode(values)
         assert np.array_equal(arr.decode_all_serial(), arr.decode_all())
 
     def test_full_int64_range_swings(self):
@@ -56,34 +55,35 @@ class TestAdversarialShapes:
         would mispredict by ~2^63; the encoder must fall back safely."""
         big = np.iinfo(np.int64).max // 2
         values = np.tile([big, -big], 50).astype(np.int64)
-        arr = LecoEncoder("linear", partitioner=100).encode(values)
+        arr = codecs.get("leco", partitioner=100).encode(values)
         assert np.array_equal(arr.decode_all(), values)
 
     def test_exponential_regressor_on_hostile_data_stays_lossless(self):
         """Exp models can overflow float range; the guard must catch it."""
         rng = np.random.default_rng(0)
         values = rng.integers(-(1 << 60), 1 << 60, 500).astype(np.int64)
-        arr = LecoEncoder("exponential", partitioner=100).encode(values)
+        arr = codecs.get("leco", regressor="exponential",
+                         partitioner=100).encode(values)
         assert np.array_equal(arr.decode_all(), values)
 
 
 class TestFormatCorruption:
     def _arr(self):
-        return LecoEncoder("linear", partitioner=32).encode(
+        return codecs.get("leco", partitioner=32).encode(
             np.arange(200, dtype=np.int64))
 
     def test_truncated_buffer_raises(self):
-        blob = self._arr().to_bytes()
+        blob = self._arr().payload_bytes()
         with pytest.raises((ValueError, IndexError)):
-            CompressedArray.from_bytes(blob[: len(blob) // 2]).decode_all()
+            CompressedArray.from_payload(blob[: len(blob) // 2]).decode_all()
 
     def test_empty_buffer_raises(self):
         with pytest.raises((ValueError, IndexError)):
-            CompressedArray.from_bytes(b"")
+            CompressedArray.from_payload(b"")
 
     def test_foreign_magic_raises(self):
         with pytest.raises(ValueError):
-            CompressedArray.from_bytes(b"PAR1" + bytes(64))
+            CompressedArray.from_payload(b"PAR1" + bytes(64))
 
 
 class TestApiContracts:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import codecs
 from repro.core.encoding import (
     CompressedArray,
     LecoEncoder,
@@ -31,7 +32,7 @@ def roundtrip_checks(values: np.ndarray, arr: CompressedArray) -> None:
     decoded = arr.decode_all()
     assert np.array_equal(decoded, values)
     assert np.array_equal(arr.decode_all_serial(), values)
-    clone = CompressedArray.from_bytes(arr.to_bytes())
+    clone = CompressedArray.from_payload(arr.payload_bytes())
     assert np.array_equal(clone.decode_all(), values)
     # random access must agree with decode_all: everywhere on a short
     # array, at a sample of positions on a long one
@@ -42,21 +43,21 @@ def roundtrip_checks(values: np.ndarray, arr: CompressedArray) -> None:
     for pos in positions:
         assert arr.get(int(pos)) == values[pos]
         assert clone.get(int(pos)) == values[pos]
-    assert np.array_equal(arr.take(positions), values[positions])
+    assert np.array_equal(arr.gather(positions), values[positions])
 
 
 class TestRoundTrip:
     @given(int_arrays)
     @settings(max_examples=40, deadline=None)
     def test_fixed_partitions_lossless(self, values):
-        arr = LecoEncoder("linear", partitioner=32).encode(values)
+        arr = codecs.get("leco", partitioner=32).encode(values)
         roundtrip_checks(values, arr)
 
     @given(st.one_of(int_arrays, jumpy_arrays))
     @example(np.array([21990232555519, -1, 0, 0, 0, 0], dtype=np.int64))
     @settings(max_examples=25, deadline=None)
     def test_variable_partitions_lossless(self, values):
-        arr = LecoEncoder("linear", partitioner="variable").encode(values)
+        arr = codecs.get("leco", partitioner="variable").encode(values)
         roundtrip_checks(values, arr)
 
     @pytest.mark.parametrize("regressor", ["constant", "linear", "poly2",
@@ -64,29 +65,29 @@ class TestRoundTrip:
     def test_all_regressors_lossless(self, regressor):
         rng = np.random.default_rng(1)
         values = np.cumsum(rng.integers(0, 100, 5000)).astype(np.int64)
-        arr = LecoEncoder(regressor, partitioner=256).encode(values)
+        arr = codecs.get("leco", regressor=regressor, partitioner=256).encode(values)
         roundtrip_checks(values, arr)
 
     def test_extreme_values(self):
         values = np.array([np.iinfo(np.int64).min // 2, -1, 0, 1,
                            np.iinfo(np.int64).max // 2], dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner=8).encode(values)
+        arr = codecs.get("leco", partitioner=8).encode(values)
         roundtrip_checks(values, arr)
 
     def test_single_value(self):
         values = np.array([-42], dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner="variable").encode(values)
+        arr = codecs.get("leco", partitioner="variable").encode(values)
         roundtrip_checks(values, arr)
 
     def test_constant_sequence_is_tiny(self):
         values = np.full(10_000, 123456, dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner="fixed").encode(values)
+        arr = codecs.get("leco", partitioner="fixed").encode(values)
         roundtrip_checks(values, arr)
         assert arr.compressed_size_bytes() < values.nbytes / 100
 
     def test_float_input_rejected(self):
         with pytest.raises(TypeError):
-            LecoEncoder().encode(np.array([1.5, 2.5]))
+            codecs.get("leco").encode(np.array([1.5, 2.5]))
 
     def test_unknown_partitioner_spec(self):
         with pytest.raises(ValueError):
@@ -98,18 +99,18 @@ class TestRandomAccess:
         rng = np.random.default_rng(2)
         values = np.cumsum(rng.integers(-5, 50, 3000)).astype(np.int64)
         for part in (64, "variable"):
-            arr = LecoEncoder("linear", partitioner=part).encode(values)
+            arr = codecs.get("leco", partitioner=part).encode(values)
             decoded = arr.decode_all()
             for pos in range(0, 3000, 37):
                 assert arr.get(pos) == decoded[pos]
 
     def test_negative_index_wraps(self):
         values = np.arange(100, dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner=16).encode(values)
+        arr = codecs.get("leco", partitioner=16).encode(values)
         assert arr.get(-1) == 99
 
     def test_out_of_range_raises(self):
-        arr = LecoEncoder("linear", partitioner=16).encode(
+        arr = codecs.get("leco", partitioner=16).encode(
             np.arange(10, dtype=np.int64))
         with pytest.raises(IndexError):
             arr.get(10)
@@ -117,13 +118,13 @@ class TestRandomAccess:
     @given(int_arrays, st.data())
     @settings(max_examples=25, deadline=None)
     def test_decode_range_matches_slice(self, values, data):
-        arr = LecoEncoder("linear", partitioner=32).encode(values)
+        arr = codecs.get("leco", partitioner=32).encode(values)
         lo = data.draw(st.integers(0, len(values)))
         hi = data.draw(st.integers(lo, len(values)))
         assert np.array_equal(arr.decode_range(lo, hi), values[lo:hi])
 
     def test_decode_range_validation(self):
-        arr = LecoEncoder("linear", partitioner=16).encode(
+        arr = codecs.get("leco", partitioner=16).encode(
             np.arange(10, dtype=np.int64))
         with pytest.raises(IndexError):
             arr.decode_range(5, 11)
@@ -133,31 +134,31 @@ class TestTake:
     @given(int_arrays, st.data())
     @settings(max_examples=25, deadline=None)
     def test_take_matches_fancy_indexing(self, values, data):
-        arr = LecoEncoder("linear", partitioner=32).encode(values)
+        arr = codecs.get("leco", partitioner=32).encode(values)
         k = data.draw(st.integers(0, min(len(values), 50)))
         positions = data.draw(
             st.lists(st.integers(0, len(values) - 1), min_size=k,
                      max_size=k))
         positions = np.array(positions, dtype=np.int64)
-        assert np.array_equal(arr.take(positions), values[positions])
+        assert np.array_equal(arr.gather(positions), values[positions])
 
     def test_take_empty(self):
-        arr = LecoEncoder("linear", partitioner=16).encode(
+        arr = codecs.get("leco", partitioner=16).encode(
             np.arange(10, dtype=np.int64))
-        assert arr.take(np.array([], dtype=np.int64)).size == 0
+        assert arr.gather(np.array([], dtype=np.int64)).size == 0
 
     def test_take_out_of_range(self):
-        arr = LecoEncoder("linear", partitioner=16).encode(
+        arr = codecs.get("leco", partitioner=16).encode(
             np.arange(10, dtype=np.int64))
         with pytest.raises(IndexError):
-            arr.take(np.array([11]))
+            arr.gather(np.array([11]))
 
     def test_take_on_variable_partitions(self):
         rng = np.random.default_rng(3)
         values = np.cumsum(rng.integers(0, 9, 2000)).astype(np.int64)
-        arr = LecoEncoder("linear", partitioner="variable").encode(values)
+        arr = codecs.get("leco", partitioner="variable").encode(values)
         positions = rng.integers(0, 2000, 300)
-        assert np.array_equal(arr.take(positions), values[positions])
+        assert np.array_equal(arr.gather(positions), values[positions])
 
 
 class TestSerialDecodeOptimisation:
@@ -166,7 +167,7 @@ class TestSerialDecodeOptimisation:
         rng = np.random.default_rng(4)
         # slopes with non-terminating binary expansions maximise drift
         values = np.cumsum(rng.integers(0, 7, 50_000)).astype(np.int64)
-        arr = LecoEncoder("linear", partitioner=10_000).encode(values)
+        arr = codecs.get("leco", partitioner=10_000).encode(values)
         assert np.array_equal(arr.decode_all_serial(), values)
 
     def test_accumulate_predictions_is_sequential(self):
@@ -178,7 +179,7 @@ class TestSerialDecodeOptimisation:
 
     def test_corrections_absent_when_disabled(self):
         values = np.arange(1000, dtype=np.int64) * 3
-        arr = LecoEncoder("linear", partitioner=100,
+        arr = codecs.get("leco", partitioner=100,
                           build_corrections=False).encode(values)
         assert all(not p.corrections for p in arr.partitions)
 
@@ -188,7 +189,7 @@ class TestPartitionValueBounds:
     @settings(max_examples=30, deadline=None)
     def test_bounds_are_sound(self, values):
         """Every true value must lie within its partition's claimed bounds."""
-        arr = LecoEncoder("linear", partitioner=32).encode(values)
+        arr = codecs.get("leco", partitioner=32).encode(values)
         bounds = arr.partition_value_bounds()
         for j, part in enumerate(arr.partitions):
             seg = values[part.start: part.end]
@@ -197,7 +198,7 @@ class TestPartitionValueBounds:
 
     def test_bounds_are_reasonably_tight_on_linear_data(self):
         values = (11 * np.arange(10_000)).astype(np.int64)
-        arr = LecoEncoder("linear", partitioner=1000).encode(values)
+        arr = codecs.get("leco", partitioner=1000).encode(values)
         bounds = arr.partition_value_bounds()
         for j, part in enumerate(arr.partitions):
             seg = values[part.start: part.end]
@@ -209,27 +210,30 @@ class TestPartitionValueBounds:
 class TestSerialisation:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            CompressedArray.from_bytes(b"XXXX" + bytes(20))
+            CompressedArray.from_payload(b"XXXX" + bytes(20))
 
     def test_bad_version_rejected(self):
-        arr = LecoEncoder("linear", partitioner=16).encode(
+        arr = codecs.get("leco", partitioner=16).encode(
             np.arange(10, dtype=np.int64))
-        blob = bytearray(arr.to_bytes())
+        blob = bytearray(arr.payload_bytes())
         blob[4] = 99
         with pytest.raises(ValueError):
-            CompressedArray.from_bytes(bytes(blob))
+            CompressedArray.from_payload(bytes(blob))
 
     def test_serialised_size_is_stable(self):
         values = np.arange(1000, dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner=100).encode(values)
-        assert arr.compressed_size_bytes() == len(arr.to_bytes())
+        arr = codecs.get("leco", partitioner=100).encode(values)
+        assert arr.compressed_size_bytes() == len(arr.payload_bytes())
+        # the envelope adds a header and nothing else
+        assert arr.to_bytes() == codecs.envelope.pack(
+            "leco", arr.payload_bytes())
         assert arr.compressed_size_bytes() == arr.compressed_size_bytes()
 
     def test_variable_partition_serialisation(self):
         rng = np.random.default_rng(5)
         values = np.cumsum(rng.integers(0, 20, 3000)).astype(np.int64)
-        arr = LecoEncoder("linear", partitioner="variable").encode(values)
-        clone = CompressedArray.from_bytes(arr.to_bytes())
+        arr = codecs.get("leco", partitioner="variable").encode(values)
+        clone = CompressedArray.from_payload(arr.payload_bytes())
         assert clone.fixed_size is None
         assert len(clone.partitions) == len(arr.partitions)
         assert np.array_equal(clone.decode_all(), values)
@@ -244,20 +248,35 @@ class TestSerialisation:
             encode_partition(values[500:], 500, get_regressor("linear")),
         ]
         arr = CompressedArray(1000, parts, None, "linear")
-        clone = CompressedArray.from_bytes(arr.to_bytes())
+        clone = CompressedArray.from_payload(arr.payload_bytes())
         assert {p.regressor_name for p in clone.partitions} == {
             "poly2", "linear"}
         assert np.array_equal(clone.decode_all(), values)
 
 
+    def test_lone_non_default_regressor_serialisation(self):
+        """Every partition on one family that is not the encoder's default
+        (``regressor="auto"`` picking poly2 throughout, or every partition
+        on the constant fallback): the image used to name only the default
+        and could not be read back."""
+        x = np.arange(900)
+        values = (0.4 * x ** 2).astype(np.int64) + x % 3
+        arr = codecs.get("leco", regressor="auto",
+                         partitioner=900).encode(values)
+        assert {p.regressor_name for p in arr.partitions} == {"poly2"}
+        clone = codecs.from_bytes(arr.to_bytes())
+        assert np.array_equal(clone.decode_all(), values)
+        assert clone.payload_bytes() == arr.payload_bytes()
+
+
 class TestModelSizeAccounting:
     def test_model_share_counts_parameters(self):
         values = np.arange(1000, dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner=100).encode(values)
+        arr = codecs.get("leco", partitioner=100).encode(values)
         assert arr.model_size_bytes() == len(arr.partitions) * 16
 
     def test_compression_ratio_helper(self):
         values = np.arange(1000, dtype=np.int64)
-        arr = LecoEncoder("linear", partitioner=100).encode(values)
+        arr = codecs.get("leco", partitioner=100).encode(values)
         assert arr.compression_ratio(8000) == pytest.approx(
             arr.compressed_size_bytes() / 8000)

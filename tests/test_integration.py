@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    DeltaCodec,
-    EliasFanoCodec,
-    FORCodec,
-    LecoCodec,
-    standard_codecs,
-)
+from repro import codecs
 from repro.core.partitioners import advise_partitioning
 from repro.datasets import FIG10_DATASETS, load
+
+#: the paper's Fig. 10 line-up (rANS excluded: Python-serial decode)
+LINEUP = ("for", "delta", "delta-var", "leco-fix", "leco-var")
 
 
 @pytest.mark.parametrize("name", FIG10_DATASETS)
@@ -19,20 +16,17 @@ def test_every_fig10_dataset_roundtrips_through_every_codec(name):
     """The microbenchmark's correctness backbone: all codecs, all datasets."""
     ds = load(name, n=4000)
     values = ds.values
-    for codec in standard_codecs(include_rans=False):
-        enc = codec.encode(values)
-        assert np.array_equal(enc.decode_all(), values), codec.name
-    if ds.sorted:
-        enc = EliasFanoCodec().encode(values)
-        assert np.array_equal(enc.decode_all(), values)
+    for codec in LINEUP + (("elias-fano",) if ds.sorted else ()):
+        enc = codecs.get(codec).encode(values)
+        assert np.array_equal(enc.decode_all(), values), codec
 
 
 @pytest.mark.parametrize("name", ["linear", "ml", "movieid"])
 def test_leco_fix_beats_for_on_locally_easy_data(name):
     """§4.3.1: LeCo's ratio is strictly better than FOR's on these sets."""
     values = load(name, n=20_000).values
-    for_size = FORCodec().encode(values).compressed_size_bytes()
-    leco_size = LecoCodec("linear").encode(values).compressed_size_bytes()
+    for_size = codecs.get("for").encode(values).compressed_size_bytes()
+    leco_size = codecs.get("leco").encode(values).compressed_size_bytes()
     assert leco_size < for_size
 
 
@@ -42,9 +36,9 @@ def test_variable_partitioning_helps_where_advertised():
     wins = []
     for name in ("movieid", "house_price", "ml"):
         values = load(name, n=20_000).values
-        fix = LecoCodec("linear", partitioner="fixed").encode(
+        fix = codecs.get("leco", partitioner="fixed").encode(
             values).compressed_size_bytes()
-        var = LecoCodec("linear", partitioner="variable", tau=0.05).encode(
+        var = codecs.get("leco", partitioner="variable", tau=0.05).encode(
             values).compressed_size_bytes()
         wins.append(var < fix * 1.02)
     assert sum(wins) >= 2
@@ -59,7 +53,7 @@ def test_advisor_recommends_variable_for_movieid_like_data():
 def test_delta_random_access_is_sequential_and_slow():
     """§4.3.2's mechanism: Delta must decode a prefix for a point lookup."""
     values = load("booksale", n=10_000).values
-    enc = DeltaCodec("fix", partition_size=1000).encode(values)
+    enc = codecs.get("delta", partitioner=1000).encode(values)
     decoded = enc.decode_all()
     assert enc.get(999) == decoded[999]  # needs a 999-step prefix walk
 
@@ -83,7 +77,7 @@ def test_engine_and_direct_codec_sizes_agree():
 
     values = load("ml", n=10_000).values
     col = EncodedColumn(values, "leco", partition_size=1000)
-    direct = LecoCodec("linear", partitioner=1000).encode(values)
+    direct = codecs.get("leco", partitioner=1000).encode(values)
     assert col.size_bytes() == direct.compressed_size_bytes()
 
 
@@ -95,7 +89,7 @@ def test_full_microbench_protocol_smoke():
     for name in ("linear", "movieid"):
         ds = load(name, n=3000)
         ratios = {}
-        for codec in standard_codecs(include_rans=False):
-            m = measure_codec(codec, ds, n_random=30, repeats=1)
-            ratios[codec.name] = m.compression_ratio
+        for codec in LINEUP:
+            m = measure_codec(codecs.get(codec), ds, n_random=30, repeats=1)
+            ratios[m.codec] = m.compression_ratio
         assert ratios["leco-fix"] <= ratios["for"] * 1.01, name

@@ -112,6 +112,33 @@ class TestModelBounds:
                 lo, hi = seq.model_bounds()
                 assert lo <= 1 and hi >= 500, name
 
+    def test_non_monotone_models_never_prune_stored_values(self, tmp_path):
+        """A poly2 partition has no cheap sound band.  Its bound must be
+        the whole int64 range (the old +-2**62 sentinel excluded stored
+        values beyond it) and the chunk's zone map the exact min/max."""
+        from repro.codecs import CodecSpec
+        from repro.exec import Plan, col
+        from repro.store.executor import StoreSource
+
+        values = np.iinfo(np.int64).min + 3 * np.arange(8192, dtype=np.int64)
+        lo, hi = int(values[100]), int(values[200])
+        seq = codecs.get("leco", regressor="poly2").encode(values)
+        assert seq.model_bounds() is None
+        assert int(seq.filter_range(lo, hi).sum()) == 100
+        path = str(tmp_path / "t")
+        write_table(path, {"a": values},
+                    codec=CodecSpec(codec="leco", regressor="poly2"))
+        plan = Plan.scan(["a"]).where(col("a").between(lo, hi))
+        with Table.open(path) as table:
+            assert {c.bounds for c in table.shards[0].footer.chunks} == \
+                {"computed"}
+            pruned = plan.execute(StoreSource(table))
+            naive = plan.execute(StoreSource(table), prune=False,
+                                 pushdown=False)
+        assert np.array_equal(pruned.columns["a"], values[100:200])
+        assert np.array_equal(pruned.row_ids, naive.row_ids)
+        assert pruned.stats.granules_pruned == 1  # a real zone map now
+
     def test_store_zone_map_sources(self, tmp_path):
         path = str(tmp_path / "t")
         values = np.cumsum(np.ones(1000, dtype=np.int64))
@@ -211,6 +238,39 @@ class TestWriter:
         write_table(str(tmp_path / "u"), {"a": small}, codec="plain")
         with Table.open(str(tmp_path / "u")) as table:
             assert np.array_equal(table.read_column("a"), [1, 2, 3])
+
+    def test_full_range_hashes_ingest_under_every_codec(self, tmp_path):
+        """64-bit hashes span more than 2**63: the default ``"auto"`` (and
+        every named codec) must publish and scan back equal."""
+        hashes = np.random.default_rng(5).integers(
+            -2 ** 63, 2 ** 63 - 1, 8192)
+        for codec in ["auto"] + [n for n in INT_CODECS
+                                 if not codecs.info(n).requires_sorted]:
+            path = str(tmp_path / codec)
+            write_table(path, {"h": hashes}, codec=codec)
+            with Table.open(path) as table:
+                assert np.array_equal(table.read_column("h"), hashes), codec
+                got = table.scan(["h"], where=(
+                    "h", int(hashes[7]), int(hashes[7]) + 1))
+                assert list(got.row_ids) == [7], codec
+
+    def test_spec_fields_reach_every_partitioned_codec(self, tmp_path):
+        """A CodecSpec means exactly the spec, for delta as for leco."""
+        from repro.codecs import CodecSpec
+
+        values = np.cumsum(np.arange(4096) % 5).astype(np.int64)
+        for name in ("delta", "for", "leco"):
+            path = str(tmp_path / name)
+            with TableWriter(path, codec=CodecSpec(
+                    codec=name, max_partition_size=64),
+                    chunk_rows=2048) as writer:
+                writer.append({"a": values})
+            with Table.open(path) as table:
+                assert np.array_equal(table.read_column("a"), values)
+                chunk = table.shards[0].footer.chunks[0]
+                seq = table.revive_chunk(0, chunk)
+            lengths = [p.length for p in seq.partitions]
+            assert sum(lengths) == 2048 and max(lengths) <= 64, name
 
     def test_per_column_codec_specs_stay_distinct(self, tmp_path):
         from repro.codecs import CodecSpec
