@@ -2,13 +2,12 @@
 
 The paper reports the greedy variable-length partitioner within 3% of the
 dynamic-programming optimal plan.  We measure the gap on four dataset
-shapes under the shared cost model, plus the wall-clock advantage.
+shapes, both plans scored by exact per-partition fits, plus the
+wall-clock advantage.
 """
 
-import sys
 import time
 
-from repro.bench import render_table
 from repro.core.partitioners import (
     OptimalPartitioner,
     SplitMergePartitioner,
@@ -17,39 +16,40 @@ from repro.core.partitioners import (
 from repro.core.regressors import LinearRegressor
 from repro.datasets import load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
-
+TITLE = "Ablation: greedy split-merge vs DP optimum"
+CAPTION = "compressed-size gap of the greedy plan (paper claims < 3%)"
+COLUMNS = (("dataset", "{}"), ("greedy parts", "{}"), ("optimal parts", "{}"),
+           ("gap", "{:+.2%}"), ("greedy time", "{:.2f}s"),
+           ("DP time", "{:.2f}s"))
+N = 4000
 DATASETS = ("booksale", "movieid", "house_price", "ml")
 
 
-def run_experiment(n: int = 4000) -> str:
+def _timed(partitioner, values, regressor):
+    start = time.perf_counter()
+    bounds = partitioner.partition(values, regressor)
+    return bounds, time.perf_counter() - start
+
+
+def rows() -> list[tuple]:
     reg = LinearRegressor()
-    rows = []
+    out = []
     for name in DATASETS:
-        values = load(name, n=n).values
-        start = time.perf_counter()
-        greedy = SplitMergePartitioner(tau=0.05).partition(values, reg)
-        greedy_s = time.perf_counter() - start
-        start = time.perf_counter()
-        optimal = OptimalPartitioner(window=n).partition(values, reg)
-        optimal_s = time.perf_counter() - start
-        greedy_cost = plan_cost_bits(values, greedy, reg, exact=True)
-        optimal_cost = plan_cost_bits(values, optimal, reg, exact=True)
-        gap = greedy_cost / optimal_cost - 1.0
-        rows.append([name, len(greedy), len(optimal), f"{gap:+.2%}",
-                     f"{greedy_s:.2f}s", f"{optimal_s:.2f}s"])
-    return headline(
-        "Ablation: greedy split-merge vs DP optimum",
-        "compressed-size gap of the greedy plan (paper claims < 3%)",
-    ) + render_table(["dataset", "greedy parts", "optimal parts", "gap",
-                      "greedy time", "DP time"], rows)
+        values = load(name, n=N).values
+        greedy, greedy_s = _timed(SplitMergePartitioner(tau=0.05), values,
+                                  reg)
+        optimal, optimal_s = _timed(OptimalPartitioner(window=N), values,
+                                    reg)
+        gap = (plan_cost_bits(values, greedy, reg, exact=True)
+               / plan_cost_bits(values, optimal, reg, exact=True) - 1.0)
+        out.append((name, len(greedy), len(optimal), gap, greedy_s,
+                    optimal_s))
+    return out
 
 
-def test_ablation_optimal_gap(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
-
-
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("the greedy plan is within 3% of the DP plan on every dataset",
+     lambda rows: all(r[3] < 0.03 for r in rows)),
+    ("the greedy search is at least 3x faster than the DP on every dataset",
+     lambda rows: all(3 * r[4] <= r[5] for r in rows)),
+)

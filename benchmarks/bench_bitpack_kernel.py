@@ -18,16 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 
 import numpy as np
 
+from repro.bench import headline
 from repro.bitio.bitpack import BitPackedArray, pack_unsigned, read_slot, \
     unpack_unsigned
-
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
 
 FULL_WIDTHS = (1, 2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 56, 63, 64)
 QUICK_WIDTHS = (3, 8, 13, 32, 63)
@@ -162,19 +159,6 @@ def run_experiment(quick: bool = False,
     ) + "\n".join(lines) + "\n"
 
 
-def test_bitpack_kernel(benchmark):
-    """Representative kernel: width-13 pack+unpack at 100k values."""
-    rng = np.random.default_rng(13)
-    values = rng.integers(0, 1 << 13, QUICK_N, dtype=np.uint64)
-
-    def kernel():
-        packed = pack_unsigned(values, 13)
-        return unpack_unsigned(packed, 13, QUICK_N)
-
-    benchmark.pedantic(kernel, rounds=3, iterations=1)
-    emit(run_experiment(quick=True))
-
-
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -182,4 +166,4 @@ if __name__ == "__main__":
     parser.add_argument("--json", default="BENCH_bitpack.json",
                         help="trajectory output path")
     args = parser.parse_args()
-    emit(run_experiment(quick=args.quick, json_path=args.json))
+    print(run_experiment(quick=args.quick, json_path=args.json))

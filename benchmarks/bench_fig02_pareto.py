@@ -1,53 +1,49 @@
 """Figure 2 — the Pareto frontier: compression ratio vs random access.
 
 Weighted-average ratio and random-access latency over the twelve integer
-datasets for FOR, Elias-Fano, Delta, LeCo(-fix) and LeCo-var.  The paper's
-claim: LeCo variants sit on the Pareto frontier — better ratio than
-FOR/Elias-Fano at comparable access speed, and orders of magnitude faster
-access than Delta at comparable ratio.
+datasets for FOR, Elias-Fano, Delta, LeCo(-fix) and LeCo-var — a view of
+Fig. 10's matrix.  The paper's claim: LeCo variants sit on the Pareto
+frontier — better ratio than FOR/Elias-Fano at comparable access speed,
+and orders of magnitude faster access than Delta at comparable ratio.
 """
 
-import sys
+from bench_fig10_micro import lineup_by_codec
+from repro.bench import weighted_average
 
-from repro import codecs
-from repro.bench import measure_codec, render_table, weighted_average
-from repro.datasets import FIG10_DATASETS, load
-
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, BENCH_PROBES, headline
-
-CODECS = ("for", "elias-fano", "delta", "leco-fix", "leco-var")
+TITLE = "Figure 2: performance-space trade-offs"
+CAPTION = "weighted average over the twelve Fig. 10 datasets"
+COLUMNS = (("codec", "{}"), ("avg ratio", "{:.1%}"), ("avg RA ns", "{:.0f}"))
+CODECS = ("for", "elias-fano", "delta-fix", "leco-fix", "leco-var")
 
 
-def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
-    per_codec: dict[str, list] = {}
-    for name in FIG10_DATASETS:
-        ds = load(name, n=n)
-        for codec in CODECS:
-            if codecs.info(codec).requires_sorted and not ds.sorted:
-                continue
-            m = measure_codec(codecs.get(codec), ds, n_random=BENCH_PROBES,
-                              repeats=1)
-            per_codec.setdefault(m.codec, []).append(m)
-    rows = []
-    for name, ms in per_codec.items():
-        rows.append([
-            name,
-            f"{weighted_average(ms, 'compression_ratio'):.1%}",
-            f"{weighted_average(ms, 'random_access_ns'):.0f}",
-        ])
-    return headline(
-        "Figure 2: performance-space trade-offs",
-        "weighted average over the twelve Fig. 10 datasets",
-    ) + render_table(["codec", "avg ratio", "avg RA ns"], rows)
+def rows() -> list[tuple]:
+    per_codec = lineup_by_codec()
+    return [(label,
+             weighted_average(per_codec[label], "compression_ratio"),
+             weighted_average(per_codec[label], "random_access_ns"))
+            for label in CODECS]
 
 
-def test_fig02_pareto(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
-    # Pareto claims: LeCo-fix compresses better than FOR at comparable RA;
-    # checked numerically in tests/test_integration.py
+def _ratio(rows) -> dict:
+    return {r[0]: r[1] for r in rows}
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+def _access(rows) -> dict:
+    return {r[0]: r[2] for r in rows}
+
+
+CLAIMS = (
+    ("LeCo-fix and LeCo-var compress better on average than FOR and "
+     "Elias-Fano",
+     lambda rows: max(_ratio(rows)["leco-fix"], _ratio(rows)["leco-var"])
+     < min(_ratio(rows)["for"], _ratio(rows)["elias-fano"])),
+    ("at comparable access speed: LeCo's average random access is within "
+     "3x of FOR's",
+     lambda rows: max(_access(rows)["leco-fix"], _access(rows)["leco-var"])
+     <= 3 * _access(rows)["for"]),
+    ("LeCo's average random access is at least 10x faster than Delta-fix's "
+     "(paper: orders of magnitude)",
+     lambda rows: 10 * max(_access(rows)["leco-fix"],
+                           _access(rows)["leco-var"])
+     <= _access(rows)["delta-fix"]),
+)

@@ -5,38 +5,37 @@ ratio trend; the paper's point is the U-shape that motivates the sampling
 search of §3.2.1.
 """
 
-import sys
-
 from repro import codecs
-from repro.bench import render_table
 from repro.datasets import load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, headline
+TITLE = "Figure 5: compression ratio vs block size"
+CAPTION = "the U-shape motivating the sampling-based size search (§3.2.1)"
+COLUMNS = (("dataset", "{}"), ("block size", "{}"), ("ratio", "{:.1%}"))
+N = 4000
+SIZES = (4, 16, 64, 256, 1024)
 
-SIZES = [4, 16, 64, 256, 1024, 4096, 16384]
 
-
-def run_experiment(n: int = BENCH_N) -> str:
-    rows = []
+def rows() -> list[tuple]:
+    out = []
     for name in ("booksale", "normal"):
-        ds = load(name, n=n)
+        ds = load(name, n=N)
         for size in SIZES:
-            if size > n:
-                continue
             enc = codecs.get("leco", partitioner=size).encode(ds.values)
-            ratio = enc.compressed_size_bytes() / ds.uncompressed_bytes
-            rows.append([name, size, f"{ratio:.1%}"])
-    return headline(
-        "Figure 5: compression ratio vs block size",
-        "the U-shape motivating the sampling-based size search (§3.2.1)",
-    ) + render_table(["dataset", "block size", "ratio"], rows)
+            out.append((name, size,
+                        enc.compressed_size_bytes() / ds.uncompressed_bytes))
+    return out
 
 
-def test_fig05_blocksize(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _u_shaped(ratios: list) -> bool:
+    best = ratios.index(min(ratios))
+    return (0 < best < len(ratios) - 1
+            and ratios[:best + 1] == sorted(ratios[:best + 1], reverse=True)
+            and ratios[best:] == sorted(ratios[best:]))
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("on both datasets the ratio falls to a minimum at an interior block "
+     "size and rises again (the U-shape)",
+     lambda rows: all(_u_shaped([r[2] for r in rows if r[0] == name])
+                      for name in {r[0] for r in rows})),
+)

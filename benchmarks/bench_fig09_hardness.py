@@ -1,37 +1,34 @@
 """Figure 9b — the local/global hardness scatter of the twelve datasets.
 
 Prints H_l and H_g (§3.2.3) per dataset with its quadrant, the grouping
-used to organise Fig. 10's x-axis.
+used to organise Fig. 10's x-axis, and the partitioning the scores advise:
+variable-length where the data is locally easy but globally hard.
 """
 
-import sys
-
-from repro.bench import render_table
 from repro.core.partitioners import advise_partitioning
 from repro.datasets import FIG10_DATASETS, load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, headline
+TITLE = "Figure 9b: dataset hardness"
+CAPTION = "local/global hardness scores and the advised partitioning"
+COLUMNS = (("dataset", "{}"), ("H_l", "{:.2f}"), ("H_g", "{:.2f}"),
+           ("quadrant", "{}"), ("advice", "{}"))
+N = 4000
 
 
-def run_experiment(n: int = BENCH_N) -> str:
-    rows = []
+def rows() -> list[tuple]:
+    out = []
     for name in FIG10_DATASETS:
-        ds = load(name, n=n)
-        report = advise_partitioning(ds.values)
-        rows.append([name, f"{report.local:.2f}", f"{report.global_:.2f}",
-                     report.quadrant,
-                     "var" if report.recommend_variable else "fix"])
-    return headline(
-        "Figure 9b: dataset hardness",
-        "local/global hardness scores and the advised partitioning",
-    ) + render_table(["dataset", "H_l", "H_g", "quadrant", "advice"], rows)
+        report = advise_partitioning(load(name, n=N).values)
+        out.append((name, report.local, report.global_, report.quadrant,
+                    "var" if report.recommend_variable else "fix"))
+    return out
 
 
-def test_fig09_hardness(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
-
-
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("the twelve datasets cover all four local/global hardness quadrants",
+     lambda rows: len({r[3] for r in rows}) == 4),
+    ("variable-length partitioning is advised exactly for the "
+     "locally-easy/globally-hard datasets",
+     lambda rows: all((r[3] == "locally-easy/globally-hard")
+                      == (r[4] == "var") for r in rows)),
+)

@@ -7,21 +7,20 @@ partition, and the exhaustive-search optimum.  The paper's claim:
 higher-order patterns exist.
 """
 
-import sys
-
 import numpy as np
 
 from repro import codecs
-from repro.bench import render_table
 from repro.core.advisor import RegressorSelector, optimal_regressor_name
 from repro.core.encoding import CompressedArray, encode_partition
 from repro.core.partitioners import fixed_bounds
 from repro.core.regressors import get_regressor
 from repro.datasets import NONLINEAR_DATASETS, load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, headline
-
+TITLE = "Figure 11: regressor selection"
+CAPTION = "FOR vs LeCo-linear vs CART-recommended vs exhaustive optimum"
+COLUMNS = (("dataset", "{}"), ("FOR", "{:.1%}"), ("LeCo(lin)", "{:.1%}"),
+           ("recommend", "{:.1%}"), ("optimal", "{:.1%}"))
+N = 4000
 PARTITION = 1000
 
 
@@ -38,11 +37,11 @@ def _encode_with(values: np.ndarray, chooser) -> int:
     return arr.compressed_size_bytes()
 
 
-def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
+def rows() -> list[tuple]:
     selector = RegressorSelector()
-    rows = []
+    out = []
     for name in NONLINEAR_DATASETS:
-        ds = load(name, n=n)
+        ds = load(name, n=N)
         values = ds.values
         raw = ds.uncompressed_bytes
         for_size = codecs.get("for", partitioner=PARTITION).encode(
@@ -50,21 +49,16 @@ def run_experiment(n: int = min(BENCH_N, 20_000)) -> str:
         linear = _encode_with(values, lambda seg: "linear")
         recommend = _encode_with(values, selector.recommend_name)
         optimal = _encode_with(values, optimal_regressor_name)
-        rows.append([
-            name, f"{for_size / raw:.1%}", f"{linear / raw:.1%}",
-            f"{recommend / raw:.1%}", f"{optimal / raw:.1%}",
-        ])
-    return headline(
-        "Figure 11: regressor selection",
-        "FOR vs LeCo-linear vs CART-recommended vs exhaustive optimum",
-    ) + render_table(["dataset", "FOR", "LeCo(lin)", "recommend",
-                      "optimal"], rows)
+        out.append((name, for_size / raw, linear / raw, recommend / raw,
+                    optimal / raw))
+    return out
 
 
-def test_fig11_selector(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
-
-
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("the recommended regressor beats linear LeCo where higher-order "
+     "patterns exist (poly, cosmos, exp)",
+     lambda rows: all(r[3] < r[2] for r in rows
+                      if r[0] in ("poly", "cosmos", "exp"))),
+    ("recommend tracks optimal: within 10% of its size on every dataset",
+     lambda rows: all(r[3] <= 1.1 * r[4] for r in rows)),
+)

@@ -1,30 +1,27 @@
 """Figure 12 — higher-order and domain-specific models on ``cosmos``.
 
-Compression ratio of rANS, FOR, LeCo-fix/var (linear), LeCo-Poly-fix/var,
+Compression ratio of rANS, FOR, LeCo-fix/var (linear), LeCo-Poly-fix,
 and the domain-extended sine regressors: one sine term, two sine terms, and
 two sine terms with known frequencies.  The paper's point: LeCo's framework
 accepts domain knowledge, and every extra term buys compression.
 """
 
-import sys
-
 import numpy as np
 
 from repro import codecs
-from repro.bench import render_table
 from repro.core.regressors import PolynomialRegressor, SinusoidalRegressor
 from repro.datasets import load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, BENCH_N, headline
-
+TITLE = "Figure 12: compression ratio on cosmos"
+CAPTION = "domain models (sine terms) extend the LeCo framework"
+COLUMNS = (("config", "{}"), ("ratio", "{:.1%}"))
+N = 4000
 #: the generator's true angular frequencies (see datasets.synthetic)
 TRUE_FREQS = np.array([1.0 / (60 * np.pi), 3.0 / (60 * np.pi)])
 
 
-def run_experiment(n: int = min(BENCH_N, 30_000)) -> str:
-    ds = load("cosmos", n=n)
-    raw = ds.uncompressed_bytes
+def rows() -> list[tuple]:
+    ds = load("cosmos", n=N)
     configs = [
         ("rans", codecs.get("rans")),
         ("for", codecs.get("for")),
@@ -37,23 +34,25 @@ def run_experiment(n: int = min(BENCH_N, 30_000)) -> str:
         ("2sin-freq", codecs.get(
             "leco-fix", regressor=SinusoidalRegressor(2, freqs=TRUE_FREQS))),
     ]
-    rows = []
+    out = []
     for label, codec in configs:
-        data = ds.values if label != "rans" else ds.values[:8000]
-        denom = raw if label != "rans" else 8000 * ds.width_bytes
-        enc = codec.encode(data)
-        assert np.array_equal(enc.decode_all(), data), label
-        rows.append([label, f"{enc.compressed_size_bytes() / denom:.1%}"])
-    return headline(
-        "Figure 12: compression ratio on cosmos",
-        "domain models (sine terms) extend the LeCo framework",
-    ) + render_table(["config", "ratio"], rows)
+        enc = codec.encode(ds.values)
+        assert np.array_equal(enc.decode_all(), ds.values), label
+        out.append((label,
+                    enc.compressed_size_bytes() / ds.uncompressed_bytes))
+    return out
 
 
-def test_fig12_cosmos(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _ratio(rows) -> dict:
+    return dict(rows)
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("every sine model compresses better than rANS, FOR and linear LeCo",
+     lambda rows: max(_ratio(rows)[c] for c in ("sin", "2sin", "2sin-freq"))
+     < min(_ratio(rows)[c] for c in ("rans", "for", "leco-fix",
+                                     "leco-var"))),
+    ("every extra term buys compression: sin > 2sin > 2sin-freq",
+     lambda rows: _ratio(rows)["sin"] > _ratio(rows)["2sin"]
+     > _ratio(rows)["2sin-freq"]),
+)

@@ -7,20 +7,23 @@ over (a) all numeric columns and (b) only high-cardinality columns
 beats FOR on every table, most on highly sorted ones.
 """
 
-import sys
-
 import numpy as np
 
 from repro import codecs
-from repro.bench import render_table
 from repro.datasets import TABLE_NAMES, load_table
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
-
-#: column label -> registry name
-CODECS = [("for", "for"), ("delta-fix", "delta"), ("delta-var", "delta-var"),
-          ("leco-fix", "leco-fix"), ("leco-var", "leco-var")]
+TITLE = "Figure 13: multi-column benchmark"
+CAPTION = ("per-table ratios (all numeric columns); last column: LeCo-fix "
+           "vs FOR on high-cardinality columns only")
+COLUMNS = (
+    ("table", "{}"), ("sortedness", "{:.2f}"), ("high-card", "{0[0]}/{0[1]}"),
+    ("for", "{:.1%}"), ("delta-fix", "{:.1%}"), ("delta-var", "{:.1%}"),
+    ("leco-fix", "{:.1%}"), ("leco-var", "{:.1%}"),
+    ("highcard leco/for",
+     lambda pair: "{:.1%} vs {:.1%}".format(*pair) if pair else "-"))
+N = 6000
+#: registry names of the ratio columns, in COLUMNS order
+CODECS = ("for", "delta", "delta-var", "leco-fix", "leco-var")
 
 
 def _table_ratio(columns: dict[str, np.ndarray], codec: str) -> float:
@@ -33,35 +36,30 @@ def _table_ratio(columns: dict[str, np.ndarray], codec: str) -> float:
     return total_compressed / max(total_raw, 1)
 
 
-def run_experiment(n: int = 6000) -> str:
-    rows = []
+def rows() -> list[tuple]:
+    out = []
     for name in TABLE_NAMES:
-        table = load_table(name, n=n)
+        table = load_table(name, n=N)
         high = table.high_cardinality_columns()
-        entry = [name, f"{table.average_sortedness():.2f}",
-                 f"{len(high)}/{table.numeric_column_count}"]
-        for _, codec in CODECS:
-            entry.append(f"{_table_ratio(table.columns, codec):.1%}")
-        if high:
-            leco_high = _table_ratio(high, "leco-fix")
-            for_high = _table_ratio(high, "for")
-            entry.append(f"{leco_high:.1%} vs {for_high:.1%}")
-        else:
-            entry.append("-")
-        rows.append(entry)
-    return headline(
-        "Figure 13: multi-column benchmark",
-        "per-table ratios (all numeric columns); last column: LeCo-fix vs "
-        "FOR on high-cardinality columns only",
-    ) + render_table(
-        ["table", "sortedness", "high-card", "for", "delta-fix",
-         "delta-var", "leco-fix", "leco-var", "highcard leco/for"], rows)
+        out.append((
+            name, table.average_sortedness(),
+            (len(high), table.numeric_column_count),
+            *(_table_ratio(table.columns, codec) for codec in CODECS),
+            (_table_ratio(high, "leco-fix"), _table_ratio(high, "for"))
+            if high else None))
+    return out
 
 
-def test_fig13_multicolumn(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _gain(row) -> float:
+    """LeCo-fix's relative saving over FOR."""
+    return 1 - row[6] / row[3]
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("LeCo-fix beats FOR on every table",
+     lambda rows: all(r[6] < r[3] for r in rows)),
+    ("the gain over FOR is largest on the highly sorted tables: the three "
+     "most sorted tables show the three largest gains",
+     lambda rows: {r[0] for r in sorted(rows, key=lambda r: -r[1])[:3]}
+     == {r[0] for r in sorted(rows, key=_gain)[-3:]}),
+)

@@ -7,12 +7,9 @@ Sim-Piece, and LeCo-var.  The paper's claim: the split–merge Partitioner
 bounds or model-count-blind shortest paths misfire on columnar data.
 """
 
-import sys
-
 import numpy as np
 
 from repro import codecs
-from repro.bench import render_table
 from repro.core.partitioners import (
     LaVectorPartitioner,
     PLAPartitioner,
@@ -20,49 +17,51 @@ from repro.core.partitioners import (
 )
 from repro.datasets import load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
-
+TITLE = "Figure 16: partitioner efficiency"
+CAPTION = "compression ratio (and partition count) with the linear regressor"
+SCHEMES = ("leco-fix", "leco-pla", "leco-la-vec", "sim-piece", "leco-var")
+COLUMNS = (("dataset", "{}"),
+           *((scheme, "{0[0]:.1%} ({0[1]}p)") for scheme in SCHEMES))
+N = 20_000
 DATASETS = ("normal", "house_price", "booksale", "movieid")
 
 
-def _configs():
+def _codecs():
+    """One codec per SCHEMES entry, in that order."""
     return [
-        ("leco-fix", codecs.get("leco-fix")),
-        ("leco-pla", codecs.get(
-            "leco", partitioner=PLAPartitioner(epsilon=64))),
-        ("leco-la-vec", codecs.get(
-            "leco", partitioner=LaVectorPartitioner())),
-        ("sim-piece", codecs.get(
-            "leco", partitioner=SimPiecePartitioner(epsilon=64))),
-        ("leco-var", codecs.get("leco-var", tau=0.05)),
+        codecs.get("leco-fix"),
+        codecs.get("leco", partitioner=PLAPartitioner(epsilon=64)),
+        codecs.get("leco", partitioner=LaVectorPartitioner()),
+        codecs.get("leco", partitioner=SimPiecePartitioner(epsilon=64)),
+        codecs.get("leco-var", tau=0.05),
     ]
 
 
-def run_experiment(n: int = 20_000) -> str:
-    rows = []
+def rows() -> list[tuple]:
+    """Each scheme's cell is ``(ratio, partition count)``."""
+    out = []
     for name in DATASETS:
-        ds = load(name, n=n)
-        entry = [name]
-        for label, codec in _configs():
+        ds = load(name, n=N)
+        cells = []
+        for scheme, codec in zip(SCHEMES, _codecs()):
             enc = codec.encode(ds.values)
-            assert np.array_equal(enc.decode_all(), ds.values), label
-            ratio = enc.compressed_size_bytes() / ds.uncompressed_bytes
-            parts = len(enc.partitions)
-            entry.append(f"{ratio:.1%} ({parts}p)")
-        rows.append(entry)
-    return headline(
-        "Figure 16: partitioner efficiency",
-        "compression ratio (and partition count) with the linear regressor",
-    ) + render_table(
-        ["dataset", "leco-fix", "leco-pla", "leco-la-vec", "sim-piece",
-         "leco-var"], rows)
+            assert np.array_equal(enc.decode_all(), ds.values), scheme
+            cells.append((enc.compressed_size_bytes()
+                          / ds.uncompressed_bytes, len(enc.partitions)))
+        out.append((name, *cells))
+    return out
 
 
-def test_fig16_partitioners(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _var_beats(rows, *schemes: str) -> bool:
+    var = 1 + SCHEMES.index("leco-var")
+    return all(r[var][0] < r[1 + SCHEMES.index(s)][0]
+               for r in rows for s in schemes)
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("LeCo-var compresses better than LeCo-fix, LeCo-PLA and Sim-Piece on "
+     "every dataset",
+     lambda rows: _var_beats(rows, "leco-fix", "leco-pla", "sim-piece")),
+    ("LeCo-var compresses better than la-vector on every dataset",
+     lambda rows: _var_beats(rows, "leco-la-vec")),
+)

@@ -6,53 +6,46 @@ while LeCo-PLA's swings with epsilon — the greedy split–merge needs no
 tuning.
 """
 
-import sys
-
-import numpy as np
-
 from repro import codecs
-from repro.bench import render_table
 from repro.core.partitioners import PLAPartitioner
 from repro.datasets import load
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
+TITLE = "Figure 17: hyperparameter robustness"
+COLUMNS = (("scheme", "{}"), ("hyperparameter", "{}"), ("ratio", "{:.1%}"))
+N = 20_000
+TAUS = (0.0, 0.04, 0.08, 0.12, 0.16, 0.20)
+EPS_EXPONENTS = (3, 5, 7, 9, 11, 13)
 
-TAUS = [0.0, 0.04, 0.08, 0.12, 0.16, 0.20]
-EPS_EXPONENTS = [3, 5, 7, 9, 11, 13]
 
-
-def run_experiment(n: int = 20_000) -> str:
-    ds = load("booksale", n=n)
+def rows() -> list[tuple]:
+    ds = load("booksale", n=N)
     raw = ds.uncompressed_bytes
-    rows = []
-    var_ratios = []
+    out = []
     for tau in TAUS:
         enc = codecs.get("leco-var", tau=tau).encode(ds.values)
-        ratio = enc.compressed_size_bytes() / raw
-        var_ratios.append(ratio)
-        rows.append(["leco-var", f"tau={tau:.2f}", f"{ratio:.1%}"])
-    pla_ratios = []
+        out.append(("leco-var", f"tau={tau:.2f}",
+                    enc.compressed_size_bytes() / raw))
     for exp in EPS_EXPONENTS:
         enc = codecs.get(
             "leco", partitioner=PLAPartitioner(epsilon=2.0 ** exp)
         ).encode(ds.values)
-        ratio = enc.compressed_size_bytes() / raw
-        pla_ratios.append(ratio)
-        rows.append(["leco-pla", f"eps=2^{exp}", f"{ratio:.1%}"])
-    spread_var = max(var_ratios) - min(var_ratios)
-    spread_pla = max(pla_ratios) - min(pla_ratios)
-    caption = (f"ratio spread across the sweep: leco-var {spread_var:.1%}, "
-               f"leco-pla {spread_pla:.1%}")
-    return headline("Figure 17: hyperparameter robustness", caption
-                    ) + render_table(["scheme", "hyperparameter", "ratio"],
-                                     rows)
+        out.append(("leco-pla", f"eps=2^{exp}",
+                    enc.compressed_size_bytes() / raw))
+    return out
 
 
-def test_fig17_robustness(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _spread(rows, scheme: str) -> float:
+    ratios = [r[2] for r in rows if r[0] == scheme]
+    return max(ratios) - min(ratios)
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+def CAPTION(rows) -> str:
+    return ("ratio spread across the sweep: leco-var {:.1%}, leco-pla {:.1%}"
+            .format(_spread(rows, "leco-var"), _spread(rows, "leco-pla")))
+
+
+CLAIMS = (
+    ("LeCo-var's ratio is flat in tau while LeCo-PLA's swings with epsilon: "
+     "the spread over tau is under a tenth of the spread over epsilon",
+     lambda rows: 10 * _spread(rows, "leco-var") < _spread(rows, "leco-pla")),
+)

@@ -5,22 +5,25 @@
 over a sensor table (ts/id/val) in two flavours — ``random`` (id and val
 incompressible) and ``correlated`` (clustered ids, trending vals) — with
 Default (dictionary), Delta, FOR, and LeCo column encodings.  Reports the
-CPU (filter/groupby) and simulated-I/O breakdown per selectivity.
+CPU (filter/groupby) and simulated-I/O breakdown per selectivity.  The
+paper's finding: LeCo's smaller file cuts I/O at FOR-like CPU cost, while
+Delta pays for decoding sequentially.
 """
-
-import sys
 
 import numpy as np
 
-from repro.bench import render_table
 from repro.datasets.synthetic import gen_ml
 from repro.engine import ParquetLikeFile, run_filter_groupby_query
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
-
-SELECTIVITIES = [0.0001, 0.001, 0.01, 0.1]
-ENCODINGS = ["dict", "delta", "for", "leco"]
+TITLE = "Figure 18: filter-groupby-aggregation"
+CAPTION = "per-encoding CPU/IO breakdown across selectivities (ms)"
+COLUMNS = (("flavour", "{}"), ("selectivity", "{:.2%}"), ("encoding", "{}"),
+           ("file", "{:.2f}MB"), ("filter ms", "{:.1f}"),
+           ("groupby ms", "{:.1f}"), ("io ms", "{:.2f}"),
+           ("total ms", "{:.1f}"))
+N = 60_000
+SELECTIVITIES = (0.0001, 0.001, 0.01, 0.1)
+ENCODINGS = ("dict", "delta", "for", "leco")
 
 
 def make_sensor_table(n: int, flavour: str, seed: int = 0):
@@ -36,10 +39,10 @@ def make_sensor_table(n: int, flavour: str, seed: int = 0):
     return {"ts": ts, "id": ids, "val": vals.astype(np.int64)}
 
 
-def run_experiment(n: int = 60_000) -> str:
-    rows = []
+def rows() -> list[tuple]:
+    out = []
     for flavour in ("random", "correlated"):
-        table = make_sensor_table(n, flavour)
+        table = make_sensor_table(N, flavour)
         ts = table["ts"]
         files = {
             enc: ParquetLikeFile.write(table, enc, row_group_size=20_000,
@@ -47,35 +50,32 @@ def run_experiment(n: int = 60_000) -> str:
             for enc in ENCODINGS
         }
         for sel in SELECTIVITIES:
-            span = max(int(n * sel), 1)
-            lo = int(ts[n // 3])
-            hi = int(ts[min(n // 3 + span, n - 1)])
+            span = max(int(N * sel), 1)
+            lo = int(ts[N // 3])
+            hi = int(ts[min(N // 3 + span, N - 1)])
             reference = None
             for enc in ENCODINGS:
                 result = run_filter_groupby_query(files[enc], lo, hi)
                 if reference is None:
                     reference = result.answer
                 assert result.answer == reference, enc
-                rows.append([
-                    flavour, f"{sel:.2%}", enc,
-                    f"{files[enc].file_size_bytes() / 1e6:.2f}MB",
-                    f"{result.cpu_filter_s * 1e3:.1f}",
-                    f"{result.cpu_groupby_s * 1e3:.1f}",
-                    f"{result.io_s * 1e3:.2f}",
-                    f"{result.total_s * 1e3:.1f}",
-                ])
-    return headline(
-        "Figure 18: filter-groupby-aggregation",
-        "per-encoding CPU/IO breakdown across selectivities (ms)",
-    ) + render_table(
-        ["flavour", "selectivity", "encoding", "file", "filter ms",
-         "groupby ms", "io ms", "total ms"], rows)
+                out.append((
+                    flavour, sel, enc, files[enc].file_size_bytes() / 1e6,
+                    result.cpu_filter_s * 1e3, result.cpu_groupby_s * 1e3,
+                    result.io_s * 1e3, result.total_s * 1e3))
+    return out
 
 
-def test_fig18_filter_groupby(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _total(rows, encoding: str, column: int) -> float:
+    return sum(r[column] for r in rows if r[2] == encoding)
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("LeCo's file is no larger than FOR's or Default's on both tables",
+     lambda rows: all(r[3] <= other[3] for r in rows if r[2] == "leco"
+                      for other in rows
+                      if other[:2] == r[:2] and other[2] in ("for", "dict"))),
+    ("Delta pays for decoding sequentially: summed over the sweep its "
+     "filter CPU exceeds LeCo's",
+     lambda rows: _total(rows, "delta", 4) > _total(rows, "leco", 4)),
+)

@@ -7,45 +7,43 @@ LeCo + zstd still improves (serial redundancy removal is complementary to
 general-purpose block compression).
 """
 
-import sys
-
-from repro.bench import render_table
 from repro.datasets import load
 from repro.engine import ParquetLikeFile
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
-
+TITLE = "Figure 20: Parquet with block compression"
+CAPTION = ("file sizes without/with the zstd stand-in; last column is the "
+           "additional improvement from block compression")
+COLUMNS = (("dataset", "{}"), ("encoding", "{}"), ("plain", "{:.3f}MB"),
+           ("+zstd", "{:.3f}MB"), ("gain", "{:.1f}x"))
+N = 60_000
 DATASETS = ("normal", "booksale", "poisson", "ml")
-ENCODINGS = ["dict", "for", "leco"]
+ENCODINGS = ("dict", "for", "leco")
 
 
-def run_experiment(n: int = 60_000) -> str:
-    rows = []
+def rows() -> list[tuple]:
+    out = []
     for name in DATASETS:
-        values = load(name, n=n).values
+        values = load(name, n=N).values
         for enc in ENCODINGS:
-            plain = ParquetLikeFile.write({"v": values}, enc,
-                                          partition_size=1000)
-            squeezed = ParquetLikeFile.write({"v": values}, enc,
-                                             partition_size=1000,
-                                             block_compression=True)
-            a = plain.file_size_bytes()
-            b = squeezed.file_size_bytes()
-            rows.append([name, enc, f"{a / 1e6:.3f}MB", f"{b / 1e6:.3f}MB",
-                         f"{a / max(b, 1):.1f}x"])
-    return headline(
-        "Figure 20: Parquet with block compression",
-        "file sizes without/with the zstd stand-in; last column is the "
-        "additional improvement from block compression",
-    ) + render_table(["dataset", "encoding", "plain", "+zstd", "gain"],
-                     rows)
+            plain, squeezed = (
+                ParquetLikeFile.write({"v": values}, enc, partition_size=1000,
+                                      block_compression=compressed
+                                      ).file_size_bytes()
+                for compressed in (False, True))
+            out.append((name, enc, plain / 1e6, squeezed / 1e6,
+                        plain / max(squeezed, 1)))
+    return out
 
 
-def test_fig20_zstd_size(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _zstd_size(rows, encoding: str) -> dict:
+    return {r[0]: r[3] for r in rows if r[1] == encoding}
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("LeCo + zstd still improves: block compression shrinks the LeCo file "
+     "on every dataset",
+     lambda rows: all(r[3] < r[2] for r in rows if r[1] == "leco")),
+    ("LeCo + zstd stays smaller than FOR + zstd on every dataset",
+     lambda rows: all(size < _zstd_size(rows, "for")[name]
+                      for name, size in _zstd_size(rows, "leco").items())),
+)

@@ -6,23 +6,26 @@ finding: zstd's I/O savings are outweighed by its decompression CPU — the
 motivation for lightweight compression in §2.
 """
 
-import sys
-
-from repro.bench import render_table
 from repro.datasets import load
-from repro.engine import ParquetLikeFile, run_bitmap_aggregation, \
-    zipf_cluster_bitmap
+from repro.engine import (
+    ParquetLikeFile,
+    run_bitmap_aggregation,
+    zipf_cluster_bitmap,
+)
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
+TITLE = "Figure 21: time breakdown with block compression"
+CAPTION = ("bitmap query on ml at 0.01% selectivity (ms); block "
+           "decompression CPU vs I/O savings")
+COLUMNS = (("encoding", "{}"), ("zstd", "{}"), ("file", "{:.3f}MB"),
+           ("cpu ms", "{:.2f}"), ("io ms", "{:.3f}"), ("total ms", "{:.2f}"))
+N = 60_000
+ENCODINGS = ("dict", "for", "leco")
 
-ENCODINGS = ["dict", "for", "leco"]
 
-
-def run_experiment(n: int = 60_000) -> str:
-    values = load("ml", n=n).values
-    bitmap = zipf_cluster_bitmap(n, 0.0001, seed=3)
-    rows = []
+def rows() -> list[tuple]:
+    values = load("ml", n=N).values
+    bitmap = zipf_cluster_bitmap(N, 0.0001, seed=3)
+    out = []
     for enc in ENCODINGS:
         for compressed in (False, True):
             file = ParquetLikeFile.write({"v": values}, enc,
@@ -30,25 +33,20 @@ def run_experiment(n: int = 60_000) -> str:
                                          partition_size=1000,
                                          block_compression=compressed)
             result = run_bitmap_aggregation(file, "v", bitmap)
-            rows.append([
-                enc, "on" if compressed else "off",
-                f"{file.file_size_bytes() / 1e6:.3f}MB",
-                f"{result.cpu_groupby_s * 1e3:.2f}",
-                f"{result.io_s * 1e3:.3f}",
-                f"{result.total_s * 1e3:.2f}",
-            ])
-    return headline(
-        "Figure 21: time breakdown with block compression",
-        "bitmap query on ml at 0.01% selectivity (ms); block decompression "
-        "CPU vs I/O savings",
-    ) + render_table(["encoding", "zstd", "file", "cpu ms", "io ms",
-                      "total ms"], rows)
+            out.append((enc, "on" if compressed else "off",
+                        file.file_size_bytes() / 1e6,
+                        result.cpu_groupby_s * 1e3, result.io_s * 1e3,
+                        result.total_s * 1e3))
+    return out
 
 
-def test_fig21_zstd_time(benchmark):
-    result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    emit(result)
+def _cell(rows, encoding: str, zstd: str, column: int) -> float:
+    return next(r[column] for r in rows if r[:2] == (encoding, zstd))
 
 
-if __name__ == "__main__":
-    emit(run_experiment())
+CLAIMS = (
+    ("zstd's I/O saving is outweighed by its decompression CPU where it "
+     "compresses most (Default encoding): CPU added exceeds I/O saved",
+     lambda rows: _cell(rows, "dict", "on", 3) - _cell(rows, "dict", "off", 3)
+     > _cell(rows, "dict", "off", 4) - _cell(rows, "dict", "on", 4)),
+)

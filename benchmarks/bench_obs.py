@@ -20,20 +20,17 @@ import argparse
 import json
 import os
 import shutil
-import sys
 import tempfile
 import time
 
 import numpy as np
 
+from repro.bench import headline
 from repro.exec import MorselScheduler, Plan, Range
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import set_enabled
 from repro.obs.trace import Trace
 from repro.store import StoreSource, Table, write_table
-
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
 
 FULL_N = 500_000
 QUICK_N = 100_000
@@ -245,7 +242,7 @@ def run(root: str, n: int) -> dict:
             proc["worker_spans"] > 0),
     }
 
-    emit(f"scan (0.5% selectivity, n={n}): "
+    print(f"scan (0.5% selectivity, n={n}): "
          f"off {arms['scan_off_ms']:.3f} ms   "
          f"metrics {arms['scan_metrics_ms']:.3f} ms "
          f"({arms['metrics_overhead']:+.2%}, "
@@ -254,7 +251,7 @@ def run(root: str, n: int) -> dict:
          f"({arms['trace_overhead']:+.2%}, "
          f"budget {MAX_TRACE_OVERHEAD:.0%}, "
          f"{arms['trace_spans']} spans)")
-    emit(f"process tier: "
+    print(f"process tier: "
          f"off {proc['scan_off_ms']:.3f} ms   "
          f"metrics {proc['scan_metrics_ms']:.3f} ms "
          f"({proc['metrics_overhead']:+.2%})   "
@@ -264,7 +261,7 @@ def run(root: str, n: int) -> dict:
          f"merged granules "
          f"{proc['merged_worker_granules']:g} over lanes "
          f"{','.join(proc['merged_lanes'])}")
-    emit("checks: " + ", ".join(f"{k}={v}" for k, v in checks.items()))
+    print("checks: " + ", ".join(f"{k}={v}" for k, v in checks.items()))
 
     return {
         "n": n,
@@ -284,7 +281,7 @@ def main(argv=None) -> None:
                         help="working directory (default: a temp dir)")
     args = parser.parse_args(argv)
     n = QUICK_N if args.quick else FULL_N
-    emit(headline(
+    print(headline(
         "Observability overhead benchmark",
         f"metrics + tracing cost on a 0.5%-selectivity scan (n={n}), "
         "thread tier and process tier"))
@@ -297,7 +294,7 @@ def main(argv=None) -> None:
             shutil.rmtree(root, ignore_errors=True)
     with open(args.json, "w") as fh:
         json.dump(payload, fh, indent=2)
-    emit(f"\nwrote {args.json}")
+    print(f"\nwrote {args.json}")
     failed = [name for name, ok in payload["checks"].items() if not ok]
     if failed:  # the CI smoke step must go red, not just record it
         raise SystemExit(f"obs bench checks failed: {', '.join(failed)}")

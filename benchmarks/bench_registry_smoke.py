@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 import numpy as np
 
 from repro import codecs
-from repro.bench import measure_codec, render_table
+from repro.bench import headline, measure_codec, render_table
 from repro.datasets.registry import Dataset
-
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from _common import emit, headline
 
 FULL_N = 100_000
 QUICK_N = 10_000
@@ -55,7 +51,7 @@ def run(n: int, probes: int) -> dict:
             "decode_gbps": m.decode_gbps,
             "compress_gbps": m.compress_gbps,
         }
-    emit(render_table(
+    print(render_table(
         ["codec", "ratio", "gather ns/elem", "decode GB/s", "encode GB/s"],
         rows))
     return results
@@ -68,14 +64,14 @@ def main() -> None:
     args = parser.parse_args()
     n = QUICK_N if args.quick else FULL_N
     probes = 1_000 if args.quick else 5_000
-    emit(headline(
+    print(headline(
         "Registry smoke benchmark",
         f"every registered integer codec, n={n}, {probes} gather probes"))
     results = run(n, probes)
     payload = {"n": n, "probes": probes, "codecs": results}
     with open(args.json, "w") as fh:
         json.dump(payload, fh, indent=2)
-    emit(f"\nwrote {args.json}")
+    print(f"\nwrote {args.json}")
 
 
 if __name__ == "__main__":

@@ -130,9 +130,3 @@ class EliasFanoCodec(Codec):
 
     def encode(self, values: np.ndarray) -> EliasFanoSequence:
         return EliasFanoSequence(values)
-
-    @staticmethod
-    def applicable(values: np.ndarray) -> bool:
-        """EF only applies to non-decreasing data (paper skips others)."""
-        values = as_int64(values)
-        return bool(np.all(np.diff(values) >= 0)) if len(values) else True

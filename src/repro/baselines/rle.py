@@ -69,10 +69,6 @@ class RLEEncodedSequence(EncodedSequence):
         starts = packed_starts.to_numpy().astype(np.int64)
         return cls(n, values, starts)
 
-    @property
-    def run_count(self) -> int:
-        return len(self._values)
-
 
 class RLECodec(Codec):
     name = "rle"

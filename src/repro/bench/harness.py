@@ -28,6 +28,10 @@ from repro.datasets.registry import Dataset
 
 _ACCESS_MODES = ("gather", "scalar")
 
+#: the paper's Fig. 10 line-up, by registry name (rANS and Elias-Fano are
+#: added by the experiments where they apply)
+LINEUP = ("for", "delta", "delta-var", "leco-fix", "leco-var")
+
 
 @dataclass
 class Measurement:

@@ -33,5 +33,6 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def percent(fraction: float) -> str:
-    return f"{100.0 * fraction:.1f}%"
+def headline(title: str, caption: str) -> str:
+    bar = "=" * len(title)
+    return f"\n{title}\n{bar}\n{caption}\n"

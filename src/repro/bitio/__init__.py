@@ -15,8 +15,6 @@ append record and the table server's binary row reply share.
 from repro.bitio.bitpack import (
     BitPackedArray,
     bits_for_unsigned,
-    bits_for_signed_maxabs,
-    bits_for_range,
     pack_unsigned,
     pack_unsigned_big,
     unpack_unsigned,
@@ -34,8 +32,6 @@ from repro.bitio.zigzag import zigzag_encode, zigzag_decode
 __all__ = [
     "BitPackedArray",
     "bits_for_unsigned",
-    "bits_for_signed_maxabs",
-    "bits_for_range",
     "pack_unsigned",
     "pack_unsigned_big",
     "unpack_unsigned",

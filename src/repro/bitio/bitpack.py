@@ -73,24 +73,6 @@ def bits_for_unsigned(value: int) -> int:
     return int(value).bit_length()
 
 
-def bits_for_signed_maxabs(maxabs: int) -> int:
-    """Bits needed for a signed value whose magnitude is at most ``maxabs``.
-
-    This matches the paper's ``ceil(log2(delta_maxabs))`` plus one sign bit,
-    implemented as the zigzag width of the worst case.
-    """
-    if maxabs < 0:
-        raise ValueError(f"maxabs must be non-negative, got {maxabs}")
-    if maxabs == 0:
-        return 0
-    return bits_for_unsigned(2 * maxabs)
-
-
-def bits_for_range(span: int) -> int:
-    """Bits needed for bias-encoded values covering ``[0, span]``."""
-    return bits_for_unsigned(span)
-
-
 @lru_cache(maxsize=None)
 def _group_pieces(width: int) -> tuple[int, int, tuple]:
     """Static bit-routing table for the group (dis)assembly kernels.

@@ -81,10 +81,6 @@ class RegressorSelector:
     def recommend(self, values: np.ndarray) -> Regressor:
         return get_regressor(self.recommend_name(values))
 
-    def training_accuracy(self) -> float:
-        feats, labels = training_set()
-        return float((self._cart.predict(feats) == labels).mean())
-
 
 def optimal_regressor_name(values: np.ndarray,
                            candidates=CANDIDATES) -> str:

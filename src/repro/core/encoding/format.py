@@ -35,7 +35,6 @@ from repro.bitio import (
     encode_uvarint,
 )
 from repro.core.regressors import FittedModel, get_regressor
-from repro.learned_index import LearnedSortedIndex
 
 MAGIC = b"LECO"
 VERSION = 1
@@ -203,7 +202,6 @@ class CompressedArray(EncodedSequence):
         self.default_regressor = default_regressor
         self._starts = np.array([p.start for p in partitions],
                                 dtype=np.int64)
-        self._index: LearnedSortedIndex | None = None
         self._serialized: bytes | None = None
 
     # -------------------------------------------------------------- access
@@ -237,9 +235,7 @@ class CompressedArray(EncodedSequence):
     def _partition_index_for(self, position: int) -> int:
         if self.fixed_size is not None:
             return position // self.fixed_size
-        if self._index is None:
-            self._index = LearnedSortedIndex(self._starts)
-        return self._index.lower_bound(position)
+        return int(np.searchsorted(self._starts, position, "right")) - 1
 
     def decode_all(self) -> np.ndarray:
         return self.decode_range(0, self.n)

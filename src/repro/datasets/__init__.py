@@ -6,7 +6,6 @@ from repro.datasets.registry import (
     Dataset,
     available_datasets,
     load,
-    scale_factor,
     sortedness,
 )
 from repro.datasets.strings import (
@@ -26,7 +25,6 @@ __all__ = [
     "Dataset",
     "load",
     "available_datasets",
-    "scale_factor",
     "sortedness",
     "FIG10_DATASETS",
     "NONLINEAR_DATASETS",

@@ -1,15 +1,13 @@
-"""Dataset registry with scale control.
+"""Dataset registry.
 
 ``load(name)`` returns a :class:`Dataset` with the generated values, the
 natural byte width (the paper reports ratios against 32- or 64-bit raw
 encodings), and sortedness metadata.  The default sizes are scaled down from
-the paper's 10^8 rows; set the ``REPRO_SCALE`` environment variable (float)
-or pass ``n=`` to resize.
+the paper's 10^8 rows; pass ``n=`` to resize.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -79,22 +77,17 @@ NONLINEAR_DATASETS = ("movieid", "poly", "cosmos", "exp", "polylog", "site",
                       "weight", "adult")
 
 
-def scale_factor() -> float:
-    """Global size multiplier from the ``REPRO_SCALE`` env var."""
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
-
-
 def available_datasets() -> list[str]:
     return sorted(_SPECS)
 
 
 def load(name: str, n: int | None = None, seed: int = 0) -> Dataset:
-    """Generate dataset ``name`` at its (scaled) default or explicit size."""
+    """Generate dataset ``name`` at its default or explicit size."""
     if name not in _SPECS:
         raise KeyError(f"unknown dataset {name!r}; see available_datasets()")
     spec = _SPECS[name]
     if n is None:
-        n = max(int(spec.default_n * scale_factor()), 64)
+        n = spec.default_n
     values = spec.generator(n, seed)
     return Dataset(name=name, values=values, width_bytes=spec.width_bytes,
                    sorted=spec.sorted)

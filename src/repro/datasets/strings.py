@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.registry import scale_factor
-
 _DOMAINS = (
     "com.gmail", "com.yahoo", "com.hotmail", "com.outlook", "org.apache",
     "org.wikipedia", "net.cloud", "edu.mit", "edu.stanford", "io.github",
@@ -24,7 +22,7 @@ _SUFFIXES = ("", "s", "ed", "ing", "er", "ly", "tion", "ness")
 def gen_email(n: int | None = None, seed: int = 0) -> list[bytes]:
     """Host-reversed email addresses, sorted (paper's 30K set, ~15 bytes)."""
     if n is None:
-        n = max(int(30_000 * scale_factor()), 64)
+        n = 30_000
     rng = np.random.default_rng(seed)
     domains = rng.integers(0, len(_DOMAINS), n)
     users = rng.integers(0, 10 ** 7, n)
@@ -37,7 +35,7 @@ def gen_email(n: int | None = None, seed: int = 0) -> list[bytes]:
 def gen_hex(n: int | None = None, seed: int = 0) -> list[bytes]:
     """Sorted hexadecimal strings up to 8 chars (paper's 100K set)."""
     if n is None:
-        n = max(int(100_000 * scale_factor()), 64)
+        n = 100_000
     rng = np.random.default_rng(seed)
     values = np.unique(rng.integers(0, 1 << 32, n))
     return [f"{int(v):08x}".encode() for v in values]
@@ -46,7 +44,7 @@ def gen_hex(n: int | None = None, seed: int = 0) -> list[bytes]:
 def gen_word(n: int | None = None, seed: int = 0) -> list[bytes]:
     """English-like words built from syllables, sorted, ~9 bytes average."""
     if n is None:
-        n = max(int(50_000 * scale_factor()), 64)
+        n = 50_000
     rng = np.random.default_rng(seed)
     words = set()
     while len(words) < n:

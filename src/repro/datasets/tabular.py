@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.datasets.registry import scale_factor, sortedness
+from repro.datasets.registry import sortedness
 
 
 @dataclass
@@ -121,7 +121,7 @@ def load_table(name: str, n: int | None = None, seed: int = 0) -> Table:
         raise KeyError(f"unknown table {name!r}; known: {TABLE_NAMES}")
     default_n, total_cols, cols = _TABLE_SPECS[name]
     if n is None:
-        n = max(int(default_n * scale_factor()), 256)
+        n = default_n
     rng = np.random.default_rng(seed)
     pk = np.sort(rng.integers(0, n * 10, n)).astype(np.int64)
     columns = {col_name: _col(rng, kind, n, pk) for col_name, kind in cols}

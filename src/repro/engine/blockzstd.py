@@ -4,8 +4,7 @@ The environment is offline, so instead of zstd we use the standard
 library's DEFLATE (zlib) — a real general-purpose block compressor with a
 genuine CPU cost, exercising exactly the code path the paper studies:
 block compression stacked on top of lightweight encodings, buying extra
-ratio at a decompression-CPU price.  The substitution is recorded in
-DESIGN.md.
+ratio at a decompression-CPU price.
 """
 
 from __future__ import annotations

@@ -84,42 +84,6 @@ class ParquetLikeFile:
         return sum(chunk.stored_bytes() for g in self.row_groups
                    for chunk in g.chunks.values())
 
-    # ------------------------------------------------- persistent bridge
-    def to_store(self, path: str, codec=None, shard_rows: int | None = None,
-                 chunk_rows: int = 4096, overwrite: bool = False) -> None:
-        """Persist this file as a :mod:`repro.store` table directory.
-
-        Row groups become ingest batches (shards default to the file's
-        row-group size); columns are re-encoded through the codec
-        registry — ``codec`` defaults to this file's encoding, which is
-        also a registry name.
-        """
-        from repro.store import TableWriter
-
-        if shard_rows is None:
-            shard_rows = max((g.n_rows for g in self.row_groups),
-                             default=chunk_rows)
-        with TableWriter(path, codec=codec or self.encoding,
-                         shard_rows=shard_rows, chunk_rows=chunk_rows,
-                         overwrite=overwrite) as writer:
-            for group in self.row_groups:
-                writer.append({name: chunk.column.decode_all()
-                               for name, chunk in group.chunks.items()})
-
-    @classmethod
-    def from_store(cls, path: str, encoding: str = "leco",
-                   row_group_size: int = 100_000,
-                   block_compression: bool = False,
-                   partition_size: int = 10_000) -> "ParquetLikeFile":
-        """Load a :mod:`repro.store` table back into an in-memory file."""
-        from repro.store import Table
-
-        with Table.open(path) as table:
-            columns = table.scan().columns  # one pass over every shard
-        return cls.write(columns, encoding, row_group_size=row_group_size,
-                         block_compression=block_compression,
-                         partition_size=partition_size)
-
     def scan_column(self, group: RowGroup, name: str,
                     io: IOModel | None = None) -> EncodedColumn:
         """Load one column chunk: charge its bytes, pay decompression CPU."""

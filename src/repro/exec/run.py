@@ -739,7 +739,7 @@ def execute(plan: Plan, source, threads: int | None = None,
         The :class:`~repro.exec.pool.MorselScheduler` (thread or
         process tier) to run granules on instead of the shared one.
         The table server passes its bounded instance, so admission
-        control and fair/SJF interleaving apply and
+        control and fair round-robin interleaving apply and
         :class:`~repro.exec.errors.ServerBusy` may be raised.
     trace:
         A :class:`repro.obs.Trace` to record spans into (pay-as-you-go:

@@ -11,7 +11,6 @@ from repro.kvstore.index_codecs import (
     IndexBlock,
     LecoIndex,
     RestartDeltaIndex,
-    encode_block_handles,
 )
 from repro.kvstore.sstable import (
     LRUBlockCache,
@@ -30,7 +29,6 @@ __all__ = [
     "IndexBlock",
     "LecoIndex",
     "RestartDeltaIndex",
-    "encode_block_handles",
     "LRUBlockCache",
     "MiniLSM",
     "SeekStats",

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 from repro import codecs
 from repro.bitio import decode_uvarint, encode_uvarint
 
@@ -131,20 +129,6 @@ class LecoIndex(IndexBlock):
 
     def size_bytes(self) -> int:
         return self._keys.compressed_size_bytes()
-
-
-#: block-handle methods that are registry codecs (paper §5.2)
-_HANDLE_CODECS = ("leco", "delta")
-
-
-def encode_block_handles(offsets: np.ndarray, method: str) -> int:
-    """Stored size of the block-handle (offset) sequence for each method."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if method == "raw":
-        return offsets.nbytes
-    if method not in _HANDLE_CODECS:
-        raise ValueError(f"unknown handle method {method!r}")
-    return codecs.get(method, partitioner=64).encode(offsets).size_bytes()
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:

@@ -97,9 +97,6 @@ class SSTable:
     def n_blocks(self) -> int:
         return len(self._raw_blocks)
 
-    def data_bytes(self) -> int:
-        return sum(len(b) for b in self._raw_blocks)
-
     def index_bytes(self) -> int:
         return self.index.size_bytes() + 4 * len(self._offsets)
 
@@ -150,9 +147,6 @@ class MiniLSM:
 
     def index_bytes(self) -> int:
         return sum(t.index_bytes() for t in self.tables)
-
-    def data_bytes(self) -> int:
-        return sum(t.data_bytes() for t in self.tables)
 
     def raw_index_bytes(self) -> int:
         """Uncompressed index layout: whole separator keys + raw handles."""

@@ -150,11 +150,6 @@ def write_frame(sock: socket.socket, frame: list) -> None:
             pending[0] = pending[0][sent:]
 
 
-def send_frame(sock: socket.socket, obj: dict) -> None:
-    """Serialise ``obj`` and write it as one JSON frame."""
-    write_frame(sock, json_frame(obj))
-
-
 # -------------------------------------------------------------- receiving
 def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
     """Read exactly ``n`` bytes into one preallocated buffer; ``None``

@@ -12,6 +12,7 @@ from repro.baselines import (
     RLECodec,
     infer_value_width,
 )
+from repro.bench import LINEUP
 
 int_arrays = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
                       max_size=300).map(
@@ -90,11 +91,6 @@ class TestRLE:
     def test_roundtrip(self, values):
         check_codec(RLECodec(), values)
 
-    def test_run_detection(self):
-        values = np.array([5, 5, 5, 2, 2, 9], dtype=np.int64)
-        enc = RLECodec().encode(values)
-        assert enc.run_count == 3
-
     def test_wins_on_repetitive_data(self):
         values = np.repeat(np.arange(10), 1000).astype(np.int64)
         enc = RLECodec().encode(values)
@@ -110,10 +106,6 @@ class TestEliasFano:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             EliasFanoCodec().encode(np.array([3, 1, 2], dtype=np.int64))
-
-    def test_applicability_check(self):
-        assert EliasFanoCodec.applicable(np.array([1, 2, 2, 5]))
-        assert not EliasFanoCodec.applicable(np.array([2, 1]))
 
     def test_quasi_succinct_size(self):
         """EF needs about (2 + log2(m/n)) bits per element (§4.1)."""
@@ -188,28 +180,16 @@ class TestLecoEncoder:
 
 class TestStandardLineup:
     """The paper's Fig. 10 line-up is a tuple of registry names
-    (``benchmarks/_common.py``); the codecs report the figure labels."""
-
-    @staticmethod
-    def _lineup():
-        import importlib.util
-        import os
-
-        spec = importlib.util.spec_from_file_location(
-            "_bench_common", os.path.join(
-                os.path.dirname(__file__), "..", "benchmarks", "_common.py"))
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.LINEUP
+    (``repro.bench.LINEUP``); the codecs report the figure labels."""
 
     def test_lineup_contents(self):
-        names = [codecs.get(n).name for n in ("rans",) + self._lineup()]
+        names = [codecs.get(n).name for n in ("rans",) + LINEUP]
         assert names == ["rans", "for", "delta-fix", "delta-var",
                          "leco-fix", "leco-var"]
 
     def test_lineup_without_rans(self):
-        assert "rans" not in self._lineup()
-        assert set(self._lineup()) <= set(codecs.available())
+        assert "rans" not in LINEUP
+        assert set(LINEUP) <= set(codecs.available())
 
 
 class TestDeltaFullRangeRandomAccess:

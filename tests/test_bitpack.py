@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.bitio import (
     BitPackedArray,
-    bits_for_range,
-    bits_for_signed_maxabs,
     bits_for_unsigned,
     pack_unsigned,
     read_slot,
@@ -31,16 +29,6 @@ class TestBitsFor:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bits_for_unsigned(-1)
-
-    def test_signed_maxabs_adds_sign_bit(self):
-        assert bits_for_signed_maxabs(0) == 0
-        assert bits_for_signed_maxabs(1) == 2
-        assert bits_for_signed_maxabs(127) == 8
-        assert bits_for_signed_maxabs(128) == 9
-
-    def test_range_is_unsigned_width(self):
-        assert bits_for_range(0) == 0
-        assert bits_for_range(7) == 3
 
 
 class TestPackUnpack:

@@ -10,7 +10,6 @@ from repro.kvstore import (
     LecoIndex,
     MiniLSM,
     RestartDeltaIndex,
-    encode_block_handles,
     make_records,
     parse_block,
     serialize_block,
@@ -87,15 +86,6 @@ class TestIndexCodecs:
     def test_ri_validation(self):
         with pytest.raises(ValueError):
             RestartDeltaIndex([b"a"], 0)
-
-    def test_handle_encodings(self):
-        offsets = (4096 * np.arange(1000)).astype(np.int64)
-        leco = encode_block_handles(offsets, "leco")
-        delta = encode_block_handles(offsets, "delta")
-        raw = encode_block_handles(offsets, "raw")
-        assert leco < raw and delta < raw
-        with pytest.raises(ValueError):
-            encode_block_handles(offsets, "nope")
 
 
 class TestLRUCache:

@@ -506,7 +506,7 @@ class TestWire:
 
     def test_frame_round_trip(self):
         a, b = self._pair()
-        wire.send_frame(a, {"op": "ping", "v": 1})
+        wire.write_frame(a, wire.json_frame({"op": "ping", "v": 1}))
         assert wire.recv_frame(b) == {"op": "ping", "v": 1}
         a.close()
         assert wire.recv_frame(b) is None  # clean EOF

@@ -16,7 +16,6 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
 
 from repro import codecs
 from repro.obs import metrics as obs_metrics
-from repro.engine import ParquetLikeFile
 from repro.store import (
     ChunkCache,
     Table,
@@ -515,25 +514,6 @@ class TestParallelAndCache:
         assert cache.stats() == {"entries": len(cache),
                                  "used_bytes": cache.used_bytes,
                                  "capacity_bytes": 100}
-
-
-class TestBridge:
-    def test_parquet_roundtrip_through_store(self, tmp_path):
-        rng = np.random.default_rng(8)
-        table = {"ts": np.cumsum(rng.integers(1, 9, 5000)).astype(np.int64),
-                 "val": rng.integers(0, 10 ** 6, 5000).astype(np.int64)}
-        file = ParquetLikeFile.write(table, "leco", row_group_size=2000,
-                                     partition_size=250)
-        path = str(tmp_path / "bridge")
-        file.to_store(path, chunk_rows=500)
-        back = ParquetLikeFile.from_store(path, "leco",
-                                          row_group_size=2000,
-                                          partition_size=250)
-        assert back.n_rows == file.n_rows
-        for g1, g2 in zip(file.row_groups, back.row_groups):
-            for name in g1.chunks:
-                assert np.array_equal(g1.chunks[name].column.decode_all(),
-                                      g2.chunks[name].column.decode_all())
 
 
 class TestCLI:
