@@ -49,9 +49,10 @@ EXPECTED = {
     "fig10_micro": (
         None,
         None,
-        "ROADMAP item 1: FOR's frame search cuts 4 000 rows into dozens of "
-        "frames and `gather` loops over them in Python — 31 us against "
-        "LeCo-fix's 2.6 on `linear`, the paper's ordering inverted",
+        "ROADMAP item 1(a): FOR's frame search cuts 4 000 rows into dozens "
+        "of frames and `gather` loops over them in Python — 35 us against "
+        "LeCo-fix's 2.5 on `linear`, the paper's ordering inverted (encode "
+        "is batched since PR 23, decode is not yet)",
     ),
     "fig11_selector": (
         None,
@@ -91,13 +92,7 @@ EXPECTED = {
         "calls, restart-interval 1 is one C `bisect` over raw keys — 12 "
         "kops/s against 29 with the cache warm",
     ),
-    "tab01_compress_tps": (
-        None,
-        None,
-        "ROADMAP item 1: the fixed-partition encoders are themselves a "
-        "Python loop per partition, which compresses the gap to 5x (LeCo) "
-        "and 1.4x (Delta)",
-    ),
+    "tab01_compress_tps": (None, None, None),
     "ablation_optimal_gap": (
         "ROADMAP item 3: +15.4% on `movieid` (and -23.6% on `house_price`): "
         "the DP is optimal for the fast-width cost model while both plans "

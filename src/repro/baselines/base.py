@@ -163,6 +163,13 @@ class Codec(ABC):
     @abstractmethod
     def encode(self, values: np.ndarray) -> EncodedSequence: ...
 
+    def encode_many(self, chunks) -> list[EncodedSequence]:
+        """Encode every chunk into its own sequence: ``encode_many(chunks)[i]``
+        is byte for byte ``encode(chunks[i])``.  The default loops
+        :meth:`encode`; a codec that can share work across chunks (LeCo
+        stacks their partitions into one matrix) overrides it."""
+        return [self.encode(values) for values in chunks]
+
 
 def as_int64(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)

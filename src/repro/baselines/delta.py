@@ -55,20 +55,15 @@ class DeltaCostAdapter(Regressor):
     param_count = 1
     incremental_kind = "diff-span"
     seed_delta_order = 2
+    fast_delta_order = 1
 
     def fit(self, values: np.ndarray) -> _DeltaModel:
         values = as_int64(values)
         first = float(values[0]) if values.size else 0.0
         return _DeltaModel(first)
 
-    def delta_bits(self, values: np.ndarray) -> int:
-        values = as_int64(values)
-        if len(values) < 2:
-            return 0
-        d = np.diff(values)
-        return int(int(d.max()) - int(d.min())).bit_length()
-
-    fast_delta_bits = delta_bits
+    #: the stored width *is* the first-difference span
+    delta_bits = Regressor.fast_delta_bits
 
     def load(self, params: np.ndarray) -> _DeltaModel:
         return _DeltaModel(float(params[0]))

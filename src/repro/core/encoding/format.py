@@ -34,7 +34,11 @@ from repro.bitio import (
     encode_svarint,
     encode_uvarint,
 )
-from repro.core.regressors import FittedModel, get_regressor
+from repro.core.regressors import (
+    FittedModel,
+    floor_to_int64,
+    get_regressor,
+)
 
 MAGIC = b"LECO"
 VERSION = 1
@@ -203,6 +207,7 @@ class CompressedArray(EncodedSequence):
         self._starts = np.array([p.start for p in partitions],
                                 dtype=np.int64)
         self._serialized: bytes | None = None
+        self._value_bounds: np.ndarray | None = None
 
     # -------------------------------------------------------------- access
     def __len__(self) -> int:
@@ -319,23 +324,38 @@ class CompressedArray(EncodedSequence):
         int64 range, which never prunes: a non-monotone model, or a band
         that leaves int64 (the decoder's arithmetic wrapped — predictions
         at the int64 edge, or a partition spanning more than 2**63).
+        Computed once per sequence (read-only: every caller shares it).
         """
+        if self._value_bounds is not None:
+            return self._value_bounds
         info = np.iinfo(np.int64)
-        bounds = np.empty((len(self.partitions), 2), dtype=np.int64)
+        lows = [info.min] * len(self.partitions)
+        highs = [info.max] * len(self.partitions)
+        # constant and linear predictions are monotone in the position, so
+        # the partition edges bound the whole prediction band: predict
+        # both edges of every such partition in one pass
+        banded, theta, last = [], [], []
         for j, part in enumerate(self.partitions):
-            band = (info.min, info.max)
             if part.length == 0:
-                band = (0, -1)
+                lows[j], highs[j] = 0, -1
             elif part.regressor_name in ("constant", "linear"):
-                # linear predictions are monotone in the position, so the
-                # partition edges bound the whole prediction band
-                pred = part.model.predict_int(np.array([0, part.length - 1]))
-                lo = int(pred.min()) + part.bias
-                hi = int(pred.max()) + part.bias \
-                    + (1 << part.deltas.width) - 1
-                if info.min <= lo and hi <= info.max:
-                    band = (lo, hi)
-            bounds[j] = band
+                banded.append(j)
+                theta.append((part.params[0], part.params[1]
+                              if len(part.params) > 1 else 0.0))
+                last.append(part.length - 1.0)
+        theta = np.array(theta, dtype=np.float64).reshape(-1, 2)
+        ends = np.stack([np.zeros(len(last)), np.array(last)], axis=1)
+        edges = floor_to_int64(theta[:, :1] + theta[:, 1:] * ends)
+        for j, lo, hi in zip(banded, edges.min(axis=1).tolist(),
+                             edges.max(axis=1).tolist()):
+            part = self.partitions[j]
+            lo += part.bias
+            hi += part.bias + (1 << part.deltas.width) - 1
+            if info.min <= lo and hi <= info.max:
+                lows[j], highs[j] = lo, hi
+        bounds = np.array([lows, highs], dtype=np.int64).T
+        bounds.setflags(write=False)
+        self._value_bounds = bounds
         return bounds
 
     def filter_range(self, lo: int, hi: int) -> np.ndarray:

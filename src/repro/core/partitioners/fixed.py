@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partitioners.base import Bounds, Partitioner
-from repro.core.partitioners.cost import plan_cost_bits
+from repro.core.partitioners.cost import partition_bits
 from repro.core.regressors.base import Regressor
 
 
@@ -52,14 +52,25 @@ def _sample_ranges(n: int, window: int, fraction: float,
 def _cost_at_size(values: np.ndarray,
                   samples: list[tuple[int, int]],
                   regressor: Regressor, size: int) -> float:
-    """Average bits/value of fixed ``size`` partitions over the samples."""
+    """Average bits/value of fixed ``size`` partitions over the samples.
+
+    The full partitions of a sample are one ``(P, size)`` matrix costed in
+    one pass; the ragged last partition is costed on its own.
+    """
     total_bits = 0
     total_items = 0
     for lo, hi in samples:
         seg = values[lo:hi]
-        bounds = fixed_bounds(len(seg), size)
-        total_bits += plan_cost_bits(seg, bounds, regressor, variable=False,
-                                     exact=False)
+        full = len(seg) // size
+        widths = regressor.fast_delta_bits_many(
+            seg[: full * size].reshape(full, size))
+        total_bits += partition_bits(size, 0, regressor, variable=False) \
+            * full + size * int(widths.sum())
+        tail = seg[full * size:]
+        if len(tail):
+            total_bits += partition_bits(
+                len(tail), regressor.fast_delta_bits(tail), regressor,
+                variable=False)
         total_items += len(seg)
     return total_bits / max(total_items, 1)
 

@@ -12,6 +12,7 @@ from repro.core.regressors.linear import (
     LinearModel,
     LinearRegressor,
     chebyshev_line,
+    chebyshev_lines,
 )
 from repro.core.regressors.special import (
     ExponentialRegressor,
@@ -63,6 +64,7 @@ __all__ = [
     "LinearModel",
     "LinearRegressor",
     "chebyshev_line",
+    "chebyshev_lines",
     "ExponentialRegressor",
     "LogarithmRegressor",
     "SinusoidalRegressor",

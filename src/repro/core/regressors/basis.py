@@ -149,6 +149,7 @@ class PolynomialRegressor(Regressor):
         self.param_count = degree + 1
         self.incremental_kind = None
         self.seed_delta_order = degree + 1
+        self.fast_delta_order = degree
         self._terms = polynomial_terms(degree)
 
     def fit(self, values: np.ndarray) -> BasisModel:
@@ -158,15 +159,6 @@ class PolynomialRegressor(Regressor):
         theta = fit_minimax(design, values.astype(np.float64),
                             use_lp=self.use_lp)
         return BasisModel(self.name, self._terms, theta)
-
-    def fast_delta_bits(self, values: np.ndarray) -> int:
-        """Spread of the ``(degree)``-th order differences, as in §3.2.2."""
-        values = np.asarray(values, dtype=np.int64)
-        if len(values) <= self.degree:
-            return 0
-        d = np.diff(values, n=self.degree)
-        span = int(d.max()) - int(d.min())
-        return span.bit_length()
 
     def load(self, params: np.ndarray) -> BasisModel:
         return BasisModel(self.name, self._terms,

@@ -55,7 +55,7 @@ import json
 import os
 import re
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class ChunkMeta:
     #                         written before checksums — never verified)
 
 
+#: a chunk's catalog entry is its fields, in order, all JSON scalars
+_CHUNK_FIELDS = tuple(f.name for f in fields(ChunkMeta))
+
+
 @dataclass(frozen=True)
 class ShardFooter:
     """Parsed footer catalog of one shard file."""
@@ -131,7 +135,8 @@ def pack_footer(footer: ShardFooter) -> bytes:
         "version": VERSION,
         "row_start": footer.row_start,
         "n_rows": footer.n_rows,
-        "chunks": [asdict(c) for c in footer.chunks],
+        "chunks": [{name: getattr(chunk, name) for name in _CHUNK_FIELDS}
+                   for chunk in footer.chunks],
     }
     body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     return (body + zlib.crc32(body).to_bytes(4, "little")

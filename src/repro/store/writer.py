@@ -334,32 +334,37 @@ class TableWriter:
             return spec.codec
         return str(spec)
 
-    def _encode_chunk(self, column: str, values: np.ndarray
-                      ) -> tuple[bytes, str, int, int, str]:
-        """Encode one chunk; returns (envelope, codec, zmin, zmax, source)."""
+    def _encode_chunks(self, column: str, chunks: list[np.ndarray]
+                       ) -> list[tuple[bytes, str, int, int, str]]:
+        """Encode one column's chunks together (``encode_many``: LeCo fits
+        their partitions as one matrix); per chunk returns (envelope,
+        codec, zmin, zmax, source)."""
         spec = self._codec_spec_for(column)
         if isinstance(spec, str) and spec == "auto":
+            trials = [(name, self._cached_codec(name).encode_many(chunks))
+                      for name in AUTO_CANDIDATES]
+        else:
+            trials = [(self._codec_label(column),
+                       self._cached_codec(spec).encode_many(chunks))]
+        out = []
+        for i, values in enumerate(chunks):
             best = None
-            for name in AUTO_CANDIDATES:
-                seq = self._cached_codec(name).encode(values)
-                blob = seq.to_bytes()
+            for name, seqs in trials:
+                blob = seqs[i].to_bytes()
                 if best is None or len(blob) < len(best[0]):
-                    best = (blob, name, seq)
+                    best = (blob, name, seqs[i])
             blob, name, seq = best
-        else:
-            name = self._codec_label(column)
-            seq = self._cached_codec(spec).encode(values)
-            blob = seq.to_bytes()
-        # the capability flag decides who supplies the zone map: the
-        # codec's model (no decode) or the writer's exact computation
-        bounds = seq.model_bounds() \
-            if codecs.info(name).supports_model_bounds else None
-        if bounds is not None:
-            zmin, zmax, source = int(bounds[0]), int(bounds[1]), "model"
-        else:
-            zmin, zmax, source = int(values.min()), int(values.max()), \
-                "computed"
-        return blob, name, zmin, zmax, source
+            # the capability flag decides who supplies the zone map: the
+            # codec's model (no decode) or the writer's exact computation
+            bounds = seq.model_bounds() \
+                if codecs.info(name).supports_model_bounds else None
+            if bounds is not None:
+                zmin, zmax, source = int(bounds[0]), int(bounds[1]), "model"
+            else:
+                zmin, zmax, source = int(values.min()), int(values.max()), \
+                    "computed"
+            out.append((blob, name, zmin, zmax, source))
+        return out
 
     def _cached_codec(self, spec):
         """One constructed codec per distinct name/spec (not per name:
@@ -389,12 +394,12 @@ class TableWriter:
         out = bytearray(SHARD_MAGIC)
         out.append(VERSION)
         chunks: list[ChunkMeta] = []
+        starts = range(0, n_rows, self.chunk_rows)
         for name in self._schema:
-            col = columns[name]
-            for start in range(0, n_rows, self.chunk_rows):
-                seg = col[start: start + self.chunk_rows]
-                blob, codec_name, zmin, zmax, src = \
-                    self._encode_chunk(name, seg)
+            segs = [columns[name][start: start + self.chunk_rows]
+                    for start in starts]
+            for start, seg, (blob, codec_name, zmin, zmax, src) in zip(
+                    starts, segs, self._encode_chunks(name, segs)):
                 chunks.append(ChunkMeta(
                     column=name, row_start=start, n_rows=len(seg),
                     offset=len(out), nbytes=len(blob), codec=codec_name,

@@ -6,13 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import codecs
+from repro.bitio import BitPackedArray
 from repro.core.encoding import (
     CompressedArray,
     LecoEncoder,
+    Partition,
     accumulate_predictions,
     encode_partition,
+    encode_rows,
 )
-from repro.core.regressors import LinearRegressor, get_regressor
+from repro.core.encoding import encoder
+from repro.core.regressors import (
+    ConstantRegressor,
+    LinearRegressor,
+    floor_to_int64,
+    get_regressor,
+)
 
 int_arrays = st.lists(st.integers(-(1 << 50), 1 << 50), min_size=1,
                       max_size=400).map(
@@ -205,6 +214,234 @@ class TestPartitionValueBounds:
             span = int(seg.max() - seg.min()) + 1
             claimed = int(bounds[j, 1] - bounds[j, 0]) + 1
             assert claimed <= 2 * span + 16
+
+
+def reference_value_bounds(arr: CompressedArray) -> np.ndarray:
+    """``partition_value_bounds`` one partition at a time, as it stood
+    before the bands were computed in one pass."""
+    info = np.iinfo(np.int64)
+    bounds = np.empty((len(arr.partitions), 2), dtype=np.int64)
+    for j, part in enumerate(arr.partitions):
+        band = (info.min, info.max)
+        if part.length == 0:
+            band = (0, -1)
+        elif part.regressor_name in ("constant", "linear"):
+            pred = part.model.predict_int(np.array([0, part.length - 1]))
+            lo = int(pred.min()) + part.bias
+            hi = int(pred.max()) + part.bias + (1 << part.deltas.width) - 1
+            if info.min <= lo and hi <= info.max:
+                band = (lo, hi)
+        bounds[j] = band
+    return bounds
+
+
+class TestPartitionValueBoundsOnePass:
+    @pytest.mark.parametrize("regressor", ["linear", "constant", "auto",
+                                           "poly2"])
+    @given(values=int_arrays)
+    @settings(max_examples=15, deadline=None)
+    def test_equal_the_per_partition_loop(self, regressor, values):
+        arr = codecs.get("leco", regressor=regressor,
+                         partitioner=32).encode(values)
+        assert np.array_equal(arr.partition_value_bounds(),
+                              reference_value_bounds(arr))
+
+    def test_no_cheap_bound_falls_back_to_the_whole_range(self):
+        """Bands leaving int64, partitions spanning more than 2**63, an
+        empty partition: exactly the per-partition answers."""
+        info = np.iinfo(np.int64)
+        rng = np.random.default_rng(4)
+        unbounded = 0
+        for values in (info.min + 3 * np.arange(2048, dtype=np.int64),
+                       info.max - 3 * np.arange(2048, dtype=np.int64),
+                       rng.integers(info.min, info.max, 2048)):
+            arr = codecs.get("leco", partitioner=512).encode(values)
+            got = arr.partition_value_bounds()
+            assert np.array_equal(got, reference_value_bounds(arr))
+            unbounded += int((got == (info.min, info.max)).all(axis=1).sum())
+        assert unbounded
+        empty = Partition(0, 0, "linear", [0.0, 0.0], 0,
+                          BitPackedArray.from_values(np.empty(0, np.uint64)))
+        arr = CompressedArray(0, [empty], None, "linear")
+        assert arr.partition_value_bounds().tolist() == [[0, -1]]
+
+    def test_computed_once_and_read_only(self):
+        arr = codecs.get("leco", partitioner=100).encode(np.arange(1000))
+        bounds = arr.partition_value_bounds()
+        assert arr.partition_value_bounds() is bounds
+        with pytest.raises(ValueError):
+            bounds[0, 0] = 0
+
+
+def reference_encode_partition(values, start, regressor,
+                               build_corrections=True) -> Partition:
+    """``encode_partition`` one row at a time, as it stood before
+    ``encode_rows``: fit, guards, constant then wide fallback, bias,
+    pack, corrections."""
+    def safe_residuals(model):
+        pred = model.predict_float(np.arange(len(values)))
+        if not np.all(np.isfinite(pred)):
+            return None
+        if np.abs(values.astype(np.float64) - pred).max(initial=0.0) \
+                > 2.0 ** 62:
+            return None
+        return values - floor_to_int64(pred)
+
+    model, name = regressor.fit(values), regressor.name
+    residuals = safe_residuals(model)
+    if residuals is None:
+        model, name = ConstantRegressor().fit(values), "constant"
+        residuals = safe_residuals(model)
+    if residuals is None:
+        return encoder._encode_wide(values, start)
+    bias = int(residuals.min()) if residuals.size else 0
+    packed = BitPackedArray.from_values((residuals - bias).astype(np.uint64))
+    corrections, serial_ok = None, False
+    if build_corrections and name == "linear":
+        corrections = []
+        if len(values):
+            theta0, theta1 = (float(p) for p in model.params)
+            direct = np.floor(theta0 + theta1 * np.arange(
+                len(values), dtype=np.float64))
+            accum = np.floor(accumulate_predictions(theta0, theta1,
+                                                    len(values)))
+            corrections = [(int(i), int(direct[i] - accum[i]))
+                           for i in np.flatnonzero(direct != accum)]
+        serial_ok = len(corrections) <= max(len(values) // 16, 4)
+        if not serial_ok:
+            corrections = None
+    return Partition(start, len(values), name, model.params, bias, packed,
+                     corrections, serial_ok)
+
+
+def assert_exact_cover(seq: CompressedArray, n: int) -> None:
+    """Every position in exactly one partition, none twice, sizes sum
+    to ``n``."""
+    covered = np.zeros(n, dtype=np.int64)
+    for part in seq.partitions:
+        covered[part.start: part.end] += 1
+    assert (covered == 1).all()
+    assert sum(p.length for p in seq.partitions) == n
+
+
+def partition_image(part: Partition) -> tuple:
+    return (part.start, part.length, part.regressor_name,
+            part.to_bytes(mixed=True, reg_ids={part.regressor_name: 0}))
+
+
+# chunks of a batch: empty, shorter than a partition, ragged tails, with
+# hash-like values that take the constant or the wide fallback
+chunk_values = st.one_of(
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(-(1 << 63), (1 << 63) - 1))
+chunk_lists = st.lists(
+    st.lists(chunk_values, min_size=0, max_size=260).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    min_size=0, max_size=5)
+
+
+class TestEncodeMany:
+    """``encode_many(chunks)[i]`` is byte for byte ``encode(chunks[i])``,
+    and every row of a batch the partition it would be alone."""
+
+    @pytest.mark.parametrize("regressor", ["linear", "constant"])
+    @given(chunks=chunk_lists, size=st.sampled_from([1, 2, 3, 7, 64, 100]))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_one_chunk_at_a_time(self, regressor, chunks, size):
+        codec = codecs.get("leco", regressor=regressor, partitioner=size)
+        batch = codec.encode_many(chunks)
+        assert len(batch) == len(chunks)
+        for seq, values in zip(batch, chunks):
+            assert seq.to_bytes() == codec.encode(values).to_bytes()
+            assert np.array_equal(seq.decode_all(), values)
+            assert [p.start for p in seq.partitions] == \
+                list(range(0, len(values), size))
+            assert_exact_cover(seq, len(values))
+
+    @pytest.mark.parametrize("plan", ["fixed", "variable", "auto"])
+    @given(chunks=chunk_lists)
+    @settings(max_examples=10, deadline=None)
+    def test_searched_and_variable_plans(self, plan, chunks):
+        codec = codecs.get("leco", partitioner=plan)
+        for seq, values in zip(codec.encode_many(chunks), chunks):
+            assert seq.to_bytes() == codec.encode(values).to_bytes()
+            assert_exact_cover(seq, len(values))
+
+    @pytest.mark.parametrize("regressor", ["linear", "constant", "poly2"])
+    @given(chunks=chunk_lists, size=st.sampled_from([1, 2, 3, 8, 50]))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_equal_the_per_partition_encode(self, regressor, chunks,
+                                                 size):
+        reg = get_regressor(regressor)
+        rows = [values[a: a + size] for values in chunks
+                for a in range(0, len(values) - size + 1, size)]
+        if not rows:
+            return
+        starts = list(range(len(rows)))
+        got = encode_rows(np.stack(rows), starts, reg)
+        for part, row, start in zip(got, rows, starts):
+            assert partition_image(part) == partition_image(
+                reference_encode_partition(row, start, reg))
+            assert partition_image(part) == partition_image(
+                encode_partition(row, start, reg))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_guard_rows_fall_back_inside_a_batch(self):
+        """One matrix holding a well-fitted row, a row whose model blows
+        up (the constant model holds it) and a row no model holds."""
+        from repro.core.regressors import LinearModel, Regressor
+
+        class Blowup(LinearRegressor):
+            fit_many = Regressor.fit_many
+
+            def fit(self, values):
+                if values[0] < 0:
+                    return LinearModel(0.0, np.inf)
+                return super().fit(values)
+
+        info = np.iinfo(np.int64)
+        rows = np.array([[10, 20, 30, 41],
+                         [-5, 7, 100, 3],
+                         [info.min, info.max, info.min + 5, info.max - 5],
+                         [1, 2, 3, 5]])
+        starts = [0, 4, 8, 12]
+        parts = encode_rows(rows, starts, Blowup())
+        assert [(p.regressor_name, len(p.params)) for p in parts] == \
+            [("linear", 2), ("constant", 1), ("constant", 1), ("linear", 2)]
+        for part, row, start in zip(parts, rows, starts):
+            assert partition_image(part) == partition_image(
+                reference_encode_partition(row, start, Blowup()))
+            assert part.decode_slice(0, 4).tolist() == row.tolist()
+
+    def test_zero_length_rows(self):
+        part = encode_partition(np.empty(0, dtype=np.int64), 5,
+                                LinearRegressor())
+        assert partition_image(part) == partition_image(
+            reference_encode_partition(np.empty(0, dtype=np.int64), 5,
+                                       LinearRegressor()))
+
+    def test_long_input_is_encoded_in_bounded_blocks(self):
+        """A block never stacks more than ``_BLOCK_VALUES`` values, and
+        the blocks' partitions land where one pass would put them."""
+        values = np.cumsum(np.arange(10_000) % 11).astype(np.int64)
+        codec = codecs.get("leco", partitioner=64)
+        whole = codec.encode(values).to_bytes()
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "_BLOCK_VALUES", 640)
+            rows_of = encoder.encode_rows
+            patch.setattr(encoder, "encode_rows", lambda rows, *a: (
+                seen.append(rows.shape), rows_of(rows, *a))[1])
+            assert codec.encode(values).to_bytes() == whole
+        assert max(r * length for r, length in seen) <= 640
+        assert len(seen) > 10
+
+    def test_default_codec_loops_encode(self):
+        chunks = [np.arange(50), np.array([3, 3, 3]), np.empty(0, np.int64)]
+        for name in ("dict", "plain", "delta", "rle"):
+            codec = codecs.get(name)
+            assert [s.to_bytes() for s in codec.encode_many(chunks)] == \
+                [codec.encode(v).to_bytes() for v in chunks]
 
 
 class TestSerialisation:

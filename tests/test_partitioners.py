@@ -24,7 +24,11 @@ from repro.core.partitioners import (
     simpiece_segments,
     validate_bounds,
 )
-from repro.core.regressors import ConstantRegressor, LinearRegressor
+from repro.core.regressors import (
+    ConstantRegressor,
+    LinearRegressor,
+    get_regressor,
+)
 
 int_arrays = st.lists(st.integers(-(1 << 30), 1 << 30), min_size=1,
                       max_size=300).map(
@@ -107,6 +111,37 @@ class TestFixedLength:
         chosen_cost = _cost_at_size(values, samples, reg, chosen)
         assert chosen_cost <= _cost_at_size(values, samples, reg, 3)
         assert chosen_cost <= _cost_at_size(values, samples, reg, 4096)
+
+    @pytest.mark.parametrize("regressor", ["linear", "constant", "poly2",
+                                           "delta-cost"])
+    def test_matrix_cost_equals_the_per_partition_plan_cost(self, regressor):
+        """One reshape + row-wise widths per candidate size costs exactly
+        what ``plan_cost_bits`` does one partition at a time — full rows,
+        ragged tail, sample shorter than the size — so the search lands on
+        the same size."""
+        from repro.baselines.delta import DeltaCostAdapter
+        from repro.core.partitioners.fixed import _cost_at_size
+
+        reg = DeltaCostAdapter() if regressor == "delta-cost" \
+            else get_regressor(regressor)
+        i = np.arange(3000)
+        rng = np.random.default_rng(11)
+        inputs = [1000 + 37 * i,
+                  (i // 250) * 100_000 + (i % 250) * 3,
+                  (np.arange(2500) * 2654435761) % 1_000_003 - 500_000,
+                  np.cumsum(np.arange(1237) % 7) * 5 - 9000,
+                  rng.integers(-(1 << 63), (1 << 63) - 1, 700)]
+        for values in inputs:
+            values = values.astype(np.int64)
+            samples = [(0, len(values)), (5, 5 + len(values) // 3)]
+            items = sum(hi - lo for lo, hi in samples)
+            for size in (2, 3, 7, 64, 250, 1024, len(values),
+                         len(values) + 5):
+                want = sum(plan_cost_bits(
+                    values[lo:hi], fixed_bounds(hi - lo, size), reg,
+                    variable=False, exact=False) for lo, hi in samples)
+                assert _cost_at_size(values, samples, reg, size) == \
+                    want / items, (regressor, size)
 
 
 class TestSplitMerge:

@@ -15,8 +15,10 @@ from repro.core.regressors import (
     SinusoidalRegressor,
     available_regressors,
     chebyshev_line,
+    chebyshev_lines,
     estimate_frequencies,
     get_regressor,
+    linear,
 )
 
 int_arrays = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
@@ -227,3 +229,231 @@ class TestBasisModel:
         assert list(model.params) == [1.0, 2.0, 9.0]
         assert list(model.theta) == [1.0, 2.0]
         assert list(model.extra) == [9.0]
+
+
+# ---------------------------------------------------------------- batches
+def reference_chebyshev_line(values, pass_limit=64):
+    """The one-row-at-a-time fit as it stood before ``fit_many``: one
+    iterated-pruning loop per hull, then the pointer walk over the edges.
+    Its choices are the definition of the stored bytes; the batched fit
+    must reproduce them bit for bit."""
+    ys = np.asarray(values, dtype=np.float64)
+    n = len(ys)
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    if n == 1:
+        return float(ys[0]), 0.0, 0.0
+    if n == 2:
+        return float(ys[0]), float(ys[1] - ys[0]), 0.0
+
+    def hull_of(sign):
+        idx = np.arange(n)
+        for _ in range(pass_limit):
+            if idx.size <= 2:
+                return idx.tolist()
+            y = ys[idx]
+            x = idx.astype(np.float64)
+            cross = (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]) \
+                - (y[2:] - y[:-2]) * (x[1:-1] - x[:-2])
+            bad = sign * cross <= 0
+            if not bad.any():
+                return idx.tolist()
+            keep = np.ones(idx.size, dtype=bool)
+            keep[1:-1][bad] = False
+            idx = idx[keep]
+        hull = []
+        for i in idx.tolist():
+            while len(hull) >= 2:
+                i1, i2 = hull[-2], hull[-1]
+                cross = (ys[i2] - ys[i1]) * (i - i1) \
+                    - (ys[i] - ys[i1]) * (i2 - i1)
+                if sign * cross <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(i)
+        return hull
+
+    best_width = np.inf
+    best = (float(ys[0]), 0.0)
+    for edge_hull, far_hull, sign in ((hull_of(-1.0), hull_of(+1.0), +1.0),
+                                      (hull_of(+1.0), hull_of(-1.0), -1.0)):
+        j = len(far_hull) - 1
+        for k in range(len(edge_hull) - 1):
+            x1, x2 = edge_hull[k], edge_hull[k + 1]
+            slope = (ys[x2] - ys[x1]) / (x2 - x1)
+
+            def dist(idx):
+                return sign * (ys[idx] - (ys[x1] + slope * (idx - x1)))
+
+            while j > 0 and dist(far_hull[j - 1]) >= dist(far_hull[j]):
+                j -= 1
+            width = dist(far_hull[j])
+            if width < best_width:
+                best_width = width
+                mid = ys[x1] + sign * width / 2.0
+                best = (mid - slope * x1, slope)
+    return best[0], best[1], best_width / 2.0
+
+
+def _row(kind: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """One row of ``length`` values from the family ``kind`` names."""
+    i = np.arange(length)
+    if kind == 0:       # small steps with 40-bit jumps
+        row = rng.integers(-50, 50, length)
+        row[rng.integers(0, length, 1 + length // 40)] += 1 << 40
+        return np.cumsum(row)
+    if kind == 1:       # near +-2**62: float64 cannot tell neighbours apart
+        sign = 1 if rng.integers(0, 2) else -1
+        return sign * ((1 << 62) - np.cumsum(rng.integers(0, 1 << 20, length)))
+    if kind == 2:       # two or three distinct values
+        return rng.choice(rng.integers(-1000, 1000, 3), length)
+    if kind == 3:       # collinear, or one off
+        return int(rng.integers(-9, 9)) * i + rng.integers(0, 2, length) \
+            * int(rng.integers(0, 2))
+    if kind == 4:       # convex: one hull holds every point
+        return int(rng.integers(1, 1000)) * i * i + rng.integers(0, 3, length)
+    if kind == 5:       # both hulls large
+        return (2 * (i % 2) - 1) * (length * length - (i - length // 2) ** 2)
+    if kind == 6:       # the whole int64 range
+        return rng.integers(-(1 << 62), 1 << 62, length)
+    if kind == 7:       # near-collinear far above 2**53: rounding breaks
+        #                 the rise-then-fall shape of the edge distances
+        return int(rng.integers(1 << 50, 1 << 62)) \
+            + int(rng.integers(-(1 << 40), 1 << 40)) * i \
+            + rng.integers(-2, 3, length)
+    return rng.integers(0, 1 << int(rng.integers(1, 40)), length)
+
+
+@st.composite
+def row_matrices(draw, max_rows=6):
+    length = draw(st.integers(1, 300))
+    kinds = draw(st.lists(st.integers(0, 8), min_size=1, max_size=max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.stack([_row(kind, length, rng) for kind in kinds]
+                    ).astype(np.int64)
+
+
+def assert_bitwise_rows(got: np.ndarray, want: list) -> None:
+    want = np.array(want, dtype=np.float64).reshape(got.shape)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+class TestFitMany:
+    """``fit_many(rows)`` is bitwise ``[fit(r) for r in rows]``."""
+
+    @given(row_matrices())
+    @settings(max_examples=120, deadline=None)
+    def test_linear_rows_equal_the_scalar_walk(self, rows):
+        got = LinearRegressor().fit_many(rows)
+        assert_bitwise_rows(
+            got, [reference_chebyshev_line(row)[:2] for row in rows])
+        assert_bitwise_rows(
+            got, [LinearRegressor().fit(row).params for row in rows])
+        _, _, radius = chebyshev_lines(rows)
+        assert_bitwise_rows(
+            radius, [reference_chebyshev_line(row)[2] for row in rows])
+
+    @given(row_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_constant_rows(self, rows):
+        assert_bitwise_rows(
+            ConstantRegressor().fit_many(rows),
+            [ConstantRegressor().fit(row).params for row in rows])
+
+    @pytest.mark.parametrize("name", ["poly2", "logarithm"])
+    def test_default_loops_fit(self, name):
+        reg = get_regressor(name)
+        rows = np.stack([_row(k, 40, np.random.default_rng(k))
+                         for k in (0, 3, 4)]).astype(np.int64)
+        params = reg.fit_many(rows)
+        assert_bitwise_rows(params, [reg.fit(row).params for row in rows])
+        positions = np.arange(40)
+        assert_bitwise_rows(
+            reg.predict_many(params, 40),
+            [reg.load(p).predict_float(positions) for p in params])
+
+    @pytest.mark.parametrize("name", ["constant", "linear"])
+    @given(rows=row_matrices())
+    @settings(max_examples=30, deadline=None)
+    def test_predict_many_is_what_the_decoder_sees(self, name, rows):
+        reg = get_regressor(name)
+        params = reg.fit_many(rows)
+        positions = np.arange(rows.shape[1])
+        assert_bitwise_rows(
+            reg.predict_many(params, rows.shape[1]),
+            [reg.load(p).predict_float(positions) for p in params])
+
+    def test_empty_matrix_and_short_rows(self):
+        for reg in (LinearRegressor(), ConstantRegressor(),
+                    get_regressor("poly2")):
+            assert reg.fit_many(np.empty((0, 8), dtype=np.int64)).shape == \
+                (0, reg.param_count)
+        for length in (0, 1, 2):
+            rows = np.arange(3 * length, dtype=np.int64).reshape(3, length)
+            assert_bitwise_rows(
+                LinearRegressor().fit_many(rows),
+                [reference_chebyshev_line(row)[:2] for row in rows])
+
+    @given(row_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_pass_limit_hands_over_to_the_scalar_chain(self, rows):
+        """Hulls still shedding points at the pass limit are finished by
+        the scalar chain — row by row the same hand-over as before."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linear, "_HULL_PASS_LIMIT", 3)
+            got = LinearRegressor().fit_many(rows)
+        assert_bitwise_rows(
+            got, [reference_chebyshev_line(row, pass_limit=3)[:2]
+                  for row in rows])
+
+    def test_rows_far_above_2_53_keep_the_pointer_walks_line(self):
+        """Far above 2**53 the distances along a far hull stop being
+        unimodal in float64; taking their maximum there would pick
+        another line than the pointer walk does (and move stored bytes)."""
+        rng = np.random.default_rng(1)
+        rows = np.stack([_row(7, 150, rng) for _ in range(40)]
+                        ).astype(np.int64)
+        assert_bitwise_rows(
+            LinearRegressor().fit_many(rows),
+            [reference_chebyshev_line(row)[:2] for row in rows])
+
+
+def reference_diff_span_bits(row, order: int) -> int:
+    """``Δ̃`` as the scalar regressors spelled it before there was a matrix
+    form: exact Python-int span of ``np.diff``."""
+    if len(row) <= order:
+        return 0
+    d = np.diff(np.asarray(row, dtype=np.int64), n=order)
+    return (int(d.max()) - int(d.min())).bit_length()
+
+
+class TestFastDeltaBitsMany:
+    @pytest.mark.parametrize("name, order", [
+        ("constant", 0), ("linear", 1), ("poly2", 2), ("poly3", 3)])
+    @given(rows=row_matrices())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_and_the_one_row_case_equal_the_diff_span(
+            self, name, order, rows):
+        reg = get_regressor(name)
+        want = [reference_diff_span_bits(row, order) for row in rows]
+        assert reg.fast_delta_bits_many(rows).tolist() == want
+        assert [reg.fast_delta_bits(row) for row in rows] == want
+
+    def test_no_closed_form_means_the_exact_width(self):
+        reg = get_regressor("logarithm")
+        rows = np.cumsum(np.arange(24).reshape(2, 12) % 5, axis=1)
+        assert reg.fast_delta_bits_many(rows).tolist() == \
+            [reg.delta_bits(row) for row in rows]
+
+    def test_spans_that_wrap_int64(self):
+        info = np.iinfo(np.int64)
+        rows = np.array([[info.min, info.max, info.min, 0],
+                         [info.max, info.min, info.max, -1],
+                         [0, 0, 0, 0],
+                         [info.min, info.min + 1, info.max, info.max]])
+        for order, name in enumerate(("constant", "linear", "poly2")):
+            reg = get_regressor(name)
+            assert reg.fast_delta_bits_many(rows).tolist() == \
+                [reference_diff_span_bits(row, order) for row in rows], name

@@ -69,6 +69,22 @@ class TestFormat:
                 + b"\x00" * 77 + store_format.pack_footer(footer))
         assert store_format.unpack_footer(blob) == footer
 
+    def test_footer_json_is_the_dataclass_dict(self):
+        """The catalog entries are built field by field, not through
+        ``dataclasses.asdict``'s recursive copy: same bytes."""
+        import dataclasses
+        import zlib
+
+        footer = self._footer()
+        body = json.dumps({
+            "version": store_format.VERSION, "row_start": footer.row_start,
+            "n_rows": footer.n_rows,
+            "chunks": [dataclasses.asdict(c) for c in footer.chunks],
+        }, separators=(",", ":")).encode()
+        assert store_format.pack_footer(footer) == (
+            body + zlib.crc32(body).to_bytes(4, "little")
+            + len(body).to_bytes(8, "little") + store_format.FOOTER_MAGIC)
+
     def test_foreign_magic_rejected(self):
         with pytest.raises(ValueError, match="not a repro store shard"):
             store_format.unpack_footer(b"PAR1" + b"\x00" * 64)
@@ -591,6 +607,50 @@ class TestEndToEnd:
             table.cache.clear()
             full = table.scan(columns=["sensor_id", "reading"])
             assert 0 < res.stats.bytes_read < full.stats.bytes_read
+
+
+#: sha256 over the ``.rps`` files (name, then bytes, in name order) of the
+#: table below, computed at the commit before the encoder went matrix-
+#: shaped (PR 23's parent).  A change that moves one moved stored bytes.
+GOLDEN_TABLE_DIGESTS = {
+    1: "c77039e841dd42cd6a845e43bc302f348443c35098c4dcbded0e922936b4f393",
+    5: "b132f97f296f78b6c99b3dfbd4010e01c93ac5d115469981d4e0f453799beead",
+}
+
+
+class TestGoldenTable:
+    """The store's bytes, end to end: an ``"auto"`` ingest (ragged last
+    chunk and shard), then an append + flush and a compaction through the
+    same encode site."""
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_TABLE_DIGESTS))
+    def test_shard_bytes_are_pinned(self, tmp_path, seed):
+        import hashlib
+
+        from repro.datasets import sensor_fixture
+        from repro.exec import col
+        from repro.mutate import MutableTable
+
+        path = str(tmp_path / "t")
+        columns = sensor_fixture(100_000, seed=seed)
+        with TableWriter(path, codec="auto", shard_rows=25_000,
+                         chunk_rows=2048) as writer:
+            writer.append(columns)
+        with MutableTable.open(path) as table:
+            extra = sensor_fixture(5_000, seed=seed + 100)
+            extra["ts"] = extra["ts"] + int(columns["ts"].max()) + 1
+            table.append(extra)
+            table.flush()
+            table.delete(col("ts") < int(columns["ts"][15_000]))
+            assert table.compact() is not None
+        names = sorted(n for n in os.listdir(path) if n.endswith(".rps"))
+        assert len(names) == 6      # 4 ingested, 1 flushed, 1 compacted
+        digest = hashlib.sha256()
+        for name in names:
+            digest.update(name.encode())
+            with open(os.path.join(path, name), "rb") as fh:
+                digest.update(fh.read())
+        assert digest.hexdigest() == GOLDEN_TABLE_DIGESTS[seed]
 
 
 class TestForwardCompat:
