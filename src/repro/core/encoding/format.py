@@ -483,6 +483,9 @@ class CompressedArray(EncodedSequence):
             part, offset = Partition.from_bytes(
                 buf, offset, start, end - start, mixed, reg_names, default)
             partitions.append(part)
-        arr = cls(n, partitions, fixed_size, default)
-        arr._serialized = bytes(buf[:offset])
-        return arr
+        # not memoised as ``_serialized``: every partition already owns
+        # a copy of its packed bytes, and a chunk cache full of revived
+        # sequences would hold each payload twice for a ``to_bytes()``
+        # nothing on the read path makes (it re-serialises on demand,
+        # byte for byte)
+        return cls(n, partitions, fixed_size, default)

@@ -7,8 +7,11 @@ calling thread or on a :class:`~repro.exec.pool.MorselScheduler` — and
 per granule the pipeline is
 
 1. **Zone-map pruning** — ``expr.maybe_match`` against the source's
-   conservative per-column bounds; failing granules are skipped without
-   touching bytes (``prune=False`` disables, results identical).
+   conservative per-column bounds (:meth:`GranulePipeline.prunes`);
+   failing granules are skipped without touching bytes (``prune=False``
+   disables, results identical).  A process-tier driver asks the same
+   question for the whole granule set before dispatch, so a granule
+   that cannot match never costs a lane round-trip.
 2. **Pushdown filtering** — positional :class:`Bitmap` conjuncts are
    applied for free, then each pushable range conjunct runs through the
    encoded sequence's ``filter_range`` (LeCo-family codecs prune again
@@ -574,21 +577,32 @@ class GranulePipeline:
                  granule_span_attrs(granule.index, st)))
         return part
 
-    def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
+    def prunes(self, granule) -> bool:
+        """The zone-map test: can no row of ``granule`` match?  Reads
+        only the source's conservative bounds (and positional bitmaps —
+        an all-dead granule prunes through the implicit deletion-vector
+        term), never a chunk.  Asked per granule inside :meth:`run`, or
+        once per query by a driver that prunes before dispatch and then
+        ships its descriptor with ``prune=False``."""
+        expr = self.expr
+        if expr is None or not self.prune:
+            return False
         source = self.source
+        bounds = {c: source.bounds(granule, c) for c in self.pred_cols}
+        return not expr.maybe_match(bounds, granule.row_start,
+                                    granule.n_rows)
+
+    def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
         expr = self.expr
         terminal = self.terminal
         output_cols = self.output_cols
         pushdown = self.pushdown
         residual = self.residual
         n = granule.n_rows
-        if expr is not None and self.prune:
-            bounds = {c: source.bounds(granule, c)
-                      for c in self.pred_cols}
-            if not expr.maybe_match(bounds, granule.row_start, n):
-                st.granules_pruned = 1
-                return _Partial(_EMPTY, {c: _EMPTY for c in output_cols},
-                                None, st)
+        if self.prunes(granule):
+            st.granules_pruned = 1
+            return _Partial(_EMPTY, {c: _EMPTY for c in output_cols},
+                            None, st)
 
         naive_batch: dict[str, np.ndarray] = {}
         residual_values: dict[str, np.ndarray] = {}
@@ -769,6 +783,7 @@ def execute(plan: Plan, source, threads: int | None = None,
 
     granules = source.granules()
     partials: list[_Partial] = []
+    driver_pruned = 0
     timed_out = False
     failure: BaseException | None = None
     try:
@@ -780,6 +795,7 @@ def execute(plan: Plan, source, threads: int | None = None,
             sched = scheduler if scheduler is not None \
                 else shared_scheduler()
             kwargs = {}
+            items = granules
             if getattr(sched, "wants_descriptors", False):
                 # a process tier asks for a compact picklable descriptor
                 # of the whole query; sources that cannot be described
@@ -787,14 +803,36 @@ def execute(plan: Plan, source, threads: int | None = None,
                 # to in-driver execution on the lane threads
                 from repro.par.descriptor import describe_query
 
+                # the zone-map decision is made here, once: a granule
+                # that cannot match never crosses a lane pipe, and the
+                # descriptor tells the workers not to ask again
                 desc = describe_query(
-                    plan, source, prune=prune, pushdown=pushdown,
+                    plan, source, prune=False, pushdown=pushdown,
                     on_corruption=on_corruption,
                     trace_enabled=trace is not None)
                 if desc is not None:
                     kwargs["descriptor"] = desc
-            results = sched.run_query(run_granule, granules, cancel,
+                    t_prune = trace.now() if trace is not None else 0.0
+                    items = [g for g in granules
+                             if not pipeline.prunes(g)]
+                    driver_pruned = len(granules) - len(items)
+                    if trace is not None:
+                        # one span for the whole split: a span per
+                        # pruned granule would cost more than the query
+                        trace.add("prune", t_prune, trace.now(),
+                                  pruned=driver_pruned,
+                                  granules=len(granules))
+            # an all-pruned query still passes admission (ServerBusy
+            # holds) and sends no lane message
+            results = sched.run_query(run_granule, items, cancel,
                                       deadline, trace=trace, **kwargs)
+        if driver_pruned:
+            # charged once, driver-side, and only after admission: a
+            # refused or failed query charges what it always did
+            partials.append(_Partial(
+                _EMPTY, {c: _EMPTY for c in output_cols}, None,
+                ExecStats(granules_total=driver_pruned,
+                          granules_pruned=driver_pruned)))
         for part in results:
             if part is None:
                 timed_out = True
@@ -816,7 +854,7 @@ def execute(plan: Plan, source, threads: int | None = None,
         _charge_query_metrics(stats, "timeout")
         raise ExecTimeout(
             f"query exceeded timeout_s={timeout_s} "
-            f"({len(partials)}/{len(granules)} granules completed)",
+            f"({stats.granules_total}/{len(granules)} granules completed)",
             stats=stats)
 
     t_merge = trace.now() if trace is not None else 0.0

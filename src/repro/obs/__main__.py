@@ -38,7 +38,8 @@ def _load_payloads(path: str) -> list[dict]:
         elif isinstance(doc.get("trace"), dict):  # slow-query record
             payload = doc["trace"]
             payload.setdefault("attrs", {})
-            for key in ("table", "op", "elapsed_ms", "worker_tier"):
+            for key in ("table", "op", "elapsed_ms", "worker_tier",
+                        "pruned"):
                 if key in doc:
                     payload["attrs"].setdefault(key, doc[key])
             lanes = doc.get("lanes")

@@ -8,9 +8,18 @@ table directory, the pinned manifest generation, the plan (reusing the
 PR 7 :meth:`~repro.exec.plan.Plan.to_json` wire format, which carries
 the pushdown expression — ranges, IN-sets, OR trees and positional
 bitmaps alike), and the executor knobs (``prune`` / ``pushdown`` /
-``on_corruption``) so the worker-side
-:class:`~repro.exec.run.GranulePipeline` is configured exactly like the
-driver's.
+``on_corruption``) the worker-side
+:class:`~repro.exec.run.GranulePipeline` is built with.
+
+**Who prunes.**  Zone-map pruning needs only footers and deletion
+vectors, and the driver holds both: :func:`repro.exec.run.execute`
+splits the granule set with :meth:`GranulePipeline.prunes` *before*
+dispatch, charges the pruned count once, and sends survivors only.
+The descriptor it ships therefore always says ``prune=False`` — on the
+wire the field means "this granule was already tested, do not test it
+again", whatever the caller's own ``prune=`` was.  (A worker handed
+a ``prune=True`` descriptor still prunes on arrival; nothing in the
+package sends one.)
 
 Two deliberate choices:
 
@@ -50,7 +59,7 @@ class QueryDescriptor:
     n_rows: int                # drift guard: snapshot row count
     n_granules: int            # drift guard: snapshot granule count
     plan: dict                 # Plan.to_json() (carries the pushdown expr)
-    prune: bool
+    prune: bool                # False from execute(): the driver pruned
     pushdown: bool
     on_corruption: str         # "raise" | "skip"
     trace_enabled: bool = False  # worker records per-granule spans

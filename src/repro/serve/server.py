@@ -266,13 +266,18 @@ class TableServer:
             return
         # which tier served it, and — from the trace's granule spans'
         # ``proc`` attribute — how the granules spread across lanes
-        # (driver-run granules count under "driver")
+        # (driver-run granules count under "driver"); ``pruned`` is what
+        # the process-tier driver's zone-map split kept off the lanes,
+        # so the two together account for every granule on any tier
         lanes: dict[str, int] = {}
+        pruned = 0
         if trace is not None:
             for s in trace.spans:
                 if s.name == "granule":
                     proc = str(s.attrs.get("proc", "driver"))
                     lanes[proc] = lanes.get(proc, 0) + 1
+                elif s.name == "prune":
+                    pruned += s.attrs["pruned"]
         record = {
             "ts": time.time(),
             "op": op,
@@ -281,6 +286,7 @@ class TableServer:
             "timed_out": timed_out,
             "worker_tier": self.worker_tier,
             "lanes": lanes,
+            "pruned": pruned,
             "plan": plan.to_json(),
             "explain": explain,
             "trace": trace.to_json() if trace is not None else None,

@@ -84,9 +84,22 @@ class TestIntegerConformance:
             revived = codecs.from_bytes(blob)
             assert len(revived) == len(values)
             assert np.array_equal(revived.decode_all(), values)
-            # a second serialise/parse cycle is stable
+            # a second serialise/parse cycle is stable, byte for byte
+            # (a revived sequence keeps no copy of the blob it came from)
+            assert revived.to_bytes() == blob
             assert np.array_equal(
                 codecs.from_bytes(revived.to_bytes()).decode_all(), values)
+
+    @pytest.mark.parametrize("regressor",
+                             [*available_regressors(), "auto"])
+    def test_revived_leco_reserialises_byte_for_byte(self, regressor):
+        # "auto" mixes regressor names inside one payload (the _FLAG_MIXED
+        # header); short input keeps the sin/log fits cheap
+        values = make_int_data("leco", n=96)
+        for plan in (8, "variable"):
+            blob = codecs.get("leco", regressor=regressor,
+                              partitioner=plan).encode(values).to_bytes()
+            assert codecs.from_bytes(blob).to_bytes() == blob, plan
 
     @pytest.mark.parametrize("name", INT_CODECS)
     def test_gather_matches_decode_all(self, name):
@@ -209,8 +222,10 @@ class TestStringConformance:
     def test_envelope_roundtrip(self, name):
         strings = make_strings()
         seq = encode(name, strings)
-        revived = codecs.from_bytes(seq.to_bytes())
+        blob = seq.to_bytes()
+        revived = codecs.from_bytes(blob)
         assert revived.decode_all() == strings
+        assert revived.to_bytes() == blob
 
     @pytest.mark.parametrize("name", STR_CODECS)
     def test_gather_matches_decode_all(self, name):

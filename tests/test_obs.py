@@ -646,6 +646,8 @@ class TestServeSurfaces:
         assert record["lanes"] == {
             "driver": sum(1 for s in record["trace"]["spans"]
                           if s["name"] == "granule")}
+        # only a process-tier driver prunes before dispatch
+        assert record["pruned"] == 0
         # the render CLI understands slow-query JSONL directly and
         # surfaces the tier/lane context
         assert obs_main.main(["render", log]) == 0

@@ -1,6 +1,6 @@
 """Tests for ``repro.par`` — the process-tier worker pool (PR 9).
 
-Seven suites:
+Eight suites:
 
 * **descriptors** — :class:`QueryDescriptor` round-trips JSON and
   pickle losslessly, rejects foreign versions, and refuses sources
@@ -20,6 +20,11 @@ Seven suites:
   hang; ``SIGKILL`` from outside behaves the same; a timed-out query
   abandons its granules and the *next* query on the same lanes is
   correct (stale results are discarded, not misattributed);
+* **driver-side pruning** (fork and spawn) — the driver's zone-map
+  split is a partition of the granule set (hypothesis over bands,
+  deletion vectors, ``prune``/``pushdown``): only survivors cross a
+  lane pipe, the pruned are charged once, a crash on a survivor is
+  retried once, a timeout counts the pruned as completed;
 * **shared scheduler config** — ``REPRO_THREADS`` and
   :func:`configure_shared_scheduler` precedence, including swapping the
   process-wide pool to the process tier and back;
@@ -55,6 +60,7 @@ from exec_checks import (
     assert_granule_spans_match,
     assert_rows_equal,
     assert_tiers_agree,
+    count_fields,
 )
 from repro import codecs, faults
 from repro.datasets import sensor_fixture
@@ -73,7 +79,7 @@ from repro.exec.pool import (
     configure_shared_scheduler,
     shared_scheduler,
 )
-from repro.exec.run import execute
+from repro.exec.run import GranulePipeline, execute
 from repro.faults import FaultInjector
 from repro.mutate import MutableTable
 from repro.obs.metrics import (
@@ -598,6 +604,261 @@ class TestCrashMatrix:
 
 
 # ===================================================================
+# driver-side pruning
+# ===================================================================
+def _lane_granules(sched_name: str, outcome: str) -> float:
+    """The driver's own count of lane round-trips (never rate-limited,
+    unlike the worker-side series)."""
+    return default_registry().get("repro_par_granules_total").labels(
+        sched=sched_name, outcome=outcome).value
+
+
+def _exec_counts() -> dict:
+    """The integer ``repro_exec_*`` series ``_charge_query_metrics``
+    moves (the driver's own: worker copies carry a ``proc`` label)."""
+    registry = default_registry()
+    return {
+        (family, value):
+            registry.get(family).labels(**{label: value}).value
+        for family, label, values in (
+            ("repro_exec_queries_total", "status",
+             ("ok", "timeout", "error", "busy")),
+            ("repro_exec_granules_total", "outcome",
+             ("executed", "pruned")),
+            ("repro_exec_rows_total", "kind", ("scanned", "masked")),
+            ("repro_exec_bytes_total", "kind", ("scanned", "read")))
+        for value in values}
+
+
+def _moved(before: dict, after: dict) -> dict:
+    return {key: after[key] - before[key] for key in after
+            if after[key] != before[key]}
+
+
+BAND_ROWS, BAND_CHUNK, BAND_STEP = 4000, 100, 10
+
+
+def _band(lo_row: int, hi_row: int) -> Plan:
+    """``ts`` is ``row * BAND_STEP``, sorted: a band of rows is a band
+    of granules."""
+    return Plan.scan(["ts", "v"]).where(
+        col("ts").between(lo_row * BAND_STEP, hi_row * BAND_STEP))
+
+
+@pytest.fixture(scope="module")
+def banded(tmp_path_factory):
+    """Two uncached snapshots of one table sorted on ``ts``, 40
+    granules of 100 rows: generation 0 with every row live, and
+    generation 1, whose deletion vectors kill granules 5-9 whole (they
+    prune through the implicit ``Bitmap``) and half of granule 20."""
+    path = str(tmp_path_factory.mktemp("banded") / "t")
+    ts = np.arange(BAND_ROWS, dtype=np.int64) * BAND_STEP
+    write_table(path, {"ts": ts, "v": (ts * 7) % 1001},
+                shard_rows=1000, chunk_rows=BAND_CHUNK)
+    with Table.open(path, cache_bytes=0) as live, \
+            MutableTable.open(path) as table:
+        assert table.delete(("ts", 500 * BAND_STEP,
+                             1000 * BAND_STEP)) == 500
+        assert table.delete(("ts", 2000 * BAND_STEP,
+                             2050 * BAND_STEP)) == 50
+        assert table.flush() == 1
+        with Table.open(path, cache_bytes=0) as dead:
+            yield {"live": StoreSource(live), "dead": StoreSource(dead)}
+
+
+@pytest.fixture(scope="module", params=["fork", "spawn"])
+def lanes(request):
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{request.param} unavailable")
+    with ProcessScheduler(workers=2, start_method=request.param,
+                          name=f"par-prune-{request.param}") as scheduler:
+        yield scheduler
+
+
+class TestDriverSidePruning:
+    """A describable source's granules are split by zone map *before*
+    dispatch: every granule is pruned or dispatched, never both, never
+    neither (SNIPPETS 2-3), and everything a caller can observe is what
+    the in-granule pruning of the other tiers produces."""
+
+    @staticmethod
+    def _check_split(plan, src, thread_sched, lanes, **opts):
+        pipeline = GranulePipeline(plan, src, **opts)
+        survivors = [g.index for g in src.granules()
+                     if not pipeline.prunes(g)]
+        n_pruned = len(src.granules()) - len(survivors)
+        trace = Trace("split")
+        sent = _lane_granules(lanes.name, "ok")
+        res = plan.execute(src, scheduler=lanes, trace=trace, **opts)
+        # exactly the survivors crossed a pipe, each exactly once ...
+        assert _lane_granules(lanes.name, "ok") - sent == len(survivors)
+        assert sorted(s.attrs["granule"] for s in trace.spans
+                      if s.name == "granule") == survivors
+        # ... the rest were charged once, by the driver's one span ...
+        [prune] = [s for s in trace.spans if s.name == "prune"]
+        assert prune.attrs == {"pruned": n_pruned,
+                               "granules": len(src.granules())}
+        assert "proc" not in prune.attrs and prune.pid == 0
+        assert res.stats.granules_pruned == n_pruned
+        # ... and every tier agrees on rows and every integer count
+        expected = assert_tiers_agree(plan, src, thread_sched, lanes,
+                                      **opts)
+        assert_rows_equal(res, expected)
+        assert count_fields(res.stats) == count_fields(expected.stats)
+        return expected, survivors
+
+    if HAVE_HYPOTHESIS:
+        @given(data=st.data())
+        @settings(max_examples=12, deadline=None)
+        def test_split_is_a_partition_of_the_granule_set(
+                self, banded, thread_sched, lanes, data):
+            src = banded[data.draw(st.sampled_from(["live", "dead"]))]
+            opts = {"prune": data.draw(st.booleans()),
+                    "pushdown": data.draw(st.booleans())}
+            if data.draw(st.integers(0, 4)) == 0:
+                plan = Plan.scan(["ts", "v"])  # no predicate at all
+            else:
+                # past either end of the table too: all-pruned bands
+                a = data.draw(st.integers(-300, BAND_ROWS + 300))
+                b = data.draw(st.integers(-300, BAND_ROWS + 300))
+                plan = _band(min(a, b), max(a, b))
+            expected, survivors = self._check_split(
+                plan, src, thread_sched, lanes, **opts)
+            ts = expected.columns["ts"]
+            want = np.arange(BAND_ROWS, dtype=np.int64) * BAND_STEP
+            expr = plan.filter_expr()
+            if expr is not None:
+                want = want[expr.evaluate({"ts": want}, None)]
+            if src is banded["dead"]:
+                want = want[src.table.live_mask()[want // BAND_STEP]]
+            assert np.array_equal(ts, want)
+            if not opts["prune"]:
+                assert len(survivors) == len(src.granules())
+
+    def test_selective_all_pruned_and_unprunable(self, banded,
+                                                 thread_sched, lanes):
+        for name, src in banded.items():
+            _, some = self._check_split(_band(1234, 1567), src,
+                                        thread_sched, lanes)
+            assert some == [12, 13, 14, 15]
+            # an all-pruned band sends no lane message at all
+            sent_bytes = default_registry().get(
+                "repro_par_bytes_total").labels(
+                    sched=lanes.name, direction="sent")
+            before = sent_bytes.value
+            expected, none = self._check_split(
+                _band(BAND_ROWS + 5, BAND_ROWS + 9), src,
+                thread_sched, lanes)
+            assert none == [] and len(expected.row_ids) == 0
+            assert sent_bytes.value == before
+            # no predicate: only all-dead granules can prune
+            _, every = self._check_split(Plan.scan(["ts", "v"]), src,
+                                         thread_sched, lanes)
+            assert len(every) == (40 if name == "live" else 35)
+
+    def test_exec_metrics_move_as_on_the_thread_tier(self, banded,
+                                                     thread_sched,
+                                                     lanes):
+        """``_charge_query_metrics`` sees the same totals whoever
+        pruned: one selective query moves every integer ``repro_exec_*``
+        series by what the thread tier moves it."""
+        plan, src = _band(1234, 1567), banded["dead"]
+        moved = []
+        for sched in (thread_sched, lanes):
+            before = _exec_counts()
+            plan.execute(src, scheduler=sched)
+            moved.append(_moved(before, _exec_counts()))
+        assert moved[0] == moved[1]
+        assert moved[0][("repro_exec_queries_total", "ok")] == 1
+        assert moved[0][("repro_exec_granules_total", "pruned")] == 36
+        assert moved[0][("repro_exec_granules_total", "executed")] == 4
+
+    def test_all_pruned_query_still_passes_admission(self, banded):
+        """Nothing to dispatch is not a way round the admission gate: a
+        full scheduler refuses the all-pruned query like any other, and
+        a refused query charges no granule."""
+        inj = FaultInjector()
+        inj.slow_at("granule.exec", delay_s=1.5, times=1)
+        src = banded["live"]
+        errors = []
+        with ProcessScheduler(workers=1, max_inflight=1, queue_depth=0,
+                              name="par-prune-busy",
+                              fault_spec=inj.to_spec()) as bounded:
+            def occupy():
+                try:
+                    _band(0, 50).execute(src, scheduler=bounded)
+                except BaseException as err:  # pragma: no cover
+                    errors.append(err)
+
+            thread = threading.Thread(target=occupy)
+            thread.start()
+            try:
+                time.sleep(0.4)
+                before = _exec_counts()
+                with pytest.raises(ServerBusy):
+                    _band(BAND_ROWS + 5, BAND_ROWS + 9).execute(
+                        src, scheduler=bounded)
+                assert _moved(before, _exec_counts()) == {
+                    ("repro_exec_queries_total", "busy"): 1}
+            finally:
+                thread.join()
+            # admitted once the slot is free, and it sends nothing
+            sent = _lane_granules("par-prune-busy", "ok")
+            res = _band(BAND_ROWS + 5, BAND_ROWS + 9).execute(
+                src, scheduler=bounded)
+            assert res.stats.granules_pruned == 40
+            assert _lane_granules("par-prune-busy", "ok") == sent
+        assert errors == []
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_crash_on_a_survivor_retries_once(self, banded,
+                                              start_method):
+        """The second survivor a worker sees kills it (every respawn
+        re-arms the rule, so with four survivors on one lane three of
+        them die once): each is retried once on the respawned lane and
+        merged once, the result equals inline, and the pruned count is
+        charged once — not again by a retry."""
+        plan, src = _band(1234, 1567), banded["dead"]
+        expected = plan.execute(src, threads=1)
+        inj = FaultInjector()
+        inj.crash_at("granule.exec", at=2)
+        name = f"par-prune-crash-{start_method}"
+        with ProcessScheduler(workers=1, start_method=start_method,
+                              name=name,
+                              fault_spec=inj.to_spec()) as crashy:
+            got = plan.execute(src, scheduler=crashy)
+            assert _respawns(name) \
+                == _lane_granules(name, "retried") == 3
+            assert _lane_granules(name, "ok") == 4
+        assert_rows_equal(got, expected)
+        assert count_fields(got.stats) == count_fields(expected.stats)
+        assert got.stats.granules_pruned == 36
+
+    def test_timeout_counts_the_pruned_as_completed(self, banded):
+        plan, src = _band(1234, 1567), banded["live"]
+        inj = FaultInjector()
+        inj.slow_at("granule.exec", delay_s=0.6, times=2)
+        before = _exec_counts()
+        with ProcessScheduler(workers=1, name="par-prune-slow",
+                              fault_spec=inj.to_spec()) as slow:
+            with pytest.raises(ExecTimeout) as caught:
+                plan.execute(src, scheduler=slow, timeout_s=0.15)
+            stats = caught.value.stats
+            # the 36 granules the driver pruned are done; of the four
+            # survivors at most the abandoned first one was started
+            assert stats.granules_pruned == 36
+            assert 36 <= stats.granules_total < 40
+            assert f"({stats.granules_total}/40 granules completed)" \
+                in str(caught.value)
+            moved = _moved(before, _exec_counts())
+            assert moved[("repro_exec_queries_total", "timeout")] == 1
+            assert moved[("repro_exec_granules_total", "pruned")] == 36
+            # and the lane is not poisoned by the abandoned result
+            assert_rows_equal(plan.execute(src, scheduler=slow),
+                              plan.execute(src, threads=1))
+
+
+# ===================================================================
 # shared scheduler configuration
 # ===================================================================
 class TestSharedSchedulerConfig:
@@ -704,6 +965,24 @@ class TestServeProcessTier:
         finally:
             srv.shutdown()
 
+    def test_slow_query_record_accounts_for_every_granule(
+            self, root, source, tmp_path):
+        """``lanes`` counts the granules that ran, per lane; ``pruned``
+        the ones the driver's zone-map split kept off the pipes."""
+        stats = FILTER_PLAN.execute(source, threads=1).stats
+        log = str(tmp_path / "slow.jsonl")
+        with TableServer(root, workers=2, worker_tier="process",
+                         slow_query_ms=0.0, slow_query_log=log) as srv, \
+                ServeClient(*srv.address) as client:
+            client.query("events", FILTER_PLAN)
+        [record] = [json.loads(line)
+                    for line in open(log, encoding="utf-8")]
+        assert record["worker_tier"] == "process"
+        assert set(record["lanes"]) <= {"w0", "w1"}
+        assert record["pruned"] == stats.granules_pruned > 0
+        assert sum(record["lanes"].values()) + record["pruned"] \
+            == stats.granules_total
+
 
 # ===================================================================
 # cross-process observability (PR 10)
@@ -729,7 +1008,8 @@ class TestCrossProcessObs:
         """The tentpole invariant: a thread-tier and a process-tier run
         of the same workload charge the same number of cache lookups to
         the registry — locally for threads, under ``proc`` labels for
-        workers — and worker granules surface per-lane."""
+        workers — and the granules the driver's zone-map split let
+        through, and only those, surface per-lane."""
         fam = "repro_cache_lookups_total"
         before = parse_text(render_text())
         thread_res = FILTER_PLAN.execute(source, threads=1)
@@ -755,7 +1035,10 @@ class TestCrossProcessObs:
             after, "repro_par_worker_granules_total", merged=True)
             - self._family_total(
                 mid, "repro_par_worker_granules_total", merged=True))
-        assert granules == proc_res.stats.granules_total > 0
+        stats = proc_res.stats
+        assert stats.granules_pruned > 0  # the plan exercises the split
+        assert granules \
+            == stats.granules_total - stats.granules_pruned > 0
         # lane-health series exist once a process tier has run
         fams = parse_text(render_text())
         assert "repro_par_pipe_roundtrip_seconds" in fams
@@ -768,15 +1051,21 @@ class TestCrossProcessObs:
         assert res.stats.granules_total > 0
         assert_granule_spans_match(trace, res.stats)
         granules = [s for s in trace.spans if s.name == "granule"]
-        # every granule ran in a worker: real pid, proc attribution
+        # every survivor ran in a worker: real pid, proc attribution,
+        # and none of them turned out prunable on arrival
         here = os.getpid()
+        assert len(granules) \
+            == res.stats.granules_total - res.stats.granules_pruned
         assert {s.attrs["proc"] for s in granules} <= {"w0", "w1"}
         assert all(s.pid and s.pid != here for s in granules)
-        # driver-side spans (admit, merge) stay on the driver row;
-        # worker-side ones (granule, load, ...) all carry proc + pid
+        assert not any(s.attrs["pruned"] for s in granules)
+        # driver-side spans (admit, prune, merge) stay on the driver
+        # row; worker-side ones (granule, load, ...) all carry proc+pid
         driver_spans = [s for s in trace.spans
                         if "proc" not in s.attrs]
-        assert {s.name for s in driver_spans} >= {"admit"}
+        assert {s.name for s in driver_spans} >= {"admit", "prune"}
+        [prune] = [s for s in driver_spans if s.name == "prune"]
+        assert prune.attrs["pruned"] == res.stats.granules_pruned > 0
         assert all(s.pid == 0 for s in driver_spans)
         assert all(s.pid for s in trace.spans if "proc" in s.attrs)
 
@@ -808,13 +1097,18 @@ class TestCrossProcessObs:
         g_thread = [s for s in thread_trace.spans
                     if s.name == "granule"]
         g_proc = [s for s in proc_trace.spans if s.name == "granule"]
-        assert len(g_thread) == len(g_proc) > 0
-        # rows and prune decisions are tier-invariant; so is *total*
+        # rows and prune decisions are tier-invariant — the calling
+        # thread prunes inside the granule, the process-tier driver
+        # before dispatch, and they agree on which; so is *total*
         # cache traffic (the hit/miss split depends on which per-worker
         # cache each granule landed in, so only the sum is comparable)
-        for attr in ("rows", "pruned"):
-            assert sum(s.attrs[attr] for s in g_thread) \
-                == sum(s.attrs[attr] for s in g_proc), attr
+        survived = sorted(s.attrs["granule"] for s in g_thread
+                          if not s.attrs["pruned"])
+        assert sorted(s.attrs["granule"] for s in g_proc) == survived
+        [prune] = [s for s in proc_trace.spans if s.name == "prune"]
+        assert prune.attrs["pruned"] == len(g_thread) - len(survived) > 0
+        assert sum(s.attrs["rows"] for s in g_thread) \
+            == sum(s.attrs["rows"] for s in g_proc)
         lookups = [sum(s.attrs["cache_hits"] + s.attrs["cache_misses"]
                        for s in spans)
                    for spans in (g_thread, g_proc)]

@@ -1140,6 +1140,20 @@ class TestServeMain:
                 res = c.query("events", plan, limit=5)
                 assert res["n_rows"] == 100
                 assert len(res["row_ids"]) == 5
+                # the driver prunes by zone map before dispatch: what a
+                # selective query sends down the lanes is its survivors
+                # (repro_par_granules_total is the driver's own count of
+                # lane round-trips, so the scrape is exact), never the
+                # whole table to be pruned on arrival
+                mid = obs_metrics.parse_text(c.metrics())
+                work = res["stats"]
+                assert work["granules_pruned"] \
+                    >= 0.9 * work["granules_total"]
+                assert obs_top.counter_delta(
+                    first, mid, "repro_par_granules_total",
+                    {"outcome": "ok"}) == (
+                        work["granules_total"] - work["granules_pruned"]
+                        if tier == "process" else 0)
                 rows = _selective_plan(columns, width=3000)
                 new = c.query("events", rows)
                 old = _query_v1((host, int(port)), "events",
