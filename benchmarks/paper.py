@@ -50,9 +50,10 @@ EXPECTED = {
         None,
         None,
         "ROADMAP item 1(a): FOR's frame search cuts 4 000 rows into dozens "
-        "of frames and `gather` loops over them in Python — 35 us against "
-        "LeCo-fix's 2.5 on `linear`, the paper's ordering inverted (encode "
-        "is batched since PR 23, decode is not yet)",
+        "of frames and a random `gather` still visits them one by one in "
+        "Python — 32 us against LeCo-fix's 2.0 on `linear`, the paper's "
+        "ordering inverted (encode and the full decode are batched across "
+        "frames; sparse random access is not)",
     ),
     "fig11_selector": (
         None,

@@ -19,6 +19,7 @@ from repro.bitio.bitpack import (
     pack_unsigned_big,
     unpack_unsigned,
     unpack_unsigned_big,
+    unpack_rows,
     read_slot,
 )
 from repro.bitio.varint import (
@@ -36,6 +37,7 @@ __all__ = [
     "pack_unsigned_big",
     "unpack_unsigned",
     "unpack_unsigned_big",
+    "unpack_rows",
     "read_slot",
     "encode_uvarint",
     "decode_uvarint",

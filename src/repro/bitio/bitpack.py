@@ -504,3 +504,40 @@ class BitPackedArray:
             )
         payload = buf[offset + 9: end]
         return cls(payload, width, count), end
+
+
+def unpack_rows(arrays: list[BitPackedArray], length: int) -> np.ndarray:
+    """Decode ``arrays`` (each ``length`` slots of at most 64 bits) as the
+    rows of an ``(R, length)`` ``uint64`` matrix.
+
+    The inverse of packing a matrix row by row at each row's own width:
+    rows that share a width are decoded from their buffers laid end to
+    end — as one stream when each row ends on a byte boundary, else by
+    one gather — so dozens of short rows cost one kernel call per
+    distinct width rather than one per row.
+    """
+    out = np.empty((len(arrays), length), dtype=np.uint64)
+    by_width: dict[int, list[int]] = {}
+    for r, array in enumerate(arrays):
+        by_width.setdefault(array.width, []).append(r)
+    for width, rows in by_width.items():
+        if width == 0:
+            out[rows] = 0
+        elif len(rows) == 1:
+            out[rows[0]] = arrays[rows[0]].slice(0, length)
+        elif length * width % 8 == 0:
+            raw = np.frombuffer(b"".join(arrays[r].data for r in rows),
+                                dtype=np.uint8)
+            out[rows] = _decode_contiguous(raw, width, len(rows) * length
+                                           ).reshape(len(rows), length)
+        else:
+            data = [arrays[r].data for r in rows]
+            offsets = np.cumsum([0] + [len(d) for d in data[:-1]])
+            buf = np.frombuffer(b"".join(data) + bytes(_GATHER_PAD),
+                                dtype=np.uint8)
+            bit_starts = (offsets.astype(np.uint64)[:, None] * np.uint64(8)
+                          + np.arange(length, dtype=np.uint64)
+                          * np.uint64(width))
+            out[rows] = _gather_slots(buf, width, bit_starts.ravel()
+                                      ).reshape(len(rows), length)
+    return out

@@ -33,6 +33,7 @@ from repro.bitio import (
     decode_uvarint,
     encode_svarint,
     encode_uvarint,
+    unpack_rows,
 )
 from repro.core.regressors import (
     FittedModel,
@@ -79,15 +80,24 @@ class Partition:
     def end(self) -> int:
         return self.start + self.length
 
+    def _predict(self, positions: np.ndarray) -> np.ndarray:
+        """Integer predictions at local ``positions``, bitwise what the
+        encoder saw.  Constant and linear predictions are elementwise; a
+        basis model's matrix product may round differently with the
+        number of rows, so it predicts the whole partition — the
+        encoder's shape — and indexes."""
+        if self.regressor_name in ("constant", "linear"):
+            return self.model.predict_int(positions)
+        return self.model.predict_int(np.arange(self.length))[positions]
+
     def decode_slice(self, local_lo: int, local_hi: int) -> np.ndarray:
         """Decode local positions ``[local_lo, local_hi)`` (vectorised)."""
-        positions = np.arange(local_lo, local_hi)
-        pred = self.model.predict_int(positions)
+        pred = self._predict(np.arange(local_lo, local_hi))
         slots = self.deltas.slice(local_lo, local_hi).astype(np.int64)
         return pred + slots + self.bias
 
     def decode_one(self, local: int) -> int:
-        pred = int(self.model.predict_int(np.array([local]))[0])
+        pred = int(self._predict(np.array([local]))[0])
         return pred + self.deltas[local] + self.bias
 
     def decode_many(self, local_positions: np.ndarray) -> np.ndarray:
@@ -98,7 +108,7 @@ class Partition:
         of :meth:`decode_one`.
         """
         positions = np.asarray(local_positions, dtype=np.int64)
-        pred = self.model.predict_int(positions)
+        pred = self._predict(positions)
         slots = self.deltas.gather(positions).astype(np.int64)
         return pred + slots + self.bias
 
@@ -206,6 +216,10 @@ class CompressedArray(EncodedSequence):
         self.default_regressor = default_regressor
         self._starts = np.array([p.start for p in partitions],
                                 dtype=np.int64)
+        #: a fixed plan under one regressor decodes as one ``(R, L)``
+        #: matrix (:meth:`_decode_partitions`); anything else walks
+        self._batched = fixed_size is not None and len(
+            {p.regressor_name for p in partitions}) == 1
         self._serialized: bytes | None = None
         self._value_bounds: np.ndarray | None = None
 
@@ -225,6 +239,14 @@ class CompressedArray(EncodedSequence):
         if lo == hi:
             return np.empty(0, dtype=np.int64)
         first = self._partition_index_for(lo)
+        last = self._partition_index_for(hi - 1) + 1
+        # a short last partition decodes alone: batch only for two or
+        # more full-length ones
+        short = last == len(self.partitions) and \
+            self.partitions[-1].length != self.fixed_size
+        if self._batched and last - first - short > 1:
+            base = self.partitions[first].start
+            return self._decode_partitions(first, last)[lo - base: hi - base]
         chunks = []
         idx = first
         pos = lo
@@ -237,6 +259,31 @@ class CompressedArray(EncodedSequence):
             idx += 1
         return np.concatenate(chunks)
 
+    def _decode_partitions(self, first: int, last: int) -> np.ndarray:
+        """Decode whole partitions ``[first, last)`` of a batched plan in
+        one pass: one ``predict_many`` + floor over the ``(R, L)``
+        parameter matrix (row ``r`` is bitwise what ``decode_slice``
+        predicts), every row's slots unpacked together, the biases
+        broadcast, one add.  int64 arithmetic wraps the same way in any
+        order, so a ``_encode_wide`` partition decodes here too.  A short
+        last partition is the one row decoded on its own.
+        """
+        parts = self.partitions[first:last]
+        size = self.fixed_size
+        tail = parts.pop() if parts[-1].length != size else None
+        pieces = []
+        if parts:
+            regressor = get_regressor(parts[0].regressor_name)
+            rows = floor_to_int64(regressor.predict_many(
+                np.stack([p.params for p in parts]), size))
+            rows += np.array([p.bias for p in parts], dtype=np.int64)[:, None]
+            rows += unpack_rows([p.deltas for p in parts], size
+                                ).view(np.int64)
+            pieces.append(rows.ravel())
+        if tail is not None:
+            pieces.append(tail.decode_slice(0, tail.length))
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
     def _partition_index_for(self, position: int) -> int:
         if self.fixed_size is not None:
             return position // self.fixed_size
@@ -248,13 +295,20 @@ class CompressedArray(EncodedSequence):
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Decode an arbitrary set of positions (late materialization).
 
-        Positions are grouped by partition; dense groups decode the covering
-        slice vectorised, sparse groups batch-gather their slots — the
+        Strictly increasing positions that are dense over the chunk (the
+        span they cover at most four times their count) decode that span
+        in one :meth:`decode_range` and index it.  Otherwise positions are
+        grouped by partition; dense groups decode the covering slice
+        vectorised, sparse groups batch-gather their slots — the
         decoder-side analogue of the engine's bitmap-driven scans (§5.1).
         """
         positions = self._check_indices(indices)
         if positions.size == 0:
             return np.empty(0, dtype=np.int64)
+        lo, hi = int(positions[0]), int(positions[-1]) + 1
+        if (hi - lo) <= 4 * len(positions) and \
+                bool((positions[1:] > positions[:-1]).all()):
+            return self.decode_range(lo, hi)[positions - lo]
         out = np.empty(len(positions), dtype=np.int64)
         if self.fixed_size is not None:
             part_ids = positions // self.fixed_size

@@ -43,13 +43,20 @@ def diff_span_bits(rows: np.ndarray, order: int) -> np.ndarray:
 
 
 def floor_to_int64(pred: np.ndarray) -> np.ndarray:
-    """Floor float predictions to int64, clamping to the representable range.
+    """Floor float predictions to int64.
 
     Encoder and decoder must floor identically, so every prediction path in
-    the library funnels through this helper.
+    the library funnels through this helper.  A floor int64 cannot hold
+    becomes ``_INT64_MIN``: below the range that is the clamp; at or above
+    ``2**63`` (a line through a few 64-bit hashes) and NaN it is the
+    two's-complement wrap of ``2**63``, what an x86 cast yields, so stored
+    residuals keep their meaning and no cast is left to the platform.
     """
-    clipped = np.clip(np.floor(pred), float(_INT64_MIN), float(_INT64_MAX))
-    return clipped.astype(np.int64)
+    floored = np.floor(pred)
+    in_range = (floored >= -(2.0 ** 63)) & (floored < 2.0 ** 63)
+    if not in_range.all():
+        floored = np.where(in_range, floored, float(_INT64_MIN))
+    return floored.astype(np.int64)
 
 
 class FittedModel(ABC):

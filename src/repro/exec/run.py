@@ -24,9 +24,11 @@ per granule the pipeline is
    ``pushdown=False`` instead decodes every needed column fully and
    filters afterwards (the naive reference the property suite in
    ``tests/test_exec.py`` compares against).
-5. **Operator partials** — Aggregate partials are ``(sum, count, min,
-   max)`` states merged exactly across granules (never merged means);
-   HashJoin probes the granule's batch against the built side.
+5. **Operator partials** — a group-by Aggregate's partial is its
+   distinct keys plus one state array per aggregate (sums, counts,
+   extrema — never means), which the driver merges in one pass with
+   sums exact as Python ints; HashJoin probes the granule's batch
+   against the built side.
 
 :class:`ExecStats` is the one work-accounting type (granule/chunk/
 byte/cache counts plus the CPU/IO breakdown); :meth:`ExecResult.explain`
@@ -264,7 +266,8 @@ class ExecResult:
 
 @dataclass
 class _Partial:
-    """One granule's contribution (rows or aggregate states).
+    """One granule's contribution: rows, or its aggregate partial
+    (:func:`_agg_partial`).
 
     ``spans`` is only populated by a *worker process* running a traced
     descriptor: a ``(granule_start, granule_end, extra_spans)`` tuple
@@ -280,7 +283,7 @@ class _Partial:
 
     row_ids: np.ndarray
     columns: dict
-    agg: dict | None
+    agg: tuple | None
     stats: ExecStats = field(default_factory=ExecStats)
     spans: tuple | None = None
 
@@ -323,17 +326,27 @@ def _ordered_unique(*column_lists) -> tuple:
 
 
 # --------------------------------------------------------------- aggregate
-def _agg_partial(node: Aggregate, batch: dict, n_rows: int) -> dict:
-    """Per-group accumulator states for one granule's surviving rows.
+def _agg_partial(node: Aggregate, batch: dict, n_rows: int):
+    """One granule's accumulator states for its surviving rows.
 
-    ``n_rows`` is the surviving row count — the batch may be empty of
-    columns when every aggregate is a ``count`` (no values needed).
+    A global aggregate's partial is a tuple of per-aggregate states; a
+    group-by's is ``(keys, counts, states)`` — the sorted distinct keys,
+    their row counts and one int64 array per aggregate (the sums of
+    ``sum`` / ``avg``, the extrema of ``min`` / ``max``, ``counts``
+    itself for ``count``), a few buffers through a lane pipe however
+    many groups there are; ``None`` when no row survived.  ``n_rows``
+    is the surviving row count — the batch may be empty of columns when
+    every aggregate is a ``count``.
     """
     if node.group_by is None:
-        return {None: tuple(_agg_state(op, batch.get(column), n_rows)
-                            for _, op, column in node.aggs)}
+        return tuple(_agg_state(op, batch.get(column), n_rows)
+                     for _, op, column in node.aggs)
+    if n_rows == 0:
+        return None
     keys = batch[node.group_by]
-    order = np.argsort(keys, kind="stable")
+    # no state depends on the order of rows within a group (int64 sums
+    # wrap alike in any order), so the sort need not be stable
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
     counts = np.diff(np.append(starts, sorted_keys.size))
@@ -341,26 +354,17 @@ def _agg_partial(node: Aggregate, batch: dict, n_rows: int) -> dict:
     for _, op, column in node.aggs:
         if op != "count" and column not in columns:
             columns[column] = batch[column][order]
-    per_agg = []
+    states = []
     for _, op, column in node.aggs:
         if op == "count":
-            per_agg.append(counts)
+            states.append(counts)
         elif op in ("sum", "avg"):
-            per_agg.append(np.add.reduceat(columns[column], starts))
+            states.append(np.add.reduceat(columns[column], starts))
         elif op == "min":
-            per_agg.append(np.minimum.reduceat(columns[column], starts))
+            states.append(np.minimum.reduceat(columns[column], starts))
         else:  # max
-            per_agg.append(np.maximum.reduceat(columns[column], starts))
-    out = {}
-    for j, key in enumerate(sorted_keys[starts]):
-        states = []
-        for (_, op, _), values in zip(node.aggs, per_agg):
-            if op == "avg":
-                states.append((int(values[j]), int(counts[j])))
-            else:
-                states.append(int(values[j]))
-        out[int(key)] = tuple(states)
-    return out
+            states.append(np.maximum.reduceat(columns[column], starts))
+    return sorted_keys[starts], counts, tuple(states)
 
 
 def _agg_state(op: str, values, n: int):
@@ -376,6 +380,7 @@ def _agg_state(op: str, values, n: int):
 
 
 def _merge_states(node: Aggregate, a: tuple, b: tuple) -> tuple:
+    """Merge two global-aggregate state tuples (exact Python ints)."""
     merged = []
     for (_, op, _), sa, sb in zip(node.aggs, a, b):
         if op in ("sum", "count"):
@@ -391,17 +396,55 @@ def _merge_states(node: Aggregate, a: tuple, b: tuple) -> tuple:
     return tuple(merged)
 
 
-def _finalize_groups(node: Aggregate, merged: dict) -> dict:
+def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Per-run sums of int64 ``values`` as exact Python ints: the high
+    and low 32-bit halves reduce separately (neither can leave int64
+    short of 2**31 partials) and combine per run."""
+    high = np.add.reduceat(values >> 32, starts).tolist()
+    low = np.add.reduceat(values & 0xFFFFFFFF, starts).tolist()
+    return [(h << 32) + lo for h, lo in zip(high, low)]
+
+
+def _avg(total: int, count: int) -> float:
+    return total / count if count else float("nan")
+
+
+def _merge_aggregate(node: Aggregate, partials: list) -> dict:
+    """``ExecResult.groups`` from every granule's partial, in granule
+    order.  Group-by partials merge in one pass — one concatenate,
+    stable argsort and ``reduceat`` per aggregate — and the groups keep
+    the order of their first appearance, as a dict merge would."""
+    states = [p.agg for p in partials if p.agg is not None]
+    if not states:
+        return {}
+    if node.group_by is None:
+        merged = states[0]
+        for other in states[1:]:
+            merged = _merge_states(node, merged, other)
+        return {None: {name: _avg(*state) if op == "avg" else state
+                       for (name, op, _), state in zip(node.aggs, merged)}}
+    keys = np.concatenate([keys for keys, _, _ in states])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], sorted_keys[1:] != sorted_keys[:-1]]))
+    counts = _exact_sums(np.concatenate(
+        [counts for _, counts, _ in states])[order], starts)
+    columns = []
+    for j, (_, op, _) in enumerate(node.aggs):
+        values = np.concatenate([s[j] for _, _, s in states])[order]
+        if op in ("sum", "count", "avg"):
+            columns.append(_exact_sums(values, starts))
+        else:
+            ufunc = np.minimum if op == "min" else np.maximum
+            columns.append(ufunc.reduceat(values, starts).tolist())
+    group_keys = sorted_keys[starts].tolist()
     out = {}
-    for key, states in merged.items():
-        row = {}
-        for (name, op, _), state in zip(node.aggs, states):
-            if op == "avg":
-                total, count = state
-                row[name] = total / count if count else float("nan")
-            else:
-                row[name] = state
-        out[key] = row
+    # the stable sort puts each key's first appearance at its run start
+    for g in np.argsort(order[starts]).tolist():
+        out[group_keys[g]] = {
+            name: _avg(column[g], counts[g]) if op == "avg" else column[g]
+            for (name, op, _), column in zip(node.aggs, columns)}
     return out
 
 
@@ -860,15 +903,7 @@ def execute(plan: Plan, source, threads: int | None = None,
     t_merge = trace.now() if trace is not None else 0.0
     groups = None
     if isinstance(terminal, Aggregate):
-        merged: dict = {}
-        for part in partials:
-            if not part.agg:
-                continue
-            for key, states in part.agg.items():
-                prev = merged.get(key)
-                merged[key] = states if prev is None else \
-                    _merge_states(terminal, prev, states)
-        groups = _finalize_groups(terminal, merged)
+        groups = _merge_aggregate(terminal, partials)
         row_ids, columns = _EMPTY, {}
     else:
         row_ids = np.concatenate([p.row_ids for p in partials]) \

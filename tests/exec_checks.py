@@ -67,6 +67,8 @@ def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
     expected = results[0]
     for got in results[1:]:
         assert got.groups == expected.groups
+        # group order reaches the wire
+        assert list(got.groups or ()) == list(expected.groups or ())
         assert_rows_equal(got, expected)
         assert count_fields(got.stats) == count_fields(expected.stats)
     return expected

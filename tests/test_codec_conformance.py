@@ -12,6 +12,9 @@ contract — no test edits required:
   ``IndexError`` out of range);
 * ``filter_range(lo, hi)`` equals the decoded comparison and
   ``model_bounds()`` never excludes a stored value;
+* a ``CompressedArray``'s ``decode_all()`` (one ``(R, L)`` matrix on a
+  fixed plan) equals its per-partition walk under every plan and
+  regressor (:class:`TestBatchedDecode`);
 * the envelope rejects truncated and foreign-magic blobs with ValueError;
 * the envelope bytes of every LAPACK-free encoder equal the pinned golden
   digests (:class:`TestGoldenBytes`).
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro import codecs
+from repro.core.encoding import CompressedArray
 from repro.core.regressors import available_regressors
 
 try:
@@ -561,6 +565,91 @@ class TestGoldenBytes:
             blob = codecs.get(name, **kwargs).encode(data).to_bytes()
             assert hashlib.sha256(blob).hexdigest() == \
                 GOLDEN_DIGESTS[dataset][form], (dataset, form)
+
+
+#: the codecs whose sequence is a ``CompressedArray`` (batched decode)
+LECO_CODECS = [n for n in INT_CODECS
+               if isinstance(codecs.get(n).encode(np.arange(4)),
+                             CompressedArray)]
+#: ``(codec, constructor keywords)``: every LeCo-family codec under each
+#: plan, and ``leco`` under every regressor (``"auto"``'s mixed names too)
+BATCH_FORMS = [(n, {"partitioner": plan}) for n in LECO_CODECS
+               for plan in ("fixed", "variable", "auto", 8)] + [
+    ("leco", {"regressor": reg, "partitioner": plan})
+    for reg in available_regressors() + ["auto"]
+    for plan in ("fixed", "variable", "auto", 8)]
+
+
+def index_sets(n: int, rng) -> list[np.ndarray]:
+    """Sorted-dense, sorted-sparse, unsorted and duplicate positions."""
+    lo = int(rng.integers(0, n))
+    return [np.arange(lo, n), np.arange(0, n, 2), np.arange(0, n, 37),
+            np.array([0, n - 1]), rng.permutation(n),
+            np.sort(rng.integers(0, n, n)), rng.integers(0, n, 7)]
+
+
+def check_batched_decode(seq, values, rng) -> None:
+    """``decode_all()`` equals the per-partition walk it replaces, on the
+    encoder's sequence and on the one revived from its bytes, and
+    ``gather(idx) == decode_all()[idx]`` for every kind of index set."""
+    for s in (seq, codecs.from_bytes(seq.to_bytes())):
+        walked = [p.decode_slice(0, p.length) for p in s.partitions]
+        full = s.decode_all()
+        assert np.array_equal(full, np.concatenate(walked))
+        assert np.array_equal(full, values)
+        for idx in index_sets(len(values), rng):
+            assert np.array_equal(s.gather(idx), full[idx]), idx
+
+
+class TestBatchedDecode:
+    """A fixed plan under one regressor decodes as one ``(R, L)`` matrix;
+    every other sequence walks its partitions.  Both must be the walk."""
+
+    def test_short_last_partition(self):
+        values = np.cumsum(np.arange(1237) % 7) * 5 - 9000
+        seq = codecs.get("leco", partitioner=64).encode(values)
+        assert seq._batched and seq.partitions[-1].length < 64
+        check_batched_decode(seq, values, np.random.default_rng(1))
+
+    def test_single_partition_chunk(self):
+        values = np.arange(50, dtype=np.int64) * 3
+        seq = codecs.get("leco", partitioner=64).encode(values)
+        assert len(seq.partitions) == 1
+        check_batched_decode(seq, values, np.random.default_rng(2))
+
+    def test_wide_partitions(self):
+        """Partitions spanning more than 2**63 (uint64 slots, decoded by
+        int64 wraparound) take the batched path too."""
+        values = np.random.default_rng(3).integers(
+            -(1 << 63), (1 << 63) - 1, 640)
+        seq = codecs.get("for", partitioner=64).encode(values)
+        assert seq._batched
+        assert all(p.deltas.width == 64 for p in seq.partitions)
+        check_batched_decode(seq, values, np.random.default_rng(4))
+
+    def test_for_chunk_of_many_frames(self):
+        from repro.datasets import sensor_fixture
+
+        values = sensor_fixture(4096, seed=3)["ts"][:2048]
+        seq = codecs.get("for").encode(values)
+        assert seq._batched and len(seq.partitions) >= 12
+        check_batched_decode(seq, values, np.random.default_rng(5))
+
+    if HAVE_HYPOTHESIS:
+        @pytest.mark.parametrize(
+            "name,kwargs", BATCH_FORMS,
+            ids=[f"{n}-{'-'.join(map(str, kw.values()))}"
+                 for n, kw in BATCH_FORMS])
+        @given(values=st.lists(
+            st.one_of(st.integers(-50, 50),
+                      st.integers(-(1 << 40), 1 << 40)),
+            min_size=1, max_size=160).map(
+                lambda v: np.cumsum(np.array(v, dtype=np.int64))),
+            seed=st.integers(0, 2 ** 32 - 1))
+        @settings(max_examples=5, deadline=None)
+        def test_batched_equals_walk(self, name, kwargs, values, seed):
+            seq = codecs.get(name, **kwargs).encode(values)
+            check_batched_decode(seq, values, np.random.default_rng(seed))
 
 
 if HAVE_HYPOTHESIS:

@@ -456,6 +456,142 @@ class TestOperators:
         assert np.array_equal(res.columns["v"], cols["v"][cols["k"] == 3])
 
 
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: every aggregate op over one value column
+ALL_AGGS = {"s": ("sum", "v"), "n": ("count", "v"), "a": ("avg", "v"),
+            "lo": ("min", "v"), "hi": ("max", "v")}
+
+
+def dict_merge_reference(aggs: dict, keys, values, live, morsel_rows):
+    """What ``ExecResult.groups`` was while group-by partials were dicts:
+    per granule a ``{key: states}`` dict of Python ints over its live
+    rows (int64 per-granule sums, as the executor's ``reduceat``), merged
+    key by key in granule order — first appearance decides group order,
+    cross-granule sums are exact."""
+    merged: dict = {}
+    for start in range(0, len(keys), morsel_rows):
+        keep = live[start: start + morsel_rows]
+        k = keys[start: start + morsel_rows][keep]
+        v = values[start: start + morsel_rows][keep]
+        for key in np.unique(k).tolist():
+            sel = v[k == key]
+            states = {"sum": int(np.add.reduce(sel)), "count": len(sel),
+                      "min": int(sel.min()), "max": int(sel.max())}
+            prev = merged.setdefault(key, dict.fromkeys(states))
+            for op, state in states.items():
+                if prev[op] is None:
+                    prev[op] = state
+                elif op in ("sum", "count"):
+                    prev[op] += state
+                else:
+                    prev[op] = (min if op == "min" else max)(prev[op], state)
+    out = {}
+    for key, st_ in merged.items():
+        out[key] = {name: st_["sum"] / st_["count"] if op == "avg"
+                    else st_[op] for name, (op, _) in aggs.items()}
+    return out
+
+
+def grouped_plan(live=None) -> Plan:
+    plan = Plan.scan()
+    if live is not None:
+        # a deletion vector is a positional Bitmap term
+        plan = plan.where(Bitmap(live))
+    return plan.aggregate(ALL_AGGS, group_by="k")
+
+
+class TestGroupMerge:
+    """Group-by partials are key + state arrays merged in one pass: the
+    result equals the dict merge — values, exactness, group order."""
+
+    def test_sums_past_int64_are_exact(self):
+        big = (1 << 62) + 1
+        keys = np.array([7, -3] * 5, dtype=np.int64)
+        values = np.array([big, -big] * 5, dtype=np.int64)
+        source = ArraySource({"k": keys, "v": values}, morsel_rows=2)
+        groups = grouped_plan().execute(source, threads=1).groups
+        # keys sort within a granule; granules keep first appearance
+        assert list(groups) == [-3, 7]
+        assert groups[7]["s"] == 5 * big > INT64_MAX
+        assert groups[-3]["s"] == -5 * big < INT64_MIN
+        assert groups[7]["a"] == 5 * big / 5
+        assert groups[7]["n"] == 5
+        assert groups == dict_merge_reference(
+            ALL_AGGS, keys, values, np.ones(10, dtype=bool), 2)
+
+    def test_empty_granule_groups_nothing(self):
+        source = ArraySource({"k": np.empty(0, dtype=np.int64),
+                              "v": np.empty(0, dtype=np.int64)})
+        assert grouped_plan().execute(source, threads=1).groups == {}
+
+    def test_tiers_agree_on_order_and_exactness(self, tmp_path, tiers):
+        """Calling thread, thread tier, process tier (fork) and a spawn
+        process tier: same groups, same order, sums past 2**63 exact,
+        over a table with deletion vectors."""
+        n = 640
+        rng = np.random.default_rng(5)
+        pool = np.array([INT64_MIN, INT64_MAX, -1, 0, 12, -77],
+                        dtype=np.int64)
+        keys = pool[rng.integers(0, len(pool), n)]
+        # a granule's 40 rows sum inside int64; a group's ~100 do not
+        values = rng.integers((1 << 57) - (1 << 50), 1 << 57,
+                              n).astype(np.int64)
+        path = str(tmp_path / "t")
+        with MutableTable.create(path, schema=("k", "v", "r"),
+                                 shard_rows=160, chunk_rows=40) as table:
+            table.append({"k": keys, "v": values,
+                          "r": np.arange(n, dtype=np.int64)})
+            table.flush()
+            # one whole granule dead (pruned), one partly
+            assert table.delete(("r", 80, 120)) == 40
+            assert table.delete(("r", 130, 135)) == 5
+            table.flush()
+        live = np.ones(n, dtype=bool)
+        live[80:120] = live[130:135] = False
+        want = dict_merge_reference(ALL_AGGS, keys, values, live, 40)
+        assert max(g["s"] for g in want.values()) > INT64_MAX
+        plan = Plan.scan().aggregate(ALL_AGGS, group_by="k")
+        spawn = ProcessScheduler(workers=1, start_method="spawn",
+                                 name="t-exec-spawn")
+        try:
+            with Table.open(path, cache_bytes=0) as snap:
+                source = StoreSource(snap)
+                got = assert_tiers_agree(plan, source, *tiers).groups
+                assert got == want and list(got) == list(want)
+                assert_tiers_agree(plan, source, tiers[0], spawn)
+        finally:
+            spawn.close()
+
+    if HAVE_HYPOTHESIS:
+        @given(data=st.data())
+        @settings(max_examples=60, deadline=None)
+        def test_matches_dict_merge(self, data):
+            extreme = st.sampled_from([INT64_MIN, INT64_MAX, -1, 0])
+            any_int = st.one_of(extreme, st.integers(INT64_MIN, INT64_MAX))
+            pool = data.draw(st.lists(any_int, min_size=1, max_size=6))
+            n = data.draw(st.integers(1, 120))
+            keys = np.array(data.draw(st.lists(
+                st.sampled_from(pool), min_size=n, max_size=n)),
+                dtype=np.int64)
+            values = np.array(data.draw(st.lists(
+                any_int, min_size=n, max_size=n)), dtype=np.int64)
+            morsel = data.draw(st.integers(1, 40))
+            live = np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            lo = data.draw(st.integers(0, n))
+            live[lo: lo + data.draw(st.integers(0, n))] = False
+            with_dv = data.draw(st.booleans())
+            if not with_dv:
+                live[:] = True
+            source = ArraySource({"k": keys, "v": values},
+                                 morsel_rows=morsel)
+            res = grouped_plan(live if with_dv else None).execute(
+                source, threads=1)
+            want = dict_merge_reference(ALL_AGGS, keys, values, live,
+                                        morsel)
+            assert res.groups == want
+            assert list(res.groups) == list(want)
+
 def _term(data, name, values):
     """Draw one predicate term + its numpy reference mask."""
     vmin, vmax = int(values.min()), int(values.max())
