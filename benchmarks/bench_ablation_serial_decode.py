@@ -41,7 +41,7 @@ def rows() -> list[tuple]:
         direct = _best_ms(arr.decode_all)
         serial = _best_ms(arr.decode_all_serial)
         out.append((name, direct, serial, direct / serial - 1,
-                    sum(len(p.corrections) for p in arr.partitions)))
+                    len(arr.corrections)))
     return out
 
 

@@ -11,8 +11,6 @@ import numpy as np
 
 from repro import codecs
 from repro.core.advisor import RegressorSelector, optimal_regressor_name
-from repro.core.encoding import CompressedArray, encode_partition
-from repro.core.partitioners import fixed_bounds
 from repro.core.regressors import get_regressor
 from repro.datasets import NONLINEAR_DATASETS, load
 
@@ -24,17 +22,20 @@ N = 4000
 PARTITION = 1000
 
 
+class _Chooser:
+    """The encoder's selector hook, answering ``chooser(partition)``."""
+
+    def __init__(self, chooser):
+        self.chooser = chooser
+
+    def recommend(self, values: np.ndarray):
+        return get_regressor(self.chooser(values))
+
+
 def _encode_with(values: np.ndarray, chooser) -> int:
-    partitions = []
-    for start, end in fixed_bounds(len(values), PARTITION):
-        seg = values[start:end]
-        reg = get_regressor(chooser(seg))
-        if len(seg) < reg.min_partition_size:
-            reg = get_regressor("constant")
-        partitions.append(encode_partition(seg, start, reg,
-                                           build_corrections=False))
-    arr = CompressedArray(len(values), partitions, PARTITION, "linear")
-    return arr.compressed_size_bytes()
+    codec = codecs.get("leco", regressor="auto", selector=_Chooser(chooser),
+                       partitioner=PARTITION, build_corrections=False)
+    return codec.encode(values).compressed_size_bytes()
 
 
 def rows() -> list[tuple]:

@@ -47,7 +47,7 @@ def rows() -> list[tuple]:
             enc = codec.encode(ds.values)
             assert np.array_equal(enc.decode_all(), ds.values), scheme
             cells.append((enc.compressed_size_bytes()
-                          / ds.uncompressed_bytes, len(enc.partitions)))
+                          / ds.uncompressed_bytes, len(enc.starts)))
         out.append((name, *cells))
     return out
 

@@ -15,6 +15,11 @@ from one machine only), over the golden inputs of
 ``tests/test_codec_conformance.py`` plus sensor-fixture chunks, 40-bit
 jumps and full-range hashes.  Not a CI gate: some changes move bytes on
 purpose; ``TestGoldenBytes`` pins the platform-independent subset.
+
+Each image is also read back: ``codecs.from_bytes(blob)`` must decode to the
+input and re-serialise to ``blob`` byte for byte.  The first form that does
+not is named on stderr and the run exits 1, so an empty ``diff`` covers
+revive as well as write.
 """
 
 from __future__ import annotations
@@ -74,11 +79,13 @@ def forms(codecs) -> dict:
     return out
 
 
-def digests() -> dict:
+def digests() -> tuple[dict, str | None]:
+    """The digest table, and the first ``dataset/form`` whose image does
+    not read back (``None`` when every one does)."""
     from repro import codecs
     from repro.datasets import sensor_fixture
 
-    table = {}
+    table, mismatch = {}, None
     for dataset, values in inputs(sensor_fixture).items():
         row = table[dataset] = {}
         for label, (name, kwargs) in forms(codecs).items():
@@ -86,7 +93,12 @@ def digests() -> dict:
                 if codecs.info(name).requires_sorted else values
             blob = codecs.get(name, **kwargs).encode(data).to_bytes()
             row[label] = hashlib.sha256(blob).hexdigest()
-    return table
+            revived = codecs.from_bytes(blob)
+            if mismatch is None and (
+                    revived.to_bytes() != blob
+                    or not np.array_equal(revived.decode_all(), data)):
+                mismatch = f"{dataset}/{label}"
+    return table, mismatch
 
 
 def main(argv=None) -> int:
@@ -96,7 +108,7 @@ def main(argv=None) -> int:
         help="checkout whose src/ to import (default: this one)")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.src), "src"))
-    table = digests()
+    table, mismatch = digests()
     json.dump(table, sys.stdout, indent=1, sort_keys=True)
     print()
     import repro
@@ -104,6 +116,10 @@ def main(argv=None) -> int:
     print(f"{sum(len(row) for row in table.values())} digests over "
           f"{len(table)} inputs, from {os.path.dirname(repro.__file__)}",
           file=sys.stderr)
+    if mismatch is not None:
+        print(f"{mismatch}: the image does not read back (decoded values "
+              f"or re-serialised bytes differ)", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -37,24 +37,10 @@ from repro.bench import headline, render_table
 #: (``bench_<name>.py``) with one entry per claim in its ``CLAIMS`` order —
 #: ``None`` where the claim is reproduced here, else why it is not
 EXPECTED = {
-    "fig02_pareto": (
-        None,
-        None,
-        "substrate: a batch `gather` decodes each touched Delta partition "
-        "with one vectorised prefix sum, so sequential access costs under "
-        "3x here, not 100x",
-    ),
+    "fig02_pareto": (None, None, None),
     "fig05_blocksize": (None,),
     "fig09_hardness": (None, None),
-    "fig10_micro": (
-        None,
-        None,
-        "ROADMAP item 1(a): FOR's frame search cuts 4 000 rows into dozens "
-        "of frames and a random `gather` still visits them one by one in "
-        "Python — 32 us against LeCo-fix's 2.0 on `linear`, the paper's "
-        "ordering inverted (encode and the full decode are batched across "
-        "frames; sparse random access is not)",
-    ),
+    "fig10_micro": (None, None, None),
     "fig11_selector": (
         None,
         "ROADMAP item 2: the CART selector, trained on 60 synthetic "
@@ -103,8 +89,8 @@ EXPECTED = {
     "ablation_serial_decode": (
         None,
         "substrate: numpy's accumulate is no cheaper than its vectorised "
-        "multiply-add and the corrections are patched in a Python loop — "
-        "about 30% slower on `linear` and `booksale`",
+        "multiply-add, and the accumulated partitions are predicted whole "
+        "and indexed back — 30-50% slower on `linear` and `booksale`",
     ),
 }
 

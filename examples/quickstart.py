@@ -61,7 +61,7 @@ print(f"delta: sequential_access={info.sequential_access}, "
 spec = CodecSpec(mode="var", regressor="auto", tau=0.05)
 arr = compress(timestamps, spec)
 print(f"\nvariable+auto:     {arr.compressed_size_bytes():,} bytes "
-      f"({len(arr.partitions)} partitions)")
+      f"({len(arr.starts)} partitions)")
 assert np.array_equal(decompress(arr), timestamps)
 assert np.array_equal(decompress(arr.to_bytes()), timestamps)
 

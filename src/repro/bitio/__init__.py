@@ -19,7 +19,7 @@ from repro.bitio.bitpack import (
     pack_unsigned_big,
     unpack_unsigned,
     unpack_unsigned_big,
-    unpack_rows,
+    gather_bits,
     read_slot,
 )
 from repro.bitio.varint import (
@@ -37,7 +37,7 @@ __all__ = [
     "pack_unsigned_big",
     "unpack_unsigned",
     "unpack_unsigned_big",
-    "unpack_rows",
+    "gather_bits",
     "read_slot",
     "encode_uvarint",
     "decode_uvarint",

@@ -25,16 +25,15 @@ groups — roughly 1–9 vector ops per value instead of ``width`` per-bit
 ops.  Byte-aligned widths (8/16/32/64) skip even that and go through a
 big-endian dtype view (a single ``astype``).
 
-**Covering-word gather — random access.**  For a batch of arbitrary slot
-indices, each ``width``-bit slot (``width <= 64``) starts at bit
-``i * width`` and is covered by at most 9 bytes.  The kernel gathers the
-first (at most) 8 covering bytes of *all* indices at once into a
-big-endian ``uint64`` window, then shifts/masks per element.  Only widths
->= 58 can spill into a ninth byte; that branch reads one extra byte gather
-and stitches the two parts.  Slots whose window fits inside the buffer
-gather off a zero-copy view; the few slots near the buffer end use a
-~25-byte zero-padded copy of the tail, so no full-payload copy is ever
-made.
+**Covering-window gather — random access.**  A slot of at most 64 bits
+lies inside the nine bytes from its first byte on.  :func:`gather_bits`
+reads them for *every* requested slot at once — the first eight through
+one unaligned big-endian ``u8`` view of the buffer, the ninth (needed only
+past 57 bits) by one byte gather — and shifts each slot out.  Every
+slot carries its own bit offset and width, so slots of many bit-packed
+arrays sharing one buffer (a LeCo image's partitions) are read by one
+call.  Windows are clamped to the buffer's end instead of padding it, so
+no copy of the payload is ever made.
 
 :meth:`BitPackedArray.gather` exposes the batch kernel; its contract is
 ``gather(idx)[k] == arr[idx[k]]`` for any integer array ``idx`` (negative
@@ -52,14 +51,9 @@ from math import gcd
 import numpy as np
 
 _U64_MAX = (1 << 64) - 1
-_U64_MAX_NP = np.uint64(_U64_MAX)
 
 #: big-endian dtypes for the byte-aligned fast path
 _ALIGNED_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4", 64: ">u8"}
-
-#: zero padding (bytes) appended to gather buffers so the 8-byte covering
-#: window (plus the possible ninth byte) of the last slot stays in bounds
-_GATHER_PAD = 9
 
 
 def bits_for_unsigned(value: int) -> int:
@@ -240,35 +234,36 @@ def _unpack_groups(raw: np.ndarray, width: int, count: int,
     return out.reshape(-1)[:count]
 
 
-def _gather_slots(buf: np.ndarray, width: int,
-                  bit_starts: np.ndarray) -> np.ndarray:
-    """Batch-read ``width``-bit fields starting at ``bit_starts`` (uint64).
+def gather_bits(data: bytes, bit_starts: np.ndarray, widths) -> np.ndarray:
+    """The ``widths[k]``-bit slot (at most 64 bits, MSB-first) starting at
+    bit ``bit_starts[k]`` of ``data``, for every ``k`` at once, as
+    ``uint64``; ``widths`` may be one width for all.
 
-    ``buf`` must be a ``uint8`` array zero-padded by at least
-    ``_GATHER_PAD`` bytes past the last payload byte.  Gathers the covering
-    big-endian 64-bit window of every field at once, then shifts/masks;
-    widths >= 58 may spill into a ninth byte, stitched via a second gather.
+    A slot of at most 57 bits lies inside the eight bytes from its first
+    byte ``b`` on, ``b`` pulled back so they stay inside the buffer: the
+    slot is that big-endian word shifted up by its bit offset in it, then
+    down by ``64 - width``.  A wider slot may need a ninth byte, shifted
+    into place beside the word.  numpy shifts of 64 bits or more give 0:
+    the ninth byte's shift in the wrong direction wraps to such a shift,
+    and so does the final one of a 0-bit slot.
     """
-    byte_start = (bit_starts >> np.uint64(3)).astype(np.int64)
-    bit_off = bit_starts & np.uint64(7)
-    nb = min(8, (width + 14) // 8)
-    if width <= 8 * nb - 7:
-        # an nb-byte window always contains the whole field
-        word = buf[byte_start].astype(np.uint64)
-        for j in range(1, nb):
-            word = (word << np.uint64(8)) | buf[byte_start + j]
-        mask = _U64_MAX_NP if width == 64 else np.uint64((1 << width) - 1)
-        return (word >> (np.uint64(8 * nb) - bit_off - np.uint64(width))) \
-            & mask
-    # width >= 58: the field may not fit any single 64-bit window, so
-    # stitch it (branch-free) from its first covering byte and the 64-bit
-    # window one byte later, which always holds the remaining bits
-    head = buf[byte_start].astype(np.uint64) & (np.uint64(0xFF) >> bit_off)
-    word = buf[byte_start + 1].astype(np.uint64)
-    for j in range(2, 9):
-        word = (word << np.uint64(8)) | buf[byte_start + j]
-    tail_len = np.uint64(width - 8) + bit_off
-    return (head << tail_len) | (word >> (np.uint64(64) - tail_len))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size < 9:
+        buf = np.concatenate([buf, np.zeros(9, dtype=np.uint8)])
+    drop = (64 - np.asarray(widths, dtype=np.int64)).astype(np.uint64)
+    window = 9 if drop.size and drop.min() < 7 else 8
+    words = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf,
+                       strides=(1,))
+    byte = np.minimum(bit_starts >> 3, buf.size - window)
+    skew = (bit_starts - 8 * byte).view(np.uint64)
+    top = words.take(byte)
+    top = top.byteswap(inplace=True).view(np.uint64)
+    top <<= skew
+    if window == 9:
+        ninth = buf.take(byte + 8).astype(np.uint64)
+        top |= ninth >> (8 - skew) | ninth << (skew - 8)
+    top >>= drop
+    return top
 
 
 def pack_unsigned_big(values: list[int], width: int) -> bytes:
@@ -406,31 +401,6 @@ class BitPackedArray:
             raise IndexError(f"index {index} out of range [0, {self._count})")
         return read_slot(self._data, self._width, index)
 
-    def _gather_bits(self, bit_starts: np.ndarray) -> np.ndarray:
-        """Run the gather kernel against the payload without copying it.
-
-        The kernel reads a fixed-size byte window per field, so slots whose
-        window stays inside the buffer gather straight off a zero-copy view;
-        the handful of slots near the buffer end go through a ~25-byte
-        zero-padded copy of the tail instead of padding the whole payload.
-        """
-        raw = np.frombuffer(self._data, dtype=np.uint8)
-        width = self._width
-        need = 9 if width >= 58 else min(8, (width + 14) // 8)
-        safe = (bit_starts >> np.uint64(3)).astype(np.int64) \
-            <= raw.size - need
-        if safe.all():
-            return _gather_slots(raw, width, bit_starts)
-        tail_off = max(0, raw.size - 16)
-        tail = np.zeros(raw.size - tail_off + _GATHER_PAD, dtype=np.uint8)
-        tail[: raw.size - tail_off] = raw[tail_off:]
-        out = np.empty(bit_starts.size, dtype=np.uint64)
-        out[safe] = _gather_slots(raw, width, bit_starts[safe])
-        unsafe = ~safe
-        out[unsafe] = _gather_slots(
-            tail, width, bit_starts[unsafe] - np.uint64(8 * tail_off))
-        return out
-
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Batch random access: ``gather(idx)[k] == self[idx[k]]``.
 
@@ -452,8 +422,7 @@ class BitPackedArray:
                 [read_slot(self._data, self._width, int(i)) for i in indices],
                 dtype=object,
             )
-        bit_starts = indices.astype(np.uint64) * np.uint64(self._width)
-        return self._gather_bits(bit_starts)
+        return gather_bits(self._data, indices * self._width, self._width)
 
     def slice(self, start: int, stop: int) -> np.ndarray:
         """Decode slots ``[start, stop)`` as a ``uint64`` array."""
@@ -474,9 +443,8 @@ class BitPackedArray:
                                 offset=bit_lo >> 3)
             return _decode_contiguous(raw, self._width, n)
         # unaligned start: batch-gather the n slot windows
-        bit_starts = (np.uint64(bit_lo)
-                      + np.arange(n, dtype=np.uint64) * np.uint64(self._width))
-        return self._gather_bits(bit_starts)
+        return gather_bits(self._data, bit_lo + np.arange(n) * self._width,
+                           self._width)
 
     def to_numpy(self) -> np.ndarray:
         return self.slice(0, self._count)
@@ -505,39 +473,3 @@ class BitPackedArray:
         payload = buf[offset + 9: end]
         return cls(payload, width, count), end
 
-
-def unpack_rows(arrays: list[BitPackedArray], length: int) -> np.ndarray:
-    """Decode ``arrays`` (each ``length`` slots of at most 64 bits) as the
-    rows of an ``(R, length)`` ``uint64`` matrix.
-
-    The inverse of packing a matrix row by row at each row's own width:
-    rows that share a width are decoded from their buffers laid end to
-    end — as one stream when each row ends on a byte boundary, else by
-    one gather — so dozens of short rows cost one kernel call per
-    distinct width rather than one per row.
-    """
-    out = np.empty((len(arrays), length), dtype=np.uint64)
-    by_width: dict[int, list[int]] = {}
-    for r, array in enumerate(arrays):
-        by_width.setdefault(array.width, []).append(r)
-    for width, rows in by_width.items():
-        if width == 0:
-            out[rows] = 0
-        elif len(rows) == 1:
-            out[rows[0]] = arrays[rows[0]].slice(0, length)
-        elif length * width % 8 == 0:
-            raw = np.frombuffer(b"".join(arrays[r].data for r in rows),
-                                dtype=np.uint8)
-            out[rows] = _decode_contiguous(raw, width, len(rows) * length
-                                           ).reshape(len(rows), length)
-        else:
-            data = [arrays[r].data for r in rows]
-            offsets = np.cumsum([0] + [len(d) for d in data[:-1]])
-            buf = np.frombuffer(b"".join(data) + bytes(_GATHER_PAD),
-                                dtype=np.uint8)
-            bit_starts = (offsets.astype(np.uint64)[:, None] * np.uint64(8)
-                          + np.arange(length, dtype=np.uint64)
-                          * np.uint64(width))
-            out[rows] = _gather_slots(buf, width, bit_starts.ravel()
-                                      ).reshape(len(rows), length)
-    return out

@@ -84,21 +84,22 @@ class RegressorSelector:
 
 def optimal_regressor_name(values: np.ndarray,
                            candidates=CANDIDATES) -> str:
-    """Exhaustive search: the candidate with the smallest encoded size.
+    """Exhaustive search: the candidate with the smallest encoded size —
+    the bytes of the partition's image record under it.
 
     This is the paper's "optimal" line in Fig. 11 (per partition).
     """
-    from repro.core.encoding.encoder import encode_partition
+    from repro.core.encoding import encode_rows, partition_record
 
+    rows = np.asarray(values, dtype=np.int64)[None, :]
     best_name = candidates[0]
     best_size = None
     for name in candidates:
         regressor = get_regressor(name)
         if len(values) < regressor.min_partition_size:
             continue
-        part = encode_partition(np.asarray(values, dtype=np.int64), 0,
-                                regressor, build_corrections=False)
-        size = len(part.to_bytes(mixed=False, reg_ids={}))
+        size = len(partition_record(
+            encode_rows(rows, regressor, build_corrections=False), 0))
         if best_size is None or size < best_size:
             best_size = size
             best_name = name

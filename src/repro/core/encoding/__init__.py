@@ -1,21 +1,18 @@
 """Encoder/Decoder and the self-describing storage format (paper §3.3)."""
 
-from repro.core.encoding.encoder import (
-    LecoEncoder,
-    encode_partition,
-    encode_rows,
-)
+from repro.core.encoding.encoder import LecoEncoder, encode_rows
 from repro.core.encoding.format import (
     CompressedArray,
-    Partition,
+    Rows,
     accumulate_predictions,
+    partition_record,
 )
 
 __all__ = [
     "LecoEncoder",
-    "encode_partition",
     "encode_rows",
     "CompressedArray",
-    "Partition",
+    "Rows",
     "accumulate_predictions",
+    "partition_record",
 ]

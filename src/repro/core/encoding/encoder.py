@@ -7,8 +7,10 @@ get their serial-decoding correction list (§3.3 optimisation) built here.
 
 The unit of work is a matrix: partitions of one length are the rows of an
 ``(R, L)`` array that is fitted, subtracted, biased, corrected and packed in
-one pass (:func:`encode_rows`).  One partition is its one-row case, one
-array the one-chunk case of :meth:`LecoEncoder.encode_many`.
+one pass (:func:`encode_rows`), which emits them column by column as a
+:class:`~repro.core.encoding.format.Rows`.  :meth:`LecoEncoder.encode_many`
+stacks the partitions of every chunk that share a length and a family, then
+writes each chunk's image from the rows its partitions landed in.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import Codec, as_int64
-from repro.bitio import BitPackedArray, pack_unsigned
-from repro.core.encoding.format import CompressedArray, Partition
-from repro.core.regressors import (
-    ConstantRegressor,
-    Regressor,
-    floor_to_int64,
-    get_regressor,
+from repro.bitio import pack_unsigned
+from repro.core.encoding.format import (
+    CompressedArray,
+    Rows,
+    accumulate_predictions,
 )
+from repro.core.regressors import Regressor, floor_to_int64, get_regressor
 
 #: residuals larger than this trigger the constant-model fallback guard
 _RESIDUAL_GUARD = 2.0 ** 62
@@ -33,8 +34,9 @@ _RESIDUAL_GUARD = 2.0 ** 62
 _BLOCK_VALUES = 1 << 15
 
 
-def _pack_rows(slots: np.ndarray) -> list[BitPackedArray]:
-    """Bit-pack every row of ``slots`` (``(R, L)`` uint64) at its own width.
+def _pack_rows(slots: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
+    """Bit-pack every row of ``slots`` (``(R, L)`` uint64) at its own width;
+    returns the widths and each row's packed bytes.
 
     Rows of one width whose ``L x width`` bits end on a byte boundary go
     through the pack kernel together: the groups it forms never straddle
@@ -42,22 +44,22 @@ def _pack_rows(slots: np.ndarray) -> list[BitPackedArray]:
     """
     n_rows, length = slots.shape
     top = slots.max(axis=1).tolist() if length else [0] * n_rows
+    widths = [value.bit_length() for value in top]
     by_width: dict[int, list[int]] = {}
-    for r, value in enumerate(top):
-        by_width.setdefault(value.bit_length(), []).append(r)
-    packed: list[BitPackedArray | None] = [None] * n_rows
+    for r, width in enumerate(widths):
+        by_width.setdefault(width, []).append(r)
+    packed = [b""] * n_rows
     for width, rows in by_width.items():
         nbytes, ragged = divmod(length * width, 8)
         if ragged:
             for r in rows:
-                packed[r] = BitPackedArray.from_values(slots[r], width)
+                packed[r] = pack_unsigned(slots[r], width)
             continue
         same = slots if len(rows) == n_rows else slots[rows]
         data = pack_unsigned(same.ravel(), width)
         for k, r in enumerate(rows):
-            packed[r] = BitPackedArray(data[k * nbytes: (k + 1) * nbytes],
-                                       width, length)
-    return packed
+            packed[r] = data[k * nbytes: (k + 1) * nbytes]
+    return np.array(widths, dtype=np.int64), packed
 
 
 def _linear_corrections(params: np.ndarray, pred: np.ndarray
@@ -72,13 +74,8 @@ def _linear_corrections(params: np.ndarray, pred: np.ndarray
     found: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
     if length == 0:
         return found
-    steps = np.empty((n_rows, length), dtype=np.float64)
-    steps[:, 0] = params[:, 0]
-    steps[:, 1:] = params[:, 1:2]
-    # row by row the same strictly sequential sum as the decoder's
-    # accumulate_predictions
     direct = np.floor(pred)
-    accum = np.floor(np.add.accumulate(steps, axis=1))
+    accum = np.floor(accumulate_predictions(params, length))
     rows, cols = np.nonzero(direct != accum)
     drift = direct[rows, cols] - accum[rows, cols]
     for r, i, diff in zip(rows.tolist(), cols.tolist(), drift.tolist()):
@@ -87,12 +84,27 @@ def _linear_corrections(params: np.ndarray, pred: np.ndarray
     return [c if len(c) <= sparse else None for c in found]
 
 
-def encode_rows(rows: np.ndarray, starts: list[int], regressor: Regressor,
-                build_corrections: bool = True) -> list[Partition]:
-    """Fit and encode every row of ``rows`` (``(R, L)`` int64) as the
-    partition starting at ``starts[r]``, in one pass over the matrix: fit,
-    residuals against the floored predictions, bias, bit-pack, and the
-    linear rows' serial-decode corrections.
+def _fill(out: Rows, at: np.ndarray, family: str, params: np.ndarray,
+          residuals: np.ndarray, biases: np.ndarray,
+          corrections: list | None = None) -> None:
+    """Rows ``at`` of ``out`` become ``family``'s partitions: its
+    ``params``, the ``biases``, and ``residuals - biases`` packed."""
+    out.params[at, :params.shape[1]] = params
+    out.biases[at] = biases
+    out.widths[at], packed = _pack_rows(
+        (residuals - biases[:, None]).astype(np.uint64))
+    for k, r in enumerate(at.tolist()):
+        out.regressors[r] = family
+        out.packed[r] = packed[k]
+        out.corrections[r] = None if corrections is None else corrections[k]
+
+
+def encode_rows(rows: np.ndarray, regressor: Regressor,
+                build_corrections: bool = True) -> Rows:
+    """Fit and encode every row of ``rows`` (``(R, L)`` int64) as one
+    partition, in one pass over the matrix: fit, residuals against the
+    floored predictions, bias, bit-pack, and the linear rows'
+    serial-decode corrections.
 
     A row its model mispredicts catastrophically (non-finite, or further
     off than ``_RESIDUAL_GUARD``) is encoded again under the constant
@@ -100,63 +112,54 @@ def encode_rows(rows: np.ndarray, starts: list[int], regressor: Regressor,
     """
     rows = np.asarray(rows, dtype=np.int64)
     n_rows, length = rows.shape
-    params = regressor.fit_many(rows)
-    pred = regressor.predict_many(params, length)
-    with np.errstate(invalid="ignore"):
-        safe = np.abs(rows.astype(np.float64) - pred).max(
-            axis=1, initial=0.0) <= _RESIDUAL_GUARD
-    out: list[Partition | None] = [None] * n_rows
-    kept = np.arange(n_rows)
-    if not safe.all():
-        unsafe = np.flatnonzero(~safe).tolist()
-        if regressor.name == "constant":
-            again = [_encode_wide(rows[r], starts[r]) for r in unsafe]
-        else:
-            again = encode_rows(rows[unsafe], [starts[r] for r in unsafe],
-                                ConstantRegressor(), build_corrections)
-        for r, part in zip(unsafe, again):
-            out[r] = part
-        kept = np.flatnonzero(safe)
-        rows, params, pred = rows[kept], params[kept], pred[kept]
-    residuals = rows - floor_to_int64(pred)
-    bias = residuals.min(axis=1) if length else np.zeros(len(rows), np.int64)
-    packed = _pack_rows((residuals - bias[:, None]).astype(np.uint64))
-    corrections: list = [None] * len(rows)
-    if build_corrections and regressor.name == "linear":
-        corrections = _linear_corrections(params, pred)
-    for r, theta, lowest, deltas, fixes in zip(
-            kept.tolist(), params, bias.tolist(), packed, corrections):
-        out[r] = Partition(starts[r], length, regressor.name, theta, lowest,
-                           deltas, fixes, fixes is not None)
+    out = Rows(length, [""] * n_rows,
+               np.zeros((n_rows, regressor.param_count)),
+               np.zeros(n_rows, np.int64), np.zeros(n_rows, np.int64),
+               [b""] * n_rows, [None] * n_rows)
+    families = [regressor]
+    if regressor.name != "constant":
+        families.append(get_regressor("constant"))
+    todo = np.arange(n_rows)
+    for family in families:
+        if not todo.size:
+            break
+        params = family.fit_many(rows[todo])
+        pred = family.predict_many(params, length)
+        with np.errstate(invalid="ignore"):
+            safe = np.abs(rows[todo].astype(np.float64) - pred).max(
+                axis=1, initial=0.0) <= _RESIDUAL_GUARD
+        params, pred = params[safe], pred[safe]
+        residuals = rows[todo[safe]] - floor_to_int64(pred)
+        bias = residuals.min(axis=1) if length else \
+            np.zeros(len(residuals), np.int64)
+        fixes = None
+        if build_corrections and family.name == "linear":
+            fixes = _linear_corrections(params, pred)
+        _fill(out, todo[safe], family.name, params, residuals, bias, fixes)
+        todo = todo[~safe]
+    if todo.size:
+        floor, residuals = _encode_wide(rows[todo])
+        _fill(out, todo, "constant", floor[:, None], residuals,
+              np.zeros(len(todo), np.int64))
     return out
 
 
-def encode_partition(values: np.ndarray, start: int,
-                     regressor: Regressor,
-                     build_corrections: bool = True) -> Partition:
-    """Fit and encode one partition (``values`` is the partition slice):
-    the one-row case of :func:`encode_rows`."""
-    values = np.asarray(values, dtype=np.int64)
-    return encode_rows(values[None, :], [start], regressor,
-                       build_corrections)[0]
+def _encode_wide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partitions spanning more than 2**63 (64-bit hashes): no model keeps
+    their residuals inside int64, so each row stores ``v - floor`` as
+    uint64 slots under the constant model ``floor``, with bias 0.  Returns
+    the floors and the residuals (wrapped).
 
-
-def _encode_wide(values: np.ndarray, start: int) -> Partition:
-    """A partition spanning more than 2**63 (64-bit hashes): no model keeps
-    its residuals inside int64, so store ``v - floor`` as uint64 slots.
-
-    ``floor`` is the largest float64 at or below the minimum (integral, and
-    inside int64, so the decoder's prediction is exactly it); a span below
-    2**64 keeps every slot in range, and int64 decode arithmetic wraps back
-    to the value.
+    ``floor`` is the largest float64 at or below the row's minimum
+    (integral, and inside int64, so the decoder's prediction is exactly
+    it); a span below 2**64 keeps every slot in range, and int64 decode
+    arithmetic wraps back to the value.
     """
-    lowest = int(values.min())
-    floor = np.float64(lowest)
-    if int(floor) > lowest:
-        floor = np.nextafter(floor, -np.inf)
-    slots = values.astype(np.uint64) - np.uint64(int(floor) % (1 << 64))
-    return Partition(start, len(values), "constant", [floor], 0,
-                     BitPackedArray.from_values(slots))
+    lowest = rows.min(axis=1)
+    floor = lowest.astype(np.float64)
+    above = floor.astype(np.int64) > lowest
+    floor[above] = np.nextafter(floor[above], -np.inf)
+    return floor, rows - floor.astype(np.int64)[:, None]
 
 
 class LecoEncoder(Codec):
@@ -230,16 +233,16 @@ class LecoEncoder(Codec):
 
             selector = self.selector if self.selector is not None \
                 else default_selector()
-        fixed_sizes: list[int | None] = []
-        encoded: list[list[Partition | None]] = []
+        plans: list[tuple[int | None, list[int]]] = []
+        parts: list[list] = []
         alike: dict[tuple[Regressor, int], list[tuple[int, int, int]]] = {}
         for c, values in enumerate(chunks):
             partitioner = self.partitioner.choose(values)
             bounds = partitioner.partition(values, self.regressor)
-            fixed_sizes.append(bounds[0][1] - bounds[0][0]
-                               if partitioner.fixed_length and bounds
-                               else None)
-            encoded.append([None] * len(bounds))
+            plans.append((bounds[0][1] - bounds[0][0]
+                          if partitioner.fixed_length and bounds else None,
+                          [a for a, _ in bounds]))
+            parts.append([None] * len(bounds))
             for j, (a, b) in enumerate(bounds):
                 regressor = self.regressor
                 if selector is not None:
@@ -251,13 +254,12 @@ class LecoEncoder(Codec):
             step = max(_BLOCK_VALUES // length, 1)
             for lo in range(0, len(members), step):
                 block = members[lo: lo + step]
-                parts = encode_rows(
+                rows = encode_rows(
                     np.stack([chunks[c][a: a + length] for c, _, a in block]),
-                    [a for _, _, a in block], regressor,
-                    self.build_corrections)
-                for (c, j, _), part in zip(block, parts):
-                    encoded[c][j] = part
-        return [CompressedArray(len(values), partitions, fixed_size,
-                                self.regressor.name)
-                for values, partitions, fixed_size
-                in zip(chunks, encoded, fixed_sizes)]
+                    regressor, self.build_corrections)
+                for r, (c, j, _) in enumerate(block):
+                    parts[c][j] = (rows, r)
+        return [CompressedArray.assemble(len(values), fixed_size,
+                                         self.regressor.name, starts, chunk)
+                for values, (fixed_size, starts), chunk
+                in zip(chunks, plans, parts)]

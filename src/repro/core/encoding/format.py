@@ -5,6 +5,15 @@ header (model parameters, residual bit-width, bias) followed by a bit-packed
 delta array.  Decoding position ``i`` is a model inference plus one slot
 read: ``value = floor(F(i - start)) + bias + slot``.
 
+In memory a sequence is those headers column by column, one array entry
+per partition — ``starts``, ``regressor_ids`` (into ``regressor_names``),
+the zero-padded ``params`` matrix, ``biases``, residual ``widths`` and the
+bit ``offsets`` of each partition's slots — over its ``LECO`` image, which
+holds the slots themselves.  Every access path is one computation over
+those arrays (:meth:`CompressedArray._decode`): find each position's
+partition, predict from its parameters, read its slot at
+``offsets[part] + local * widths[part]``, add its bias.
+
 Residuals are *bias-encoded*: the header keeps ``bias = min(residual)`` and
 slots hold ``residual - bias`` in ``bits(max - min)`` bits.  For a minimax
 fit this width equals the paper's ``ceil(log2 delta_maxabs) + 1``; for
@@ -16,6 +25,11 @@ optimisation (§3.3): full-range decodes replace the per-position
 ``theta0 + theta1 * i`` with a running accumulation, and the list patches
 the few positions where floating-point accumulation floors differently.
 
+The ``LECO`` v1 image is a header — magic, version, flags (fixed plan,
+mixed regressors), the default regressor name, ``n``, the partition count,
+the fixed size or the bit-packed starts, and the name table of a mixed
+image — then one record per partition (:func:`partition_record`).
+
 :class:`CompressedArray` *is* the ``"leco"`` wire format's
 :class:`~repro.baselines.base.EncodedSequence`: ``payload_bytes()`` is the
 raw ``LECO`` image above, ``to_bytes()`` wraps it in the registry envelope
@@ -23,6 +37,9 @@ like every other sequence.
 """
 
 from __future__ import annotations
+
+import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +50,9 @@ from repro.bitio import (
     decode_uvarint,
     encode_svarint,
     encode_uvarint,
-    unpack_rows,
+    gather_bits,
 )
-from repro.core.regressors import (
-    FittedModel,
-    floor_to_int64,
-    get_regressor,
-)
+from repro.core.regressors import floor_to_int64, get_regressor
 
 MAGIC = b"LECO"
 VERSION = 1
@@ -47,147 +60,60 @@ VERSION = 1
 _FLAG_FIXED = 1
 _FLAG_MIXED = 2
 
-
-class Partition:
-    """One encoded partition: header fields plus the packed delta array."""
-
-    __slots__ = ("start", "length", "regressor_name", "params", "bias",
-                 "deltas", "corrections", "serial_ok", "_model")
-
-    def __init__(self, start: int, length: int, regressor_name: str,
-                 params: np.ndarray, bias: int, deltas: BitPackedArray,
-                 corrections: list[tuple[int, int]] | None = None,
-                 serial_ok: bool = False):
-        self.start = start
-        self.length = length
-        self.regressor_name = regressor_name
-        self.params = np.asarray(params, dtype=np.float64)
-        self.bias = bias
-        self.deltas = deltas
-        self.corrections = corrections or []
-        # serial (accumulation) decoding is only worth storing corrections
-        # for when they are sparse; otherwise decode directly
-        self.serial_ok = serial_ok
-        self._model: FittedModel | None = None
-
-    @property
-    def model(self) -> FittedModel:
-        if self._model is None:
-            self._model = get_regressor(self.regressor_name).load(self.params)
-        return self._model
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-    def _predict(self, positions: np.ndarray) -> np.ndarray:
-        """Integer predictions at local ``positions``, bitwise what the
-        encoder saw.  Constant and linear predictions are elementwise; a
-        basis model's matrix product may round differently with the
-        number of rows, so it predicts the whole partition — the
-        encoder's shape — and indexes."""
-        if self.regressor_name in ("constant", "linear"):
-            return self.model.predict_int(positions)
-        return self.model.predict_int(np.arange(self.length))[positions]
-
-    def decode_slice(self, local_lo: int, local_hi: int) -> np.ndarray:
-        """Decode local positions ``[local_lo, local_hi)`` (vectorised)."""
-        pred = self._predict(np.arange(local_lo, local_hi))
-        slots = self.deltas.slice(local_lo, local_hi).astype(np.int64)
-        return pred + slots + self.bias
-
-    def decode_one(self, local: int) -> int:
-        pred = int(self._predict(np.array([local]))[0])
-        return pred + self.deltas[local] + self.bias
-
-    def decode_many(self, local_positions: np.ndarray) -> np.ndarray:
-        """Batch random access: decode arbitrary local positions.
-
-        One vectorised model inference plus one :meth:`BitPackedArray.gather`
-        over the covering bytes of all requested slots — the batch analogue
-        of :meth:`decode_one`.
-        """
-        positions = np.asarray(local_positions, dtype=np.int64)
-        pred = self._predict(positions)
-        slots = self.deltas.gather(positions).astype(np.int64)
-        return pred + slots + self.bias
-
-    def decode_serial(self) -> np.ndarray:
-        """Full-partition decode via slope accumulation + correction list.
-
-        Only linear models have a meaningful serial form; other kinds fall
-        back to the direct decode.
-        """
-        if (self.regressor_name != "linear" or self.length == 0
-                or not self.serial_ok):
-            return self.decode_slice(0, self.length)
-        theta0, theta1 = float(self.params[0]), float(self.params[1])
-        acc = accumulate_predictions(theta0, theta1, self.length)
-        pred = np.clip(np.floor(acc), -(2.0 ** 63), 2.0 ** 63 - 1
-                       ).astype(np.int64)
-        for pos, diff in self.corrections:
-            pred[pos] += diff
-        slots = self.deltas.slice(0, self.length).astype(np.int64)
-        return pred + slots + self.bias
-
-    # ------------------------------------------------------ serialisation
-    def to_bytes(self, mixed: bool, reg_ids: dict[str, int]) -> bytes:
-        out = bytearray()
-        if mixed:
-            out.append(reg_ids[self.regressor_name])
-        for p in self.params:
-            out += np.float64(p).tobytes()
-        out += encode_svarint(self.bias)
-        out.append(1 if self.serial_ok else 0)
-        out += encode_uvarint(len(self.corrections))
-        prev = 0
-        for pos, diff in self.corrections:
-            out += encode_uvarint(pos - prev)
-            out += encode_svarint(diff)
-            prev = pos
-        out += self.deltas.to_bytes()
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, buf: bytes, offset: int, start: int, length: int,
-                   mixed: bool, reg_names: list[str], default_name: str
-                   ) -> tuple["Partition", int]:
-        if mixed:
-            name = reg_names[buf[offset]]
-            offset += 1
-        else:
-            name = default_name
-        count = get_regressor(name).param_count
-        params = np.frombuffer(buf, dtype=np.float64, count=count,
-                               offset=offset).copy()
-        offset += 8 * count
-        bias, offset = decode_svarint(buf, offset)
-        serial_ok = bool(buf[offset])
-        offset += 1
-        n_corr, offset = decode_uvarint(buf, offset)
-        corrections = []
-        pos = 0
-        for _ in range(n_corr):
-            gap, offset = decode_uvarint(buf, offset)
-            diff, offset = decode_svarint(buf, offset)
-            pos += gap
-            corrections.append((pos, diff))
-        deltas, offset = BitPackedArray.from_bytes(buf, offset)
-        return cls(start, length, name, params, bias, deltas,
-                   corrections, serial_ok), offset
+#: families whose prediction is a line (a constant's slope is 0), so it can
+#: be evaluated at any single position
+_LINES = ("constant", "linear")
 
 
-def accumulate_predictions(theta0: float, theta1: float, n: int
-                           ) -> np.ndarray:
-    """Sequential float accumulation ``theta0, theta0+theta1, ...``.
+class Rows(NamedTuple):
+    """Partitions of one ``length`` as the encoder emits them, column by
+    column: entry ``r`` of every other field belongs to row ``r``."""
 
-    Implemented with ``np.add.accumulate`` which performs strictly
-    sequential summation, so encoder and decoder observe the same rounding.
+    length: int
+    #: each row's regressor family
+    regressors: list
+    #: ``(R, k)`` float64, zero past each family's parameter count
+    params: np.ndarray
+    biases: np.ndarray
+    widths: np.ndarray
+    #: each row's residual slots, bit-packed at its width
+    packed: list
+    #: each row's ``[(position, difference), ...]`` serial-decode list, or
+    #: ``None`` where the row has no serial decode
+    corrections: list
+
+
+def accumulate_predictions(params: np.ndarray, length: int) -> np.ndarray:
+    """Sequential float accumulation ``theta0, theta0+theta1, ...`` of every
+    row of a linear ``(R, >= 2)`` parameter matrix, as ``(R, length)``.
+
+    ``np.add.accumulate`` sums each row strictly in order, so encoder and
+    decoder observe the same rounding.
     """
-    steps = np.empty(n, dtype=np.float64)
-    steps[0] = theta0
-    steps[1:] = theta1
-    return np.add.accumulate(steps)
+    steps = np.empty((len(params), length), dtype=np.float64)
+    steps[:, :1] = params[:, :1]
+    steps[:, 1:] = params[:, 1:2]
+    return np.add.accumulate(steps, axis=1)
+
+
+def partition_record(rows: Rows, r: int, reg_id: int | None = None) -> bytes:
+    """Row ``r`` of ``rows`` as its image record: its regressor id (in a
+    mixed image), parameters, bias, serial flag and correction list, then
+    its slots as a :class:`BitPackedArray`."""
+    out = bytearray() if reg_id is None else bytearray([reg_id])
+    count = get_regressor(rows.regressors[r]).param_count
+    out += rows.params[r, :count].tobytes()
+    out += encode_svarint(int(rows.biases[r]))
+    fixes = rows.corrections[r]
+    out.append(fixes is not None)
+    out += encode_uvarint(len(fixes or ()))
+    prev = 0
+    for pos, diff in fixes or ():
+        out += encode_uvarint(pos - prev) + encode_svarint(diff)
+        prev = pos
+    out.append(int(rows.widths[r]))
+    out += rows.length.to_bytes(8, "big") + rows.packed[r]
+    return bytes(out)
 
 
 class CompressedArray(EncodedSequence):
@@ -195,33 +121,118 @@ class CompressedArray(EncodedSequence):
 
     The sequence protocol plus what only this format can do:
 
-    * ``arr[i]`` / :meth:`get` — random access (two bounded memory reads);
-    * :meth:`gather` — batch random access, grouped by partition;
-    * :meth:`decode_range` / :meth:`decode_all` — partition-pruned decodes;
+    * ``arr[i]`` / :meth:`get` — random access (one model inference plus
+      one slot read);
+    * :meth:`gather` — batch random access at any positions;
+    * :meth:`decode_range` / :meth:`decode_all` — range decodes;
     * :meth:`decode_all_serial` — full decode via the §3.3 accumulation
       optimisation (bit-identical output, validated in tests);
     * :meth:`filter_range` / :meth:`model_bounds` / :meth:`search_sorted`
       — pruning and search on :meth:`partition_value_bounds`;
     * :meth:`payload_bytes` (raw image, what
       :meth:`compressed_size_bytes` measures) / :meth:`to_bytes`.
+
+    The per-partition arrays are public, for reading: ``starts``,
+    ``lengths``, ``regressor_ids`` into ``regressor_names``, ``params``
+    (``(m, k)``, zero past each family's parameter count), ``biases``,
+    ``widths``, ``offsets`` (each partition's first slot, in bits into the
+    image), ``serial`` (decoded by accumulation in
+    :meth:`decode_all_serial`) and ``corrections``, the serial
+    partitions' lists as one ``(c, 2)`` array of ``(position, difference)``
+    rows in position order.
     """
 
     wire_id = "leco"
 
-    def __init__(self, n: int, partitions: list[Partition],
-                 fixed_size: int | None, default_regressor: str):
+    def __init__(self, image: bytes, n: int, fixed_size: int | None,
+                 regressor_names, starts, regressor_ids, params, biases,
+                 widths, offsets, serial, corrections):
+        self._image = image
         self.n = n
-        self.partitions = partitions
         self.fixed_size = fixed_size
-        self.default_regressor = default_regressor
-        self._starts = np.array([p.start for p in partitions],
-                                dtype=np.int64)
-        #: a fixed plan under one regressor decodes as one ``(R, L)``
-        #: matrix (:meth:`_decode_partitions`); anything else walks
-        self._batched = fixed_size is not None and len(
-            {p.regressor_name for p in partitions}) == 1
-        self._serialized: bytes | None = None
+        self.regressor_names = tuple(regressor_names)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.lengths = np.concatenate([self.starts[1:], [n]])[
+            :len(self.starts)] - self.starts
+        self.regressor_ids = np.asarray(regressor_ids, dtype=np.intp)
+        self.params = params
+        self.biases = np.asarray(biases, dtype=np.int64)
+        self.widths = np.asarray(widths, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.serial = np.asarray(serial, dtype=bool)
+        self.corrections = np.asarray(corrections,
+                                      dtype=np.int64).reshape(-1, 2)
+        #: partitions of a basis family, which predict whole (see _predict)
+        self._curved = np.array([name not in _LINES for name in
+                                 self.regressor_names])[self.regressor_ids]
         self._value_bounds: np.ndarray | None = None
+
+    # -------------------------------------------------------------- decode
+    def _part_of(self, positions: np.ndarray) -> np.ndarray:
+        if self.fixed_size is not None:
+            return positions // self.fixed_size
+        return np.searchsorted(self.starts, positions, side="right") - 1
+
+    def _decode(self, positions: np.ndarray,
+                accumulate: bool = False) -> np.ndarray:
+        """The value at each of ``positions`` (in range, int64): find its
+        partition, predict, read its slot, add the bias.  int64 arithmetic
+        wraps the same way in any order, so a wide partition (uint64
+        slots) decodes here too."""
+        part = self._part_of(positions)
+        local = positions - self.starts[part]
+        width = self.widths[part]
+        slots = gather_bits(self._image, self.offsets[part] + local * width,
+                            width)
+        return self._predict(part, local, accumulate) \
+            + slots.view(np.int64) + self.biases[part]
+
+    def _predict(self, part: np.ndarray, local: np.ndarray,
+                 accumulate: bool = False) -> np.ndarray:
+        """Integer predictions of partitions ``part`` at ``local``
+        positions, bitwise what the encoder floored.
+
+        A line is evaluated at each position alone.  A basis model's matrix
+        product may round differently with the number of rows, so its
+        partitions predict whole — the encoder's shape, one
+        ``predict_many`` per family and length — and are indexed.  So do
+        the serial partitions when ``accumulate``: by slope accumulation,
+        their correction lists patching the floors that drift (as floats,
+        so a prediction beyond int64 clamps as the encoder's did).
+        """
+        pred = self.params[:, 0][part] + self.params[:, 1][part] * local
+        whole = self._curved | self.serial if accumulate else self._curved
+        at = np.flatnonzero(whole[part]) if whole.any() else ()
+        if not len(at):
+            return floor_to_int64(pred)
+        # every touched partition's predictions, laid end to end
+        ids = np.flatnonzero(np.bincount(part[at], minlength=len(whole)))
+        shape = self.regressor_ids[ids] * (self.n + 1) + self.lengths[ids]
+        base = np.zeros(len(whole), dtype=np.int64)
+        table, size = [], 0
+        for key in np.unique(shape):
+            group = ids[shape == key]
+            name = self.regressor_names[self.regressor_ids[group[0]]]
+            length = int(self.lengths[group[0]])
+            if name == "linear":       # serial partitions, accumulating
+                rows = np.floor(accumulate_predictions(self.params[group],
+                                                       length))
+            else:
+                regressor = get_regressor(name)
+                rows = regressor.predict_many(
+                    self.params[group, :regressor.param_count], length)
+            base[group] = size + length * np.arange(len(group))
+            size += rows.size
+            table.append(rows.ravel())
+        table = np.concatenate(table)
+        if accumulate:
+            pos, diff = self.corrections.T
+            owner = self._part_of(pos)
+            fix = np.isin(owner, ids)
+            table[base[owner[fix]] + (pos - self.starts[owner])[fix]] \
+                += diff[fix]
+        pred[at] = table[base[part[at]] + local[at]]
+        return floor_to_int64(pred)
 
     # -------------------------------------------------------------- access
     def __len__(self) -> int:
@@ -229,145 +240,40 @@ class CompressedArray(EncodedSequence):
 
     def _get(self, position: int) -> int:
         """Random access to one value (paper's point-query path)."""
-        part = self.partitions[self._partition_index_for(position)]
-        return part.decode_one(position - part.start)
+        return int(self._decode(np.array([position]))[0])
 
     def decode_range(self, lo: int, hi: int) -> np.ndarray:
         """Decode positions ``[lo, hi)`` as an int64 array."""
         if not 0 <= lo <= hi <= self.n:
             raise IndexError(f"bad range [{lo}, {hi}) for n={self.n}")
-        if lo == hi:
-            return np.empty(0, dtype=np.int64)
-        first = self._partition_index_for(lo)
-        last = self._partition_index_for(hi - 1) + 1
-        # a short last partition decodes alone: batch only for two or
-        # more full-length ones
-        short = last == len(self.partitions) and \
-            self.partitions[-1].length != self.fixed_size
-        if self._batched and last - first - short > 1:
-            base = self.partitions[first].start
-            return self._decode_partitions(first, last)[lo - base: hi - base]
-        chunks = []
-        idx = first
-        pos = lo
-        while pos < hi:
-            part = self.partitions[idx]
-            local_lo = pos - part.start
-            local_hi = min(hi, part.end) - part.start
-            chunks.append(part.decode_slice(local_lo, local_hi))
-            pos = part.end
-            idx += 1
-        return np.concatenate(chunks)
-
-    def _decode_partitions(self, first: int, last: int) -> np.ndarray:
-        """Decode whole partitions ``[first, last)`` of a batched plan in
-        one pass: one ``predict_many`` + floor over the ``(R, L)``
-        parameter matrix (row ``r`` is bitwise what ``decode_slice``
-        predicts), every row's slots unpacked together, the biases
-        broadcast, one add.  int64 arithmetic wraps the same way in any
-        order, so a ``_encode_wide`` partition decodes here too.  A short
-        last partition is the one row decoded on its own.
-        """
-        parts = self.partitions[first:last]
-        size = self.fixed_size
-        tail = parts.pop() if parts[-1].length != size else None
-        pieces = []
-        if parts:
-            regressor = get_regressor(parts[0].regressor_name)
-            rows = floor_to_int64(regressor.predict_many(
-                np.stack([p.params for p in parts]), size))
-            rows += np.array([p.bias for p in parts], dtype=np.int64)[:, None]
-            rows += unpack_rows([p.deltas for p in parts], size
-                                ).view(np.int64)
-            pieces.append(rows.ravel())
-        if tail is not None:
-            pieces.append(tail.decode_slice(0, tail.length))
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-    def _partition_index_for(self, position: int) -> int:
-        if self.fixed_size is not None:
-            return position // self.fixed_size
-        return int(np.searchsorted(self._starts, position, "right")) - 1
+        return self._decode(np.arange(lo, hi, dtype=np.int64))
 
     def decode_all(self) -> np.ndarray:
         return self.decode_range(0, self.n)
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Decode an arbitrary set of positions (late materialization).
-
-        Strictly increasing positions that are dense over the chunk (the
-        span they cover at most four times their count) decode that span
-        in one :meth:`decode_range` and index it.  Otherwise positions are
-        grouped by partition; dense groups decode the covering slice
-        vectorised, sparse groups batch-gather their slots — the
-        decoder-side analogue of the engine's bitmap-driven scans (§5.1).
-        """
-        positions = self._check_indices(indices)
-        if positions.size == 0:
-            return np.empty(0, dtype=np.int64)
-        lo, hi = int(positions[0]), int(positions[-1]) + 1
-        if (hi - lo) <= 4 * len(positions) and \
-                bool((positions[1:] > positions[:-1]).all()):
-            return self.decode_range(lo, hi)[positions - lo]
-        out = np.empty(len(positions), dtype=np.int64)
-        if self.fixed_size is not None:
-            part_ids = positions // self.fixed_size
-        else:
-            part_ids = np.searchsorted(self._starts, positions,
-                                       side="right") - 1
-        order = np.argsort(part_ids, kind="stable")
-        sorted_ids = part_ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        for group in np.split(order, boundaries):
-            part = self.partitions[int(part_ids[group[0]])]
-            local = positions[group] - part.start
-            lo, hi = int(local.min()), int(local.max()) + 1
-            if (hi - lo) <= 4 * len(group):
-                decoded = part.decode_slice(lo, hi)
-                out[group] = decoded[local - lo]
-            else:
-                out[group] = part.decode_many(local)
-        return out
+        """Decode an arbitrary set of positions (late materialization):
+        one model inference and one slot read per position, whatever
+        partitions they fall in — the decoder-side analogue of the
+        engine's bitmap-driven scans (§5.1)."""
+        return self._decode(self._check_indices(indices))
 
     def search_sorted(self, value: int) -> int:
         """First position ``i`` with ``self[i] >= value`` (n if none).
 
         Valid only when the encoded sequence is non-decreasing (sorted keys,
-        block offsets, ...).  Runs a binary search over partitions using the
-        model-derived value bounds, then a binary search of decoded slots
-        inside one partition — O(log m + log L) random accesses, never a
-        full decompression.  This is the lower-bound primitive behind the
-        KV store's index-block lookups (§5.2).
+        block offsets, ...).  The answer lies in the first partition whose
+        last value reaches ``value``: one decode of every partition's last
+        position finds it, one decode of that partition the position —
+        never a full decompression.  This is the lower-bound primitive
+        behind the KV store's index-block lookups (§5.2).
         """
-        if self.n == 0:
-            return 0
-        bounds = self.partition_value_bounds()
-        # first partition whose upper bound can reach `value`
-        lo, hi = 0, len(self.partitions) - 1
-        first = len(self.partitions)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if bounds[mid, 1] >= value:
-                first = mid
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        for idx in range(first, len(self.partitions)):
-            part = self.partitions[idx]
-            if bounds[idx, 0] >= value:
-                return part.start
-            plo, phi = 0, part.length - 1
-            answer = -1
-            while plo <= phi:
-                pmid = (plo + phi) // 2
-                if part.decode_one(pmid) >= value:
-                    answer = pmid
-                    phi = pmid - 1
-                else:
-                    plo = pmid + 1
-            if answer >= 0:
-                return part.start + answer
-        return self.n
+        ends = self.starts + self.lengths
+        reach = np.flatnonzero(self._decode(ends - 1) >= value)
+        if reach.size == 0:
+            return self.n
+        lo, hi = int(self.starts[reach[0]]), int(ends[reach[0]])
+        return lo + int(np.searchsorted(self.decode_range(lo, hi), value))
 
     def partition_value_bounds(self) -> np.ndarray:
         """Per-partition conservative [min, max] bounds, shape (m, 2).
@@ -383,31 +289,21 @@ class CompressedArray(EncodedSequence):
         if self._value_bounds is not None:
             return self._value_bounds
         info = np.iinfo(np.int64)
-        lows = [info.min] * len(self.partitions)
-        highs = [info.max] * len(self.partitions)
-        # constant and linear predictions are monotone in the position, so
-        # the partition edges bound the whole prediction band: predict
-        # both edges of every such partition in one pass
-        banded, theta, last = [], [], []
-        for j, part in enumerate(self.partitions):
-            if part.length == 0:
-                lows[j], highs[j] = 0, -1
-            elif part.regressor_name in ("constant", "linear"):
-                banded.append(j)
-                theta.append((part.params[0], part.params[1]
-                              if len(part.params) > 1 else 0.0))
-                last.append(part.length - 1.0)
-        theta = np.array(theta, dtype=np.float64).reshape(-1, 2)
-        ends = np.stack([np.zeros(len(last)), np.array(last)], axis=1)
-        edges = floor_to_int64(theta[:, :1] + theta[:, 1:] * ends)
-        for j, lo, hi in zip(banded, edges.min(axis=1).tolist(),
-                             edges.max(axis=1).tolist()):
-            part = self.partitions[j]
-            lo += part.bias
-            hi += part.bias + (1 << part.deltas.width) - 1
-            if info.min <= lo and hi <= info.max:
-                lows[j], highs[j] = lo, hi
-        bounds = np.array([lows, highs], dtype=np.int64).T
+        # a line is monotone in the position, so the partition's two edges
+        # bound its whole prediction band
+        lines = np.flatnonzero(~self._curved)
+        edges = self._predict(np.concatenate([lines, lines]), np.concatenate(
+            [np.zeros_like(lines), self.lengths[lines] - 1])).reshape(2, -1)
+        # the band's ends exactly, as Python ints
+        bias = self.biases[lines].astype(object)
+        lo = edges.min(axis=0).astype(object) + bias
+        hi = edges.max(axis=0).astype(object) + bias \
+            + (1 << self.widths[lines].astype(object)) - 1
+        fits = (lo >= info.min) & (hi <= info.max)
+        bounds = np.empty((len(self.starts), 2), dtype=np.int64)
+        bounds[:] = info.min, info.max
+        bounds[lines[fits], 0] = lo[fits]
+        bounds[lines[fits], 1] = hi[fits]
         bounds.setflags(write=False)
         self._value_bounds = bounds
         return bounds
@@ -418,13 +314,13 @@ class CompressedArray(EncodedSequence):
         Partitions whose model + residual-width band cannot intersect
         ``[lo, hi)`` are skipped without touching their delta arrays.
         """
-        bitmap = np.zeros(self.n, dtype=bool)
         bounds = self.partition_value_bounds()
-        for j, part in enumerate(self.partitions):
-            if bounds[j, 1] < lo or bounds[j, 0] >= hi:
-                continue  # pruned: cannot contain matches
-            decoded = part.decode_slice(0, part.length)
-            bitmap[part.start: part.end] = (decoded >= lo) & (decoded < hi)
+        maybe = (bounds[:, 1] >= lo) & (bounds[:, 0] < hi)
+        bitmap = np.zeros(self.n, dtype=bool)
+        if maybe.any():
+            positions = np.flatnonzero(np.repeat(maybe, self.lengths))
+            values = self._decode(positions)
+            bitmap[positions] = (values >= lo) & (values < hi)
         return bitmap
 
     def model_bounds(self) -> tuple[int, int] | None:
@@ -444,18 +340,18 @@ class CompressedArray(EncodedSequence):
 
     def decode_all_serial(self) -> np.ndarray:
         """Full decode using slope accumulation + corrections (§3.3)."""
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([p.decode_serial() for p in self.partitions])
+        return self._decode(np.arange(self.n), accumulate=True)
 
     # ---------------------------------------------------------------- size
     def compressed_size_bytes(self) -> int:
         """Length of the raw payload (the envelope header is not counted)."""
-        return len(self.payload_bytes())
+        return len(self._image)
 
     def model_size_bytes(self) -> int:
         """Total bytes spent on model parameters (Fig. 10's cross pattern)."""
-        return sum(8 * len(p.params) for p in self.partitions)
+        counts = np.array([get_regressor(name).param_count
+                           for name in self.regressor_names])
+        return 8 * int(counts[self.regressor_ids].sum())
 
     def compression_ratio(self, uncompressed_bytes: int) -> float:
         """compressed / uncompressed, as a fraction (paper reports %)."""
@@ -464,82 +360,135 @@ class CompressedArray(EncodedSequence):
     # ------------------------------------------------------- serialisation
     def payload_bytes(self) -> bytes:
         """The raw ``LECO`` image (``to_bytes()`` adds the envelope)."""
-        if self._serialized is not None:
-            return self._serialized
-        names = sorted({p.regressor_name for p in self.partitions})
+        return self._image
+
+    @classmethod
+    def assemble(cls, n: int, fixed_size: int | None, default: str,
+                 starts, parts: list[tuple[Rows, int]]) -> "CompressedArray":
+        """The sequence of ``n`` values whose partitions start at
+        ``starts`` and are ``parts`` — ``(rows, r)``: row ``r`` of an
+        encoded batch — with its image written.  Partitions name their
+        regressor only in a mixed image; a lone family (every partition on
+        the encoder's fallback, say) is the header's default, else
+        ``default`` is."""
+        names = sorted({rows.regressors[r] for rows, r in parts})
         mixed = len(names) > 1
-        flags = (_FLAG_FIXED if self.fixed_size is not None else 0)
-        if mixed:
-            flags |= _FLAG_MIXED
-        out = bytearray()
-        out += MAGIC
+        ids = {name: i for i, name in enumerate(names)}
+        default = default if mixed or not names else names[0]
+        out = bytearray(MAGIC)
         out.append(VERSION)
-        out.append(flags)
-        # partitions carry a name only when mixed: a lone name (every
-        # partition took the encoder's fallback) is the header's default
-        default = self.default_regressor if mixed or not names else names[0]
+        out.append((_FLAG_FIXED if fixed_size is not None else 0)
+                   | (_FLAG_MIXED if mixed else 0))
         out.append(len(default))
         out += default.encode()
-        out += encode_uvarint(self.n)
-        out += encode_uvarint(len(self.partitions))
-        if self.fixed_size is not None:
-            out += encode_uvarint(self.fixed_size)
+        out += encode_uvarint(n) + encode_uvarint(len(parts))
+        if fixed_size is not None:
+            out += encode_uvarint(fixed_size)
         else:
-            starts = BitPackedArray.from_values(
-                self._starts.astype(np.uint64))
-            out += starts.to_bytes()
+            out += BitPackedArray.from_values(
+                np.asarray(starts, dtype=np.uint64)).to_bytes()
         if mixed:
             out.append(len(names))
             for name in names:
                 out.append(len(name))
                 out += name.encode()
-        reg_ids = {name: i for i, name in enumerate(names)}
-        for part in self.partitions:
-            out += part.to_bytes(mixed, reg_ids)
-        self._serialized = bytes(out)
-        return self._serialized
+        offsets = []
+        for rows, r in parts:
+            out += partition_record(
+                rows, r, ids[rows.regressors[r]] if mixed else None)
+            offsets.append(8 * (len(out) - len(rows.packed[r])))
+        params = np.zeros((len(parts), max([2] + [
+            rows.params.shape[1] for rows, _ in parts])))
+        for j, (rows, r) in enumerate(parts):
+            params[j, :rows.params.shape[1]] = rows.params[r]
+        fixes = [rows.corrections[r] for rows, r in parts]
+        return cls(
+            bytes(out), n, fixed_size, names or [default], starts,
+            [ids.get(rows.regressors[r], 0) for rows, r in parts], params,
+            [rows.biases[r] for rows, r in parts],
+            [rows.widths[r] for rows, r in parts], offsets,
+            [f is not None for f in fixes],
+            [(start + pos, diff) for start, f in zip(starts, fixes)
+             for pos, diff in f or ()])
 
     @classmethod
     def from_payload(cls, buf: bytes) -> "CompressedArray":
+        """Revive an image: the arrays point into ``buf`` itself, which the
+        sequence keeps as its image.  Raises a one-line :class:`ValueError`
+        on an image that is truncated, runs past its last partition, or
+        whose directory does not cover its values exactly once."""
         if buf[:4] != MAGIC:
             raise ValueError("not a LeCo buffer (bad magic)")
+        try:
+            return cls._parse(buf)
+        except (IndexError, struct.error):
+            raise ValueError("truncated or corrupt LeCo image") from None
+
+    @classmethod
+    def _parse(cls, buf: bytes) -> "CompressedArray":
         if buf[4] != VERSION:
             raise ValueError(f"unsupported version {buf[4]}")
         flags = buf[5]
-        offset = 6
-        name_len = buf[offset]
-        offset += 1
-        default = buf[offset: offset + name_len].decode()
-        offset += name_len
+        offset = 7 + buf[6]
+        names = [buf[7: offset].decode()]
         n, offset = decode_uvarint(buf, offset)
         m, offset = decode_uvarint(buf, offset)
         fixed_size = None
         if flags & _FLAG_FIXED:
             fixed_size, offset = decode_uvarint(buf, offset)
-            starts = np.arange(m, dtype=np.int64) * fixed_size
+            starts = [j * fixed_size for j in range(m)]
         else:
             packed, offset = BitPackedArray.from_bytes(buf, offset)
-            starts = packed.to_numpy().astype(np.int64)
-        reg_names: list[str] = []
+            starts = packed.to_numpy().tolist()
+        lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
+        if len(starts) != m or (n > 0) != (m > 0) or m and (
+                starts[0] != 0 or min(lengths) <= 0 or (
+                    fixed_size is not None and lengths[-1] > fixed_size)):
+            raise ValueError(f"LeCo image's {m} partitions do not cover "
+                             f"its {n} values exactly once")
         mixed = bool(flags & _FLAG_MIXED)
         if mixed:
-            n_names = buf[offset]
-            offset += 1
-            for _ in range(n_names):
-                ln = buf[offset]
-                offset += 1
-                reg_names.append(buf[offset: offset + ln].decode())
-                offset += ln
-        partitions: list[Partition] = []
-        for j in range(m):
-            start = int(starts[j])
-            end = int(starts[j + 1]) if j + 1 < m else n
-            part, offset = Partition.from_bytes(
-                buf, offset, start, end - start, mixed, reg_names, default)
-            partitions.append(part)
-        # not memoised as ``_serialized``: every partition already owns
-        # a copy of its packed bytes, and a chunk cache full of revived
-        # sequences would hold each payload twice for a ``to_bytes()``
-        # nothing on the read path makes (it re-serialises on demand,
-        # byte for byte)
-        return cls(n, partitions, fixed_size, default)
+            count, offset, names = buf[offset], offset + 1, []
+            for _ in range(count):
+                end = offset + 1 + buf[offset]
+                names.append(buf[offset + 1: end].decode())
+                offset = end
+        counts = [get_regressor(name).param_count for name in names]
+        k_max = max([2] + counts)
+        ids, params, biases, widths, offsets, serial, corrections = (
+            [] for _ in range(7))
+        reg = 0
+        for start, length in zip(starts, lengths):
+            if mixed:
+                reg, offset = buf[offset], offset + 1
+            k = counts[reg]
+            params.append(struct.unpack_from(f"={k}d", buf, offset)
+                          + (0.0,) * (k_max - k))
+            bias, offset = decode_svarint(buf, offset + 8 * k)
+            flag = buf[offset]
+            n_corr, offset = decode_uvarint(buf, offset + 1)
+            fixes, pos = [], start
+            for _ in range(n_corr):
+                gap, offset = decode_uvarint(buf, offset)
+                diff, offset = decode_svarint(buf, offset)
+                pos += gap
+                fixes.append((pos, diff))
+            # the serial decode is a linear model's; its list patches it
+            serial.append(bool(flag) and names[reg] == "linear")
+            corrections += fixes if serial[-1] else []
+            width = buf[offset]
+            count = int.from_bytes(buf[offset + 1: offset + 9], "big")
+            if count != length or width > 64:
+                raise ValueError(f"LeCo partition at {start} stores {count} "
+                                 f"{width}-bit slots for its {length} values")
+            ids.append(reg)
+            biases.append(bias)
+            widths.append(width)
+            offsets.append(8 * (offset + 9))
+            offset += 9 + (count * width + 7) // 8
+        if offset != len(buf):
+            raise ValueError(f"LeCo image is {len(buf)} bytes but its "
+                             f"partitions end at byte {offset}")
+        return cls(buf, n, fixed_size, names, starts, ids,
+                   np.array(params, dtype=np.float64).reshape(m, k_max),
+                   biases, widths, offsets, serial, corrections)

@@ -138,7 +138,7 @@ class TestCodecSpec:
         values = np.cumsum(np.arange(5000) % 11).astype(np.int64)
         arr = compress(values, CodecSpec(regressor="auto",
                                          selector=selector))
-        assert selector.calls == len(arr.partitions)
+        assert selector.calls == len(arr.starts)
         assert np.array_equal(decompress(arr), values)
 
     def test_concurrent_auto_compress(self):

@@ -40,7 +40,7 @@ class TestFOR:
         """FOR frames store a horizontal-line model (paper §2)."""
         values = np.arange(1000, dtype=np.int64)
         enc = codecs.get("for", partitioner=100).encode(values)
-        assert all(p.regressor_name == "constant" for p in enc.partitions)
+        assert enc.regressor_names == ("constant",)
 
     def test_leco_never_worse_than_for(self):
         """LeCo's linear model subsumes FOR's constant (paper §4.3.1)."""

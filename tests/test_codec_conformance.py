@@ -12,9 +12,9 @@ contract — no test edits required:
   ``IndexError`` out of range);
 * ``filter_range(lo, hi)`` equals the decoded comparison and
   ``model_bounds()`` never excludes a stored value;
-* a ``CompressedArray``'s ``decode_all()`` (one ``(R, L)`` matrix on a
-  fixed plan) equals its per-partition walk under every plan and
-  regressor (:class:`TestBatchedDecode`);
+* every access path of a ``CompressedArray`` equals a per-position
+  reference decoder, and its partitions cover each position exactly
+  once, under every plan and regressor (:class:`TestBatchedDecode`);
 * the envelope rejects truncated and foreign-magic blobs with ValueError;
 * the envelope bytes of every LAPACK-free encoder equal the pinned golden
   digests (:class:`TestGoldenBytes`).
@@ -29,8 +29,9 @@ import numpy as np
 import pytest
 
 from repro import codecs
+from repro.bitio import BitPackedArray
 from repro.core.encoding import CompressedArray
-from repro.core.regressors import available_regressors
+from repro.core.regressors import available_regressors, get_regressor
 
 try:
     from hypothesis import given, settings
@@ -89,7 +90,6 @@ class TestIntegerConformance:
             assert len(revived) == len(values)
             assert np.array_equal(revived.decode_all(), values)
             # a second serialise/parse cycle is stable, byte for byte
-            # (a revived sequence keeps no copy of the blob it came from)
             assert revived.to_bytes() == blob
             assert np.array_equal(
                 codecs.from_bytes(revived.to_bytes()).decode_all(), values)
@@ -213,8 +213,8 @@ class TestNonMonotoneBounds:
                              partitioner=512).encode(values)
             check_filter_and_bounds(seq, values)
             bounds = seq.partition_value_bounds()
-            monotone = [p.regressor_name in ("constant", "linear")
-                        for p in seq.partitions]
+            monotone = [seq.regressor_names[k] in ("constant", "linear")
+                        for k in seq.regressor_ids]
             for j in np.flatnonzero(~np.array(monotone)):
                 assert tuple(bounds[j]) == (info.min, info.max)
             if not all(monotone):
@@ -567,7 +567,7 @@ class TestGoldenBytes:
                 GOLDEN_DIGESTS[dataset][form], (dataset, form)
 
 
-#: the codecs whose sequence is a ``CompressedArray`` (batched decode)
+#: the codecs whose sequence is a ``CompressedArray`` (the columnar decode)
 LECO_CODECS = [n for n in INT_CODECS
                if isinstance(codecs.get(n).encode(np.arange(4)),
                              CompressedArray)]
@@ -588,43 +588,109 @@ def index_sets(n: int, rng) -> list[np.ndarray]:
             np.sort(rng.integers(0, n, n)), rng.integers(0, n, 7)]
 
 
+INT64 = np.iinfo(np.int64)
+
+
+def reference_decode(seq: CompressedArray) -> np.ndarray:
+    """Every value of ``seq`` one position at a time, by the per-partition
+    arithmetic the columnar decode replaced: find the position's
+    partition, load its model, predict (a basis model over the whole
+    partition, the encoder's shape), read the slot from a
+    ``BitPackedArray`` over the partition's bytes, add the bias."""
+    image = seq.payload_bytes()
+    out = []
+    for i in range(len(seq)):
+        j = int(np.searchsorted(seq.starts, i, side="right")) - 1
+        local, length = i - int(seq.starts[j]), int(seq.lengths[j])
+        name = seq.regressor_names[seq.regressor_ids[j]]
+        regressor = get_regressor(name)
+        model = regressor.load(seq.params[j, :regressor.param_count])
+        if name in ("constant", "linear"):
+            pred = model.predict_int(np.array([local]))[0]
+        else:
+            pred = model.predict_int(np.arange(length))[local]
+        slots = BitPackedArray(image[seq.offsets[j] // 8:],
+                               int(seq.widths[j]), length)
+        value = int(pred) + slots[local] + int(seq.biases[j])
+        out.append((value + (1 << 63)) % (1 << 64) - (1 << 63))
+    return np.array(out, dtype=np.int64)
+
+
+def assert_partition_invariant(seq: CompressedArray, n: int) -> None:
+    """SNIPPETS 2-3's partition invariant: the first partition starts at
+    0, starts strictly increase, lengths sum to ``n``, and every position
+    lies in exactly one partition."""
+    assert len(seq) == n and len(seq.starts) == len(seq.lengths)
+    if n:
+        assert seq.starts[0] == 0 and (np.diff(seq.starts) > 0).all()
+    assert int(seq.lengths.sum()) == n
+    covered = np.zeros(n, dtype=np.int64)
+    for start, length in zip(seq.starts, seq.lengths):
+        covered[start: start + length] += 1
+    assert (covered == 1).all()
+
+
 def check_batched_decode(seq, values, rng) -> None:
-    """``decode_all()`` equals the per-partition walk it replaces, on the
-    encoder's sequence and on the one revived from its bytes, and
-    ``gather(idx) == decode_all()[idx]`` for every kind of index set."""
+    """The columnar decode's contract, on the encoder's sequence and on
+    the one revived from its bytes: the partition invariant holds, the
+    per-position reference decoder returns the input, and every access
+    path equals it."""
+    n = len(values)
     for s in (seq, codecs.from_bytes(seq.to_bytes())):
-        walked = [p.decode_slice(0, p.length) for p in s.partitions]
-        full = s.decode_all()
-        assert np.array_equal(full, np.concatenate(walked))
-        assert np.array_equal(full, values)
-        for idx in index_sets(len(values), rng):
-            assert np.array_equal(s.gather(idx), full[idx]), idx
+        assert_partition_invariant(s, n)
+        ref = reference_decode(s)
+        assert np.array_equal(ref, values)
+        assert np.array_equal(s.decode_all(), ref)
+        assert np.array_equal(s.decode_all_serial(), ref)
+        lo = int(rng.integers(0, n + 1))
+        hi = int(rng.integers(lo, n + 1))
+        assert np.array_equal(s.decode_range(lo, hi), ref[lo:hi])
+        for idx in index_sets(n, rng):
+            assert np.array_equal(s.gather(idx), ref[idx]), idx
+        for i in rng.integers(0, n, 5).tolist():
+            assert s[i] == ref[i]
+        bounds = s.partition_value_bounds()
+        for j, (start, length) in enumerate(zip(s.starts, s.lengths)):
+            part = ref[start: start + length]
+            assert bounds[j, 0] <= part.min() and part.max() <= bounds[j, 1]
+        for a, b in rng.choice(ref, (3, 2)).tolist():
+            assert np.array_equal(s.filter_range(a, b),
+                                  (ref >= a) & (ref < b)), (a, b)
+        if (ref[1:] >= ref[:-1]).all():
+            near = [*rng.choice(ref, 3).tolist(), int(ref[0]), int(ref[-1])]
+            for probe in {v + d for v in near for d in (-1, 0, 1)}:
+                if INT64.min <= probe <= INT64.max:
+                    assert s.search_sorted(probe) == \
+                        np.searchsorted(ref, probe), probe
+        assert s.model_size_bytes() == sum(
+            8 * get_regressor(s.regressor_names[k]).param_count
+            for k in s.regressor_ids)
 
 
 class TestBatchedDecode:
-    """A fixed plan under one regressor decodes as one ``(R, L)`` matrix;
-    every other sequence walks its partitions.  Both must be the walk."""
+    """Every access path of a ``CompressedArray`` is one decode over its
+    per-partition arrays; :func:`check_batched_decode` holds it to the
+    per-position reference decoder under every plan and regressor."""
 
     def test_short_last_partition(self):
         values = np.cumsum(np.arange(1237) % 7) * 5 - 9000
         seq = codecs.get("leco", partitioner=64).encode(values)
-        assert seq._batched and seq.partitions[-1].length < 64
+        assert seq.lengths[-1] < 64
         check_batched_decode(seq, values, np.random.default_rng(1))
 
     def test_single_partition_chunk(self):
         values = np.arange(50, dtype=np.int64) * 3
         seq = codecs.get("leco", partitioner=64).encode(values)
-        assert len(seq.partitions) == 1
+        assert len(seq.starts) == 1
         check_batched_decode(seq, values, np.random.default_rng(2))
 
     def test_wide_partitions(self):
-        """Partitions spanning more than 2**63 (uint64 slots, decoded by
-        int64 wraparound) take the batched path too."""
+        """Partitions spanning more than 2**63: uint64 slots, decoded by
+        int64 wraparound."""
         values = np.random.default_rng(3).integers(
             -(1 << 63), (1 << 63) - 1, 640)
         seq = codecs.get("for", partitioner=64).encode(values)
-        assert seq._batched
-        assert all(p.deltas.width == 64 for p in seq.partitions)
+        assert (seq.widths == 64).all()
         check_batched_decode(seq, values, np.random.default_rng(4))
 
     def test_for_chunk_of_many_frames(self):
@@ -632,24 +698,46 @@ class TestBatchedDecode:
 
         values = sensor_fixture(4096, seed=3)["ts"][:2048]
         seq = codecs.get("for").encode(values)
-        assert seq._batched and len(seq.partitions) >= 12
+        assert len(seq.starts) >= 12
         check_batched_decode(seq, values, np.random.default_rng(5))
 
     if HAVE_HYPOTHESIS:
+        # n from 1 to 300: serial-correlated runs with 40-bit jumps
+        # (optionally sorted, so search_sorted is checked), or 64-bit
+        # hashes, whose partitions span more than 2**63
+        oracle_values = st.one_of(
+            st.tuples(st.lists(
+                st.one_of(st.integers(-50, 50),
+                          st.integers(-(1 << 40), 1 << 40)),
+                min_size=1, max_size=300), st.booleans()).map(
+                    lambda v: (np.sort if v[1] else np.asarray)(
+                        np.cumsum(np.array(v[0], dtype=np.int64)))),
+            st.lists(st.integers(-(1 << 63), (1 << 63) - 1),
+                     min_size=1, max_size=300).map(
+                         lambda v: np.array(v, dtype=np.int64)))
+
         @pytest.mark.parametrize(
             "name,kwargs", BATCH_FORMS,
             ids=[f"{n}-{'-'.join(map(str, kw.values()))}"
                  for n, kw in BATCH_FORMS])
-        @given(values=st.lists(
-            st.one_of(st.integers(-50, 50),
-                      st.integers(-(1 << 40), 1 << 40)),
-            min_size=1, max_size=160).map(
-                lambda v: np.cumsum(np.array(v, dtype=np.int64))),
-            seed=st.integers(0, 2 ** 32 - 1))
+        @given(values=oracle_values, seed=st.integers(0, 2 ** 32 - 1))
         @settings(max_examples=5, deadline=None)
         def test_batched_equals_walk(self, name, kwargs, values, seed):
             seq = codecs.get(name, **kwargs).encode(values)
             check_batched_decode(seq, values, np.random.default_rng(seed))
+
+        @pytest.mark.parametrize("regressor", ["linear", "constant", "auto"])
+        @given(values=oracle_values, data=st.data())
+        @settings(max_examples=15, deadline=None)
+        def test_fixed_sizes_that_do_and_do_not_divide_n(self, regressor,
+                                                         values, data):
+            n = len(values)
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            size = data.draw(st.one_of(st.sampled_from(divisors),
+                                       st.integers(1, n + 3)))
+            seq = codecs.get("leco", regressor=regressor,
+                             partitioner=size).encode(values)
+            check_batched_decode(seq, values, np.random.default_rng(size))
 
 
 if HAVE_HYPOTHESIS:

@@ -6,14 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import codecs
-from repro.bitio import BitPackedArray
+from repro.bitio import BitPackedArray, encode_uvarint
 from repro.core.encoding import (
     CompressedArray,
     LecoEncoder,
-    Partition,
     accumulate_predictions,
-    encode_partition,
     encode_rows,
+    partition_record,
 )
 from repro.core.encoding import encoder
 from repro.core.regressors import (
@@ -180,17 +179,28 @@ class TestSerialDecodeOptimisation:
         assert np.array_equal(arr.decode_all_serial(), values)
 
     def test_accumulate_predictions_is_sequential(self):
-        acc = accumulate_predictions(1.0, 0.1, 5)
+        acc = accumulate_predictions(np.array([[1.0, 0.1]]), 5)[0]
         expected = [1.0]
         for _ in range(4):
             expected.append(expected[-1] + 0.1)
         assert np.allclose(acc, expected, rtol=0, atol=0)
 
+    def test_prediction_beyond_int64_patches_as_a_float(self):
+        """The line through these three values predicts below -2**63 at
+        the last one, where the encoder's floor clamps; the correction
+        there (-2048) patches the accumulated float, which then clamps
+        the same way, instead of being added past the clamp."""
+        values = np.array([5995764208214914330, -9098260849776385120,
+                           -8929821734011167481], dtype=np.int64)
+        arr = codecs.get("leco", partitioner=3).encode(values)
+        assert arr.serial.all() and arr.corrections.tolist() == [[2, -2048]]
+        assert np.array_equal(arr.decode_all_serial(), values)
+
     def test_corrections_absent_when_disabled(self):
         values = np.arange(1000, dtype=np.int64) * 3
         arr = codecs.get("leco", partitioner=100,
                           build_corrections=False).encode(values)
-        assert all(not p.corrections for p in arr.partitions)
+        assert len(arr.corrections) == 0 and not arr.serial.any()
 
 
 class TestPartitionValueBounds:
@@ -200,8 +210,8 @@ class TestPartitionValueBounds:
         """Every true value must lie within its partition's claimed bounds."""
         arr = codecs.get("leco", partitioner=32).encode(values)
         bounds = arr.partition_value_bounds()
-        for j, part in enumerate(arr.partitions):
-            seg = values[part.start: part.end]
+        for j, (start, length) in enumerate(zip(arr.starts, arr.lengths)):
+            seg = values[start: start + length]
             assert bounds[j, 0] <= seg.min()
             assert bounds[j, 1] >= seg.max()
 
@@ -209,8 +219,8 @@ class TestPartitionValueBounds:
         values = (11 * np.arange(10_000)).astype(np.int64)
         arr = codecs.get("leco", partitioner=1000).encode(values)
         bounds = arr.partition_value_bounds()
-        for j, part in enumerate(arr.partitions):
-            seg = values[part.start: part.end]
+        for j, (start, length) in enumerate(zip(arr.starts, arr.lengths)):
+            seg = values[start: start + length]
             span = int(seg.max() - seg.min()) + 1
             claimed = int(bounds[j, 1] - bounds[j, 0]) + 1
             assert claimed <= 2 * span + 16
@@ -220,15 +230,16 @@ def reference_value_bounds(arr: CompressedArray) -> np.ndarray:
     """``partition_value_bounds`` one partition at a time, as it stood
     before the bands were computed in one pass."""
     info = np.iinfo(np.int64)
-    bounds = np.empty((len(arr.partitions), 2), dtype=np.int64)
-    for j, part in enumerate(arr.partitions):
+    bounds = np.empty((len(arr.starts), 2), dtype=np.int64)
+    for j, length in enumerate(arr.lengths.tolist()):
         band = (info.min, info.max)
-        if part.length == 0:
-            band = (0, -1)
-        elif part.regressor_name in ("constant", "linear"):
-            pred = part.model.predict_int(np.array([0, part.length - 1]))
-            lo = int(pred.min()) + part.bias
-            hi = int(pred.max()) + part.bias + (1 << part.deltas.width) - 1
+        name = arr.regressor_names[arr.regressor_ids[j]]
+        if name in ("constant", "linear"):
+            model = get_regressor(name).load(arr.params[j])
+            pred = model.predict_int(np.array([0, length - 1]))
+            lo = int(pred.min()) + int(arr.biases[j])
+            hi = int(pred.max()) + int(arr.biases[j]) \
+                + (1 << int(arr.widths[j])) - 1
             if info.min <= lo and hi <= info.max:
                 band = (lo, hi)
         bounds[j] = band
@@ -247,8 +258,9 @@ class TestPartitionValueBoundsOnePass:
                               reference_value_bounds(arr))
 
     def test_no_cheap_bound_falls_back_to_the_whole_range(self):
-        """Bands leaving int64, partitions spanning more than 2**63, an
-        empty partition: exactly the per-partition answers."""
+        """Bands leaving int64, partitions spanning more than 2**63:
+        exactly the per-partition answers.  An empty sequence has no
+        partitions to bound."""
         info = np.iinfo(np.int64)
         rng = np.random.default_rng(4)
         unbounded = 0
@@ -260,10 +272,9 @@ class TestPartitionValueBoundsOnePass:
             assert np.array_equal(got, reference_value_bounds(arr))
             unbounded += int((got == (info.min, info.max)).all(axis=1).sum())
         assert unbounded
-        empty = Partition(0, 0, "linear", [0.0, 0.0], 0,
-                          BitPackedArray.from_values(np.empty(0, np.uint64)))
-        arr = CompressedArray(0, [empty], None, "linear")
-        assert arr.partition_value_bounds().tolist() == [[0, -1]]
+        arr = codecs.get("leco").encode(np.empty(0, dtype=np.int64))
+        assert arr.partition_value_bounds().shape == (0, 2)
+        assert arr.model_bounds() is None
 
     def test_computed_once_and_read_only(self):
         arr = codecs.get("leco", partitioner=100).encode(np.arange(1000))
@@ -273,11 +284,10 @@ class TestPartitionValueBoundsOnePass:
             bounds[0, 0] = 0
 
 
-def reference_encode_partition(values, start, regressor,
-                               build_corrections=True) -> Partition:
-    """``encode_partition`` one row at a time, as it stood before
-    ``encode_rows``: fit, guards, constant then wide fallback, bias,
-    pack, corrections."""
+def reference_row(values, regressor, build_corrections=True) -> tuple:
+    """One partition encoded the way it was before ``encode_rows``: fit,
+    guards, constant then wide fallback, bias, pack, corrections — as
+    :func:`row_image` reads a row of an encoded batch."""
     def safe_residuals(model):
         pred = model.predict_float(np.arange(len(values)))
         if not np.all(np.isfinite(pred)):
@@ -293,40 +303,50 @@ def reference_encode_partition(values, start, regressor,
         model, name = ConstantRegressor().fit(values), "constant"
         residuals = safe_residuals(model)
     if residuals is None:
-        return encoder._encode_wide(values, start)
+        # a span beyond 2**63: ``v - floor`` as uint64 slots, bias 0
+        lowest = int(values.min())
+        floor = np.float64(lowest)
+        if int(floor) > lowest:
+            floor = np.nextafter(floor, -np.inf)
+        packed = BitPackedArray.from_values(
+            values.astype(np.uint64) - np.uint64(int(floor) % (1 << 64)))
+        return ("constant", np.array([floor]).tobytes(), 0, packed.width,
+                packed.data, None)
     bias = int(residuals.min()) if residuals.size else 0
     packed = BitPackedArray.from_values((residuals - bias).astype(np.uint64))
-    corrections, serial_ok = None, False
+    corrections = None
     if build_corrections and name == "linear":
         corrections = []
         if len(values):
             theta0, theta1 = (float(p) for p in model.params)
             direct = np.floor(theta0 + theta1 * np.arange(
                 len(values), dtype=np.float64))
-            accum = np.floor(accumulate_predictions(theta0, theta1,
-                                                    len(values)))
+            accum = np.floor(np.add.accumulate(
+                [theta0] + [theta1] * (len(values) - 1)))
             corrections = [(int(i), int(direct[i] - accum[i]))
                            for i in np.flatnonzero(direct != accum)]
-        serial_ok = len(corrections) <= max(len(values) // 16, 4)
-        if not serial_ok:
+        if len(corrections) > max(len(values) // 16, 4):
             corrections = None
-    return Partition(start, len(values), name, model.params, bias, packed,
-                     corrections, serial_ok)
+    return (name, model.params.tobytes(), bias, packed.width, packed.data,
+            corrections)
+
+
+def row_image(rows, r: int) -> tuple:
+    """Row ``r`` of an encoded batch, field by field."""
+    name = rows.regressors[r]
+    count = get_regressor(name).param_count
+    return (name, rows.params[r, :count].tobytes(), int(rows.biases[r]),
+            int(rows.widths[r]), rows.packed[r], rows.corrections[r])
 
 
 def assert_exact_cover(seq: CompressedArray, n: int) -> None:
     """Every position in exactly one partition, none twice, sizes sum
     to ``n``."""
     covered = np.zeros(n, dtype=np.int64)
-    for part in seq.partitions:
-        covered[part.start: part.end] += 1
+    for start, length in zip(seq.starts, seq.lengths):
+        covered[start: start + length] += 1
     assert (covered == 1).all()
-    assert sum(p.length for p in seq.partitions) == n
-
-
-def partition_image(part: Partition) -> tuple:
-    return (part.start, part.length, part.regressor_name,
-            part.to_bytes(mixed=True, reg_ids={part.regressor_name: 0}))
+    assert int(seq.lengths.sum()) == n
 
 
 # chunks of a batch: empty, shorter than a partition, ragged tails, with
@@ -354,8 +374,7 @@ class TestEncodeMany:
         for seq, values in zip(batch, chunks):
             assert seq.to_bytes() == codec.encode(values).to_bytes()
             assert np.array_equal(seq.decode_all(), values)
-            assert [p.start for p in seq.partitions] == \
-                list(range(0, len(values), size))
+            assert seq.starts.tolist() == list(range(0, len(values), size))
             assert_exact_cover(seq, len(values))
 
     @pytest.mark.parametrize("plan", ["fixed", "variable", "auto"])
@@ -377,13 +396,11 @@ class TestEncodeMany:
                 for a in range(0, len(values) - size + 1, size)]
         if not rows:
             return
-        starts = list(range(len(rows)))
-        got = encode_rows(np.stack(rows), starts, reg)
-        for part, row, start in zip(got, rows, starts):
-            assert partition_image(part) == partition_image(
-                reference_encode_partition(row, start, reg))
-            assert partition_image(part) == partition_image(
-                encode_partition(row, start, reg))
+        got = encode_rows(np.stack(rows), reg)
+        for r, row in enumerate(rows):
+            assert row_image(got, r) == reference_row(row, reg)
+            assert partition_record(got, r) == partition_record(
+                encode_rows(row[None, :], reg), 0)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_guard_rows_fall_back_inside_a_batch(self):
@@ -404,21 +421,21 @@ class TestEncodeMany:
                          [-5, 7, 100, 3],
                          [info.min, info.max, info.min + 5, info.max - 5],
                          [1, 2, 3, 5]])
-        starts = [0, 4, 8, 12]
-        parts = encode_rows(rows, starts, Blowup())
-        assert [(p.regressor_name, len(p.params)) for p in parts] == \
+        got = encode_rows(rows, Blowup())
+        assert [(name, get_regressor(name).param_count)
+                for name in got.regressors] == \
             [("linear", 2), ("constant", 1), ("constant", 1), ("linear", 2)]
-        for part, row, start in zip(parts, rows, starts):
-            assert partition_image(part) == partition_image(
-                reference_encode_partition(row, start, Blowup()))
-            assert part.decode_slice(0, 4).tolist() == row.tolist()
+        for r, row in enumerate(rows):
+            assert row_image(got, r) == reference_row(row, Blowup())
+        seq = CompressedArray.assemble(16, 4, "linear", [0, 4, 8, 12],
+                                       [(got, r) for r in range(4)])
+        assert seq.decode_all().tolist() == rows.ravel().tolist()
 
     def test_zero_length_rows(self):
-        part = encode_partition(np.empty(0, dtype=np.int64), 5,
-                                LinearRegressor())
-        assert partition_image(part) == partition_image(
-            reference_encode_partition(np.empty(0, dtype=np.int64), 5,
-                                       LinearRegressor()))
+        got = encode_rows(np.empty((1, 0), dtype=np.int64),
+                          LinearRegressor())
+        assert row_image(got, 0) == reference_row(
+            np.empty(0, dtype=np.int64), LinearRegressor())
 
     def test_long_input_is_encoded_in_bounded_blocks(self):
         """A block never stacks more than ``_BLOCK_VALUES`` values, and
@@ -472,7 +489,7 @@ class TestSerialisation:
         arr = codecs.get("leco", partitioner="variable").encode(values)
         clone = CompressedArray.from_payload(arr.payload_bytes())
         assert clone.fixed_size is None
-        assert len(clone.partitions) == len(arr.partitions)
+        assert len(clone.starts) == len(arr.starts)
         assert np.array_equal(clone.decode_all(), values)
 
     def test_mixed_regressor_serialisation(self):
@@ -480,15 +497,21 @@ class TestSerialisation:
             (np.arange(500) ** 2),
             7 * np.arange(500) + 10 ** 6,
         ]).astype(np.int64)
-        parts = [
-            encode_partition(values[:500], 0, get_regressor("poly2")),
-            encode_partition(values[500:], 500, get_regressor("linear")),
-        ]
-        arr = CompressedArray(1000, parts, None, "linear")
+
+        class Halves:
+            """The selector hook: poly2 for the parabola, then linear."""
+
+            def recommend(self, values):
+                return get_regressor(
+                    "poly2" if values[0] < 10 ** 6 else "linear")
+
+        arr = codecs.get("leco", regressor="auto", selector=Halves(),
+                         partitioner=500).encode(values)
         clone = CompressedArray.from_payload(arr.payload_bytes())
-        assert {p.regressor_name for p in clone.partitions} == {
-            "poly2", "linear"}
+        assert [clone.regressor_names[i] for i in clone.regressor_ids] == [
+            "poly2", "linear"]
         assert np.array_equal(clone.decode_all(), values)
+        assert clone.payload_bytes() == arr.payload_bytes()
 
 
     def test_lone_non_default_regressor_serialisation(self):
@@ -500,17 +523,55 @@ class TestSerialisation:
         values = (0.4 * x ** 2).astype(np.int64) + x % 3
         arr = codecs.get("leco", regressor="auto",
                          partitioner=900).encode(values)
-        assert {p.regressor_name for p in arr.partitions} == {"poly2"}
+        assert arr.regressor_names == ("poly2",)
         clone = codecs.from_bytes(arr.to_bytes())
         assert np.array_equal(clone.decode_all(), values)
         assert clone.payload_bytes() == arr.payload_bytes()
+
+
+class TestReviveRejectsInconsistentImages:
+    """A partition's slot count is its directory length, and the image
+    ends where its last partition does: anything else is a one-line
+    ``ValueError``, never a sequence whose access paths disagree."""
+
+    def image(self) -> bytes:
+        values = np.arange(3000) * 7 + np.arange(3000) % 5
+        return codecs.get("leco", partitioner=1024).encode(
+            values).payload_bytes()
+
+    def test_slot_count_must_equal_the_partition_length(self):
+        raw = bytearray(self.image())
+        # partition 0's BitPackedArray header: a width byte, then its
+        # slot count as 8 big-endian bytes
+        at = raw.index((1024).to_bytes(8, "big"))
+        raw[at: at + 8] = (1023).to_bytes(8, "big")
+        with pytest.raises(ValueError, match="1023"):
+            CompressedArray.from_payload(bytes(raw))
+
+    def test_bytes_past_the_last_partition_are_rejected(self):
+        with pytest.raises(ValueError, match="partitions end"):
+            CompressedArray.from_payload(self.image() + b"\x00")
+
+    def test_directory_must_cover_every_value_once(self):
+        raw = bytearray(self.image())
+        at = len(b"LECO") + 3 + len("linear")      # n, a uvarint
+        assert raw[at: at + 2] == encode_uvarint(3000)
+        raw[at: at + 2] = encode_uvarint(3100)      # 52 values uncovered
+        with pytest.raises(ValueError, match="cover"):
+            CompressedArray.from_payload(bytes(raw))
+
+    def test_every_truncation_is_a_value_error(self):
+        raw = self.image()
+        for cut in (1, 2, 9, 10, 100, len(raw) // 2, len(raw) - 5):
+            with pytest.raises(ValueError):
+                CompressedArray.from_payload(raw[:-cut])
 
 
 class TestModelSizeAccounting:
     def test_model_share_counts_parameters(self):
         values = np.arange(1000, dtype=np.int64)
         arr = codecs.get("leco", partitioner=100).encode(values)
-        assert arr.model_size_bytes() == len(arr.partitions) * 16
+        assert arr.model_size_bytes() == len(arr.starts) * 16
 
     def test_compression_ratio_helper(self):
         values = np.arange(1000, dtype=np.int64)
