@@ -24,11 +24,14 @@ per granule the pipeline is
    ``pushdown=False`` instead decodes every needed column fully and
    filters afterwards (the naive reference the property suite in
    ``tests/test_exec.py`` compares against).
-5. **Operator partials** — a group-by Aggregate's partial is its
-   distinct keys plus one state array per aggregate (sums, counts,
-   extrema — never means), which the driver merges in one pass with
-   sums exact as Python ints; HashJoin probes the granule's batch
-   against the built side.
+5. **Operator partials** — every partial is arrays.  An Aggregate's
+   is its distinct keys plus one state array per aggregate (sums,
+   counts, extrema — never means); a global aggregate is the same
+   partial over zero keys, one group.  The driver merges them in one
+   pass with sums exact as Python ints.  HashJoin probes the granule's
+   batch against the build side, sorted once per query.  A granule
+   with nothing to add (pruned, quarantined, no surviving row) returns
+   only its stats.
 
 :class:`ExecStats` is the one work-accounting type (granule/chunk/
 byte/cache counts plus the CPU/IO breakdown); :meth:`ExecResult.explain`
@@ -41,7 +44,7 @@ import errno
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,8 +269,10 @@ class ExecResult:
 
 @dataclass
 class _Partial:
-    """One granule's contribution: rows, or its aggregate partial
-    (:func:`_agg_partial`).
+    """One granule's contribution: its stats, plus its rows
+    (``row_ids`` + ``columns``) or its aggregate partial (``agg``, see
+    :func:`_agg_partial`).  A granule that contributes nothing — pruned,
+    quarantined, or left with no row — carries only its stats.
 
     ``spans`` is only populated by a *worker process* running a traced
     descriptor: a ``(granule_start, granule_end, extra_spans)`` tuple
@@ -281,14 +286,16 @@ class _Partial:
     handshake epoch (:meth:`repro.obs.Trace.adopt`).
     """
 
-    row_ids: np.ndarray
-    columns: dict
-    agg: tuple | None
-    stats: ExecStats = field(default_factory=ExecStats)
+    stats: ExecStats
+    row_ids: np.ndarray | None = None
+    columns: dict | None = None
+    agg: tuple | None = None
     spans: tuple | None = None
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
+#: the one group of a global aggregate: key 0, starting at row 0
+_ONE_GROUP = np.zeros(1, dtype=np.int64)
 
 
 def _on_calling_thread(source, n_granules: int, threads: int | None,
@@ -327,29 +334,32 @@ def _ordered_unique(*column_lists) -> tuple:
 
 # --------------------------------------------------------------- aggregate
 def _agg_partial(node: Aggregate, batch: dict, n_rows: int):
-    """One granule's accumulator states for its surviving rows.
+    """One granule's accumulator states for its surviving rows, or
+    ``None`` when no row survived (a group exists iff a row of it did).
 
-    A global aggregate's partial is a tuple of per-aggregate states; a
-    group-by's is ``(keys, counts, states)`` — the sorted distinct keys,
+    The partial is ``(keys, counts, states)``: the sorted distinct keys,
     their row counts and one int64 array per aggregate (the sums of
     ``sum`` / ``avg``, the extrema of ``min`` / ``max``, ``counts``
     itself for ``count``), a few buffers through a lane pipe however
-    many groups there are; ``None`` when no row survived.  ``n_rows``
-    is the surviving row count — the batch may be empty of columns when
-    every aggregate is a ``count``.
+    many groups there are.  A global aggregate is a group-by over zero
+    keys: one group, key 0, starting at row 0, and nothing to sort.
+    ``n_rows`` is the surviving row count — the batch may be empty of
+    columns when every aggregate is a ``count``.
     """
-    if node.group_by is None:
-        return tuple(_agg_state(op, batch.get(column), n_rows)
-                     for _, op, column in node.aggs)
     if n_rows == 0:
         return None
-    keys = batch[node.group_by]
-    # no state depends on the order of rows within a group (int64 sums
-    # wrap alike in any order), so the sort need not be stable
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
-    counts = np.diff(np.append(starts, sorted_keys.size))
+    if node.group_by is None:
+        order, starts, keys = slice(None), _ONE_GROUP, _ONE_GROUP
+        counts = np.array([n_rows], dtype=np.int64)
+    else:
+        # no state depends on the order of rows within a group (int64
+        # sums wrap alike in any order), so the sort need not be stable
+        order = np.argsort(batch[node.group_by])
+        sorted_keys = batch[node.group_by][order]
+        starts = np.concatenate(
+            [[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
+        keys = sorted_keys[starts]
+        counts = np.diff(np.append(starts, n_rows))
     columns = {}
     for _, op, column in node.aggs:
         if op != "count" and column not in columns:
@@ -364,36 +374,7 @@ def _agg_partial(node: Aggregate, batch: dict, n_rows: int):
             states.append(np.minimum.reduceat(columns[column], starts))
         else:  # max
             states.append(np.maximum.reduceat(columns[column], starts))
-    return sorted_keys[starts], counts, tuple(states)
-
-
-def _agg_state(op: str, values, n: int):
-    """Whole-batch accumulator state for a global aggregate."""
-    if op == "count":
-        return n
-    if op in ("sum", "avg"):
-        total = int(values.sum()) if n else 0
-        return (total, n) if op == "avg" else total
-    if n == 0:
-        return None  # min/max of nothing merges as identity
-    return int(values.min()) if op == "min" else int(values.max())
-
-
-def _merge_states(node: Aggregate, a: tuple, b: tuple) -> tuple:
-    """Merge two global-aggregate state tuples (exact Python ints)."""
-    merged = []
-    for (_, op, _), sa, sb in zip(node.aggs, a, b):
-        if op in ("sum", "count"):
-            merged.append(sa + sb)
-        elif op == "avg":
-            merged.append((sa[0] + sb[0], sa[1] + sb[1]))
-        elif sa is None:
-            merged.append(sb)
-        elif sb is None:
-            merged.append(sa)
-        else:
-            merged.append(min(sa, sb) if op == "min" else max(sa, sb))
-    return tuple(merged)
+    return keys, counts, tuple(states)
 
 
 def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
@@ -405,24 +386,16 @@ def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
     return [(h << 32) + lo for h, lo in zip(high, low)]
 
 
-def _avg(total: int, count: int) -> float:
-    return total / count if count else float("nan")
-
-
 def _merge_aggregate(node: Aggregate, partials: list) -> dict:
     """``ExecResult.groups`` from every granule's partial, in granule
-    order.  Group-by partials merge in one pass — one concatenate,
-    stable argsort and ``reduceat`` per aggregate — and the groups keep
-    the order of their first appearance, as a dict merge would."""
+    order, in one pass — one concatenate, stable argsort and
+    ``reduceat`` per aggregate — with sums exact as Python ints.  The
+    groups keep the order of their first appearance, as a dict merge
+    would; a global aggregate's one group is keyed ``None``.  No
+    partial, no group: ``{}``."""
     states = [p.agg for p in partials if p.agg is not None]
     if not states:
         return {}
-    if node.group_by is None:
-        merged = states[0]
-        for other in states[1:]:
-            merged = _merge_states(node, merged, other)
-        return {None: {name: _avg(*state) if op == "avg" else state
-                       for (name, op, _), state in zip(node.aggs, merged)}}
     keys = np.concatenate([keys for keys, _, _ in states])
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -438,33 +411,15 @@ def _merge_aggregate(node: Aggregate, partials: list) -> dict:
         else:
             ufunc = np.minimum if op == "min" else np.maximum
             columns.append(ufunc.reduceat(values, starts).tolist())
-    group_keys = sorted_keys[starts].tolist()
+    group_keys = [None] if node.group_by is None \
+        else sorted_keys[starts].tolist()
     out = {}
     # the stable sort puts each key's first appearance at its run start
     for g in np.argsort(order[starts]).tolist():
         out[group_keys[g]] = {
-            name: _avg(column[g], counts[g]) if op == "avg" else column[g]
+            name: column[g] / counts[g] if op == "avg" else column[g]
             for (name, op, _), column in zip(node.aggs, columns)}
     return out
-
-
-# -------------------------------------------------------------------- join
-def _probe(node: HashJoin, out: dict, row_ids: np.ndarray,
-           output_cols: tuple):
-    """Probe one granule's batch; returns (row_ids, columns)."""
-    probe_values = out[node.on]
-    matched = np.isin(probe_values, node.keys)
-    positions = np.flatnonzero(matched)
-    row_ids = row_ids[positions]
-    columns = {c: out[c][positions] for c in output_cols}
-    if node.how == "inner" and node.build:
-        order = np.argsort(node.keys, kind="stable")
-        sorted_keys = node.keys[order]
-        slot = np.searchsorted(sorted_keys, probe_values[positions])
-        build_rows = order[slot] if slot.size else slot
-        for name, values in node.build:
-            columns[name] = np.asarray(values)[build_rows]
-    return row_ids, columns
 
 
 # ---------------------------------------------------------------- pipeline
@@ -516,6 +471,13 @@ class GranulePipeline:
             mat_cols = _ordered_unique(needed)
         elif isinstance(terminal, HashJoin):
             mat_cols = _ordered_unique(output_cols, (terminal.on,))
+            # the build side is sorted once per query; an inner join's
+            # payload is aligned to the sorted keys
+            order = np.argsort(terminal.keys)
+            self.join_keys = terminal.keys[order]
+            self.join_payload = tuple(
+                (name, values[order]) for name, values in terminal.build
+            ) if terminal.how == "inner" and terminal.build else ()
         else:
             mat_cols = output_cols
         self.mat_cols = mat_cols
@@ -591,9 +553,7 @@ class GranulePipeline:
         except CorruptChunkError:
             if self.on_corruption == "skip":
                 st.chunks_corrupt += 1
-                part = _Partial(_EMPTY,
-                                {c: _EMPTY for c in self.output_cols},
-                                None, st)
+                part = _Partial(st)
             else:
                 if cancel is not None:
                     cancel.set()
@@ -638,14 +598,12 @@ class GranulePipeline:
     def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
         expr = self.expr
         terminal = self.terminal
-        output_cols = self.output_cols
         pushdown = self.pushdown
         residual = self.residual
         n = granule.n_rows
         if self.prunes(granule):
             st.granules_pruned = 1
-            return _Partial(_EMPTY, {c: _EMPTY for c in output_cols},
-                            None, st)
+            return _Partial(st)
 
         naive_batch: dict[str, np.ndarray] = {}
         residual_values: dict[str, np.ndarray] = {}
@@ -701,8 +659,7 @@ class GranulePipeline:
 
         st.rows_scanned += n if positions is None else len(positions)
         if positions is not None and positions.size == 0:
-            return _Partial(_EMPTY, {c: _EMPTY for c in output_cols},
-                            None, st)
+            return _Partial(st)
         if pushdown and positions is not None and positions.size == n:
             # every row survived, so positions is arange(n): decode
             # sequentially instead of gathering each one (the codecs'
@@ -740,19 +697,34 @@ class GranulePipeline:
                 trace.add("aggregate", t0 - trace.t0,
                           time.perf_counter() - trace.t0,
                           granule=granule.index)
-            return _Partial(_EMPTY, {}, agg, st)
+            return _Partial(st, agg=agg)
         if isinstance(terminal, HashJoin):
             t0 = time.perf_counter()
-            row_ids, columns = _probe(terminal, out, row_ids,
-                                      output_cols)
+            row_ids, columns = self._probe(out, row_ids)
             st.cpu_join_s += time.perf_counter() - t0
             if trace is not None:
                 trace.add("join", t0 - trace.t0,
                           time.perf_counter() - trace.t0,
                           granule=granule.index)
-            return _Partial(row_ids, columns, None, st)
-        return _Partial(row_ids, {c: out[c] for c in output_cols},
-                        None, st)
+            return _Partial(st, row_ids, columns)
+        return _Partial(st, row_ids, {c: out[c] for c in self.output_cols})
+
+    def _probe(self, out: dict, row_ids: np.ndarray):
+        """Probe one granule's batch against the sorted build keys;
+        returns (row_ids, columns).  One membership test serves both
+        modes — the key at each probe value's clipped ``searchsorted``
+        slot equals it, duplicated (semi) keys or not — and an inner
+        join reads its payload at the same slots."""
+        keys = self.join_keys
+        values = out[self.terminal.on]
+        slot = np.searchsorted(keys, values)
+        matched = keys[np.minimum(slot, keys.size - 1)] == values \
+            if keys.size else np.zeros(values.size, dtype=bool)
+        positions = np.flatnonzero(matched)
+        columns = {c: out[c][positions] for c in self.output_cols}
+        for name, payload in self.join_payload:
+            columns[name] = payload[slot[positions]]
+        return row_ids[positions], columns
 
 
 # ----------------------------------------------------------------- execute
@@ -872,10 +844,9 @@ def execute(plan: Plan, source, threads: int | None = None,
         if driver_pruned:
             # charged once, driver-side, and only after admission: a
             # refused or failed query charges what it always did
-            partials.append(_Partial(
-                _EMPTY, {c: _EMPTY for c in output_cols}, None,
-                ExecStats(granules_total=driver_pruned,
-                          granules_pruned=driver_pruned)))
+            partials.append(_Partial(ExecStats(
+                granules_total=driver_pruned,
+                granules_pruned=driver_pruned)))
         for part in results:
             if part is None:
                 timed_out = True
@@ -906,19 +877,12 @@ def execute(plan: Plan, source, threads: int | None = None,
         groups = _merge_aggregate(terminal, partials)
         row_ids, columns = _EMPTY, {}
     else:
-        row_ids = np.concatenate([p.row_ids for p in partials]) \
-            if partials else _EMPTY
-        # inner joins append build payload columns beyond output_cols;
-        # empty/pruned partials carry only the projection, so take the
-        # union of names (projection order first, payload after)
-        out_names = _ordered_unique(output_cols,
-                                    *(tuple(p.columns) for p in partials))
-        columns = {
-            name: np.concatenate([
-                p.columns.get(name, _EMPTY) for p in partials])
-            if partials else _EMPTY.copy()
-            for name in out_names
-        }
+        rows = [p for p in partials if p.row_ids is not None]
+        row_ids = np.concatenate([p.row_ids for p in rows]) \
+            if rows else _EMPTY
+        columns = {name: np.concatenate([p.columns[name] for p in rows])
+                   for name in rows[0].columns} if rows \
+            else {c: _EMPTY.copy() for c in output_cols}
 
     stats.wall_s = time.perf_counter() - start
     if trace is not None:

@@ -419,6 +419,20 @@ class TestOperators:
                .execute(source))
         assert res.groups == {}
 
+    def test_global_aggregate_of_no_rows_has_no_group(self):
+        """A group exists iff a row of it survived — for a global
+        aggregate too, whatever the reason no row did."""
+        aggs = {"s": ("sum", "v"), "n": ("count", "v"),
+                "lo": ("min", "v"), "a": ("avg", "v")}
+        empty = np.empty(0, dtype=np.int64)
+        res = (Plan.scan().aggregate(aggs)
+               .execute(ArraySource({"k": empty, "v": empty})))
+        assert res.groups == {}
+        _, source = self._source()
+        res = (Plan.scan().where(col("v") >= 10_000).aggregate(aggs)
+               .execute(source))
+        assert res.groups == {}
+
     def test_semi_join(self):
         cols, source = self._source()
         keys = np.array([2, 5, 7], dtype=np.int64)
@@ -426,6 +440,18 @@ class TestOperators:
                .execute(source))
         mask = np.isin(cols["k"], keys)
         assert np.array_equal(res.row_ids, np.flatnonzero(mask))
+        assert np.array_equal(res.columns["v"], cols["v"][mask])
+
+    @pytest.mark.parametrize("keys", [[7, 2, 7, 11, 2, 2], []],
+                             ids=["duplicate_keys", "no_keys"])
+    def test_semi_join_keys_need_not_be_unique(self, keys):
+        cols, source = self._source()
+        keys = np.array(keys, dtype=np.int64)
+        res = (Plan.scan(["k", "v"]).join(on="k", keys=keys)
+               .execute(source))
+        mask = np.isin(cols["k"], keys)
+        assert np.array_equal(res.row_ids, np.flatnonzero(mask))
+        assert np.array_equal(res.columns["k"], cols["k"][mask])
         assert np.array_equal(res.columns["v"], cols["v"][mask])
 
     def test_inner_join_attaches_build_payload(self):
@@ -438,6 +464,12 @@ class TestOperators:
         mask = cols["k"] < 6
         assert np.array_equal(res.columns["k"], cols["k"][mask])
         assert np.array_equal(res.columns["label"], cols["k"][mask] * 11)
+        # an unsorted build side: the payload follows its keys
+        shuffled = {name: values[::-1] for name, values in build.items()}
+        again = (Plan.scan(["k", "v"])
+                 .join(on="k", build=shuffled, how="inner")
+                 .execute(source))
+        assert np.array_equal(again.columns["label"], res.columns["label"])
 
     def test_bitmap_prunes_granules(self):
         cols, source = self._source()
@@ -492,17 +524,18 @@ def dict_merge_reference(aggs: dict, keys, values, live, morsel_rows):
     return out
 
 
-def grouped_plan(live=None) -> Plan:
+def grouped_plan(live=None, group_by="k") -> Plan:
     plan = Plan.scan()
     if live is not None:
         # a deletion vector is a positional Bitmap term
         plan = plan.where(Bitmap(live))
-    return plan.aggregate(ALL_AGGS, group_by="k")
+    return plan.aggregate(ALL_AGGS, group_by=group_by)
 
 
 class TestGroupMerge:
-    """Group-by partials are key + state arrays merged in one pass: the
-    result equals the dict merge — values, exactness, group order."""
+    """Aggregate partials are key + state arrays merged in one pass: the
+    result equals the dict merge — values, exactness, group order.  A
+    global aggregate is the same merge over one key, ``None``."""
 
     def test_sums_past_int64_are_exact(self):
         big = (1 << 62) + 1
@@ -562,6 +595,22 @@ class TestGroupMerge:
         finally:
             spawn.close()
 
+    def test_global_sums_past_int64_agree_across_tiers(self, tmp_path,
+                                                       tiers):
+        """Two-row granules, each inside int64, whose global sum is
+        not: exact, and the same on every tier."""
+        big = (1 << 62) + 1
+        values = np.array([big, 0] * 8, dtype=np.int64)
+        path = str(tmp_path / "t")
+        write_table(path, {"v": values}, codec="plain", shard_rows=8,
+                    chunk_rows=2)
+        with Table.open(path, cache_bytes=0) as snap:
+            got = assert_tiers_agree(grouped_plan(group_by=None),
+                                     StoreSource(snap), *tiers).groups
+        assert got == {None: {"s": 8 * big, "n": 16, "a": 8 * big / 16,
+                              "lo": 0, "hi": big}}
+        assert got[None]["s"] > INT64_MAX
+
     if HAVE_HYPOTHESIS:
         @given(data=st.data())
         @settings(max_examples=60, deadline=None)
@@ -583,12 +632,17 @@ class TestGroupMerge:
             with_dv = data.draw(st.booleans())
             if not with_dv:
                 live[:] = True
+            group_by = data.draw(st.sampled_from(["k", None]))
             source = ArraySource({"k": keys, "v": values},
                                  morsel_rows=morsel)
-            res = grouped_plan(live if with_dv else None).execute(
-                source, threads=1)
-            want = dict_merge_reference(ALL_AGGS, keys, values, live,
-                                        morsel)
+            res = grouped_plan(live if with_dv else None,
+                               group_by).execute(source, threads=1)
+            want = dict_merge_reference(
+                ALL_AGGS, keys if group_by else np.zeros_like(keys),
+                values, live, morsel)
+            if group_by is None:
+                # every key mapped to None: one group, or none at all
+                want = {None: row for row in want.values()}
             assert res.groups == want
             assert list(res.groups) == list(want)
 

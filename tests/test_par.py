@@ -161,6 +161,8 @@ FILTER_PLAN = (Plan.scan(["ts", "sensor_id", "reading"])
 
 
 def _merge_partials(parts, names):
+    # a pruned or emptied granule's partial carries only its stats
+    parts = [p for p in parts if p.row_ids is not None]
     empty = np.empty(0, dtype=np.int64)
     row_ids = np.concatenate([p.row_ids for p in parts]) \
         if parts else empty
