@@ -6,8 +6,12 @@ worker threads pulls *granules* (not whole queries) from every
 in-flight plan, so concurrent queries interleave at morsel granularity
 on a bounded number of threads instead of oversubscribing.
 
-* **Dispatch order** — fair: one granule per in-flight query per turn,
-  round-robin, so no query starves.
+* **Dispatch order** — fair: one *run* of consecutive granules per
+  in-flight query per turn, round-robin, so no query starves.  The
+  tier sizes the run (:meth:`MorselScheduler._run_length`): the thread
+  tier always takes one granule; the process tier takes one lane
+  message's worth, a run that shrinks as the query's queue drains (see
+  :mod:`repro.par.scheduler`).
 * **Admission control** — at most ``max_inflight`` queries execute at
   once; up to ``queue_depth`` more park in FIFO order waiting for a
   slot, and anything beyond that is rejected immediately with
@@ -244,12 +248,22 @@ class MorselScheduler:
         if job.outstanding == 0:
             job.done.set()
 
-    def _run_item(self, worker_idx: int, job: _Job, item):
-        """Execute one granule of ``job``.  The thread tier simply calls
-        the job's closure in-process; :class:`repro.par.ProcessScheduler`
-        overrides this to ship descriptor-bearing jobs to the worker
-        process owned by lane ``worker_idx``."""
-        return job.fn(item)
+    def _run_length(self, job: _Job) -> int:
+        """How many queued granules of ``job`` one turn takes (called
+        under the lock, with at least one queued).  The thread tier
+        takes one: nothing is amortised by taking more, and one granule
+        per query per turn is its fairness unit.
+        :class:`repro.par.ProcessScheduler` overrides this to fill a
+        lane message."""
+        return 1
+
+    def _run_items(self, worker_idx: int, job: _Job, items: list) -> list:
+        """Execute a run of ``job``'s granules; one result per item.
+        The thread tier simply calls the job's closure in-process;
+        :class:`repro.par.ProcessScheduler` overrides this to ship a
+        descriptor-bearing run to the worker process owned by lane
+        ``worker_idx`` as one message."""
+        return [job.fn(item) for item in items]
 
     def _worker(self, worker_idx: int) -> None:
         while True:
@@ -259,23 +273,28 @@ class MorselScheduler:
                 if self._shutdown and not self._ready:
                     return
                 job = self._ready.popleft()  # round-robin: fair share
-                idx, item = job.queue.popleft()
-                if job.queue:
+                queue = job.queue
+                run = [queue.popleft()
+                       for _ in range(self._run_length(job))]
+                if queue:
                     self._ready.append(job)
-            result = None
+            results = [None] * len(run)
             if job.failure is None:
                 try:
-                    result = self._run_item(worker_idx, job, item)
+                    results = self._run_items(
+                        worker_idx, job, [item for _, item in run])
                 except BaseException as err:  # first failure cancels the job
                     with self._cond:
                         if job.failure is None:
                             job.failure = err
                         job.cancel.set()
                         self._drain_locked(job)
-                        self._complete_locked(job, idx, None)
+                        for idx, _ in run:
+                            self._complete_locked(job, idx, None)
                     continue
             with self._cond:
-                self._complete_locked(job, idx, result)
+                for (idx, _), result in zip(run, results):
+                    self._complete_locked(job, idx, result)
 
     # ------------------------------------------------------------- queries
     def run_query(self, fn, items, cancel: threading.Event,

@@ -23,8 +23,9 @@ Three pieces:
   descriptor, typed error envelopes, and the ``granule.exec`` fault
   hook that lets the crash matrix kill it for real.
 * :class:`~repro.par.scheduler.ProcessScheduler` — a drop-in
-  :class:`~repro.exec.pool.MorselScheduler` whose lanes dispatch to
-  worker processes, with respawn + retry-once-then-
+  :class:`~repro.exec.pool.MorselScheduler` whose lanes dispatch runs
+  of granules to worker processes, one message and one reply per run,
+  with respawn + retry-once-then-
   :class:`~repro.exec.errors.GranuleError` death semantics.
 
 Pass one to ``execute(..., scheduler=ProcessScheduler(...))``, point

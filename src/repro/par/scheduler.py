@@ -1,24 +1,45 @@
 """`ProcessScheduler`: the morsel scheduler's multiprocessing tier.
 
-Same interface, same admission control, same dispatch order — the only
-thing that changes is *where a granule's CPU burns*.  The scheduler
-keeps the base class's worker threads, but each thread owns a **lane**: one
-long-lived worker process plus a duplex pipe.  A descriptor-bearing job
-(see :mod:`repro.par.descriptor`) is executed by sending the lane's
-worker a compact ``(seq, desc_id, desc?, granule_index)`` task and
-waiting for the partial to come back; pure-python codec decode then
-runs under the *worker's* GIL, N of them truly in parallel.  Jobs with
-no descriptor (in-memory sources) simply run the driver closure on the
-lane thread — thread-tier semantics, transparently.
+Same interface, same admission control, same dispatch order — what
+changes is *where a granule's CPU burns*, and how many granules one
+dispatch carries.  The scheduler keeps the base class's worker threads,
+but each thread owns a **lane**: one long-lived worker process plus a
+duplex pipe.  A descriptor-bearing job (see :mod:`repro.par.descriptor`)
+is executed by sending the lane's worker a compact
+``(seq, desc_id, desc?, [granule_index, ...], budget_s)`` task and
+waiting for the one reply that carries a partial per granule;
+pure-python codec decode then runs under the *worker's* GIL, N of them
+truly in parallel.  Jobs with no descriptor (in-memory sources) simply
+run the driver closure on the lane thread — thread-tier semantics,
+transparently.
+
+**One lane message per run of granules.**  Every pipe round-trip costs
+the driver a pickle, send, poll, receive, unpickle and scheduler-lock
+pass — driver CPU that competes with the lanes for the same cores — so
+a lane takes a *run* of consecutive queued granules of one job per
+turn, sized by guided self-scheduling (:func:`run_length`):
+``ceil(queued / (RUN_DIVISOR * lanes))``.  Runs shrink as the queue
+drains, so the lanes finish together, and once ``RUN_DIVISOR * lanes``
+or fewer granules are queued every run is one granule: a selective
+query's few survivors go down exactly as they would one at a time.  On
+this tier fairness between concurrent queries is therefore one run per
+query per turn (the thread tier keeps one granule).  The driver
+completes each granule of a reply separately, so results,
+``ExecStats``, granule spans and ``repro_par_granules_total`` stay per
+granule.
 
 Death is a first-class event, not a hang: the lane thread polls with a
-short timeout and watches ``Process.is_alive()``.  A dead worker's
-in-flight granule is retried **once** on a freshly respawned worker;
-dying again surfaces a typed :class:`~repro.exec.errors.GranuleError`
-through the ordinary first-failure-cancels-the-job machinery.  Query
-cancellation (deadline, sibling failure) *abandons* the wait instead —
-the worker finishes its granule into the pipe, and stale results are
-discarded by sequence number on the lane's next dispatch.
+short timeout and watches ``Process.is_alive()``.  A lane that dies in
+the middle of a run gives no sign of which granule killed it, so each
+granule of that message is re-sent alone; a lone granule is retried
+**once** on a freshly respawned worker, and dying again surfaces a
+typed :class:`~repro.exec.errors.GranuleError` through the ordinary
+first-failure-cancels-the-job machinery.  Query cancellation (deadline,
+sibling failure) *abandons* the wait instead: every granule of the run
+reads as not completed, and stale results are discarded by sequence
+number on the lane's next dispatch.  The task carries the query's
+remaining time, so the worker starts no granule of an abandoned run
+past the deadline and the lane is free again within one granule.
 
 The driver keeps everything else: merge, ``ExecStats`` accounting,
 deadlines, metrics (plus the per-worker ``repro_par_*`` families this
@@ -39,7 +60,7 @@ from repro.exec.run import granule_span_attrs
 from repro.obs import metrics as obs_metrics
 from repro.par.worker import revive_error, worker_main
 
-__all__ = ["ProcessScheduler", "default_start_method"]
+__all__ = ["ProcessScheduler", "default_start_method", "run_length"]
 
 #: env var overriding the default multiprocessing start method
 START_METHOD_ENV = "REPRO_PAR_START_METHOD"
@@ -47,11 +68,20 @@ START_METHOD_ENV = "REPRO_PAR_START_METHOD"
 #: seconds between liveness/cancel checks while a lane waits on its pipe
 POLL_INTERVAL_S = 0.05
 
-#: 1-in-N sampling for the per-granule lane-health histograms
-#: (roundtrip, dispatch wait).  Granules can be microseconds; two
-#: histogram observes per granule is real overhead against the obs
-#: budget, and latency quantiles survive sampling just fine
+#: 1-in-N sampling for the per-message lane-health histograms
+#: (roundtrip, dispatch wait): a single-granule message can take
+#: microseconds, two histogram observes each is real overhead against
+#: the obs budget, and latency quantiles survive sampling just fine
 OBS_SAMPLE = 4
+
+#: guided self-scheduling divisor: a lane message takes
+#: ``ceil(queued / (RUN_DIVISOR * lanes))`` granules.  Swept on a 2-core
+#: box (a 496-granule aggregate on 2 lanes): divisors 2, 4 and 8 all cut
+#: the driver's CPU from ≈ 83 ms a query at one granule a message to
+#: 20-27 ms, with wall times inside each other's quartiles; 4 halves
+#: the first run of 2 (62 granules, ≈ 25 ms of lane time — what a
+#: concurrent query may wait behind) for ≈ 4 ms more driver CPU
+RUN_DIVISOR = 4
 
 _M_WORKERS = obs_metrics.gauge(
     "repro_par_workers", "live worker processes per process scheduler",
@@ -59,7 +89,8 @@ _M_WORKERS = obs_metrics.gauge(
 _M_GRANULES = obs_metrics.counter(
     "repro_par_granules_total",
     "granules dispatched to worker processes by outcome "
-    "(ok/error/retried/abandoned)",
+    "(ok/error/retried/abandoned), counted per granule whatever lane "
+    "message carried it",
     labels=("sched", "outcome"))
 _M_RESPAWNS = obs_metrics.counter(
     "repro_par_respawns_total",
@@ -72,11 +103,12 @@ _M_BYTES = obs_metrics.counter(
     labels=("sched", "direction"))
 _M_ROUNDTRIP = obs_metrics.histogram(
     "repro_par_pipe_roundtrip_seconds",
-    "task send to result receive per granule, per lane pipe",
+    "task send to result receive per lane message, per lane pipe",
     labels=("sched",))
 _M_DISPATCH_WAIT = obs_metrics.histogram(
     "repro_par_dispatch_wait_seconds",
-    "time a granule sat queued before a lane picked it up",
+    "time a query sat queued before a lane picked up a run of it, "
+    "per lane message",
     labels=("sched",))
 _M_NEEDDESC = obs_metrics.counter(
     "repro_par_needdesc_total",
@@ -93,6 +125,19 @@ def default_start_method() -> str:
         return env
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
+
+
+def run_length(queued: int, lanes: int) -> int:
+    """Granules the next lane message of a descriptor-bearing job takes
+    while ``queued`` wait across ``lanes`` lanes: guided
+    self-scheduling, ``ceil(queued / (RUN_DIVISOR * lanes))`` — one
+    granule once ``RUN_DIVISOR * lanes`` or fewer are queued."""
+    return -(-queued // (RUN_DIVISOR * lanes))
+
+
+def _index(item) -> int:
+    """A granule's index on the wire (bare ints pass through)."""
+    return getattr(item, "index", item)
 
 
 class _LaneDead(Exception):
@@ -265,23 +310,42 @@ class ProcessScheduler(MorselScheduler):
                                  trace=trace, descriptor=descriptor)
 
     # ------------------------------------------------------- lane logic
-    def _run_item(self, worker_idx: int, job: _Job, item):
+    def _run_length(self, job: _Job) -> int:
+        if job.descriptor is None:
+            # the driver closure runs on this thread: thread-tier turns
+            return super()._run_length(job)
+        return run_length(len(job.queue), len(self._lanes))
+
+    def _run_items(self, worker_idx: int, job: _Job, items: list) -> list:
         wire = job.descriptor
         if wire is None:
             # no descriptor (in-memory source): thread-tier fallback
-            return job.fn(item)
-        lane = self._lanes[worker_idx]
+            return super()._run_items(worker_idx, job, items)
         # racy tick is fine: approximate 1-in-OBS_SAMPLE is the goal
         self._obs_tick += 1
         if self._obs_tick % OBS_SAMPLE == 0:
             self._m_dispatch_wait.observe(
                 max(0.0, time.perf_counter() - job.t_enqueued))
+        return self._send(self._lanes[worker_idx], job, wire, items)
+
+    def _send(self, lane: _Lane, job: _Job, wire: _WireDescriptor,
+              items: list) -> list:
+        """One result per item, from one lane message while the worker
+        lives: a run whose worker died is re-sent a granule at a time,
+        and a lone granule is retried once on a respawned worker."""
         attempt = 0
         while True:
             try:
-                return self._dispatch(lane, job, wire, item)
+                return self._dispatch(lane, job, wire, items)
             except _LaneDead as dead:
                 self._respawn(lane)
+                if len(items) > 1:
+                    # nothing says which granule killed the worker: each
+                    # goes again alone, with its own retry-once budget
+                    self._m_retried.inc(len(items))
+                    return [part for item in items
+                            for part in self._send(lane, job, wire,
+                                                   [item])]
                 attempt += 1
                 if attempt >= 2:
                     self._m_error.inc()
@@ -289,7 +353,7 @@ class ProcessScheduler(MorselScheduler):
                         RuntimeError(
                             f"worker process died twice running this "
                             f"granule (last exitcode {dead.exitcode})"),
-                        granule=getattr(item, "index", -1)) from None
+                        granule=_index(items[0])) from None
                 self._m_retried.inc()
 
     def _respawn(self, lane: _Lane) -> None:
@@ -305,23 +369,23 @@ class ProcessScheduler(MorselScheduler):
         self._m_respawns.inc()
 
     def _dispatch(self, lane: _Lane, job: _Job, wire: _WireDescriptor,
-                  item):
+                  items: list) -> list:
         for _ in range(2):
-            result = self._dispatch_once(lane, job, wire, item)
+            result = self._dispatch_once(lane, job, wire, items)
             if result is not _NEED_DESC:
                 return result
             # the worker's pipeline LRU evicted this descriptor (many
             # concurrent queries on one lane): resend it with the
-            # granule — one extra round-trip, never a failed query
+            # run — one extra round-trip, never a failed query
             self._m_needdesc.inc()
             lane.sent_descs.discard(wire.desc_id)
         raise GranuleError(
             RuntimeError("worker kept requesting a descriptor that "
                          "was just resent"),
-            granule=getattr(item, "index", -1))
+            granule=_index(items[0]))
 
     def _dispatch_once(self, lane: _Lane, job: _Job,
-                       wire: _WireDescriptor, item):
+                       wire: _WireDescriptor, items: list):
         if lane.conn is None or lane.proc is None or \
                 not lane.proc.is_alive():
             raise _LaneDead(lane.exitcode())
@@ -329,9 +393,13 @@ class ProcessScheduler(MorselScheduler):
         seq = lane.seq
         desc_json = None if wire.desc_id in lane.sent_descs \
             else wire.payload
+        # the remaining budget, not the driver's clock: the worker
+        # derives its own deadline from it
+        budget_s = None if job.deadline is None \
+            else job.deadline - time.perf_counter()
         message = pickle.dumps(
             ("task", seq, wire.desc_id, desc_json,
-             getattr(item, "index", item)),
+             [_index(item) for item in items], budget_s),
             protocol=pickle.HIGHEST_PROTOCOL)
         try:
             lane.conn.send_bytes(message)
@@ -347,7 +415,7 @@ class ProcessScheduler(MorselScheduler):
                 # AttributeError: close() tore the lane down under us
                 raise _LaneDead(lane.exitcode()) from None
             if ready:
-                result = self._receive(lane, seq, job, item)
+                result = self._receive(lane, seq, job, items)
                 if result is not _PENDING:
                     if self._obs_tick % OBS_SAMPLE == 0:
                         self._m_roundtrip.observe(
@@ -359,7 +427,7 @@ class ProcessScheduler(MorselScheduler):
                 # for our seq may have made it out
                 try:
                     while lane.conn.poll(0):
-                        result = self._receive(lane, seq, job, item)
+                        result = self._receive(lane, seq, job, items)
                         if result is not _PENDING:
                             return result
                 except (BrokenPipeError, OSError, EOFError):
@@ -368,15 +436,17 @@ class ProcessScheduler(MorselScheduler):
             if self._terminating or job.cancel.is_set() or (
                     job.deadline is not None
                     and time.perf_counter() > job.deadline):
-                # abandon: the worker finishes into the pipe; the stale
-                # result is skipped by seq on this lane's next dispatch
+                # abandon: the worker stops at its copy of the deadline
+                # (or finishes the run into the pipe); the stale result
+                # is skipped by seq on this lane's next dispatch
                 if job.deadline is not None and \
                         time.perf_counter() > job.deadline:
                     job.cancel.set()
-                self._m_abandoned.inc()
-                return None
+                self._m_abandoned.inc(len(items))
+                return [None] * len(items)
 
-    def _receive(self, lane: _Lane, seq: int, job: _Job | None, item):
+    def _receive(self, lane: _Lane, seq: int, job: _Job | None,
+                 items: list):
         """One message off the lane pipe; ``_PENDING`` when it was a
         handshake, telemetry, or a stale (abandoned) result for an
         earlier seq.  Telemetry deltas are folded into the process-wide
@@ -398,13 +468,22 @@ class ProcessScheduler(MorselScheduler):
             return _PENDING
         self._m_received.inc(len(raw))
         if status == "ok":
-            self._m_ok.inc()
-            self._adopt_spans(lane, job, payload, item)
+            done = 0
+            for item, part in zip(items, payload):
+                if part is not None:
+                    done += 1
+                    self._adopt_spans(lane, job, part, item)
+            if done:
+                self._m_ok.inc(done)
+            if done < len(items):
+                # the worker's copy of the deadline passed first
+                self._m_abandoned.inc(len(items) - done)
             return payload
         if status == "needdesc":
             return _NEED_DESC
         self._m_error.inc()
-        raise revive_error(payload, getattr(item, "index", -1))
+        granule, info = payload
+        raise revive_error(info, granule)
 
     def _fold_telemetry(self, lane: _Lane, delta: dict) -> None:
         try:
@@ -434,8 +513,7 @@ class ProcessScheduler(MorselScheduler):
         g_start, g_end, extra = wire
         job.trace.adopt(
             [("granule", g_start, g_end, lane.tid,
-              granule_span_attrs(getattr(item, "index", item),
-                                 part.stats))],
+              granule_span_attrs(_index(item), part.stats))],
             shift=shift, pid=pid, proc=proc)
         if extra:
             job.trace.adopt(extra, shift=shift, pid=pid, proc=proc)

@@ -3,13 +3,25 @@
 :func:`worker_main` is the entry point of one long-lived worker.  It
 speaks a tiny length-prefixed pickle protocol over its duplex pipe::
 
-    ("task", seq, desc_id, desc_json | None, granule_index)   # driver →
-    ("ok",  seq, _Partial, delta | None)                      # ← worker
-    ("err", seq, error_envelope_dict, delta | None)           # ← worker
+    ("task", seq, desc_id, desc_json | None,
+     [granule_index, ...], budget_s | None)                   # driver →
+    ("ok",  seq, [_Partial | None, ...], delta | None)        # ← worker
+    ("err", seq, (granule_index, error_envelope), delta | None)  # ←
     ("needdesc", seq, None, delta | None)                     # ← worker
     ("hello", 0, {"pid", "epoch0"}, None)                     # ← worker
     ("telemetry", 0, None, delta)                             # ← worker
     ("exit",)                                                 # driver →
+
+A task carries a *run* of consecutive granule indexes of one query
+(one, once the query's queue runs short — see
+:mod:`repro.par.scheduler`).  The worker runs them in order and replies
+once, with one partial per granule; the first failure ends the run
+with ``err`` naming the granule that failed.  ``budget_s`` is the
+query's remaining time when the driver sent the task (``None``: no
+deadline).  The worker adds it to its own clock, so no clock is shared,
+and starts no granule once that deadline has passed — each granule it
+skips replies ``None``, which the driver counts as not completed.  An
+abandoned run thus holds its lane for at most the granule it was in.
 
 Every worker → driver envelope carries an optional *telemetry delta* —
 a :func:`repro.obs.metrics.snapshot_delta` of the worker's own metrics
@@ -27,7 +39,7 @@ activity reach ``/metrics`` without query traffic.
 cached, already-validated :class:`~repro.exec.run.GranulePipeline`.
 When enough concurrent queries thrash the pipeline LRU that a bare
 ``desc_id`` no longer resolves, the worker answers ``needdesc`` and
-the driver re-dispatches the granule with the descriptor attached —
+the driver re-dispatches the run with the descriptor attached —
 eviction costs one round-trip, never a wrong answer.
 Tables are opened lazily, read-only, via mmap — the OS page cache is
 shared between workers, so N workers do not read the bytes N times.
@@ -44,8 +56,10 @@ Fault injection: the loop fires the ``granule.exec`` hook before each
 granule.  A ``crash`` rule there calls ``os._exit`` — the worker
 *really* dies mid-granule, so the crash matrix exercises the driver's
 true death-detection / respawn / retry path, not a simulation of it.
-``fork``-started workers inherit the installed injector; spawned ones
-receive a :meth:`~repro.faults.FaultInjector.to_spec` dict.
+A death part-way through a run loses the whole reply; the driver
+re-sends that run's granules one per message.  ``fork``-started
+workers inherit the installed injector; spawned ones receive a
+:meth:`~repro.faults.FaultInjector.to_spec` dict.
 """
 
 from __future__ import annotations
@@ -88,7 +102,8 @@ TELEMETRY_MIN_INTERVAL_S = 0.05
 # increments its own unlabelled series).
 _M_WORKER_GRANULES = obs_metrics.counter(
     "repro_par_worker_granules_total",
-    "granules executed inside this worker process")
+    "granules executed inside this worker process (charged once per "
+    "lane message, by the number of its granules that started)")
 
 
 class NeedDescriptor(Exception):
@@ -223,7 +238,10 @@ class WorkerState:
         return entry
 
     def run_granule(self, desc_id: int, desc: QueryDescriptor | None,
-                    granule_index: int) -> _Partial | None:
+                    granule_index: int, deadline: float | None = None
+                    ) -> _Partial | None:
+        """One granule's partial; ``None`` when ``deadline`` (this
+        process's ``perf_counter``) passed before its work started."""
         pipeline, source, trace_enabled = \
             self.pipeline_for(desc_id, desc)
         granules = source.granules()
@@ -235,9 +253,9 @@ class WorkerState:
         faults.fire("granule.exec", granule=granule_index,
                     table=os.path.basename(
                         getattr(source.table, "path", "")))
-        _M_WORKER_GRANULES.inc()
         if not trace_enabled:
-            return pipeline.run(granules[granule_index])
+            return pipeline.run(granules[granule_index],
+                                deadline=deadline)
         # Record spans into the reused local trace, then ship them
         # re-based to *absolute* perf_counter timestamps — the driver
         # turns those into trace offsets via the hello epoch.  The
@@ -252,7 +270,8 @@ class WorkerState:
             local = self._trace = Trace("granule")
         spans = local._spans
         spans.clear()
-        part = pipeline.run(granules[granule_index], trace=local)
+        part = pipeline.run(granules[granule_index], deadline=deadline,
+                            trace=local)
         if part is not None:
             # GranulePipeline.run appends the "granule" span last
             # whenever it returns a partial
@@ -349,12 +368,24 @@ def worker_main(conn, fault_spec: dict | None = None,
                 except (BrokenPipeError, OSError):
                     pass
             break
-        _, seq, desc_id, desc_json, granule_index = request
+        _, seq, desc_id, desc_json, indices, budget_s = request
+        deadline = None if budget_s is None \
+            else time.perf_counter() + budget_s
+        parts: list = []
+        started = 0
+        index = indices[0]
         try:
             desc = None if desc_json is None else \
                 QueryDescriptor.from_json(desc_json)
-            part = state.run_granule(desc_id, desc, granule_index)
-            response = ("ok", seq, part)
+            for index in indices:
+                if deadline is not None and time.perf_counter() > deadline:
+                    # the driver has abandoned this run: start nothing
+                    parts.append(None)
+                    continue
+                started += 1
+                parts.append(state.run_granule(desc_id, desc, index,
+                                               deadline))
+            response = ("ok", seq, parts)
         except SimulatedCrash:
             # die for real: no reply, no cleanup — the driver's poll
             # loop must notice the corpse and respawn the lane
@@ -362,7 +393,9 @@ def worker_main(conn, fault_spec: dict | None = None,
         except NeedDescriptor:
             response = ("needdesc", seq, None)
         except BaseException as err:  # noqa: BLE001 — everything ships back
-            response = ("err", seq, encode_error(err))
+            response = ("err", seq, (index, encode_error(err)))
+        if started:
+            _M_WORKER_GRANULES.inc(started)
         delta = maybe_delta()
         response = response + (delta,)
         try:
@@ -370,12 +403,12 @@ def worker_main(conn, fault_spec: dict | None = None,
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as err:  # unpicklable partial: report, not hang
             payload = pickle.dumps(
-                ("err", seq, encode_error(err), delta))
+                ("err", seq, (indices[0], encode_error(err)), delta))
         try:
             conn.send_bytes(payload)
             # becoming idle? push the throttled tail now (still rate
             # limited) instead of waiting out the idle-flush poll, so a
-            # scrape right after a query sees this granule's work
+            # scrape right after a query sees this run's work
             if delta is None and not conn.poll(0):
                 tail = maybe_delta()
                 if tail is not None:

@@ -1,6 +1,6 @@
 """Tests for ``repro.par`` — the process-tier worker pool (PR 9).
 
-Eight suites:
+Nine suites:
 
 * **descriptors** — :class:`QueryDescriptor` round-trips JSON and
   pickle losslessly, rejects foreign versions, and refuses sources
@@ -25,6 +25,11 @@ Eight suites:
   deletion vectors, ``prune``/``pushdown``): only survivors cross a
   lane pipe, the pruned are charged once, a crash on a survivor is
   retried once, a timeout counts the pruned as completed;
+* **lane runs** (fork and spawn) — a lane message carries a run of
+  consecutive survivors: the runs partition the queue (hypothesis), the
+  real dispatch matches that drain with every count and span still per
+  granule, a crash inside a run re-sends its granules alone, and a
+  timed-out run frees its lane within one granule;
 * **shared scheduler config** — ``REPRO_THREADS`` and
   :func:`configure_shared_scheduler` precedence, including swapping the
   process-wide pool to the process tier and back;
@@ -39,6 +44,7 @@ Eight suites:
 import dataclasses
 import json
 import multiprocessing
+from collections import deque
 import os
 import pickle
 import signal
@@ -97,6 +103,7 @@ from repro.par import (
     default_start_method,
     describe_query,
 )
+from repro.par.scheduler import RUN_DIVISOR, run_length
 from repro.par.worker import NeedDescriptor, encode_error, revive_error
 from repro.serve import ServeClient, TableServer
 from repro.store import Table, write_table
@@ -609,8 +616,9 @@ class TestCrashMatrix:
 # driver-side pruning
 # ===================================================================
 def _lane_granules(sched_name: str, outcome: str) -> float:
-    """The driver's own count of lane round-trips (never rate-limited,
-    unlike the worker-side series)."""
+    """The driver's own per-granule count of lane traffic, whatever
+    message carried each granule (never rate-limited, unlike the
+    worker-side series)."""
     return default_registry().get("repro_par_granules_total").labels(
         sched=sched_name, outcome=outcome).value
 
@@ -858,6 +866,155 @@ class TestDriverSidePruning:
             # and the lane is not poisoned by the abandoned result
             assert_rows_equal(plan.execute(src, scheduler=slow),
                               plan.execute(src, threads=1))
+
+
+# ===================================================================
+# lane messages carry runs of granules
+# ===================================================================
+def _drain(queued: int, lanes: int) -> list[list[int]]:
+    """The runs one job's queue of ``queued`` granules leaves in, popped
+    the way ``MorselScheduler._worker`` pops them: ``run_length`` of
+    what is still queued at each turn."""
+    queue = deque(range(queued))
+    runs = []
+    while queue:
+        runs.append([queue.popleft()
+                     for _ in range(run_length(len(queue), lanes))])
+    return runs
+
+
+class TestLaneRuns:
+    """A process-tier lane message carries a run of consecutive
+    survivors, guided self-scheduled: every granule goes down in exactly
+    one message (SNIPPETS 2-3), runs shrink as the queue drains, and
+    once ``RUN_DIVISOR`` per lane or fewer are queued each message is
+    one granule again.  Results, stats, spans and the per-granule
+    counters cannot tell."""
+
+    if HAVE_HYPOTHESIS:
+        @given(queued=st.integers(0, 600), lanes=st.integers(1, 4))
+        def test_runs_partition_the_queue(self, queued, lanes):
+            runs = _drain(queued, lanes)
+            # consecutive runs, every granule in exactly one message
+            assert [g for run in runs for g in run] == list(range(queued))
+            sizes = [len(run) for run in runs]
+            assert all(size >= 1 for size in sizes)
+            assert sizes == sorted(sizes, reverse=True)
+            if runs:
+                assert sizes[0] <= -(-queued // (RUN_DIVISOR * lanes))
+            left = queued
+            for size in sizes:
+                if left <= RUN_DIVISOR * lanes:
+                    assert size == 1
+                left -= size
+
+    @pytest.mark.parametrize("name", ["live", "dead"])
+    def test_real_dispatch_matches_the_drain(self, banded, thread_sched,
+                                             lanes, monkeypatch, name):
+        """No predicate on 2 lanes: runs longer than one granule go
+        down, and nothing a caller can observe moves."""
+        src = banded[name]
+        plan = Plan.scan(["ts", "v"])
+        sent: list[list[int]] = []
+        dispatch_once = lanes._dispatch_once
+
+        def record(lane, job, wire, items):
+            sent.append([g.index for g in items])
+            return dispatch_once(lane, job, wire, items)
+
+        monkeypatch.setattr(lanes, "_dispatch_once", record)
+        survivors = [g.index for g in src.granules()
+                     if not GranulePipeline(plan, src).prunes(g)]
+        ok = _lane_granules(lanes.name, "ok")
+        trace = Trace("runs")
+        res = plan.execute(src, scheduler=lanes, trace=trace)
+        monkeypatch.undo()
+        # each survivor in exactly one message, each message a run of
+        # consecutive survivors, sized as the drain says
+        assert sorted(g for run in sent for g in run) == survivors
+        position = {g: i for i, g in enumerate(survivors)}
+        for run in sent:
+            at = [position[g] for g in run]
+            assert at == list(range(at[0], at[0] + len(run)))
+        assert sorted(map(len, sent), reverse=True) == [
+            len(run) for run in _drain(len(survivors), lanes.workers)]
+        assert max(map(len, sent)) > 1
+        # per granule, as before: the counter, the spans, the stats
+        assert _lane_granules(lanes.name, "ok") - ok == len(survivors)
+        assert_granule_spans_match(trace, res.stats)
+        expected = assert_tiers_agree(plan, src, thread_sched, lanes)
+        assert_rows_equal(res, expected)
+        assert count_fields(res.stats) == count_fields(expected.stats)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_crash_inside_a_run(self, banded, start_method):
+        """Eight survivors on one lane go down as runs of 2, 2, then
+        singles.  The second granule a worker starts kills it (every
+        respawn re-arms the rule), so both two-granule messages die
+        part-way: their granules are re-sent alone, each merged once.
+        Deaths: two runs, then one lone retry each for the six granules
+        that come second to a fresh worker."""
+        plan, src = _band(1234, 1967), banded["live"]
+        expected = plan.execute(src, threads=1)
+        assert expected.stats.granules_total \
+            - expected.stats.granules_pruned == 8
+        assert [len(run) for run in _drain(8, 1)][:2] == [2, 2]
+        inj = FaultInjector()
+        inj.crash_at("granule.exec", at=2)
+        name = f"par-run-crash-{start_method}"
+        trace = Trace("crash")
+        with ProcessScheduler(workers=1, start_method=start_method,
+                              name=name,
+                              fault_spec=inj.to_spec()) as crashy:
+            got = plan.execute(src, scheduler=crashy, trace=trace)
+            assert crashy.stats()["workers_alive"] == 1
+        assert_rows_equal(got, expected)
+        assert count_fields(got.stats) == count_fields(expected.stats)
+        assert_granule_spans_match(trace, got.stats)
+        assert _lane_granules(name, "ok") == 8
+        assert _respawns(name) == 8
+        assert _lane_granules(name, "retried") == 2 * 2 + 6
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_poison_granule_in_a_run_dies_twice(self, banded,
+                                                start_method):
+        """A rule that kills every invocation: the run dies, its first
+        granule goes alone, dies, is retried once, dies again."""
+        inj = FaultInjector()
+        inj._add("granule.exec", "crash", 1, None)
+        name = f"par-run-doomed-{start_method}"
+        with ProcessScheduler(workers=1, start_method=start_method,
+                              name=name,
+                              fault_spec=inj.to_spec()) as doomed:
+            with pytest.raises(GranuleError, match="died twice"):
+                _band(1234, 1967).execute(banded["live"],
+                                          scheduler=doomed)
+        assert _respawns(name) == 3
+
+    def test_timeout_frees_the_lane_within_one_granule(self, banded):
+        """Every granule is slow.  A query abandoned on its deadline in
+        the first granule of a ten-granule run must not keep the lane
+        for the other nine: the worker stops at its copy of the
+        deadline, so the next query waits for at most the granule in
+        progress, then runs its own."""
+        delay = 0.5
+        inj = FaultInjector()
+        inj.slow_at("granule.exec", delay_s=delay)
+        src = banded["live"]
+        assert run_length(len(src.granules()), 1) == 10
+        one = _band(1234, 1290)  # one survivor
+        with ProcessScheduler(workers=1, name="par-run-slow",
+                              fault_spec=inj.to_spec()) as slow:
+            with pytest.raises(ExecTimeout):
+                Plan.scan(["ts", "v"]).execute(src, scheduler=slow,
+                                               timeout_s=0.1)
+            t0 = time.perf_counter()
+            got = one.execute(src, scheduler=slow)
+            waited = time.perf_counter() - t0
+        assert_rows_equal(got, one.execute(src, threads=1))
+        # at most the abandoned granule's rest plus this query's own
+        # granule — the other nine would be 4.5 s
+        assert waited < 2.5 * delay
 
 
 # ===================================================================

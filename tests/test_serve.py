@@ -1142,8 +1142,8 @@ class TestServeMain:
                 assert len(res["row_ids"]) == 5
                 # the driver prunes by zone map before dispatch: what a
                 # selective query sends down the lanes is its survivors
-                # (repro_par_granules_total is the driver's own count of
-                # lane round-trips, so the scrape is exact), never the
+                # (repro_par_granules_total is the driver's own
+                # per-granule count, so the scrape is exact), never the
                 # whole table to be pruned on arrival
                 mid = obs_metrics.parse_text(c.metrics())
                 work = res["stats"]
