@@ -9,9 +9,10 @@
 ``--src`` names another checkout of this repository (a ``git clone`` or
 ``git worktree`` of the parent commit); its ``src/`` is imported in place
 of this one's.  The matrix is every registered integer codec, bare and
-under each partition plan, ``leco`` under every regressor
-(``poly*``/``auto`` included — LAPACK decides those bytes, so compare runs
-from one machine only), over the golden inputs of
+under each partition plan, ``leco`` under every registered regressor and
+``auto`` (``poly*``/``exponential``/``logarithm``/``sin*``/``auto``
+included — LAPACK decides those bytes, so compare runs from one machine
+only), over the golden inputs of
 ``tests/test_codec_conformance.py`` plus sensor-fixture chunks, 40-bit
 jumps and full-range hashes.  Not a CI gate: some changes move bytes on
 purpose; ``TestGoldenBytes`` pins the platform-independent subset.
@@ -33,7 +34,15 @@ import sys
 import numpy as np
 
 PLANS = ("fixed", "variable", "auto", 64, 1024)
-REGRESSORS = ("constant", "linear", "poly2", "poly3", "auto")
+#: ``leco`` regressor -> the plans it is encoded under.  The basis
+#: families skip the searched ``"fixed"`` plan: it fits every candidate
+#: size, which takes longer than the rest of the matrix together.
+REGRESSOR_PLANS = {
+    **dict.fromkeys(("constant", "linear", "poly2", "poly3", "auto"),
+                    ("fixed", 64, 1024)),
+    **dict.fromkeys(("exponential", "logarithm", "sin1", "sin2"),
+                    (64, 1024)),
+}
 
 
 def inputs(sensor_fixture) -> dict:
@@ -72,8 +81,8 @@ def forms(codecs) -> dict:
         for plan in PLANS:
             out[f"{name}/{plan}"] = (name, {"partitioner": plan})
         if name == "leco":
-            for regressor in REGRESSORS:
-                for plan in ("fixed", 64, 1024):
+            for regressor, plans in REGRESSOR_PLANS.items():
+                for plan in plans:
                     out[f"{name}/{regressor}/{plan}"] = (
                         name, {"regressor": regressor, "partitioner": plan})
     return out

@@ -23,24 +23,7 @@ from repro.bitio import (
     encode_uvarint,
 )
 from repro.core.partitioners import resolve_partitioner
-from repro.core.regressors.base import FittedModel, Regressor
-
-
-class _DeltaModel(FittedModel):
-    """Placeholder model: the stored parameter is the partition's first value."""
-
-    kind = "delta"
-
-    def __init__(self, first: float):
-        self._params = np.array([first], dtype=np.float64)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self._params
-
-    def predict_float(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions)
-        return np.full(positions.shape, self._params[0], dtype=np.float64)
+from repro.core.regressors.base import Regressor
 
 
 class DeltaCostAdapter(Regressor):
@@ -53,20 +36,19 @@ class DeltaCostAdapter(Regressor):
     name = "delta-cost"
     min_partition_size = 2
     param_count = 1
-    incremental_kind = "diff-span"
-    seed_delta_order = 2
     fast_delta_order = 1
 
-    def fit(self, values: np.ndarray) -> _DeltaModel:
-        values = as_int64(values)
-        first = float(values[0]) if values.size else 0.0
-        return _DeltaModel(first)
+    def fit_many(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[1] == 0:
+            return np.zeros((len(rows), 1))
+        return rows[:, :1].astype(np.float64)
+
+    def predict_many(self, params: np.ndarray, length: int) -> np.ndarray:
+        return np.repeat(params[:, :1], length, axis=1)
 
     #: the stored width *is* the first-difference span
-    delta_bits = Regressor.fast_delta_bits
-
-    def load(self, params: np.ndarray) -> _DeltaModel:
-        return _DeltaModel(float(params[0]))
+    delta_bits_many = Regressor.fast_delta_bits_many
 
 
 class _DeltaPartition:

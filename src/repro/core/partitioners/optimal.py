@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.partitioners.base import Bounds, Partitioner
 from repro.core.partitioners.cost import PARTITION_HEADER_BITS, VAR_INDEX_BITS
+from repro.core.partitioners.variable import span_tracking
 from repro.core.regressors.base import Regressor
 
 
@@ -39,7 +40,7 @@ class OptimalPartitioner(Partitioner):
         if n == 0:
             return []
 
-        mode = getattr(regressor, "incremental_kind", None)
+        mode, _ = span_tracking(regressor)
         fixed_bits = (regressor.model_size_bytes * 8 + PARTITION_HEADER_BITS
                       + VAR_INDEX_BITS)
 

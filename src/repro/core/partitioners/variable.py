@@ -61,6 +61,17 @@ def select_seeds(values: np.ndarray, order: int) -> np.ndarray:
     return minima[order_keys]
 
 
+def span_tracking(regressor: Regressor) -> tuple[str | None, int]:
+    """What the split phase reads off ``regressor.fast_delta_order`` (d):
+    the incremental ``Δ̃`` tracker mode — "value-span" for d = 0,
+    "diff-span" for d = 1, ``None`` otherwise — and the difference order
+    that scores seeds, d + 1 (2 when d is ``None``)."""
+    order = regressor.fast_delta_order
+    if order is None:
+        return None, 2
+    return {0: "value-span", 1: "diff-span"}.get(order), order + 1
+
+
 class _SpanTracker:
     """Incremental ``Δ̃`` (fast delta-bits) for a growing segment.
 
@@ -125,10 +136,6 @@ class _SpanTracker:
         return min(self._lo, new), max(self._hi, new)
 
 
-def _tracker_mode(regressor: Regressor) -> str | None:
-    return getattr(regressor, "incremental_kind", None)
-
-
 class SplitMergePartitioner(Partitioner):
     """The paper's default variable-length partitioner."""
 
@@ -147,10 +154,9 @@ class SplitMergePartitioner(Partitioner):
         min_size = max(regressor.min_partition_size, 2)
         if n <= min_size:
             return [(0, n)]
-        order = getattr(regressor, "seed_delta_order", 2)
+        mode, order = span_tracking(regressor)
         seeds = select_seeds(values, order)
         threshold = self.tau * regressor.model_size_bytes * 8
-        mode = _tracker_mode(regressor)
 
         owner = np.full(n, -1, dtype=np.int64)
         segments: list[_SpanTracker] = []

@@ -1,15 +1,13 @@
 """Regressors: minimax model fitting for the LeCo framework (paper §3.1)."""
 
-from repro.core.regressors.base import FittedModel, Regressor, floor_to_int64
+from repro.core.regressors.base import Regressor, floor_to_int64
 from repro.core.regressors.basis import (
-    BasisModel,
+    BasisRegressor,
     PolynomialRegressor,
     fit_minimax,
 )
 from repro.core.regressors.linear import (
-    ConstantModel,
     ConstantRegressor,
-    LinearModel,
     LinearRegressor,
     chebyshev_line,
     chebyshev_lines,
@@ -53,15 +51,12 @@ register_regressor(SinusoidalRegressor(1))
 register_regressor(SinusoidalRegressor(2))
 
 __all__ = [
-    "FittedModel",
     "Regressor",
     "floor_to_int64",
-    "BasisModel",
+    "BasisRegressor",
     "PolynomialRegressor",
     "fit_minimax",
-    "ConstantModel",
     "ConstantRegressor",
-    "LinearModel",
     "LinearRegressor",
     "chebyshev_line",
     "chebyshev_lines",

@@ -1,12 +1,19 @@
 """Regressor interface for the LeCo framework.
 
-A *Regressor* fits one model to one partition of the value sequence,
-minimising the **maximum** absolute prediction error (not the usual sum of
-squares): the delta array is bit-packed, so its storage cost is set by the
-largest residual (paper §3.1).
+Every model family is a weighted sum of basis terms, ``F(i) = sum_j
+theta_j * M_j(i)``, fitted to one partition minimising the **maximum**
+absolute prediction error (not the usual sum of squares): the delta array
+is bit-packed, so its storage cost is set by the largest residual (paper
+§3.1).
 
-A *FittedModel* is the trained artefact: it predicts a float for each
-position, and the encoder stores residuals ``v_i - floor(pred(i))``.
+A fitted model is its parameter row — the ``param_count`` float64 values
+a partition stores — and a *Regressor* is two array functions over a
+matrix of partitions: :meth:`Regressor.fit_many` turns ``(R, L)`` int64
+rows into ``(R, param_count)`` parameter rows, :meth:`Regressor.
+predict_many` turns parameter rows into ``(R, L)`` float predictions, and
+the encoder stores residuals ``v_i - floor(pred(i))``.  Row ``r`` of
+either is bitwise the one-row call on row ``r`` alone, so a partition's
+bytes never depend on what it was batched with.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 _INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 
 #: ``_POW2[k] == 2**k``: ``searchsorted(_POW2, v, "right")`` is the exact
@@ -59,49 +65,14 @@ def floor_to_int64(pred: np.ndarray) -> np.ndarray:
     return floored.astype(np.int64)
 
 
-class FittedModel(ABC):
-    """A trained model for a single partition."""
-
-    #: short identifier used in the storage format and reports
-    kind: str = "abstract"
-
-    @property
-    @abstractmethod
-    def params(self) -> np.ndarray:
-        """Model parameters as a float64 vector (stored 8 bytes each)."""
-
-    @abstractmethod
-    def predict_float(self, positions: np.ndarray) -> np.ndarray:
-        """Predict raw float values at local ``positions`` (0-based)."""
-
-    def predict_int(self, positions: np.ndarray) -> np.ndarray:
-        """Integer predictions: ``floor`` of the float predictions."""
-        return floor_to_int64(self.predict_float(np.asarray(positions)))
-
-    @property
-    def model_size_bytes(self) -> int:
-        """Stored size of the parameters (8 bytes per float64)."""
-        return 8 * len(self.params)
-
-    def residuals(self, values: np.ndarray) -> np.ndarray:
-        """Integer residuals ``v_i - floor(pred(i))`` for the partition."""
-        values = np.asarray(values, dtype=np.int64)
-        positions = np.arange(len(values))
-        return values - self.predict_int(positions)
-
-    def max_abs_residual(self, values: np.ndarray) -> int:
-        res = self.residuals(values)
-        return int(np.abs(res).max()) if res.size else 0
-
-
 class Regressor(ABC):
-    """Factory producing :class:`FittedModel` instances for partitions."""
+    """One model family: fit parameter rows, predict from them."""
 
     #: short identifier used by the Hyperparameter-Advisor and reports
     name: str = "abstract"
     #: minimum number of points for the fit to be meaningful (paper §3.2.2)
     min_partition_size: int = 1
-    #: number of float64 parameters a fitted model stores
+    #: number of float64 parameters a partition stores
     param_count: int = 1
     #: order of the differences whose span is this regressor's ``Δ̃`` (paper
     #: §3.2.2; 0: of the values); ``None``: no closed form
@@ -113,46 +84,36 @@ class Regressor(ABC):
         return 8 * self.param_count
 
     @abstractmethod
-    def fit(self, values: np.ndarray) -> FittedModel:
-        """Fit one model to ``values``, minimising the max absolute error."""
-
     def fit_many(self, rows: np.ndarray) -> np.ndarray:
         """Fit every row of ``rows`` (``(R, L)`` int64, one partition a
-        row); returns the ``(R, param_count)`` parameter matrix.
+        row), minimising its max absolute error; returns the
+        ``(R, param_count)`` float64 parameter matrix, row ``r`` bitwise
+        ``fit_many(rows[r:r + 1])``."""
 
-        Row ``r`` is bitwise ``fit(rows[r]).params``.  The default loops
-        :meth:`fit`; regressors with a closed form fit the matrix at once.
-        """
-        params = np.empty((len(rows), self.param_count), dtype=np.float64)
-        for r, row in enumerate(rows):
-            params[r] = self.fit(row).params
-        return params
-
+    @abstractmethod
     def predict_many(self, params: np.ndarray, length: int) -> np.ndarray:
         """Float predictions at positions ``0..length-1`` for every row of
-        a ``(R, param_count)`` parameter matrix, as ``(R, length)``: row
-        ``r`` is bitwise ``load(params[r]).predict_float(arange(length))``
-        — what the decoder will see."""
-        positions = np.arange(length)
-        pred = np.empty((len(params), length), dtype=np.float64)
-        for r, row in enumerate(params):
-            pred[r] = self.load(row).predict_float(positions)
-        return pred
+        a ``(R, param_count)`` parameter matrix, as ``(R, length)`` — what
+        the decoder will see; row ``r`` bitwise the one-row call."""
 
     def delta_bits(self, values: np.ndarray) -> int:
-        """``Δ(v)``: bits per residual slot after fitting this regressor.
+        """``Δ(v)``: bits per residual slot after fitting this regressor;
+        the one-row case of :meth:`delta_bits_many`."""
+        return int(self.delta_bits_many(np.asarray(values)[None, :])[0])
+
+    def delta_bits_many(self, rows: np.ndarray) -> np.ndarray:
+        """``Δ`` of every row of an ``(R, L)`` matrix (64 when ``L`` is
+        below ``min_partition_size``).
 
         Measured as the bias-encoded width of the residual range, which for a
         minimax fit equals the paper's ``ceil(log2 delta_maxabs)) + 1``.
         """
-        values = np.asarray(values, dtype=np.int64)
-        if len(values) < max(self.min_partition_size, 1):
-            return 64
-        res = self.fit(values).residuals(values)
-        if res.size == 0:
-            return 0
-        span = int(res.max()) - int(res.min())
-        return int(span).bit_length()
+        rows = np.asarray(rows, dtype=np.int64)
+        n_rows, length = rows.shape
+        if length < max(self.min_partition_size, 1):
+            return np.full(n_rows, 64, dtype=np.int64)
+        pred = self.predict_many(self.fit_many(rows), length)
+        return diff_span_bits(rows - floor_to_int64(pred), 0)
 
     def fast_delta_bits(self, values: np.ndarray) -> int:
         """Cheap approximation of :meth:`delta_bits` for the split phase:
@@ -165,10 +126,5 @@ class Regressor(ABC):
         correlates with the exact width at a fraction of the cost; the
         exact width where a regressor names no order."""
         if self.fast_delta_order is None:
-            return np.array([self.delta_bits(row) for row in rows],
-                            dtype=np.int64)
+            return self.delta_bits_many(rows)
         return diff_span_bits(rows, self.fast_delta_order)
-
-    @abstractmethod
-    def load(self, params: np.ndarray) -> FittedModel:
-        """Rebuild a fitted model from stored parameters (decoder path)."""

@@ -10,35 +10,31 @@ is a linear program with ``2n + 1`` constraints.  We solve it with
 ``scipy.optimize.linprog`` (HiGHS) for small partitions and fall back to a
 centred least-squares fit — LS coefficients with the intercept shifted so the
 residual band is symmetric — when the partition is large or the LP fails.
+
+:class:`BasisRegressor` is that fit as a regressor: a family states its
+inner parameters (none, an exponential's rate, sine frequencies) and its
+terms, and fits and predicts one partition — one design matrix — a row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from abc import abstractmethod
 
 import numpy as np
 
-from repro.core.regressors.base import FittedModel, Regressor
+from repro.core.regressors.base import Regressor
 
 #: partitions larger than this use the centred-LS path only
 LP_MAX_POINTS = 3000
 
-TermFn = Callable[[np.ndarray], np.ndarray]
 
-
-def design_matrix(terms: Sequence[TermFn], positions: np.ndarray) -> np.ndarray:
-    positions = np.asarray(positions, dtype=np.float64)
-    return np.column_stack([term(positions) for term in terms])
-
-
-def fit_minimax(design: np.ndarray, values: np.ndarray,
-                use_lp: bool = True) -> np.ndarray:
+def fit_minimax(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Fit ``theta`` minimising ``max |design @ theta - values|``."""
     values = np.asarray(values, dtype=np.float64)
     n, k = design.shape
 
     theta = _least_squares_centered(design, values)
-    if not use_lp or n > LP_MAX_POINTS or n <= k:
+    if n > LP_MAX_POINTS or n <= k:
         return theta
 
     lp_theta = _linprog_minimax(design, values)
@@ -95,71 +91,64 @@ def _linprog_minimax(design: np.ndarray, values: np.ndarray
     return np.asarray(result.x[:k], dtype=np.float64)
 
 
-class BasisModel(FittedModel):
-    """A fitted linear combination of basis terms."""
+class BasisRegressor(Regressor):
+    """A family ``F(i) = sum_j theta_j * M_j(i)`` fitted minimax, whose
+    terms may hang on inner parameters estimated from the row first.  A
+    stored row is ``theta`` followed by the ``inner_count`` inner
+    parameters.
 
-    def __init__(self, kind: str, terms: Sequence[TermFn],
-                 theta: np.ndarray, extra_params: np.ndarray | None = None):
-        self.kind = kind
-        self._terms = list(terms)
-        self._theta = np.asarray(theta, dtype=np.float64)
-        # extra (non-linear) parameters, e.g. sine frequencies, appended to
-        # the stored parameter vector so the decoder can rebuild the terms
-        self._extra = (np.asarray(extra_params, dtype=np.float64)
-                       if extra_params is not None else np.empty(0))
+    Fit and prediction run one partition at a time, one design-matrix
+    product a row: a joint product over the matrix rounds differently
+    with the row count, which would make a partition's bytes depend on
+    its batch.
+    """
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.concatenate([self._theta, self._extra])
+    #: trailing entries of the stored row that are inner parameters
+    inner_count = 0
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self._theta
+    def inner(self, values: np.ndarray) -> np.ndarray:
+        """The inner parameters fitted to one row (float64 values)."""
+        return np.empty(0)
 
-    @property
-    def extra(self) -> np.ndarray:
-        return self._extra
+    @abstractmethod
+    def terms(self, inner: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        """The columns ``M_j(x)`` at float positions ``x``."""
 
-    def predict_float(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.float64)
-        return design_matrix(self._terms, positions) @ self._theta
+    def _design(self, inner: np.ndarray, length: int) -> np.ndarray:
+        return np.column_stack(
+            self.terms(inner, np.arange(length, dtype=np.float64)))
+
+    def fit_many(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64).astype(np.float64)
+        n_theta = self.param_count - self.inner_count
+        params = np.empty((len(rows), self.param_count))
+        for r, values in enumerate(rows):
+            inner = self.inner(values)
+            params[r, :n_theta] = fit_minimax(
+                self._design(inner, len(values)), values)
+            params[r, n_theta:] = inner
+        return params
+
+    def predict_many(self, params: np.ndarray, length: int) -> np.ndarray:
+        n_theta = self.param_count - self.inner_count
+        pred = np.empty((len(params), length))
+        for r, row in enumerate(params):
+            pred[r] = self._design(row[n_theta:], length) @ row[:n_theta]
+        return pred
 
 
-def polynomial_terms(degree: int) -> list[TermFn]:
-    """Terms ``[1, i, i**2, ..., i**degree]``."""
-    return [_power_term(p) for p in range(degree + 1)]
+class PolynomialRegressor(BasisRegressor):
+    """Minimax polynomial fit of a fixed degree: terms ``1, i, ...,
+    i**degree``."""
 
-
-def _power_term(power: int) -> TermFn:
-    if power == 0:
-        return lambda x: np.ones_like(x)
-    return lambda x: x ** power
-
-
-class PolynomialRegressor(Regressor):
-    """Minimax polynomial fit of a fixed degree."""
-
-    def __init__(self, degree: int, use_lp: bool = True):
+    def __init__(self, degree: int):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         self.degree = degree
-        self.use_lp = use_lp
         self.name = f"poly{degree}"
         self.min_partition_size = degree + 2
         self.param_count = degree + 1
-        self.incremental_kind = None
-        self.seed_delta_order = degree + 1
         self.fast_delta_order = degree
-        self._terms = polynomial_terms(degree)
 
-    def fit(self, values: np.ndarray) -> BasisModel:
-        values = np.asarray(values, dtype=np.int64)
-        positions = np.arange(len(values), dtype=np.float64)
-        design = design_matrix(self._terms, positions)
-        theta = fit_minimax(design, values.astype(np.float64),
-                            use_lp=self.use_lp)
-        return BasisModel(self.name, self._terms, theta)
-
-    def load(self, params: np.ndarray) -> BasisModel:
-        return BasisModel(self.name, self._terms,
-                          params[: self.degree + 1])
+    def terms(self, inner: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        return [np.ones_like(x)] + [x ** p for p in range(1, self.degree + 1)]

@@ -16,24 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.regressors.base import FittedModel, Regressor
-
-
-class ConstantModel(FittedModel):
-    """``F(i) = theta0`` — the Frame-of-Reference model (paper §2)."""
-
-    kind = "constant"
-
-    def __init__(self, theta0: float):
-        self._params = np.array([theta0], dtype=np.float64)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self._params
-
-    def predict_float(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions)
-        return np.full(positions.shape, self._params[0], dtype=np.float64)
+from repro.core.regressors.base import Regressor
 
 
 class ConstantRegressor(Regressor):
@@ -42,17 +25,9 @@ class ConstantRegressor(Regressor):
     name = "constant"
     min_partition_size = 1
     param_count = 1
-    #: split-phase fast-width tracking mode (see partitioners.variable)
-    incremental_kind = "value-span"
-    #: delta order used for seed scoring (§3.2.2)
-    seed_delta_order = 1
     # Mid-range centering keeps residuals within [-span/2, span/2]; bias
     # encoding then needs bits(span).
     fast_delta_order = 0
-
-    def fit(self, values: np.ndarray) -> ConstantModel:
-        return ConstantModel(
-            float(self.fit_many(np.asarray(values)[None, :])[0, 0]))
 
     def fit_many(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -64,34 +39,6 @@ class ConstantRegressor(Regressor):
 
     def predict_many(self, params: np.ndarray, length: int) -> np.ndarray:
         return np.repeat(params[:, :1], length, axis=1)
-
-    def load(self, params: np.ndarray) -> ConstantModel:
-        return ConstantModel(float(params[0]))
-
-
-class LinearModel(FittedModel):
-    """``F(i) = theta0 + theta1 * i``."""
-
-    kind = "linear"
-
-    def __init__(self, intercept: float, slope: float):
-        self._params = np.array([intercept, slope], dtype=np.float64)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self._params
-
-    @property
-    def intercept(self) -> float:
-        return float(self._params[0])
-
-    @property
-    def slope(self) -> float:
-        return float(self._params[1])
-
-    def predict_float(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.float64)
-        return self._params[0] + self._params[1] * positions
 
 
 #: iterated-pruning passes before falling back to the scalar chain
@@ -265,14 +212,7 @@ class LinearRegressor(Regressor):
     name = "linear"
     min_partition_size = 3
     param_count = 2
-    incremental_kind = "diff-span"
-    seed_delta_order = 2
     fast_delta_order = 1
-
-    def fit(self, values: np.ndarray) -> LinearModel:
-        values = np.asarray(values, dtype=np.int64)
-        intercept, slope, _ = chebyshev_line(values)
-        return LinearModel(intercept, slope)
 
     def fit_many(self, rows: np.ndarray) -> np.ndarray:
         intercept, slope, _ = chebyshev_lines(
@@ -282,6 +222,3 @@ class LinearRegressor(Regressor):
     def predict_many(self, params: np.ndarray, length: int) -> np.ndarray:
         return params[:, :1] + params[:, 1:2] * np.arange(
             length, dtype=np.float64)
-
-    def load(self, params: np.ndarray) -> LinearModel:
-        return LinearModel(float(params[0]), float(params[1]))

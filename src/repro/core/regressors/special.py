@@ -4,27 +4,18 @@ These demonstrate LeCo's extensibility beyond polynomials: the framework
 accepts any linear combination of terms, and domain knowledge (e.g. the two
 sine carriers of the ``cosmos`` data set) plugs in as extra basis functions.
 Non-linear inner parameters (exponential rate, sine frequencies) are
-estimated first, then the outer weights are fitted minimax.
+estimated first, then the outer weights are fitted minimax
+(:class:`~repro.core.regressors.basis.BasisRegressor`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.regressors.base import Regressor
-from repro.core.regressors.basis import (
-    BasisModel,
-    TermFn,
-    design_matrix,
-    fit_minimax,
-)
+from repro.core.regressors.basis import BasisRegressor
 
 
-def _exp_terms(rate: float) -> list[TermFn]:
-    return [lambda x: np.ones_like(x), lambda x, r=rate: np.exp(r * x)]
-
-
-class ExponentialRegressor(Regressor):
+class ExponentialRegressor(BasisRegressor):
     """``F(i) = theta0 + theta1 * exp(rate * i)``.
 
     The rate is estimated from a log-space linear fit on the de-trended
@@ -34,11 +25,9 @@ class ExponentialRegressor(Regressor):
     name = "exponential"
     min_partition_size = 4
     param_count = 3  # theta0, theta1, rate
+    inner_count = 1
 
-    def __init__(self, use_lp: bool = True):
-        self.use_lp = use_lp
-
-    def _estimate_rate(self, values: np.ndarray) -> float:
+    def inner(self, values: np.ndarray) -> np.ndarray:
         shifted = values - values.min() + 1.0
         logs = np.log(shifted)
         n = len(values)
@@ -46,57 +35,21 @@ class ExponentialRegressor(Regressor):
         slope = (np.polyfit(positions, logs, 1)[0] if n >= 2 else 0.0)
         # keep exp(rate * n) within float range
         max_rate = 650.0 / max(n, 1)
-        return float(np.clip(slope, -max_rate, max_rate))
+        return np.clip([slope], -max_rate, max_rate)
 
-    def fit(self, values: np.ndarray) -> BasisModel:
-        values = np.asarray(values, dtype=np.int64)
-        rate = self._estimate_rate(values.astype(np.float64))
-        terms = _exp_terms(rate)
-        positions = np.arange(len(values), dtype=np.float64)
-        design = design_matrix(terms, positions)
-        theta = fit_minimax(design, values.astype(np.float64),
-                            use_lp=self.use_lp)
-        return BasisModel(self.name, terms, theta, extra_params=[rate])
-
-    def load(self, params: np.ndarray) -> BasisModel:
-        rate = float(params[2])
-        return BasisModel(self.name, _exp_terms(rate), params[:2],
-                          extra_params=[rate])
+    def terms(self, inner: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        return [np.ones_like(x), np.exp(inner[0] * x)]
 
 
-def _log_terms() -> list[TermFn]:
-    return [lambda x: np.ones_like(x), lambda x: np.log1p(x)]
-
-
-class LogarithmRegressor(Regressor):
+class LogarithmRegressor(BasisRegressor):
     """``F(i) = theta0 + theta1 * log(1 + i)``."""
 
     name = "logarithm"
     min_partition_size = 3
     param_count = 2
 
-    def __init__(self, use_lp: bool = True):
-        self.use_lp = use_lp
-
-    def fit(self, values: np.ndarray) -> BasisModel:
-        values = np.asarray(values, dtype=np.int64)
-        terms = _log_terms()
-        positions = np.arange(len(values), dtype=np.float64)
-        design = design_matrix(terms, positions)
-        theta = fit_minimax(design, values.astype(np.float64),
-                            use_lp=self.use_lp)
-        return BasisModel(self.name, terms, theta)
-
-    def load(self, params: np.ndarray) -> BasisModel:
-        return BasisModel(self.name, _log_terms(), params[:2])
-
-
-def _sin_terms(freqs: np.ndarray) -> list[TermFn]:
-    terms: list[TermFn] = [lambda x: np.ones_like(x), lambda x: x]
-    for freq in freqs:
-        terms.append(lambda x, w=freq: np.sin(w * x))
-        terms.append(lambda x, w=freq: np.cos(w * x))
-    return terms
+    def terms(self, inner: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        return [np.ones_like(x), np.log1p(x)]
 
 
 def estimate_frequencies(values: np.ndarray, n_freqs: int) -> np.ndarray:
@@ -154,7 +107,7 @@ def _refine_frequency(signal: np.ndarray, freq: float,
     return float(result.x) if result.fun <= cost(freq) else freq
 
 
-class SinusoidalRegressor(Regressor):
+class SinusoidalRegressor(BasisRegressor):
     """Linear trend plus ``n_sines`` sine/cosine carriers.
 
     ``freqs`` supplies known angular frequencies (the paper's ``2sin-freq``
@@ -163,8 +116,7 @@ class SinusoidalRegressor(Regressor):
     """
 
     def __init__(self, n_sines: int = 1,
-                 freqs: np.ndarray | None = None,
-                 use_lp: bool = True):
+                 freqs: np.ndarray | None = None):
         if n_sines < 1:
             raise ValueError(f"n_sines must be >= 1, got {n_sines}")
         self.n_sines = n_sines
@@ -172,29 +124,21 @@ class SinusoidalRegressor(Regressor):
                             if freqs is not None else None)
         if self.known_freqs is not None and len(self.known_freqs) != n_sines:
             raise ValueError("freqs length must equal n_sines")
-        self.use_lp = use_lp
         # the stored parameter vector carries the frequencies, so known-
         # frequency variants share the storage-format name of the estimated
         # ones and decode through the same registry entry
         self.name = f"sin{n_sines}"
         self.min_partition_size = 2 + 2 * n_sines + 2
         self.param_count = 2 + 3 * n_sines  # theta + stored freqs
+        self.inner_count = n_sines
 
-    def fit(self, values: np.ndarray) -> BasisModel:
-        values = np.asarray(values, dtype=np.int64)
+    def inner(self, values: np.ndarray) -> np.ndarray:
         if self.known_freqs is not None:
-            freqs = self.known_freqs
-        else:
-            freqs = estimate_frequencies(values, self.n_sines)
-        terms = _sin_terms(freqs)
-        positions = np.arange(len(values), dtype=np.float64)
-        design = design_matrix(terms, positions)
-        theta = fit_minimax(design, values.astype(np.float64),
-                            use_lp=self.use_lp)
-        return BasisModel(self.name, terms, theta, extra_params=freqs)
+            return self.known_freqs
+        return estimate_frequencies(values, self.n_sines)
 
-    def load(self, params: np.ndarray) -> BasisModel:
-        n_theta = 2 + 2 * self.n_sines
-        freqs = np.asarray(params[n_theta: n_theta + self.n_sines])
-        return BasisModel(self.name, _sin_terms(freqs), params[:n_theta],
-                          extra_params=freqs)
+    def terms(self, inner: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        out = [np.ones_like(x), x]
+        for w in inner:
+            out += [np.sin(w * x), np.cos(w * x)]
+        return out

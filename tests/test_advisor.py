@@ -111,7 +111,7 @@ class TestSelector:
 
     def test_recommend_returns_regressor(self, selector):
         reg = selector.recommend(np.arange(100, dtype=np.int64))
-        assert hasattr(reg, "fit")
+        assert hasattr(reg, "fit_many")
 
     def test_training_set_is_balanced(self):
         feats, labels = training_set(samples_per_class=10, length=128)

@@ -31,7 +31,11 @@ import pytest
 from repro import codecs
 from repro.bitio import BitPackedArray
 from repro.core.encoding import CompressedArray
-from repro.core.regressors import available_regressors, get_regressor
+from repro.core.regressors import (
+    available_regressors,
+    floor_to_int64,
+    get_regressor,
+)
 
 try:
     from hypothesis import given, settings
@@ -594,8 +598,8 @@ INT64 = np.iinfo(np.int64)
 def reference_decode(seq: CompressedArray) -> np.ndarray:
     """Every value of ``seq`` one position at a time, by the per-partition
     arithmetic the columnar decode replaced: find the position's
-    partition, load its model, predict (a basis model over the whole
-    partition, the encoder's shape), read the slot from a
+    partition, predict the whole partition from its stored parameter row
+    alone (the encoder's shape), read the slot from a
     ``BitPackedArray`` over the partition's bytes, add the bias."""
     image = seq.payload_bytes()
     out = []
@@ -604,11 +608,8 @@ def reference_decode(seq: CompressedArray) -> np.ndarray:
         local, length = i - int(seq.starts[j]), int(seq.lengths[j])
         name = seq.regressor_names[seq.regressor_ids[j]]
         regressor = get_regressor(name)
-        model = regressor.load(seq.params[j, :regressor.param_count])
-        if name in ("constant", "linear"):
-            pred = model.predict_int(np.array([local]))[0]
-        else:
-            pred = model.predict_int(np.arange(length))[local]
+        pred = floor_to_int64(regressor.predict_many(
+            seq.params[j:j + 1, :regressor.param_count], length))[0, local]
         slots = BitPackedArray(image[seq.offsets[j] // 8:],
                                int(seq.widths[j]), length)
         value = int(pred) + slots[local] + int(seq.biases[j])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro import codecs, compress, decompress
 from repro.core.encoding import CompressedArray
-from repro.core.regressors import get_regressor
 from repro.core.strings import StringCompressor
 
 
@@ -100,19 +99,6 @@ class TestApiContracts:
             arr = compress(values)
             assert np.array_equal(decompress(arr),
                                   values.astype(np.int64))
-
-    def test_every_registered_regressor_is_loadable(self):
-        from repro.core.regressors import available_regressors
-
-        for name in available_regressors():
-            reg = get_regressor(name)
-            n = max(reg.min_partition_size, 20)
-            values = (np.arange(n) * 5 + 3).astype(np.int64)
-            model = reg.fit(values)
-            clone = reg.load(model.params)
-            positions = np.arange(n)
-            assert np.array_equal(model.predict_int(positions),
-                                  clone.predict_int(positions)), name
 
 
 class TestStringEdgeCases:

@@ -235,8 +235,10 @@ def reference_value_bounds(arr: CompressedArray) -> np.ndarray:
         band = (info.min, info.max)
         name = arr.regressor_names[arr.regressor_ids[j]]
         if name in ("constant", "linear"):
-            model = get_regressor(name).load(arr.params[j])
-            pred = model.predict_int(np.array([0, length - 1]))
+            regressor = get_regressor(name)
+            pred = floor_to_int64(regressor.predict_many(
+                arr.params[j:j + 1, :regressor.param_count], length)
+            )[0, [0, length - 1]]
             lo = int(pred.min()) + int(arr.biases[j])
             hi = int(pred.max()) + int(arr.biases[j]) \
                 + (1 << int(arr.widths[j])) - 1
@@ -288,8 +290,8 @@ def reference_row(values, regressor, build_corrections=True) -> tuple:
     """One partition encoded the way it was before ``encode_rows``: fit,
     guards, constant then wide fallback, bias, pack, corrections — as
     :func:`row_image` reads a row of an encoded batch."""
-    def safe_residuals(model):
-        pred = model.predict_float(np.arange(len(values)))
+    def safe_residuals(regressor, params):
+        pred = regressor.predict_many(params, len(values))[0]
         if not np.all(np.isfinite(pred)):
             return None
         if np.abs(values.astype(np.float64) - pred).max(initial=0.0) \
@@ -297,11 +299,11 @@ def reference_row(values, regressor, build_corrections=True) -> tuple:
             return None
         return values - floor_to_int64(pred)
 
-    model, name = regressor.fit(values), regressor.name
-    residuals = safe_residuals(model)
-    if residuals is None:
-        model, name = ConstantRegressor().fit(values), "constant"
-        residuals = safe_residuals(model)
+    for regressor in (regressor, ConstantRegressor()):
+        params = regressor.fit_many(values[None, :])
+        residuals = safe_residuals(regressor, params)
+        if residuals is not None:
+            break
     if residuals is None:
         # a span beyond 2**63: ``v - floor`` as uint64 slots, bias 0
         lowest = int(values.min())
@@ -315,10 +317,10 @@ def reference_row(values, regressor, build_corrections=True) -> tuple:
     bias = int(residuals.min()) if residuals.size else 0
     packed = BitPackedArray.from_values((residuals - bias).astype(np.uint64))
     corrections = None
-    if build_corrections and name == "linear":
+    if build_corrections and regressor.name == "linear":
         corrections = []
         if len(values):
-            theta0, theta1 = (float(p) for p in model.params)
+            theta0, theta1 = (float(p) for p in params[0])
             direct = np.floor(theta0 + theta1 * np.arange(
                 len(values), dtype=np.float64))
             accum = np.floor(np.add.accumulate(
@@ -327,8 +329,8 @@ def reference_row(values, regressor, build_corrections=True) -> tuple:
                            for i in np.flatnonzero(direct != accum)]
         if len(corrections) > max(len(values) // 16, 4):
             corrections = None
-    return (name, model.params.tobytes(), bias, packed.width, packed.data,
-            corrections)
+    return (regressor.name, params[0].tobytes(), bias, packed.width,
+            packed.data, corrections)
 
 
 def row_image(rows, r: int) -> tuple:
@@ -406,15 +408,11 @@ class TestEncodeMany:
     def test_guard_rows_fall_back_inside_a_batch(self):
         """One matrix holding a well-fitted row, a row whose model blows
         up (the constant model holds it) and a row no model holds."""
-        from repro.core.regressors import LinearModel, Regressor
-
         class Blowup(LinearRegressor):
-            fit_many = Regressor.fit_many
-
-            def fit(self, values):
-                if values[0] < 0:
-                    return LinearModel(0.0, np.inf)
-                return super().fit(values)
+            def fit_many(self, rows):
+                params = super().fit_many(rows)
+                params[rows[:, 0] < 0] = (0.0, np.inf)
+                return params
 
         info = np.iinfo(np.int64)
         rows = np.array([[10, 20, 30, 41],

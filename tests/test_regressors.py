@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.regressors import (
-    BasisModel,
     ConstantRegressor,
     ExponentialRegressor,
     LinearRegressor,
@@ -17,12 +16,21 @@ from repro.core.regressors import (
     chebyshev_line,
     chebyshev_lines,
     estimate_frequencies,
+    floor_to_int64,
     get_regressor,
     linear,
 )
+from repro.core.regressors.basis import _least_squares_centered, fit_minimax
 
 int_arrays = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1,
                       max_size=120).map(lambda v: np.array(v, dtype=np.int64))
+
+
+def max_abs_residual(reg, values) -> int:
+    """Largest ``|v_i - floor(pred(i))|`` of ``reg``'s one-row fit."""
+    values = np.asarray(values, dtype=np.int64)
+    pred = reg.predict_many(reg.fit_many(values[None, :]), len(values))
+    return int(np.abs(values - floor_to_int64(pred[0])).max())
 
 
 def _lp_minimax_error(values: np.ndarray) -> float:
@@ -75,39 +83,39 @@ class TestChebyshevLine:
 
 class TestConstantRegressor:
     def test_midrange_fit(self):
-        reg = ConstantRegressor()
-        model = reg.fit(np.array([0, 10], dtype=np.int64))
-        assert model.params[0] == pytest.approx(5.0)
+        params = ConstantRegressor().fit_many(np.array([[0, 10]]))
+        assert params[0, 0] == pytest.approx(5.0)
 
     def test_minimax_beats_min_reference(self):
         values = np.array([0, 100], dtype=np.int64)
-        model = ConstantRegressor().fit(values)
-        assert model.max_abs_residual(values) <= 50
+        assert max_abs_residual(ConstantRegressor(), values) <= 50
 
     def test_fast_delta_bits_matches_span(self):
         values = np.array([3, 3, 11], dtype=np.int64)
         assert ConstantRegressor().fast_delta_bits(values) == 4  # span 8
 
     def test_empty_fit(self):
-        model = ConstantRegressor().fit(np.array([], dtype=np.int64))
-        assert model.params[0] == 0.0
+        params = ConstantRegressor().fit_many(np.empty((1, 0), np.int64))
+        assert params.tolist() == [[0.0]]
 
 
 class TestLinearRegressor:
     def test_residuals_small_on_linear_data(self):
         values = (5 + 17 * np.arange(200)).astype(np.int64)
-        model = LinearRegressor().fit(values)
-        assert model.max_abs_residual(values) <= 1  # floor slack only
+        assert max_abs_residual(LinearRegressor(), values) <= 1  # floor slack
 
     @given(int_arrays)
     @settings(max_examples=40, deadline=None)
     def test_load_reproduces_predictions(self, values):
+        """The stored row is the Chebyshev line, and predicts it."""
         reg = LinearRegressor()
-        model = reg.fit(values)
-        clone = reg.load(model.params)
-        positions = np.arange(len(values))
-        assert np.array_equal(model.predict_int(positions),
-                              clone.predict_int(positions))
+        params = reg.fit_many(values[None, :])
+        intercept, slope, _ = chebyshev_line(values)
+        assert params.tolist() == [[intercept, slope]]
+        positions = np.arange(len(values), dtype=np.float64)
+        assert np.array_equal(
+            floor_to_int64(reg.predict_many(params, len(values))[0]),
+            floor_to_int64(intercept + slope * positions))
 
     def test_fast_delta_bits_zero_for_arithmetic_progression(self):
         values = (100 + 7 * np.arange(64)).astype(np.int64)
@@ -121,23 +129,24 @@ class TestPolynomialRegressor:
     def test_quadratic_fits_quadratic(self):
         x = np.arange(100)
         values = (3 * x ** 2 + 5 * x + 7).astype(np.int64)
-        model = PolynomialRegressor(2).fit(values)
-        assert model.max_abs_residual(values) <= 1
+        assert max_abs_residual(PolynomialRegressor(2), values) <= 1
 
     def test_cubic_fits_cubic(self):
         x = np.arange(60)
         values = (x ** 3 - 4 * x).astype(np.int64)
-        model = PolynomialRegressor(3).fit(values)
-        assert model.max_abs_residual(values) <= 1
+        assert max_abs_residual(PolynomialRegressor(3), values) <= 1
 
     def test_lp_no_worse_than_centred_ls(self):
         rng = np.random.default_rng(0)
-        x = np.arange(80)
-        values = (2 * x ** 2 + rng.integers(-40, 41, 80)).astype(np.int64)
-        with_lp = PolynomialRegressor(2, use_lp=True).fit(values)
-        without = PolynomialRegressor(2, use_lp=False).fit(values)
-        assert (with_lp.max_abs_residual(values)
-                <= without.max_abs_residual(values))
+        x = np.arange(80, dtype=np.float64)
+        values = 2 * x ** 2 + rng.integers(-40, 41, 80)
+        design = np.column_stack([np.ones_like(x), x, x ** 2])
+
+        def band(theta):
+            return np.abs(design @ theta - values).max()
+
+        assert band(fit_minimax(design, values)) <= \
+            band(_least_squares_centered(design, values))
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -152,21 +161,21 @@ class TestPolynomialRegressor:
 class TestSpecialRegressors:
     def test_exponential_beats_linear_on_exponential_data(self):
         values = np.round(5 * np.exp(0.05 * np.arange(200))).astype(np.int64)
-        exp_res = ExponentialRegressor().fit(values).max_abs_residual(values)
-        lin_res = LinearRegressor().fit(values).max_abs_residual(values)
+        exp_res = max_abs_residual(ExponentialRegressor(), values)
+        lin_res = max_abs_residual(LinearRegressor(), values)
         assert exp_res < lin_res / 4
 
     def test_logarithm_beats_linear_on_log_data(self):
         values = np.round(1e4 * np.log1p(np.arange(500))).astype(np.int64)
-        log_res = LogarithmRegressor().fit(values).max_abs_residual(values)
-        lin_res = LinearRegressor().fit(values).max_abs_residual(values)
+        log_res = max_abs_residual(LogarithmRegressor(), values)
+        lin_res = max_abs_residual(LinearRegressor(), values)
         assert log_res < lin_res / 4
 
     def test_sinusoidal_captures_carrier(self):
         x = np.arange(2000)
         values = np.round(1e5 * np.sin(0.05 * x)).astype(np.int64)
-        sin_res = SinusoidalRegressor(1).fit(values).max_abs_residual(values)
-        lin_res = LinearRegressor().fit(values).max_abs_residual(values)
+        sin_res = max_abs_residual(SinusoidalRegressor(1), values)
+        lin_res = max_abs_residual(LinearRegressor(), values)
         assert sin_res < lin_res / 10
 
     def test_known_frequency_variant(self):
@@ -174,8 +183,7 @@ class TestSpecialRegressors:
         freq = 0.031
         values = np.round(5e4 * np.sin(freq * x)).astype(np.int64)
         reg = SinusoidalRegressor(1, freqs=[freq])
-        res = reg.fit(values).max_abs_residual(values)
-        assert res <= 2
+        assert max_abs_residual(reg, values) <= 2
 
     def test_estimate_frequencies_finds_dominant(self):
         x = np.arange(4096)
@@ -191,13 +199,16 @@ class TestSpecialRegressors:
             SinusoidalRegressor(2, freqs=[0.1])
 
     def test_exponential_load_roundtrip(self):
+        """A stored row is ``theta0, theta1, rate``: it alone gives the
+        predictions ``theta0 + theta1 * exp(rate * i)``."""
         values = np.round(3 * np.exp(0.02 * np.arange(100))).astype(np.int64)
         reg = ExponentialRegressor()
-        model = reg.fit(values)
-        clone = reg.load(model.params)
-        positions = np.arange(len(values))
-        assert np.array_equal(model.predict_int(positions),
-                              clone.predict_int(positions))
+        params = reg.fit_many(values[None, :])
+        rate = params[0, 2]
+        x = np.arange(100, dtype=np.float64)
+        want = np.column_stack([np.ones_like(x), np.exp(rate * x)]) \
+            @ params[0, :2]
+        assert reg.predict_many(params, 100)[0].tobytes() == want.tobytes()
 
 
 class TestRegistry:
@@ -218,17 +229,7 @@ class TestRegistry:
         reg = get_regressor(name)
         n = max(reg.min_partition_size, 16)
         values = (np.arange(n) * 3 + 1).astype(np.int64)
-        model = reg.fit(values)
-        assert len(model.params) == reg.param_count
-
-
-class TestBasisModel:
-    def test_params_concatenate_theta_and_extra(self):
-        terms = [lambda x: np.ones_like(x), lambda x: x]
-        model = BasisModel("test", terms, [1.0, 2.0], extra_params=[9.0])
-        assert list(model.params) == [1.0, 2.0, 9.0]
-        assert list(model.theta) == [1.0, 2.0]
-        assert list(model.extra) == [9.0]
+        assert reg.fit_many(values[None, :]).shape == (1, reg.param_count)
 
 
 # ---------------------------------------------------------------- batches
@@ -340,8 +341,39 @@ def assert_bitwise_rows(got: np.ndarray, want: list) -> None:
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
+class TestBatchContract:
+    """Every registered family: row ``r`` of ``fit_many(rows)``, of
+    ``predict_many(params, L)`` and of ``delta_bits_many(rows)`` is
+    bitwise the one-row call on row ``r`` alone."""
+
+    @pytest.mark.parametrize("name", available_regressors())
+    def test_rows_are_the_one_row_calls(self, name):
+        reg = get_regressor(name)
+        rng = np.random.default_rng(7)
+        # a row shorter than the family's minimum, and a full one
+        for length in (reg.min_partition_size - 1, 40):
+            rows = np.stack([_row(kind, length, rng) if length
+                             else np.empty(0) for kind in (0, 2, 3, 4, 8)]
+                            ).astype(np.int64)
+            params = reg.fit_many(rows)
+            pred = reg.predict_many(params, length)
+            assert params.shape == (len(rows), reg.param_count)
+            assert pred.shape == rows.shape
+            bits = reg.delta_bits_many(rows)
+            for r in range(len(rows)):
+                one = reg.fit_many(rows[r:r + 1])
+                assert params[r:r + 1].tobytes() == one.tobytes()
+                assert pred[r:r + 1].tobytes() == \
+                    reg.predict_many(one, length).tobytes()
+                assert bits[r] == reg.delta_bits(rows[r])
+        assert reg.fit_many(np.empty((0, 40), np.int64)).shape == \
+            (0, reg.param_count)
+        assert reg.predict_many(np.empty((0, reg.param_count)), 40).shape \
+            == (0, 40)
+
+
 class TestFitMany:
-    """``fit_many(rows)`` is bitwise ``[fit(r) for r in rows]``."""
+    """``fit_many(rows)`` is bitwise the reference fit of each row."""
 
     @given(row_matrices())
     @settings(max_examples=120, deadline=None)
@@ -350,7 +382,7 @@ class TestFitMany:
         assert_bitwise_rows(
             got, [reference_chebyshev_line(row)[:2] for row in rows])
         assert_bitwise_rows(
-            got, [LinearRegressor().fit(row).params for row in rows])
+            got, [LinearRegressor().fit_many(row[None, :]) for row in rows])
         _, _, radius = chebyshev_lines(rows)
         assert_bitwise_rows(
             radius, [reference_chebyshev_line(row)[2] for row in rows])
@@ -360,19 +392,7 @@ class TestFitMany:
     def test_constant_rows(self, rows):
         assert_bitwise_rows(
             ConstantRegressor().fit_many(rows),
-            [ConstantRegressor().fit(row).params for row in rows])
-
-    @pytest.mark.parametrize("name", ["poly2", "logarithm"])
-    def test_default_loops_fit(self, name):
-        reg = get_regressor(name)
-        rows = np.stack([_row(k, 40, np.random.default_rng(k))
-                         for k in (0, 3, 4)]).astype(np.int64)
-        params = reg.fit_many(rows)
-        assert_bitwise_rows(params, [reg.fit(row).params for row in rows])
-        positions = np.arange(40)
-        assert_bitwise_rows(
-            reg.predict_many(params, 40),
-            [reg.load(p).predict_float(positions) for p in params])
+            [(float(row.min()) + float(row.max())) / 2.0 for row in rows])
 
     @pytest.mark.parametrize("name", ["constant", "linear"])
     @given(rows=row_matrices())
@@ -380,10 +400,9 @@ class TestFitMany:
     def test_predict_many_is_what_the_decoder_sees(self, name, rows):
         reg = get_regressor(name)
         params = reg.fit_many(rows)
-        positions = np.arange(rows.shape[1])
         assert_bitwise_rows(
             reg.predict_many(params, rows.shape[1]),
-            [reg.load(p).predict_float(positions) for p in params])
+            [reg.predict_many(p[None, :], rows.shape[1]) for p in params])
 
     def test_empty_matrix_and_short_rows(self):
         for reg in (LinearRegressor(), ConstantRegressor(),
