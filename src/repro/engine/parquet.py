@@ -17,7 +17,7 @@ from repro import codecs
 from repro.engine.array import EncodedColumn
 from repro.engine.blockzstd import block_compress, block_decompress
 from repro.engine.io import IOModel
-from repro.exec.source import ColumnSource, Granule
+from repro.exec.source import ColumnSource, Granule, zone_arrays
 
 
 @dataclass
@@ -102,7 +102,8 @@ class ParquetSource(ColumnSource):
     Granules are row groups.  Zone maps come from the encoded
     sequences' ``model_bounds()`` — consulted only for codecs whose
     registry entry sets ``supports_model_bounds`` (the LeCo family), so
-    the planner reads the same capability flag as the store writer.
+    the planner reads the same capability flag as the store writer —
+    and are built per column on its first zone-map test.
     Loads charge the supplied :class:`IOModel` exactly like
     :meth:`ParquetLikeFile.scan_column`; the model's running totals are
     an unlocked accumulator, so the source reports
@@ -117,7 +118,7 @@ class ParquetSource(ColumnSource):
         self._granules = tuple(
             Granule(i, group.start, group.n_rows)
             for i, group in enumerate(file.row_groups))
-        self._bounds: dict[tuple[int, str], tuple | None] = {}
+        self._zones: dict[str, tuple] = {}
 
     @property
     def column_names(self) -> tuple:
@@ -132,15 +133,16 @@ class ParquetSource(ColumnSource):
     def granules(self) -> tuple:
         return self._granules
 
-    def bounds(self, granule: Granule, column: str):
-        key = (granule.index, column)
-        if key not in self._bounds:
-            chunk = self.file.row_groups[granule.index].chunks[column]
-            band = None
-            if codecs.info(chunk.column.encoding).supports_model_bounds:
-                band = chunk.column.sequence.model_bounds()
-            self._bounds[key] = band
-        return self._bounds[key]
+    def zone_maps(self, column: str) -> tuple:
+        zones = self._zones.get(column)
+        if zones is None:
+            encoded = [group.chunks[column].column
+                       for group in self.file.row_groups]
+            zones = self._zones[column] = zone_arrays(
+                enc.sequence.model_bounds()
+                if codecs.info(enc.encoding).supports_model_bounds
+                else None for enc in encoded)
+        return zones
 
     def load(self, granule: Granule, column: str, stats):
         group = self.file.row_groups[granule.index]

@@ -7,9 +7,11 @@ Every node answers three questions, and the whole planner falls out of
 them:
 
 * :meth:`Expr.columns` — which columns evaluation needs;
-* :meth:`Expr.maybe_match` — given conservative per-column value bounds
-  (zone maps) for a granule, can *any* row match?  ``False`` lets the
-  executor prune the granule without touching its bytes;
+* :meth:`Expr.may_match` — given every granule's conservative
+  per-column value bounds (the source's zone-map arrays) and row
+  extents, which granules could hold a matching row?  One boolean per
+  granule, computed for all of them in one vector pass; ``False`` lets
+  the executor prune the granule without touching its bytes;
 * :meth:`Expr.evaluate` — the exact vectorised mask over a decoded
   batch.
 
@@ -41,10 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: bounds mapping handed to :meth:`Expr.maybe_match`: column name ->
-#: conservative ``(zmin, zmax)`` (inclusive) or ``None`` when unknown
-Bounds = "dict[str, tuple[int, int] | None]"
-
 
 class Expr:
     """Base predicate node (combine with ``&`` and ``|``)."""
@@ -53,9 +51,15 @@ class Expr:
         """Column names evaluation needs (positional terms need none)."""
         raise NotImplementedError
 
-    def maybe_match(self, bounds, row_start: int, n_rows: int) -> bool:
-        """Could any row of this granule match?  Conservative: ``True``
-        unless the bounds (or bitmap region) *prove* no row can."""
+    def may_match(self, zones, starts: np.ndarray,
+                  counts: np.ndarray) -> np.ndarray:
+        """Which granules could hold a matching row?  One boolean per
+        granule.  ``zones`` maps a column to its zone maps, two int64
+        arrays ``(zmin, zmax)`` of inclusive bounds (a granule with no
+        bound carries the int64 extremes); granule ``i`` holds global
+        rows ``starts[i]`` up to ``starts[i] + counts[i]``, in row order
+        and disjoint.  Conservative: ``True`` unless the zone maps (or
+        the bitmap region) *prove* no row of the granule can match."""
         raise NotImplementedError
 
     def evaluate(self, batch: dict, row_ids: np.ndarray) -> np.ndarray:
@@ -89,18 +93,17 @@ class Range(Expr):
         return (self.lo is not None and self.hi is not None
                 and self.lo >= self.hi)
 
-    def maybe_match(self, bounds, row_start, n_rows) -> bool:
+    def may_match(self, zones, starts, counts) -> np.ndarray:
+        zmin, zmax = zones[self.column]
         if self.is_empty:
-            return False
-        band = bounds.get(self.column)
-        if band is None:
-            return True
-        zmin, zmax = band
-        if self.lo is not None and zmax < self.lo:
-            return False
-        if self.hi is not None and zmin >= self.hi:
-            return False
-        return True
+            return np.zeros(len(starts), dtype=bool)
+        keep = np.ones(len(starts), dtype=bool)
+        # numpy compares int64 against a Python int beyond int64 exactly
+        if self.lo is not None:
+            keep &= zmax >= self.lo
+        if self.hi is not None:
+            keep &= zmin < self.hi
+        return keep
 
     def evaluate(self, batch, row_ids) -> np.ndarray:
         values = batch[self.column]
@@ -147,14 +150,12 @@ class InSet(Expr):
     def columns(self) -> frozenset:
         return frozenset((self.column,))
 
-    def maybe_match(self, bounds, row_start, n_rows) -> bool:
-        if self.values.size == 0:
-            return False
-        band = bounds.get(self.column)
-        if band is None:
-            return True
-        zmin, zmax = band
-        return bool(((self.values >= zmin) & (self.values <= zmax)).any())
+    def may_match(self, zones, starts, counts) -> np.ndarray:
+        # some value lies in [zmin, zmax]: the sorted values below zmin
+        # are fewer than those at or below zmax
+        zmin, zmax = zones[self.column]
+        return np.searchsorted(self.values, zmin) \
+            < np.searchsorted(self.values, zmax, side="right")
 
     def evaluate(self, batch, row_ids) -> np.ndarray:
         return np.isin(batch[self.column], self.values)
@@ -191,8 +192,23 @@ class Bitmap(Expr):
     def columns(self) -> frozenset:
         return frozenset()
 
-    def maybe_match(self, bounds, row_start, n_rows) -> bool:
-        return bool(self.bitmap[row_start: row_start + n_rows].any())
+    def may_match(self, zones, starts, counts) -> np.ndarray:
+        # any set bit per granule, as a slice would read it: rows past
+        # the bitmap's end are unset, and a zero-row granule is False
+        bits = self.bitmap
+        lo = np.minimum(starts, bits.size)
+        hi = np.minimum(starts + counts, bits.size)
+        keep = hi > lo
+        if keep.any():
+            # one reduceat over [start, end) index pairs: each pair's
+            # first index reduces exactly its granule's rows (the
+            # second, a gap, is dropped), and the last granule's run
+            # reduces to the end of the cut
+            ends = hi[keep]
+            edges = np.stack([lo[keep], ends], axis=1).ravel()
+            keep[keep] = np.logical_or.reduceat(
+                bits[:ends[-1]], edges[:-1])[0::2]
+        return keep
 
     def evaluate(self, batch, row_ids) -> np.ndarray:
         return self.bitmap[row_ids]
@@ -247,9 +263,11 @@ class _Junction(Expr):
 
 
 class And(_Junction):
-    def maybe_match(self, bounds, row_start, n_rows) -> bool:
-        return all(c.maybe_match(bounds, row_start, n_rows)
-                   for c in self.children)
+    def may_match(self, zones, starts, counts) -> np.ndarray:
+        keep = self.children[0].may_match(zones, starts, counts)
+        for child in self.children[1:]:
+            keep &= child.may_match(zones, starts, counts)
+        return keep
 
     def evaluate(self, batch, row_ids) -> np.ndarray:
         mask = self.children[0].evaluate(batch, row_ids)
@@ -262,9 +280,11 @@ class And(_Junction):
 
 
 class Or(_Junction):
-    def maybe_match(self, bounds, row_start, n_rows) -> bool:
-        return any(c.maybe_match(bounds, row_start, n_rows)
-                   for c in self.children)
+    def may_match(self, zones, starts, counts) -> np.ndarray:
+        keep = self.children[0].may_match(zones, starts, counts)
+        for child in self.children[1:]:
+            keep |= child.may_match(zones, starts, counts)
+        return keep
 
     def evaluate(self, batch, row_ids) -> np.ndarray:
         mask = self.children[0].evaluate(batch, row_ids)

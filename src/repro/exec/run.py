@@ -6,12 +6,14 @@
 calling thread or on a :class:`~repro.exec.pool.MorselScheduler` — and
 per granule the pipeline is
 
-1. **Zone-map pruning** — ``expr.maybe_match`` against the source's
-   conservative per-column bounds (:meth:`GranulePipeline.prunes`);
-   failing granules are skipped without touching bytes (``prune=False``
-   disables, results identical).  A process-tier driver asks the same
-   question for the whole granule set before dispatch, so a granule
-   that cannot match never costs a lane round-trip.
+1. **Zone-map pruning** — ``expr.may_match`` against the source's
+   zone-map arrays, every granule in one vector pass when the query's
+   :class:`GranulePipeline` is built (:attr:`GranulePipeline.pruned`);
+   a pruned granule is skipped without touching bytes (``prune=False``
+   disables, results identical).  Inline and thread-tier granules read
+   their entry of that array; a process-tier driver splits the granule
+   set by it before dispatch, so a granule that cannot match never
+   costs a lane round-trip.
 2. **Pushdown filtering** — positional :class:`Bitmap` conjuncts are
    applied for free, then each pushable range conjunct runs through the
    encoded sequence's ``filter_range`` (LeCo-family codecs prune again
@@ -444,7 +446,6 @@ class GranulePipeline:
                 f"got {on_corruption!r}")
         self.plan = plan
         self.source = source
-        self.prune = prune
         self.pushdown = pushdown
         self.on_corruption = on_corruption
         names = tuple(source.column_names)
@@ -496,6 +497,14 @@ class GranulePipeline:
                 split_pushdown(expr)
         else:
             self.ranges, self.bitmaps, self.residual = {}, (), expr
+
+        #: the zone-map decision for every granule, in ``granules()``
+        #: order — ``True`` where no row can match — or ``None`` when
+        #: nothing prunes (``prune=False``, or no predicate at all)
+        self.pruned = None
+        if prune and expr is not None:
+            zones = {c: source.zone_maps(c) for c in pred_cols}
+            self.pruned = ~expr.may_match(zones, *source.granule_extents())
 
     def run(self, granule, *, cancel: threading.Event | None = None,
             deadline: float | None = None, trace=None) -> _Partial | None:
@@ -581,19 +590,14 @@ class GranulePipeline:
         return part
 
     def prunes(self, granule) -> bool:
-        """The zone-map test: can no row of ``granule`` match?  Reads
-        only the source's conservative bounds (and positional bitmaps —
-        an all-dead granule prunes through the implicit deletion-vector
-        term), never a chunk.  Asked per granule inside :meth:`run`, or
-        once per query by a driver that prunes before dispatch and then
-        ships its descriptor with ``prune=False``."""
-        expr = self.expr
-        if expr is None or not self.prune:
-            return False
-        source = self.source
-        bounds = {c: source.bounds(granule, c) for c in self.pred_cols}
-        return not expr.maybe_match(bounds, granule.row_start,
-                                    granule.n_rows)
+        """The zone-map test: can no row of ``granule`` match?  Its
+        entry of :attr:`pruned`, decided from the source's conservative
+        zone maps (and positional bitmaps — an all-dead granule prunes
+        through the implicit deletion-vector term), never from a chunk.
+        Asked per granule inside :meth:`run`; a driver that prunes
+        before dispatch reads :attr:`pruned` whole instead, and ships
+        its descriptor with ``prune=False``."""
+        return self.pruned is not None and bool(self.pruned[granule.index])
 
     def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
         expr = self.expr
@@ -783,6 +787,10 @@ def execute(plan: Plan, source, threads: int | None = None,
     start = time.perf_counter()
     deadline = None if timeout_s is None else start + timeout_s
     cancel = threading.Event()
+    # building the pipeline makes the zone-map decision for every
+    # granule (most of what the build costs); a traced process-tier
+    # query's "prune" span covers it and the split of the survivors
+    t_prune = trace.now() if trace is not None else 0.0
     pipeline = GranulePipeline(plan, source, prune=prune,
                                pushdown=pushdown,
                                on_corruption=on_corruption)
@@ -818,23 +826,26 @@ def execute(plan: Plan, source, threads: int | None = None,
                 # to in-driver execution on the lane threads
                 from repro.par.descriptor import describe_query
 
-                # the zone-map decision is made here, once: a granule
-                # that cannot match never crosses a lane pipe, and the
+                # the zone-map decision is applied here: a granule that
+                # cannot match never crosses a lane pipe, and the
                 # descriptor tells the workers not to ask again
+                survivors = granules if pipeline.pruned is None else [
+                    granules[i]
+                    for i in np.flatnonzero(~pipeline.pruned).tolist()]
+                t_split = trace.now() if trace is not None else 0.0
                 desc = describe_query(
                     plan, source, prune=False, pushdown=pushdown,
                     on_corruption=on_corruption,
                     trace_enabled=trace is not None)
                 if desc is not None:
                     kwargs["descriptor"] = desc
-                    t_prune = trace.now() if trace is not None else 0.0
-                    items = [g for g in granules
-                             if not pipeline.prunes(g)]
+                    items = survivors
                     driver_pruned = len(granules) - len(items)
                     if trace is not None:
-                        # one span for the whole split: a span per
-                        # pruned granule would cost more than the query
-                        trace.add("prune", t_prune, trace.now(),
+                        # one span for the decision and the split: a
+                        # span per pruned granule would cost more than
+                        # the query
+                        trace.add("prune", t_prune, t_split,
                                   pruned=driver_pruned,
                                   granules=len(granules))
             # an all-pruned query still passes admission (ServerBusy

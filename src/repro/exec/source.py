@@ -2,11 +2,14 @@
 
 A source presents a table as an ordered list of **granules** (the
 morsels of morsel-driven execution: a row group, a column-aligned chunk,
-an in-memory slice) and answers three calls per granule:
+an in-memory slice) and answers:
 
-* :meth:`ColumnSource.bounds` — conservative ``(zmin, zmax)`` value
-  bounds for one column, or ``None`` when unknown.  Never decodes; the
-  executor uses it for zone-map pruning.
+* :meth:`ColumnSource.zone_maps` — one column's conservative value
+  bounds for every granule at once: two int64 arrays ``(zmin, zmax)``
+  in :meth:`~ColumnSource.granules` order, the int64 extremes where a
+  granule has no bound (sound: every stored value is an int64).  Never
+  decodes; the executor tests every granule against them in one
+  vector pass (:meth:`repro.exec.expr.Expr.may_match`) to prune.
 * :meth:`ColumnSource.load` — the encoded sequence of one column
   restricted to the granule, charging the supplied
   :class:`~repro.exec.run.ExecStats` for bytes touched/read.  The
@@ -41,6 +44,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_INT64 = np.iinfo(np.int64)
+#: the zone map of a granule with no bound: every int64
+_UNKNOWN_ZONE = (_INT64.min, _INT64.max)
+
+
+def zone_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Zone maps ``(zmin, zmax)`` from one ``(zmin, zmax)`` pair per
+    granule, ``None`` standing for a granule with no bound (it gets the
+    int64 extremes).  Read-only: sources hand the same arrays to every
+    query."""
+    zones = np.array([_UNKNOWN_ZONE if b is None else b for b in bounds],
+                     dtype=np.int64).reshape(-1, 2).T.copy()
+    zones.setflags(write=False)
+    return zones[0], zones[1]
+
 
 @dataclass(frozen=True)
 class Granule:
@@ -57,6 +75,7 @@ class ColumnSource(ABC):
 
     #: may granules run concurrently on the executor's thread pool?
     parallel_safe: bool = True
+    _extents: tuple | None = None
 
     @property
     @abstractmethod
@@ -72,12 +91,25 @@ class ColumnSource(ABC):
         """The ordered morsel list (:class:`Granule` instances)."""
 
     @abstractmethod
-    def bounds(self, granule: Granule, column: str):
-        """Zone map for one column of one granule, or ``None``."""
+    def zone_maps(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        """Zone maps of one column: ``(zmin, zmax)``, one conservative
+        inclusive bound per granule (see the module docstring)."""
 
     @abstractmethod
     def load(self, granule: Granule, column: str, stats):
         """Sequence for one column of one granule, charging ``stats``."""
+
+    def granule_extents(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)``: each granule's first global row and row
+        count as int64 arrays, in :meth:`granules` order — the row side
+        of the zone-map test.  Built on first use."""
+        if self._extents is None:
+            granules = self.granules()
+            self._extents = tuple(
+                np.fromiter((getattr(g, field) for g in granules),
+                            dtype=np.int64, count=len(granules))
+                for field in ("row_start", "n_rows"))
+        return self._extents
 
     def describe(self) -> str:
         """One-line label for ``explain()`` output."""
@@ -145,9 +177,10 @@ class ChainSource(ColumnSource):
     def granules(self) -> tuple:
         return tuple(self._granules)
 
-    def bounds(self, granule: Granule, column: str):
-        src, child = self._children[granule.index]
-        return src.bounds(child, column)
+    def zone_maps(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        zones = [src.zone_maps(column) for src in self._sources]
+        return (np.concatenate([zmin for zmin, _ in zones]),
+                np.concatenate([zmax for _, zmax in zones]))
 
     def load(self, granule: Granule, column: str, stats):
         src, child = self._children[granule.index]
@@ -217,10 +250,11 @@ class ArraySource(ColumnSource):
     """In-memory columns (ndarrays or encoded sequences) as a source.
 
     ``morsel_rows`` slices the table into fixed-size granules (``None``
-    = one granule).  For ndarray columns, per-granule min/max zone maps
-    are precomputed; sequence-backed columns report ``model_bounds()``
-    where the codec exposes it.  ``execute(prune=False)`` is the way to
-    run unpruned.
+    = one granule).  Zone maps are precomputed: per-granule min/max for
+    ndarray columns; a sequence-backed column held as one granule
+    reports ``model_bounds()`` where the codec exposes it, and has no
+    bound otherwise.  ``execute(prune=False)`` is the way to run
+    unpruned.
     """
 
     parallel_safe = True
@@ -249,23 +283,23 @@ class ArraySource(ColumnSource):
         self._granules = tuple(
             Granule(i, start, min(step, self._n - start))
             for i, start in enumerate(range(0, max(self._n, 1), step)))
-        self._bounds: dict[tuple[int, str], tuple | None] = {}
-        self._precompute_bounds()
+        self._zones = {name: self._zones_of(backing)
+                       for name, backing in self._columns.items()}
 
-    def _precompute_bounds(self) -> None:
-        for cname, backing in self._columns.items():
-            for g in self._granules:
-                if g.n_rows == 0:
-                    continue
-                if isinstance(backing, np.ndarray):
-                    seg = backing[g.row_start: g.row_start + g.n_rows]
-                    self._bounds[(g.index, cname)] = (int(seg.min()),
-                                                      int(seg.max()))
-                elif len(self._granules) == 1:
-                    bound = getattr(backing, "model_bounds",
-                                    lambda: None)()
-                    if bound is not None:
-                        self._bounds[(g.index, cname)] = bound
+    def _zones_of(self, backing) -> tuple[np.ndarray, np.ndarray]:
+        if self._n == 0:
+            return zone_arrays([None])  # the one granule holds no row
+        if isinstance(backing, np.ndarray):
+            # the granules tile the column: one reduceat per extreme
+            starts, _ = self.granule_extents()
+            zones = (np.minimum.reduceat(backing, starts),
+                     np.maximum.reduceat(backing, starts))
+            for zone in zones:
+                zone.setflags(write=False)
+            return zones
+        bound = getattr(backing, "model_bounds", lambda: None)() \
+            if len(self._granules) == 1 else None
+        return zone_arrays([bound] * len(self._granules))
 
     # ------------------------------------------------------------ protocol
     @property
@@ -279,8 +313,8 @@ class ArraySource(ColumnSource):
     def granules(self) -> tuple:
         return self._granules
 
-    def bounds(self, granule: Granule, column: str):
-        return self._bounds.get((granule.index, column))
+    def zone_maps(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        return self._zones[column]
 
     def load(self, granule: Granule, column: str, stats):
         view = _SliceView(self._columns[column], granule.row_start,

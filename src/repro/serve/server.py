@@ -247,17 +247,19 @@ class TableServer:
             # whatever spans it managed to record
             self._maybe_log_slow(op, table_name, plan, trace,
                                  time.perf_counter() - t_query,
-                                 explain=None, timed_out=True)
+                                 result=None, timed_out=True)
             raise
         self._maybe_log_slow(op, table_name, plan, trace,
                              time.perf_counter() - t_query,
-                             explain=res.explain(), timed_out=False)
+                             result=res, timed_out=False)
         return wire.result_frame(res, version, limit=limit,
                                  include_rows=(op == "query"))
 
     def _maybe_log_slow(self, op: str, table: str, plan: Plan, trace,
-                        elapsed_s: float, explain: str | None,
-                        timed_out: bool) -> None:
+                        elapsed_s: float, result, timed_out: bool) -> None:
+        """Count a query that took at least ``slow_query_ms`` and, when
+        there is a slow-query log, append its record: only then is
+        ``result`` (``None`` when the query timed out) rendered."""
         if self.slow_query_ms is None or \
                 elapsed_s * 1e3 < self.slow_query_ms:
             return
@@ -288,7 +290,7 @@ class TableServer:
             "lanes": lanes,
             "pruned": pruned,
             "plan": plan.to_json(),
-            "explain": explain,
+            "explain": result.explain() if result is not None else None,
             "trace": trace.to_json() if trace is not None else None,
         }
         line = json.dumps(record, separators=(",", ":")) + "\n"

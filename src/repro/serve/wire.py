@@ -59,7 +59,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -227,7 +227,9 @@ def _describe(res) -> dict:
     strings."""
     return {
         "n_rows": int(res.n_rows),
-        "stats": asdict(res.stats),
+        # a shallow copy: every stats field is a number
+        "stats": {f.name: getattr(res.stats, f.name)
+                  for f in fields(res.stats)},
         "explain": res.explain(),
         "groups": None if res.groups is None
         else [[key, row] for key, row in res.groups.items()],

@@ -7,7 +7,8 @@ The store has no private scan executor: scans run through the unified
 :class:`StoreSource` — the :class:`~repro.exec.source.ColumnSource`
 over an open :class:`~repro.store.table.Table`.  Granules are the
 column-aligned chunks (morsel = one chunk row range across all
-columns); zone maps come straight from the footer catalog; loads revive
+columns); zone maps come straight from the footer catalog, as one pair
+of arrays per column; loads revive
 envelopes through the table's bounded LRU chunk cache, and the source
 is ``parallel_safe`` (the hot paths release the GIL), so the executor
 may fan granules out on a scheduler.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import os
 
-from repro.exec.source import ColumnSource, Granule
+from repro.exec.source import ColumnSource, Granule, zone_arrays
 
 
 class StoreSource(ColumnSource):
@@ -38,6 +39,10 @@ class StoreSource(ColumnSource):
                 chunks.append((shard_idx, chunk_idx))
         self._granules = tuple(granules)
         self._chunks = tuple(chunks)
+        # column -> zone-map arrays, read from the footer metas once,
+        # on a column's first zone-map test: a mutable table builds a
+        # source per read, and a plan tests one or two columns
+        self._zones: dict[str, tuple] = {}
 
     def implicit_filter(self):
         """The snapshot's deletion vectors as one positional Bitmap term
@@ -70,9 +75,13 @@ class StoreSource(ColumnSource):
         shard_idx, _ = self._chunks[granule.index]
         return os.path.basename(self.table.shards[shard_idx].path)
 
-    def bounds(self, granule: Granule, column: str):
-        _, meta = self._meta(granule, column)
-        return meta.zmin, meta.zmax
+    def zone_maps(self, column: str) -> tuple:
+        zones = self._zones.get(column)
+        if zones is None:
+            zones = self._zones[column] = zone_arrays(
+                (meta.zmin, meta.zmax) for shard in self.table.shards
+                for meta in shard.by_column[column])
+        return zones
 
     def load(self, granule: Granule, column: str, stats):
         """Revive one chunk through the table's cache, charging stats."""

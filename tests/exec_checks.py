@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.exec.expr import And, Bitmap, InSet, Or, Range
+from repro.exec.run import GranulePipeline
 from repro.obs.trace import Trace
 
 
@@ -55,7 +57,15 @@ def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
     granule exactly once (stats and "granule" spans), and the two
     scheduler tiers must return the caller's rows/groups and the
     caller's counts — so ``source`` must be uncached (see
-    :func:`count_fields`).  Returns the calling-thread result."""
+    :func:`count_fields`).  The query's zone-map decision must be the
+    per-granule rule's (:func:`reference_may_match`).  Returns the
+    calling-thread result."""
+    pipeline = GranulePipeline(plan, source, prune=opts.get("prune", True),
+                               pushdown=opts.get("pushdown", True))
+    if pipeline.pruned is not None:
+        zones = {c: source.zone_maps(c) for c in pipeline.pred_cols}
+        assert pipeline.pruned.tolist() == (~reference_may_match(
+            pipeline.expr, zones, *source.granule_extents())).tolist()
     results = []
     for where in ({"threads": 1}, {"scheduler": thread_sched},
                   {"scheduler": proc_sched}):
@@ -72,3 +82,49 @@ def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
         assert_rows_equal(got, expected)
         assert count_fields(got.stats) == count_fields(expected.stats)
     return expected
+
+
+def maybe_match(expr, bounds, row_start: int, n_rows: int) -> bool:
+    """The per-granule zone-map rule ``Expr.may_match`` replaced, kept as
+    its reference: could any row of the one granule of ``n_rows`` rows
+    from global row ``row_start`` match, given ``bounds`` (column ->
+    inclusive ``(zmin, zmax)``, or ``None`` when unknown)?"""
+    if isinstance(expr, Range):
+        if expr.is_empty:
+            return False
+        band = bounds.get(expr.column)
+        if band is None:
+            return True
+        zmin, zmax = band
+        if expr.lo is not None and zmax < expr.lo:
+            return False
+        if expr.hi is not None and zmin >= expr.hi:
+            return False
+        return True
+    if isinstance(expr, InSet):
+        if expr.values.size == 0:
+            return False
+        band = bounds.get(expr.column)
+        if band is None:
+            return True
+        zmin, zmax = band
+        return bool(((expr.values >= zmin) & (expr.values <= zmax)).any())
+    if isinstance(expr, Bitmap):
+        return bool(expr.bitmap[row_start: row_start + n_rows].any())
+    if isinstance(expr, And):
+        return all(maybe_match(c, bounds, row_start, n_rows)
+                   for c in expr.children)
+    if isinstance(expr, Or):
+        return any(maybe_match(c, bounds, row_start, n_rows)
+                   for c in expr.children)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_may_match(expr, zones, starts, counts) -> np.ndarray:
+    """:func:`maybe_match` asked once per granule, in ``may_match``'s
+    arguments: every granule's bounds read from the zone arrays."""
+    return np.array([
+        maybe_match(expr, {c: (int(zmin[i]), int(zmax[i]))
+                           for c, (zmin, zmax) in zones.items()},
+                    int(starts[i]), int(counts[i]))
+        for i in range(len(starts))], dtype=bool)

@@ -15,6 +15,7 @@ from exec_checks import (
     assert_granule_spans_match,
     assert_tiers_agree,
     count_fields,
+    reference_may_match,
 )
 from repro import codecs
 from repro.engine import (
@@ -37,6 +38,7 @@ from repro.exec import (
     execute,
     split_pushdown,
 )
+from repro.exec.source import zone_arrays
 from repro.mutate import MutableTable
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Trace
@@ -46,6 +48,7 @@ from repro.store.executor import StoreSource
 
 INT_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_integers]
+I64 = np.iinfo(np.int64)
 
 
 def sensor_columns(n=6000, seed=3):
@@ -98,21 +101,81 @@ class TestExpr:
         assert isinstance(o, Or) and len(o.children) == 3
         assert e.columns() == frozenset("abc")
 
-    def test_range_maybe_match(self):
-        r = Range("a", 10, 20)
-        assert r.maybe_match({"a": (0, 9)}, 0, 5) is False
-        assert r.maybe_match({"a": (20, 30)}, 0, 5) is False
-        assert r.maybe_match({"a": (15, 16)}, 0, 5) is True
-        assert r.maybe_match({"a": None}, 0, 5) is True   # unknown bounds
-        assert Range("a", 7, 7).maybe_match({"a": (0, 99)}, 0, 5) is False
+    def test_range_may_match(self):
+        zones = {"a": zone_arrays([(0, 9), (20, 30), (15, 16), None])}
+        starts, counts = np.arange(0, 20, 5), np.full(4, 5)
+        # the last granule's bounds are unknown: it never prunes
+        assert Range("a", 10, 20).may_match(
+            zones, starts, counts).tolist() == [False, False, True, True]
+        assert Range("a", 7, 7).may_match(
+            zones, starts, counts).tolist() == [False] * 4
+        # no int64 lies beyond int64, unknown bounds or not
+        assert Range("a", 1 << 63, None).may_match(
+            zones, starts, counts).tolist() == [False] * 4
+        assert Range("a", -(1 << 64), 1 << 64).may_match(
+            zones, starts, counts).tolist() == [True] * 4
 
-    def test_inset_and_bitmap_maybe_match(self):
-        s = InSet("a", [5, 50])
-        assert s.maybe_match({"a": (10, 40)}, 0, 5) is False
-        assert s.maybe_match({"a": (40, 60)}, 0, 5) is True
-        bm = Bitmap(np.array([0, 0, 1, 0], dtype=bool))
-        assert bm.maybe_match({}, 0, 2) is False
-        assert bm.maybe_match({}, 2, 2) is True
+    def test_inset_and_bitmap_may_match(self):
+        zones = {"a": zone_arrays([(10, 40), (40, 60), None])}
+        starts, counts = np.array([0, 2, 4]), np.array([2, 2, 0])
+        assert InSet("a", [5, 50]).may_match(
+            zones, starts, counts).tolist() == [False, True, True]
+        assert InSet("a", []).may_match(
+            zones, starts, counts).tolist() == [False] * 3
+        bm = Bitmap(np.array([0, 0, 1, 0, 1], dtype=bool))
+        # the zero-row granule at row 4 holds no set bit, though row 4 is
+        assert bm.may_match({}, starts, counts).tolist() \
+            == [False, True, False]
+        # rows past the bitmap's end are unset
+        assert bm.may_match({}, np.array([3, 5]),
+                            np.array([4, 3])).tolist() == [True, False]
+
+    if HAVE_HYPOTHESIS:
+        @given(data=st.data())
+        @settings(max_examples=300, deadline=None)
+        def test_may_match_is_the_per_granule_rule(self, data):
+            """Over random granules (gaps and zero-row ones included),
+            zone arrays (unknown bounds included) and nested predicates,
+            ``may_match`` decides every granule as the per-granule rule
+            it replaced did."""
+            counts = np.array(data.draw(st.lists(
+                st.integers(0, 6), max_size=12)), dtype=np.int64)
+            gaps = np.array(data.draw(st.lists(
+                st.integers(0, 3), min_size=len(counts),
+                max_size=len(counts))), dtype=np.int64)
+            starts = np.cumsum(gaps + counts) - counts
+            n_rows = int(starts[-1] + counts[-1]) if len(counts) else 0
+            zones = {c: zone_arrays(data.draw(st.lists(
+                _bands(), min_size=len(counts), max_size=len(counts))))
+                for c in "ab"}
+            expr = data.draw(_exprs(n_rows))
+            got = expr.may_match(zones, starts, counts)
+            assert got.dtype == bool and got.shape == (len(counts),)
+            assert got.tolist() == reference_may_match(
+                expr, zones, starts, counts).tolist()
+
+        @given(data=st.data())
+        @settings(max_examples=200, deadline=None)
+        def test_may_match_never_prunes_a_matching_row(self, data):
+            """On data with exact zone maps, a granule holding a row the
+            predicate matches (numpy decides) is never pruned."""
+            counts = np.array(data.draw(st.lists(
+                st.integers(0, 6), max_size=10)), dtype=np.int64)
+            starts = np.cumsum(counts) - counts
+            n_rows = int(counts.sum())
+            batch = {c: np.array(data.draw(st.lists(
+                st.integers(-12, 12), min_size=n_rows, max_size=n_rows)),
+                dtype=np.int64) for c in "ab"}
+            zones = {c: zone_arrays(
+                (int(v[s:s + k].min()), int(v[s:s + k].max())) if k
+                else None for s, k in zip(starts, counts))
+                for c, v in batch.items()}
+            expr = data.draw(_exprs(n_rows, exact=True))
+            hits = expr.evaluate(batch, np.arange(n_rows))
+            may = expr.may_match(zones, starts, counts)
+            for i, (s, k) in enumerate(zip(starts, counts)):
+                if hits[s:s + k].any():
+                    assert may[i], i
 
     def test_evaluate(self):
         batch = {"a": np.array([1, 5, 9]), "b": np.array([2, 2, 7])}
@@ -132,6 +195,51 @@ class TestExpr:
         assert len(bitmaps) == 1
         assert isinstance(residual, And) and len(residual.children) == 2
         assert split_pushdown(None) == ({}, (), None)
+
+
+if HAVE_HYPOTHESIS:
+    #: bounds near and beyond the int64 edges, beside small ones
+    _EDGES = st.sampled_from([I64.min, I64.min + 1, I64.max - 1, I64.max,
+                              -(1 << 64), 1 << 63, 1 << 64])
+
+    @st.composite
+    def _bands(draw):
+        """One granule's zone map: unknown, or ``zmin <= zmax``."""
+        if draw(st.integers(0, 4)) == 0:
+            return None
+        point = st.integers(-12, 12) | st.sampled_from(
+            [I64.min, I64.max])
+        return tuple(sorted((draw(point), draw(point))))
+
+    def _exprs(n_rows: int, exact: bool = False):
+        """Nested And/Or trees of Range (empty, half-open, bounds beyond
+        int64), InSet (empty too) and Bitmap terms over columns ``a`` and
+        ``b``.  ``exact`` bitmaps cover exactly ``n_rows`` rows; otherwise
+        they may stop short of them or run past, with all-false runs."""
+        bound = st.none() | st.integers(-15, 15) | _EDGES
+        ranges = st.builds(Range, st.sampled_from("ab"), bound, bound)
+        insets = st.builds(InSet, st.sampled_from("ab"),
+                           st.lists(st.integers(-15, 15), max_size=5))
+        size = st.just(n_rows) if exact \
+            else st.integers(max(0, n_rows - 3), n_rows + 3)
+
+        @st.composite
+        def bitmaps(draw):
+            n = draw(size)
+            bits = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n)), dtype=bool)
+            lo = draw(st.integers(0, n))
+            bits[lo: draw(st.integers(lo, n))] = False  # a dead run
+            return Bitmap(bits)
+
+        leaves = ranges | insets | bitmaps()
+        return st.recursive(
+            leaves,
+            lambda kids: st.builds(
+                lambda junction, children: junction.of(*children),
+                st.sampled_from([And, Or]),
+                st.lists(kids, min_size=1, max_size=3)),
+            max_leaves=6)
 
 
 class TestPlanBuilder:

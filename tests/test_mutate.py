@@ -22,8 +22,9 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
+from exec_checks import assert_tiers_agree
 from repro import codecs
-from repro.exec import ChainSource, Plan, col
+from repro.exec import ArraySource, ChainSource, MorselScheduler, Plan, col
 from repro.exec.expr import And, Bitmap, Expr, InSet, Or, Range
 from repro.mutate import (
     BackgroundCompactor,
@@ -35,6 +36,7 @@ from repro.mutate import (
     wal_file_name,
 )
 from repro.mutate import wal as wal_mod
+from repro.par import ProcessScheduler
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
 from repro.store.format import dv_file_name, manifest_file_name
@@ -534,6 +536,76 @@ class TestChainSource:
         with pytest.raises(ValueError, match="do not match"):
             ChainSource([ArraySource({"x": [1]}),
                          ArraySource({"y": [1]})])
+
+    def test_zone_maps_are_the_snapshot_then_the_memtable(self, tmp_path):
+        """A mutable table's live view tests the published snapshot's
+        footer zone maps, then its memtable tail's exact per-chunk
+        extremes, in granule order."""
+        with MutableTable.create(str(tmp_path / "t"), schema=("k", "v"),
+                                 shard_rows=100, chunk_rows=25) as table:
+            table.append({"k": np.arange(230), "v": np.arange(230) % 7})
+            table.flush()
+            tail = {"k": np.arange(500, 560), "v": np.arange(60) * -3}
+            table.append(tail)
+            chain = table.source()
+            with table.snapshot() as snap:
+                store = StoreSource(snap)
+                n_store = len(store.granules())
+                assert len(chain.granules()) == n_store + 3  # 25+25+10
+                for column in ("k", "v"):
+                    zmin, zmax = chain.zone_maps(column)
+                    smin, smax = store.zone_maps(column)
+                    assert np.array_equal(zmin[:n_store], smin)
+                    assert np.array_equal(zmax[:n_store], smax)
+                    chunks = [tail[column][i: i + 25]
+                              for i in range(0, 60, 25)]
+                    assert zmin[n_store:].tolist() == [
+                        int(c.min()) for c in chunks]
+                    assert zmax[n_store:].tolist() == [
+                        int(c.max()) for c in chunks]
+            starts, counts = chain.granule_extents()
+            assert starts.tolist() == [g.row_start
+                                       for g in chain.granules()]
+            assert counts.tolist() == [g.n_rows for g in chain.granules()]
+
+    def test_dead_chunks_prune_alike_on_every_tier(self, tmp_path):
+        """Chunks a deletion vector kills whole prune through the
+        implicit bitmap identically inline, on a thread tier and on a
+        process tier: same rows, every integer ``ExecStats`` field equal
+        — for the flushed snapshot (the process tier prunes before
+        dispatch) and for a live view with pending deletes and a
+        memtable tail (no descriptor: the lanes prune in the granule)."""
+        path = str(tmp_path / "t")
+        with MutableTable.create(path, schema=("k", "v"), shard_rows=100,
+                                 chunk_rows=25) as table:
+            table.append({"k": np.arange(400), "v": np.arange(400) * 3})
+            table.flush()
+            # chunks [25,50) [50,75) [325,350) die whole, [300,325) half
+            table.delete(("k", 25, 75))
+            table.delete(("k", 310, 350))
+            table.flush()
+        plans = [Plan.scan(["k", "v"]),
+                 Plan.scan(["v"]).where(col("k").between(20, 330)),
+                 Plan.scan().aggregate({"n": ("count", "v"),
+                                        "s": ("sum", "v")})]
+        tail = {"k": np.arange(400, 460), "v": np.arange(60)}
+        live = np.ones(460, dtype=bool)
+        live[150:200] = False  # pending: two more chunks die whole
+        with Table.open(path, cache_bytes=0) as snap, \
+                MorselScheduler(workers=2, name="mut-tiers") as threads, \
+                ProcessScheduler(workers=2, name="mut-tiers-par") as lanes:
+            snapshot = StoreSource(snap)
+            view = ChainSource([StoreSource(snap),
+                                ArraySource(tail, morsel_rows=25)],
+                               live_mask=live)
+            for source, dead in ((snapshot, 3), (view, 5)):
+                for plan in plans:
+                    got = assert_tiers_agree(plan, source, threads, lanes)
+                    naive = plan.execute(source, threads=1, prune=False)
+                    assert got.groups == naive.groups
+                    assert np.array_equal(got.row_ids, naive.row_ids)
+                    if plan.filter_expr() is None:
+                        assert got.stats.granules_pruned == dead
 
 
 # ------------------------------------------------------------- properties

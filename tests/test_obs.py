@@ -663,6 +663,29 @@ class TestServeSurfaces:
                 client.query("events", Plan.scan(("val",)))
         assert not os.path.exists(log)
 
+    def test_explain_renders_for_the_slow_log_only_when_written(
+            self, served, tmp_path, monkeypatch):
+        """The reply always carries the rendered plan; the slow-query
+        log renders it a second time only for a record it writes."""
+        from repro.exec.run import ExecResult
+
+        rendered = []
+        explain = ExecResult.explain
+        monkeypatch.setattr(ExecResult, "explain", lambda self: (
+            rendered.append(1), explain(self))[1])
+        log = str(tmp_path / "slow.jsonl")
+        for opts, per_query in (({}, 1),
+                                ({"slow_query_ms": 60_000.0,
+                                  "slow_query_log": log}, 1),
+                                ({"slow_query_ms": 0.0}, 1),
+                                ({"slow_query_ms": 0.0,
+                                  "slow_query_log": log}, 2)):
+            rendered.clear()
+            with TableServer(served, **opts) as server:
+                with ServeClient(*server.address) as client:
+                    client.query("events", Plan.scan(("val",)))
+            assert len(rendered) == per_query, opts
+
     def test_timeout_lands_in_slow_log(self, served, tmp_path):
         log = str(tmp_path / "slow.jsonl")
         with TableServer(served, slow_query_ms=0.0,

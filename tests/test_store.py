@@ -168,6 +168,36 @@ class TestModelBounds:
                 assert c.zmin <= int(seg.min())
                 assert c.zmax >= int(seg.max())
 
+    def test_source_zone_maps_are_the_footer_metas(self, tmp_path):
+        """``StoreSource.zone_maps`` is the footer catalog as arrays: one
+        entry per granule, in granule order across shards, read-only
+        and built once per column."""
+        from repro.store.executor import StoreSource
+
+        path = str(tmp_path / "t")
+        rng = np.random.default_rng(4)
+        values = np.cumsum(rng.integers(-20, 50, 1000)).astype(np.int64)
+        write_table(path, {"a": values, "b": values % 97},
+                    codec={"a": "leco", "b": "rans"}, shard_rows=300,
+                    chunk_rows=128)
+        with Table.open(path) as table:
+            source = StoreSource(table)
+            granules = source.granules()
+            starts, counts = source.granule_extents()
+            assert starts.tolist() == [g.row_start for g in granules]
+            assert counts.tolist() == [g.n_rows for g in granules]
+            for column in table.column_names:
+                # each footer meta keyed by its global first row
+                metas = {shard.row_start + c.row_start: (c.zmin, c.zmax)
+                         for shard in table.shards
+                         for c in shard.footer.chunks if c.column == column}
+                zmin, zmax = source.zone_maps(column)
+                assert list(zip(zmin.tolist(), zmax.tolist())) == [
+                    metas[g.row_start] for g in granules]
+                assert zmin.dtype == zmax.dtype == np.int64
+                assert not zmin.flags.writeable
+                assert source.zone_maps(column)[0] is zmin
+
 
 class TestWriter:
     def test_streaming_append_equals_one_shot(self, tmp_path):
