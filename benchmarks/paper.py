@@ -43,13 +43,13 @@ EXPECTED = {
     "fig10_micro": (None, None, None),
     "fig11_selector": (
         None,
-        "ROADMAP item 2: the CART selector, trained on 60 synthetic "
+        "ROADMAP item 3: the CART selector, trained on 60 synthetic "
         "sequences a class, misses on `poly` (27.5% vs 8.8%), `exp` and "
         "`site`",
     ),
     "fig12_cosmos": (
         None,
-        "ROADMAP item 3: the second *estimated* frequency costs more than "
+        "no ROADMAP item: the second *estimated* frequency costs more than "
         "it saves (2sin 41.6% vs sin 39.9%, the same at 30 000 rows); given "
         "the true frequencies two terms win (32.3%)",
     ),
@@ -58,7 +58,7 @@ EXPECTED = {
     "fig15_strings": (None, None),
     "fig16_partitioners": (
         None,
-        "ROADMAP item 3: la-vector's shortest path runs over the same cost "
+        "ROADMAP item 4: la-vector's shortest path runs over the same cost "
         "model here and edges LeCo-var by at most 0.5 points on three of "
         "four datasets (18.7% vs 18.8% on `house_price`)",
     ),
@@ -81,7 +81,7 @@ EXPECTED = {
     ),
     "tab01_compress_tps": (None, None, None),
     "ablation_optimal_gap": (
-        "ROADMAP item 3: +15.4% on `movieid` (and -23.6% on `house_price`): "
+        "ROADMAP item 4: +15.4% on `movieid` (and -23.6% on `house_price`): "
         "the DP is optimal for the fast-width cost model while both plans "
         "are scored by exact fits",
         None,

@@ -30,9 +30,11 @@ def normalize_indices(indices, n: int) -> np.ndarray:
     """Index contract of ``gather`` and scalar ``get``: int64, negatives
     wrap once, bounds checked."""
     indices = np.asarray(indices, dtype=np.int64)
-    indices = np.where(indices < 0, indices + n, indices)
-    if indices.size and ((indices < 0).any() or (indices >= n).any()):
-        raise IndexError(f"gather index out of range [0, {n})")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        # only out-of-range input pays for the wrap and the second check
+        indices = np.where(indices < 0, indices + n, indices)
+        if (indices < 0).any() or (indices >= n).any():
+            raise IndexError(f"gather index out of range [0, {n})")
     return indices
 
 

@@ -119,9 +119,14 @@ def _leco_str(**kwargs):
 
 # ------------------------------------------------------------ wire formats
 def _wire(module: str, cls_name: str):
+    revive = None  # the class's from_payload, resolved on first use
+
     def decode(payload: bytes):
-        cls = getattr(importlib.import_module(module), cls_name)
-        return cls.from_payload(payload)
+        nonlocal revive
+        if revive is None:
+            revive = getattr(importlib.import_module(module),
+                             cls_name).from_payload
+        return revive(payload)
     return decode
 
 

@@ -44,8 +44,13 @@ from repro.obs import metrics as obs_metrics
 
 
 def auto_workers() -> int:
-    """Default pool width: one worker per CPU, at most 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
+    """Default pool width: one worker per CPU this process may run on
+    (its affinity set where the platform has one), at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, 8))
 
 
 # process-wide scheduler metrics, labelled by scheduler name so the

@@ -10,10 +10,10 @@ per granule the pipeline is
    zone-map arrays, every granule in one vector pass when the query's
    :class:`GranulePipeline` is built (:attr:`GranulePipeline.pruned`);
    a pruned granule is skipped without touching bytes (``prune=False``
-   disables, results identical).  Inline and thread-tier granules read
-   their entry of that array; a process-tier driver splits the granule
-   set by it before dispatch, so a granule that cannot match never
-   costs a lane round-trip.
+   disables, results identical).  The calling thread and a process-tier
+   driver split the granule set by that array before running anything,
+   so a granule that cannot match costs neither a pipeline call nor a
+   lane round-trip; a thread-tier granule reads its own entry.
 2. **Pushdown filtering** — positional :class:`Bitmap` conjuncts are
    applied for free, then each pushable range conjunct runs through the
    encoded sequence's ``filter_range`` (LeCo-family codecs prune again
@@ -200,11 +200,14 @@ class ExecResult:
     stats: ExecStats
     plan: Plan
     source_desc: str
+    # the filter's terms as the executor split them — expressions (or
+    # their text), rendered only by explain(): a Bitmap's repr counts
+    # its set bits, a pass over the whole table-wide bitmap
     pushed_desc: tuple = ()
-    residual_desc: str | None = None
+    residual_desc: object | None = None
     pushdown: bool = True
-    implicit_desc: str | None = None  # source-implied term (deletion
-    #                                   vectors), ANDed into the filter
+    implicit_desc: object | None = None  # source-implied term (deletion
+    #                                      vectors), ANDed into the filter
     trace: object | None = None  # the repro.obs.Trace when traced
 
     @property
@@ -230,15 +233,16 @@ class ExecResult:
         # one combined filter line sits directly above the scan; the
         # source's implicit term (deletion vectors) renders here too even
         # when the plan itself carries no Filter node
-        if self.plan.filter_expr() is not None or self.implicit_desc:
+        if self.plan.filter_expr() is not None \
+                or self.implicit_desc is not None:
             parts = []
             if not self.pushdown:
                 parts.append(f"naive: {self.residual_desc}")
             else:
                 if self.pushed_desc:
-                    parts.append("pushed: "
-                                 + " AND ".join(self.pushed_desc))
-                if self.residual_desc:
+                    parts.append("pushed: " + " AND ".join(
+                        str(term) for term in self.pushed_desc))
+                if self.residual_desc is not None:
                     parts.append(f"residual: {self.residual_desc}")
             lines.insert(len(lines) - 1, f"Filter[{'; '.join(parts)}]")
         tree = "\n".join(f"{'  ' * i}{line}"
@@ -750,8 +754,11 @@ def execute(plan: Plan, source, threads: int | None = None,
         ``REPRO_THREADS``, not here.  Two cases stay on the calling
         thread regardless: a source that is not ``parallel_safe``, and
         (without an explicit ``scheduler``) a query with nothing to
-        spread — at most one granule, or ``threads=None`` on a 1-CPU
-        machine.
+        spread — at most one granule, or ``threads=None`` with one
+        usable CPU.  The calling thread and a process tier run only the
+        granules that survive zone-map pruning (the rest are charged as
+        one driver-side partial and, traced, one ``"prune"`` span); a
+        thread-tier granule prunes itself.
     prune:
         Zone-map granule pruning (disable for the unpruned reference;
         results are identical).
@@ -788,17 +795,15 @@ def execute(plan: Plan, source, threads: int | None = None,
     deadline = None if timeout_s is None else start + timeout_s
     cancel = threading.Event()
     # building the pipeline makes the zone-map decision for every
-    # granule (most of what the build costs); a traced process-tier
-    # query's "prune" span covers it and the split of the survivors
+    # granule (most of what the build costs); a traced query that splits
+    # its granules before running them (calling thread, process tier)
+    # has one "prune" span covering it, the descriptor and the split
     t_prune = trace.now() if trace is not None else 0.0
     pipeline = GranulePipeline(plan, source, prune=prune,
                                pushdown=pushdown,
                                on_corruption=on_corruption)
     terminal = pipeline.terminal
     output_cols = pipeline.output_cols
-    ranges, bitmaps, residual = \
-        pipeline.ranges, pipeline.bitmaps, pipeline.residual
-    implicit_expr = pipeline.implicit_expr
 
     def run_granule(granule) -> _Partial | None:
         return pipeline.run(granule, cancel=cancel, deadline=deadline,
@@ -810,15 +815,18 @@ def execute(plan: Plan, source, threads: int | None = None,
     timed_out = False
     failure: BaseException | None = None
     try:
+        kwargs = {}
         if _on_calling_thread(source, len(granules), threads, scheduler):
-            # lazy: once the deadline or a failure sets ``cancel``,
-            # every later granule returns None without doing work
-            results = map(run_granule, granules)
+            sched = None
+            split = True
         else:
             sched = scheduler if scheduler is not None \
                 else shared_scheduler()
-            kwargs = {}
-            items = granules
+            # only the process tier splits among the schedulers: a
+            # thread-tier granule prunes itself, because a closed-loop
+            # foreground query beside a scan loses throughput when the
+            # driver splits first (ROADMAP Par notes, "Who prunes")
+            split = False
             if getattr(sched, "wants_descriptors", False):
                 # a process tier asks for a compact picklable descriptor
                 # of the whole query; sources that cannot be described
@@ -826,28 +834,32 @@ def execute(plan: Plan, source, threads: int | None = None,
                 # to in-driver execution on the lane threads
                 from repro.par.descriptor import describe_query
 
-                # the zone-map decision is applied here: a granule that
-                # cannot match never crosses a lane pipe, and the
-                # descriptor tells the workers not to ask again
-                survivors = granules if pipeline.pruned is None else [
-                    granules[i]
-                    for i in np.flatnonzero(~pipeline.pruned).tolist()]
-                t_split = trace.now() if trace is not None else 0.0
                 desc = describe_query(
                     plan, source, prune=False, pushdown=pushdown,
                     on_corruption=on_corruption,
                     trace_enabled=trace is not None)
                 if desc is not None:
+                    # the workers are told not to ask again
                     kwargs["descriptor"] = desc
-                    items = survivors
-                    driver_pruned = len(granules) - len(items)
-                    if trace is not None:
-                        # one span for the decision and the split: a
-                        # span per pruned granule would cost more than
-                        # the query
-                        trace.add("prune", t_prune, t_split,
-                                  pruned=driver_pruned,
-                                  granules=len(granules))
+                    split = True
+        items = granules
+        if split:
+            # the zone-map decision is applied here: a granule that
+            # cannot match is never run (and never crosses a lane pipe)
+            if pipeline.pruned is not None:
+                items = [granules[i] for i in
+                         np.flatnonzero(~pipeline.pruned).tolist()]
+                driver_pruned = len(granules) - len(items)
+            if trace is not None:
+                # one span for the decision and the split: a span per
+                # pruned granule would cost more than a selective query
+                trace.add("prune", t_prune, trace.now(),
+                          pruned=driver_pruned, granules=len(granules))
+        if sched is None:
+            # lazy: once the deadline or a failure sets ``cancel``,
+            # every later granule returns None without doing work
+            results = map(run_granule, items)
+        else:
             # an all-pruned query still passes admission (ServerBusy
             # holds) and sends no lane message
             results = sched.run_query(run_granule, items, cancel,
@@ -903,10 +915,7 @@ def execute(plan: Plan, source, threads: int | None = None,
     return ExecResult(
         columns=columns, row_ids=row_ids, groups=groups, stats=stats,
         plan=plan, source_desc=source.describe(),
-        pushed_desc=tuple(repr(r) for r in ranges.values())
-        + tuple(repr(b) for b in bitmaps),
-        residual_desc=repr(residual) if residual is not None else None,
-        pushdown=pushdown,
-        implicit_desc=repr(implicit_expr) if implicit_expr is not None
-        else None,
-        trace=trace)
+        pushed_desc=tuple(pipeline.ranges.values())
+        + tuple(pipeline.bitmaps),
+        residual_desc=pipeline.residual, pushdown=pushdown,
+        implicit_desc=pipeline.implicit_expr, trace=trace)

@@ -88,6 +88,7 @@ class MutableTable:
         generation = chain.adopt(path)
         chain.clean_orphans(path, generation)
         self._base = Table.open(path)
+        self._base_source = StoreSource(self._base)
         self._retired: list[Table] = []  # superseded snapshots readers
         #                                  may still be scanning
         self._codec = codec if codec is not None \
@@ -280,7 +281,9 @@ class MutableTable:
             expr = expr & Bitmap(~pending)
         plan = Plan.scan(None if want_columns else
                          (self.schema[0],)).where(expr)
-        result = plan.execute(StoreSource(self._base))
+        # on the calling thread: the shared pool is about twice slower
+        # at every selectivity (ROADMAP Mutate notes)
+        result = plan.execute(self._base_source, threads=1)
         if want_columns:
             return result.row_ids, result.columns
         return result.row_ids
@@ -301,12 +304,21 @@ class MutableTable:
     def source(self):
         """A :class:`~repro.exec.ColumnSource` over the live view
         (published snapshot + memtable tail, deletions masked) — run any
-        exec-layer plan against it."""
+        exec-layer plan against it.
+
+        The snapshot's :class:`~repro.store.executor.StoreSource` is
+        built once per generation (granules, extents, zone maps and its
+        deletion-vector term with it) and returned as it is while
+        nothing is pending; a memtable tail or pending deletes chain
+        onto it.  A source taken before a commit keeps reading its own
+        snapshot."""
         with self._lock:
             self._check_open()
+            if self._base.n_rows and not self._memtable.dirty:
+                return self._base_source
             parts = []
             if self._base.n_rows:
-                parts.append(StoreSource(self._base))
+                parts.append(self._base_source)
             if self._memtable.n_rows:
                 parts.append(ArraySource(
                     dict(self._memtable.columns()),
@@ -412,6 +424,7 @@ class MutableTable:
         self._retired.append(self._base)
         self._base = Table.open(self.path)
         assert self._base.generation == generation
+        self._base_source = StoreSource(self._base)
         self._memtable = MemTable(self.schema, self._base.n_rows)
         self._wal = WriteAheadLog(
             os.path.join(self.path, wal_file_name(generation)),

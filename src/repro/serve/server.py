@@ -269,8 +269,9 @@ class TableServer:
         # which tier served it, and — from the trace's granule spans'
         # ``proc`` attribute — how the granules spread across lanes
         # (driver-run granules count under "driver"); ``pruned`` is what
-        # the process-tier driver's zone-map split kept off the lanes,
-        # so the two together account for every granule on any tier
+        # the zone-map split kept from running (on the calling thread or
+        # off the lanes), so the two together account for every granule
+        # on any tier
         lanes: dict[str, int] = {}
         pruned = 0
         if trace is not None:

@@ -17,6 +17,7 @@ may fan granules out on a scheduler.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 from repro.exec.source import ColumnSource, Granule, zone_arrays
 
@@ -40,13 +41,18 @@ class StoreSource(ColumnSource):
         self._granules = tuple(granules)
         self._chunks = tuple(chunks)
         # column -> zone-map arrays, read from the footer metas once,
-        # on a column's first zone-map test: a mutable table builds a
-        # source per read, and a plan tests one or two columns
+        # on a column's first zone-map test: a plan tests one or two
+        # columns
         self._zones: dict[str, tuple] = {}
 
     def implicit_filter(self):
         """The snapshot's deletion vectors as one positional Bitmap term
-        (``None`` when every physical row is live)."""
+        (``None`` when every physical row is live), built on first use:
+        the snapshot is immutable."""
+        return self._deletion_term
+
+    @cached_property
+    def _deletion_term(self):
         mask = self.table.live_mask()
         if mask is None:
             return None

@@ -1,5 +1,7 @@
 """Tests for the baseline codecs (paper §4.1)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,59 @@ class TestDeltaFullRangeRandomAccess:
         for i, v in enumerate(values):
             assert enc.get(i) == int(v), i
         assert np.array_equal(enc.decode_all(), values)
+
+
+def _old_normalize_indices(indices, n):
+    """The index rule as it was written before the in-range fast path:
+    wrap every negative once, then bounds-check everything."""
+    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.where(indices < 0, indices + n, indices)
+    if indices.size and ((indices < 0).any() or (indices >= n).any()):
+        raise IndexError(f"gather index out of range [0, {n})")
+    return indices
+
+
+class TestNormalizeIndices:
+    @given(n=st.integers(0, 50), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_wrap_then_check_rule(self, n, data):
+        from repro.baselines.base import normalize_indices
+
+        # the edges: negatives, n itself, -n and -n-1, empty input
+        edge = st.sampled_from([0, n - 1, n, -1, -n, -n - 1])
+        raw = data.draw(st.lists(st.integers(-2 * n - 2, 2 * n + 2) | edge,
+                                 max_size=8))
+        scalar = data.draw(st.booleans()) and len(raw) == 1
+        indices = raw[0] if scalar else raw
+        try:
+            want = _old_normalize_indices(indices, n)
+        except IndexError as err:
+            with pytest.raises(IndexError, match=re.escape(str(err))):
+                normalize_indices(indices, n)
+        else:
+            got = normalize_indices(indices, n)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+class TestWireRevival:
+    def test_sequence_class_resolves_once(self, monkeypatch):
+        import importlib
+
+        from repro.codecs import builtin
+
+        blob = codecs.get("plain").encode(
+            np.arange(5, dtype=np.int64)).payload_bytes()
+        decode = builtin._wire("repro.codecs.simple", "PlainSequence")
+        imports = []
+        real = importlib.import_module
+
+        def counting_import(name, *args, **kwargs):
+            imports.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtin.importlib, "import_module",
+                            counting_import)
+        for _ in range(5):
+            assert decode(blob).decode_all().tolist() == [0, 1, 2, 3, 4]
+        assert imports == ["repro.codecs.simple"]

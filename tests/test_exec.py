@@ -597,6 +597,116 @@ class TestOperators:
 
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+class TestCallingThread:
+    """The calling thread runs only the granules that survive the
+    query's zone-map decision; the rest are one driver-side partial."""
+
+    def test_traced_query_has_one_prune_span(self, backends):
+        columns, sources, _ = backends
+        ts = columns["ts"]
+        plan = Plan.scan(["reading"]).where(
+            col("ts").between(int(ts[3000]), int(ts[3030])))
+        trace = Trace("inline")
+        res = plan.execute(sources["store"], threads=1, trace=trace)
+        assert_granule_spans_match(trace, res.stats)
+        [prune] = [s for s in trace.spans if s.name == "prune"]
+        granules = [s for s in trace.spans if s.name == "granule"]
+        assert prune.attrs == {"pruned": res.stats.granules_pruned,
+                               "granules": res.stats.granules_total}
+        assert res.stats.granules_pruned > 0
+        assert not any(s.attrs["pruned"] for s in granules)
+        assert len(granules) == res.stats.granules_total \
+            - res.stats.granules_pruned
+
+    def test_pruned_granules_never_run(self, backends, monkeypatch):
+        from repro.exec.run import GranulePipeline
+
+        columns, sources, _ = backends
+        ts = columns["ts"]
+        plan = Plan.scan(["reading"]).where(
+            col("ts").between(int(ts[3000]), int(ts[3030])))
+        ran = []
+        run = GranulePipeline.run
+
+        def counting_run(self, granule, **kwargs):
+            ran.append(granule.index)
+            return run(self, granule, **kwargs)
+
+        monkeypatch.setattr(GranulePipeline, "run", counting_run)
+        res = plan.execute(sources["store"], threads=1)
+        pipeline = GranulePipeline(plan, sources["store"])
+        assert ran == np.flatnonzero(~pipeline.pruned).tolist()
+        unpruned = plan.execute(sources["store"], threads=1, prune=False)
+        assert np.array_equal(res.row_ids, unpruned.row_ids)
+
+    def test_unexplained_query_does_not_reduce_the_bitmap(
+            self, tmp_path, monkeypatch):
+        """A Bitmap renders (a sum over the table-wide bitmap) only when
+        ``explain()`` asks — not for the deletion-vector term, not for a
+        pushed bitmap."""
+        with MutableTable.create(str(tmp_path / "t"), schema=("k",),
+                                 chunk_rows=50) as table:
+            table.append({"k": np.arange(400)})
+            table.flush()
+            table.delete(("k", 0, 20))
+            table.flush()
+            source = table.source()
+            rendered = []
+            render = Bitmap.__repr__
+
+            def counting_repr(self):
+                rendered.append(1)
+                return render(self)
+
+            monkeypatch.setattr(Bitmap, "__repr__", counting_repr)
+            keep = np.zeros(400, dtype=bool)
+            keep[10:60] = True
+            res = Plan.scan(["k"]).where(Bitmap(keep)).execute(source)
+            assert res.columns["k"].tolist() == list(range(20, 60))
+            assert rendered == []
+            text = res.explain()
+            assert rendered
+            assert "bitmap(50/400 set)" in text \
+                and "bitmap(380/400 set)" in text
+
+
+class TestAutoWorkers:
+    def test_affinity_sets_the_width(self, monkeypatch):
+        from repro.exec import pool
+
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(pool.os, "sched_getaffinity",
+                            lambda pid: {3}, raising=False)
+        assert pool.auto_workers() == 1
+        monkeypatch.setattr(pool.os, "sched_getaffinity",
+                            lambda pid: set(range(3)), raising=False)
+        assert pool.auto_workers() == 3
+        monkeypatch.setattr(pool.os, "sched_getaffinity",
+                            lambda pid: set(range(32)), raising=False)
+        assert pool.auto_workers() == 8
+        monkeypatch.delattr(pool.os, "sched_getaffinity")
+        assert pool.auto_workers() == 8
+
+    def test_one_usable_cpu_stays_on_the_calling_thread(
+            self, backends, monkeypatch):
+        """Pinned to one CPU, ``threads=None`` takes the calling-thread
+        arm: the shared pool runs nothing."""
+        from repro.exec import pool
+
+        columns, sources, _ = backends
+        monkeypatch.setattr(pool.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        shared = obs_metrics.default_registry().get(
+            "repro_sched_granules_total").labels(sched="repro-exec-shared")
+        before = shared.value
+        trace = Trace("pinned")
+        res = Plan.scan(["ts"]).where(col("status") == 0).execute(
+            sources["store"], trace=trace)
+        assert shared.value == before
+        assert int((columns["status"] == 0).sum()) == res.n_rows
+        assert len([s for s in trace.spans if s.name == "prune"]) == 1
+
+
 #: every aggregate op over one value column
 ALL_AGGS = {"s": ("sum", "v"), "n": ("count", "v"), "a": ("avg", "v"),
             "lo": ("min", "v"), "hi": ("max", "v")}

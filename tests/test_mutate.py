@@ -36,6 +36,7 @@ from repro.mutate import (
     wal_file_name,
 )
 from repro.mutate import wal as wal_mod
+from repro.obs.metrics import default_registry
 from repro.par import ProcessScheduler
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
@@ -606,6 +607,184 @@ class TestChainSource:
                     assert np.array_equal(got.row_ids, naive.row_ids)
                     if plan.filter_expr() is None:
                         assert got.stats.granules_pruned == dead
+
+
+# ------------------------------------------------------- snapshot source
+def _shared_pool_granules() -> float:
+    return default_registry().get("repro_sched_granules_total").labels(
+        sched="repro-exec-shared").value
+
+
+class TestSnapshotSource:
+    """A mutable table builds its snapshot's ``StoreSource`` once per
+    generation: reads, victim searches and the chained live view all
+    reuse it, and a commit replaces it."""
+
+    def make(self, tmp_path, n=400):
+        table = MutableTable.create(str(tmp_path / "t"),
+                                    schema=("k", "v"), shard_rows=100,
+                                    chunk_rows=25)
+        table.append({"k": np.arange(n), "v": np.arange(n) * 3})
+        table.flush()
+        return table
+
+    def test_one_source_per_generation(self, tmp_path):
+        with self.make(tmp_path) as table:
+            first = table.source()
+            assert isinstance(first, StoreSource)
+            assert table.source() is first
+            # the deletion-vector term is built once with it
+            table.delete(("k", 0, 30))
+            table.flush()
+            second = table.source()
+            assert second is not first and table.source() is second
+            assert second.implicit_filter() is second.implicit_filter()
+            # pending work chains onto the same snapshot source
+            table.append({"k": [1000], "v": [1]})
+            chain = table.source()
+            assert isinstance(chain, ChainSource)
+            assert chain._sources[0] is second
+            table.flush()
+            third = table.source()
+            assert third is not second and table.source() is third
+            table.delete(("k", 30, 90))
+            assert table.compact(threshold=0.9) is not None
+            fourth = table.source()
+            assert fourth is not third and table.source() is fourth
+            path = table.path
+        with MutableTable.open(path) as reopened:
+            assert reopened.source() is not fourth
+            assert reopened.source() is reopened.source()
+
+    def test_point_operations_rebuild_nothing(self, tmp_path,
+                                              monkeypatch):
+        """100 point selects, deletes and updates on one generation
+        construct no source and read no zone map or extent again."""
+        import repro.store.executor as store_executor
+
+        with self.make(tmp_path, n=2000) as table:
+            source = table.source()
+            plan = Plan.scan(["k", "v"]).where(col("k").between(5, 5))
+            plan.execute(table.source(), threads=1)  # first zone test
+            granules = source.granules()
+            extents = source.granule_extents()
+            built = []
+            zone_reads = []
+            init = StoreSource.__init__
+            zone_arrays = store_executor.zone_arrays
+
+            def counting_init(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+
+            def counting_zones(bounds):
+                zone_reads.append(1)
+                return zone_arrays(bounds)
+
+            monkeypatch.setattr(StoreSource, "__init__", counting_init)
+            monkeypatch.setattr(store_executor, "zone_arrays",
+                                counting_zones)
+            for i in range(100):
+                res = table.scan(["k", "v"], where=("k", 7 * i, 7 * i + 1),
+                                 threads=1)
+                assert res.columns["v"].tolist() == [21 * i]
+            for i in range(10):
+                assert table.delete(("k", 1000 + i, 1001 + i)) == 1
+                assert table.update("k", 1500 + i, {"v": -i}) == 1
+            assert built == [] and zone_reads == []
+            assert table.source()._sources[0] is source
+            assert source.granules() is granules
+            assert source.granule_extents() is extents
+
+    def test_source_taken_before_a_commit_reads_its_snapshot(
+            self, tmp_path):
+        with self.make(tmp_path) as table:
+            plan = Plan.scan(["k"])
+            before = table.source()
+            table.append({"k": [900], "v": [0]})
+            pending = table.source()
+            table.delete(("k", 0, 300))
+            table.flush()
+            table.compact(threshold=0.9)
+            assert table.scan(["k"]).columns["k"].tolist() \
+                == list(range(300, 400)) + [900]
+            assert plan.execute(before, threads=1).columns["k"].tolist() \
+                == list(range(400))
+            assert plan.execute(pending).columns["k"].tolist() \
+                == list(range(400)) + [900]
+
+    def test_victim_search_stays_on_the_caller(self, tmp_path):
+        with self.make(tmp_path) as table:
+            before = _shared_pool_granules()
+            assert table.delete(col("k").between(10, 300)) == 290
+            assert table.update("k", 350, {"v": 0}) == 1
+            assert table.update("k", 5, {"v": 1}) == 1
+            assert _shared_pool_granules() == before
+            res = table.scan(["k"], where=("k", 0, 400))
+            assert sorted(res.columns["k"].tolist()) \
+                == list(range(10)) + list(range(300, 400))
+
+
+@pytest.fixture(scope="module")
+def live_view(tmp_path_factory):
+    """A mutable table's live view with everything that shapes it:
+    flushed deletion vectors (chunks dead whole and in part), pending
+    deletes and a memtable tail, over a warm chunk cache (so a scan
+    counts the same cache hits whichever in-process tier runs it)."""
+    path = str(tmp_path_factory.mktemp("view") / "t")
+    with MutableTable.create(path, schema=("k", "v"), shard_rows=100,
+                             chunk_rows=25) as table, \
+            MorselScheduler(workers=2, name="view-threads") as threads, \
+            ProcessScheduler(workers=2, name="view-lanes") as lanes:
+        table.append({"k": np.arange(400), "v": (np.arange(400) * 7) % 50})
+        table.flush()
+        table.delete(("k", 25, 75))
+        table.delete(("k", 310, 340))
+        table.flush()
+        table.delete(("k", 150, 200))
+        table.update("k", 260, {"v": 99})
+        table.append({"k": np.arange(400, 470), "v": np.arange(70) % 9})
+        source = table.source()
+        # warm: the naive path decodes both columns of every granule,
+        # the all-dead ones included
+        Plan.scan().where((col("k") >= 0) & (col("v") >= 0)).execute(
+            source, threads=1, prune=False, pushdown=False)
+        yield source, threads, lanes
+
+
+if HAVE_HYPOTHESIS:
+    class TestLiveViewTiers:
+        @given(data=st.data())
+        @settings(max_examples=15, deadline=None)
+        def test_tiers_agree_on_the_live_view(self, live_view, data):
+            """The calling thread (split before running), the thread
+            tier (pruning in the granule) and the process tier agree on
+            rows, groups and every integer ``ExecStats`` field."""
+            source, threads, lanes = live_view
+            a = data.draw(st.integers(-20, 490))
+            b = data.draw(st.integers(-20, 490))
+            terms = [col("k").between(min(a, b), max(a, b)),
+                     col("v") <= data.draw(st.integers(-1, 60)),
+                     InSet("v", data.draw(st.lists(
+                         st.integers(0, 99), max_size=4)))]
+            picked = data.draw(st.lists(st.sampled_from(terms),
+                                        max_size=2))
+            plan = Plan.scan(["k", "v"])
+            if picked:
+                plan = plan.where(And.of(*picked) if len(picked) > 1
+                                  else picked[0])
+            if data.draw(st.booleans()):
+                plan = plan.aggregate({"n": ("count", "v"),
+                                       "s": ("sum", "k")},
+                                      group_by=data.draw(st.sampled_from(
+                                          [None, "v"])))
+            opts = {"prune": data.draw(st.booleans()),
+                    "pushdown": data.draw(st.booleans())}
+            got = assert_tiers_agree(plan, source, threads, lanes, **opts)
+            naive = plan.execute(source, threads=1, prune=False,
+                                 pushdown=False)
+            assert got.groups == naive.groups
+            assert np.array_equal(got.row_ids, naive.row_ids)
 
 
 # ------------------------------------------------------------- properties

@@ -1256,18 +1256,22 @@ class TestCrossProcessObs:
         g_thread = [s for s in thread_trace.spans
                     if s.name == "granule"]
         g_proc = [s for s in proc_trace.spans if s.name == "granule"]
-        # rows and prune decisions are tier-invariant — the calling
-        # thread prunes inside the granule, the process-tier driver
-        # before dispatch, and they agree on which; so is *total*
-        # cache traffic (the hit/miss split depends on which per-worker
-        # cache each granule landed in, so only the sum is comparable)
-        survived = sorted(s.attrs["granule"] for s in g_thread
-                          if not s.attrs["pruned"])
-        assert sorted(s.attrs["granule"] for s in g_proc) == survived
-        [prune] = [s for s in proc_trace.spans if s.name == "prune"]
-        assert prune.attrs["pruned"] == len(g_thread) - len(survived) > 0
-        assert sum(s.attrs["rows"] for s in g_thread) \
-            == sum(s.attrs["rows"] for s in g_proc)
+        # both tiers split the granule set by the same zone-map decision
+        # before running anything, so the same granules run with the
+        # same rows, and each tier's one "prune" span counts the rest;
+        # *total* cache traffic agrees too (the hit/miss split depends on
+        # which per-worker cache each granule landed in, so only the sum
+        # is comparable)
+        assert sorted((s.attrs["granule"], s.attrs["rows"])
+                      for s in g_thread) \
+            == sorted((s.attrs["granule"], s.attrs["rows"])
+                      for s in g_proc)
+        assert not any(s.attrs["pruned"] for s in g_thread + g_proc)
+        [thread_prune] = [s for s in thread_trace.spans
+                          if s.name == "prune"]
+        [proc_prune] = [s for s in proc_trace.spans if s.name == "prune"]
+        assert thread_prune.attrs["pruned"] \
+            == proc_prune.attrs["pruned"] > 0
         lookups = [sum(s.attrs["cache_hits"] + s.attrs["cache_misses"]
                        for s in spans)
                    for spans in (g_thread, g_proc)]
