@@ -63,12 +63,19 @@ EXPECTED = {
         "four datasets (18.7% vs 18.8% on `house_price`)",
     ),
     "fig17_robustness": (None,),
-    "fig18_filter_groupby": (None, None),
+    "fig18_filter_groupby": (
+        None,
+        "ROADMAP item 11: on the store the sums tie (Delta / LeCo 0.7-1.4 "
+        "run to run): reviving a 20 000-row LeCo `ts` chunk parses its "
+        "correction lists in Python (0.5 ms), and its model-band zone map "
+        "keeps two of the three chunks where Delta's exact min/max keeps "
+        "one; per chunk read Delta's filter still costs about twice LeCo's",
+    ),
     "fig19_bitmap_agg": (None, None),
     "fig20_zstd_size": (
         "substrate: `normal`'s bit-packed residuals are incompressible and "
-        "DEFLATE (the zstd stand-in) hands them back 9 bytes larger; the "
-        "other three shrink by 0.2-2.3%",
+        "DEFLATE (the zstd stand-in) hands them back 8 bytes larger; the "
+        "other three shrink by 0.2-2.0%",
         None,
     ),
     "fig21_zstd_time": (None,),

@@ -3,7 +3,10 @@
 The registry, the experiment modules, ``EXPECTED`` and README's scoreboard
 are four statements of one table; these keep them equal, and drive the
 cheapest experiment through ``paper.main`` both ways (verdicts as
-expected: 0; a violated claim or a flipped ``EXPECTED`` row: 1).
+expected: 0; a violated claim or a flipped ``EXPECTED`` row: 1).  The
+checks the §5 host-system figures rely on (their queries answer what numpy
+answers; Fig. 21 inflates exactly the chunks a query read; Fig. 14's
+dictionaries) are held here too, beside the modules they import.
 """
 
 import glob
@@ -11,8 +14,16 @@ import os
 
 import bench_fig09_hardness
 import bench_fig10_micro
+import bench_fig14_hashprobe
+import bench_fig21_zstd_time
+import numpy as np
 import paper
-from repro.bench import Measurement
+import pytest
+from repro.bench import Measurement, cold_table
+from repro.datasets import load
+from repro.datasets.synthetic import zipf_cluster_bitmap
+from repro.exec import Bitmap, Plan, col, execute
+from repro.store import StoreSource
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -92,3 +103,61 @@ def test_lineup_matrix_is_measured_once_per_process(monkeypatch, capsys):
     capsys.readouterr()
     # 12 datasets x (5 line-up + rANS) + Elias-Fano on the 10 sorted ones
     assert len(calls) == len(set(calls)) == 12 * 6 + 10
+
+
+@pytest.mark.parametrize("encoding", ["dict", "plain", "delta", "for", "leco"])
+def test_host_figure_queries_equal_numpy(encoding):
+    """Figs. 18, 19 and 21's queries on a cold table: a filter-group-by
+    AVG whose groups straddle chunk boundaries and a bitmap SUM both
+    equal numpy, and Fig. 21 inflates exactly the chunks the SUM read."""
+    rng = np.random.default_rng(11)
+    n = 5000
+    ts = np.cumsum(rng.integers(1, 9, n)).astype(np.int64)
+    ids = (np.arange(n) // 70 % 40).astype(np.int64)  # runs cross chunks
+    val = rng.integers(0, 1 << 30, n).astype(np.int64)
+    lo, hi = int(ts[700]), int(ts[3900])
+    window = (ts >= lo) & (ts < hi)
+    bitmap = zipf_cluster_bitmap(n, 0.01, seed=2)
+    avg = (Plan.scan(["id", "val"]).where(col("ts").between(lo, hi))
+           .aggregate({"avg": ("avg", "val")}, group_by="id"))
+    total = (Plan.scan(["val"]).where(Bitmap(bitmap))
+             .aggregate({"total": ("sum", "val")}))
+    with cold_table({"ts": ts, "id": ids, "val": val}, encoding,
+                    chunk_rows=1000) as table:
+        groups = execute(avg, StoreSource(table), threads=1).groups
+        straddling = {int(key) for key in np.unique(ids[window])
+                      if len(np.unique(np.flatnonzero(
+                          window & (ids == key)) // 1000)) > 1}
+        assert straddling
+        assert {key: row["avg"] for key, row in groups.items()} \
+            == pytest.approx({int(key): float(val[window & (ids == key)]
+                                               .mean())
+                              for key in np.unique(ids[window])}, rel=1e-12)
+    with cold_table({"val": val}, encoding, chunk_rows=1000) as table:
+        res, blobs, read, _ = bench_fig21_zstd_time.inflated_run(table,
+                                                                 total)
+    assert res.groups[None]["total"] == int(val[bitmap].sum())
+    assert len(blobs) == 5
+    assert 0 < len(read) == res.stats.chunks_scanned < len(blobs)
+
+
+def test_hash_probe_leco_dictionary_is_smallest():
+    probe = load("medicare", n=30_000).values
+    sizes = {method: bench_fig14_hashprobe.run_hash_probe(
+        probe, method, memory_budget_bytes=1 << 30,
+        hash_table_bytes=1 << 20).dictionary_bytes
+        for method in ("raw", "for", "leco")}
+    assert sizes["leco"] < sizes["for"] < sizes["raw"]
+
+
+def test_hash_probe_tight_budget_penalises_big_dictionaries():
+    probe = load("medicare", n=30_000).values
+    # leave ~4KB for the dictionary: the raw dict (~24KB) spills, the LeCo
+    # dict (~2KB) stays resident
+    budget = 1 << 20
+    raw, leco = (bench_fig14_hashprobe.run_hash_probe(
+        probe, method, memory_budget_bytes=budget,
+        hash_table_bytes=budget - 4096) for method in ("raw", "leco"))
+    assert raw.miss_fraction > 0.5
+    assert leco.miss_fraction == 0.0
+    assert leco.throughput_gbps > raw.throughput_gbps

@@ -49,7 +49,7 @@ delta_blob = codecs.get("delta").encode(timestamps).to_bytes()
 assert np.array_equal(codecs.from_bytes(delta_blob).decode_all(),
                       timestamps)
 
-# Capability flags drive generic consumers (engine, benchmarks, tests).
+# Capability flags drive generic consumers (store, benchmarks, tests).
 info = codecs.info("delta")
 print(f"delta: sequential_access={info.sequential_access}, "
       f"pruning={info.supports_range_pruning}")

@@ -14,9 +14,10 @@ Public surface:
 * :class:`repro.StringCompressor` — varchar columns (§3.4);
 * :mod:`repro.baselines` — RLE, Delta, Elias-Fano, rANS, FSST (FOR is
   ``codecs.get("for")``: LeCo with the constant regressor);
-* :mod:`repro.engine` — Arrow/Parquet-like columnar engine (§5.1);
+* :mod:`repro.store` — the persistent sharded columnar store (§5.1's
+  host system: mmap'd shards, zone maps, counted reads);
 * :mod:`repro.exec` — the unified planner/operator layer (plans run
-  unchanged over the engine, the store, or in-memory arrays);
+  unchanged over the store or in-memory arrays);
 * :mod:`repro.mutate` — WAL-backed mutable tables over the store
   (snapshot-isolated reads, deletion vectors, background compaction);
 * :mod:`repro.kvstore` — RocksDB-like LSM store (§5.2);

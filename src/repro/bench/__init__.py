@@ -7,6 +7,7 @@ from repro.bench.harness import (
     weighted_average,
 )
 from repro.bench.report import headline, render_table
+from repro.bench.tables import cold_table, figure_codec
 
 __all__ = ["LINEUP", "Measurement", "measure_codec", "weighted_average",
-           "render_table", "headline"]
+           "render_table", "headline", "cold_table", "figure_codec"]

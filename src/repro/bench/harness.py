@@ -6,7 +6,7 @@ For each (codec, dataset) pair the harness measures:
   share (Fig. 10's cross-hatched split);
 * **random access** — latency of uniformly random point decodes.  The
   default ``access_mode="gather"`` drives the vectorised batch protocol
-  (one ``gather`` over all probe positions — the engine's late-
+  (one ``gather`` over all probe positions — the executor's late-
   materialization path); ``access_mode="scalar"`` keeps the paper-faithful
   per-position ``get`` loop for point-query latency numbers;
 * **decompression throughput** — full decode, raw GB/s;

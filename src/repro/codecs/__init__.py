@@ -16,7 +16,7 @@ One coherent surface for every compression scheme in the repo::
 
 New schemes call :func:`register` (and :func:`register_wire` for their
 payload decoder) and are immediately reachable by every consumer — the
-columnar engine, the KV store, the benchmark harness, and the shared
+table store, the KV store, the benchmark harness, and the shared
 conformance test suite.
 """
 

@@ -1,7 +1,7 @@
 """The codec registry: one lookup table for every compression scheme.
 
 Each entry maps a public name (``"leco"``, ``"delta"``, ``"fsst"``, ...) to
-a factory plus capability flags, so consumers — the columnar engine, the KV
+a factory plus capability flags, so consumers — the table store, the KV
 store, the benchmark harness, the conformance suite — discover and
 construct codecs uniformly instead of hard-coding per-scheme imports:
 

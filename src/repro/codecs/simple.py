@@ -1,10 +1,8 @@
 """Plain and dictionary codecs behind the common sequence protocol.
 
-These are the engine's Parquet-default encodings (§5.1), previously
-hand-rolled as private fields and ``if`` ladders inside
-``engine/array.py``.  As registered codecs they serve every consumer —
-columns, benchmarks, the conformance suite — through the same vectorised
-surface as LeCo and the baselines.
+These are Parquet's default encodings (§5.1).  As registered codecs they
+serve every consumer — store columns, benchmarks, the conformance suite —
+through the same vectorised surface as LeCo and the baselines.
 """
 
 from __future__ import annotations
@@ -14,7 +12,8 @@ import numpy as np
 from repro.baselines.base import Codec, EncodedSequence, as_int64
 from repro.bitio import BitPackedArray, decode_uvarint, encode_uvarint
 
-#: Parquet-style fallback: dictionaries beyond this NDV share are pointless
+#: Parquet's Default rule: a column whose distinct-value share exceeds
+#: this is written plain, since its dictionary cannot pay for itself
 DICT_MAX_FRACTION = 0.5
 
 
@@ -108,27 +107,12 @@ class DictEncodedSequence(EncodedSequence):
 
 
 class DictCodec(Codec):
-    """Dictionary encoding with an optional high-cardinality fallback.
-
-    When the distinct-value share exceeds ``max_fraction`` the dictionary
-    cannot pay for itself; with ``plain_fallback=True`` (the engine's
-    policy — the pure codec defaults to always dict-encoding) ``encode``
-    returns a :class:`PlainSequence` instead, which callers detect via
-    ``wire_id``.
-    """
+    """Dictionary encoding: sorted uniques plus bit-packed codes."""
 
     name = "dict"
-
-    def __init__(self, max_fraction: float = DICT_MAX_FRACTION,
-                 plain_fallback: bool = False):
-        self.max_fraction = max_fraction
-        self.plain_fallback = plain_fallback
 
     def encode(self, values: np.ndarray) -> EncodedSequence:
         values = as_int64(values)
         uniques, codes = np.unique(values, return_inverse=True)
-        if self.plain_fallback and \
-                len(uniques) > self.max_fraction * max(len(values), 1):
-            return PlainSequence(values)
         packed = BitPackedArray.from_values(codes.astype(np.uint64))
         return DictEncodedSequence(uniques, packed)

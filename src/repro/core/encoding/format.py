@@ -254,8 +254,8 @@ class CompressedArray(EncodedSequence):
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Decode an arbitrary set of positions (late materialization):
         one model inference and one slot read per position, whatever
-        partitions they fall in — the decoder-side analogue of the
-        engine's bitmap-driven scans (§5.1)."""
+        partitions they fall in — what the executor's bitmap-driven
+        scans call (§5.1)."""
         return self._decode(self._check_indices(indices))
 
     def search_sorted(self, value: int) -> int:

@@ -19,6 +19,9 @@ Families (first paper row of Fig. 9a is the "locally easy" group):
 * ``cosmos``, ``polylog``, ``exp``, ``poly``, ``site``, ``weight``,
   ``adult`` — the non-linear group of §4.4;
 * ``medicare`` — unsorted, low-cardinality 64-bit values for §4.5.
+
+:func:`zipf_cluster_bitmap` generates the clustered selection bitmaps of
+§5.1.2 (Figs. 19 and 21).
 """
 
 from __future__ import annotations
@@ -241,3 +244,20 @@ def gen_adult(n: int, seed: int = 0) -> np.ndarray:
     body = rng.integers(0, 5_000, int(n * 0.8)) * 100
     tail = np.exp(rng.normal(11.5, 1.2, n - len(body)))
     return np.sort(np.concatenate([body, tail]).astype(np.int64))
+
+
+def zipf_cluster_bitmap(n: int, selectivity: float, clusters: int = 10,
+                        seed: int = 0) -> np.ndarray:
+    """Figs. 19 and 21's selection bitmaps (§5.1.2): ``clusters`` set-bit
+    runs with Zipf-like sizes, covering about ``selectivity`` of ``n``."""
+    rng = np.random.default_rng(seed)
+    target = max(int(n * selectivity), 1)
+    weights = 1.0 / np.arange(1, clusters + 1)
+    weights /= weights.sum()
+    sizes = np.maximum((weights * target).astype(np.int64), 1)
+    bitmap = np.zeros(n, dtype=bool)
+    starts = np.sort(rng.integers(0, max(n - int(sizes.max()) - 1, 1),
+                                  clusters))
+    for start, size in zip(starts, sizes):
+        bitmap[start: start + int(size)] = True
+    return bitmap

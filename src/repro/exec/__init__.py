@@ -8,7 +8,6 @@ through, over any storage backend that implements the
 
     from repro.exec import Plan, col
     from repro.store.executor import StoreSource      # persistent store
-    from repro.engine.parquet import ParquetSource    # in-memory file
 
     plan = (Plan.scan(["sensor_id", "reading"])
             .where(col("ts").between(1_000, 2_000)
@@ -16,7 +15,7 @@ through, over any storage backend that implements the
             .aggregate({"avg_reading": ("avg", "reading")},
                        group_by="sensor_id"))
 
-    result = plan.execute(StoreSource(table))   # or ParquetSource(file)
+    result = plan.execute(StoreSource(table))   # or ArraySource(columns)
     result.groups                               # {sensor_id: {...}}
     print(result.explain())                     # plan + pruning counts
 

@@ -10,8 +10,7 @@ A :class:`Plan` is an immutable chain of logical nodes built fluently::
     print(result.explain())                # plan + pruning counts
 
 The plan is backend-neutral: the same object executes over a
-:class:`~repro.engine.parquet.ParquetSource`, a
-:class:`~repro.store.executor.StoreSource`, or an in-memory
+:class:`~repro.store.executor.StoreSource` or an in-memory
 :class:`~repro.exec.source.ArraySource`.  Physical decisions (zone-map
 pruning, ``filter_range`` pushdown, residual evaluation, morsel
 parallelism) happen in :func:`repro.exec.run.execute`.

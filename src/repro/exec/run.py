@@ -137,7 +137,7 @@ def _charge_query_metrics(stats: ExecStats, status: str) -> None:
 @dataclass
 class ExecStats:
     """Work accounting for one plan execution (merged across granules):
-    granules/chunks/bytes/cache counts, CPU per phase and charged IO."""
+    granules/chunks/bytes/cache counts and CPU per phase."""
 
     granules_total: int = 0    # granules examined by the planner
     granules_pruned: int = 0   # skipped whole via zone maps / bitmaps
@@ -157,7 +157,6 @@ class ExecStats:
     cpu_gather_s: float = 0.0
     cpu_aggregate_s: float = 0.0
     cpu_join_s: float = 0.0
-    io_s: float = 0.0          # charged I/O time (simulated backends)
     wall_s: float = 0.0
 
     def merge(self, other: "ExecStats") -> None:
@@ -178,16 +177,11 @@ class ExecStats:
         self.cpu_gather_s += other.cpu_gather_s
         self.cpu_aggregate_s += other.cpu_aggregate_s
         self.cpu_join_s += other.cpu_join_s
-        self.io_s += other.io_s
 
     @property
     def cpu_s(self) -> float:
         return (self.cpu_filter_s + self.cpu_gather_s
                 + self.cpu_aggregate_s + self.cpu_join_s)
-
-    @property
-    def total_s(self) -> float:
-        return self.cpu_s + self.io_s
 
 
 @dataclass
@@ -265,9 +259,8 @@ class ExecResult:
                f"gather {stats.cpu_gather_s * 1e3:.2f} ms, "
                f"aggregate {stats.cpu_aggregate_s * 1e3:.2f} ms, "
                f"join {stats.cpu_join_s * 1e3:.2f} ms")
-        tail = (f"io: {stats.io_s * 1e3:.2f} ms charged; "
-                f"wall: {stats.wall_s * 1e3:.2f} ms")
-        lines_out = [tree, pruned, rows, cpu, tail]
+        lines_out = [tree, pruned, rows, cpu,
+                     f"wall: {stats.wall_s * 1e3:.2f} ms"]
         if self.trace is not None:
             lines_out.append(f"trace: {self.trace.summary()}")
         return "\n".join(lines_out)
@@ -304,13 +297,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _ONE_GROUP = np.zeros(1, dtype=np.int64)
 
 
-def _on_calling_thread(source, n_granules: int, threads: int | None,
+def _on_calling_thread(n_granules: int, threads: int | None,
                        scheduler) -> bool:
     """The one dispatch decision: does this query stay on its caller's
     thread, or do its granules go to a scheduler?"""
-    if threads == 1 or not getattr(source, "parallel_safe", True):
-        # unlocked accounting state (e.g. a caller's IOModel) must never
-        # be touched from two threads, whatever scheduler was passed
+    if threads == 1:
         return True
     if scheduler is not None:
         return False  # an explicit scheduler also does admission control
@@ -751,14 +742,14 @@ def execute(plan: Plan, source, threads: int | None = None,
         — ``scheduler`` if given, else the process-wide shared one,
         whose width is set by
         :func:`~repro.exec.pool.configure_shared_scheduler` /
-        ``REPRO_THREADS``, not here.  Two cases stay on the calling
-        thread regardless: a source that is not ``parallel_safe``, and
-        (without an explicit ``scheduler``) a query with nothing to
-        spread — at most one granule, or ``threads=None`` with one
-        usable CPU.  The calling thread and a process tier run only the
-        granules that survive zone-map pruning (the rest are charged as
-        one driver-side partial and, traced, one ``"prune"`` span); a
-        thread-tier granule prunes itself.
+        ``REPRO_THREADS``, not here.  Without an explicit
+        ``scheduler``, a query with nothing to spread also stays on the
+        calling thread: at most one granule, or ``threads=None`` with
+        one usable CPU.  The calling thread and a
+        process tier run only the granules that survive zone-map
+        pruning (the rest are charged as one driver-side partial and,
+        traced, one ``"prune"`` span); a thread-tier granule prunes
+        itself.
     prune:
         Zone-map granule pruning (disable for the unpruned reference;
         results are identical).
@@ -816,7 +807,7 @@ def execute(plan: Plan, source, threads: int | None = None,
     failure: BaseException | None = None
     try:
         kwargs = {}
-        if _on_calling_thread(source, len(granules), threads, scheduler):
+        if _on_calling_thread(len(granules), threads, scheduler):
             sched = None
             split = True
         else:

@@ -15,9 +15,7 @@ an in-memory slice) and answers:
   :class:`~repro.exec.run.ExecStats` for bytes touched/read.  The
   returned object speaks the sequence protocol the executor needs:
   ``filter_range(lo, hi)``, ``gather(positions)``, ``decode_all()``.
-* :attr:`ColumnSource.parallel_safe` — whether granules may be executed
-  concurrently (sources with unlocked accounting state say ``False``
-  and the executor stays on one thread).
+  Loads may run concurrently on the executor's threads.
 
 A source may additionally implement ``implicit_filter()`` returning a
 positional :class:`~repro.exec.expr.Bitmap` (or ``None``): the executor
@@ -29,8 +27,6 @@ learn about deletes.
 
 Implementations in the tree:
 
-* :class:`repro.engine.parquet.ParquetSource` — row-grouped in-memory
-  files with simulated I/O charging;
 * :class:`repro.store.executor.StoreSource` — the persistent sharded
   store (mmap + zone maps + chunk cache);
 * :class:`ArraySource` (here) — plain in-memory columns, the zero-cost
@@ -73,8 +69,6 @@ class Granule:
 class ColumnSource(ABC):
     """Abstract base documenting the protocol (duck typing suffices)."""
 
-    #: may granules run concurrently on the executor's thread pool?
-    parallel_safe: bool = True
     _extents: tuple | None = None
 
     @property
@@ -144,8 +138,6 @@ class ChainSource(ColumnSource):
         self._sources = sources
         self._names = names
         self._name = name
-        self.parallel_safe = all(
-            getattr(s, "parallel_safe", True) for s in sources)
         self._offsets = []
         self._granules: list[Granule] = []
         self._children: list[tuple[ColumnSource, Granule]] = []
@@ -256,8 +248,6 @@ class ArraySource(ColumnSource):
     bound otherwise.  ``execute(prune=False)`` is the way to run
     unpruned.
     """
-
-    parallel_safe = True
 
     def __init__(self, columns: dict, morsel_rows: int | None = None,
                  name: str = "memory"):

@@ -13,6 +13,7 @@ from repro.kvstore.index_codecs import (
     RestartDeltaIndex,
 )
 from repro.kvstore.sstable import (
+    IOModel,
     LRUBlockCache,
     MiniLSM,
     SeekStats,
@@ -29,6 +30,7 @@ __all__ = [
     "IndexBlock",
     "LecoIndex",
     "RestartDeltaIndex",
+    "IOModel",
     "LRUBlockCache",
     "MiniLSM",
     "SeekStats",

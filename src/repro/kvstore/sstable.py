@@ -3,17 +3,16 @@
 A :class:`MiniLSM` holds a sorted run of SSTables.  Each SSTable has 4KB
 data blocks, an index block (pluggable codec), and fence keys.  ``seek``
 follows RocksDB's path: route to the SSTable, search its (pinned) index
-block, fetch the data block through the LRU cache — misses charge the I/O
-model — and binary-search inside the block.
+block, fetch the data block through the LRU cache — misses charge the
+block-read model — and binary-search inside the block.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.engine.io import IOModel
 from repro.kvstore.blocks import (
     DEFAULT_BLOCK_SIZE,
     block_lower_bound,
@@ -23,6 +22,30 @@ from repro.kvstore.blocks import (
     split_into_blocks,
 )
 from repro.kvstore.index_codecs import IndexBlock, LecoIndex, RestartDeltaIndex
+
+
+@dataclass
+class IOModel:
+    """Block reads charged as ``bytes / bandwidth`` plus a per-read
+    latency (the paper's Fig. 22 runs on a local NVMe SSD; these
+    defaults are ~2 GB/s sequential and 100 us per I/O)."""
+
+    bandwidth_bytes_per_s: float = 2e9
+    latency_s: float = 100e-6
+    bytes_read: int = field(default=0, init=False)
+    reads: int = field(default=0, init=False)
+
+    def charge(self, nbytes: int) -> None:
+        """Record one read of ``nbytes``."""
+        if nbytes < 0:
+            raise ValueError(f"negative read size {nbytes}")
+        self.bytes_read += nbytes
+        self.reads += 1
+
+    @property
+    def seconds(self) -> float:
+        return (self.bytes_read / self.bandwidth_bytes_per_s
+                + self.reads * self.latency_s)
 
 
 class LRUBlockCache:
@@ -129,8 +152,7 @@ class MiniLSM:
                  restart_interval: int = 1,
                  table_records: int = 50_000,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 cache_bytes: int = 8 << 20,
-                 io: IOModel | None = None):
+                 cache_bytes: int = 8 << 20):
         pairs = sorted(pairs)
         self.tables: list[SSTable] = []
         for tid, start in enumerate(range(0, len(pairs), table_records)):
@@ -143,7 +165,7 @@ class MiniLSM:
         # serves data blocks — this is how a smaller index buys throughput
         data_budget = max(cache_bytes - self.index_bytes(), 4096)
         self.cache = LRUBlockCache(data_budget)
-        self.io = io or IOModel()
+        self.io = IOModel()
 
     def index_bytes(self) -> int:
         return sum(t.index_bytes() for t in self.tables)
@@ -187,8 +209,9 @@ class MiniLSM:
         return pairs
 
     def run_seeks(self, keys: list[bytes]) -> SeekStats:
-        """Execute seeks, returning the CPU/IO/cache breakdown."""
-        self.io.reset()
+        """Execute seeks, returning this call's CPU/IO/cache breakdown
+        (the store's block-read model keeps running totals)."""
+        io0 = self.io.seconds
         hits0, misses0 = self.cache.hits, self.cache.misses
         start = time.perf_counter()
         for key in keys:
@@ -197,7 +220,7 @@ class MiniLSM:
         return SeekStats(
             operations=len(keys),
             cpu_seconds=cpu,
-            io_seconds=self.io.seconds,
+            io_seconds=self.io.seconds - io0,
             cache_hits=self.cache.hits - hits0,
             cache_misses=self.cache.misses - misses0,
         )

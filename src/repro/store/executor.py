@@ -9,9 +9,9 @@ over an open :class:`~repro.store.table.Table`.  Granules are the
 column-aligned chunks (morsel = one chunk row range across all
 columns); zone maps come straight from the footer catalog, as one pair
 of arrays per column; loads revive
-envelopes through the table's bounded LRU chunk cache, and the source
-is ``parallel_safe`` (the hot paths release the GIL), so the executor
-may fan granules out on a scheduler.
+envelopes through the table's bounded LRU chunk cache, and the hot
+paths release the GIL, so the executor may fan granules out on a
+scheduler.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from repro.exec.source import ColumnSource, Granule, zone_arrays
 
 class StoreSource(ColumnSource):
     """:class:`ColumnSource` over an open persistent-store table."""
-
-    parallel_safe = True  # numpy/bit-kernel hot paths release the GIL
 
     def __init__(self, table):
         self.table = table

@@ -10,8 +10,7 @@ side per-codec knowledge.
 Codec selection is :class:`~repro.codecs.CodecSpec`-driven and per
 column: pass one spec/name for every column, or a mapping, or ``"auto"``
 — the writer then trial-encodes each chunk with the lightweight
-candidates and keeps the smallest envelope (the store-level analogue of
-the engine's encoding choice).
+candidates and keeps the smallest envelope.
 
 Zone maps follow one rule, uniformly: codecs whose registry entry sets
 the ``supports_model_bounds`` capability flag provide their own bounds

@@ -135,33 +135,47 @@ class TestStringEdgeCases:
 
 
 class TestEngineEdgeCases:
-    def test_single_row_table_query(self):
-        from repro.engine import ParquetLikeFile, run_filter_groupby_query
+    """The §5.1 figures' host path (a cold store table run through the
+    executor) at its degenerate shapes."""
 
-        table = {"ts": np.array([5], dtype=np.int64),
-                 "id": np.array([1], dtype=np.int64),
-                 "val": np.array([10], dtype=np.int64)}
-        file = ParquetLikeFile.write(table, "leco")
-        result = run_filter_groupby_query(file, 0, 10)
-        assert result.answer == {1: 10.0}
+    @staticmethod
+    def _run(columns, plan, chunk_rows):
+        from repro.bench import cold_table
+        from repro.store import StoreSource
+
+        with cold_table(columns, "leco", chunk_rows=chunk_rows) as table:
+            return plan.execute(StoreSource(table), threads=1)
+
+    def test_single_row_table_query(self):
+        from repro.exec import Plan, col
+
+        columns = {"ts": np.array([5], dtype=np.int64),
+                   "id": np.array([1], dtype=np.int64),
+                   "val": np.array([10], dtype=np.int64)}
+        plan = (Plan.scan(["id", "val"]).where(col("ts").between(0, 10))
+                .aggregate({"avg": ("avg", "val")}, group_by="id"))
+        res = self._run(columns, plan, chunk_rows=4096)
+        assert {key: row["avg"] for key, row in res.groups.items()} \
+            == {1: 10.0}
 
     def test_filter_range_spanning_everything(self):
-        from repro.engine import EncodedColumn
+        from repro.exec import Plan, col
 
         values = np.arange(1000, dtype=np.int64)
-        col = EncodedColumn(values, "leco", partition_size=100)
         lo, hi = np.iinfo(np.int64).min // 4, np.iinfo(np.int64).max // 4
-        assert col.filter_range(lo, hi).all()
+        res = self._run({"v": values},
+                        Plan.scan(["v"]).where(col("v").between(lo, hi)),
+                        chunk_rows=100)
+        assert np.array_equal(res.columns["v"], values)
 
     def test_bitmap_all_ones(self):
-        from repro.engine import ParquetLikeFile, run_bitmap_aggregation
+        from repro.exec import Bitmap, Plan
 
         values = np.arange(2000, dtype=np.int64)
-        file = ParquetLikeFile.write({"v": values}, "leco",
-                                     row_group_size=500)
-        bitmap = np.ones(2000, dtype=bool)
-        result = run_bitmap_aggregation(file, "v", bitmap)
-        assert result.answer == int(values.sum())
+        plan = (Plan.scan(["v"]).where(Bitmap(np.ones(2000, dtype=bool)))
+                .aggregate({"total": ("sum", "v")}))
+        res = self._run({"v": values}, plan, chunk_rows=500)
+        assert res.groups[None]["total"] == int(values.sum())
 
 
 class TestKVStoreEdgeCases:

@@ -18,13 +18,6 @@ from exec_checks import (
     reference_may_match,
 )
 from repro import codecs
-from repro.engine import (
-    ENCODINGS,
-    IOModel,
-    ParquetLikeFile,
-    ParquetSource,
-    run_filter_groupby_query,
-)
 from repro.exec import (
     And,
     ArraySource,
@@ -59,20 +52,17 @@ def sensor_columns(n=6000, seed=3):
 
 @pytest.fixture(scope="module")
 def backends(tmp_path_factory):
-    """The same table behind all three ColumnSource implementations."""
+    """The same table behind both ColumnSource implementations."""
     columns = sensor_columns()
     path = str(tmp_path_factory.mktemp("exec") / "table")
     write_table(path, columns, codec="auto", shard_rows=1500,
                 chunk_rows=250)
     table = Table.open(path)
-    file = ParquetLikeFile.write(columns, "leco", row_group_size=1500,
-                                 partition_size=250)
     sources = {
         "store": StoreSource(table),
-        "parquet": ParquetSource(file),
         "memory": ArraySource(columns, morsel_rows=1500),
     }
-    yield columns, sources, file
+    yield columns, sources
     table.close()
 
 
@@ -257,7 +247,7 @@ class TestPlanBuilder:
                              how="inner")
 
     def test_unknown_column_raises_keyerror(self, backends):
-        _, sources, _ = backends
+        _, sources = backends
         for source in sources.values():
             with pytest.raises(KeyError, match="available: ts"):
                 Plan.scan(["nope"]).execute(source)
@@ -276,7 +266,7 @@ class TestBackendEquivalence:
     """One logical plan, every backend, identical results."""
 
     def test_row_plan_agrees_everywhere(self, backends):
-        columns, sources, _ = backends
+        columns, sources = backends
         ts = columns["ts"]
         lo, hi = int(ts[2000]), int(ts[2400])
         expr = col("ts").between(lo, hi) & col("status").isin([0, 2])
@@ -293,45 +283,35 @@ class TestBackendEquivalence:
 
     def test_two_pred_groupby_matches_legacy(self, backends):
         """The acceptance plan: 2-predicate filter + groupby-avg runs on
-        both backends and matches the legacy run_* path exactly."""
-        columns, sources, file = backends
+        both backends and matches a numpy reference exactly."""
+        columns, sources = backends
         ts = columns["ts"]
         lo, hi = int(ts[1000]), int(ts[2500])
         n_half = (int(columns["sensor_id"].max()) + 1) // 2
-        plan = (Plan.scan()
-                .where(col("ts").between(lo, hi)
-                       & col("sensor_id").between(0, n_half))
-                .aggregate({"avg": ("avg", "reading")},
-                           group_by="sensor_id"))
-        store_groups = plan.execute(sources["store"]).groups
-        parquet_groups = plan.execute(sources["parquet"]).groups
-        assert store_groups == parquet_groups
-        mask = ((ts >= lo) & (ts < hi) & (columns["sensor_id"] < n_half))
-        for key, row in store_groups.items():
-            sel = mask & (columns["sensor_id"] == key)
-            assert row["avg"] == pytest.approx(
-                float(columns["reading"][sel].mean()), rel=1e-12)
-        # 1-predicate version == the legacy engine helper, bit for bit
-        legacy_file = ParquetLikeFile.write(
-            {"ts": ts, "id": columns["sensor_id"],
-             "val": columns["reading"]}, "leco", row_group_size=1500,
-            partition_size=250)
-        legacy = run_filter_groupby_query(legacy_file, lo, hi)
-        one_pred = (Plan.scan()
-                    .where(col("ts").between(lo, hi))
+        window = (ts >= lo) & (ts < hi)
+        for pred, mask in (
+                (col("ts").between(lo, hi)
+                 & col("sensor_id").between(0, n_half),
+                 window & (columns["sensor_id"] < n_half)),
+                (col("ts").between(lo, hi), window)):
+            plan = (Plan.scan().where(pred)
                     .aggregate({"avg": ("avg", "reading")},
                                group_by="sensor_id"))
-        for name in ("store", "parquet"):
-            groups = one_pred.execute(sources[name]).groups
-            assert {k: v["avg"] for k, v in groups.items()} \
-                == legacy.answer, name
+            ids = columns["sensor_id"][mask]
+            readings = columns["reading"][mask]
+            expected = {int(key): float(readings[ids == key].mean())
+                        for key in np.unique(ids)}
+            for name, source in sources.items():
+                groups = plan.execute(source).groups
+                assert {k: v["avg"] for k, v in groups.items()} \
+                    == pytest.approx(expected, rel=1e-12), name
 
     def test_explain_reports_pruning(self, backends):
-        columns, sources, _ = backends
+        columns, sources = backends
         ts = columns["ts"]
         lo, hi = int(ts[3000]), int(ts[3030])  # ~0.5% selectivity
         plan = Plan.scan(["reading"]).where(col("ts").between(lo, hi))
-        for name in ("store", "parquet"):
+        for name in ("store", "memory"):
             res = plan.execute(sources[name])
             assert res.stats.granules_pruned > 0, name
             text = res.explain()
@@ -339,7 +319,7 @@ class TestBackendEquivalence:
             assert "Filter[pushed:" in text and "Scan[" in text
 
     def test_pushdown_modes_and_threads_agree(self, backends, tiers):
-        columns, sources, _ = backends
+        columns, sources = backends
         ts = columns["ts"]
         expr = (col("ts").between(int(ts[500]), int(ts[4000]))
                 & (col("status") == 0))
@@ -439,35 +419,6 @@ class TestBackendEquivalence:
             assert table.delete(col("k").between(64, 96)) == 32
             table.flush()
             check(path, np.arange(64, 192) >= 96)
-
-    def test_unsafe_source_stays_on_the_calling_thread(self, backends):
-        """A source that is not ``parallel_safe`` (ParquetSource charges
-        a caller-owned, unlocked IOModel) never reaches a scheduler,
-        even one passed explicitly."""
-        columns, _, file = backends
-        ts = columns["ts"]
-        plan = (Plan.scan(["ts", "reading"])
-                .where(col("ts").between(int(ts[500]), int(ts[4000]))))
-        serial_io = IOModel()
-        serial = execute(plan, ParquetSource(file, io=serial_io),
-                         threads=1)
-        io = IOModel()
-        trace = Trace("q")
-        with MorselScheduler(workers=2, name="t-unsafe") as sched:
-            res = execute(plan, ParquetSource(file, io=io),
-                          scheduler=sched, trace=trace)
-        assert obs_metrics.default_registry().get(
-            "repro_sched_granules_total").labels(
-                sched="t-unsafe").value == 0
-        assert (io.bytes_read, io.reads) \
-            == (serial_io.bytes_read, serial_io.reads)
-        assert io.reads > 0
-        assert np.array_equal(res.row_ids, serial.row_ids)
-        for column in ("ts", "reading"):
-            assert np.array_equal(res.columns[column],
-                                  serial.columns[column])
-        assert count_fields(res.stats) == count_fields(serial.stats)
-        assert_granule_spans_match(trace, res.stats)
 
 
 class TestOperators:
@@ -602,7 +553,7 @@ class TestCallingThread:
     query's zone-map decision; the rest are one driver-side partial."""
 
     def test_traced_query_has_one_prune_span(self, backends):
-        columns, sources, _ = backends
+        columns, sources = backends
         ts = columns["ts"]
         plan = Plan.scan(["reading"]).where(
             col("ts").between(int(ts[3000]), int(ts[3030])))
@@ -621,7 +572,7 @@ class TestCallingThread:
     def test_pruned_granules_never_run(self, backends, monkeypatch):
         from repro.exec.run import GranulePipeline
 
-        columns, sources, _ = backends
+        columns, sources = backends
         ts = columns["ts"]
         plan = Plan.scan(["reading"]).where(
             col("ts").between(int(ts[3000]), int(ts[3030])))
@@ -693,7 +644,7 @@ class TestAutoWorkers:
         arm: the shared pool runs nothing."""
         from repro.exec import pool
 
-        columns, sources, _ = backends
+        columns, sources = backends
         monkeypatch.setattr(pool.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
         shared = obs_metrics.default_registry().get(
@@ -904,9 +855,8 @@ def _expression(data, columns):
 if HAVE_HYPOTHESIS:
     class TestPushdownProperty:
         """Pushdown execution == naive decode-all-then-filter, for random
-        multi-predicate expressions, on both backends, for every integer
-        codec in the registry (ParquetLikeFile hosts its engine encodings;
-        the store hosts all of them)."""
+        multi-predicate expressions, for every integer codec in the
+        registry."""
 
         @pytest.mark.parametrize("codec", INT_CODECS)
         @given(data=st.data())
@@ -926,23 +876,6 @@ if HAVE_HYPOTHESIS:
                         chunk_rows=16)
             with Table.open(path) as table:
                 self._check(StoreSource(table), columns, expr, mask)
-
-        @pytest.mark.parametrize("encoding", ENCODINGS)
-        @given(data=st.data())
-        @settings(max_examples=6, deadline=None)
-        def test_parquet_backend(self, encoding, data):
-            raw = data.draw(st.lists(
-                st.integers(-(1 << 40), 1 << 40), min_size=1,
-                max_size=300))
-            values = np.array(raw, dtype=np.int64)
-            columns = {"v": values,
-                       "w": np.arange(len(values), dtype=np.int64)}
-            expr, mask = _expression(data, columns)
-            file = ParquetLikeFile.write(columns, encoding,
-                                         row_group_size=64,
-                                         partition_size=16)
-            self._check(ParquetSource(file, io=IOModel()), columns,
-                        expr, mask)
 
         @staticmethod
         def _check(source, columns, expr, mask):

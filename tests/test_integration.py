@@ -72,13 +72,18 @@ def test_string_pipeline_on_kvstore_keys():
 
 
 def test_engine_and_direct_codec_sizes_agree():
-    """The engine's leco chunks must match the standalone codec's sizes."""
-    from repro.engine import EncodedColumn
+    """The §5.1 figures' leco chunks in the store are exactly the
+    standalone codec's images under the store's partition plan."""
+    from repro.bench import cold_table
 
     values = load("ml", n=10_000).values
-    col = EncodedColumn(values, "leco", partition_size=1000)
-    direct = codecs.get("leco", partitioner=1000).encode(values)
-    assert col.size_bytes() == direct.compressed_size_bytes()
+    direct = codecs.get("leco", partitioner=1024, max_partition_size=1024)
+    with cold_table({"v": values}, "leco", chunk_rows=5000) as table:
+        for meta in table.shards[0].by_column["v"]:
+            chunk = values[meta.row_start: meta.row_start + meta.n_rows]
+            image = direct.encode(chunk).to_bytes()
+            assert table.chunk_bytes(0, meta) == image
+            assert meta.nbytes == len(image)
 
 
 def test_full_microbench_protocol_smoke():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore import (
+    IOModel,
     LRUBlockCache,
     LecoIndex,
     MiniLSM,
@@ -164,6 +165,17 @@ class TestMiniLSM:
         assert stats.cache_hits + stats.cache_misses > 0
         assert stats.throughput_mops > 0
 
+    def test_run_seeks_reports_its_own_io_delta(self, records):
+        """Each call reports the reads it charged; the store's model
+        keeps the running total instead of being reset per call."""
+        db = MiniLSM(records, "restart", table_records=2000,
+                     cache_bytes=1 << 14)
+        first = db.run_seeks(skewed_seek_keys(records, 300, seed=1))
+        second = db.run_seeks(skewed_seek_keys(records, 300, seed=2))
+        assert first.io_seconds > 0 and second.io_seconds > 0
+        assert db.io.seconds == pytest.approx(
+            first.io_seconds + second.io_seconds)
+
     def test_bigger_cache_fewer_misses(self, records):
         keys = skewed_seek_keys(records, 500)
         small = MiniLSM(records, "restart", table_records=2000,
@@ -177,6 +189,19 @@ class TestMiniLSM:
     def test_unknown_codec(self, records):
         with pytest.raises(ValueError):
             MiniLSM(records[:10], "nope")
+
+
+class TestIOModel:
+    def test_accounting(self):
+        io = IOModel(bandwidth_bytes_per_s=1e6, latency_s=0.001)
+        io.charge(5000)
+        io.charge(5000)
+        assert (io.bytes_read, io.reads) == (10_000, 2)
+        assert io.seconds == pytest.approx(0.01 + 0.002)
+
+    def test_negative_charge_rejected(self):
+        with pytest.raises(ValueError):
+            IOModel().charge(-1)
 
 
 class TestWorkload:
