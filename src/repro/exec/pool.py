@@ -27,7 +27,10 @@ on a bounded number of threads instead of oversubscribing.
 
 :func:`shared_scheduler` is the lazily-built process-wide instance
 ``execute`` uses when no scheduler is passed; servers build their own
-bounded instance.  Pool width has one home — the ``workers`` argument,
+bounded instance.  The shared instance is always the thread tier: a
+caller that wants worker processes passes a
+:class:`repro.par.ProcessScheduler` as ``scheduler=``.  Pool width has
+one home — the ``workers`` argument,
 :func:`configure_shared_scheduler` / ``REPRO_THREADS`` for the shared
 instance — and one default, :func:`auto_workers`.
 """
@@ -109,11 +112,10 @@ class MorselScheduler:
     threads no matter how many queries are in flight.
     """
 
-    #: which execution tier this scheduler is ("thread" / "process")
+    #: which execution tier this scheduler is: "thread", or "process"
+    #: when run_query callers should send a picklable query descriptor
+    #: (the process tier ships those to worker processes)
     tier = "thread"
-    #: True when run_query callers should build a picklable query
-    #: descriptor (the process tier ships those to worker processes)
-    wants_descriptors = False
 
     def __init__(self, workers: int | None = None,
                  max_inflight: int | None = None,
@@ -317,8 +319,8 @@ class MorselScheduler:
         description of the whole query (a
         :class:`repro.par.QueryDescriptor`); the thread tier ignores it,
         a process tier uses it to run granules out-of-process.  Callers
-        should only build one when the scheduler advertises
-        ``wants_descriptors``.
+        should only build one when the scheduler's :attr:`tier` is
+        ``"process"``.
         """
         items = list(items)
         if not self._admit(deadline, trace):
@@ -438,34 +440,19 @@ def shared_scheduler() -> MorselScheduler:
     return _shared
 
 
-def configure_shared_scheduler(workers: int | None = None,
-                               tier: str = "thread",
-                               start_method: str | None = None
+def configure_shared_scheduler(workers: int | None = None
                                ) -> MorselScheduler:
     """Replace the process-wide shared scheduler.
 
     Closes the previous instance (draining in-flight queries) and
-    installs a fresh one with the requested shape.  ``workers=None``
-    falls back to ``REPRO_THREADS`` and then the auto default — the
-    documented precedence is *configure > env > auto*.  ``tier`` may be
-    ``"process"`` to make every ``execute`` call that uses the shared
-    scheduler run its granules on :class:`repro.par.ProcessScheduler`
-    worker processes (``start_method`` passes through to it).
-    Admission stays unbounded either way.
+    installs a fresh thread-tier one, ``workers`` wide.
+    ``workers=None`` falls back to ``REPRO_THREADS`` and then the auto
+    default — the documented precedence is *configure > env > auto*.
+    Admission stays unbounded.
     """
-    if tier not in ("thread", "process"):
-        raise ValueError(
-            f"tier must be 'thread' or 'process', got {tier!r}")
     if workers is None:
         workers = _env_workers()
-    if tier == "process":
-        from repro.par import ProcessScheduler
-
-        fresh: MorselScheduler = ProcessScheduler(
-            workers=workers, start_method=start_method,
-            name="repro-exec-shared")
-    else:
-        fresh = MorselScheduler(workers=workers, name="repro-exec-shared")
+    fresh = MorselScheduler(workers=workers, name="repro-exec-shared")
     global _shared
     with _shared_lock:
         old, _shared = _shared, fresh

@@ -590,8 +590,8 @@ class GranulePipeline:
         zone maps (and positional bitmaps — an all-dead granule prunes
         through the implicit deletion-vector term), never from a chunk.
         Asked per granule inside :meth:`run`; a driver that prunes
-        before dispatch reads :attr:`pruned` whole instead, and ships
-        its descriptor with ``prune=False``."""
+        before dispatch reads :attr:`pruned` whole instead, and its
+        workers build their pipelines with ``prune=False``."""
         return self.pruned is not None and bool(self.pruned[granule.index])
 
     def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
@@ -749,7 +749,10 @@ def execute(plan: Plan, source, threads: int | None = None,
         process tier run only the granules that survive zone-map
         pruning (the rest are charged as one driver-side partial and,
         traced, one ``"prune"`` span); a thread-tier granule prunes
-        itself.
+        itself.  A process tier (``scheduler.tier == "process"``) is
+        sent a :class:`repro.par.QueryDescriptor` of the query, which
+        carries ``pushdown`` and ``on_corruption`` but no prune knob:
+        its workers run survivors only, so they never prune again.
     prune:
         Zone-map granule pruning (disable for the unpruned reference;
         results are identical).
@@ -768,7 +771,8 @@ def execute(plan: Plan, source, threads: int | None = None,
         is raised carrying the partial stats accumulated so far.
     scheduler:
         The :class:`~repro.exec.pool.MorselScheduler` (thread or
-        process tier) to run granules on instead of the shared one.
+        process tier) to run granules on instead of the shared one,
+        which is always the thread tier.
         The table server passes its bounded instance, so admission
         control and fair round-robin interleaving apply and
         :class:`~repro.exec.errors.ServerBusy` may be raised.
@@ -818,7 +822,7 @@ def execute(plan: Plan, source, threads: int | None = None,
             # foreground query beside a scan loses throughput when the
             # driver splits first (ROADMAP Par notes, "Who prunes")
             split = False
-            if getattr(sched, "wants_descriptors", False):
+            if sched.tier == "process":
                 # a process tier asks for a compact picklable descriptor
                 # of the whole query; sources that cannot be described
                 # (in-memory arrays, chains) return None and fall back
@@ -826,11 +830,11 @@ def execute(plan: Plan, source, threads: int | None = None,
                 from repro.par.descriptor import describe_query
 
                 desc = describe_query(
-                    plan, source, prune=False, pushdown=pushdown,
+                    plan, source, pushdown=pushdown,
                     on_corruption=on_corruption,
                     trace_enabled=trace is not None)
                 if desc is not None:
-                    # the workers are told not to ask again
+                    # its workers never prune: they are sent survivors
                     kwargs["descriptor"] = desc
                     split = True
         items = granules

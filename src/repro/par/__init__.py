@@ -28,10 +28,12 @@ Three pieces:
   with respawn + retry-once-then-
   :class:`~repro.exec.errors.GranuleError` death semantics.
 
-Pass one to ``execute(..., scheduler=ProcessScheduler(...))``, point
-the server at it with ``--worker-tier process``, or make it the
-process-wide default via
-``configure_shared_scheduler(tier="process")``.
+Pass one to ``execute(..., scheduler=ProcessScheduler(...))`` or point
+the server at it with ``--worker-tier process``; the process-wide
+shared scheduler stays the thread tier.  ``REPRO_PAR_START_METHOD``
+(:func:`~repro.par.scheduler.default_start_method`) chooses how every
+lane worker starts unless a ``ProcessScheduler(start_method=...)``
+says otherwise.
 """
 
 from repro.par.descriptor import (

@@ -7,19 +7,17 @@ every worker for free) and only needs to be told *which* query and
 table directory, the pinned manifest generation, the plan (reusing the
 PR 7 :meth:`~repro.exec.plan.Plan.to_json` wire format, which carries
 the pushdown expression — ranges, IN-sets, OR trees and positional
-bitmaps alike), and the executor knobs (``prune`` / ``pushdown`` /
+bitmaps alike), and the executor knobs (``pushdown`` /
 ``on_corruption``) the worker-side
 :class:`~repro.exec.run.GranulePipeline` is built with.
 
 **Who prunes.**  Zone-map pruning needs only footers and deletion
 vectors, and the driver holds both: :func:`repro.exec.run.execute`
-splits the granule set with :meth:`GranulePipeline.prunes` *before*
+splits the granule set with :attr:`GranulePipeline.pruned` *before*
 dispatch, charges the pruned count once, and sends survivors only.
-The descriptor it ships therefore always says ``prune=False`` — on the
-wire the field means "this granule was already tested, do not test it
-again", whatever the caller's own ``prune=`` was.  (A worker handed
-a ``prune=True`` descriptor still prunes on arrival; nothing in the
-package sends one.)
+So the descriptor carries no prune knob: a worker builds its pipeline
+with ``prune=False`` — every granule it is sent was already tested —
+whatever the caller's own ``prune=`` was.
 
 Two deliberate choices:
 
@@ -46,7 +44,7 @@ from repro.exec.plan import Plan
 __all__ = ["DESCRIPTOR_VERSION", "QueryDescriptor", "describe_query"]
 
 #: bumped on any incompatible change to the descriptor wire format
-DESCRIPTOR_VERSION = 3
+DESCRIPTOR_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class QueryDescriptor:
     n_rows: int                # drift guard: snapshot row count
     n_granules: int            # drift guard: snapshot granule count
     plan: dict                 # Plan.to_json() (carries the pushdown expr)
-    prune: bool                # False from execute(): the driver pruned
     pushdown: bool
     on_corruption: str         # "raise" | "skip"
     trace_enabled: bool = False  # worker records per-granule spans
@@ -74,7 +71,6 @@ class QueryDescriptor:
             "n_rows": self.n_rows,
             "n_granules": self.n_granules,
             "plan": self.plan,
-            "prune": self.prune,
             "pushdown": self.pushdown,
             "on_corruption": self.on_corruption,
             "trace_enabled": self.trace_enabled,
@@ -94,7 +90,6 @@ class QueryDescriptor:
             n_rows=int(obj["n_rows"]),
             n_granules=int(obj["n_granules"]),
             plan=obj["plan"],
-            prune=bool(obj["prune"]),
             pushdown=bool(obj["pushdown"]),
             on_corruption=obj["on_corruption"],
             trace_enabled=bool(obj["trace_enabled"]),
@@ -104,7 +99,7 @@ class QueryDescriptor:
         return Plan.from_json(self.plan)
 
 
-def describe_query(plan: Plan, source, *, prune: bool, pushdown: bool,
+def describe_query(plan: Plan, source, *, pushdown: bool,
                    on_corruption: str, trace_enabled: bool = False
                    ) -> QueryDescriptor | None:
     """Describe ``plan`` over ``source`` for out-of-process execution.
@@ -122,5 +117,5 @@ def describe_query(plan: Plan, source, *, prune: bool, pushdown: bool,
     if base is None:
         return None
     return QueryDescriptor(
-        plan=plan.to_json(), prune=prune, pushdown=pushdown,
+        plan=plan.to_json(), pushdown=pushdown,
         on_corruption=on_corruption, trace_enabled=trace_enabled, **base)

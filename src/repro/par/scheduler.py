@@ -245,7 +245,6 @@ class ProcessScheduler(MorselScheduler):
     """
 
     tier = "process"
-    wants_descriptors = True
 
     def __init__(self, workers: int | None = None,
                  max_inflight: int | None = None,

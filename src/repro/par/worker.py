@@ -228,8 +228,10 @@ class WorkerState:
                 f"worker opened version={source.table.generation} with "
                 f"{source.n_rows} rows / "
                 f"{len(source.granules())} granules")
+        # the driver pruned before dispatch: every granule sent here
+        # survived its zone maps, so testing them again is wasted work
         pipeline = GranulePipeline(
-            desc.build_plan(), source, prune=desc.prune,
+            desc.build_plan(), source, prune=False,
             pushdown=desc.pushdown, on_corruption=desc.on_corruption)
         entry = (pipeline, source, desc.trace_enabled)
         self._pipelines[desc_id] = entry

@@ -3,7 +3,9 @@
 Prints ``listening on HOST:PORT`` once the socket is bound (port 0
 picks a free port — scripts parse this line), serves until SIGINT or
 SIGTERM, then drains gracefully: in-flight requests finish, new ones
-are refused, exit status 0.
+are refused, exit status 0.  ``--worker-tier process`` workers start
+by ``REPRO_PAR_START_METHOD`` (``fork`` where available, else
+``spawn``).
 """
 
 from __future__ import annotations
@@ -45,12 +47,9 @@ def main(argv=None) -> int:
                         default="thread",
                         help="where granules execute: 'thread' (one "
                              "GIL) or 'process' (N worker processes, "
-                             "true multi-core decode)")
-    parser.add_argument("--start-method", default=None,
-                        choices=("fork", "spawn", "forkserver"),
-                        help="multiprocessing start method for "
-                             "--worker-tier process (default: fork "
-                             "where available)")
+                             "true multi-core decode; "
+                             "REPRO_PAR_START_METHOD picks how they "
+                             "start, fork where available)")
     parser.add_argument("--metrics-port", type=int, default=None,
                         help="also serve HTTP GET /metrics on this "
                              "port (0 picks a free port)")
@@ -69,7 +68,6 @@ def main(argv=None) -> int:
         cache_bytes=int(args.cache_mb * (1 << 20)),
         default_timeout_s=args.timeout_s,
         worker_tier=args.worker_tier,
-        start_method=args.start_method,
         metrics_port=args.metrics_port,
         slow_query_ms=args.slow_query_ms,
         slow_query_log=args.slow_query_log)

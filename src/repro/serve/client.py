@@ -1,8 +1,10 @@
 """``ServeClient`` — small blocking client for :class:`TableServer`.
 
 One TCP connection, one request in flight at a time; responses arrive
-in request order.  Requests are sent as wire version 2, so query rows
-come back as a binary result frame (:mod:`repro.serve.wire`).
+in request order.  Requests are sent as wire version 2, the only one
+there is, so query rows come back as a binary result frame
+(:mod:`repro.serve.wire`).  A query carries its table, plan, deadline
+and row cap; the server runs it with the executor's defaults.
 Server-side failures come back as typed exceptions and leave the
 connection usable:
 :class:`~repro.exec.errors.ServerBusy` when admission control rejects,
@@ -88,7 +90,7 @@ class ServeClient:
         return self._call({"op": "metrics"})
 
     def query(self, table: str, plan, timeout_s: float | None = None,
-              limit: int | None = None, **opts) -> dict:
+              limit: int | None = None) -> dict:
         """Execute ``plan`` (a :class:`~repro.exec.plan.Plan` or an
         already-encoded plan dict) and return the decoded result:
         ``n_rows`` / ``stats`` / ``explain`` plus either ``groups``
@@ -101,24 +103,22 @@ class ServeClient:
         element); keeping any one of them alive keeps the whole reply's
         bytes alive, so ``.copy()`` a column to hold on to it alone."""
         return self._call(self._request("query", table, plan,
-                                        timeout_s, limit, opts))
+                                        timeout_s, limit))
 
     def explain(self, table: str, plan,
-                timeout_s: float | None = None, **opts) -> dict:
+                timeout_s: float | None = None) -> dict:
         """Execute and return stats + annotated plan, no row payload."""
         return self._call(self._request("explain", table, plan,
-                                        timeout_s, None, opts))
+                                        timeout_s, None))
 
     @staticmethod
-    def _request(op, table, plan, timeout_s, limit, opts) -> dict:
+    def _request(op, table, plan, timeout_s, limit) -> dict:
         payload = plan.to_json() if hasattr(plan, "to_json") else plan
         req: dict = {"op": op, "table": table, "plan": payload}
         if timeout_s is not None:
             req["timeout_s"] = timeout_s
         if limit is not None:
             req["limit"] = limit
-        if opts:
-            req["opts"] = opts
         return req
 
     # ----------------------------------------------------------- lifecycle

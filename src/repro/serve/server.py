@@ -16,6 +16,11 @@ concurrent connections and executes their plans over the store through
   cooperative-cancellation machinery, and a request that spends its
   whole budget parked in the admission queue times out too.
 
+A request names a table, a plan, and optionally its deadline and a row
+cap (:data:`~repro.serve.wire.REQUEST_FIELDS`); the plan runs with the
+executor's defaults (zone-map pruning, pushdown, corrupt chunks
+raised).  A field the server does not read is refused, not ignored.
+
 Tables are the subdirectories of ``root`` that hold a store manifest
 (or ``root`` itself when it is a table).  Each is opened once, lazily,
 as an immutable snapshot — restart the server to pick up new published
@@ -43,9 +48,6 @@ from repro.serve import wire
 from repro.store.cache import DEFAULT_CAPACITY_BYTES, ChunkCache
 from repro.store.executor import StoreSource
 from repro.store.table import Table
-
-#: executor knobs a request may set (anything else is rejected)
-ALLOWED_OPTS = ("prune", "pushdown", "on_corruption")
 
 #: per-request deadline when the client does not send one
 DEFAULT_TIMEOUT_S = 30.0
@@ -101,7 +103,9 @@ class TableServer:
     (default :func:`~repro.exec.pool.auto_workers`).
     ``worker_tier="process"`` makes it a
     :class:`repro.par.ProcessScheduler` — granule decode runs in worker
-    processes, escaping the GIL on multi-core boxes.
+    processes, escaping the GIL on multi-core boxes; their start method
+    is :func:`repro.par.default_start_method` (``REPRO_PAR_START_METHOD``
+    chooses).
     """
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
@@ -110,7 +114,6 @@ class TableServer:
                  cache_bytes: int = DEFAULT_CAPACITY_BYTES,
                  default_timeout_s: float = DEFAULT_TIMEOUT_S,
                  worker_tier: str = "thread",
-                 start_method: str | None = None,
                  metrics_port: int | None = None,
                  slow_query_ms: float | None = None,
                  slow_query_log: str | None = None):
@@ -131,8 +134,7 @@ class TableServer:
 
             self.scheduler = ProcessScheduler(
                 workers=workers, max_inflight=max_inflight,
-                queue_depth=queue_depth, start_method=start_method,
-                name="repro-serve")
+                queue_depth=queue_depth, name="repro-serve")
         else:
             self.scheduler = MorselScheduler(
                 workers=workers, max_inflight=max_inflight,
@@ -206,10 +208,17 @@ class TableServer:
         frame, so an answer too big for one is an error like any
         other — raised here, before a byte of it is sent."""
         version = req.get("v")
-        if version not in wire.WIRE_VERSIONS:
+        if version != wire.WIRE_VERSION:
             raise ValueError(
                 f"unsupported request version {version!r} (this server "
-                f"speaks {' and '.join(map(str, wire.WIRE_VERSIONS))})")
+                f"speaks {wire.WIRE_VERSION})")
+        unknown = [field for field in req
+                   if field not in wire.REQUEST_FIELDS]
+        if unknown:
+            raise ValueError(
+                f"unknown request field(s) "
+                f"{', '.join(map(repr, unknown))}; the server reads: "
+                f"{', '.join(wire.REQUEST_FIELDS)}")
         op = req.get("op")
         if op not in wire.OPS:
             raise ValueError(f"unknown op {op!r}; supported: "
@@ -222,26 +231,27 @@ class TableServer:
             return _ok(obs_metrics.render_text())
         if op == "list_tables":
             return _ok(self.table_names())
-        # query / explain share the execution path
-        table_name = req.get("table")
-        _, source = self._resolve(table_name)
-        plan = Plan.from_json(req.get("plan"))
-        opts = req.get("opts") or {}
-        unknown = [k for k in opts if k not in ALLOWED_OPTS]
-        if unknown:
-            raise ValueError(
-                f"unknown option(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(ALLOWED_OPTS)}")
+        # query / explain share the execution path; exact types, so
+        # JSON's true (a Python bool, hence an int) is neither field
         timeout_s = req.get("timeout_s")
         if timeout_s is None:
             timeout_s = self.default_timeout_s
+        elif type(timeout_s) not in (int, float):
+            raise ValueError(
+                f"timeout_s must be a number, got {timeout_s!r}")
         limit = req.get("limit")
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise ValueError(
+                f"limit must be an integer >= 0, got {limit!r}")
+        table_name = req.get("table")
+        _, source = self._resolve(table_name)
+        plan = Plan.from_json(req.get("plan"))
         trace = Trace(op, table=table_name) \
             if self.slow_query_ms is not None else None
         t_query = time.perf_counter()
         try:
             res = plan.execute(source, scheduler=self.scheduler,
-                               timeout_s=timeout_s, trace=trace, **opts)
+                               timeout_s=timeout_s, trace=trace)
         except ExecTimeout:
             # a timed-out query is by definition slow: log it with
             # whatever spans it managed to record
@@ -252,7 +262,7 @@ class TableServer:
         self._maybe_log_slow(op, table_name, plan, trace,
                              time.perf_counter() - t_query,
                              result=res, timed_out=False)
-        return wire.result_frame(res, version, limit=limit,
+        return wire.result_frame(res, limit=limit,
                                  include_rows=(op == "query"))
 
     def _maybe_log_slow(self, op: str, table: str, plan: Plan, trace,

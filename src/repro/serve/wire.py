@@ -18,23 +18,20 @@ their first bytes, so a connection carries no protocol state:
   ``"blocks": [["row_ids", n], [column, n], ...]`` naming each block
   and its value count in order (``row_ids`` first); it is padded with
   spaces so the blocks start 8-byte aligned.  Only the ok-reply to a
-  version-2 ``query`` that returns rows is sent this way.
+  ``query`` that returns rows is sent this way.
 
-Request shape::
+Request shape — :data:`REQUEST_FIELDS`, and nothing else::
 
     {"v": 2, "op": "query" | "explain" | "stats" | "list_tables"
              | "ping" | "metrics",
      "table": "name",            # query / explain
      "plan": {...},              # Plan.to_json() payload
      "timeout_s": 5.0,           # optional per-request deadline
-     "limit": 100,               # optional row cap on the response
-     "opts": {"prune": true, "pushdown": true,
-              "on_corruption": "raise"}}
+     "limit": 100}               # optional row cap on the response
 
-``"v"`` is the whole negotiation: the server accepts every version in
-:data:`WIRE_VERSIONS`; a ``"v": 1`` client gets its rows as JSON lists
-inside a JSON frame, a ``"v": 2`` client (:class:`ServeClient` always
-sends :data:`WIRE_VERSION`) gets a result frame.  Nothing else differs.
+``"v"`` must be :data:`WIRE_VERSION` (what :class:`ServeClient`
+sends); any other version, and any field the server does not read, is
+refused with a one-line error.
 
 Response shape::
 
@@ -65,18 +62,18 @@ import numpy as np
 
 from repro.bitio.colblocks import pack_blocks, unpack_blocks
 
-#: wire protocol version this code's client sends (checked on every
-#: request)
+#: the one wire protocol version, sent by the client and required of
+#: every request by the server
 WIRE_VERSION = 2
-
-#: request versions the server answers
-WIRE_VERSIONS = (1, 2)
 
 #: refuse frames past this size (corrupt length prefix / abuse guard)
 MAX_FRAME_BYTES = 64 << 20
 
 #: request operations the server understands
 OPS = ("query", "explain", "stats", "list_tables", "ping", "metrics")
+
+#: the request fields the server reads (anything else is refused)
+REQUEST_FIELDS = ("v", "op", "table", "plan", "timeout_s", "limit")
 
 #: first payload bytes of a result frame (a JSON frame starts with "{")
 RESULT_MAGIC = b"RPRB"
@@ -112,18 +109,17 @@ def json_frame(obj: dict) -> list:
     return _frame([_dumps(obj)])
 
 
-def result_frame(res, version: int, limit: int | None = None,
+def result_frame(res, limit: int | None = None,
                  include_rows: bool = True) -> list:
     """The buffers of the ok-reply for an
-    :class:`~repro.exec.run.ExecResult`: a result frame when the client
-    speaks version 2 and there are rows to send, else the JSON frame of
-    :func:`encode_result`.
+    :class:`~repro.exec.run.ExecResult`: a result frame when there are
+    rows to send, else the JSON frame of :func:`encode_result`.
 
     The row blocks are ``memoryview`` s of the result's own arrays, so
     the frame is sized — and refused if over the cap — without copying
     them.
     """
-    if version >= 2 and include_rows and res.groups is None:
+    if include_rows and res.groups is None:
         arrays, truncated = _capped_rows(res, limit)
         header = _describe(res)
         header["truncated"] = truncated
@@ -248,7 +244,8 @@ def _capped_rows(res, limit: int | None) -> tuple[list, bool]:
 def encode_result(res, limit: int | None = None,
                   include_rows: bool = True) -> dict:
     """JSON-encode an :class:`~repro.exec.run.ExecResult` — the
-    ``result`` object of a version-1 reply, rows as lists.
+    ``result`` object of a JSON reply (``explain``, ``groups``), with
+    any rows as lists.
 
     ``limit`` caps the row payload (stats always describe the full
     execution); ``include_rows=False`` drops row data entirely (the
@@ -257,8 +254,8 @@ def encode_result(res, limit: int | None = None,
     out = _describe(res)
     if include_rows and res.groups is None:
         arrays, truncated = _capped_rows(res, limit)
-        # cast first, as the binary reply does: whatever dtype a column
-        # arrives in, both versions carry the same integers
+        # cast first, as the result frame does: whatever dtype a
+        # column arrives in, both encodings carry the same integers
         lists = [np.asarray(values, dtype=np.int64).tolist()
                  for values in arrays]
         out["row_ids"] = lists[0]

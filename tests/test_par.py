@@ -31,8 +31,7 @@ Nine suites:
   granule, a crash inside a run re-sends its granules alone, and a
   timed-out run frees its lane within one granule;
 * **shared scheduler config** — ``REPRO_THREADS`` and
-  :func:`configure_shared_scheduler` precedence, including swapping the
-  process-wide pool to the process tier and back;
+  :func:`configure_shared_scheduler` precedence;
 * **cache gauges** — ``repro_cache_used_bytes`` / ``repro_cache_entries``
   aggregate over every live cache at render time (no last-writer-wins
   clobbering), and function-backed gauges refuse direct mutation;
@@ -186,8 +185,8 @@ def _merge_partials(parts, names):
 # ===================================================================
 class TestDescriptor:
     def test_json_and_pickle_round_trip(self, source):
-        desc = describe_query(FILTER_PLAN, source, prune=True,
-                              pushdown=True, on_corruption="raise")
+        desc = describe_query(FILTER_PLAN, source, pushdown=True,
+                              on_corruption="raise")
         assert desc is not None
         # an ingest-only table is pinned like any other: by the integer
         # generation it was opened at, never by "whatever is current"
@@ -197,19 +196,20 @@ class TestDescriptor:
         wire = json.loads(json.dumps(desc.to_json()))
         wire = pickle.loads(pickle.dumps(
             wire, protocol=pickle.HIGHEST_PROTOCOL))
-        assert wire["v"] == DESCRIPTOR_VERSION == 3
+        assert wire["v"] == DESCRIPTOR_VERSION == 4
         assert wire["version"] == 0
-        assert "io_retries" not in wire
+        # the driver prunes before dispatch: nothing tells a worker to
+        assert "io_retries" not in wire and "prune" not in wire
         revived = QueryDescriptor.from_json(wire)
         assert revived == desc
         assert revived.build_plan().to_json() == FILTER_PLAN.to_json()
 
     def test_foreign_version_is_refused(self, source):
-        desc = describe_query(FILTER_PLAN, source, prune=True,
-                              pushdown=True, on_corruption="raise")
+        desc = describe_query(FILTER_PLAN, source, pushdown=True,
+                              on_corruption="raise")
         wire = desc.to_json()
-        # v2 carried "io_retries" and a nullable "version"
-        for foreign in (2, DESCRIPTOR_VERSION + 1):
+        # v2 carried "io_retries" and a nullable "version", v3 "prune"
+        for foreign in (2, 3, DESCRIPTOR_VERSION + 1):
             wire["v"] = foreign
             with pytest.raises(
                     ValueError,
@@ -219,8 +219,8 @@ class TestDescriptor:
 
     def test_memory_sources_are_not_describable(self):
         array = ArraySource({"v": np.arange(100)}, morsel_rows=10)
-        desc = describe_query(Plan.scan(["v"]), array, prune=True,
-                              pushdown=True, on_corruption="raise")
+        desc = describe_query(Plan.scan(["v"]), array, pushdown=True,
+                              on_corruption="raise")
         assert desc is None
 
     def test_fault_spec_round_trip(self):
@@ -288,8 +288,7 @@ if HAVE_HYPOTHESIS:
             with Table.open(path) as table:
                 src = StoreSource(table)
                 expected = plan.execute(src, threads=1)
-                desc = describe_query(plan, src, prune=True,
-                                      pushdown=True,
+                desc = describe_query(plan, src, pushdown=True,
                                       on_corruption="raise")
                 wire = pickle.loads(pickle.dumps(
                     json.loads(json.dumps(desc.to_json())),
@@ -431,7 +430,7 @@ class TestProcessEquivalence:
             with pytest.raises(GranuleError,
                                match="no manifest for version 0"):
                 plan.execute(src, scheduler=sched)
-            desc = describe_query(plan, src, prune=True, pushdown=True,
+            desc = describe_query(plan, src, pushdown=True,
                                   on_corruption="raise")
         # a manifest naming another generation than the one it is
         # published as is drift too, caught before any granule runs
@@ -458,8 +457,8 @@ class TestProcessEquivalence:
         assert_tiers_agree(plan, array, thread_sched, sched)
 
     def test_evicted_descriptor_asks_for_resend(self, source):
-        desc = describe_query(FILTER_PLAN, source, prune=True,
-                              pushdown=True, on_corruption="raise")
+        desc = describe_query(FILTER_PLAN, source, pushdown=True,
+                              on_corruption="raise")
         state = WorkerState(max_pipelines=1)
         state.run_granule(1, desc, 0)
         state.run_granule(2, desc, 0)  # evicts pipeline 1
@@ -1040,21 +1039,6 @@ class TestSharedSchedulerConfig:
         monkeypatch.delenv(THREADS_ENV, raising=False)
         configure_shared_scheduler()
 
-    def test_invalid_tier_is_loud(self):
-        with pytest.raises(ValueError, match="tier"):
-            configure_shared_scheduler(tier="fibers")
-
-    def test_process_tier_is_transparent(self, source):
-        expected = FILTER_PLAN.execute(source, threads=1)
-        try:
-            fresh = configure_shared_scheduler(workers=1,
-                                               tier="process")
-            assert fresh.tier == "process"
-            # auto-threaded execute: no scheduler argument at all
-            got = FILTER_PLAN.execute(source)
-            assert_rows_equal(got, expected)
-        finally:
-            assert configure_shared_scheduler().tier == "thread"
 
 
 # ===================================================================

@@ -506,8 +506,8 @@ class TestWire:
 
     def test_frame_round_trip(self):
         a, b = self._pair()
-        wire.write_frame(a, wire.json_frame({"op": "ping", "v": 1}))
-        assert wire.recv_frame(b) == {"op": "ping", "v": 1}
+        wire.write_frame(a, wire.json_frame({"op": "ping", "v": 2}))
+        assert wire.recv_frame(b) == {"op": "ping", "v": 2}
         a.close()
         assert wire.recv_frame(b) is None  # clean EOF
         b.close()
@@ -547,7 +547,7 @@ class TestWire:
         b.close()
 
 
-    # ------------------------------------------------ result frames (v2)
+    # ------------------------------------------------------ result frames
     @staticmethod
     def _result(columns, row_ids):
         """A row result as the executor would hand it to the wire."""
@@ -558,11 +558,11 @@ class TestWire:
             plan=Plan.scan(list(columns) or None).where(col("ts") >= -10),
             source_desc="golden", residual_desc="ts >= -10")
 
-    def _reply(self, res, version, limit=None):
-        """What a ``"v": version`` client receives for ``res``: the
-        frame's payload bytes and ``recv_frame``'s reading of it."""
+    def _reply(self, res, limit=None):
+        """What a client receives for ``res``: the frame's payload
+        bytes and ``recv_frame``'s reading of it."""
         a, b = self._pair()
-        frame = wire.result_frame(res, version, limit=limit)
+        frame = wire.result_frame(res, limit=limit)
         wire.write_frame(a, frame)
         a.close()
         reply = wire.recv_frame(b)
@@ -571,9 +571,17 @@ class TestWire:
         return b"".join(frame[1:]), reply["result"]
 
     @staticmethod
+    def _json_reply(res, limit=None):
+        """The bytes of a JSON reply carrying ``res`` with its rows as
+        lists — what the benchmark's outside ladder measures."""
+        return json.dumps({"ok": True,
+                           "result": wire.encode_result(res, limit=limit)},
+                          separators=(",", ":")).encode()
+
+    @staticmethod
     def _parent_encode_result(res, limit=None):
-        """``encode_result`` as the parent commit wrote it — the
-        per-element loop, kept as the reference for the v1 bytes."""
+        """``encode_result`` as an earlier commit wrote it — the
+        per-element loop, kept as the reference for its bytes."""
         from dataclasses import asdict
 
         out = {"n_rows": int(res.n_rows), "stats": asdict(res.stats),
@@ -585,20 +593,20 @@ class TestWire:
         out["truncated"] = n < res.n_rows
         return out
 
-    def test_v1_reply_is_byte_for_byte_the_parents(self, served_root):
+    def test_json_reply_bytes_are_pinned(self, served_root):
         res = self._result(
             {"ts": np.array([5, -7, 2**63 - 1], dtype=np.int64),
              "reading": np.array([0, -2**63, 9], dtype=np.int64)},
             np.array([0, 4, 9], dtype=np.int64))
-        # captured from the parent commit's server for this result
-        payload, _ = self._reply(res, 1)
+        # captured from an earlier server's JSON reply for this result
+        payload = self._json_reply(res)
         assert payload.startswith(
             b'{"ok":true,"result":{"n_rows":3,"stats":{"granules_total":3,')
         assert payload.endswith(
             b'"groups":null,"row_ids":[0,4,9],"columns":{"ts":[5,-7,'
             b'9223372036854775807],"reading":[0,-9223372036854775808,9]},'
             b'"truncated":false}}')
-        payload, _ = self._reply(res, 1, limit=2)
+        payload = self._json_reply(res, limit=2)
         assert payload.endswith(
             b'"groups":null,"row_ids":[0,4],"columns":{"ts":[5,-7],'
             b'"reading":[0,-9223372036854775808]},"truncated":true}}')
@@ -608,8 +616,7 @@ class TestWire:
             real = _selective_plan(columns, width=700).execute(
                 StoreSource(table), threads=1)
         for limit in (None, 0, 13, 10_000):
-            payload, _ = self._reply(real, 1, limit=limit)
-            assert payload == json.dumps(
+            assert self._json_reply(real, limit) == json.dumps(
                 {"ok": True,
                  "result": self._parent_encode_result(real, limit)},
                 separators=(",", ":")).encode()
@@ -622,12 +629,11 @@ class TestWire:
                names=st.lists(st.sampled_from("abcdef"), max_size=4,
                               unique=True),
                limit=st.one_of(st.none(), st.integers(0, 60)))
-        def test_property_rows_round_trip_both_versions(
-                self, data, n, names, limit):
+        def test_property_rows_round_trip(self, data, n, names, limit):
             """Every value lands exactly once, in order, none
-            duplicated, ``limit`` honoured — through the result frame
-            and through the JSON frame alike, whatever the memory
-            layout of the arrays handed to the wire."""
+            duplicated, ``limit`` honoured — through the result frame,
+            whatever the memory layout of the arrays handed to the
+            wire."""
             def column():
                 layout = data.draw(st.sampled_from(
                     ["plain", "strided", "sliced"]))
@@ -642,23 +648,17 @@ class TestWire:
             res = self._result({name: column() for name in names},
                                column())
             keep = n if limit is None else min(limit, n)
-            _, binary = self._reply(res, 2, limit=limit)
-            _, listed = self._reply(res, 1, limit=limit)
-            assert set(binary) == set(listed)
-            for key in ("n_rows", "stats", "explain", "groups",
-                        "truncated"):
-                assert binary[key] == listed[key], key
+            _, binary = self._reply(res, limit=limit)
             assert binary["n_rows"] == n
             assert binary["truncated"] == (keep < n)
-            assert list(binary["columns"]) == names \
-                == list(listed["columns"])
-            for got, old, want in [
-                    (binary["row_ids"], listed["row_ids"], res.row_ids),
-                    *((binary["columns"][name], listed["columns"][name],
-                       res.columns[name]) for name in names)]:
+            assert list(binary["columns"]) == names
+            for got, want in [
+                    (binary["row_ids"], res.row_ids),
+                    *((binary["columns"][name], res.columns[name])
+                      for name in names)]:
                 assert got.dtype == np.int64 and got.flags.writeable
                 assert got.flags.aligned
-                assert got.tolist() == old == want[:keep].tolist()
+                assert got.tolist() == want[:keep].tolist()
 
     #: payloads that start like a result frame (or almost) and are not
     MALFORMED_RESULT_PAYLOADS = {
@@ -692,7 +692,7 @@ class TestWire:
 
     def test_torn_result_frame_rejected(self):
         res = self._result({}, np.arange(50, dtype=np.int64))
-        whole = b"".join(wire.result_frame(res, 2))
+        whole = b"".join(wire.result_frame(res))
         a, b = self._pair()
         a.sendall(whole[:-100])  # the connection dies inside a block
         a.close()
@@ -704,17 +704,19 @@ class TestWire:
             self, monkeypatch):
         res = self._result({"ts": np.arange(500, dtype=np.int64)},
                            np.arange(500, dtype=np.int64))
-        for version in (2, 1):  # the JSON reply is the smaller one
-            size = len(b"".join(wire.result_frame(res, version))) - 4
+        # the JSON reply of ``explain``, then the result frame
+        sizes = {rows: len(b"".join(wire.result_frame(
+            res, include_rows=rows))) - 4 for rows in (False, True)}
+        for include_rows, size in sizes.items():
             monkeypatch.setattr(wire, "MAX_FRAME_BYTES", size)
-            assert wire.result_frame(res, version)  # at the cap: fine
+            assert wire.result_frame(res, include_rows=include_rows)
             monkeypatch.setattr(wire, "MAX_FRAME_BYTES", size - 1)
             with pytest.raises(
                     wire.WireError,
                     match=f"result of {size} bytes exceeds the "
                           f"{size - 1}-byte cap; pass limit="):
-                wire.result_frame(res, version)
-        assert wire.result_frame(res, 2, limit=10)
+                wire.result_frame(res, include_rows=include_rows)
+        assert wire.result_frame(res, limit=10)
         with pytest.raises(wire.WireError, match="frame of .* exceeds"):
             wire.json_frame({"pad": "x" * size})
 
@@ -735,11 +737,10 @@ def client(server):
         yield c
 
 
-def _query_v1(address, table, plan, **fields):
-    """A row query as a pre-v2 client sends it: one hand-rolled JSON
-    frame on its own socket, the reply read back as plain JSON."""
-    body = json.dumps({"v": 1, "op": "query", "table": table,
-                       "plan": plan.to_json(), **fields}).encode()
+def _raw_request(address, request):
+    """One hand-rolled JSON frame on its own socket, the reply (which
+    must be a JSON frame) read back as plain JSON."""
+    body = json.dumps(request).encode()
     with socket.create_connection(address) as raw, \
             raw.makefile("rb") as reader:
         raw.sendall(struct.pack(">I", len(body)) + body)
@@ -813,50 +814,6 @@ class TestTableServer:
             assert stats["queries_err"] == 1
             assert stats["cache"]["misses"] > 0
 
-    @pytest.mark.parametrize("tier", ["thread", "process"])
-    def test_v2_client_and_v1_request_agree_key_for_key(
-            self, served_root, tier):
-        root, columns = served_root
-        plan = _selective_plan(columns, width=5000)
-        # no chunk cache: every read count in the stats repeats exactly
-        with TableServer(root, workers=2, worker_tier=tier,
-                         cache_bytes=0) as srv, \
-                ServeClient(*srv.address) as c:
-            for limit in (None, 40):
-                fields = {} if limit is None else {"limit": limit}
-                new = c.query("events", plan, **fields)
-                reply = _query_v1(srv.address, "events", plan, **fields)
-                assert reply["ok"] is True
-                old = reply["result"]
-                assert set(new) == set(old) == {
-                    "n_rows", "stats", "explain", "groups", "row_ids",
-                    "columns", "truncated"}
-                assert new["n_rows"] == old["n_rows"] == 5000
-                assert new["truncated"] == old["truncated"] \
-                    == (limit is not None)
-                assert new["groups"] is None and old["groups"] is None
-                assert isinstance(old["row_ids"], list)
-                assert new["row_ids"].dtype == np.int64
-                assert new["row_ids"].tolist() == old["row_ids"]
-                assert len(old["row_ids"]) == (limit or 5000)
-                assert list(new["columns"]) == list(old["columns"])
-                for name, values in new["columns"].items():
-                    assert values.dtype == np.int64
-                    assert values.tolist() == old["columns"][name]
-                assert set(new["stats"]) == set(old["stats"])
-                for field, value in new["stats"].items():
-                    if isinstance(value, int) and \
-                            field != "cache_evictions":
-                        assert value == old["stats"][field], field
-                assert new["explain"].splitlines()[:2] \
-                    == old["explain"].splitlines()[:2]
-            # what carries no rows is a JSON frame for both versions
-            grouped = Plan.scan(["reading"]).aggregate(
-                {"n": ("count", "reading")}, group_by="status")
-            assert c.query("events", grouped)["groups"] \
-                == _query_v1(srv.address, "events",
-                             grouped)["result"]["groups"]
-
     def test_result_over_the_frame_cap_is_a_typed_answer(
             self, served_root, server, client, monkeypatch):
         """An answer too big for one frame is refused before any of it
@@ -873,7 +830,9 @@ class TestTableServer:
                            match=r"result of \d+ bytes exceeds the "
                                  r"16000-byte cap; pass limit="):
             client.query("events", plan)
-        reply = _query_v1(server.address, "events", plan)
+        reply = _raw_request(server.address, {
+            "v": wire.WIRE_VERSION, "op": "query", "table": "events",
+            "plan": plan.to_json()})
         assert reply == {"ok": False, "kind": "WireError",
                          "error": reply["error"]}
         assert "exceeds the 16000-byte cap; pass limit=" in reply["error"]
@@ -949,20 +908,84 @@ class TestTableServer:
             client.query("events", blob)
 
     def test_unknown_wire_version_is_one_liner(self, client):
-        for version in (3, 9, 0, None):
+        for version in (1, 3, 9, 0, None):
             with pytest.raises(
                     RuntimeError,
                     match=f"unsupported request version {version} "
-                          r"\(this server speaks 1 and 2\)$"):
+                          r"\(this server speaks 2\)$"):
                 client._call({"op": "ping", "v": version})
-        assert client._call({"op": "ping", "v": 1}) == "pong"
         assert client.ping() == "pong"  # sent as wire.WIRE_VERSION (2)
+
+    def test_v1_request_is_refused(self, served_root, server):
+        """A row query exactly as a version-1 client sent it gets one
+        typed line back, never rows."""
+        _, columns = served_root
+        reply = _raw_request(server.address, {
+            "v": 1, "op": "query", "table": "events",
+            "plan": _selective_plan(columns).to_json()})
+        assert reply == {
+            "ok": False, "kind": "ValueError",
+            "error": "unsupported request version 1 (this server "
+                     "speaks 2)"}
 
     def test_unknown_op_and_opts_rejected(self, client):
         with pytest.raises(RuntimeError, match="unknown op"):
             client._call({"op": "drop_all_tables"})
-        with pytest.raises(RuntimeError, match="unknown option"):
-            client.query("events", Plan.scan(None), threads=64)
+        # an old client's executor options are refused, not ignored
+        with pytest.raises(
+                RuntimeError,
+                match=r"^unknown request field\(s\) 'opts'; the server "
+                      r"reads: v, op, table, plan, timeout_s, limit$"):
+            client._call({"op": "query", "table": "events",
+                          "plan": Plan.scan(None).to_json(),
+                          "opts": {"on_corruption": "skip"}})
+
+    def test_fields_the_server_does_not_read_are_refused(
+            self, served_root, client):
+        _, columns = served_root
+        plan = _selective_plan(columns).to_json()
+        for request, named in (
+                ({"op": "query", "table": "events", "plan": plan,
+                  "limt": 3}, "'limt'"),
+                ({"op": "ping", "threads": 64}, "'threads'"),
+                ({"op": "explain", "table": "events", "plan": plan,
+                  "prune": False, "pushdown": False},
+                 "'prune', 'pushdown'")):
+            with pytest.raises(
+                    RuntimeError,
+                    match=rf"^unknown request field\(s\) {named}; "):
+                client._call(request)
+        # every refusal left the connection usable
+        assert client.query("events", plan, limit=3)["row_ids"].size == 3
+
+    def test_limit_and_timeout_from_the_wire_are_validated(
+            self, served_root, server, client):
+        """A bad ``limit`` or ``timeout_s`` is refused with one line
+        naming the field: a negative limit would slice from the end
+        (``-3`` over 10 rows sends 7), ``true`` would cap at one row,
+        and ``2.5`` would fail deep inside the reply encoder."""
+        _, columns = served_root
+        plan = _selective_plan(columns, width=10)
+        for limit in (-3, True, False, 2.5, "5", [1]):
+            with pytest.raises(
+                    RuntimeError,
+                    match=r"^limit must be an integer >= 0, got "):
+                client.query("events", plan, limit=limit)
+        for timeout_s in ("5", True, [1.0], {"s": 1}):
+            with pytest.raises(
+                    RuntimeError,
+                    match=r"^timeout_s must be a number, got "):
+                client.query("events", plan, timeout_s=timeout_s)
+        assert _raw_request(server.address, {
+            "v": wire.WIRE_VERSION, "op": "query", "table": "events",
+            "plan": plan.to_json(), "limit": -3}) == {
+                "ok": False, "kind": "ValueError",
+                "error": "limit must be an integer >= 0, got -3"}
+        res = client.query("events", plan, timeout_s=10, limit=0)
+        assert res["n_rows"] == 10 and res["truncated"]
+        assert res["row_ids"].size == 0
+        assert client.query("events", plan, timeout_s=2.5,
+                            limit=10)["truncated"] is False
 
     def test_malformed_frame_does_not_kill_the_server(self, server):
         host, port = server.address
@@ -1115,10 +1138,11 @@ class TestTableServer:
 class TestServeMain:
     @pytest.mark.parametrize("tier", ["thread", "process"])
     def test_subprocess_lifecycle(self, served_root, tier):
-        """The live-server drill on both tiers: rows agree across wire
-        versions, the core families are populated over the ``metrics``
-        op (worker series under ``proc="wN"`` on the process tier),
-        ``stats`` agrees with ``metrics``, SIGINT drains to exit 0."""
+        """The live-server drill on both tiers: the core families are
+        populated over the ``metrics`` op (worker series under
+        ``proc="wN"`` on the process tier), ``stats`` agrees with
+        ``metrics``, SIGINT drains to exit 0.  Lanes start by
+        ``REPRO_PAR_START_METHOD``, inherited by the server."""
         root, columns = served_root
         src = os.path.abspath(os.path.join(
             os.path.dirname(__file__), "..", "src"))
@@ -1154,15 +1178,9 @@ class TestServeMain:
                     {"outcome": "ok"}) == (
                         work["granules_total"] - work["granules_pruned"]
                         if tier == "process" else 0)
-                rows = _selective_plan(columns, width=3000)
-                new = c.query("events", rows)
-                old = _query_v1((host, int(port)), "events",
-                                rows)["result"]
-                assert new["n_rows"] == old["n_rows"] == 3000
-                assert new["row_ids"].tolist() == old["row_ids"]
-                assert {k: v.tolist()
-                        for k, v in new["columns"].items()} \
-                    == old["columns"], "v1 and v2 replies differ"
+                rows = c.query("events", _selective_plan(columns,
+                                                         width=3000))
+                assert rows["n_rows"] == rows["row_ids"].size == 3000
                 last, stats = _scrape_then_stats(c, plan, first)
                 for family in ("repro_serve_requests_total",
                                "repro_sched_granules_total",
