@@ -53,9 +53,10 @@ def base_shard_entries(base_table, pending_deleted: np.ndarray,
                        generation: int, directory: str) -> list[dict]:
     """Fold pending deletions into the base snapshot's shard entries.
 
-    Per shard: no deletions → the entry (and any existing sidecar)
-    carries over untouched; new deletions → a fresh sidecar is written
-    for ``generation``; every row deleted → the shard leaves the chain
+    Per shard: no deletions → the entry (and any existing sidecar and
+    its ``live_rows``) carries over untouched; new deletions → a fresh
+    sidecar is written for ``generation`` and the entry counts its
+    ``live_rows``; every row deleted → the shard leaves the chain
     entirely (its file stays on disk for older generations).
     ``row_start`` fields are left stale — :func:`commit` renumbers.
     """
@@ -77,23 +78,23 @@ def base_shard_entries(base_table, pending_deleted: np.ndarray,
                                    point="dv")
         new_entry = dict(entry)
         new_entry["dv"] = dv_name
+        new_entry["live_rows"] = n - int(combined.sum())
         entries.append(new_entry)
     return entries
 
 
-def finalize_entries(entries: list[dict], directory: str) -> list[dict]:
-    """Renumber ``row_start`` cumulatively and recompute ``live_rows``."""
+def finalize_entries(entries: list[dict]) -> list[dict]:
+    """Renumber ``row_start`` cumulatively.  ``live_rows`` is already
+    right: a carried-over sidecar keeps its count and a new one arrives
+    counted (:func:`base_shard_entries`), so no sidecar is re-read; an
+    entry without a sidecar drops the field."""
     row_start = 0
     out = []
     for entry in entries:
         entry = dict(entry)
         entry["row_start"] = row_start
         row_start += entry["n_rows"]
-        if entry.get("dv"):
-            with open(os.path.join(directory, entry["dv"]), "rb") as fh:
-                deleted = store_format.unpack_deletion_vector(fh.read())
-            entry["live_rows"] = entry["n_rows"] - int(deleted.sum())
-        else:
+        if not entry.get("dv"):
             entry.pop("live_rows", None)
         out.append(entry)
     return out
@@ -102,7 +103,7 @@ def finalize_entries(entries: list[dict], directory: str) -> list[dict]:
 def commit(directory: str, base: Manifest, entries: list[dict],
            generation: int) -> Manifest:
     """Publish ``entries`` as generation ``generation`` (steps 2-4)."""
-    entries = finalize_entries(entries, directory)
+    entries = finalize_entries(entries)
     manifest = Manifest(
         columns=base.columns,
         n_rows=sum(e["n_rows"] for e in entries),

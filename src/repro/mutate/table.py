@@ -186,8 +186,11 @@ class MutableTable:
         return Table.versions(self.path)
 
     def snapshot(self, version: int | None = None) -> Table:
-        """An independent read snapshot (caller closes it)."""
-        return Table.open(self.path, version=version)
+        """An independent read snapshot (caller closes it) of the
+        published tip, or of a pinned ``version``: a successor of this
+        handle's snapshot, so it maps only the shard files this handle
+        does not already hold (see :meth:`Table.successor`)."""
+        return self._base.successor(version)
 
     # ------------------------------------------------------------ writes
     def append(self, batch: dict) -> int:
@@ -413,16 +416,19 @@ class MutableTable:
     def _reopen(self, generation: int) -> None:
         """Swing this handle onto the just-committed generation.
 
-        The superseded snapshot is *retired*, not closed: scans that
-        grabbed a source from :meth:`source` before this commit may
-        still be reading through it on other threads (that is the whole
-        point of snapshot isolation).  Retired snapshots close when the
-        handle does.
+        The new snapshot is the old one's :meth:`Table.successor`: it
+        shares every shard file (and deletion vector) the commit did not
+        replace, so a commit opens only the files it wrote.  The
+        superseded snapshot is *retired*, not closed: scans that grabbed
+        a source from :meth:`source` before this commit may still be
+        reading through it on other threads (that is the whole point of
+        snapshot isolation).  Retired snapshots close when the handle
+        does; a shard file closes with the last snapshot naming it.
         """
         sync = self._wal.sync
         self._wal.close()
         self._retired.append(self._base)
-        self._base = Table.open(self.path)
+        self._base = self._base.successor()
         assert self._base.generation == generation
         self._base_source = StoreSource(self._base)
         self._memtable = MemTable(self.schema, self._base.n_rows)

@@ -17,8 +17,9 @@ keep revived chunks in a bounded LRU cache::
 
 Tables mutated through :mod:`repro.mutate` carry a manifest generation
 chain: ``Table.open(path, version=g)`` pins any published snapshot
-(time travel), and deletion-vector sidecars mask deleted rows through
-the executor's positional ``Bitmap`` machinery.
+(time travel), ``table.successor()`` opens a later one sharing every
+shard file both name, and deletion-vector sidecars mask deleted rows
+through the executor's positional ``Bitmap`` machinery.
 
 Since the v2 shard layout every chunk envelope and footer catalog is
 crc32-checksummed end to end: a cache-miss revive that fails

@@ -10,12 +10,21 @@ concurrent reader never sees a torn table.  No chunk bytes are touched
 until a scan asks for them, and zone-map-pruned chunks are never touched
 at all — the page cache plus the bounded LRU chunk cache are the only
 state between scans.
+
+A snapshot is a placement (:class:`Shard`: global ``row_start`` and
+deletion vector) over reference-counted open files (:class:`ShardFile`:
+mmap, verified footer).  Shard files are write-once, so
+:meth:`Table.successor` opens the next generation by sharing every file
+it has in common with the snapshot it replaces — the LSM way, where a
+new version keeps the readers of every file it did not change — and a
+commit opens only the files it wrote.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import threading
 import time
 import zlib
 
@@ -42,84 +51,152 @@ _M_TABLES_OPENED = obs_metrics.counter(
 _M_SHARDS_OPENED = obs_metrics.counter(
     "repro_store_shards_opened_total", "shard files opened (mmap)")
 
+#: guards every :class:`ShardFile` reference count (snapshots of one
+#: table may be opened and closed on different threads)
+_REFS_LOCK = threading.Lock()
 
-class Shard:
-    """One opened shard file: mmap + parsed footer catalog.
 
-    ``row_start`` is the shard's *global* first row in the snapshot it
-    was opened for (manifest-assigned — compaction can shift a shard's
-    position in the chain without rewriting its footer);
-    ``deleted`` is the generation's deletion vector for this shard
-    (shard-local boolean mask, ``None`` when every row is live).
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size
+
+
+class ShardFile:
+    """One open shard file, shared by every snapshot that names it.
+
+    Holds the file's read-only mmap (the mapping keeps its own
+    descriptor, so the file object closes as soon as it is mapped), the
+    footer catalog — its crc32 verified once, here, when the file is
+    first opened — and the footer's per-column chunk index.
+    Reference-counted: every :class:`Table` holding it owns one
+    reference, and the mapping closes with the last one released.
+    ``open_s`` is what that first open cost.
     """
 
     def __init__(self, path: str):
+        t_open = time.perf_counter()
         self.path = path
-        self._file = open(path, "rb")
+        with open(path, "rb") as fh:
+            self.mmap = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            #: (device, inode, size) of the file as mapped
+            self.identity = _identity(os.fstat(fh.fileno()))
         try:
-            self.mmap = mmap.mmap(self._file.fileno(), 0,
-                                  access=mmap.ACCESS_READ)
-            try:
-                self.footer: ShardFooter = unpack_footer(self.mmap)
-            except BaseException:
-                self.mmap.close()
-                raise
+            self.footer: ShardFooter = unpack_footer(self.mmap)
         except BaseException:
-            self._file.close()
+            self.mmap.close()
             raise
-        self.row_start: int = self.footer.row_start
-        self.deleted: np.ndarray | None = None
         self.by_column: dict[str, tuple[ChunkMeta, ...]] = {}
         for chunk in self.footer.chunks:
             self.by_column.setdefault(chunk.column, ())
         for column in self.by_column:
             self.by_column[column] = self.footer.column_chunks(column)
+        self._refs = 1
+        self.open_s = time.perf_counter() - t_open
+        _M_SHARDS_OPENED.inc()
 
-    def close(self) -> None:
-        self.mmap.close()
-        self._file.close()
+    def acquire(self) -> bool:
+        """Take one more reference for another snapshot — only while
+        this file is still open and ``os.stat`` of its path still
+        matches the file as it was mapped (device, inode, size: a file
+        replaced under the same name, or resized in place, fails);
+        ``False`` otherwise, and the caller opens the path fresh."""
+        try:
+            named = _identity(os.stat(self.path))
+        except OSError:
+            return False
+        with _REFS_LOCK:
+            if not self._refs or named != self.identity:
+                return False
+            self._refs += 1
+            return True
+
+    def release(self) -> None:
+        """Drop one reference; the last one closes the mapping."""
+        with _REFS_LOCK:
+            self._refs -= 1
+            last = self._refs == 0
+        if last:
+            self.mmap.close()
+
+
+class Shard:
+    """One snapshot's placement of a :class:`ShardFile`.
+
+    ``row_start`` is the shard's *global* first row in this snapshot
+    (manifest-assigned — compaction can shift a shard's position in the
+    chain without rewriting its footer); ``deleted`` is the generation's
+    deletion vector for it (shard-local boolean mask, ``None`` when
+    every row is live), loaded from the sidecar ``dv``.  ``path``,
+    ``mmap``, ``footer`` and ``by_column`` are the shared file's.
+    """
+
+    def __init__(self, file: ShardFile, row_start: int):
+        self.file = file
+        self.path = file.path
+        self.mmap = file.mmap
+        self.footer = file.footer
+        self.by_column = file.by_column
+        self.row_start = row_start
+        self.deleted: np.ndarray | None = None
+        self.dv: str | None = None
 
 
 class Table:
-    """Read-only snapshot of one store directory (use :meth:`open`)."""
+    """Read-only snapshot of one store directory (use :meth:`open`, or
+    :meth:`successor` to move an open snapshot to a later generation)."""
 
     def __init__(self, path: str, cache_bytes: int = DEFAULT_CAPACITY_BYTES,
                  version: int | None = None,
                  cache: ChunkCache | None = None):
+        self._open(path, read_manifest(path, version=version), (),
+                   cache_bytes, cache)
+
+    def _open(self, path: str, manifest: Manifest, held, cache_bytes: int,
+              cache: ChunkCache | None) -> None:
+        """Open ``manifest``'s snapshot, sharing the open file of every
+        shard in ``held`` (another snapshot's) that it names again."""
         self.path = path
-        self.manifest: Manifest = read_manifest(path, version=version)
+        self.manifest = manifest
         self.shards: list[Shard] = []
+        reusable = {shard.path: shard for shard in held}
         try:
             row_start = 0
-            for entry in self.manifest.shards:
-                t_open = time.perf_counter()
-                shard = Shard(os.path.join(path, entry["file"]))
-                shard.open_s = time.perf_counter() - t_open
-                _M_SHARDS_OPENED.inc()
+            for entry in manifest.shards:
+                file_path = os.path.join(path, entry["file"])
+                prev = reusable.get(file_path)
+                if prev is not None and prev.file.acquire():
+                    file = prev.file
+                else:
+                    prev, file = None, ShardFile(file_path)
+                shard = Shard(file, row_start)
                 self.shards.append(shard)
                 if shard.footer.n_rows != entry["n_rows"] or \
                         entry["row_start"] != row_start:
                     raise ValueError(
                         f"shard {entry['file']!r} footer disagrees with "
                         "the manifest (mixed table versions?)")
-                shard.row_start = row_start
                 row_start += entry["n_rows"]
-                if entry.get("dv"):
-                    with open(os.path.join(path, entry["dv"]), "rb") as fh:
+                shard.dv = entry.get("dv")
+                if shard.dv and prev is not None and prev.dv == shard.dv:
+                    # sidecars are generation-suffixed, never rewritten
+                    shard.deleted = prev.deleted
+                elif shard.dv:
+                    with open(os.path.join(path, shard.dv), "rb") as fh:
                         deleted = unpack_deletion_vector(fh.read())
                     if len(deleted) != entry["n_rows"]:
                         raise ValueError(
-                            f"deletion vector {entry['dv']!r} covers "
+                            f"deletion vector {shard.dv!r} covers "
                             f"{len(deleted)} rows, shard holds "
                             f"{entry['n_rows']}")
                     shard.deleted = deleted
-            if row_start != self.manifest.n_rows:
+            if row_start != manifest.n_rows:
                 raise ValueError(
-                    f"manifest declares {self.manifest.n_rows} rows, "
+                    f"manifest declares {manifest.n_rows} rows, "
                     f"shards hold {row_start}")
         except BaseException:
+            # release only what this snapshot acquired: a file it shares
+            # stays open for the snapshot that lent it
             for shard in self.shards:
-                shard.close()
+                shard.file.release()
             raise
         # a caller-supplied cache is *shared* (the table server hands one
         # cache to every table it opens) and survives this table's close
@@ -127,6 +204,7 @@ class Table:
         self.cache: ChunkCache | None = cache if cache is not None else (
             ChunkCache(cache_bytes) if cache_bytes else None)
         self._live_mask: np.ndarray | None = None
+        self._deleted_rows: int | None = None
         _M_TABLES_OPENED.inc()
 
     @classmethod
@@ -142,6 +220,30 @@ class Table:
         """
         return cls(path, cache_bytes=cache_bytes, version=version,
                    cache=cache)
+
+    def successor(self, version: int | None = None) -> "Table":
+        """A new snapshot of the generation ``CURRENT`` names now (or a
+        pinned ``version``) that shares this snapshot's open shard files.
+
+        The same open loop as :meth:`open`, with this snapshot's shards
+        to reuse: a file the new manifest names again is shared only if
+        ``os.stat`` of its path still matches the file as it was mapped
+        (device, inode, size) — anything else opens fresh — and a shard
+        whose entry names the same deletion-vector sidecar shares its
+        mask too.  The checks stay: each footer's crc was verified when
+        its file was first opened, each shard's footer is checked against
+        the new manifest entry, and every chunk's crc on each cache-miss
+        revive.  The successor's cache is this one's if it was injected
+        (shared), else a fresh one of the same capacity.  The two
+        snapshots are independent: close each; a failed successor
+        releases only what it acquired.
+        """
+        table = type(self).__new__(type(self))
+        table._open(self.path, read_manifest(self.path, version=version),
+                    self.shards,
+                    self.cache.capacity_bytes if self.cache is not None
+                    else 0, None if self._owns_cache else self.cache)
+        return table
 
     @staticmethod
     def versions(path: str) -> list[int]:
@@ -174,8 +276,12 @@ class Table:
 
     @property
     def deleted_rows(self) -> int:
-        return sum(int(s.deleted.sum()) for s in self.shards
-                   if s.deleted is not None)
+        """Rows the deletion vectors mask, counted once per snapshot."""
+        if self._deleted_rows is None:
+            self._deleted_rows = sum(int(s.deleted.sum())
+                                     for s in self.shards
+                                     if s.deleted is not None)
+        return self._deleted_rows
 
     def live_mask(self) -> np.ndarray | None:
         """Table-global boolean mask of live rows, or ``None`` when every
@@ -198,7 +304,12 @@ class Table:
         return sum(c.nbytes for s in self.shards for c in s.footer.chunks)
 
     def info(self) -> dict:
-        """Catalog summary (the CLI's ``info`` payload)."""
+        """Catalog summary (the CLI's ``info`` payload).
+
+        A shard's ``open_ms`` is what opening its file cost; for a file
+        this snapshot shares with an earlier one (:meth:`successor`) it
+        is the open that first mapped the file — this snapshot paid only
+        a stat for it."""
         codec_mix: dict[str, int] = {}
         for shard in self.shards:
             for chunk in shard.footer.chunks:
@@ -224,8 +335,7 @@ class Table:
                                      for c in shard.footer.chunks),
                  "deleted_rows": int(shard.deleted.sum())
                  if shard.deleted is not None else 0,
-                 "open_ms": round(
-                     getattr(shard, "open_s", 0.0) * 1e3, 3)}
+                 "open_ms": round(shard.file.open_s * 1e3, 3)}
                 for shard in self.shards],
         }
 
@@ -308,9 +418,12 @@ class Table:
 
     # ---------------------------------------------------------- lifecycle
     def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-        self.shards = []
+        """Release this snapshot's shard files (a file another open
+        snapshot shares stays open for it) and its own cache; a second
+        call is a no-op."""
+        shards, self.shards = self.shards, []
+        for shard in shards:
+            shard.file.release()
         if self.cache is not None and self._owns_cache:
             self.cache.clear()
 

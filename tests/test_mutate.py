@@ -10,6 +10,8 @@ tail, never committed rows).
 """
 
 import os
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,7 +42,9 @@ from repro.obs.metrics import default_registry
 from repro.par import ProcessScheduler
 from repro.store import Table, write_table
 from repro.store.executor import StoreSource
+from repro.store import format as store_format
 from repro.store.format import dv_file_name, manifest_file_name
+from repro.store.table import ShardFile
 
 INT_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_integers]
@@ -723,6 +727,269 @@ class TestSnapshotSource:
             res = table.scan(["k"], where=("k", 0, 400))
             assert sorted(res.columns["k"].tolist()) \
                 == list(range(10)) + list(range(300, 400))
+
+
+# ---------------------------------------------------- shared shard files
+def _shard_links(path: str) -> Counter:
+    """This process's open descriptors per shard file (``.rps``) of the
+    table at ``path``, read from ``/proc/self/fd``; skips the calling
+    test where there is no such directory."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("needs /proc/self/fd to count open descriptors")
+    root = os.path.realpath(path) + os.sep
+    links: Counter = Counter()
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:
+            continue  # the listing's own descriptor, already closed
+        if target.startswith(root) and target.endswith(".rps"):
+            links[target] += 1
+    return links
+
+
+def _shards_opened() -> float:
+    return default_registry().get("repro_store_shards_opened_total").value
+
+
+def _published_files(path: str) -> set[str]:
+    """Every shard file some published generation names."""
+    return {os.path.realpath(os.path.join(path, entry["file"]))
+            for generation in Table.versions(path)
+            for entry in store_format.read_manifest(
+                path, version=generation).shards}
+
+
+def _rps_files(path: str) -> set[str]:
+    return {name for name in os.listdir(path) if name.endswith(".rps")}
+
+
+class TestSharedShardFiles:
+    """A commit opens only the files it wrote: successive snapshots share
+    their unchanged shards' open files, each file is open exactly once
+    however many snapshots name it, and it closes with the last one."""
+
+    def make(self, tmp_path, n=400):
+        table = MutableTable.create(str(tmp_path / "t"),
+                                    schema=("k", "v"), shard_rows=100,
+                                    chunk_rows=25)
+        table.append({"k": np.arange(n), "v": np.arange(n) * 3})
+        table.flush()
+        return table
+
+    def churn(self, table, rounds=4):
+        """Rounds of append + retention delete + update + flush, then a
+        compaction: files carried over, sidecars replaced, shards
+        dropped whole and rewritten."""
+        for i in range(rounds):
+            lo = 1000 + 60 * i
+            table.append({"k": np.arange(lo, lo + 60),
+                          "v": np.arange(60)})
+            table.delete(("k", 60 * i, 60 * i + 60))
+            table.update("k", 350, {"v": i})
+            table.flush()
+        assert table.compact(threshold=0.9) is not None
+
+    def test_every_named_shard_file_is_open_exactly_once(self, tmp_path):
+        table = self.make(tmp_path)
+        try:
+            one = next(iter(_shard_links(table.path)))
+            held = _shard_links(table.path)[one]
+            probe = ShardFile(one)  # what one open costs, in descriptors
+            per_file = _shard_links(table.path)[one] - held
+            probe.release()
+            self.churn(table)
+            # the handle retired a snapshot at every commit since it
+            # opened, so every published generation is held right now
+            named = _published_files(table.path)
+            links = _shard_links(table.path)
+            assert set(links) == named
+            assert set(links.values()) == {per_file}
+        finally:
+            table.close()
+
+    def test_a_commit_opens_only_the_files_it_wrote(self, tmp_path):
+        with self.make(tmp_path) as table:
+            def commit(step):
+                files, opened = _rps_files(table.path), _shards_opened()
+                step()
+                wrote = _rps_files(table.path) - files
+                assert _shards_opened() - opened == len(wrote)
+                return len(wrote)
+
+            def append_and_flush():
+                table.append({"k": np.arange(500, 650),
+                              "v": np.arange(150)})
+                table.flush()
+
+            def delete_and_flush():
+                table.delete(("k", 0, 130))
+                table.flush()
+
+            assert commit(append_and_flush) == 2
+            assert commit(delete_and_flush) == 0
+            assert commit(lambda: table.compact(threshold=0.9)) == 1
+
+    def test_a_flush_rereads_no_deletion_vector_it_did_not_write(
+            self, tmp_path, monkeypatch):
+        import repro.store.table as store_table
+
+        calls = []
+        unpack = store_format.unpack_deletion_vector
+
+        def counting(blob):
+            calls.append(1)
+            return unpack(blob)
+
+        monkeypatch.setattr(store_format, "unpack_deletion_vector",
+                            counting)
+        monkeypatch.setattr(store_table, "unpack_deletion_vector",
+                            counting)
+        with self.make(tmp_path) as table:
+            table.delete(("k", 10, 20))
+            table.delete(("k", 210, 220))
+            table.flush()  # two shards gain a sidecar
+            assert len(calls) == 2
+            del calls[:]
+            table.append({"k": [900], "v": [0]})
+            table.flush()  # carries both sidecars over
+            assert calls == []
+            table.delete(("k", 220, 230))
+            table.flush()  # replaces one of them
+            assert len(calls) == 1
+            assert table.n_rows == len(table) == 371
+
+    def test_sources_keep_answering_from_their_snapshots(self, tmp_path):
+        plan = Plan.scan(["k", "v"])
+        with self.make(tmp_path) as table:
+            before_flush = table.source()
+            dropped = before_flush.table.manifest.shards[0]["file"]
+            table.append({"k": [900], "v": [7]})
+            table.delete(("k", 0, 20))
+            table.flush()
+            before_compact = table.source()
+            table.delete(("k", 20, 80))
+            table.flush()
+            assert table.compact(threshold=0.5) is not None
+            assert dropped not in {entry["file"] for entry
+                                   in table.source().table.manifest.shards}
+            old = plan.execute(before_flush, threads=1).columns
+            assert old["k"].tolist() == list(range(400))
+            assert old["v"].tolist() == list(range(0, 1200, 3))
+            mid = plan.execute(before_compact, threads=1).columns
+            assert mid["k"].tolist() == list(range(20, 400)) + [900]
+            now = table.scan(["k"]).columns["k"]
+            assert now.tolist() == list(range(80, 400)) + [900]
+
+    def test_close_releases_every_file_and_is_idempotent(self, tmp_path):
+        table = self.make(tmp_path)
+        self.churn(table, rounds=2)
+        snap = table.snapshot()
+        assert _shard_links(table.path)
+        table.close()
+        # the caller's snapshot still holds what it names
+        assert set(_shard_links(table.path)) == {
+            os.path.realpath(shard.path) for shard in snap.shards}
+        assert snap.scan(["k"]).n_rows == snap.live_rows
+        snap.close()
+        assert not _shard_links(table.path)
+        table.close()
+        snap.close()
+        assert not _shard_links(table.path)
+
+    def test_a_replaced_file_is_opened_fresh(self, tmp_path):
+        with self.make(tmp_path) as table:
+            path = table.path
+        with Table.open(path) as snap:
+            victim = snap.shards[1].path
+            shutil.copyfile(victim, victim + ".copy")
+            os.replace(victim + ".copy", victim)  # same bytes, new inode
+            opened = _shards_opened()
+            with snap.successor() as succ:
+                assert _shards_opened() - opened == 1
+                assert succ.shards[1].file is not snap.shards[1].file
+                assert all(succ.shards[i].file is snap.shards[i].file
+                           for i in (0, 2, 3))
+                assert succ.read_column("k").tolist() == list(range(400))
+            grown = snap.shards[2].path
+            with open(grown, "ab") as fh:  # same inode, new size
+                fh.write(b"\0")
+            with pytest.raises(ValueError, match="trailer"):
+                snap.successor()
+            assert snap.read_column("k").tolist() == list(range(400))
+
+    def test_concurrent_successors_lose_no_reference(self, tmp_path):
+        """Six threads open and close successors of one snapshot at a
+        tiny switch interval: a lost count update would leave a file
+        held after the last close, or close it under a live reader."""
+        import sys
+        import threading
+
+        with self.make(tmp_path) as table:
+            path = table.path
+        base = Table.open(path, cache_bytes=0)
+        errors = []
+
+        def churn():
+            try:
+                for _ in range(40):
+                    with base.successor() as snap:
+                        assert snap.shards[-1].file is base.shards[-1].file
+                        assert snap.read_column("k")[-1] == 399
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [shard.file._refs for shard in base.shards] == [1] * 4
+        assert base.read_column("k").tolist() == list(range(400))
+        base.close()
+        assert not _shard_links(path)
+
+    @pytest.mark.parametrize("damage", ["truncated footer",
+                                        "deletion vector length"])
+    def test_a_failed_successor_leaves_its_predecessor_whole(
+            self, tmp_path, damage):
+        with self.make(tmp_path) as table:
+            path = table.path
+        snap = Table.open(path)
+        with MutableTable.open(path) as table:
+            if damage == "truncated footer":
+                table.append({"k": np.arange(400, 450),
+                              "v": np.arange(50)})
+            else:
+                table.delete(("k", 0, 10))
+            table.flush()
+            entry = table.source().table.manifest.shards[
+                -1 if damage == "truncated footer" else 0]
+        if damage == "truncated footer":
+            target = os.path.join(path, entry["file"])
+            with open(target, "rb") as fh:
+                blob = fh.read()
+            with open(target, "wb") as fh:
+                fh.write(blob[:-9])
+        else:
+            with open(os.path.join(path, entry["dv"]), "wb") as fh:
+                fh.write(store_format.pack_deletion_vector(
+                    np.zeros(entry["n_rows"] + 1, dtype=bool)))
+        held = _shard_links(path)
+        with pytest.raises(ValueError, match="trailer|covers"):
+            snap.successor()
+        assert _shard_links(path) == held
+        assert snap.read_column("k").tolist() == list(range(400))
+        snap.close()
+        assert not _shard_links(path)
 
 
 @pytest.fixture(scope="module")
