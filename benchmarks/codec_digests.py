@@ -14,13 +14,14 @@ under each partition plan, ``leco`` under every registered regressor and
 included — LAPACK decides those bytes, so compare runs from one machine
 only), over the golden inputs of
 ``tests/test_codec_conformance.py`` plus sensor-fixture chunks, 40-bit
-jumps and full-range hashes.  Not a CI gate: some changes move bytes on
+jumps and full-range hashes.  Not a byte gate: some changes move bytes on
 purpose; ``TestGoldenBytes`` pins the platform-independent subset.
 
 Each image is also read back: ``codecs.from_bytes(blob)`` must decode to the
 input and re-serialise to ``blob`` byte for byte.  The first form that does
 not is named on stderr and the run exits 1, so an empty ``diff`` covers
-revive as well as write.
+revive as well as write, and CI runs the script (output discarded) as a
+round-trip gate.
 """
 
 from __future__ import annotations

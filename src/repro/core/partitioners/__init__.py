@@ -10,10 +10,9 @@ from repro.core.partitioners.advisor import (
 )
 from repro.core.partitioners.base import Bounds, Partitioner
 from repro.core.partitioners.cost import (
-    PARTITION_HEADER_BITS,
-    VAR_INDEX_BITS,
-    partition_bits,
+    header_bits,
     plan_cost_bits,
+    segment_bits,
     validate_bounds,
 )
 from repro.core.partitioners.fixed import (
@@ -35,10 +34,9 @@ from repro.core.partitioners.variable import SplitMergePartitioner, select_seeds
 __all__ = [
     "Bounds",
     "Partitioner",
-    "PARTITION_HEADER_BITS",
-    "VAR_INDEX_BITS",
-    "partition_bits",
+    "header_bits",
     "plan_cost_bits",
+    "segment_bits",
     "validate_bounds",
     "FixedLengthPartitioner",
     "AutoFixedPartitioner",

@@ -1,12 +1,15 @@
-"""Shared storage-cost model for partition planning.
+"""The one storage-cost model every partitioner optimises (paper §3.2).
 
-Every partitioner optimises the same objective (paper §3):
+    sum_j ( ||F_j|| + header + (k_{j+1} - k_j) * Delta(v[k_j, k_{j+1})) )
 
-    sum_j ( ||F_j|| + (k_{j+1} - k_j) * Delta(v[k_j, k_{j+1})) )
-
-plus per-partition header overhead.  Centralising the constants here keeps
-the split threshold, the merge test, the DP reference, and the final encoded
-size consistent with one another.
+:func:`header_bits` is what a partition costs besides its residuals, and
+:func:`segment_bits` prices whole segments: header plus ``length × Δ``,
+at the regressor's exact fitted width (what the encoder stores) or at its
+fast estimate ``Δ̃``.  Split–merge's merge test, the DP, la-vector's edge
+weights, the fixed-size search and :func:`plan_cost_bits` all price a
+segment here, so the merge test, the DP reference and the score a plan is
+judged by cannot drift apart.  The header is an estimate, not what the
+``LECO`` image writes.
 """
 
 from __future__ import annotations
@@ -21,31 +24,44 @@ PARTITION_HEADER_BITS = 8 + 32
 VAR_INDEX_BITS = 32
 
 
-def partition_bits(n_items: int, delta_bits: int, regressor: Regressor,
-                   variable: bool = True) -> int:
-    """Estimated stored size in bits of one partition."""
+def header_bits(regressor: Regressor, variable: bool = True) -> int:
+    """Bits one partition costs besides its residuals: the model, the
+    header estimate and, when ``variable``, its stored start index."""
     bits = regressor.model_size_bytes * 8 + PARTITION_HEADER_BITS
-    if variable:
-        bits += VAR_INDEX_BITS
-    return bits + n_items * delta_bits
+    return bits + VAR_INDEX_BITS if variable else bits
+
+
+def segment_bits(values: np.ndarray, starts, ends, regressor: Regressor, *,
+                 exact: bool = True, variable: bool = True) -> np.ndarray:
+    """Estimated stored bits of every segment ``[starts[s], ends[s])`` of
+    ``values``, as an ``(S,)`` int64 array.
+
+    ``exact=True`` prices residuals at the regressor's fitted width
+    (``delta_bits_many``); ``exact=False`` at ``Δ̃``
+    (``fast_delta_bits_many``).  Segments of one length are measured as
+    one matrix in one call; row ``r`` of either call is bitwise the one-row
+    call, so a segment's width never depends on what it was measured with.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    measure = regressor.delta_bits_many if exact \
+        else regressor.fast_delta_bits_many
+    widths = np.empty_like(lengths)
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        widths[rows] = measure(values[starts[rows, None] + np.arange(length)])
+    return header_bits(regressor, variable) + lengths * widths
 
 
 def plan_cost_bits(values: np.ndarray, bounds: list[tuple[int, int]],
                    regressor: Regressor, variable: bool = True,
                    exact: bool = True) -> int:
-    """Total estimated size in bits of a partition plan.
-
-    ``exact=True`` fits the regressor per partition (what the encoder will
-    do); ``exact=False`` uses the regressor's fast width approximation.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    total = 0
-    for start, end in bounds:
-        seg = values[start:end]
-        width = (regressor.delta_bits(seg) if exact
-                 else regressor.fast_delta_bits(seg))
-        total += partition_bits(end - start, width, regressor, variable)
-    return total
+    """Total estimated size in bits of a partition plan: the sum of its
+    :func:`segment_bits`."""
+    starts, ends = np.asarray(bounds, dtype=np.int64).reshape(-1, 2).T
+    return int(segment_bits(values, starts, ends, regressor, exact=exact,
+                            variable=variable).sum())
 
 
 def validate_bounds(bounds: list[tuple[int, int]], n: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partitioners.base import Bounds, Partitioner
-from repro.core.partitioners.cost import partition_bits
+from repro.core.partitioners.cost import segment_bits
 from repro.core.regressors.base import Regressor
 
 
@@ -52,27 +52,14 @@ def _sample_ranges(n: int, window: int, fraction: float,
 def _cost_at_size(values: np.ndarray,
                   samples: list[tuple[int, int]],
                   regressor: Regressor, size: int) -> float:
-    """Average bits/value of fixed ``size`` partitions over the samples.
-
-    The full partitions of a sample are one ``(P, size)`` matrix costed in
-    one pass; the ragged last partition is costed on its own.
-    """
-    total_bits = 0
-    total_items = 0
-    for lo, hi in samples:
-        seg = values[lo:hi]
-        full = len(seg) // size
-        widths = regressor.fast_delta_bits_many(
-            seg[: full * size].reshape(full, size))
-        total_bits += partition_bits(size, 0, regressor, variable=False) \
-            * full + size * int(widths.sum())
-        tail = seg[full * size:]
-        if len(tail):
-            total_bits += partition_bits(
-                len(tail), regressor.fast_delta_bits(tail), regressor,
-                variable=False)
-        total_items += len(seg)
-    return total_bits / max(total_items, 1)
+    """Average bits/value of fixed ``size`` partitions over the samples,
+    at the fast width ``Δ̃``."""
+    starts = [np.arange(lo, hi, size) for lo, hi in samples]
+    ends = [np.minimum(s + size, hi) for s, (_, hi) in zip(starts, samples)]
+    bits = segment_bits(values, np.concatenate(starts), np.concatenate(ends),
+                        regressor, exact=False, variable=False)
+    items = sum(hi - lo for lo, hi in samples)
+    return int(bits.sum()) / max(items, 1)
 
 
 def search_partition_size(values: np.ndarray, regressor: Regressor,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partitioners.base import Bounds, Partitioner
-from repro.core.partitioners.cost import PARTITION_HEADER_BITS, VAR_INDEX_BITS
+from repro.core.partitioners.cost import header_bits
 from repro.core.partitioners.pla import pla_segments
 from repro.core.regressors.base import Regressor
 
@@ -42,8 +42,7 @@ class LaVectorPartitioner(Partitioner):
 
         span = int(values.max()) - int(values.min())
         max_width = self.max_width or max(span.bit_length(), 1)
-        model_bits = (regressor.model_size_bytes * 8 + PARTITION_HEADER_BITS
-                      + VAR_INDEX_BITS)
+        model_bits = header_bits(regressor)
 
         # reach[c][i] = end of the PLA segment covering position i at
         # epsilon = 2**(c-1); any sub-segment [i, reach) also fits in c bits.

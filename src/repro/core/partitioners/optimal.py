@@ -1,12 +1,14 @@
 """Dynamic-programming reference partitioner.
 
 Computes the optimal partition plan for the fast-width cost model by
-dynamic programming over all ``O(n^2)`` candidate segments, with incremental
-width maintenance so each segment extension costs O(1).  The paper notes the
-exhaustive search is ``O(n^3)`` time / ``O(n^2)`` space in general; with the
-incremental trackers this reference runs in ``O(n * window)`` and is used in
-tests and the ablation bench to validate the split–merge greedy (claimed to
-be within 3% of optimal, §3.2.2).
+dynamic programming over all ``O(n^2)`` candidate segments.  For each end it
+grows one segment leftwards with split–merge's ``Δ̃`` tracker, so each
+extension costs O(1) and every width is exactly
+``regressor.fast_delta_bits`` of the segment — full-range input included.
+The paper notes the exhaustive search is ``O(n^3)`` time / ``O(n^2)`` space
+in general; with the incremental tracker this reference runs in
+``O(n * window)`` and is used in tests and the ablation bench to validate
+the split–merge greedy (claimed to be within 3% of optimal, §3.2.2).
 """
 
 from __future__ import annotations
@@ -14,16 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partitioners.base import Bounds, Partitioner
-from repro.core.partitioners.cost import PARTITION_HEADER_BITS, VAR_INDEX_BITS
-from repro.core.partitioners.variable import span_tracking
+from repro.core.partitioners.cost import header_bits
+from repro.core.partitioners.variable import _SpanTracker, order_diffs
 from repro.core.regressors.base import Regressor
 
 
 class OptimalPartitioner(Partitioner):
     """Exact DP over the fast-width cost model (reference implementation).
 
-    ``window`` caps the maximum partition length considered, bounding the
-    runtime at ``O(n * window)``; with ``window >= n`` the plan is exact.
+    The width is ``Δ̃``, not the exact fitted width: ``Δ̃`` of a segment
+    grows in O(1) from its neighbour's, while an exact width needs a fit
+    per candidate segment, ``O(n * window)`` fits.  ``window`` caps the
+    maximum partition length considered, bounding the runtime at
+    ``O(n * window)``; with ``window >= n`` the plan minimises
+    ``plan_cost_bits(exact=False)``.
     """
 
     name = "optimal-dp"
@@ -40,53 +46,28 @@ class OptimalPartitioner(Partitioner):
         if n == 0:
             return []
 
-        mode, _ = span_tracking(regressor)
-        fixed_bits = (regressor.model_size_bytes * 8 + PARTITION_HEADER_BITS
-                      + VAR_INDEX_BITS)
-
-        inf = float("inf")
-        dist = np.full(n + 1, inf)
-        dist[0] = 0.0
-        parent = np.zeros(n + 1, dtype=np.int64)
-
-        diffs = np.diff(values) if n >= 2 else np.empty(0, dtype=np.int64)
-
+        header = header_bits(regressor)
+        diffs = order_diffs(values, regressor)
+        # dist[end]: the cheapest plan of values[:end]; parent[end]: the
+        # start of its last partition
+        dist = [0] * (n + 1)
+        parent = [0] * (n + 1)
         for end in range(1, n + 1):
             lo_limit = max(0, end - self.window)
-            # walk the segment start backwards, growing [start, end) leftwards
-            hi = -np.inf
-            lo = np.inf
-            vhi = -np.inf
-            vlo = np.inf
-            best = inf
-            best_start = end - 1
-            for start in range(end - 1, lo_limit - 1, -1):
-                if mode == "value-span":
-                    v = values[start]
-                    vhi = max(vhi, v)
-                    vlo = min(vlo, v)
-                    width = int(vhi - vlo).bit_length()
-                elif mode == "diff-span":
-                    if start < end - 1:
-                        d = diffs[start]
-                        hi = max(hi, d)
-                        lo = min(lo, d)
-                        width = int(hi - lo).bit_length()
-                    else:
-                        width = 0
-                else:
-                    width = regressor.fast_delta_bits(values[start:end])
-                cost = dist[start] + fixed_bits + (end - start) * width
+            seg = _SpanTracker(values, diffs, end - 1, end, regressor)
+            best, best_start = dist[end - 1] + seg.width, end - 1
+            while seg.start > lo_limit:
+                seg.grow(-1)
+                cost = dist[seg.start] + (end - seg.start) * seg.width
                 if cost < best:
-                    best = cost
-                    best_start = start
-            dist[end] = best
+                    best, best_start = cost, seg.start
+            dist[end] = best + header
             parent[end] = best_start
 
         bounds: Bounds = []
         pos = n
         while pos > 0:
-            start = int(parent[pos])
+            start = parent[pos]
             bounds.append((start, pos))
             pos = start
         bounds.reverse()

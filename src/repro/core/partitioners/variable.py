@@ -10,10 +10,12 @@ Three phases:
 * **Split** — each seed claims a minimal partition and greedily grows left
   and right.  A point joins when its inclusion cost
   ``C = (len+1) * Δ̃(grown) - len * Δ̃(current)`` stays below ``τ · S_M``
-  (model size in bits).  ``Δ̃`` is tracked incrementally in O(1) for the
-  constant/linear/delta families.
+  (model size in bits).  ``Δ̃`` is tracked incrementally in O(1) for every
+  regressor with a ``fast_delta_order`` (:class:`_SpanTracker`, which the
+  DP reference shares), and recomputed on the slice for the others.
 * **Merge** — adjacent partitions merge while the merged stored size (exact
-  regressor fit) beats the sum of the parts, iterated to a fixpoint.
+  regressor fit, priced by :func:`~repro.core.partitioners.cost.
+  segment_bits`) beats the sum of the parts, iterated to a fixpoint.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partitioners.base import Bounds, Partitioner
-from repro.core.partitioners.cost import partition_bits
+from repro.core.partitioners.cost import segment_bits
 from repro.core.regressors.base import Regressor
 
 
@@ -61,79 +63,85 @@ def select_seeds(values: np.ndarray, order: int) -> np.ndarray:
     return minima[order_keys]
 
 
-def span_tracking(regressor: Regressor) -> tuple[str | None, int]:
-    """What the split phase reads off ``regressor.fast_delta_order`` (d):
-    the incremental ``Δ̃`` tracker mode — "value-span" for d = 0,
-    "diff-span" for d = 1, ``None`` otherwise — and the difference order
-    that scores seeds, d + 1 (2 when d is ``None``)."""
+def order_diffs(values: np.ndarray, regressor: Regressor) -> list | None:
+    """The ``regressor.fast_delta_order``-th differences of ``values`` as
+    Python ints, wrapped in int64 exactly as ``fast_delta_bits`` wraps
+    them (order 0: the values); ``None`` for a regressor with no order."""
     order = regressor.fast_delta_order
-    if order is None:
-        return None, 2
-    return {0: "value-span", 1: "diff-span"}.get(order), order + 1
+    return None if order is None else np.diff(values, n=order).tolist()
 
 
 class _SpanTracker:
-    """Incremental ``Δ̃`` (fast delta-bits) for a growing segment.
+    """``Δ̃`` of a segment ``[start, end)`` that grows one value at a time,
+    in either direction.
 
-    ``mode`` selects what spans: "value-span" (constant models) tracks
-    min/max of the values; "diff-span" (linear and delta models) tracks
-    min/max of adjacent differences.  ``None`` falls back to recomputing the
-    regressor's fast metric on the whole slice.
+    ``Δ̃`` is the bit length of the span of the segment's
+    ``fast_delta_order``-th differences.  The tracker keeps that span's
+    min and max over ``diffs`` (:func:`order_diffs`, computed once per
+    input), so :attr:`width` is always exactly
+    ``regressor.fast_delta_bits(values[start:end])`` — full-range input
+    included — at O(1) a step.  A regressor with no order is measured on
+    the slice instead.
     """
 
-    def __init__(self, values: np.ndarray, start: int, end: int,
-                 regressor: Regressor, mode: str | None):
-        self._values = values
-        self._regressor = regressor
-        self._mode = mode
-        self.start = start
-        self.end = end
-        if mode == "value-span":
-            seg = values[start:end]
-            self._lo = int(seg.min())
-            self._hi = int(seg.max())
-        elif mode == "diff-span":
-            if end - start >= 2:
-                d = np.diff(values[start:end])
-                self._lo = int(d.min())
-                self._hi = int(d.max())
-            else:
-                self._lo, self._hi = 0, 0
+    __slots__ = ("_values", "_diffs", "_regressor", "_order", "_lo", "_hi",
+                 "start", "end", "width")
 
-    def width(self) -> int:
-        if self._mode is None:
-            return self._regressor.fast_delta_bits(
-                self._values[self.start:self.end])
-        return int(self._hi - self._lo).bit_length()
+    def __init__(self, values: np.ndarray, diffs: list | None, start: int,
+                 end: int, regressor: Regressor):
+        self._values = values
+        self._diffs = diffs
+        self._regressor = regressor
+        self._order = regressor.fast_delta_order
+        self._lo = self._hi = None
+        self.start, self.end = start, end
+        if diffs is None:
+            self.width = regressor.fast_delta_bits(values[start:end])
+        elif end - start > self._order:
+            window = diffs[start:end - self._order]
+            self._lo, self._hi = min(window), max(window)
+            self.width = (self._hi - self._lo).bit_length()
+        else:
+            self.width = 0
+
+    def _new_diff(self, direction: int):
+        """The difference one more value on the left (-1) or right (+1)
+        brings in; ``None`` when the grown segment still has none."""
+        start, end = self.start, self.end
+        if end - start < self._order:
+            return None
+        return self._diffs[end - self._order if direction > 0
+                           else start - 1]
 
     def width_if_grown(self, direction: int) -> int:
-        """``Δ̃`` after adding one point on the left (-1) or right (+1)."""
-        lo, hi = self._probe(direction)
-        return int(hi - lo).bit_length()
+        """``Δ̃`` after adding one value on the left (-1) or right (+1)."""
+        if self._diffs is None:
+            start = self.start - 1 if direction < 0 else self.start
+            end = self.end + 1 if direction > 0 else self.end
+            return self._regressor.fast_delta_bits(self._values[start:end])
+        new = self._new_diff(direction)
+        if new is None or self._lo is None:
+            return 0
+        return (max(self._hi, new) - min(self._lo, new)).bit_length()
 
     def grow(self, direction: int) -> None:
-        if self._mode is not None:
-            self._lo, self._hi = self._probe(direction)
+        """Add one value on the left (-1) or right (+1)."""
+        if self._diffs is None:
+            self.width = self.width_if_grown(direction)
+        else:
+            new = self._new_diff(direction)
+            if new is not None:
+                if self._lo is None:
+                    self._lo = self._hi = new
+                elif new < self._lo:
+                    self._lo = new
+                elif new > self._hi:
+                    self._hi = new
+                self.width = (self._hi - self._lo).bit_length()
         if direction > 0:
             self.end += 1
         else:
             self.start -= 1
-
-    def _probe(self, direction: int) -> tuple[int, int]:
-        if self._mode is None:
-            lo = self.start - 1 if direction < 0 else self.start
-            hi = self.end + 1 if direction > 0 else self.end
-            width = self._regressor.fast_delta_bits(self._values[lo:hi])
-            return 0, (1 << width) - 1 if width else 0
-        if self._mode == "value-span":
-            new = int(self._values[self.end] if direction > 0
-                      else self._values[self.start - 1])
-            return min(self._lo, new), max(self._hi, new)
-        if direction > 0:
-            new = int(self._values[self.end]) - int(self._values[self.end - 1])
-        else:
-            new = int(self._values[self.start]) - int(self._values[self.start - 1])
-        return min(self._lo, new), max(self._hi, new)
 
 
 class SplitMergePartitioner(Partitioner):
@@ -154,8 +162,9 @@ class SplitMergePartitioner(Partitioner):
         min_size = max(regressor.min_partition_size, 2)
         if n <= min_size:
             return [(0, n)]
-        mode, order = span_tracking(regressor)
-        seeds = select_seeds(values, order)
+        order = regressor.fast_delta_order
+        seeds = select_seeds(values, 2 if order is None else order + 1)
+        diffs = order_diffs(values, regressor)
         threshold = self.tau * regressor.model_size_bytes * 8
 
         owner = np.full(n, -1, dtype=np.int64)
@@ -173,7 +182,7 @@ class SplitMergePartitioner(Partitioner):
                 continue
             idx = len(segments)
             owner[start:end] = idx
-            seg = _SpanTracker(values, start, end, regressor, mode)
+            seg = _SpanTracker(values, diffs, start, end, regressor)
             segments.append(seg)
             while True:
                 grown = False
@@ -183,7 +192,7 @@ class SplitMergePartitioner(Partitioner):
                         continue
                     cur_len = seg.end - seg.start
                     cost = ((cur_len + 1) * seg.width_if_grown(direction)
-                            - cur_len * seg.width())
+                            - cur_len * seg.width)
                     if cost <= threshold:
                         seg.grow(direction)
                         owner[pos] = idx
@@ -209,12 +218,10 @@ class SplitMergePartitioner(Partitioner):
     # ------------------------------------------------------------- merge
     def _merge(self, values: np.ndarray, regressor: Regressor,
                bounds: Bounds) -> Bounds:
-        def seg_cost(start: int, end: int) -> int:
-            width = regressor.delta_bits(values[start:end])
-            return partition_bits(end - start, width, regressor,
-                                  variable=True)
+        def priced(start: int, end: int) -> int:
+            return int(segment_bits(values, [start], [end], regressor)[0])
 
-        costs = [seg_cost(a, b) for a, b in bounds]
+        costs = [priced(a, b) for a, b in bounds]
         for _ in range(self.max_merge_passes):
             merged_any = False
             out_bounds: Bounds = []
@@ -224,7 +231,7 @@ class SplitMergePartitioner(Partitioner):
                 if i + 1 < len(bounds):
                     a, b = bounds[i]
                     _, c = bounds[i + 1]
-                    merged_cost = seg_cost(a, c)
+                    merged_cost = priced(a, c)
                     if merged_cost <= costs[i] + costs[i + 1]:
                         out_bounds.append((a, c))
                         out_costs.append(merged_cost)

@@ -53,12 +53,13 @@ import multiprocessing
 import os
 import pickle
 import time
+from collections import OrderedDict
 
 from repro.exec.errors import GranuleError
 from repro.exec.pool import MorselScheduler, _Job, auto_workers
 from repro.exec.run import granule_span_attrs
 from repro.obs import metrics as obs_metrics
-from repro.par.worker import revive_error, worker_main
+from repro.par.worker import MAX_CACHED_PIPELINES, revive_error, worker_main
 
 __all__ = ["ProcessScheduler", "default_start_method", "run_length"]
 
@@ -173,7 +174,11 @@ class _Lane:
         self.proc = None
         self.conn = None
         self.seq = 0
-        self.sent_descs: set[int] = set()
+        # the descriptor ids this lane's worker was sent most recently,
+        # oldest first, bounded by its pipeline cache: an id forgotten
+        # here costs one resend, and one the worker has evicted comes
+        # back as ``needdesc``
+        self.sent_descs: OrderedDict[int, None] = OrderedDict()
         # filled in by the worker's hello envelope: its real pid and
         # main-thread id, and its wall-clock value at
         # perf_counter()==0 — the anchor that re-maps worker span
@@ -195,7 +200,7 @@ class _Lane:
         child_conn.close()  # the worker holds the only live child end
         self.proc = proc
         self.conn = parent_conn
-        self.sent_descs = set()  # a fresh worker has no cached pipelines
+        self.sent_descs = OrderedDict()  # a fresh worker caches nothing
         self.pid = None          # re-learned from the next hello
         self.tid = 0
         self.epoch0 = None
@@ -377,7 +382,7 @@ class ProcessScheduler(MorselScheduler):
             # concurrent queries on one lane): resend it with the
             # run — one extra round-trip, never a failed query
             self._m_needdesc.inc()
-            lane.sent_descs.discard(wire.desc_id)
+            lane.sent_descs.pop(wire.desc_id, None)
         raise GranuleError(
             RuntimeError("worker kept requesting a descriptor that "
                          "was just resent"),
@@ -404,7 +409,10 @@ class ProcessScheduler(MorselScheduler):
             lane.conn.send_bytes(message)
         except (BrokenPipeError, OSError, ValueError):
             raise _LaneDead(lane.exitcode()) from None
-        lane.sent_descs.add(wire.desc_id)
+        lane.sent_descs[wire.desc_id] = None
+        lane.sent_descs.move_to_end(wire.desc_id)
+        if len(lane.sent_descs) > MAX_CACHED_PIPELINES:
+            lane.sent_descs.popitem(last=False)
         self._m_sent.inc(len(message))
         t_sent = time.perf_counter()
         while True:

@@ -497,6 +497,29 @@ class TestProcessEquivalence:
         finally:
             one_lane.close()
 
+    def test_sent_descriptor_ids_stay_bounded(self, source):
+        """A lane remembers only the descriptor ids its worker's pipeline
+        cache can still hold: 300 queries leave at most
+        MAX_CACHED_PIPELINES of them, every answer stays exact, and no
+        forgotten id costs a needdesc round-trip."""
+        from repro.par.worker import MAX_CACHED_PIPELINES
+
+        plans = [Plan.scan(["ts", "reading"])
+                 .where(col("ts").between(lo, lo + 4000))
+                 for lo in range(0, 50_000, 10_000)]
+        expected = [plan.execute(source, threads=1) for plan in plans]
+        needdesc = default_registry().get(
+            "repro_par_needdesc_total").labels(sched="par-lru")
+        with ProcessScheduler(workers=1, name="par-lru") as one_lane:
+            before = needdesc.value
+            for i in range(300):
+                got = plans[i % len(plans)].execute(source,
+                                                    scheduler=one_lane)
+                assert_rows_equal(got, expected[i % len(plans)])
+            assert len(one_lane._lanes[0].sent_descs) <= \
+                MAX_CACHED_PIPELINES
+            assert needdesc.value == before
+
     def test_stats_report_the_tier(self, sched):
         stats = sched.stats()
         assert stats["tier"] == "process"
