@@ -64,7 +64,7 @@ def rows() -> list[tuple]:
         for enc in ENCODINGS:
             with cold_table(columns, enc, chunk_rows=20_000) as table:
                 for sel, plan in zip(SELECTIVITIES, plans):
-                    res = execute(plan, StoreSource(table), threads=1)
+                    res = execute(plan, StoreSource(table))
                     assert answers.setdefault(sel, res.groups) \
                         == res.groups, enc
                     st = res.stats

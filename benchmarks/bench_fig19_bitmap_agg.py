@@ -39,7 +39,7 @@ def rows() -> list[tuple]:
                 for sel, bitmap in zip(SELECTIVITIES, bitmaps):
                     plan = (Plan.scan(["val"]).where(Bitmap(bitmap))
                             .aggregate({"total": ("sum", "val")}))
-                    res = execute(plan, StoreSource(table), threads=1)
+                    res = execute(plan, StoreSource(table))
                     assert res.groups[None]["total"] \
                         == int(values[bitmap].sum()), (name, enc)
                     st = res.stats

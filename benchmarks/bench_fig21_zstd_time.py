@@ -42,7 +42,7 @@ def inflated_run(table, plan):
              for i, shard in enumerate(table.shards)
              for meta in shard.by_column[column]]
     source = StoreSource(table)
-    res = execute(plan, source, threads=1)
+    res = execute(plan, source)
     pruned = GranulePipeline(plan, source).pruned
     read = [blob for blob, skip in zip(blobs, pruned) if not skip]
     t0 = time.perf_counter()

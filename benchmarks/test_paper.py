@@ -124,7 +124,7 @@ def test_host_figure_queries_equal_numpy(encoding):
              .aggregate({"total": ("sum", "val")}))
     with cold_table({"ts": ts, "id": ids, "val": val}, encoding,
                     chunk_rows=1000) as table:
-        groups = execute(avg, StoreSource(table), threads=1).groups
+        groups = execute(avg, StoreSource(table)).groups
         straddling = {int(key) for key in np.unique(ids[window])
                       if len(np.unique(np.flatnonzero(
                           window & (ids == key)) // 1000)) > 1}

@@ -38,7 +38,7 @@ print(f"{'encoding':>8}  {'file':>9}  {'filter':>9}  {'groupby':>9}  "
 reference = None
 for encoding in ("dict", "delta", "for", "leco"):
     with cold_table(columns, encoding, chunk_rows=20_000) as table:
-        result = execute(plan, StoreSource(table), threads=1)
+        result = execute(plan, StoreSource(table))
         stored = table.stored_bytes()
     if reference is None:
         reference = result.groups

@@ -24,8 +24,9 @@ equality, IN, and positional bitmap terms).  The executor pushes
 pushable conjuncts down to the source — zone maps prune whole granules,
 ``filter_range`` prunes inside surviving chunks where the codec allows
 — and evaluates the residual vectorized on gathered batches, morsel-
-driven on a thread pool.  ``ExecStats`` unifies the accounting both old
-execution paths kept separately.
+driven: on the calling thread, or on the scheduler a caller passes.
+``ExecStats`` unifies the accounting both old execution paths kept
+separately.
 """
 
 from repro.exec.errors import (
@@ -49,11 +50,7 @@ from repro.exec.expr import (
     split_pushdown,
 )
 from repro.exec.plan import AGG_OPS, PLAN_JSON_VERSION, Plan
-from repro.exec.pool import (
-    MorselScheduler,
-    configure_shared_scheduler,
-    shared_scheduler,
-)
+from repro.exec.pool import MorselScheduler
 from repro.exec.run import ExecResult, ExecStats, GranulePipeline, execute
 from repro.exec.source import (
     ArraySource,
@@ -87,10 +84,8 @@ __all__ = [
     "Range",
     "ServerBusy",
     "col",
-    "configure_shared_scheduler",
     "conjuncts",
     "execute",
     "expr_from_json",
-    "shared_scheduler",
     "split_pushdown",
 ]

@@ -13,8 +13,8 @@ the run loop maps them onto the query's error policy:
 * :class:`ExecTimeout` — the query exceeded ``timeout_s``; carries the
   partial :class:`ExecStats` so callers can see how far it got.
 * :class:`ServerBusy` — admission control turned the query away before
-  any work ran: the shared morsel scheduler's in-flight and parked
-  budgets are both full (backpressure, the opposite of a hang).
+  any work ran: the morsel scheduler's in-flight and parked budgets
+  are both full (backpressure, the opposite of a hang).
 """
 
 from __future__ import annotations

@@ -183,17 +183,12 @@ class Plan:
         return cols
 
     # ------------------------------------------------------------- execute
-    def execute(self, source, threads: int | None = None,
-                prune: bool = True, pushdown: bool = True, **opts):
-        """Run over ``source`` (see :func:`repro.exec.run.execute`).
-
-        Resilience knobs (``on_corruption``, ``timeout_s``) pass
-        through ``**opts`` verbatim.
-        """
+    def execute(self, source, **opts):
+        """Run over ``source``; ``opts`` are
+        :func:`repro.exec.run.execute`'s keywords, passed verbatim."""
         from repro.exec.run import execute
 
-        return execute(self, source, threads=threads, prune=prune,
-                       pushdown=pushdown, **opts)
+        return execute(self, source, **opts)
 
     # ----------------------------------------------------------------- wire
     def to_json(self) -> dict:

@@ -1,10 +1,12 @@
-"""The shared morsel scheduler: one worker pool, many concurrent plans.
+"""The morsel scheduler: one worker pool, many concurrent plans.
 
-:class:`MorselScheduler` is the only pool
-:func:`repro.exec.run.execute` fans granules out on: a fixed set of
-worker threads pulls *granules* (not whole queries) from every
+:class:`MorselScheduler` is the pool :func:`repro.exec.run.execute`
+fans granules out on when it is handed one as ``scheduler=``: a fixed
+set of worker threads pulls *granules* (not whole queries) from every
 in-flight plan, so concurrent queries interleave at morsel granularity
-on a bounded number of threads instead of oversubscribing.
+on a bounded number of threads instead of oversubscribing.  A query
+given no scheduler runs on its calling thread; there is no
+process-wide instance.
 
 * **Dispatch order** — fair: one *run* of consecutive granules per
   in-flight query per turn, round-robin, so no query starves.  The
@@ -16,8 +18,8 @@ on a bounded number of threads instead of oversubscribing.
   once; up to ``queue_depth`` more park in FIFO order waiting for a
   slot, and anything beyond that is rejected immediately with
   :class:`~repro.exec.errors.ServerBusy` (backpressure, never an
-  unbounded pile-up).  Both default to unbounded for the in-process
-  shared scheduler; the table server passes real bounds.
+  unbounded pile-up).  Both default to unbounded; the table server
+  passes real bounds.
 * **Cancellation** — each query hands in the same ``cancel`` event and
   deadline the executor's ``timeout_s`` machinery already uses.  When
   the deadline passes, queued granules are drained without running and
@@ -25,14 +27,8 @@ on a bounded number of threads instead of oversubscribing.
   cooperative contract :class:`~repro.exec.errors.ExecTimeout`
   documents.
 
-:func:`shared_scheduler` is the lazily-built process-wide instance
-``execute`` uses when no scheduler is passed; servers build their own
-bounded instance.  The shared instance is always the thread tier: a
-caller that wants worker processes passes a
-:class:`repro.par.ProcessScheduler` as ``scheduler=``.  Pool width has
-one home — the ``workers`` argument,
-:func:`configure_shared_scheduler` / ``REPRO_THREADS`` for the shared
-instance — and one default, :func:`auto_workers`.
+Pool width has one home, the ``workers`` argument, and one default,
+:func:`auto_workers`.
 """
 
 from __future__ import annotations
@@ -56,8 +52,8 @@ def auto_workers() -> int:
     return max(1, min(cpus, 8))
 
 
-# process-wide scheduler metrics, labelled by scheduler name so the
-# server's bounded instance and the shared in-process one stay distinct
+# process-wide scheduler metrics, labelled by scheduler name so every
+# instance's series stay distinct
 _M_QUERIES = obs_metrics.counter(
     "repro_sched_queries_total",
     "queries by admission outcome (admitted/rejected/expired)",
@@ -95,8 +91,8 @@ class _Job:
         self.deadline = deadline
         self.done = threading.Event()
         self.executed = 0  # granules actually run (metrics, batched)
-        # picklable query descriptor for process tiers (None = the job
-        # can only run in-driver via ``fn``)
+        # picklable query descriptor: what a process tier runs (the
+        # thread tier runs ``fn`` and leaves it None)
         self.descriptor = descriptor
         # the query's Trace (or None): process tiers fold worker-side
         # spans into it as results come off the lane pipes
@@ -105,7 +101,7 @@ class _Job:
 
 
 class MorselScheduler:
-    """Process-wide worker pool interleaving granules of many queries.
+    """A worker pool interleaving granules of many queries.
 
     Thread-safe; queries enter through :meth:`run_query` (blocking until
     their granules finish) and the pool never grows past ``workers``
@@ -307,7 +303,7 @@ class MorselScheduler:
     def run_query(self, fn, items, cancel: threading.Event,
                   deadline: float | None = None, trace=None,
                   descriptor=None) -> list:
-        """Run ``fn(item)`` for every item on the shared pool.
+        """Run ``fn(item)`` for every item on this pool.
 
         Blocks until the job finishes (or its deadline drains it) and
         returns results in item order — ``None`` where a granule was
@@ -318,9 +314,8 @@ class MorselScheduler:
         propagation rule.  ``descriptor`` is an optional picklable
         description of the whole query (a
         :class:`repro.par.QueryDescriptor`); the thread tier ignores it,
-        a process tier uses it to run granules out-of-process.  Callers
-        should only build one when the scheduler's :attr:`tier` is
-        ``"process"``.
+        and a process tier requires it: its granules run out-of-process,
+        never as ``fn``.
         """
         items = list(items)
         if not self._admit(deadline, trace):
@@ -396,66 +391,3 @@ class MorselScheduler:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-# ------------------------------------------------------- shared instance
-_shared: MorselScheduler | None = None
-_shared_lock = threading.Lock()
-
-#: env var overriding the lazy shared scheduler's worker count
-THREADS_ENV = "REPRO_THREADS"
-
-
-def _env_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV} must be a positive integer, "
-            f"got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(
-            f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return workers
-
-
-def shared_scheduler() -> MorselScheduler:
-    """The process-wide scheduler ``execute`` calls share.
-
-    Built lazily with unbounded admission — a plain
-    ``execute`` call must never see :class:`ServerBusy` — and never
-    torn down on its own: its threads are daemons.  Worker-count
-    precedence: an explicit :func:`configure_shared_scheduler` call
-    wins, then the ``REPRO_THREADS`` env var (read when the instance is
-    lazily built), then :func:`auto_workers`.
-    """
-    global _shared
-    if _shared is None:
-        with _shared_lock:
-            if _shared is None:
-                _shared = MorselScheduler(workers=_env_workers(),
-                                          name="repro-exec-shared")
-    return _shared
-
-
-def configure_shared_scheduler(workers: int | None = None
-                               ) -> MorselScheduler:
-    """Replace the process-wide shared scheduler.
-
-    Closes the previous instance (draining in-flight queries) and
-    installs a fresh thread-tier one, ``workers`` wide.
-    ``workers=None`` falls back to ``REPRO_THREADS`` and then the auto
-    default — the documented precedence is *configure > env > auto*.
-    Admission stays unbounded.
-    """
-    if workers is None:
-        workers = _env_workers()
-    fresh = MorselScheduler(workers=workers, name="repro-exec-shared")
-    global _shared
-    with _shared_lock:
-        old, _shared = _shared, fresh
-    if old is not None:
-        old.close(drain=True, timeout=10.0)
-    return fresh

@@ -3,8 +3,8 @@
 :func:`execute` runs a logical :class:`~repro.exec.plan.Plan` over any
 :class:`~repro.exec.source.ColumnSource`, morsel-driven: each granule
 (row group / column chunk / memory slice) is an independent task — on the
-calling thread or on a :class:`~repro.exec.pool.MorselScheduler` — and
-per granule the pipeline is
+calling thread, or on the :class:`~repro.exec.pool.MorselScheduler` the
+caller passes — and per granule the pipeline is
 
 1. **Zone-map pruning** — ``expr.may_match`` against the source's
    zone-map arrays, every granule in one vector pass when the query's
@@ -13,7 +13,8 @@ per granule the pipeline is
    disables, results identical).  The calling thread and a process-tier
    driver split the granule set by that array before running anything,
    so a granule that cannot match costs neither a pipeline call nor a
-   lane round-trip; a thread-tier granule reads its own entry.
+   lane round-trip; a granule on a thread-tier scheduler reads its own
+   entry.
 2. **Pushdown filtering** — positional :class:`Bitmap` conjuncts are
    applied for free, then each pushable range conjunct runs through the
    encoded sequence's ``filter_range`` (LeCo-family codecs prune again
@@ -54,7 +55,6 @@ from repro.exec.errors import (CorruptChunkError, ExecTimeout,
                                GranuleError, ServerBusy)
 from repro.exec.expr import And, split_pushdown
 from repro.exec.plan import Aggregate, HashJoin, Plan
-from repro.exec.pool import auto_workers, shared_scheduler
 from repro.obs import metrics as obs_metrics
 
 #: transient-read retry budget per granule load (EIO only)
@@ -295,17 +295,6 @@ class _Partial:
 _EMPTY = np.empty(0, dtype=np.int64)
 #: the one group of a global aggregate: key 0, starting at row 0
 _ONE_GROUP = np.zeros(1, dtype=np.int64)
-
-
-def _on_calling_thread(n_granules: int, threads: int | None,
-                       scheduler) -> bool:
-    """The one dispatch decision: does this query stay on its caller's
-    thread, or do its granules go to a scheduler?"""
-    if threads == 1:
-        return True
-    if scheduler is not None:
-        return False  # an explicit scheduler also does admission control
-    return n_granules <= 1 or (threads is None and auto_workers() == 1)
 
 
 def granule_span_attrs(index: int, st: ExecStats) -> dict:
@@ -734,25 +723,30 @@ def execute(plan: Plan, source, threads: int | None = None,
             scheduler=None, trace=None) -> ExecResult:
     """Run ``plan`` over ``source``.
 
+    Where it runs is one fact, ``scheduler``:
+
+    * ``None`` — on the calling thread.  Only the granules that survive
+      the zone-map decision run; the rest are charged together as one
+      partial and, traced, one ``"prune"`` span.
+    * a thread-tier :class:`~repro.exec.pool.MorselScheduler` — its
+      granules interleave with every other in-flight query's on that
+      pool, under its admission control, so
+      :class:`~repro.exec.errors.ServerBusy` may be raised.  Each
+      granule prunes itself.
+    * a process tier (``scheduler.tier == "process"``, a
+      :class:`repro.par.ProcessScheduler`) — split as on the calling
+      thread, and the survivors run in worker processes from a
+      :class:`repro.par.QueryDescriptor` of the query, which carries
+      ``pushdown`` and ``on_corruption`` but no prune knob.  Only a
+      source that describes itself runs there: any other raises
+      :class:`TypeError` before admission.
+
     Parameters
     ----------
     threads:
-        ``1`` pins the query to the calling thread.  Any other value
-        runs its granules on a :class:`~repro.exec.pool.MorselScheduler`
-        — ``scheduler`` if given, else the process-wide shared one,
-        whose width is set by
-        :func:`~repro.exec.pool.configure_shared_scheduler` /
-        ``REPRO_THREADS``, not here.  Without an explicit
-        ``scheduler``, a query with nothing to spread also stays on the
-        calling thread: at most one granule, or ``threads=None`` with
-        one usable CPU.  The calling thread and a
-        process tier run only the granules that survive zone-map
-        pruning (the rest are charged as one driver-side partial and,
-        traced, one ``"prune"`` span); a thread-tier granule prunes
-        itself.  A process tier (``scheduler.tier == "process"``) is
-        sent a :class:`repro.par.QueryDescriptor` of the query, which
-        carries ``pushdown`` and ``on_corruption`` but no prune knob:
-        its workers run survivors only, so they never prune again.
+        ``None`` or ``1``, and selects nothing.  Any other value raises
+        :class:`ValueError`: granules run in parallel only on a
+        ``scheduler``.
     prune:
         Zone-map granule pruning (disable for the unpruned reference;
         results are identical).
@@ -771,11 +765,8 @@ def execute(plan: Plan, source, threads: int | None = None,
         is raised carrying the partial stats accumulated so far.
     scheduler:
         The :class:`~repro.exec.pool.MorselScheduler` (thread or
-        process tier) to run granules on instead of the shared one,
-        which is always the thread tier.
-        The table server passes its bounded instance, so admission
-        control and fair round-robin interleaving apply and
-        :class:`~repro.exec.errors.ServerBusy` may be raised.
+        process tier) to run granules on; the table server passes its
+        bounded instance.
     trace:
         A :class:`repro.obs.Trace` to record spans into (pay-as-you-go:
         the default ``None`` skips all tracing).  The trace travels as
@@ -784,6 +775,11 @@ def execute(plan: Plan, source, threads: int | None = None,
         because pool threads interleave granules of many queries.  The
         result carries it back as :attr:`ExecResult.trace`.
     """
+    if threads not in (None, 1):
+        raise ValueError(
+            f"threads must be None or 1, got {threads!r}: a query "
+            f"without a scheduler runs on its calling thread; pass "
+            f"scheduler= to run its granules in parallel")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
     start = time.perf_counter()
@@ -799,6 +795,15 @@ def execute(plan: Plan, source, threads: int | None = None,
                                on_corruption=on_corruption)
     terminal = pipeline.terminal
     output_cols = pipeline.output_cols
+    descriptor = None
+    if scheduler is not None and scheduler.tier == "process":
+        from repro.par.descriptor import describe_query
+
+        # raises TypeError for a source that cannot describe itself —
+        # here, so the query is neither admitted nor counted
+        descriptor = describe_query(
+            plan, source, pushdown=pushdown, on_corruption=on_corruption,
+            trace_enabled=trace is not None)
 
     def run_granule(granule) -> _Partial | None:
         return pipeline.run(granule, cancel=cancel, deadline=deadline,
@@ -810,37 +815,14 @@ def execute(plan: Plan, source, threads: int | None = None,
     timed_out = False
     failure: BaseException | None = None
     try:
-        kwargs = {}
-        if _on_calling_thread(len(granules), threads, scheduler):
-            sched = None
-            split = True
-        else:
-            sched = scheduler if scheduler is not None \
-                else shared_scheduler()
-            # only the process tier splits among the schedulers: a
-            # thread-tier granule prunes itself, because a closed-loop
-            # foreground query beside a scan loses throughput when the
-            # driver splits first (ROADMAP Par notes, "Who prunes")
-            split = False
-            if sched.tier == "process":
-                # a process tier asks for a compact picklable descriptor
-                # of the whole query; sources that cannot be described
-                # (in-memory arrays, chains) return None and fall back
-                # to in-driver execution on the lane threads
-                from repro.par.descriptor import describe_query
-
-                desc = describe_query(
-                    plan, source, pushdown=pushdown,
-                    on_corruption=on_corruption,
-                    trace_enabled=trace is not None)
-                if desc is not None:
-                    # its workers never prune: they are sent survivors
-                    kwargs["descriptor"] = desc
-                    split = True
         items = granules
-        if split:
-            # the zone-map decision is applied here: a granule that
-            # cannot match is never run (and never crosses a lane pipe)
+        # every arm but the thread tier splits: a thread-tier granule
+        # prunes itself, because a closed-loop foreground query beside a
+        # scan loses throughput when its granules are split before
+        # dispatch (ROADMAP Par notes, "Who prunes")
+        if scheduler is None or descriptor is not None:
+            # a granule that cannot match is never run (and never
+            # crosses a lane pipe)
             if pipeline.pruned is not None:
                 items = [granules[i] for i in
                          np.flatnonzero(~pipeline.pruned).tolist()]
@@ -850,15 +832,16 @@ def execute(plan: Plan, source, threads: int | None = None,
                 # pruned granule would cost more than a selective query
                 trace.add("prune", t_prune, trace.now(),
                           pruned=driver_pruned, granules=len(granules))
-        if sched is None:
+        if scheduler is None:
             # lazy: once the deadline or a failure sets ``cancel``,
             # every later granule returns None without doing work
             results = map(run_granule, items)
         else:
             # an all-pruned query still passes admission (ServerBusy
             # holds) and sends no lane message
-            results = sched.run_query(run_granule, items, cancel,
-                                      deadline, trace=trace, **kwargs)
+            results = scheduler.run_query(run_granule, items, cancel,
+                                          deadline, trace=trace,
+                                          descriptor=descriptor)
         if driver_pruned:
             # charged once, driver-side, and only after admission: a
             # refused or failed query charges what it always did

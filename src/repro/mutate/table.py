@@ -284,9 +284,7 @@ class MutableTable:
             expr = expr & Bitmap(~pending)
         plan = Plan.scan(None if want_columns else
                          (self.schema[0],)).where(expr)
-        # on the calling thread: the shared pool is about twice slower
-        # at every selectivity (ROADMAP Mutate notes)
-        result = plan.execute(self._base_source, threads=1)
+        result = plan.execute(self._base_source)
         if want_columns:
             return result.row_ids, result.columns
         return result.row_ids
@@ -340,18 +338,17 @@ class MutableTable:
             return ChainSource(parts, live_mask=live_mask,
                                name=f"mutable:{self.path}")
 
-    def scan(self, columns=None, where=None, threads: int | None = None,
-             prune: bool = True, pushdown: bool = True):
+    def scan(self, columns=None, where=None, **opts):
         """Read-your-writes scan of the live view (an
-        :class:`~repro.exec.ExecResult`)."""
+        :class:`~repro.exec.ExecResult`); ``opts`` are forwarded to
+        :func:`repro.exec.run.execute`."""
         plan = Plan.scan(tuple(columns) if columns is not None else None)
         if where is not None:
             plan = plan.where(_as_expr(where))
-        return plan.execute(self.source(), threads=threads, prune=prune,
-                            pushdown=pushdown)
+        return plan.execute(self.source(), **opts)
 
-    def read_column(self, name: str) -> np.ndarray:
-        return self.scan(columns=[name]).columns[name]
+    def read_column(self, name: str, **opts) -> np.ndarray:
+        return self.scan(columns=[name], **opts).columns[name]
 
     # ------------------------------------------------------------- flush
     def flush(self) -> int:

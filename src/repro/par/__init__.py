@@ -1,8 +1,8 @@
 """``repro.par`` — process-parallel granule execution.
 
-The exec layer's morsel-driven design (PR 4) and the shared
-:class:`~repro.exec.pool.MorselScheduler` (PR 7) made granules the unit
-of scheduling; this package makes them the unit of *multiprocessing*.
+The exec layer's morsel-driven design and the
+:class:`~repro.exec.pool.MorselScheduler` made granules the unit of
+scheduling; this package makes them the unit of *multiprocessing*.
 Pure-python codec decode (LeCo residuals, rANS, fsst, varint blocks)
 serializes under one GIL no matter how many threads run it — served
 QPS stayed flat from 8 to 64 clients.  Shards are
@@ -18,6 +18,8 @@ Three pieces:
   :func:`~repro.par.descriptor.describe_query` — the picklable,
   JSON-able wire form of one query (table path + pinned generation +
   the PR 7 plan/expr JSON, which carries the pushdown expression).
+  Only a source that describes itself has one; any other is refused
+  with :class:`TypeError` before admission.
 * :mod:`repro.par.worker` — the long-lived worker process: lazy mmap
   opens, cached :class:`~repro.exec.run.GranulePipeline` per
   descriptor, typed error envelopes, and the ``granule.exec`` fault
@@ -29,8 +31,8 @@ Three pieces:
   :class:`~repro.exec.errors.GranuleError` death semantics.
 
 Pass one to ``execute(..., scheduler=ProcessScheduler(...))`` or point
-the server at it with ``--worker-tier process``; the process-wide
-shared scheduler stays the thread tier.  ``REPRO_PAR_START_METHOD``
+the server at it with ``--worker-tier process``; a query given no
+scheduler runs on its calling thread.  ``REPRO_PAR_START_METHOD``
 (:func:`~repro.par.scheduler.default_start_method`) chooses how every
 lane worker starts unless a ``ProcessScheduler(start_method=...)``
 says otherwise.

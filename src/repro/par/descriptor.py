@@ -19,6 +19,12 @@ So the descriptor carries no prune knob: a worker builds its pipeline
 with ``prune=False`` — every granule it is sent was already tested —
 whatever the caller's own ``prune=`` was.
 
+**Who can be described.**  Only a source with a ``wire_descriptor``
+(a :class:`~repro.store.executor.StoreSource`, which always has one).
+:func:`describe_query` refuses any other with :class:`TypeError`, and
+:func:`repro.exec.run.execute` asks it before admission, so a process
+tier never runs a query's in-process closure.
+
 Two deliberate choices:
 
 * **Generation pinning.**  ``version`` is always the integer manifest
@@ -101,21 +107,22 @@ class QueryDescriptor:
 
 def describe_query(plan: Plan, source, *, pushdown: bool,
                    on_corruption: str, trace_enabled: bool = False
-                   ) -> QueryDescriptor | None:
+                   ) -> QueryDescriptor:
     """Describe ``plan`` over ``source`` for out-of-process execution.
 
-    Returns ``None`` when the source cannot be rebuilt from a path — an
-    in-memory :class:`~repro.exec.source.ArraySource`, a memtable
-    :class:`~repro.exec.source.ChainSource` — in which case the process
-    tier falls back to running the driver's closure on its lane threads
-    (thread-tier semantics, still correct).
+    Raises :class:`TypeError` when the source cannot be rebuilt from a
+    path — an in-memory :class:`~repro.exec.source.ArraySource`, a
+    :class:`~repro.exec.source.ChainSource` — because a process tier
+    runs nothing else: such a query runs on its calling thread or on a
+    thread-tier scheduler.
     """
     wire = getattr(source, "wire_descriptor", None)
-    if not callable(wire):
-        return None
-    base = wire()
-    if base is None:
-        return None
+    if wire is None:
+        raise TypeError(
+            f"a process-tier scheduler runs only sources that describe "
+            f"themselves; {source.describe()} does not (run it without "
+            f"a scheduler or on a thread-tier one)")
     return QueryDescriptor(
         plan=plan.to_json(), pushdown=pushdown,
-        on_corruption=on_corruption, trace_enabled=trace_enabled, **base)
+        on_corruption=on_corruption, trace_enabled=trace_enabled,
+        **wire())

@@ -4,14 +4,15 @@ Same interface, same admission control, same dispatch order — what
 changes is *where a granule's CPU burns*, and how many granules one
 dispatch carries.  The scheduler keeps the base class's worker threads,
 but each thread owns a **lane**: one long-lived worker process plus a
-duplex pipe.  A descriptor-bearing job (see :mod:`repro.par.descriptor`)
-is executed by sending the lane's worker a compact
+duplex pipe.  Every job carries a descriptor (see
+:mod:`repro.par.descriptor`; :func:`repro.exec.run.execute` refuses a
+source that cannot describe itself before admission) and is executed
+by sending the lane's worker a compact
 ``(seq, desc_id, desc?, [granule_index, ...], budget_s)`` task and
 waiting for the one reply that carries a partial per granule;
 pure-python codec decode then runs under the *worker's* GIL, N of them
-truly in parallel.  Jobs with no descriptor (in-memory sources) simply
-run the driver closure on the lane thread — thread-tier semantics,
-transparently.
+truly in parallel.  A query's in-process closure never runs on a
+lane.
 
 **One lane message per run of granules.**  Every pipe round-trip costs
 the driver a pickle, send, poll, receive, unpickle and scheduler-lock
@@ -129,10 +130,10 @@ def default_start_method() -> str:
 
 
 def run_length(queued: int, lanes: int) -> int:
-    """Granules the next lane message of a descriptor-bearing job takes
-    while ``queued`` wait across ``lanes`` lanes: guided
-    self-scheduling, ``ceil(queued / (RUN_DIVISOR * lanes))`` — one
-    granule once ``RUN_DIVISOR * lanes`` or fewer are queued."""
+    """Granules the next lane message of a job takes while ``queued``
+    wait across ``lanes`` lanes: guided self-scheduling,
+    ``ceil(queued / (RUN_DIVISOR * lanes))`` — one granule once
+    ``RUN_DIVISOR * lanes`` or fewer are queued."""
     return -(-queued // (RUN_DIVISOR * lanes))
 
 
@@ -306,31 +307,22 @@ class ProcessScheduler(MorselScheduler):
     # -------------------------------------------------------- run_query
     def run_query(self, fn, items, cancel, deadline=None, trace=None,
                   descriptor=None) -> list:
-        if descriptor is not None and \
-                not isinstance(descriptor, _WireDescriptor):
-            descriptor = _WireDescriptor(next(self._desc_ids),
-                                         descriptor.to_json())
+        wire = _WireDescriptor(next(self._desc_ids), descriptor.to_json())
         return super().run_query(fn, items, cancel, deadline,
-                                 trace=trace, descriptor=descriptor)
+                                 trace=trace, descriptor=wire)
 
     # ------------------------------------------------------- lane logic
     def _run_length(self, job: _Job) -> int:
-        if job.descriptor is None:
-            # the driver closure runs on this thread: thread-tier turns
-            return super()._run_length(job)
         return run_length(len(job.queue), len(self._lanes))
 
     def _run_items(self, worker_idx: int, job: _Job, items: list) -> list:
-        wire = job.descriptor
-        if wire is None:
-            # no descriptor (in-memory source): thread-tier fallback
-            return super()._run_items(worker_idx, job, items)
         # racy tick is fine: approximate 1-in-OBS_SAMPLE is the goal
         self._obs_tick += 1
         if self._obs_tick % OBS_SAMPLE == 0:
             self._m_dispatch_wait.observe(
                 max(0.0, time.perf_counter() - job.t_enqueued))
-        return self._send(self._lanes[worker_idx], job, wire, items)
+        return self._send(self._lanes[worker_idx], job, job.descriptor,
+                          items)
 
     def _send(self, lane: _Lane, job: _Job, wire: _WireDescriptor,
               items: list) -> list:

@@ -23,7 +23,7 @@ cooperative :class:`~repro.exec.errors.ExecTimeout` machinery.
 """
 
 from repro.exec.errors import ExecTimeout, ServerBusy
-from repro.exec.pool import MorselScheduler, shared_scheduler
+from repro.exec.pool import MorselScheduler
 from repro.serve.client import ServeClient
 from repro.serve.server import TableServer
 from repro.serve.wire import MAX_FRAME_BYTES, WIRE_VERSION, WireError
@@ -37,5 +37,4 @@ __all__ = [
     "TableServer",
     "WIRE_VERSION",
     "WireError",
-    "shared_scheduler",
 ]

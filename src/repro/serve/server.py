@@ -100,12 +100,19 @@ class TableServer:
     """Serve store tables under ``root`` to concurrent socket clients.
 
     Every query runs on one bounded morsel scheduler, ``workers`` wide
-    (default :func:`~repro.exec.pool.auto_workers`).
+    (default :func:`~repro.exec.pool.auto_workers`, so one worker on a
+    box or affinity set of one CPU).
     ``worker_tier="process"`` makes it a
     :class:`repro.par.ProcessScheduler` — granule decode runs in worker
     processes, escaping the GIL on multi-core boxes; their start method
     is :func:`repro.par.default_start_method` (``REPRO_PAR_START_METHOD``
-    chooses).
+    chooses).  Every table it serves is a
+    :class:`~repro.store.executor.StoreSource`, which always describes
+    itself, so no served query is refused by the process tier.
+
+    A connection waits for its next request however long the client
+    takes, even mid-frame, and is dropped only when the client closes
+    it, sends bytes that are not a frame, or the server drains.
     """
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
@@ -422,15 +429,19 @@ class TableServer:
                                   if t.is_alive()]
 
     def _connection(self, conn: socket.socket) -> None:
+        # the timeout only wakes the read to look at the drain flag: a
+        # pause between frames and a pause inside one are the same wait
         conn.settimeout(0.25)
+
+        def keep_waiting() -> bool:
+            return not self._draining.is_set()
+
         try:
             while True:
                 try:
-                    req = wire.recv_frame(conn)
+                    req = wire.recv_frame(conn, keep_waiting)
                 except socket.timeout:
-                    if self._draining.is_set():
-                        return  # idle connection at shutdown: drop it
-                    continue
+                    return  # idle or stalled at shutdown: drop it
                 except wire.WireError:
                     # the byte stream is unusable — nothing sane to
                     # answer on it; drop the connection, keep serving

@@ -147,14 +147,20 @@ def write_frame(sock: socket.socket, frame: list) -> None:
 
 
 # -------------------------------------------------------------- receiving
-def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
+def _recv_exact(sock: socket.socket, n: int,
+                keep_waiting) -> bytearray | None:
     """Read exactly ``n`` bytes into one preallocated buffer; ``None``
     on clean EOF at a frame edge."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
-        count = sock.recv_into(view[got:])
+        try:
+            count = sock.recv_into(view[got:])
+        except socket.timeout:
+            if keep_waiting is None or not keep_waiting():
+                raise
+            continue  # the bytes read so far stay in ``buf``
         if not count:
             if got == 0:
                 return None
@@ -164,19 +170,24 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
     return buf
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
+def recv_frame(sock: socket.socket, keep_waiting=None) -> dict | None:
     """Read one frame of either kind; ``None`` when the peer closed
     cleanly.  A result frame comes back as ``{"ok": True, "result":
     {...}}`` whose ``row_ids``/``columns`` are writable int64 arrays
-    viewing the frame's receive buffer."""
-    header = _recv_exact(sock, _LEN.size)
+    viewing the frame's receive buffer.
+
+    A socket timeout — before the frame or inside it — asks
+    ``keep_waiting()``: true resumes the read where it stopped, so a
+    peer that pauses mid-frame loses nothing; false (or no
+    ``keep_waiting``) raises :class:`socket.timeout`."""
+    header = _recv_exact(sock, _LEN.size, keep_waiting)
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds the "
                         f"{MAX_FRAME_BYTES}-byte cap")
-    payload = _recv_exact(sock, length)
+    payload = _recv_exact(sock, length, keep_waiting)
     if payload is None:
         raise WireError("connection closed between header and payload")
     if payload.startswith(RESULT_MAGIC):

@@ -5,8 +5,8 @@ row-group *shard* files, each a sequence of codec-registry envelopes plus
 a footer catalog carrying schema, codec ids, row counts, and per-chunk
 zone maps.  Reads go through ``mmap``; scans prune whole chunks on zone
 maps, push range predicates into the codecs' vectorised paths, gather
-projected columns late, run shards concurrently on a thread pool, and
-keep revived chunks in a bounded LRU cache::
+projected columns late, and keep revived chunks in a bounded LRU
+cache::
 
     from repro.store import Table, write_table
 

@@ -366,8 +366,8 @@ class Table:
         return codecs.from_bytes(blob)
 
     def scan(self, columns: list[str] | tuple[str, ...] | None = None,
-             where: tuple[str, int, int] | None = None, prune: bool = True,
-             threads: int | None = None, **opts) -> ExecResult:
+             where: tuple[str, int, int] | None = None,
+             **opts) -> ExecResult:
         """Projection + predicate-pushdown scan: a one-predicate
         :class:`~repro.exec.Plan` over this snapshot, returned as the
         executor's :class:`~repro.exec.ExecResult` (``columns``,
@@ -383,16 +383,10 @@ class Table:
             zone maps prune whole chunks, survivors filter through the
             codecs' vectorised ``filter_range``, and projected columns
             ``gather`` only surviving positions.
-        prune:
-            Disable to force the filter onto every chunk (the unpruned
-            reference the tests compare against); results are identical.
-        threads:
-            ``1`` pins the scan to the calling thread; otherwise chunks
-            fan out on the shared scheduler.
         **opts:
-            Resilience knobs forwarded to the executor —
-            ``on_corruption="raise"|"skip"``, ``timeout_s`` (see
-            :func:`repro.exec.run.execute`).
+            Forwarded to :func:`repro.exec.run.execute` — ``prune``,
+            ``pushdown``, ``on_corruption``, ``timeout_s``,
+            ``scheduler``, ``trace``.
         """
         projection = tuple(columns) if columns is not None \
             else self.column_names
@@ -408,13 +402,12 @@ class Table:
                 raise KeyError(f"unknown predicate column {pred_col!r}; "
                                f"available: {available}")
             plan = plan.where(Range(pred_col, int(lo), int(hi)))
-        return plan.execute(StoreSource(self), threads=threads,
-                            prune=prune, **opts)
+        return plan.execute(StoreSource(self), **opts)
 
-    def read_column(self, name: str, threads: int | None = None
-                    ) -> np.ndarray:
-        """Decode one full column (naive no-predicate scan)."""
-        return self.scan(columns=[name], threads=threads).columns[name]
+    def read_column(self, name: str, **opts) -> np.ndarray:
+        """Decode one full column (naive no-predicate scan); ``opts``
+        as :meth:`scan`'s."""
+        return self.scan(columns=[name], **opts).columns[name]
 
     # ---------------------------------------------------------- lifecycle
     def close(self) -> None:

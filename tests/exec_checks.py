@@ -25,9 +25,9 @@ def assert_granule_spans_match(trace, stats) -> None:
     """A traced run accounted for every granule exactly once, on every
     tier: a granule either ran — one "granule" span, its index unique —
     or was pruned before dispatch and is counted by the driver's one
-    "prune" span (the process tier; elsewhere pruning happens inside the
-    granule and there is no such span).  Count honoured, and the spans'
-    attrs sum to the query's stats."""
+    "prune" span (the calling thread and the process tier; on the thread
+    tier pruning happens inside the granule and there is no such span).
+    Count honoured, and the spans' attrs sum to the query's stats."""
     spans = [s for s in trace.spans if s.name == "granule"]
     prunes = [s for s in trace.spans if s.name == "prune"]
     assert len(prunes) <= 1
@@ -53,8 +53,9 @@ def assert_rows_equal(got, expected) -> None:
 
 def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
     """Run ``plan`` traced on the calling thread, on a thread-tier
-    scheduler and on a process-tier one.  Each run must examine every
-    granule exactly once (stats and "granule" spans), and the two
+    scheduler and — when ``source`` describes itself, the only sources a
+    process tier runs — on a process-tier one.  Each run must examine
+    every granule exactly once (stats and "granule" spans), and the
     scheduler tiers must return the caller's rows/groups and the
     caller's counts — so ``source`` must be uncached (see
     :func:`count_fields`).  The query's zone-map decision must be the
@@ -66,9 +67,11 @@ def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
         zones = {c: source.zone_maps(c) for c in pipeline.pred_cols}
         assert pipeline.pruned.tolist() == (~reference_may_match(
             pipeline.expr, zones, *source.granule_extents())).tolist()
+    tiers = [{}, {"scheduler": thread_sched}]
+    if hasattr(source, "wire_descriptor"):
+        tiers.append({"scheduler": proc_sched})
     results = []
-    for where in ({"threads": 1}, {"scheduler": thread_sched},
-                  {"scheduler": proc_sched}):
+    for where in tiers:
         trace = Trace("tier")
         res = plan.execute(source, trace=trace, **where, **opts)
         assert res.stats.granules_total == len(source.granules())

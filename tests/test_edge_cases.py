@@ -144,7 +144,7 @@ class TestEngineEdgeCases:
         from repro.store import StoreSource
 
         with cold_table(columns, "leco", chunk_rows=chunk_rows) as table:
-            return plan.execute(StoreSource(table), threads=1)
+            return plan.execute(StoreSource(table))
 
     def test_single_row_table_query(self):
         from repro.exec import Plan, col

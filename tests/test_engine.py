@@ -48,7 +48,7 @@ class TestEncodedColumn:
     @settings(max_examples=10, deadline=None)
     def test_decode_roundtrip(self, encoding, values):
         with cold_table({"v": values}, encoding, chunk_rows=64) as table:
-            assert np.array_equal(table.read_column("v", threads=1),
+            assert np.array_equal(table.read_column("v"),
                                   values)
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
@@ -59,7 +59,7 @@ class TestEncodedColumn:
         selected[rng.integers(0, 3000, 200)] = True
         with cold_table({"v": values}, encoding, chunk_rows=256) as table:
             res = execute(Plan.scan(["v"]).where(Bitmap(selected)),
-                          StoreSource(table), threads=1)
+                          StoreSource(table))
         assert np.array_equal(res.row_ids, np.flatnonzero(selected))
         assert np.array_equal(res.columns["v"], values[selected])
 
@@ -70,7 +70,7 @@ class TestEncodedColumn:
         lo, hi = int(values[500]), int(values[800])
         expected = (values >= lo) & (values < hi)
         with cold_table({"v": values}, encoding, chunk_rows=256) as table:
-            res = table.scan(columns=["v"], where=("v", lo, hi), threads=1)
+            res = table.scan(columns=["v"], where=("v", lo, hi))
         assert np.array_equal(res.row_ids, np.flatnonzero(expected))
 
     def test_dict_falls_back_to_plain_for_unique_values(self):
@@ -116,7 +116,7 @@ class TestEncodedColumn:
         """A range far below all values must load no chunk at all."""
         values = (10 ** 6 + 7 * np.arange(10_000)).astype(np.int64)
         with cold_table({"v": values}, "leco", chunk_rows=500) as table:
-            res = table.scan(columns=["v"], where=("v", 0, 10), threads=1)
+            res = table.scan(columns=["v"], where=("v", 0, 10))
         assert res.n_rows == 0
         assert res.stats.granules_pruned == res.stats.granules_total == 20
         assert res.stats.chunks_scanned == res.stats.bytes_read == 0
@@ -149,7 +149,7 @@ class TestParquetFile:
 
     def test_scan_charges_io(self):
         with cold_table(self._table(), "leco", chunk_rows=2500) as table:
-            res = table.scan(columns=["ts"], where=("ts", 0, 1), threads=1)
+            res = table.scan(columns=["ts"], where=("ts", 0, 1))
             first = table.shards[0].by_column["ts"][0]
         # only the first chunk's zone map admits ts < 1
         assert (res.stats.reads, res.stats.bytes_read) == (1, first.nbytes)
@@ -181,7 +181,7 @@ class TestQueries:
 
     def _run(self, columns, encoding, plan, chunk_rows=4000):
         with cold_table(columns, encoding, chunk_rows=chunk_rows) as table:
-            return execute(plan, StoreSource(table), threads=1)
+            return execute(plan, StoreSource(table))
 
     @pytest.mark.parametrize("encoding", ["dict", "for", "delta", "leco"])
     def test_filter_groupby_matches_reference(self, encoding):
@@ -237,7 +237,7 @@ class TestQueries:
         bitmap = np.zeros(len(columns["ts"]), dtype=bool)
         bitmap[:100] = True  # only the first chunk is touched
         with cold_table(columns, "leco", chunk_rows=4000) as table:
-            res = execute(bitmap_sum(bitmap), StoreSource(table), threads=1)
+            res = execute(bitmap_sum(bitmap), StoreSource(table))
             first = table.shards[0].by_column["val"][0]
         assert (res.stats.reads, res.stats.bytes_read) == (1, first.nbytes)
 

@@ -1,5 +1,7 @@
 """Tests for the unified execution layer (``repro.exec``)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.exec import (
     And,
     ArraySource,
     Bitmap,
+    ChainSource,
     InSet,
     MorselScheduler,
     Or,
@@ -328,7 +331,7 @@ class TestBackendEquivalence:
         variants = [
             plan.execute(sources["store"], pushdown=False, prune=False),
             plan.execute(sources["store"], prune=False),
-            plan.execute(sources["store"], threads=3),
+            plan.execute(sources["store"], scheduler=tiers[0]),
             plan.execute(sources["memory"], pushdown=False, prune=False),
         ]
         for res in variants:
@@ -376,8 +379,7 @@ class TestBackendEquivalence:
             with Table.open(path, cache_bytes=0) as table:
                 source = StoreSource(table)
                 for name, plan in plans.items():
-                    naive = plan.execute(source, threads=1,
-                                         pushdown=False)
+                    naive = plan.execute(source, pushdown=False)
                     fast = assert_tiers_agree(plan, source, *tiers)
                     assert np.array_equal(fast.row_ids,
                                           k[64:192][live]), name
@@ -402,9 +404,9 @@ class TestBackendEquivalence:
                     return seq
 
                 spy.load = spying_load
-                plans["pushed range only"].execute(spy, threads=1)
+                plans["pushed range only"].execute(spy)
                 assert gathers == []
-                plans["range + residual"].execute(spy, threads=1)
+                plans["range + residual"].execute(spy)
                 assert set(gathers) == {"v"}
 
         path = str(tmp_path / "t")
@@ -558,7 +560,7 @@ class TestCallingThread:
         plan = Plan.scan(["reading"]).where(
             col("ts").between(int(ts[3000]), int(ts[3030])))
         trace = Trace("inline")
-        res = plan.execute(sources["store"], threads=1, trace=trace)
+        res = plan.execute(sources["store"], trace=trace)
         assert_granule_spans_match(trace, res.stats)
         [prune] = [s for s in trace.spans if s.name == "prune"]
         granules = [s for s in trace.spans if s.name == "granule"]
@@ -584,10 +586,10 @@ class TestCallingThread:
             return run(self, granule, **kwargs)
 
         monkeypatch.setattr(GranulePipeline, "run", counting_run)
-        res = plan.execute(sources["store"], threads=1)
+        res = plan.execute(sources["store"])
         pipeline = GranulePipeline(plan, sources["store"])
         assert ran == np.flatnonzero(~pipeline.pruned).tolist()
-        unpruned = plan.execute(sources["store"], threads=1, prune=False)
+        unpruned = plan.execute(sources["store"], prune=False)
         assert np.array_equal(res.row_ids, unpruned.row_ids)
 
     def test_unexplained_query_does_not_reduce_the_bitmap(
@@ -640,22 +642,95 @@ class TestAutoWorkers:
 
     def test_one_usable_cpu_stays_on_the_calling_thread(
             self, backends, monkeypatch):
-        """Pinned to one CPU, ``threads=None`` takes the calling-thread
-        arm: the shared pool runs nothing."""
+        """Pinned to one CPU, a query runs on its calling thread, as it
+        does on any box: no thread starts, one split before running."""
         from repro.exec import pool
 
         columns, sources = backends
         monkeypatch.setattr(pool.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
-        shared = obs_metrics.default_registry().get(
-            "repro_sched_granules_total").labels(sched="repro-exec-shared")
-        before = shared.value
+        threads = threading.active_count()
         trace = Trace("pinned")
         res = Plan.scan(["ts"]).where(col("status") == 0).execute(
             sources["store"], trace=trace)
-        assert shared.value == before
+        assert threading.active_count() == threads
         assert int((columns["status"] == 0).sum()) == res.n_rows
         assert len([s for s in trace.spans if s.name == "prune"]) == 1
+
+
+class TestDispatch:
+    """Where a query runs is one fact, ``scheduler``: none means the
+    calling thread, whatever ``threads``, the CPU count or the
+    environment say; a process tier runs only sources that describe
+    themselves."""
+
+    PLAN = Plan.scan(["ts", "reading"]).where(col("status") == 0)
+
+    def test_no_scheduler_runs_on_the_calling_thread(self, backends,
+                                                     monkeypatch):
+        from repro.exec.run import GranulePipeline
+
+        columns, sources = backends
+        ran_on = set()
+        run = GranulePipeline.run
+
+        def recording_run(self, granule, **kwargs):
+            ran_on.add(threading.get_ident())
+            return run(self, granule, **kwargs)
+
+        monkeypatch.setattr(GranulePipeline, "run", recording_run)
+        threads = threading.active_count()
+        for source in sources.values():
+            res = self.PLAN.execute(source)
+            assert res.n_rows == int((columns["status"] == 0).sum())
+        assert threading.active_count() == threads
+        assert ran_on == {threading.get_ident()}
+        # no process-wide pool exists to name a series after
+        assert 'sched="repro-exec-shared"' not in \
+            obs_metrics.render_text()
+
+    def test_repro_threads_changes_nothing(self, backends, monkeypatch):
+        _, sources = backends
+        threads = threading.active_count()
+        got = []
+        for value in ("not-a-number", "0", "4"):
+            monkeypatch.setenv("REPRO_THREADS", value)
+            got.append(self.PLAN.execute(sources["store"]))
+        assert threading.active_count() == threads
+        monkeypatch.delenv("REPRO_THREADS")
+        want = self.PLAN.execute(sources["store"])
+        for res in got:
+            assert np.array_equal(res.row_ids, want.row_ids)
+
+    def test_threads_selects_nothing(self, backends):
+        _, sources = backends
+        want = self.PLAN.execute(sources["store"])
+        got = self.PLAN.execute(sources["store"], threads=1)
+        assert np.array_equal(got.row_ids, want.row_ids)
+        for bad in (2, 0, 8):
+            with pytest.raises(ValueError, match="scheduler="):
+                self.PLAN.execute(sources["store"], threads=bad)
+
+    def test_process_tier_refuses_undescribable_sources(self, backends,
+                                                        tiers):
+        columns, sources = backends
+        _, lanes = tiers
+        admitted = obs_metrics.default_registry().get(
+            "repro_sched_queries_total").labels(sched=lanes.name,
+                                                outcome="admitted")
+        queries = obs_metrics.default_registry().get(
+            "repro_exec_queries_total")
+        before = admitted.value, {
+            status: queries.labels(status=status).value
+            for status in ("ok", "error", "busy", "timeout")}
+        chain = ChainSource([sources["memory"], ArraySource(
+            {name: values[:10] for name, values in columns.items()})])
+        for source in (sources["memory"], chain):
+            with pytest.raises(TypeError, match="describe themselves"):
+                self.PLAN.execute(source, scheduler=lanes)
+        assert (admitted.value, {
+            status: queries.labels(status=status).value
+            for status in ("ok", "error", "busy", "timeout")}) == before
 
 
 #: every aggregate op over one value column
@@ -711,7 +786,7 @@ class TestGroupMerge:
         keys = np.array([7, -3] * 5, dtype=np.int64)
         values = np.array([big, -big] * 5, dtype=np.int64)
         source = ArraySource({"k": keys, "v": values}, morsel_rows=2)
-        groups = grouped_plan().execute(source, threads=1).groups
+        groups = grouped_plan().execute(source).groups
         # keys sort within a granule; granules keep first appearance
         assert list(groups) == [-3, 7]
         assert groups[7]["s"] == 5 * big > INT64_MAX
@@ -724,7 +799,7 @@ class TestGroupMerge:
     def test_empty_granule_groups_nothing(self):
         source = ArraySource({"k": np.empty(0, dtype=np.int64),
                               "v": np.empty(0, dtype=np.int64)})
-        assert grouped_plan().execute(source, threads=1).groups == {}
+        assert grouped_plan().execute(source).groups == {}
 
     def test_tiers_agree_on_order_and_exactness(self, tmp_path, tiers):
         """Calling thread, thread tier, process tier (fork) and a spawn
@@ -805,7 +880,7 @@ class TestGroupMerge:
             source = ArraySource({"k": keys, "v": values},
                                  morsel_rows=morsel)
             res = grouped_plan(live if with_dv else None,
-                               group_by).execute(source, threads=1)
+                               group_by).execute(source)
             want = dict_merge_reference(
                 ALL_AGGS, keys if group_by else np.zeros_like(keys),
                 values, live, morsel)

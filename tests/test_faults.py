@@ -40,7 +40,8 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
 from repro import faults
-from repro.exec import CorruptChunkError, ExecTimeout, GranuleError
+from repro.exec import (CorruptChunkError, ExecTimeout, GranuleError,
+                        MorselScheduler)
 from repro.exec.run import ExecStats
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.mutate import MutableTable, recover_with_report
@@ -707,7 +708,7 @@ if HAVE_HYPOTHESIS:
                       byte, bit)
             try:
                 with Table.open(copy) as table:
-                    res = table.scan(threads=1)
+                    res = table.scan()
             except (ValueError, GranuleError):
                 return  # detected loudly: the acceptable outcome
             np.testing.assert_array_equal(res.columns["ts"],
@@ -730,7 +731,7 @@ if HAVE_HYPOTHESIS:
                       byte, bit)
             try:
                 with Table.open(copy) as table:
-                    res = table.scan(threads=1, on_corruption="skip")
+                    res = table.scan(on_corruption="skip")
             except (ValueError, GranuleError):
                 return  # header/footer damage still raises at open
             # every row that did come back carries its true values
@@ -752,9 +753,10 @@ class TestExecutorResilience:
         directory, _ = small_table
         inj = FaultInjector().slow_at("chunk.read", delay_s=0.05,
                                       times=None)
-        with inj, Table.open(directory, cache_bytes=0) as table:
+        with inj, Table.open(directory, cache_bytes=0) as table, \
+                MorselScheduler(workers=2) as pool:
             with pytest.raises(ExecTimeout) as info:
-                table.scan(threads=2, timeout_s=0.02)
+                table.scan(scheduler=pool, timeout_s=0.02)
         assert isinstance(info.value.stats, ExecStats)
         assert "timeout_s=0.02" in str(info.value)
 
@@ -764,14 +766,14 @@ class TestExecutorResilience:
                                       times=None)
         with inj, Table.open(directory, cache_bytes=0) as table:
             with pytest.raises(ExecTimeout):
-                table.scan(threads=1, timeout_s=0.02)
+                table.scan(timeout_s=0.02)
 
     def test_transient_eio_is_retried_to_success(self, small_table):
         directory, columns = small_table
         inj = FaultInjector().fail_at("chunk.read", error=errno.EIO,
                                       times=2)
         with inj, Table.open(directory, cache_bytes=0) as table:
-            res = table.scan(threads=1)
+            res = table.scan()
         assert inj.fired("chunk.read") == 2
         np.testing.assert_array_equal(np.sort(res.columns["ts"]),
                                       columns["ts"])
@@ -780,9 +782,10 @@ class TestExecutorResilience:
         directory, _ = small_table
         inj = FaultInjector().fail_at("chunk.read", error=errno.EIO,
                                       times=None)
-        with inj, Table.open(directory, cache_bytes=0) as table:
+        with inj, Table.open(directory, cache_bytes=0) as table, \
+                MorselScheduler(workers=2) as pool:
             with pytest.raises(GranuleError) as info:
-                table.scan(threads=2)
+                table.scan(scheduler=pool)
         err = info.value
         assert isinstance(err.cause, OSError)
         assert err.cause.errno == errno.EIO
@@ -796,7 +799,7 @@ class TestExecutorResilience:
         inj = FaultInjector().fail_at("chunk.read", error=errno.ENOSPC)
         with inj, Table.open(directory, cache_bytes=0) as table:
             with pytest.raises(GranuleError):
-                table.scan(threads=1)
+                table.scan()
         assert inj.fired("chunk.read") == 1  # no retry burned on ENOSPC
 
     def test_corrupt_chunk_error_is_not_wrapped(self, small_table):
@@ -805,9 +808,10 @@ class TestExecutorResilience:
         with open(shard, "rb") as fh:
             meta = unpack_footer(fh.read()).column_chunks("ts")[0]
         _flip_bit(shard, meta.offset + 8, 2)
-        with Table.open(directory) as table:
+        with Table.open(directory) as table, \
+                MorselScheduler(workers=4) as pool:
             with pytest.raises(CorruptChunkError):
-                table.scan(threads=4)
+                table.scan(scheduler=pool)
 
     def test_knob_validation(self, small_table):
         directory, _ = small_table

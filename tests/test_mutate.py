@@ -11,6 +11,7 @@ tail, never committed rows).
 
 import os
 import shutil
+import threading
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from exec_checks import assert_tiers_agree
 from repro import codecs
 from repro.exec import ArraySource, ChainSource, MorselScheduler, Plan, col
 from repro.exec.expr import And, Bitmap, Expr, InSet, Or, Range
+from repro.exec.run import GranulePipeline
 from repro.mutate import (
     BackgroundCompactor,
     MutableTable,
@@ -577,9 +579,10 @@ class TestChainSource:
         """Chunks a deletion vector kills whole prune through the
         implicit bitmap identically inline, on a thread tier and on a
         process tier: same rows, every integer ``ExecStats`` field equal
-        — for the flushed snapshot (the process tier prunes before
-        dispatch) and for a live view with pending deletes and a
-        memtable tail (no descriptor: the lanes prune in the granule)."""
+        — for the flushed snapshot and, on the calling thread and the
+        thread tier, for a live view with pending deletes and a
+        memtable tail (it has no descriptor, so no process tier runs
+        it)."""
         path = str(tmp_path / "t")
         with MutableTable.create(path, schema=("k", "v"), shard_rows=100,
                                  chunk_rows=25) as table:
@@ -606,7 +609,7 @@ class TestChainSource:
             for source, dead in ((snapshot, 3), (view, 5)):
                 for plan in plans:
                     got = assert_tiers_agree(plan, source, threads, lanes)
-                    naive = plan.execute(source, threads=1, prune=False)
+                    naive = plan.execute(source, prune=False)
                     assert got.groups == naive.groups
                     assert np.array_equal(got.row_ids, naive.row_ids)
                     if plan.filter_expr() is None:
@@ -614,11 +617,6 @@ class TestChainSource:
 
 
 # ------------------------------------------------------- snapshot source
-def _shared_pool_granules() -> float:
-    return default_registry().get("repro_sched_granules_total").labels(
-        sched="repro-exec-shared").value
-
-
 class TestSnapshotSource:
     """A mutable table builds its snapshot's ``StoreSource`` once per
     generation: reads, victim searches and the chained live view all
@@ -669,7 +667,7 @@ class TestSnapshotSource:
         with self.make(tmp_path, n=2000) as table:
             source = table.source()
             plan = Plan.scan(["k", "v"]).where(col("k").between(5, 5))
-            plan.execute(table.source(), threads=1)  # first zone test
+            plan.execute(table.source())  # first zone test
             granules = source.granules()
             extents = source.granule_extents()
             built = []
@@ -689,8 +687,7 @@ class TestSnapshotSource:
             monkeypatch.setattr(store_executor, "zone_arrays",
                                 counting_zones)
             for i in range(100):
-                res = table.scan(["k", "v"], where=("k", 7 * i, 7 * i + 1),
-                                 threads=1)
+                res = table.scan(["k", "v"], where=("k", 7 * i, 7 * i + 1))
                 assert res.columns["v"].tolist() == [21 * i]
             for i in range(10):
                 assert table.delete(("k", 1000 + i, 1001 + i)) == 1
@@ -699,6 +696,21 @@ class TestSnapshotSource:
             assert table.source()._sources[0] is source
             assert source.granules() is granules
             assert source.granule_extents() is extents
+
+    def test_scan_forwards_every_executor_option(self, tmp_path):
+        """``scan`` / ``read_column`` hand their keywords to the
+        executor as ``Table.scan`` does: the resilience knobs and a
+        scheduler included."""
+        with self.make(tmp_path) as table, \
+                MorselScheduler(workers=2, name="mut-scan") as pool:
+            table.append({"k": [900], "v": [0]})
+            res = table.scan(["k"], where=("k", 395, 1000),
+                             timeout_s=5.0, on_corruption="skip",
+                             scheduler=pool, prune=False)
+            assert res.columns["k"].tolist() == [395, 396, 397, 398,
+                                                 399, 900]
+            assert table.read_column("v", scheduler=pool).tolist() \
+                == [3 * k for k in range(400)] + [0]
 
     def test_source_taken_before_a_commit_reads_its_snapshot(
             self, tmp_path):
@@ -712,18 +724,31 @@ class TestSnapshotSource:
             table.compact(threshold=0.9)
             assert table.scan(["k"]).columns["k"].tolist() \
                 == list(range(300, 400)) + [900]
-            assert plan.execute(before, threads=1).columns["k"].tolist() \
+            assert plan.execute(before).columns["k"].tolist() \
                 == list(range(400))
             assert plan.execute(pending).columns["k"].tolist() \
                 == list(range(400)) + [900]
 
-    def test_victim_search_stays_on_the_caller(self, tmp_path):
+    def test_victim_search_stays_on_the_caller(self, tmp_path,
+                                               monkeypatch):
+        """``delete`` / ``update`` find their victims on the calling
+        thread: no thread starts, and every granule runs on the
+        caller's."""
+        ran_on = set()
+        run = GranulePipeline.run
+
+        def recording_run(self, granule, **kwargs):
+            ran_on.add(threading.get_ident())
+            return run(self, granule, **kwargs)
+
         with self.make(tmp_path) as table:
-            before = _shared_pool_granules()
+            monkeypatch.setattr(GranulePipeline, "run", recording_run)
+            threads = threading.active_count()
             assert table.delete(col("k").between(10, 300)) == 290
             assert table.update("k", 350, {"v": 0}) == 1
             assert table.update("k", 5, {"v": 1}) == 1
-            assert _shared_pool_granules() == before
+            assert threading.active_count() == threads
+            assert ran_on == {threading.get_ident()}
             res = table.scan(["k"], where=("k", 0, 400))
             assert sorted(res.columns["k"].tolist()) \
                 == list(range(10)) + list(range(300, 400))
@@ -874,10 +899,10 @@ class TestSharedShardFiles:
             assert table.compact(threshold=0.5) is not None
             assert dropped not in {entry["file"] for entry
                                    in table.source().table.manifest.shards}
-            old = plan.execute(before_flush, threads=1).columns
+            old = plan.execute(before_flush).columns
             assert old["k"].tolist() == list(range(400))
             assert old["v"].tolist() == list(range(0, 1200, 3))
-            mid = plan.execute(before_compact, threads=1).columns
+            mid = plan.execute(before_compact).columns
             assert mid["k"].tolist() == list(range(20, 400)) + [900]
             now = table.scan(["k"]).columns["k"]
             assert now.tolist() == list(range(80, 400)) + [900]
@@ -997,12 +1022,12 @@ def live_view(tmp_path_factory):
     """A mutable table's live view with everything that shapes it:
     flushed deletion vectors (chunks dead whole and in part), pending
     deletes and a memtable tail, over a warm chunk cache (so a scan
-    counts the same cache hits whichever in-process tier runs it)."""
+    counts the same cache hits whichever in-process tier runs it).  It
+    is a ``ChainSource``, so no process tier runs it."""
     path = str(tmp_path_factory.mktemp("view") / "t")
     with MutableTable.create(path, schema=("k", "v"), shard_rows=100,
                              chunk_rows=25) as table, \
-            MorselScheduler(workers=2, name="view-threads") as threads, \
-            ProcessScheduler(workers=2, name="view-lanes") as lanes:
+            MorselScheduler(workers=2, name="view-threads") as threads:
         table.append({"k": np.arange(400), "v": (np.arange(400) * 7) % 50})
         table.flush()
         table.delete(("k", 25, 75))
@@ -1015,8 +1040,9 @@ def live_view(tmp_path_factory):
         # warm: the naive path decodes both columns of every granule,
         # the all-dead ones included
         Plan.scan().where((col("k") >= 0) & (col("v") >= 0)).execute(
-            source, threads=1, prune=False, pushdown=False)
-        yield source, threads, lanes
+            source, prune=False, pushdown=False)
+        assert isinstance(source, ChainSource)
+        yield source, threads
 
 
 if HAVE_HYPOTHESIS:
@@ -1024,10 +1050,10 @@ if HAVE_HYPOTHESIS:
         @given(data=st.data())
         @settings(max_examples=15, deadline=None)
         def test_tiers_agree_on_the_live_view(self, live_view, data):
-            """The calling thread (split before running), the thread
-            tier (pruning in the granule) and the process tier agree on
-            rows, groups and every integer ``ExecStats`` field."""
-            source, threads, lanes = live_view
+            """The calling thread (split before running) and the thread
+            tier (pruning in the granule) agree on rows, groups and
+            every integer ``ExecStats`` field."""
+            source, threads = live_view
             a = data.draw(st.integers(-20, 490))
             b = data.draw(st.integers(-20, 490))
             terms = [col("k").between(min(a, b), max(a, b)),
@@ -1047,8 +1073,8 @@ if HAVE_HYPOTHESIS:
                                           [None, "v"])))
             opts = {"prune": data.draw(st.booleans()),
                     "pushdown": data.draw(st.booleans())}
-            got = assert_tiers_agree(plan, source, threads, lanes, **opts)
-            naive = plan.execute(source, threads=1, prune=False,
+            got = assert_tiers_agree(plan, source, threads, None, **opts)
+            naive = plan.execute(source, prune=False,
                                  pushdown=False)
             assert got.groups == naive.groups
             assert np.array_equal(got.row_ids, naive.row_ids)

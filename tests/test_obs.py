@@ -442,11 +442,10 @@ class TestTracing:
             source = StoreSource(table)
             # warm the cache so the traced run shows real hits
             Plan.scan(("val",)).where(
-                Range("val", 0, 1024)).execute(source, threads=1)
+                Range("val", 0, 1024)).execute(source)
             trace = Trace("q", table=path)
             res = Plan.scan(("val",)).where(
-                Range("val", 0, 100)).execute(source, threads=1,
-                                              trace=trace)
+                Range("val", 0, 100)).execute(source, trace=trace)
         stats = res.stats
         assert stats.granules_total == 2
         assert stats.granules_pruned == 1  # zone maps drop rows 512+
@@ -460,8 +459,7 @@ class TestTracing:
         path = str(tmp_path / "t")
         make_table(path)
         with Table.open(path) as table:
-            res = Plan.scan(("val",)).execute(StoreSource(table),
-                                              threads=1)
+            res = Plan.scan(("val",)).execute(StoreSource(table))
         assert res.trace is None
         assert "trace:" not in res.explain()
 

@@ -1,18 +1,18 @@
 """Tests for ``repro.par`` — the process-tier worker pool (PR 9).
 
-Nine suites:
+Eight suites:
 
 * **descriptors** — :class:`QueryDescriptor` round-trips JSON and
   pickle losslessly, rejects foreign versions, and refuses sources
-  that cannot be rebuilt from a path;
+  that cannot be rebuilt from a path with :class:`TypeError`;
 * **worker path property** (hypothesis) — for every integer codec in
   the registry, a plan's pushdown expression survives the real wire
   (``to_json`` → ``json`` → ``pickle`` → ``from_json`` →
   :meth:`WorkerState.run_granule`) with row-for-row identical results
   vs in-process execution;
 * **process equivalence** — filters, naive mode, grouped aggregates,
-  joins, deletion-vector snapshots and in-memory fallback all return
-  the serial answers through a real :class:`ProcessScheduler`;
+  joins and deletion-vector snapshots all return the serial answers
+  through a real :class:`ProcessScheduler`;
 * the **crash matrix** — an injected ``granule.exec`` crash (a real
   ``os._exit`` mid-granule) is detected, the lane respawns, the granule
   retries once and the query completes with exact rows; a granule that
@@ -21,17 +21,15 @@ Nine suites:
   abandons its granules and the *next* query on the same lanes is
   correct (stale results are discarded, not misattributed);
 * **driver-side pruning** (fork and spawn) — the driver's zone-map
-  split is a partition of the granule set (hypothesis over bands,
-  deletion vectors, ``prune``/``pushdown``): only survivors cross a
-  lane pipe, the pruned are charged once, a crash on a survivor is
+  split is a partition of the granule set on the calling thread and on
+  lanes (hypothesis over bands, deletion vectors,
+  ``prune``/``pushdown``): only survivors run or cross a lane pipe, the pruned are charged once, a crash on a survivor is
   retried once, a timeout counts the pruned as completed;
 * **lane runs** (fork and spawn) — a lane message carries a run of
   consecutive survivors: the runs partition the queue (hypothesis), the
   real dispatch matches that drain with every count and span still per
   granule, a crash inside a run re-sends its granules alone, and a
   timed-out run frees its lane within one granule;
-* **shared scheduler config** — ``REPRO_THREADS`` and
-  :func:`configure_shared_scheduler` precedence;
 * **cache gauges** — ``repro_cache_used_bytes`` / ``repro_cache_entries``
   aggregate over every live cache at render time (no last-writer-wins
   clobbering), and function-backed gauges refuse direct mutation;
@@ -79,11 +77,6 @@ from repro.exec import (
     col,
 )
 from repro.exec.errors import CorruptChunkError
-from repro.exec.pool import (
-    THREADS_ENV,
-    configure_shared_scheduler,
-    shared_scheduler,
-)
 from repro.exec.run import GranulePipeline, execute
 from repro.faults import FaultInjector
 from repro.mutate import MutableTable
@@ -219,9 +212,9 @@ class TestDescriptor:
 
     def test_memory_sources_are_not_describable(self):
         array = ArraySource({"v": np.arange(100)}, morsel_rows=10)
-        desc = describe_query(Plan.scan(["v"]), array, pushdown=True,
-                              on_corruption="raise")
-        assert desc is None
+        with pytest.raises(TypeError, match="describe themselves"):
+            describe_query(Plan.scan(["v"]), array, pushdown=True,
+                           on_corruption="raise")
 
     def test_fault_spec_round_trip(self):
         inj = FaultInjector(seed=7)
@@ -287,7 +280,7 @@ if HAVE_HYPOTHESIS:
                         chunk_rows=16)
             with Table.open(path) as table:
                 src = StoreSource(table)
-                expected = plan.execute(src, threads=1)
+                expected = plan.execute(src)
                 desc = describe_query(plan, src, pushdown=True,
                                       on_corruption="raise")
                 wire = pickle.loads(pickle.dumps(
@@ -316,7 +309,7 @@ if HAVE_HYPOTHESIS:
 class TestProcessEquivalence:
     def test_filter_scan_matches(self, source, cold_source,
                                  thread_sched, sched):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         got = FILTER_PLAN.execute(source, scheduler=sched)
         assert len(expected.row_ids) > 0
         assert_rows_equal(got, expected)
@@ -325,7 +318,7 @@ class TestProcessEquivalence:
 
     def test_naive_mode_matches(self, source, cold_source, thread_sched,
                                 sched):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         got = FILTER_PLAN.execute(source, scheduler=sched,
                                   prune=False, pushdown=False)
         assert_rows_equal(got, expected)
@@ -341,7 +334,7 @@ class TestProcessEquivalence:
                             "avg_reading": ("avg", "reading"),
                             "max_ts": ("max", "ts")},
                            group_by="sensor_id"))
-        expected = plan.execute(source, threads=1)
+        expected = plan.execute(source)
         got = plan.execute(source, scheduler=sched)
         assert got.groups == expected.groups
         assert len(got.groups) > 1
@@ -355,7 +348,7 @@ class TestProcessEquivalence:
                 .join(on="sensor_id",
                       build={"sensor_id": [0, 1, 2, 3],
                              "zone": [10, 11, 12, 13]}))
-        expected = plan.execute(source, threads=1)
+        expected = plan.execute(source)
         got = plan.execute(source, scheduler=sched)
         assert_rows_equal(got, expected)
         assert_rows_equal(assert_tiers_agree(
@@ -374,7 +367,7 @@ class TestProcessEquivalence:
             with table.snapshot() as snap:
                 src = StoreSource(snap)
                 plan = Plan.scan(["k", "v"]).where(col("v") >= 30)
-                expected = plan.execute(src, threads=1)
+                expected = plan.execute(src)
                 got = plan.execute(src, scheduler=sched)
                 # the DV bitmap is re-derived worker-side from the
                 # pinned generation, never shipped
@@ -426,7 +419,7 @@ class TestProcessEquivalence:
                         chunk_rows=250, overwrite=True)
             src = StoreSource(held)
             assert np.array_equal(
-                plan.execute(src, threads=1).columns["ts"], ts)
+                plan.execute(src).columns["ts"], ts)
             with pytest.raises(GranuleError,
                                match="no manifest for version 0"):
                 plan.execute(src, scheduler=sched)
@@ -444,18 +437,6 @@ class TestProcessEquivalence:
             WorkerState().run_granule(
                 1, dataclasses.replace(desc, version=1), 0)
 
-    def test_memory_source_falls_back_in_driver(self, thread_sched,
-                                                sched):
-        array = ArraySource(
-            {"v": np.arange(5000, dtype=np.int64),
-             "w": (np.arange(5000, dtype=np.int64) * 7) % 101},
-            morsel_rows=512)
-        plan = Plan.scan(["v", "w"]).where(col("w") <= 50)
-        expected = plan.execute(array, threads=1)
-        got = plan.execute(array, scheduler=sched)
-        assert_rows_equal(got, expected)
-        assert_tiers_agree(plan, array, thread_sched, sched)
-
     def test_evicted_descriptor_asks_for_resend(self, source):
         desc = describe_query(FILTER_PLAN, source, pushdown=True,
                               on_corruption="raise")
@@ -472,7 +453,7 @@ class TestProcessEquivalence:
         lane: interleaved granules keep evicting each other's cached
         pipelines, so the needdesc/resend path must carry every query
         to the exact in-process answer."""
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         one_lane = ProcessScheduler(workers=1, name="par-thrash")
         results: list = [None] * 20
         errors: list = []
@@ -507,7 +488,7 @@ class TestProcessEquivalence:
         plans = [Plan.scan(["ts", "reading"])
                  .where(col("ts").between(lo, lo + 4000))
                  for lo in range(0, 50_000, 10_000)]
-        expected = [plan.execute(source, threads=1) for plan in plans]
+        expected = [plan.execute(source) for plan in plans]
         needdesc = default_registry().get(
             "repro_par_needdesc_total").labels(sched="par-lru")
         with ProcessScheduler(workers=1, name="par-lru") as one_lane:
@@ -528,7 +509,7 @@ class TestProcessEquivalence:
         assert stats["workers_alive"] == 2
 
     def test_explicit_spawn_scheduler(self, source):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         spawn_sched = ProcessScheduler(workers=1, start_method="spawn",
                                        name="par-spawn")
         try:
@@ -577,7 +558,7 @@ def _respawns(sched_name: str) -> float:
 
 class TestCrashMatrix:
     def test_injected_crash_respawns_and_retries(self, source):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         inj = FaultInjector()
         inj.crash_at("granule.exec", at=2)
         crashy = ProcessScheduler(workers=1, name="par-crash",
@@ -602,7 +583,7 @@ class TestCrashMatrix:
             doomed.close()
 
     def test_external_sigkill_recovers(self, source):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         victim = ProcessScheduler(workers=1, name="par-kill")
         try:
             got = FILTER_PLAN.execute(source, scheduler=victim)
@@ -617,7 +598,7 @@ class TestCrashMatrix:
             victim.close()
 
     def test_timeout_abandons_without_poisoning_lanes(self, source):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         inj = FaultInjector()
         inj.slow_at("granule.exec", delay_s=0.6, times=2)
         slow = ProcessScheduler(workers=1, name="par-slow",
@@ -709,9 +690,10 @@ def lanes(request):
 
 class TestDriverSidePruning:
     """A describable source's granules are split by zone map *before*
-    dispatch: every granule is pruned or dispatched, never both, never
-    neither (SNIPPETS 2-3), and everything a caller can observe is what
-    the in-granule pruning of the other tiers produces."""
+    they run, on the calling thread and before dispatch to lanes: every
+    granule is pruned or run, never both, never neither (SNIPPETS 2-3),
+    and everything a caller can observe is what the in-granule pruning
+    of the thread tier produces."""
 
     @staticmethod
     def _check_split(plan, src, thread_sched, lanes, **opts):
@@ -719,24 +701,27 @@ class TestDriverSidePruning:
         survivors = [g.index for g in src.granules()
                      if not pipeline.prunes(g)]
         n_pruned = len(src.granules()) - len(survivors)
-        trace = Trace("split")
-        sent = _lane_granules(lanes.name, "ok")
-        res = plan.execute(src, scheduler=lanes, trace=trace, **opts)
-        # exactly the survivors crossed a pipe, each exactly once ...
-        assert _lane_granules(lanes.name, "ok") - sent == len(survivors)
-        assert sorted(s.attrs["granule"] for s in trace.spans
-                      if s.name == "granule") == survivors
-        # ... the rest were charged once, by the driver's one span ...
-        [prune] = [s for s in trace.spans if s.name == "prune"]
-        assert prune.attrs == {"pruned": n_pruned,
-                               "granules": len(src.granules())}
-        assert "proc" not in prune.attrs and prune.pid == 0
-        assert res.stats.granules_pruned == n_pruned
-        # ... and every tier agrees on rows and every integer count
         expected = assert_tiers_agree(plan, src, thread_sched, lanes,
                                       **opts)
-        assert_rows_equal(res, expected)
-        assert count_fields(res.stats) == count_fields(expected.stats)
+        for where, crossed in (({}, 0),
+                               ({"scheduler": lanes}, len(survivors))):
+            trace = Trace("split")
+            sent = _lane_granules(lanes.name, "ok")
+            res = plan.execute(src, trace=trace, **where, **opts)
+            # exactly the survivors ran (crossing a pipe on lanes, and
+            # only there), each exactly once ...
+            assert _lane_granules(lanes.name, "ok") - sent == crossed
+            assert sorted(s.attrs["granule"] for s in trace.spans
+                          if s.name == "granule") == survivors
+            # ... the rest were charged once, by the one "prune" span
+            [prune] = [s for s in trace.spans if s.name == "prune"]
+            assert prune.attrs == {"pruned": n_pruned,
+                                   "granules": len(src.granules())}
+            assert "proc" not in prune.attrs and prune.pid == 0
+            assert res.stats.granules_pruned == n_pruned
+            # ... and every tier agrees on rows and every integer count
+            assert_rows_equal(res, expected)
+            assert count_fields(res.stats) == count_fields(expected.stats)
         return expected, survivors
 
     if HAVE_HYPOTHESIS:
@@ -851,7 +836,7 @@ class TestDriverSidePruning:
         merged once, the result equals inline, and the pruned count is
         charged once — not again by a retry."""
         plan, src = _band(1234, 1567), banded["dead"]
-        expected = plan.execute(src, threads=1)
+        expected = plan.execute(src)
         inj = FaultInjector()
         inj.crash_at("granule.exec", at=2)
         name = f"par-prune-crash-{start_method}"
@@ -887,7 +872,7 @@ class TestDriverSidePruning:
             assert moved[("repro_exec_granules_total", "pruned")] == 36
             # and the lane is not poisoned by the abandoned result
             assert_rows_equal(plan.execute(src, scheduler=slow),
-                              plan.execute(src, threads=1))
+                              plan.execute(src))
 
 
 # ===================================================================
@@ -977,7 +962,7 @@ class TestLaneRuns:
         Deaths: two runs, then one lone retry each for the six granules
         that come second to a fresh worker."""
         plan, src = _band(1234, 1967), banded["live"]
-        expected = plan.execute(src, threads=1)
+        expected = plan.execute(src)
         assert expected.stats.granules_total \
             - expected.stats.granules_pruned == 8
         assert [len(run) for run in _drain(8, 1)][:2] == [2, 2]
@@ -1033,35 +1018,10 @@ class TestLaneRuns:
             t0 = time.perf_counter()
             got = one.execute(src, scheduler=slow)
             waited = time.perf_counter() - t0
-        assert_rows_equal(got, one.execute(src, threads=1))
+        assert_rows_equal(got, one.execute(src))
         # at most the abandoned granule's rest plus this query's own
         # granule — the other nine would be 4.5 s
         assert waited < 2.5 * delay
-
-
-# ===================================================================
-# shared scheduler configuration
-# ===================================================================
-class TestSharedSchedulerConfig:
-    def test_env_and_explicit_precedence(self, monkeypatch):
-        try:
-            monkeypatch.setenv(THREADS_ENV, "3")
-            assert configure_shared_scheduler().workers == 3
-            assert shared_scheduler().workers == 3
-            # configure > env
-            assert configure_shared_scheduler(workers=2).workers == 2
-        finally:
-            monkeypatch.delenv(THREADS_ENV, raising=False)
-            configure_shared_scheduler()
-
-    def test_invalid_env_value_is_loud(self, monkeypatch):
-        for bad in ("zero", "0", "-4"):
-            monkeypatch.setenv(THREADS_ENV, bad)
-            with pytest.raises(ValueError, match=THREADS_ENV):
-                configure_shared_scheduler()
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        configure_shared_scheduler()
-
 
 
 # ===================================================================
@@ -1116,7 +1076,7 @@ class TestServeProcessTier:
             TableServer(root, worker_tier="bogus")
 
     def test_process_tier_end_to_end(self, root, source):
-        expected = FILTER_PLAN.execute(source, threads=1)
+        expected = FILTER_PLAN.execute(source)
         srv = TableServer(root, workers=1, worker_tier="process",
                           max_inflight=2, queue_depth=2).start()
         host, port = srv.address
@@ -1135,7 +1095,7 @@ class TestServeProcessTier:
             self, root, source, tmp_path):
         """``lanes`` counts the granules that ran, per lane; ``pruned``
         the ones the driver's zone-map split kept off the pipes."""
-        stats = FILTER_PLAN.execute(source, threads=1).stats
+        stats = FILTER_PLAN.execute(source).stats
         log = str(tmp_path / "slow.jsonl")
         with TableServer(root, workers=2, worker_tier="process",
                          slow_query_ms=0.0, slow_query_log=log) as srv, \
@@ -1178,7 +1138,7 @@ class TestCrossProcessObs:
         through, and only those, surface per-lane."""
         fam = "repro_cache_lookups_total"
         before = parse_text(render_text())
-        thread_res = FILTER_PLAN.execute(source, threads=1)
+        thread_res = FILTER_PLAN.execute(source)
         mid = parse_text(render_text())
         thread_delta = (self._family_total(mid, fam, merged=False)
                         - self._family_total(before, fam, merged=False))
@@ -1254,7 +1214,7 @@ class TestCrossProcessObs:
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{method} unavailable")
         thread_trace = Trace("thread")
-        FILTER_PLAN.execute(source, threads=1, trace=thread_trace)
+        FILTER_PLAN.execute(source, trace=thread_trace)
         proc_trace = Trace("proc")
         with ProcessScheduler(workers=2, start_method=method,
                               name=f"obs-{method}") as sched:

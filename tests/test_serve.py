@@ -288,8 +288,8 @@ class TestPlanJson:
         with Table.open(os.path.join(root, "events")) as table:
             source = StoreSource(table)
             plan = _selective_plan(columns)
-            a = plan.execute(source, threads=1)
-            b = Plan.from_json(plan.to_json()).execute(source, threads=1)
+            a = plan.execute(source)
+            b = Plan.from_json(plan.to_json()).execute(source)
             np.testing.assert_array_equal(a.row_ids, b.row_ids)
             for name in a.columns:
                 np.testing.assert_array_equal(a.columns[name],
@@ -418,7 +418,7 @@ class TestSharedExecution:
         plans = self._mixed_plans(columns)
         with Table.open(os.path.join(root, "events")) as table:
             source = StoreSource(table)
-            serial = [p.execute(source, threads=1) for p in plans]
+            serial = [p.execute(source) for p in plans]
             sched = MorselScheduler(workers=4)
             failures = []
 
@@ -468,7 +468,7 @@ class TestSharedExecution:
                         cache_bytes=2048) as table:
             source = StoreSource(table)
             plan = _selective_plan(columns, width=4000)
-            serial = plan.execute(source, threads=1)
+            serial = plan.execute(source)
             results = []
 
             sched = MorselScheduler(workers=2)
@@ -614,7 +614,7 @@ class TestWire:
         root, columns = served_root
         with Table.open(os.path.join(root, "events")) as table:
             real = _selective_plan(columns, width=700).execute(
-                StoreSource(table), threads=1)
+                StoreSource(table))
         for limit in (None, 0, 13, 10_000):
             assert self._json_reply(real, limit) == json.dumps(
                 {"ok": True,
@@ -849,7 +849,7 @@ class TestTableServer:
         root, columns = served_root
         plan = _selective_plan(columns)
         with Table.open(os.path.join(root, "events")) as table:
-            ref = plan.execute(StoreSource(table), threads=1)
+            ref = plan.execute(StoreSource(table))
         res = client.query("events", plan, timeout_s=10.0)
         assert res["n_rows"] == ref.n_rows
         assert not res["truncated"]
@@ -870,7 +870,7 @@ class TestTableServer:
         plan = Plan.scan(["reading"]).aggregate(
             {"total": ("sum", "reading")}, group_by="sensor_id")
         with Table.open(os.path.join(root, "events")) as table:
-            ref = plan.execute(StoreSource(table), threads=1)
+            ref = plan.execute(StoreSource(table))
         res = client.query("events", plan)
         assert {k: v for k, v in res["groups"]} == ref.groups
 
@@ -986,6 +986,36 @@ class TestTableServer:
         assert res["row_ids"].size == 0
         assert client.query("events", plan, timeout_s=2.5,
                             limit=10)["truncated"] is False
+
+    def test_a_pause_inside_a_frame_loses_nothing(self, served_root):
+        """A client that pauses mid-frame, inside the length prefix or
+        inside the payload, still gets its answer; one left stalled
+        mid-frame does not hold up the drain, which drops it."""
+        root, _ = served_root
+        body = json.dumps({"v": wire.WIRE_VERSION, "op": "ping"}).encode()
+        frame = struct.pack(">I", len(body)) + body
+        srv = TableServer(root).start()
+        with socket.create_connection(srv.address) as stalled:
+            try:
+                for cut in (2, 10):  # inside the header, the payload
+                    with socket.create_connection(srv.address) as raw, \
+                            raw.makefile("rb") as reader:
+                        raw.settimeout(5.0)
+                        raw.sendall(frame[:cut])
+                        time.sleep(0.5)
+                        raw.sendall(frame[cut:])
+                        (length,) = struct.unpack(">I", reader.read(4))
+                        assert json.loads(reader.read(length)) == \
+                            {"ok": True, "result": "pong"}
+                stalled.sendall(frame[:10])
+                time.sleep(0.3)  # its handler now waits mid-frame
+            finally:
+                start = time.perf_counter()
+                srv.shutdown(timeout=2.0)
+                elapsed = time.perf_counter() - start
+            assert elapsed < 2.0
+            stalled.settimeout(5.0)
+            assert stalled.recv(1) == b""  # dropped, unanswered
 
     def test_malformed_frame_does_not_kill_the_server(self, server):
         host, port = server.address

@@ -15,6 +15,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
 from repro import codecs
+from repro.exec import MorselScheduler
 from repro.obs import metrics as obs_metrics
 from repro.store import (
     ChunkCache,
@@ -507,8 +508,11 @@ class TestParallelAndCache:
         ts = columns["ts"]
         lo, hi = int(ts[1000]), int(ts[4000])
         with Table.open(path) as table:
-            results = [table.scan(where=("ts", lo, hi), threads=k)
-                       for k in (1, 2, 4, None)]
+            results = [table.scan(where=("ts", lo, hi))]
+            for workers in (1, 2, 4):
+                with MorselScheduler(workers=workers) as pool:
+                    results.append(table.scan(where=("ts", lo, hi),
+                                              scheduler=pool))
             for res in results[1:]:
                 assert np.array_equal(res.row_ids, results[0].row_ids)
                 for name in res.columns:
