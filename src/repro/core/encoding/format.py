@@ -311,14 +311,18 @@ class CompressedArray(EncodedSequence):
     def filter_range(self, lo: int, hi: int) -> np.ndarray:
         """Range predicate with model-based partition pruning (§5.1.1).
 
-        Partitions whose model + residual-width band cannot intersect
-        ``[lo, hi)`` are skipped without touching their delta arrays.
+        The model + residual-width bands decide every partition without
+        touching its delta array: one that cannot intersect ``[lo, hi)``
+        is all ``False``, one that lies inside it all ``True`` (the bands
+        are conservative, so both are sound).  Only the partitions
+        straddling ``lo`` or ``hi`` decode and compare.
         """
         bounds = self.partition_value_bounds()
-        maybe = (bounds[:, 1] >= lo) & (bounds[:, 0] < hi)
-        bitmap = np.zeros(self.n, dtype=bool)
-        if maybe.any():
-            positions = np.flatnonzero(np.repeat(maybe, self.lengths))
+        inside = (bounds[:, 0] >= lo) & (bounds[:, 1] < hi)
+        edge = (bounds[:, 1] >= lo) & (bounds[:, 0] < hi) & ~inside
+        bitmap = np.repeat(inside, self.lengths)
+        if edge.any():
+            positions = np.flatnonzero(np.repeat(edge, self.lengths))
             values = self._decode(positions)
             bitmap[positions] = (values >= lo) & (values < hi)
         return bitmap

@@ -1,4 +1,5 @@
-"""Logical query plans: Scan → Filter → Project → Aggregate / HashJoin.
+"""Logical query plans: Scan → Filter → Project → Aggregate / HashJoin
+or Limit.
 
 A :class:`Plan` is an immutable chain of logical nodes built fluently::
 
@@ -8,6 +9,10 @@ A :class:`Plan` is an immutable chain of logical nodes built fluently::
                        group_by="sensor_id"))
     result = plan.execute(source)          # any ColumnSource backend
     print(result.explain())                # plan + pruning counts
+
+A row plan (no Aggregate or HashJoin) may end in ``.limit(n)``: the
+result holds the first ``n`` matching rows in row order, while
+``n_rows`` and the stats still describe every match.
 
 The plan is backend-neutral: the same object executes over a
 :class:`~repro.store.executor.StoreSource` or an in-memory
@@ -85,6 +90,15 @@ class HashJoin:
     how: str
 
 
+@dataclass(frozen=True)
+class Limit:
+    """Keep the first ``n`` matching rows, in row order.  Every granule
+    still filters and counts all of its matches; it gathers at most its
+    first ``n``, and the driver keeps the first ``n`` in granule order."""
+
+    n: int
+
+
 #: nodes that terminate a plan (no further operators may follow)
 _TERMINAL = (Aggregate, HashJoin)
 
@@ -105,7 +119,7 @@ class Plan:
         return cls((Scan(cols),))
 
     def _extend(self, node) -> "Plan":
-        if self.nodes and isinstance(self.nodes[-1], _TERMINAL):
+        if self.nodes and isinstance(self.nodes[-1], (*_TERMINAL, Limit)):
             raise ValueError(
                 f"cannot add {type(node).__name__} after the terminal "
                 f"{type(self.nodes[-1]).__name__} operator")
@@ -135,6 +149,17 @@ class Plan:
                     f"{', '.join(AGG_OPS)}")
             normalized.append((out, op, column))
         return self._extend(Aggregate(tuple(normalized), group_by))
+
+    def limit(self, n: int) -> "Plan":
+        """Keep the first ``n`` matching rows (see :class:`Limit`); only
+        a row plan takes one, and only one."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"limit must be an integer >= 0, got {n!r}")
+        tail = self.nodes[-1]
+        if not isinstance(tail, (Scan, Filter, Project)):
+            raise ValueError(f"limit() applies to a row plan; it cannot "
+                             f"follow {type(tail).__name__}")
+        return Plan(self.nodes + (Limit(n),))
 
     def join(self, on: str, keys=None, build: dict | None = None,
              how: str = "semi") -> "Plan":
@@ -173,6 +198,12 @@ class Plan:
         """The Aggregate/HashJoin tail, or ``None`` for a row plan."""
         tail = self.nodes[-1]
         return tail if isinstance(tail, _TERMINAL) else None
+
+    @property
+    def row_limit(self) -> int | None:
+        """The Limit's ``n``, or ``None`` when every match is kept."""
+        tail = self.nodes[-1]
+        return tail.n if isinstance(tail, Limit) else None
 
     def output_columns(self, source_columns: tuple) -> tuple:
         """Columns the plan materialises, after projections."""
@@ -216,6 +247,8 @@ class Plan:
                     "aggs": [[out, op, column]
                              for out, op, column in node.aggs],
                     "group_by": node.group_by})
+            elif isinstance(node, Limit):
+                nodes.append({"kind": "limit", "n": node.n})
             else:  # HashJoin
                 nodes.append({
                     "kind": "join", "on": node.on, "how": node.how,
@@ -273,13 +306,15 @@ class Plan:
                                for name, values in build])
                     plan = plan.join(node["on"], keys=node["keys"],
                                      build=build, how=node["how"])
+                elif kind == "limit":
+                    plan = plan.limit(node["n"])
                 elif kind == "scan":
                     raise ValueError(
                         "plan JSON has a second scan node")
                 else:
                     raise ValueError(
                         f"unknown plan node kind {kind!r}; supported: "
-                        f"scan, filter, project, aggregate, join")
+                        f"scan, filter, project, aggregate, join, limit")
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed plan JSON: {err}") from err
         return plan
@@ -308,6 +343,8 @@ class Plan:
                 lines.append(
                     f"HashJoin[{node.how} on {node.on}, "
                     f"{len(node.keys)} build keys]")
+            elif isinstance(node, Limit):
+                lines.append(f"Limit[{node.n}]")
         return lines
 
     def explain(self) -> str:

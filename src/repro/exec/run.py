@@ -26,7 +26,10 @@ caller passes — and per granule the pipeline is
    (or ``decode_all`` when the whole granule survived);
    ``pushdown=False`` instead decodes every needed column fully and
    filters afterwards (the naive reference the property suite in
-   ``tests/test_exec.py`` compares against).
+   ``tests/test_exec.py`` compares against).  A plan ending in
+   ``Limit(n)`` counts every survivor but gathers only its first ``n``:
+   the same chunks load, so the stats equal the unlimited run's, and
+   the driver keeps the first ``n`` rows in granule order.
 5. **Operator partials** — every partial is arrays.  An Aggregate's
    is its distinct keys plus one state array per aggregate (sums,
    counts, extrema — never means); a global aggregate is the same
@@ -203,10 +206,16 @@ class ExecResult:
     implicit_desc: object | None = None  # source-implied term (deletion
     #                                      vectors), ANDed into the filter
     trace: object | None = None  # the repro.obs.Trace when traced
+    # rows the plan matched when a Limit kept fewer of them in
+    # ``row_ids``; None: ``row_ids`` holds every match
+    n_matched: int | None = None
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_ids)
+        """Rows the plan matched — beyond ``len(row_ids)`` only when a
+        Limit cut them."""
+        return len(self.row_ids) if self.n_matched is None \
+            else self.n_matched
 
     def explain(self) -> str:
         """The executed plan, annotated with pruning counts and costs."""
@@ -445,6 +454,7 @@ class GranulePipeline:
                 else And.of(expr, self.implicit_expr)
         self.expr = expr
         self.terminal = terminal = plan.terminal()
+        self.limit = plan.row_limit
         self.output_cols = output_cols = plan.output_columns(names)
         self.pred_cols = pred_cols = \
             tuple(sorted(expr.columns())) if expr is not None else ()
@@ -645,8 +655,9 @@ class GranulePipeline:
                           time.perf_counter() - trace.t0,
                           granule=granule.index)
 
-        st.rows_scanned += n if positions is None else len(positions)
-        if positions is not None and positions.size == 0:
+        matched = n if positions is None else len(positions)
+        st.rows_scanned += matched
+        if matched == 0:
             return _Partial(st)
         if pushdown and positions is not None and positions.size == n:
             # every row survived, so positions is arange(n): decode
@@ -654,6 +665,14 @@ class GranulePipeline:
             # gather(idx) == decode_all()[idx] contract makes the two
             # equal; the same chunks are loaded, so the counts are too)
             positions = None
+        limit = self.limit
+        if limit is not None and limit < matched:
+            # gather only the first ``limit`` survivors; the chunks still
+            # load below, so the counts equal the unlimited run's
+            positions = np.arange(limit, dtype=np.int64) \
+                if positions is None else positions[:limit]
+            residual_values = {c: values[:limit]
+                               for c, values in residual_values.items()}
 
         t0 = time.perf_counter()
         out: dict[str, np.ndarray] = {}
@@ -874,6 +893,7 @@ def execute(plan: Plan, source, threads: int | None = None,
 
     t_merge = trace.now() if trace is not None else 0.0
     groups = None
+    n_matched = None
     if isinstance(terminal, Aggregate):
         groups = _merge_aggregate(terminal, partials)
         row_ids, columns = _EMPTY, {}
@@ -884,6 +904,13 @@ def execute(plan: Plan, source, threads: int | None = None,
         columns = {name: np.concatenate([p.columns[name] for p in rows])
                    for name in rows[0].columns} if rows \
             else {c: _EMPTY.copy() for c in output_cols}
+        limit = pipeline.limit
+        if limit is not None:
+            # a granule with rows counted every match it gathered from
+            n_matched = sum(p.stats.rows_scanned for p in rows)
+            row_ids = row_ids[:limit]
+            columns = {name: values[:limit]
+                       for name, values in columns.items()}
 
     stats.wall_s = time.perf_counter() - start
     if trace is not None:
@@ -896,4 +923,5 @@ def execute(plan: Plan, source, threads: int | None = None,
         pushed_desc=tuple(pipeline.ranges.values())
         + tuple(pipeline.bitmaps),
         residual_desc=pipeline.residual, pushdown=pushdown,
-        implicit_desc=pipeline.implicit_expr, trace=trace)
+        implicit_desc=pipeline.implicit_expr, trace=trace,
+        n_matched=n_matched)

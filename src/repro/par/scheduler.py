@@ -18,12 +18,14 @@ lane.
 the driver a pickle, send, poll, receive, unpickle and scheduler-lock
 pass — driver CPU that competes with the lanes for the same cores — so
 a lane takes a *run* of consecutive queued granules of one job per
-turn, sized by guided self-scheduling (:func:`run_length`):
-``ceil(queued / (RUN_DIVISOR * lanes))``.  Runs shrink as the queue
-drains, so the lanes finish together, and once ``RUN_DIVISOR * lanes``
-or fewer granules are queued every run is one granule: a selective
-query's few survivors go down exactly as they would one at a time.  On
-this tier fairness between concurrent queries is therefore one run per
+turn (:func:`run_length`).  A small job — ``RUN_DIVISOR * lanes`` or
+fewer survivors in all — is one run: a selective query's few survivors
+cross to one lane as one message, where spreading them would buy
+parallelism their handful of granules cannot repay.  A larger job is
+guided self-scheduled, ``ceil(queued / (RUN_DIVISOR * lanes))`` a run:
+runs shrink as the queue drains, so the lanes finish together, and its
+last ``RUN_DIVISOR * lanes`` granules go down one at a time.  On this
+tier fairness between concurrent queries is therefore one run per
 query per turn (the thread tier keeps one granule).  The driver
 completes each granule of a reply separately, so results,
 ``ExecStats``, granule spans and ``repro_par_granules_total`` stay per
@@ -129,12 +131,17 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def run_length(queued: int, lanes: int) -> int:
-    """Granules the next lane message of a job takes while ``queued``
-    wait across ``lanes`` lanes: guided self-scheduling,
-    ``ceil(queued / (RUN_DIVISOR * lanes))`` — one granule once
-    ``RUN_DIVISOR * lanes`` or fewer are queued."""
-    return -(-queued // (RUN_DIVISOR * lanes))
+def run_length(queued: int, lanes: int, total: int) -> int:
+    """Granules the next lane message of a job of ``total`` granules
+    takes while ``queued`` of them wait across ``lanes`` lanes.  A job
+    of ``RUN_DIVISOR * lanes`` or fewer granules goes whole; a larger
+    one is guided self-scheduled, ``ceil(queued / (RUN_DIVISOR *
+    lanes))`` — one granule once ``RUN_DIVISOR * lanes`` or fewer are
+    queued."""
+    share = RUN_DIVISOR * lanes
+    if total <= share:
+        return queued
+    return -(-queued // share)
 
 
 def _index(item) -> int:
@@ -313,7 +320,8 @@ class ProcessScheduler(MorselScheduler):
 
     # ------------------------------------------------------- lane logic
     def _run_length(self, job: _Job) -> int:
-        return run_length(len(job.queue), len(self._lanes))
+        return run_length(len(job.queue), len(self._lanes),
+                          len(job.results))
 
     def _run_items(self, worker_idx: int, job: _Job, items: list) -> list:
         # racy tick is fine: approximate 1-in-OBS_SAMPLE is the goal

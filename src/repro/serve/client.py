@@ -96,7 +96,9 @@ class ServeClient:
         ``n_rows`` / ``stats`` / ``explain`` plus either ``groups``
         (list of ``[key, row]`` pairs) or ``row_ids``/``columns``
         capped at ``limit``, with ``truncated`` saying whether the cap
-        cut anything.
+        cut anything.  The server runs a row plan as
+        ``plan.limit(limit)``, so only the kept rows are gathered;
+        ``n_rows`` and ``stats`` still count every match.
 
         The rows are writable ``int64`` arrays that are views of this
         reply's receive buffer (nothing is parsed or copied per

@@ -253,6 +253,10 @@ class TableServer:
         table_name = req.get("table")
         _, source = self._resolve(table_name)
         plan = Plan.from_json(req.get("plan"))
+        if limit is not None and op == "query" and \
+                plan.terminal() is None and plan.row_limit is None:
+            # the lanes gather only the rows the reply carries
+            plan = plan.limit(limit)
         trace = Trace(op, table=table_name) \
             if self.slow_query_ms is not None else None
         t_query = time.perf_counter()

@@ -27,7 +27,8 @@ Request shape — :data:`REQUEST_FIELDS`, and nothing else::
      "table": "name",            # query / explain
      "plan": {...},              # Plan.to_json() payload
      "timeout_s": 5.0,           # optional per-request deadline
-     "limit": 100}               # optional row cap on the response
+     "limit": 100}               # optional row cap: a query's row plan
+                                 # runs as plan.limit(100)
 
 ``"v"`` must be :data:`WIRE_VERSION` (what :class:`ServeClient`
 sends); any other version, and any field the server does not read, is
@@ -245,8 +246,11 @@ def _describe(res) -> dict:
 
 def _capped_rows(res, limit: int | None) -> tuple[list, bool]:
     """``row_ids`` and every column, cut to ``limit`` rows (views, not
-    copies), and whether that dropped any."""
-    n = res.n_rows if limit is None else min(limit, res.n_rows)
+    copies), and whether fewer rows go out than matched.  A served
+    query's limit already ran in its plan (``Plan.limit``), so there the
+    cut is a no-op and only the count is compared."""
+    kept = len(res.row_ids)
+    n = kept if limit is None else min(limit, kept)
     arrays = [values[:n] for values in (res.row_ids,
                                         *res.columns.values())]
     return arrays, n < res.n_rows
@@ -258,9 +262,10 @@ def encode_result(res, limit: int | None = None,
     ``result`` object of a JSON reply (``explain``, ``groups``), with
     any rows as lists.
 
-    ``limit`` caps the row payload (stats always describe the full
-    execution); ``include_rows=False`` drops row data entirely (the
-    ``explain`` op wants the annotated plan and stats, not rows).
+    ``limit`` caps the row payload (``n_rows`` and the stats always
+    describe the full execution); ``include_rows=False`` drops row
+    data entirely (the ``explain`` op wants the annotated plan and
+    stats, not rows).
     """
     out = _describe(res)
     if include_rows and res.groups is None:

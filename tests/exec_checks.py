@@ -87,6 +87,45 @@ def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
     return expected
 
 
+def limit_cases(matches: int) -> list:
+    """The limits worth trying on a plan with ``matches`` rows: none
+    kept, one, fewer than the matches, exactly the matches, more."""
+    return sorted({0, 1, matches // 2, matches, matches + 7})
+
+
+def assert_limit_agrees(plan, source, **opts) -> None:
+    """``plan.limit(n)`` for every :func:`limit_cases` ``n`` against
+    ``plan`` unlimited, both run with ``opts``: the first ``n`` rows of
+    the unlimited run, its ``n_rows``, and every integer ``ExecStats``
+    field equal — the same chunks load.  A first run warms a cached
+    ``source``, whose cache must then hold the plan's chunks (see
+    :func:`count_fields`).  The plan must match at least 3 rows, so the
+    cases are distinct."""
+    plan.execute(source, **opts)
+    full = plan.execute(source, **opts)
+    assert full.n_rows == len(full.row_ids) >= 3
+    for n in limit_cases(full.n_rows):
+        got = plan.limit(n).execute(source, **opts)
+        assert got.n_rows == full.n_rows, n
+        assert len(got.row_ids) == min(n, full.n_rows), n
+        assert np.array_equal(got.row_ids, full.row_ids[:n]), n
+        assert set(got.columns) == set(full.columns), n
+        for name, values in full.columns.items():
+            assert np.array_equal(got.columns[name], values[:n]), (n, name)
+        assert count_fields(got.stats) == count_fields(full.stats), n
+        # what a granule gathers — and ships off a lane — is at most n
+        # rows, every column cut with its row ids
+        pipeline = GranulePipeline(plan.limit(n), source,
+                                   pushdown=opts.get("pushdown", True))
+        for granule in source.granules():
+            part = pipeline.run(granule)
+            if part.row_ids is not None:
+                kept = min(n, part.stats.rows_scanned)
+                assert len(part.row_ids) == kept, (n, granule.index)
+                assert all(len(values) == kept
+                           for values in part.columns.values())
+
+
 def maybe_match(expr, bounds, row_start: int, n_rows: int) -> bool:
     """The per-granule zone-map rule ``Expr.may_match`` replaced, kept as
     its reference: could any row of the one granule of ``n_rows`` rows

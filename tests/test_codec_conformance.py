@@ -49,6 +49,7 @@ INT_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_integers]
 STR_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_strings]
+INT64 = np.iinfo(np.int64)
 
 
 def make_int_data(name: str, n: int = 600, seed: int = 7) -> np.ndarray:
@@ -183,9 +184,27 @@ class TestIntegerConformance:
             getattr(codec, "sequential_access", False)
 
 
+def partition_bands(seq) -> list:
+    """Ranges a partitioned sequence decides from its bands alone: one
+    partition's band exactly, and runs of whole partitions (none for a
+    codec without ``partition_value_bounds``)."""
+    bounds = getattr(seq, "partition_value_bounds", None)
+    if bounds is None or len(seq) == 0:
+        return []
+    bounds = bounds()
+    mid = len(bounds) // 2
+    return [(int(bounds[j, 0]), int(bounds[j, 1]) + 1)
+            for j in {0, mid, len(bounds) - 1}] + [
+        (int(bounds[a:b, 0].min()), int(bounds[a:b, 1].max()) + 1)
+        for a, b in ((0, mid + 1), (mid, len(bounds)),
+                     (0, len(bounds)))]
+
+
 def check_filter_and_bounds(seq, values: np.ndarray) -> None:
-    """``filter_range`` equals the decoded comparison on the edge bands;
-    ``model_bounds()`` is ``None`` or contains every stored value."""
+    """``filter_range`` equals the decoded comparison on the edge bands,
+    on ranges a partition's band decides whole, and at the int64
+    extremes; ``model_bounds()`` is ``None`` or contains every stored
+    value."""
     decoded = seq.decode_all()
     assert np.array_equal(decoded, values)
     vmin, vmax = int(values.min()), int(values.max())
@@ -194,7 +213,10 @@ def check_filter_and_bounds(seq, values: np.ndarray) -> None:
              (vmin, vmax + 1),                  # all
              (mid, mid + 1),                    # single value
              (vmin, mid), (vmin, vmin + 1),     # lo == min
-             (mid, vmax), (vmin, vmax)]         # hi == max (exclusive)
+             (mid, vmax), (vmin, vmax),         # hi == max (exclusive)
+             (INT64.min, INT64.max), (INT64.min, mid),
+             (mid, INT64.max), (INT64.min, INT64.min + 1),
+             (INT64.max, INT64.max), *partition_bands(seq)]
     for lo, hi in bands:
         expected = (decoded >= lo) & (decoded < hi)
         got = seq.filter_range(lo, hi)
@@ -202,6 +224,55 @@ def check_filter_and_bounds(seq, values: np.ndarray) -> None:
     bounds = seq.model_bounds()
     if bounds is not None:
         assert bounds[0] <= vmin and vmax <= bounds[1]
+
+
+class TestFilterRangeDecodesOnlyEdges:
+    """A partition whose band lies inside ``[lo, hi)`` is set without a
+    slot read: only the partitions straddling ``lo`` or ``hi`` decode."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        from repro.core.encoding import format as leco_format
+
+        reads = []
+        real = leco_format.gather_bits
+
+        def counting(image, bit_offsets, widths):
+            reads.append(len(bit_offsets))
+            return real(image, bit_offsets, widths)
+
+        monkeypatch.setattr(leco_format, "gather_bits", counting)
+        return reads
+
+    @pytest.mark.parametrize("name", [
+        n for n in INT_CODECS
+        if codecs.info(n).wire_id == CompressedArray.wire_id])
+    def test_only_straddling_partitions_read_slots(self, name,
+                                                   monkeypatch):
+        # eight 500-row regimes of different slopes, so every
+        # partitioner cuts several partitions
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            np.cumsum(rng.integers(0, step, 500)) + 10**6 * i
+            for i, step in enumerate((5, 500, 20, 2000, 50, 5, 300, 10))
+        ]).astype(np.int64)
+        seq = codecs.get(name, partitioner=256).encode(values)
+        bounds = seq.partition_value_bounds()
+        assert len(bounds) > 4
+        reads = self._spy(monkeypatch)
+        # a range covering every band: no slot is read at all
+        lo, hi = int(bounds[:, 0].min()), int(bounds[:, 1].max()) + 1
+        assert seq.filter_range(lo, hi).all()
+        assert reads == []
+        # a range inside the data: exactly the straddling partitions'
+        # rows are read, and the answer is the decoded comparison's
+        lo, hi = int(values[1000]), int(values[3000])
+        got = seq.filter_range(lo, hi)
+        assert np.array_equal(got, (values >= lo) & (values < hi))
+        inside = (bounds[:, 0] >= lo) & (bounds[:, 1] < hi)
+        edge = (bounds[:, 1] >= lo) & (bounds[:, 0] < hi) & ~inside
+        assert inside.any() and edge.any()
+        assert reads == [int(seq.lengths[edge].sum())]
 
 
 class TestNonMonotoneBounds:
@@ -592,7 +663,6 @@ def index_sets(n: int, rng) -> list[np.ndarray]:
             np.sort(rng.integers(0, n, n)), rng.integers(0, n, 7)]
 
 
-INT64 = np.iinfo(np.int64)
 
 
 def reference_decode(seq: CompressedArray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the unified execution layer (``repro.exec``)."""
 
+import json
 import threading
 
 import numpy as np
@@ -15,6 +16,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
 
 from exec_checks import (
     assert_granule_spans_match,
+    assert_limit_agrees,
     assert_tiers_agree,
     count_fields,
     reference_may_match,
@@ -263,6 +265,82 @@ class TestPlanBuilder:
         text = plan.explain()
         assert text.splitlines()[0].startswith("Aggregate[group_by=id")
         assert "1 <= ts < 9" in text and "Scan[columns=(id)]" in text
+
+
+class TestLimit:
+    """``Plan.limit(n)``: a row plan's first ``n`` matches in row order,
+    while ``n_rows`` and every integer stat describe all of them."""
+
+    PLAN = Plan.scan(["ts", "reading"]).where(col("status") <= 1)
+
+    def test_only_a_row_plan_takes_one(self):
+        for plan in (Plan.scan().aggregate({"n": ("count", "ts")}),
+                     Plan.scan().join(on="ts", keys=[1]),
+                     Plan.scan().limit(3)):
+            with pytest.raises(ValueError, match="row plan"):
+                plan.limit(1)
+        with pytest.raises(ValueError, match="terminal Limit"):
+            Plan.scan().limit(3).where(col("ts") >= 0)
+        with pytest.raises(ValueError, match="terminal Limit"):
+            Plan.scan().limit(3).project(["ts"])
+        for bad in (-1, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match="limit must be"):
+                Plan.scan().limit(bad)
+
+    def test_round_trips_and_explains(self, backends):
+        plan = self.PLAN.project(["reading"]).limit(5)
+        wire = json.loads(json.dumps(plan.to_json()))
+        assert wire["nodes"][-1] == {"kind": "limit", "n": 5}
+        revived = Plan.from_json(wire)
+        assert revived.nodes == plan.nodes and revived.row_limit == 5
+        assert plan.explain().splitlines()[0] == "Limit[5]"
+        res = plan.execute(backends[1]["memory"])
+        assert res.explain().splitlines()[0] == "Limit[5]"
+        with pytest.raises(ValueError, match="limit must be"):
+            Plan.from_json({**wire, "nodes": wire["nodes"][:-1]
+                            + [{"kind": "limit", "n": -2}]})
+        assert Plan.scan().row_limit is None
+
+    def test_agrees_with_the_unlimited_run(self, backends, tiers):
+        """On the calling thread and the thread tier, over the store
+        (uncached) and memory, pushed down or naive, a pushed range with
+        a residual, a residual alone, and no filter (every granule
+        survives whole)."""
+        columns, sources = backends
+        ts = columns["ts"]
+        plans = [
+            self.PLAN,
+            Plan.scan(["status"]).where(
+                col("ts").between(int(ts[700]), int(ts[4100]))
+                & col("status").isin([0, 2])),
+            Plan.scan(["sensor_id"]),
+        ]
+        with Table.open(sources["store"].table.path,
+                        cache_bytes=0) as table:
+            for source in (StoreSource(table), sources["memory"]):
+                for plan in plans:
+                    for opts in ({}, {"scheduler": tiers[0]},
+                                 {"pushdown": False, "prune": False}):
+                        assert_limit_agrees(plan, source, **opts)
+
+    def test_deletion_vectors_and_a_memtable_tail(self, tmp_path):
+        """A mutable table's live view: flushed deletion vectors,
+        pending deletes and an unflushed tail, chained."""
+        with MutableTable.create(str(tmp_path / "mt"),
+                                 schema=("k", "v"), shard_rows=200,
+                                 chunk_rows=50) as table:
+            table.append({"k": np.arange(1000),
+                          "v": np.arange(1000) * 3})
+            table.flush()
+            table.delete(col("k").between(100, 399))
+            table.flush()
+            table.delete(col("k").between(600, 650))
+            table.append({"k": np.arange(1000, 1100),
+                          "v": np.arange(1000, 1100) * 3})
+            plan = Plan.scan(["k", "v"]).where(col("v") >= 30)
+            assert plan.execute(table.source()).stats.rows_masked > 0
+            assert_limit_agrees(plan, table.source())
+            assert_limit_agrees(Plan.scan(["v"]), table.source())
 
 
 class TestBackendEquivalence:

@@ -10,9 +10,9 @@ Eight suites:
   (``to_json`` → ``json`` → ``pickle`` → ``from_json`` →
   :meth:`WorkerState.run_granule`) with row-for-row identical results
   vs in-process execution;
-* **process equivalence** — filters, naive mode, grouped aggregates,
-  joins and deletion-vector snapshots all return the serial answers
-  through a real :class:`ProcessScheduler`;
+* **process equivalence** — filters, naive mode, row limits, grouped
+  aggregates, joins and deletion-vector snapshots all return the serial
+  answers through a real :class:`ProcessScheduler`;
 * the **crash matrix** — an injected ``granule.exec`` crash (a real
   ``os._exit`` mid-granule) is detected, the lane respawns, the granule
   retries once and the query completes with exact rows; a granule that
@@ -26,10 +26,11 @@ Eight suites:
   ``prune``/``pushdown``): only survivors run or cross a lane pipe, the pruned are charged once, a crash on a survivor is
   retried once, a timeout counts the pruned as completed;
 * **lane runs** (fork and spawn) — a lane message carries a run of
-  consecutive survivors: the runs partition the queue (hypothesis), the
-  real dispatch matches that drain with every count and span still per
-  granule, a crash inside a run re-sends its granules alone, and a
-  timed-out run frees its lane within one granule;
+  consecutive survivors: the runs partition the queue (hypothesis), a
+  small job is one message, the real dispatch matches that drain with
+  every count and span still per granule, a crash inside a run (small
+  or not) re-sends its granules alone, and a timed-out run frees its
+  lane within one granule;
 * **cache gauges** — ``repro_cache_used_bytes`` / ``repro_cache_entries``
   aggregate over every live cache at render time (no last-writer-wins
   clobbering), and function-backed gauges refuse direct mutation;
@@ -61,6 +62,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
 
 from exec_checks import (
     assert_granule_spans_match,
+    assert_limit_agrees,
     assert_rows_equal,
     assert_tiers_agree,
     count_fields,
@@ -326,6 +328,17 @@ class TestProcessEquivalence:
             FILTER_PLAN, cold_source, thread_sched, sched,
             prune=False, pushdown=False), expected)
 
+    def test_limit_matches(self, cold_source, sched):
+        """``Plan.limit`` rides to the lanes inside the descriptor's
+        plan: each lane gathers at most its first ``n`` survivors, and
+        the rows, ``n_rows`` and counts are the unlimited run's."""
+        desc = describe_query(FILTER_PLAN.limit(9), cold_source,
+                              pushdown=True, on_corruption="raise",
+                              trace_enabled=False)
+        assert desc.build_plan().row_limit == 9
+        for plan in (FILTER_PLAN, Plan.scan(["ts", "reading"])):
+            assert_limit_agrees(plan, cold_source, scheduler=sched)
+
     def test_grouped_aggregate_matches(self, source, cold_source,
                                        thread_sched, sched):
         plan = (Plan.scan()
@@ -378,6 +391,8 @@ class TestProcessEquivalence:
                                            thread_sched, sched)
                 assert_rows_equal(cold, expected)
                 assert cold.stats.rows_masked > 0
+                assert_limit_agrees(plan, StoreSource(snap),
+                                    scheduler=sched)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_generation_zero_snapshot_stays_pinned(
@@ -831,10 +846,12 @@ class TestDriverSidePruning:
     def test_crash_on_a_survivor_retries_once(self, banded,
                                               start_method):
         """The second survivor a worker sees kills it (every respawn
-        re-arms the rule, so with four survivors on one lane three of
-        them die once): each is retried once on the respawned lane and
-        merged once, the result equals inline, and the pruned count is
-        charged once — not again by a retry."""
+        re-arms the rule).  Four survivors on one lane are a small job,
+        so they go down as one run, which dies at its second granule:
+        each of the four is re-sent alone, and the three that come
+        second to a fresh worker die once more and are retried once.
+        Each is merged once, the result equals inline, and the pruned
+        count is charged once — not again by a retry."""
         plan, src = _band(1234, 1567), banded["dead"]
         expected = plan.execute(src)
         inj = FaultInjector()
@@ -844,8 +861,8 @@ class TestDriverSidePruning:
                               name=name,
                               fault_spec=inj.to_spec()) as crashy:
             got = plan.execute(src, scheduler=crashy)
-            assert _respawns(name) \
-                == _lane_granules(name, "retried") == 3
+            assert _respawns(name) == 1 + 3
+            assert _lane_granules(name, "retried") == 4 + 3
             assert _lane_granules(name, "ok") == 4
         assert_rows_equal(got, expected)
         assert count_fields(got.stats) == count_fields(expected.stats)
@@ -881,22 +898,23 @@ class TestDriverSidePruning:
 def _drain(queued: int, lanes: int) -> list[list[int]]:
     """The runs one job's queue of ``queued`` granules leaves in, popped
     the way ``MorselScheduler._worker`` pops them: ``run_length`` of
-    what is still queued at each turn."""
+    what is still queued at each turn, for a job of ``queued``."""
     queue = deque(range(queued))
     runs = []
     while queue:
-        runs.append([queue.popleft()
-                     for _ in range(run_length(len(queue), lanes))])
+        runs.append([queue.popleft() for _ in range(
+            run_length(len(queue), lanes, queued))])
     return runs
 
 
 class TestLaneRuns:
     """A process-tier lane message carries a run of consecutive
-    survivors, guided self-scheduled: every granule goes down in exactly
-    one message (SNIPPETS 2-3), runs shrink as the queue drains, and
-    once ``RUN_DIVISOR`` per lane or fewer are queued each message is
-    one granule again.  Results, stats, spans and the per-granule
-    counters cannot tell."""
+    survivors: a job of ``RUN_DIVISOR`` per lane or fewer is one
+    message; a larger one is guided self-scheduled, its runs shrinking
+    as the queue drains until its last ``RUN_DIVISOR`` per lane go one
+    granule a message.  Every granule goes down in exactly one message
+    (SNIPPETS 2-3).  Results, stats, spans and the per-granule counters
+    cannot tell."""
 
     if HAVE_HYPOTHESIS:
         @given(queued=st.integers(0, 600), lanes=st.integers(1, 4))
@@ -907,8 +925,11 @@ class TestLaneRuns:
             sizes = [len(run) for run in runs]
             assert all(size >= 1 for size in sizes)
             assert sizes == sorted(sizes, reverse=True)
-            if runs:
-                assert sizes[0] <= -(-queued // (RUN_DIVISOR * lanes))
+            if queued <= RUN_DIVISOR * lanes:
+                # a small job is one message carrying all of it
+                assert runs == ([list(range(queued))] if queued else [])
+                return
+            assert sizes[0] <= -(-queued // (RUN_DIVISOR * lanes))
             left = queued
             for size in sizes:
                 if left <= RUN_DIVISOR * lanes:
@@ -952,6 +973,64 @@ class TestLaneRuns:
         expected = assert_tiers_agree(plan, src, thread_sched, lanes)
         assert_rows_equal(res, expected)
         assert count_fields(res.stats) == count_fields(expected.stats)
+
+    @pytest.mark.parametrize("survivors", [1, 3, 2 * RUN_DIVISOR,
+                                           2 * RUN_DIVISOR + 1])
+    def test_a_small_job_is_one_message(self, banded, lanes, monkeypatch,
+                                        survivors):
+        """On 2 lanes a job of ``2 * RUN_DIVISOR`` survivors or fewer
+        goes down as one message carrying all of them in order; one more
+        survivor and the job drains guided, its tail a granule a
+        message."""
+        src = banded["live"]
+        plan = _band(1200, 1200 + BAND_CHUNK * survivors)
+        sent: list[list[int]] = []
+        dispatch_once = lanes._dispatch_once
+
+        def record(lane, job, wire, items):
+            sent.append([g.index for g in items])
+            return dispatch_once(lane, job, wire, items)
+
+        monkeypatch.setattr(lanes, "_dispatch_once", record)
+        res = plan.execute(src, scheduler=lanes)
+        monkeypatch.undo()
+        expected = list(range(12, 12 + survivors))
+        assert sorted(g for run in sent for g in run) == expected
+        if survivors <= RUN_DIVISOR * lanes.workers:
+            assert sent == [expected]
+        else:
+            assert sorted(map(len, sent), reverse=True) == [
+                len(run) for run in _drain(survivors, lanes.workers)]
+            assert len(sent) > 1
+        assert_rows_equal(res, plan.execute(src))
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_crash_inside_a_small_run(self, banded, start_method):
+        """Three survivors on one lane are one message.  The second
+        granule a worker starts kills it, so the run dies; each of its
+        granules is re-sent alone, and the two that come second to a
+        fresh worker die once more and are retried once.  Deaths: the
+        run, then those two."""
+        plan, src = _band(1200, 1500), banded["live"]
+        expected = plan.execute(src)
+        assert expected.stats.granules_total \
+            - expected.stats.granules_pruned == 3
+        assert _drain(3, 1) == [[0, 1, 2]]
+        inj = FaultInjector()
+        inj.crash_at("granule.exec", at=2)
+        name = f"par-small-run-crash-{start_method}"
+        trace = Trace("crash")
+        with ProcessScheduler(workers=1, start_method=start_method,
+                              name=name,
+                              fault_spec=inj.to_spec()) as crashy:
+            got = plan.execute(src, scheduler=crashy, trace=trace)
+            assert crashy.stats()["workers_alive"] == 1
+        assert_rows_equal(got, expected)
+        assert count_fields(got.stats) == count_fields(expected.stats)
+        assert_granule_spans_match(trace, got.stats)
+        assert _lane_granules(name, "ok") == 3
+        assert _respawns(name) == 1 + 2
+        assert _lane_granules(name, "retried") == 3 + 2
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_crash_inside_a_run(self, banded, start_method):
@@ -1008,7 +1087,8 @@ class TestLaneRuns:
         inj = FaultInjector()
         inj.slow_at("granule.exec", delay_s=delay)
         src = banded["live"]
-        assert run_length(len(src.granules()), 1) == 10
+        assert len(src.granules()) == 40
+        assert run_length(40, 1, 40) == 10
         one = _band(1234, 1290)  # one survivor
         with ProcessScheduler(workers=1, name="par-run-slow",
                               fault_spec=inj.to_spec()) as slow:

@@ -12,7 +12,9 @@ Five suites:
   table, one cache, and one scheduler get row-for-row the serial
   answers, with per-query stats attribution (no cross-charging);
 * the **table server** end-to-end — query/explain/stats/list_tables
-  over real sockets, typed error propagation, per-request deadlines,
+  over real sockets, a request ``limit`` run as ``Plan.limit`` (the
+  unlimited reply's first rows, its ``n_rows`` and stats), typed error
+  propagation, per-request deadlines,
   backpressure as ``ServerBusy`` (never a hang), malformed frames that
   do not take the server down, graceful drain-on-shutdown;
 * the ``python -m repro.serve`` entry point as a subprocess.
@@ -39,6 +41,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
+from exec_checks import limit_cases
 from repro import faults
 from repro.datasets import sensor_fixture
 from repro.exec import (
@@ -271,6 +274,7 @@ class TestPlanJson:
                                     "weight": [10, 20, 30]}, how="inner"),
             Plan.scan(["sensor_id"]).join(
                 "sensor_id", keys=[4, 5, 6], how="semi"),
+            Plan.scan(["ts"]).where(Range("ts", 10, 500)).limit(7),
         ]
 
     def test_every_node_kind_round_trips(self, served_root):
@@ -362,9 +366,11 @@ class TestPlanJson:
             for _ in range(draw(st.integers(0, 2))):
                 plan = plan.where(draw(TestPlanJson._EXPR))
             terminal = draw(st.sampled_from(
-                ["row", "project", "aggregate", "join"]))
+                ["row", "project", "aggregate", "join", "limit"]))
             if terminal == "project":
                 plan = plan.project(["ts"])
+            elif terminal == "limit":
+                plan = plan.limit(draw(st.integers(0, 1000)))
             elif terminal == "aggregate":
                 plan = plan.aggregate(
                     {"s": ("sum", "reading"), "m": ("max", "ts")},
@@ -864,6 +870,39 @@ class TestTableServer:
         assert res["truncated"]
         assert len(res["row_ids"]) == 7
         assert res["n_rows"] > 7  # stats describe the full execution
+
+    def test_limit_runs_in_the_plan(self, served_root, client):
+        """The request's ``limit`` runs as ``Plan.limit``: for every
+        limit the reply is the unlimited reply's first rows, with its
+        ``n_rows``, and ``truncated`` says whether rows were cut.  The
+        server's cache is warm, so every integer stat equals the
+        unlimited run's.  A plan carrying its own limit keeps it, and a
+        request limit below it cuts further."""
+        _, columns = served_root
+        plan = _selective_plan(columns, width=300)
+        client.query("events", plan)
+        full = client.query("events", plan)
+        n = full["n_rows"]
+        assert n == len(full["row_ids"]) >= 3 and not full["truncated"]
+        ints = {k for k, v in full["stats"].items() if isinstance(v, int)}
+        for k in limit_cases(n):
+            res = client.query("events", plan, limit=k)
+            assert res["explain"].splitlines()[0] == f"Limit[{k}]"
+            assert res["n_rows"] == n, k
+            assert res["truncated"] == (k < n), k
+            np.testing.assert_array_equal(res["row_ids"],
+                                          full["row_ids"][:k])
+            assert set(res["columns"]) == set(full["columns"])
+            for name, values in full["columns"].items():
+                np.testing.assert_array_equal(res["columns"][name],
+                                              values[:k])
+            assert {f: res["stats"][f] for f in ints} \
+                == {f: full["stats"][f] for f in ints}, k
+        for own, cap, kept in ((5, None, 5), (5, 3, 3), (5, 50, 5)):
+            res = client.query("events", plan.limit(own), limit=cap)
+            assert res["n_rows"] == n and res["truncated"]
+            np.testing.assert_array_equal(res["row_ids"],
+                                          full["row_ids"][:kept])
 
     def test_aggregate_groups_travel(self, served_root, client):
         root, columns = served_root
