@@ -75,15 +75,14 @@ def _decode_live(table, shard_idx: int) -> dict[str, np.ndarray]:
     return columns
 
 
-def compact_table(table, codec, threshold: float = DEFAULT_THRESHOLD
+def compact_table(table, threshold: float = DEFAULT_THRESHOLD
                   ) -> int | None:
     """Rewrite ``table``'s low-liveness shards into a new generation.
 
     ``table`` is the *published* snapshot (pending mutations must be
     flushed first — :meth:`MutableTable.compact` does).  Returns the new
     generation, or ``None`` when every shard is above ``threshold``.
-    ``codec`` only labels future flushes; rewritten chunks always
-    trial-encode with ``"auto"``.
+    Rewritten chunks always trial-encode with ``"auto"``.
     """
     fractions = live_fractions(table)
     qualify = [frac < threshold and table.shards[i].deleted is not None

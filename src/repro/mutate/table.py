@@ -404,7 +404,7 @@ class MutableTable:
         with self._lock:
             self._check_open()
             self.flush()
-            generation = compact_table(self._base, self._codec, threshold)
+            generation = compact_table(self._base, threshold)
             if generation is None:
                 return None
             self._reopen(generation)

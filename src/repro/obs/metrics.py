@@ -431,15 +431,17 @@ class MetricsRegistry:
             return list(self._instruments.values())
 
     # ---------------------------------------------------------- exposition
-    def _walk(self, remote: bool):
-        """The one series walk :meth:`render` and :meth:`snapshot` both
-        read: ``(instrument, [(labelnames, key, value), ...])`` per
-        instrument in name order — local children first, then (with
-        ``remote``) the merged-in series with their extra ``proc``
-        label.  ``value`` is a float (counter / gauge, function-backed
-        gauges evaluated) or a histogram's
-        ``(per_bucket_counts, sum, count)``."""
+    def _walk(self, remote: bool, families=None):
+        """The one series walk :meth:`render`, :meth:`snapshot` and
+        :meth:`series` read: ``(instrument, [(labelnames, key, value),
+        ...])`` per instrument (of ``families`` only, when given) in name
+        order — local children first, then (with ``remote``) the
+        merged-in series with their extra ``proc`` label.  ``value`` is
+        a float (counter / gauge, function-backed gauges evaluated) or a
+        histogram's ``(per_bucket_counts, sum, count)``."""
         for inst in sorted(self.instruments(), key=lambda i: i.name):
+            if families is not None and inst.name not in families:
+                continue
             hist = inst.kind == "histogram"
 
             def read(names, children):
@@ -476,6 +478,14 @@ class MetricsRegistry:
                     f"{inst.name}_sum{labels} {_format_value(total)}")
                 lines.append(f"{inst.name}_count{labels} {n}")
         return "\n".join(lines) + "\n"
+
+    def series(self, families) -> dict[str, list[tuple[dict, float]]]:
+        """``{family: [(labels, value), ...]}`` for the counter and
+        gauge ``families``, merged-in ``proc`` series included: the
+        samples :meth:`render` prints, without the text."""
+        return {inst.name: [(dict(zip(labelnames, key)), value)
+                            for labelnames, key, value in series]
+                for inst, series in self._walk(True, families)}
 
     # ------------------------------------------------- cross-process merge
     def snapshot(self) -> dict:

@@ -5,7 +5,7 @@ This module turns two scrapes (``t`` and ``t+dt``) into a one-screen
 summary: QPS and request latency quantiles, executor throughput, cache
 hit rate, scheduler occupancy, and — via the cross-process ``proc``
 label the driver attaches to merged worker telemetry — a per-lane
-breakdown of granules, cache traffic, and respawn/resend health.
+breakdown of granules, cache traffic, and respawn health.
 
 Everything computes from parsed exposition text
 (:func:`repro.obs.metrics.parse_text`), so the same code paths serve a
@@ -167,8 +167,6 @@ def compute_view(prev: dict, curr: dict, dt: float) -> dict:
         "workers": sample_total(curr, "repro_par_workers"),
         "respawns": counter_delta(prev, curr,
                                   "repro_par_respawns_total"),
-        "needdesc": counter_delta(prev, curr,
-                                  "repro_par_needdesc_total"),
         "pipe_p50": hist_quantile(
             prev, curr, "repro_par_pipe_roundtrip_seconds", 0.5),
         "pipe_p99": hist_quantile(
@@ -202,7 +200,6 @@ def format_view(view: dict) -> str:
         lines.append(
             f"  par     workers {view['workers']:.0f}  "
             f"respawns +{view['respawns']:.0f}  "
-            f"needdesc +{view['needdesc']:.0f}  "
             f"pipe p50 {_ms(view['pipe_p50'])}  "
             f"p99 {_ms(view['pipe_p99'])}")
         for proc, stats in view["lanes"].items():

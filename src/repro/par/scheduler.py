@@ -8,8 +8,8 @@ duplex pipe.  Every job carries a descriptor (see
 :mod:`repro.par.descriptor`; :func:`repro.exec.run.execute` refuses a
 source that cannot describe itself before admission) and is executed
 by sending the lane's worker a compact
-``(seq, desc_id, desc?, [granule_index, ...], budget_s)`` task and
-waiting for the one reply that carries a partial per granule;
+``(seq, desc_id, desc?, evict?, [granule_index, ...], budget_s)`` task
+and waiting for the one reply that carries a partial per granule;
 pure-python codec decode then runs under the *worker's* GIL, N of them
 truly in parallel.  A query's in-process closure never runs on a
 lane.
@@ -44,6 +44,14 @@ number on the lane's next dispatch.  The task carries the query's
 remaining time, so the worker starts no granule of an abandoned run
 past the deadline and the lane is free again within one granule.
 
+**The driver owns each worker's pipeline cache.**  ``_Lane.sent_descs``
+is the one LRU of the descriptor ids a lane's worker holds, at most
+:data:`MAX_CACHED_PIPELINES`; :func:`cache_decision` says whether a
+task carries its descriptor and which id the worker must drop.  The
+worker obeys on receipt, so — the pipe being FIFO and one thread
+owning each lane — the two sides hold the same ids by construction,
+and a respawned worker starts empty on both.
+
 The driver keeps everything else: merge, ``ExecStats`` accounting,
 deadlines, metrics (plus the per-worker ``repro_par_*`` families this
 module adds).
@@ -56,15 +64,16 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 from repro.exec.errors import GranuleError
 from repro.exec.pool import MorselScheduler, _Job, auto_workers
 from repro.exec.run import granule_span_attrs
 from repro.obs import metrics as obs_metrics
-from repro.par.worker import MAX_CACHED_PIPELINES, revive_error, worker_main
+from repro.par.worker import revive_error, worker_main
 
-__all__ = ["ProcessScheduler", "default_start_method", "run_length"]
+__all__ = ["MAX_CACHED_PIPELINES", "ProcessScheduler", "cache_decision",
+           "default_start_method", "run_length"]
 
 #: env var overriding the default multiprocessing start method
 START_METHOD_ENV = "REPRO_PAR_START_METHOD"
@@ -86,6 +95,11 @@ OBS_SAMPLE = 4
 #: the first run of 2 (62 granules, ≈ 25 ms of lane time — what a
 #: concurrent query may wait behind) for ≈ 4 ms more driver CPU
 RUN_DIVISOR = 4
+
+#: prepared pipelines a lane's worker holds: descriptors are per query,
+#: so this bounds a worker's memory and open tables across many
+#: concurrent queries (the least recently sent is dropped first)
+MAX_CACHED_PIPELINES = 16
 
 _M_WORKERS = obs_metrics.gauge(
     "repro_par_workers", "live worker processes per process scheduler",
@@ -114,10 +128,6 @@ _M_DISPATCH_WAIT = obs_metrics.histogram(
     "time a query sat queued before a lane picked up a run of it, "
     "per lane message",
     labels=("sched",))
-_M_NEEDDESC = obs_metrics.counter(
-    "repro_par_needdesc_total",
-    "descriptor resends after a worker-side pipeline-LRU eviction",
-    labels=("sched",))
 
 
 def default_start_method() -> str:
@@ -144,9 +154,19 @@ def run_length(queued: int, lanes: int, total: int) -> int:
     return -(-queued // share)
 
 
-def _index(item) -> int:
-    """A granule's index on the wire (bare ints pass through)."""
-    return getattr(item, "index", item)
+def cache_decision(sent: OrderedDict, desc_id: int
+                   ) -> tuple[bool, int | None]:
+    """Whether a lane's next task for ``desc_id`` carries its descriptor,
+    and the id its worker must drop first (``None``: none).  ``sent`` —
+    the ids that worker holds, least recently sent first — is updated to
+    what the worker will hold once it has read that task."""
+    if desc_id in sent:
+        sent.move_to_end(desc_id)
+        return False, None
+    sent[desc_id] = None
+    if len(sent) > MAX_CACHED_PIPELINES:
+        return True, sent.popitem(last=False)[0]
+    return True, None
 
 
 class _LaneDead(Exception):
@@ -157,14 +177,8 @@ class _LaneDead(Exception):
         self.exitcode = exitcode
 
 
-class _WireDescriptor:
-    """A query descriptor prepared for the pipe: stable id + JSON."""
-
-    __slots__ = ("desc_id", "payload")
-
-    def __init__(self, desc_id: int, payload: dict):
-        self.desc_id = desc_id
-        self.payload = payload
+#: a query descriptor prepared for the pipe: stable id + JSON
+_WireDescriptor = namedtuple("_WireDescriptor", "desc_id payload")
 
 
 class _Lane:
@@ -182,18 +196,6 @@ class _Lane:
         self.proc = None
         self.conn = None
         self.seq = 0
-        # the descriptor ids this lane's worker was sent most recently,
-        # oldest first, bounded by its pipeline cache: an id forgotten
-        # here costs one resend, and one the worker has evicted comes
-        # back as ``needdesc``
-        self.sent_descs: OrderedDict[int, None] = OrderedDict()
-        # filled in by the worker's hello envelope: its real pid and
-        # main-thread id, and its wall-clock value at
-        # perf_counter()==0 — the anchor that re-maps worker span
-        # timestamps onto a driver trace
-        self.pid: int | None = None
-        self.tid: int = 0
-        self.epoch0: float | None = None
         self.start()
 
     def start(self) -> None:
@@ -208,10 +210,17 @@ class _Lane:
         child_conn.close()  # the worker holds the only live child end
         self.proc = proc
         self.conn = parent_conn
-        self.sent_descs = OrderedDict()  # a fresh worker caches nothing
-        self.pid = None          # re-learned from the next hello
+        # the descriptor ids this lane's worker holds, least recently
+        # sent first: the one record of its pipeline cache (a fresh
+        # worker holds none)
+        self.sent_descs: OrderedDict[int, None] = OrderedDict()
+        # learned from the worker's hello envelope: its real pid and
+        # main-thread id, and its wall-clock value at
+        # perf_counter()==0 — the anchor that re-maps worker span
+        # timestamps onto a driver trace
+        self.pid: int | None = None
         self.tid = 0
-        self.epoch0 = None
+        self.epoch0: float | None = None
 
     def exitcode(self):
         if self.proc is None:
@@ -290,7 +299,6 @@ class ProcessScheduler(MorselScheduler):
                                            direction="received")
         self._m_roundtrip = _M_ROUNDTRIP.labels(sched=name)
         self._m_dispatch_wait = _M_DISPATCH_WAIT.labels(sched=name)
-        self._m_needdesc = _M_NEEDDESC.labels(sched=name)
         self._obs_tick = 0
         # build lanes BEFORE the base class starts its threads: forking
         # a process that is not yet multi-threaded sidesteps the whole
@@ -357,7 +365,7 @@ class ProcessScheduler(MorselScheduler):
                         RuntimeError(
                             f"worker process died twice running this "
                             f"granule (last exitcode {dead.exitcode})"),
-                        granule=_index(items[0])) from None
+                        granule=items[0].index) from None
                 self._m_retried.inc()
 
     def _respawn(self, lane: _Lane) -> None:
@@ -374,45 +382,25 @@ class ProcessScheduler(MorselScheduler):
 
     def _dispatch(self, lane: _Lane, job: _Job, wire: _WireDescriptor,
                   items: list) -> list:
-        for _ in range(2):
-            result = self._dispatch_once(lane, job, wire, items)
-            if result is not _NEED_DESC:
-                return result
-            # the worker's pipeline LRU evicted this descriptor (many
-            # concurrent queries on one lane): resend it with the
-            # run — one extra round-trip, never a failed query
-            self._m_needdesc.inc()
-            lane.sent_descs.pop(wire.desc_id, None)
-        raise GranuleError(
-            RuntimeError("worker kept requesting a descriptor that "
-                         "was just resent"),
-            granule=_index(items[0]))
-
-    def _dispatch_once(self, lane: _Lane, job: _Job,
-                       wire: _WireDescriptor, items: list):
         if lane.conn is None or lane.proc is None or \
                 not lane.proc.is_alive():
             raise _LaneDead(lane.exitcode())
         lane.seq += 1
         seq = lane.seq
-        desc_json = None if wire.desc_id in lane.sent_descs \
-            else wire.payload
+        send, evict = cache_decision(lane.sent_descs, wire.desc_id)
         # the remaining budget, not the driver's clock: the worker
         # derives its own deadline from it
         budget_s = None if job.deadline is None \
             else job.deadline - time.perf_counter()
         message = pickle.dumps(
-            ("task", seq, wire.desc_id, desc_json,
-             [_index(item) for item in items], budget_s),
+            ("task", seq, wire.desc_id, wire.payload if send else None,
+             evict, [item.index for item in items], budget_s),
             protocol=pickle.HIGHEST_PROTOCOL)
         try:
             lane.conn.send_bytes(message)
         except (BrokenPipeError, OSError, ValueError):
+            # the respawn that follows empties both caches
             raise _LaneDead(lane.exitcode()) from None
-        lane.sent_descs[wire.desc_id] = None
-        lane.sent_descs.move_to_end(wire.desc_id)
-        if len(lane.sent_descs) > MAX_CACHED_PIPELINES:
-            lane.sent_descs.popitem(last=False)
         self._m_sent.inc(len(message))
         t_sent = time.perf_counter()
         while True:
@@ -468,7 +456,7 @@ class ProcessScheduler(MorselScheduler):
             self._fold_telemetry(lane, delta)
         if status == "hello":
             lane.pid = payload["pid"]
-            lane.tid = payload.get("tid", 0)
+            lane.tid = payload["tid"]
             lane.epoch0 = payload["epoch0"]
             return _PENDING
         if status == "telemetry" or rseq != seq:
@@ -486,8 +474,6 @@ class ProcessScheduler(MorselScheduler):
                 # the worker's copy of the deadline passed first
                 self._m_abandoned.inc(len(items) - done)
             return payload
-        if status == "needdesc":
-            return _NEED_DESC
         self._m_error.inc()
         granule, info = payload
         raise revive_error(info, granule)
@@ -520,7 +506,7 @@ class ProcessScheduler(MorselScheduler):
         g_start, g_end, extra = wire
         job.trace.adopt(
             [("granule", g_start, g_end, lane.tid,
-              granule_span_attrs(_index(item), part.stats))],
+              granule_span_attrs(item.index, part.stats))],
             shift=shift, pid=pid, proc=proc)
         if extra:
             job.trace.adopt(extra, shift=shift, pid=pid, proc=proc)
@@ -559,5 +545,3 @@ class ProcessScheduler(MorselScheduler):
 
 #: sentinel for "message consumed but not ours" in the receive loop
 _PENDING = object()
-#: sentinel for "worker evicted this descriptor; resend and retry"
-_NEED_DESC = object()

@@ -3,12 +3,11 @@
 :func:`worker_main` is the entry point of one long-lived worker.  It
 speaks a tiny length-prefixed pickle protocol over its duplex pipe::
 
-    ("task", seq, desc_id, desc_json | None,
+    ("task", seq, desc_id, desc_json | None, evict_id | None,
      [granule_index, ...], budget_s | None)                   # driver →
     ("ok",  seq, [_Partial | None, ...], delta | None)        # ← worker
     ("err", seq, (granule_index, error_envelope), delta | None)  # ←
-    ("needdesc", seq, None, delta | None)                     # ← worker
-    ("hello", 0, {"pid", "epoch0"}, None)                     # ← worker
+    ("hello", 0, {"pid", "tid", "epoch0"}, None)              # ← worker
     ("telemetry", 0, None, delta)                             # ← worker
     ("exit",)                                                 # driver →
 
@@ -34,15 +33,19 @@ trace.  When the pipe stays quiet for :data:`IDLE_FLUSH_S`, the worker
 pushes an unsolicited ``telemetry`` envelope so gauges and background
 activity reach ``/metrics`` without query traffic.
 
-``desc_json`` rides along only the first time a lane sees a descriptor
-(and again after a respawn); afterwards ``desc_id`` alone names the
-cached, already-validated :class:`~repro.exec.run.GranulePipeline`.
-When enough concurrent queries thrash the pipeline LRU that a bare
-``desc_id`` no longer resolves, the worker answers ``needdesc`` and
-the driver re-dispatches the run with the descriptor attached —
-eviction costs one round-trip, never a wrong answer.
+The driver owns the worker's pipeline cache (see
+:func:`repro.par.scheduler.cache_decision`).  ``desc_json`` rides
+along only when the lane's worker does not hold ``desc_id``; afterwards
+``desc_id`` alone names the cached, already-validated
+:class:`~repro.exec.run.GranulePipeline`.  ``evict_id`` is the one id
+the worker must drop first.  The worker obeys both on receipt, before
+any deadline check, and keeps no order or bound of its own: the pipe is
+FIFO and one driver thread owns each lane, so the worker holds exactly
+the driver's ``sent_descs`` for that lane.  A bare ``desc_id`` it does
+not hold is therefore a protocol fault, answered with a typed ``err``.
 Tables are opened lazily, read-only, via mmap — the OS page cache is
-shared between workers, so N workers do not read the bytes N times.
+shared between workers, so N workers do not read the bytes N times —
+and stay open only while a cached pipeline names them.
 
 Exceptions cannot cross the pipe as-is (the exec error types take
 keyword-only constructor context, which default pickling loses), so
@@ -69,7 +72,6 @@ import pickle
 import threading
 import time
 import traceback
-from collections import OrderedDict
 
 from repro import faults
 from repro.exec.errors import CorruptChunkError, GranuleError
@@ -79,15 +81,11 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Trace
 from repro.par.descriptor import QueryDescriptor
 
-__all__ = ["CRASH_EXIT_CODE", "IDLE_FLUSH_S", "NeedDescriptor",
-           "WorkerState", "encode_error", "revive_error", "worker_main"]
+__all__ = ["CRASH_EXIT_CODE", "IDLE_FLUSH_S", "WorkerState",
+           "encode_error", "revive_error", "worker_main"]
 
 #: exit status of a worker killed by an injected ``granule.exec`` crash
 CRASH_EXIT_CODE = 113
-
-#: prepared pipelines kept per worker (descriptors are per-query, so
-#: this bounds memory across many concurrent queries, LRU)
-MAX_CACHED_PIPELINES = 16
 
 #: quiet-pipe interval after which a worker flushes telemetry unasked
 IDLE_FLUSH_S = 0.5
@@ -104,15 +102,6 @@ _M_WORKER_GRANULES = obs_metrics.counter(
     "repro_par_worker_granules_total",
     "granules executed inside this worker process (charged once per "
     "lane message, by the number of its granules that started)")
-
-
-class NeedDescriptor(Exception):
-    """A bare ``desc_id`` no longer resolves (evicted from the pipeline
-    LRU under many concurrent queries); the driver must resend it."""
-
-    def __init__(self, desc_id: int):
-        super().__init__(f"descriptor {desc_id} not cached")
-        self.desc_id = desc_id
 
 
 # ----------------------------------------------------------- error wire
@@ -179,12 +168,20 @@ def revive_error(info: dict, granule_index: int) -> BaseException:
 
 # -------------------------------------------------------- worker caches
 class WorkerState:
-    """Per-process lazy caches: open tables and prepared pipelines."""
+    """Per-process caches: prepared pipelines and the tables they read.
 
-    def __init__(self, max_pipelines: int = MAX_CACHED_PIPELINES):
-        self.max_pipelines = max_pipelines
+    The driver decides what the pipeline cache holds; :meth:`admit`
+    obeys a task's orders, so the cache is a plain ``desc_id`` → entry
+    dict with no order or bound of its own.  A table stays open only
+    while a cached pipeline names it.
+    """
+
+    def __init__(self):
         self._sources: dict[tuple, object] = {}
-        self._pipelines: OrderedDict[int, tuple] = OrderedDict()
+        # desc_id -> (pipeline, source, trace_enabled), or the error
+        # its descriptor failed to build with: the id is held either
+        # way, so this dict's keys stay the driver's ``sent_descs``
+        self._pipelines: dict[int, tuple | Exception] = {}
         # one reusable span recorder for every traced granule: a fresh
         # Trace per granule costs a wall-clock read + two allocations
         # inside the hot loop, and only the span list and t0 matter
@@ -205,18 +202,7 @@ class WorkerState:
             self._sources[key] = source
         return source
 
-    def pipeline_for(self, desc_id: int, desc: QueryDescriptor | None):
-        """The prepared (pipeline, source, trace_enabled) for
-        ``desc_id``, building it from ``desc`` on first sight.  A miss
-        with ``desc=None`` raises :class:`NeedDescriptor` — the driver
-        thinks this lane has the pipeline but the LRU evicted it, so
-        ask for a resend."""
-        entry = self._pipelines.get(desc_id)
-        if entry is not None:
-            self._pipelines.move_to_end(desc_id)
-            return entry
-        if desc is None:
-            raise NeedDescriptor(desc_id)
+    def _build(self, desc: QueryDescriptor) -> tuple:
         source = self._source_for(desc)
         if source.table.generation != desc.version or \
                 source.n_rows != desc.n_rows or \
@@ -233,19 +219,75 @@ class WorkerState:
         pipeline = GranulePipeline(
             desc.build_plan(), source, prune=False,
             pushdown=desc.pushdown, on_corruption=desc.on_corruption)
-        entry = (pipeline, source, desc.trace_enabled)
-        self._pipelines[desc_id] = entry
-        while len(self._pipelines) > self.max_pipelines:
-            self._pipelines.popitem(last=False)
-        return entry
+        return pipeline, source, desc.trace_enabled
 
-    def run_granule(self, desc_id: int, desc: QueryDescriptor | None,
-                    granule_index: int, deadline: float | None = None
-                    ) -> _Partial | None:
-        """One granule's partial; ``None`` when ``deadline`` (this
-        process's ``perf_counter``) passed before its work started."""
-        pipeline, source, trace_enabled = \
-            self.pipeline_for(desc_id, desc)
+    def admit(self, desc_id: int, desc_json: dict | None,
+              evict: int | None) -> None:
+        """Obey a task's cache orders: drop ``evict``, then build and
+        store ``desc_json`` under ``desc_id`` when it came along.  A
+        descriptor that fails to build is stored as its error, which
+        every run of that id raises.  Closes each table no cached
+        pipeline names any more."""
+        if evict is None and desc_json is None:
+            return
+        self._pipelines.pop(evict, None)
+        if desc_json is not None:
+            try:
+                self._pipelines[desc_id] = self._build(
+                    QueryDescriptor.from_json(desc_json))
+            except SimulatedCrash:
+                raise
+            except Exception as err:  # noqa: BLE001 — raised per run
+                self._pipelines[desc_id] = err
+        named = {entry[1] for entry in self._pipelines.values()
+                 if isinstance(entry, tuple)}
+        for key, source in list(self._sources.items()):
+            if source not in named:
+                del self._sources[key]
+                source.table.close()
+
+    def run_task(self, desc_id: int, desc_json: dict | None,
+                 evict: int | None, indices: list,
+                 budget_s: float | None) -> tuple:
+        """One task message: ``("ok", [partial | None, ...])`` or
+        ``("err", (granule_index, error_envelope))``.  The cache orders
+        apply first, whatever the deadline; no granule starts once
+        ``budget_s`` (seconds from now; ``None``: no deadline) is
+        spent, and each one skipped replies ``None``."""
+        deadline = None if budget_s is None \
+            else time.perf_counter() + budget_s
+        self.admit(desc_id, desc_json, evict)
+        parts: list = []
+        started = 0
+        try:
+            for index in indices:
+                if deadline is not None and time.perf_counter() > deadline:
+                    # the driver has abandoned this run: start nothing
+                    parts.append(None)
+                    continue
+                started += 1
+                parts.append(self.run_granule(desc_id, index, deadline))
+            reply = "ok", parts
+        except SimulatedCrash:
+            raise
+        except BaseException as err:  # noqa: BLE001 — everything ships back
+            reply = "err", (index, encode_error(err))
+        if started:
+            _M_WORKER_GRANULES.inc(started)
+        return reply
+
+    def run_granule(self, desc_id: int, granule_index: int,
+                    deadline: float | None = None) -> _Partial | None:
+        """One granule's partial from the cached pipeline ``desc_id``;
+        ``None`` when ``deadline`` (this process's ``perf_counter``)
+        passed before its work started."""
+        entry = self._pipelines.get(desc_id)
+        if entry is None:
+            raise LookupError(
+                f"descriptor {desc_id} is not cached on this lane")
+        if isinstance(entry, Exception):
+            raise entry
+        pipeline, source, trace_enabled = entry
         granules = source.granules()
         if not 0 <= granule_index < len(granules):
             raise RuntimeError(
@@ -370,44 +412,23 @@ def worker_main(conn, fault_spec: dict | None = None,
                 except (BrokenPipeError, OSError):
                     pass
             break
-        _, seq, desc_id, desc_json, indices, budget_s = request
-        deadline = None if budget_s is None \
-            else time.perf_counter() + budget_s
-        parts: list = []
-        started = 0
-        index = indices[0]
+        _, seq, desc_id, desc_json, evict, indices, budget_s = request
         try:
-            desc = None if desc_json is None else \
-                QueryDescriptor.from_json(desc_json)
-            for index in indices:
-                if deadline is not None and time.perf_counter() > deadline:
-                    # the driver has abandoned this run: start nothing
-                    parts.append(None)
-                    continue
-                started += 1
-                parts.append(state.run_granule(desc_id, desc, index,
-                                               deadline))
-            response = ("ok", seq, parts)
+            status, payload = state.run_task(desc_id, desc_json, evict,
+                                             indices, budget_s)
         except SimulatedCrash:
             # die for real: no reply, no cleanup — the driver's poll
             # loop must notice the corpse and respawn the lane
             os._exit(CRASH_EXIT_CODE)
-        except NeedDescriptor:
-            response = ("needdesc", seq, None)
-        except BaseException as err:  # noqa: BLE001 — everything ships back
-            response = ("err", seq, (index, encode_error(err)))
-        if started:
-            _M_WORKER_GRANULES.inc(started)
         delta = maybe_delta()
-        response = response + (delta,)
         try:
-            payload = pickle.dumps(response,
+            message = pickle.dumps((status, seq, payload, delta),
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as err:  # unpicklable partial: report, not hang
-            payload = pickle.dumps(
+            message = pickle.dumps(
                 ("err", seq, (indices[0], encode_error(err)), delta))
         try:
-            conn.send_bytes(payload)
+            conn.send_bytes(message)
             # becoming idle? push the throttled tail now (still rate
             # limited) instead of waiting out the idle-flush poll, so a
             # scrape right after a query sees this run's work

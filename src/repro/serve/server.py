@@ -41,7 +41,6 @@ from repro.exec import Plan
 from repro.exec.errors import ExecTimeout, ServerBusy
 from repro.exec.pool import MorselScheduler
 from repro.obs import metrics as obs_metrics
-from repro.obs import top as obs_top
 from repro.obs.metrics import ReservoirQuantiles
 from repro.obs.trace import Trace
 from repro.serve import wire
@@ -66,6 +65,10 @@ _M_REQUEST_CHILD = {
     (op, status): _M_REQUESTS.labels(op=op, status=status)
     for op in (*wire.OPS, "invalid")
     for status in ("ok", "error", "busy")}
+#: the counter families ``stats()`` diffs against the server's start
+_STATS_FAMILIES = frozenset((
+    _M_REQUESTS.name, "repro_cache_lookups_total",
+    "repro_cache_evictions_total", "repro_par_respawns_total"))
 _M_REQUEST_SECONDS = obs_metrics.histogram(
     "repro_serve_request_seconds", "wire request handling time")
 _M_SLOW_QUERIES = obs_metrics.counter(
@@ -150,8 +153,9 @@ class TableServer:
         self._tables: dict[str, tuple[Table, StoreSource]] = {}
         self._tables_lock = threading.Lock()
         self._latencies = ReservoirQuantiles(LATENCY_WINDOW)
-        # stats() reports the registry's growth since this scrape
-        self._baseline = obs_metrics.parse_text(obs_metrics.render_text())
+        # stats() reports the registry's growth since this read
+        self._baseline = obs_metrics.default_registry().series(
+            _STATS_FAMILIES)
         self._started = time.perf_counter()
         self._draining = threading.Event()
         self._conn_threads: list[threading.Thread] = []
@@ -346,20 +350,22 @@ class TableServer:
     def stats(self) -> dict:
         """The ``/stats`` report: load, latency, cache, scheduler.
 
-        Every count is a view of the metrics registry — one scrape,
-        diffed against the one taken at construction through the
-        helpers ``obs top`` uses — so it is what ``/metrics`` says,
-        process-tree-wide (lane workers' cache traffic included), since
-        this server started, and frozen while instrumentation is
-        switched off.  Only occupancy, configuration and the
-        sample-exact latency reservoir are this object's own state.
+        Every count is a view of the metrics registry — one read of
+        its series, diffed against the one taken at construction — so
+        it is what ``/metrics`` says, process-tree-wide (lane workers'
+        cache traffic included), since this server started, and frozen
+        while instrumentation is switched off.  Only occupancy,
+        configuration and the sample-exact latency reservoir are this
+        object's own state.
         """
         uptime = time.perf_counter() - self._started
-        scrape = obs_metrics.parse_text(obs_metrics.render_text())
+        now = obs_metrics.default_registry().series(_STATS_FAMILIES)
 
         def since(family: str, **where) -> int:
-            return int(obs_top.counter_delta(self._baseline, scrape,
-                                             family, where))
+            def total(read: dict) -> float:
+                return sum(value for labels, value in read.get(family, ())
+                           if where.items() <= labels.items())
+            return int(max(0.0, total(now) - total(self._baseline)))
 
         ok = sum(since(_M_REQUESTS.name, op=op, status="ok")
                  for op in ("query", "explain"))

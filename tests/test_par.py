@@ -1,18 +1,24 @@
 """Tests for ``repro.par`` — the process-tier worker pool (PR 9).
 
-Eight suites:
+Nine suites:
 
 * **descriptors** — :class:`QueryDescriptor` round-trips JSON and
   pickle losslessly, rejects foreign versions, and refuses sources
   that cannot be rebuilt from a path with :class:`TypeError`;
 * **worker path property** (hypothesis) — for every integer codec in
   the registry, a plan's pushdown expression survives the real wire
-  (``to_json`` → ``json`` → ``pickle`` → ``from_json`` →
+  (``to_json`` → ``json`` → ``pickle`` → :meth:`WorkerState.admit` →
   :meth:`WorkerState.run_granule`) with row-for-row identical results
   vs in-process execution;
 * **process equivalence** — filters, naive mode, row limits, grouped
   aggregates, joins and deletion-vector snapshots all return the serial
   answers through a real :class:`ProcessScheduler`;
+* **lane descriptor cache** — driven by the driver's own send and evict
+  decisions (:func:`cache_decision`), a :class:`WorkerState` holds
+  exactly the lane's ``sent_descs`` after every task, late and
+  unbuildable descriptors included; an unknown bare id is a typed
+  error; a lane worker keeps open only the shard files of the
+  snapshots its cached pipelines read (fork and spawn);
 * the **crash matrix** — an injected ``granule.exec`` crash (a real
   ``os._exit`` mid-granule) is detected, the lane respawns, the granule
   retries once and the query completes with exact rows; a granule that
@@ -42,7 +48,7 @@ Eight suites:
 import dataclasses
 import json
 import multiprocessing
-from collections import deque
+from collections import OrderedDict, deque
 import os
 import pickle
 import signal
@@ -97,8 +103,14 @@ from repro.par import (
     default_start_method,
     describe_query,
 )
-from repro.par.scheduler import RUN_DIVISOR, run_length
-from repro.par.worker import NeedDescriptor, encode_error, revive_error
+from repro.par import scheduler as par_scheduler
+from repro.par.scheduler import (
+    MAX_CACHED_PIPELINES,
+    RUN_DIVISOR,
+    cache_decision,
+    run_length,
+)
+from repro.par.worker import encode_error, revive_error
 from repro.serve import ServeClient, TableServer
 from repro.store import Table, write_table
 from repro.store.cache import ChunkCache
@@ -252,8 +264,9 @@ class TestDescriptor:
 if HAVE_HYPOTHESIS:
     class TestWorkerPathProperty:
         """The real wire — descriptor JSON through json+pickle into
-        :meth:`WorkerState.run_granule` — is row-for-row identical to
-        in-process execution, for every integer codec."""
+        :meth:`WorkerState.admit` and :meth:`WorkerState.run_granule` —
+        is row-for-row identical to in-process execution, for every
+        integer codec."""
 
         @pytest.mark.parametrize("codec", INT_CODECS)
         @given(data=st.data())
@@ -292,10 +305,10 @@ if HAVE_HYPOTHESIS:
                 assert revived == desc
 
                 state = WorkerState()
+                state.admit(1, wire, None)
                 parts = []
                 for index in range(len(src.granules())):
-                    part = state.run_granule(
-                        1, revived if index == 0 else None, index)
+                    part = state.run_granule(1, index)
                     if part is not None:
                         parts.append(part)
             row_ids, cols = _merge_partials(parts, ("v", "w"))
@@ -448,26 +461,41 @@ class TestProcessEquivalence:
         doc["generation"] = 7
         with open(manifest_path, "w") as fh:
             json.dump(doc, fh)
+        state = WorkerState()
+        state.admit(1, dataclasses.replace(desc, version=1).to_json(),
+                    None)
         with pytest.raises(RuntimeError, match="generation drift"):
-            WorkerState().run_granule(
-                1, dataclasses.replace(desc, version=1), 0)
+            state.run_granule(1, 0)
 
-    def test_evicted_descriptor_asks_for_resend(self, source):
-        desc = describe_query(FILTER_PLAN, source, pushdown=True,
-                              on_corruption="raise")
-        state = WorkerState(max_pipelines=1)
-        state.run_granule(1, desc, 0)
-        state.run_granule(2, desc, 0)  # evicts pipeline 1
-        with pytest.raises(NeedDescriptor):
-            state.run_granule(1, None, 0)
-        # resending the descriptor recovers
-        assert state.run_granule(1, desc, 0) is not None
+    def test_unknown_bare_id_is_a_typed_error(self, source, monkeypatch):
+        """A bare descriptor id the worker does not hold is a protocol
+        fault: a typed error naming the id, never a resend."""
+        status, (index, info) = WorkerState().run_task(
+            7, None, None, [3], None)
+        assert (status, index) == ("err", 3)
+        err = revive_error(info, index)
+        assert isinstance(err, GranuleError)
+        assert err.granule == 3
+        assert "descriptor 7 is not cached on this lane" in str(err)
+        # end to end: a driver that wrongly believes its lane holds the
+        # descriptor gets the typed error, and the lane stays usable
+        expected = FILTER_PLAN.execute(source)
+        with ProcessScheduler(workers=1, name="par-bare-id") as one_lane:
+            monkeypatch.setattr(par_scheduler, "cache_decision",
+                                lambda sent, desc_id: (False, None))
+            with pytest.raises(GranuleError,
+                               match="is not cached on this lane"):
+                FILTER_PLAN.execute(source, scheduler=one_lane)
+            monkeypatch.undo()
+            assert_rows_equal(
+                FILTER_PLAN.execute(source, scheduler=one_lane), expected)
 
     def test_concurrent_queries_thrash_pipeline_lru(self, source):
         """More concurrent queries than MAX_CACHED_PIPELINES on one
-        lane: interleaved granules keep evicting each other's cached
-        pipelines, so the needdesc/resend path must carry every query
-        to the exact in-process answer."""
+        lane: interleaved runs keep evicting each other's cached
+        pipelines.  The driver's eviction orders reach the worker ahead
+        of the runs that need them, so every query still gets the exact
+        in-process answer."""
         expected = FILTER_PLAN.execute(source)
         one_lane = ProcessScheduler(workers=1, name="par-thrash")
         results: list = [None] * 20
@@ -490,31 +518,26 @@ class TestProcessEquivalence:
             assert errors == []
             for got in results:
                 assert_rows_equal(got, expected)
+            assert len(one_lane._lanes[0].sent_descs) <= \
+                MAX_CACHED_PIPELINES
         finally:
             one_lane.close()
 
     def test_sent_descriptor_ids_stay_bounded(self, source):
         """A lane remembers only the descriptor ids its worker's pipeline
-        cache can still hold: 300 queries leave at most
-        MAX_CACHED_PIPELINES of them, every answer stays exact, and no
-        forgotten id costs a needdesc round-trip."""
-        from repro.par.worker import MAX_CACHED_PIPELINES
-
+        cache holds: 300 queries leave at most MAX_CACHED_PIPELINES of
+        them, and every answer stays exact."""
         plans = [Plan.scan(["ts", "reading"])
                  .where(col("ts").between(lo, lo + 4000))
                  for lo in range(0, 50_000, 10_000)]
         expected = [plan.execute(source) for plan in plans]
-        needdesc = default_registry().get(
-            "repro_par_needdesc_total").labels(sched="par-lru")
         with ProcessScheduler(workers=1, name="par-lru") as one_lane:
-            before = needdesc.value
             for i in range(300):
                 got = plans[i % len(plans)].execute(source,
                                                     scheduler=one_lane)
                 assert_rows_equal(got, expected[i % len(plans)])
             assert len(one_lane._lanes[0].sent_descs) <= \
                 MAX_CACHED_PIPELINES
-            assert needdesc.value == before
 
     def test_stats_report_the_tier(self, sched):
         stats = sched.stats()
@@ -561,6 +584,115 @@ class TestProcessEquivalence:
             thread.join()
             bounded.close()
         assert errors == []
+
+
+# ===================================================================
+# lane descriptor cache: the driver evicts, the worker obeys
+# ===================================================================
+def _open_shard_links(pid: int, under: str) -> list[str]:
+    """The ``.rps`` files under ``under`` that process ``pid`` holds
+    open, one entry per descriptor (a file open twice appears twice)."""
+    links = []
+    fd_dir = f"/proc/{pid}/fd"
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:  # closed while listing
+            continue
+        if target.endswith(".rps") and target.startswith(under):
+            links.append(target)
+    return sorted(links)
+
+
+class TestLaneDescriptorCache:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_worker_cache_mirrors_sent_descs(self, source, seed):
+        """The partition property of a lane's cache: driven by the
+        driver's own send and evict decisions, the worker holds exactly
+        the ids in ``sent_descs`` after every task — across more
+        distinct descriptors than the cap, runs whose deadline passed
+        before the worker started them, and descriptors that fail to
+        build — and keeps open only the tables those pipelines read."""
+        rng = np.random.default_rng(seed)
+        good = describe_query(FILTER_PLAN, source, pushdown=True,
+                              on_corruption="raise")
+        # generation drift: the worker opens the table, then refuses it
+        drift = dataclasses.replace(good, n_rows=good.n_rows + 1)
+        expected = GranulePipeline(FILTER_PLAN, source).run(
+            source.granules()[0])
+        n_ids = MAX_CACHED_PIPELINES + 8
+        sent: OrderedDict = OrderedDict()
+        state = WorkerState()
+        seen = set()
+        for _ in range(300):
+            desc_id = int(rng.integers(1, n_ids + 1))
+            seen.add(desc_id)
+            desc = drift if desc_id % 7 == 0 else good
+            late = rng.random() < 0.2
+            send, evict = cache_decision(sent, desc_id)
+            status, payload = state.run_task(
+                desc_id, desc.to_json() if send else None, evict, [0],
+                -1.0 if late else None)
+            assert set(state._pipelines) == set(sent)
+            assert len(sent) <= MAX_CACHED_PIPELINES
+            named = {id(entry[1]) for entry in state._pipelines.values()
+                     if isinstance(entry, tuple)}
+            assert {id(src) for src in state._sources.values()} == named
+            if late:
+                assert (status, payload) == ("ok", [None])
+            elif desc is drift:
+                assert status == "err"
+                assert "generation drift" in payload[1]["message"]
+            else:
+                assert status == "ok"
+                assert np.array_equal(payload[0].row_ids,
+                                      expected.row_ids)
+        assert len(seen) > MAX_CACHED_PIPELINES
+        # dropping every id closes every table
+        for desc_id in list(sent):
+            state.admit(0, None, desc_id)
+        assert state._pipelines == {} and state._sources == {}
+
+    def test_cache_decision_sends_once_and_evicts_least_recent(self):
+        sent: OrderedDict = OrderedDict()
+        for desc_id in range(1, MAX_CACHED_PIPELINES + 1):
+            assert cache_decision(sent, desc_id) == (True, None)
+        assert cache_decision(sent, 1) == (False, None)  # now newest
+        assert cache_decision(sent, 99) == (True, 2)
+        assert list(sent) == [*range(3, MAX_CACHED_PIPELINES + 1), 1, 99]
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_a_lane_opens_only_the_tables_it_caches(self, tmp_path,
+                                                    start_method):
+        """Queries over more generations of one table than a lane
+        caches pipelines leave its worker holding open the shard files
+        of the cached generations' snapshots, and nothing else."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc here to list a worker's open files")
+        path = os.path.realpath(str(tmp_path / "mt"))
+        plan = Plan.scan(["k"]).where(col("k") >= 0)
+        versions = []
+        with ProcessScheduler(workers=1, start_method=start_method,
+                              name=f"par-open-{start_method}") as lane, \
+                MutableTable.create(path, schema=("k",),
+                                    chunk_rows=50) as table:
+            for g in range(MAX_CACHED_PIPELINES + 4):
+                table.append({"k": np.arange(g * 100, g * 100 + 100)})
+                table.flush()
+                with table.snapshot() as snap:
+                    versions.append(snap.generation)
+                    got = plan.execute(StoreSource(snap), scheduler=lane)
+                    assert np.array_equal(
+                        np.sort(got.columns["k"]), np.arange(g * 100 + 100))
+            assert len(lane._lanes[0].sent_descs) == MAX_CACHED_PIPELINES
+            expected = []
+            for version in versions[-MAX_CACHED_PIPELINES:]:
+                with Table.open(path, version=version,
+                                cache_bytes=0) as snap:
+                    expected += [os.path.realpath(shard.path)
+                                 for shard in snap.shards]
+            assert _open_shard_links(lane._lanes[0].proc.pid, path) == \
+                sorted(expected)
 
 
 # ===================================================================
@@ -944,13 +1076,13 @@ class TestLaneRuns:
         src = banded[name]
         plan = Plan.scan(["ts", "v"])
         sent: list[list[int]] = []
-        dispatch_once = lanes._dispatch_once
+        dispatch = lanes._dispatch
 
         def record(lane, job, wire, items):
             sent.append([g.index for g in items])
-            return dispatch_once(lane, job, wire, items)
+            return dispatch(lane, job, wire, items)
 
-        monkeypatch.setattr(lanes, "_dispatch_once", record)
+        monkeypatch.setattr(lanes, "_dispatch", record)
         survivors = [g.index for g in src.granules()
                      if not GranulePipeline(plan, src).prunes(g)]
         ok = _lane_granules(lanes.name, "ok")
@@ -985,13 +1117,13 @@ class TestLaneRuns:
         src = banded["live"]
         plan = _band(1200, 1200 + BAND_CHUNK * survivors)
         sent: list[list[int]] = []
-        dispatch_once = lanes._dispatch_once
+        dispatch = lanes._dispatch
 
         def record(lane, job, wire, items):
             sent.append([g.index for g in items])
-            return dispatch_once(lane, job, wire, items)
+            return dispatch(lane, job, wire, items)
 
-        monkeypatch.setattr(lanes, "_dispatch_once", record)
+        monkeypatch.setattr(lanes, "_dispatch", record)
         res = plan.execute(src, scheduler=lanes)
         monkeypatch.undo()
         expected = list(range(12, 12 + survivors))
@@ -1181,8 +1313,8 @@ class TestServeProcessTier:
                          slow_query_ms=0.0, slow_query_log=log) as srv, \
                 ServeClient(*srv.address) as client:
             client.query("events", FILTER_PLAN)
-        [record] = [json.loads(line)
-                    for line in open(log, encoding="utf-8")]
+        with open(log, encoding="utf-8") as fh:
+            [record] = [json.loads(line) for line in fh]
         assert record["worker_tier"] == "process"
         assert set(record["lanes"]) <= {"w0", "w1"}
         assert record["pruned"] == stats.granules_pruned > 0

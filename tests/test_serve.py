@@ -931,6 +931,21 @@ class TestTableServer:
         assert stats["scheduler"]["workers"] >= 1
         assert stats["tables"] == ["events"]
 
+    def test_stats_read_the_registry_not_its_text(
+            self, served_root, server, client, monkeypatch):
+        """``stats`` sums the registry's series directly: it answers,
+        and still counts, while the exposition text cannot render."""
+        _, columns = served_root
+        before = server.stats()["queries_ok"]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("stats rendered the exposition")
+
+        monkeypatch.setattr(obs_metrics, "render_text", refuse)
+        monkeypatch.setattr(obs_metrics.MetricsRegistry, "render", refuse)
+        client.query("events", _selective_plan(columns))
+        assert server.stats()["queries_ok"] == before + 1
+
     def test_unknown_table_is_typed_one_liner(self, client):
         with pytest.raises(RuntimeError, match="unknown table 'nope'"):
             client.query("nope", Plan.scan(None))
