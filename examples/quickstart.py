@@ -52,7 +52,7 @@ assert np.array_equal(codecs.from_bytes(delta_blob).decode_all(),
 # Capability flags drive generic consumers (store, benchmarks, tests).
 info = codecs.info("delta")
 print(f"delta: sequential_access={info.sequential_access}, "
-      f"pruning={info.supports_range_pruning}")
+      f"model_bounds={info.supports_model_bounds}")
 
 # ---------------------------------------------------------------- CodecSpec
 # Configuration travels as one CodecSpec; compress() is the one-call shim

@@ -130,9 +130,9 @@ class EncodedSequence(SelfDescribing, ABC):
     def filter_range(self, lo: int, hi: int) -> np.ndarray:
         """Boolean bitmap of positions with ``lo <= value < hi``.
 
-        Base contract: materialise and compare.  Codecs whose registry
-        entry sets ``supports_range_pruning`` override this to skip whole
-        partitions via model-derived value bounds (§5.1.1).
+        Base contract: materialise and compare.  The LeCo family
+        overrides this to skip whole partitions via model-derived value
+        bounds (§5.1.1).
         """
         values = self.decode_all()
         return (values >= lo) & (values < hi)

@@ -41,8 +41,8 @@ def _delta(**preset):
     return _partitioned("repro.baselines.delta", "DeltaCodec", **preset)
 
 
-_LECO_CAPS = dict(supports_range_pruning=True, supports_model_bounds=True,
-                  partitioned=True, wire_id="leco")
+_LECO_CAPS = dict(supports_model_bounds=True, partitioned=True,
+                  wire_id="leco")
 _DELTA_CAPS = dict(sequential_access=True, partitioned=True, wire_id="delta")
 
 register("leco", summary="learned compression, fixed partitions (§3)",

@@ -37,8 +37,6 @@ class CodecInfo:
     supports_integers: bool = True
     #: encodes lists of bytes/str
     supports_strings: bool = False
-    #: ``filter_range`` can prune whole partitions without decoding
-    supports_range_pruning: bool = False
     #: ``model_bounds()`` returns conservative value bounds without
     #: decoding (LeCo family: model band + residual width).  The store
     #: writer and the exec planner both read this flag — codecs without

@@ -23,10 +23,7 @@ caller passes — and per granule the pipeline is
    terms, OR trees, half-unbounded ranges) is evaluated vectorized on
    batches gathered at the surviving positions only.
 4. **Late materialization** — output columns ``gather`` the survivors
-   (or ``decode_all`` when the whole granule survived);
-   ``pushdown=False`` instead decodes every needed column fully and
-   filters afterwards (the naive reference the property suite in
-   ``tests/test_exec.py`` compares against).  A plan ending in
+   (or ``decode_all`` when the whole granule survived).  A plan ending in
    ``Limit(n)`` counts every survivor but gathers only its first ``n``:
    the same chunks load, so the stats equal the unlimited run's, and
    the driver keeps the first ``n`` rows in granule order.
@@ -202,7 +199,6 @@ class ExecResult:
     # its set bits, a pass over the whole table-wide bitmap
     pushed_desc: tuple = ()
     residual_desc: object | None = None
-    pushdown: bool = True
     implicit_desc: object | None = None  # source-implied term (deletion
     #                                      vectors), ANDed into the filter
     trace: object | None = None  # the repro.obs.Trace when traced
@@ -239,14 +235,11 @@ class ExecResult:
         if self.plan.filter_expr() is not None \
                 or self.implicit_desc is not None:
             parts = []
-            if not self.pushdown:
-                parts.append(f"naive: {self.residual_desc}")
-            else:
-                if self.pushed_desc:
-                    parts.append("pushed: " + " AND ".join(
-                        str(term) for term in self.pushed_desc))
-                if self.residual_desc is not None:
-                    parts.append(f"residual: {self.residual_desc}")
+            if self.pushed_desc:
+                parts.append("pushed: " + " AND ".join(
+                    str(term) for term in self.pushed_desc))
+            if self.residual_desc is not None:
+                parts.append(f"residual: {self.residual_desc}")
             lines.insert(len(lines) - 1, f"Filter[{'; '.join(parts)}]")
         tree = "\n".join(f"{'  ' * i}{line}"
                          for i, line in enumerate(lines))
@@ -432,14 +425,13 @@ class GranulePipeline:
     """
 
     def __init__(self, plan: Plan, source, *, prune: bool = True,
-                 pushdown: bool = True, on_corruption: str = "raise"):
+                 on_corruption: str = "raise"):
         if on_corruption not in ("raise", "skip"):
             raise ValueError(
                 f"on_corruption must be 'raise' or 'skip', "
                 f"got {on_corruption!r}")
         self.plan = plan
         self.source = source
-        self.pushdown = pushdown
         self.on_corruption = on_corruption
         names = tuple(source.column_names)
         expr = plan.filter_expr()
@@ -459,6 +451,7 @@ class GranulePipeline:
         self.pred_cols = pred_cols = \
             tuple(sorted(expr.columns())) if expr is not None else ()
 
+        self.join_payload: tuple = ()
         if isinstance(terminal, Aggregate):
             needed = [c for _, op, c in terminal.aggs if op != "count"]
             if terminal.group_by is not None:
@@ -470,9 +463,9 @@ class GranulePipeline:
             # payload is aligned to the sorted keys
             order = np.argsort(terminal.keys)
             self.join_keys = terminal.keys[order]
-            self.join_payload = tuple(
-                (name, values[order]) for name, values in terminal.build
-            ) if terminal.how == "inner" and terminal.build else ()
+            if terminal.how == "inner" and terminal.build:
+                self.join_payload = tuple(
+                    (name, values[order]) for name, values in terminal.build)
         else:
             mat_cols = output_cols
         self.mat_cols = mat_cols
@@ -486,11 +479,7 @@ class GranulePipeline:
                 f"{', '.join(repr(c) for c in unknown)}; "
                 f"available: {', '.join(names)}")
 
-        if pushdown:
-            self.ranges, self.bitmaps, self.residual = \
-                split_pushdown(expr)
-        else:
-            self.ranges, self.bitmaps, self.residual = {}, (), expr
+        self.ranges, self.bitmaps, self.residual = split_pushdown(expr)
 
         #: the zone-map decision for every granule, in ``granules()``
         #: order — ``True`` where no row can match — or ``None`` when
@@ -596,18 +585,16 @@ class GranulePipeline:
     def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
         expr = self.expr
         terminal = self.terminal
-        pushdown = self.pushdown
         residual = self.residual
         n = granule.n_rows
         if self.prunes(granule):
             st.granules_pruned = 1
             return _Partial(st)
 
-        naive_batch: dict[str, np.ndarray] = {}
         residual_values: dict[str, np.ndarray] = {}
         if expr is None:
             positions = None
-        elif pushdown:
+        else:
             t0 = time.perf_counter()
             mask = None
             for term in self.bitmaps:
@@ -641,25 +628,12 @@ class GranulePipeline:
                 trace.add("filter", t0 - trace.t0,
                           time.perf_counter() - trace.t0,
                           granule=granule.index)
-        else:
-            # naive: decode every predicate column fully, then compare
-            for c in self.pred_cols:
-                naive_batch[c] = load(c).decode_all()
-            t0 = time.perf_counter()
-            row_ids = granule.row_start + np.arange(n, dtype=np.int64)
-            positions = np.flatnonzero(expr.evaluate(naive_batch,
-                                                     row_ids))
-            st.cpu_filter_s += time.perf_counter() - t0
-            if trace is not None:
-                trace.add("filter", t0 - trace.t0,
-                          time.perf_counter() - trace.t0,
-                          granule=granule.index)
 
         matched = n if positions is None else len(positions)
         st.rows_scanned += matched
         if matched == 0:
             return _Partial(st)
-        if pushdown and positions is not None and positions.size == n:
+        if positions is not None and positions.size == n:
             # every row survived, so positions is arange(n): decode
             # sequentially instead of gathering each one (the codecs'
             # gather(idx) == decode_all()[idx] contract makes the two
@@ -681,10 +655,6 @@ class GranulePipeline:
                 out[c] = residual_values[c]
             elif positions is None:
                 out[c] = load(c).decode_all()
-            elif c in naive_batch:
-                out[c] = naive_batch[c][positions]
-            elif not pushdown:
-                out[c] = load(c).decode_all()[positions]
             else:
                 out[c] = load(c).gather(positions)
         st.cpu_gather_s += time.perf_counter() - t0
@@ -736,8 +706,7 @@ class GranulePipeline:
 
 # ----------------------------------------------------------------- execute
 def execute(plan: Plan, source, threads: int | None = None,
-            prune: bool = True, pushdown: bool = True,
-            on_corruption: str = "raise",
+            prune: bool = True, on_corruption: str = "raise",
             timeout_s: float | None = None,
             scheduler=None, trace=None) -> ExecResult:
     """Run ``plan`` over ``source``.
@@ -756,8 +725,8 @@ def execute(plan: Plan, source, threads: int | None = None,
       :class:`repro.par.ProcessScheduler`) — split as on the calling
       thread, and the survivors run in worker processes from a
       :class:`repro.par.QueryDescriptor` of the query, which carries
-      ``pushdown`` and ``on_corruption`` but no prune knob.  Only a
-      source that describes itself runs there: any other raises
+      ``on_corruption`` but no prune knob.  Only a source that
+      describes itself runs there: any other raises
       :class:`TypeError` before admission.
 
     Parameters
@@ -769,10 +738,6 @@ def execute(plan: Plan, source, threads: int | None = None,
     prune:
         Zone-map granule pruning (disable for the unpruned reference;
         results are identical).
-    pushdown:
-        ``False`` switches to naive decode-all-then-filter execution
-        (no ``filter_range``, no late materialization) — the reference
-        the tests compare against.  Results are identical.
     on_corruption:
         ``"raise"`` (default) propagates :class:`CorruptChunkError` from
         a failed chunk checksum; ``"skip"`` quarantines the granule —
@@ -810,7 +775,6 @@ def execute(plan: Plan, source, threads: int | None = None,
     # has one "prune" span covering it, the descriptor and the split
     t_prune = trace.now() if trace is not None else 0.0
     pipeline = GranulePipeline(plan, source, prune=prune,
-                               pushdown=pushdown,
                                on_corruption=on_corruption)
     terminal = pipeline.terminal
     output_cols = pipeline.output_cols
@@ -821,7 +785,7 @@ def execute(plan: Plan, source, threads: int | None = None,
         # raises TypeError for a source that cannot describe itself —
         # here, so the query is neither admitted nor counted
         descriptor = describe_query(
-            plan, source, pushdown=pushdown, on_corruption=on_corruption,
+            plan, source, on_corruption=on_corruption,
             trace_enabled=trace is not None)
 
     def run_granule(granule) -> _Partial | None:
@@ -901,9 +865,12 @@ def execute(plan: Plan, source, threads: int | None = None,
         rows = [p for p in partials if p.row_ids is not None]
         row_ids = np.concatenate([p.row_ids for p in rows]) \
             if rows else _EMPTY
+        # no row at all still names every column, an inner join's
+        # payload included
         columns = {name: np.concatenate([p.columns[name] for p in rows])
                    for name in rows[0].columns} if rows \
-            else {c: _EMPTY.copy() for c in output_cols}
+            else {c: _EMPTY.copy() for c in (
+                *output_cols, *(name for name, _ in pipeline.join_payload))}
         limit = pipeline.limit
         if limit is not None:
             # a granule with rows counted every match it gathered from
@@ -922,6 +889,6 @@ def execute(plan: Plan, source, threads: int | None = None,
         plan=plan, source_desc=source.describe(),
         pushed_desc=tuple(pipeline.ranges.values())
         + tuple(pipeline.bitmaps),
-        residual_desc=pipeline.residual, pushdown=pushdown,
+        residual_desc=pipeline.residual,
         implicit_desc=pipeline.implicit_expr, trace=trace,
         n_matched=n_matched)

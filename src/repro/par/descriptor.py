@@ -7,9 +7,8 @@ every worker for free) and only needs to be told *which* query and
 table directory, the pinned manifest generation, the plan (reusing the
 PR 7 :meth:`~repro.exec.plan.Plan.to_json` wire format, which carries
 the pushdown expression — ranges, IN-sets, OR trees and positional
-bitmaps alike), and the executor knobs (``pushdown`` /
-``on_corruption``) the worker-side
-:class:`~repro.exec.run.GranulePipeline` is built with.
+bitmaps alike), and the one executor knob (``on_corruption``) the
+worker-side :class:`~repro.exec.run.GranulePipeline` is built with.
 
 **Who prunes.**  Zone-map pruning needs only footers and deletion
 vectors, and the driver holds both: :func:`repro.exec.run.execute`
@@ -50,7 +49,7 @@ from repro.exec.plan import Plan
 __all__ = ["DESCRIPTOR_VERSION", "QueryDescriptor", "describe_query"]
 
 #: bumped on any incompatible change to the descriptor wire format
-DESCRIPTOR_VERSION = 4
+DESCRIPTOR_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class QueryDescriptor:
     n_rows: int                # drift guard: snapshot row count
     n_granules: int            # drift guard: snapshot granule count
     plan: dict                 # Plan.to_json() (carries the pushdown expr)
-    pushdown: bool
     on_corruption: str         # "raise" | "skip"
     trace_enabled: bool = False  # worker records per-granule spans
 
@@ -77,7 +75,6 @@ class QueryDescriptor:
             "n_rows": self.n_rows,
             "n_granules": self.n_granules,
             "plan": self.plan,
-            "pushdown": self.pushdown,
             "on_corruption": self.on_corruption,
             "trace_enabled": self.trace_enabled,
         }
@@ -96,7 +93,6 @@ class QueryDescriptor:
             n_rows=int(obj["n_rows"]),
             n_granules=int(obj["n_granules"]),
             plan=obj["plan"],
-            pushdown=bool(obj["pushdown"]),
             on_corruption=obj["on_corruption"],
             trace_enabled=bool(obj["trace_enabled"]),
         )
@@ -105,9 +101,8 @@ class QueryDescriptor:
         return Plan.from_json(self.plan)
 
 
-def describe_query(plan: Plan, source, *, pushdown: bool,
-                   on_corruption: str, trace_enabled: bool = False
-                   ) -> QueryDescriptor:
+def describe_query(plan: Plan, source, *, on_corruption: str,
+                   trace_enabled: bool = False) -> QueryDescriptor:
     """Describe ``plan`` over ``source`` for out-of-process execution.
 
     Raises :class:`TypeError` when the source cannot be rebuilt from a
@@ -123,6 +118,6 @@ def describe_query(plan: Plan, source, *, pushdown: bool,
             f"themselves; {source.describe()} does not (run it without "
             f"a scheduler or on a thread-tier one)")
     return QueryDescriptor(
-        plan=plan.to_json(), pushdown=pushdown,
-        on_corruption=on_corruption, trace_enabled=trace_enabled,
+        plan=plan.to_json(), on_corruption=on_corruption,
+        trace_enabled=trace_enabled,
         **wire())

@@ -196,8 +196,16 @@ class WorkerState:
             from repro.store.executor import StoreSource
             from repro.store.table import Table
 
-            table = Table.open(desc.table_path, version=desc.version,
-                               cache_bytes=desc.cache_bytes)
+            # a held snapshot of the same table and cache budget lends
+            # its open shard files to the new generation: each file is
+            # mapped once however many generations name it
+            held = [src.table for (path, _, cache_bytes), src
+                    in self._sources.items()
+                    if (path, cache_bytes) == (desc.table_path,
+                                               desc.cache_bytes)]
+            table = held[-1].successor(desc.version) if held else \
+                Table.open(desc.table_path, version=desc.version,
+                           cache_bytes=desc.cache_bytes)
             source = StoreSource(table)
             self._sources[key] = source
         return source
@@ -218,7 +226,7 @@ class WorkerState:
         # survived its zone maps, so testing them again is wasted work
         pipeline = GranulePipeline(
             desc.build_plan(), source, prune=False,
-            pushdown=desc.pushdown, on_corruption=desc.on_corruption)
+            on_corruption=desc.on_corruption)
         return pipeline, source, desc.trace_enabled
 
     def admit(self, desc_id: int, desc_json: dict | None,

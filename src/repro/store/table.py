@@ -385,8 +385,7 @@ class Table:
             ``gather`` only surviving positions.
         **opts:
             Forwarded to :func:`repro.exec.run.execute` — ``prune``,
-            ``pushdown``, ``on_corruption``, ``timeout_s``,
-            ``scheduler``, ``trace``.
+            ``on_corruption``, ``timeout_s``, ``scheduler``, ``trace``.
         """
         projection = tuple(columns) if columns is not None \
             else self.column_names
@@ -405,7 +404,7 @@ class Table:
         return plan.execute(StoreSource(self), **opts)
 
     def read_column(self, name: str, **opts) -> np.ndarray:
-        """Decode one full column (naive no-predicate scan); ``opts``
+        """Decode one full column (a no-predicate scan); ``opts``
         as :meth:`scan`'s."""
         return self.scan(columns=[name], **opts).columns[name]
 

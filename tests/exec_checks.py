@@ -1,14 +1,21 @@
-"""Checks on an :class:`~repro.exec.ExecResult` shared by the exec, obs
-and par suites (imported as a plain module: pytest puts ``tests/`` on
-``sys.path``)."""
+"""Checks on an :class:`~repro.exec.ExecResult` shared by the exec, obs,
+par, mutate and oracle suites (imported as a plain module: pytest puts
+``tests/`` on ``sys.path``), and the numpy reference every tier is held
+to (:func:`reference_result`)."""
 
 import dataclasses
 
 import numpy as np
 
 from repro.exec.expr import And, Bitmap, InSet, Or, Range
+from repro.exec.plan import Aggregate, HashJoin, Limit, Project
 from repro.exec.run import GranulePipeline
 from repro.obs.trace import Trace
+
+#: the counts a chunk cache decides: equal across tiers only where no
+#: tier runs with a cache of its own
+CACHE_FIELDS = frozenset({"bytes_read", "reads", "cache_hits",
+                          "cache_misses", "cache_evictions"})
 
 
 def count_fields(stats) -> dict:
@@ -51,18 +58,19 @@ def assert_rows_equal(got, expected) -> None:
                               np.asarray(expected.columns[name])), name
 
 
-def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
+def assert_tiers_agree(plan, source, thread_sched, proc_sched, want=None,
+                       **opts):
     """Run ``plan`` traced on the calling thread, on a thread-tier
     scheduler and — when ``source`` describes itself, the only sources a
     process tier runs — on a process-tier one.  Each run must examine
     every granule exactly once (stats and "granule" spans), and the
     scheduler tiers must return the caller's rows/groups and the
-    caller's counts — so ``source`` must be uncached (see
+    caller's counts — so ``source`` must be uncached or warm (see
     :func:`count_fields`).  The query's zone-map decision must be the
-    per-granule rule's (:func:`reference_may_match`).  Returns the
-    calling-thread result."""
-    pipeline = GranulePipeline(plan, source, prune=opts.get("prune", True),
-                               pushdown=opts.get("pushdown", True))
+    per-granule rule's (:func:`reference_may_match`), and the answer
+    ``want``'s (:func:`reference_result`) when one is given.  Returns
+    the calling-thread result."""
+    pipeline = GranulePipeline(plan, source, prune=opts.get("prune", True))
     if pipeline.pruned is not None:
         zones = {c: source.zone_maps(c) for c in pipeline.pred_cols}
         assert pipeline.pruned.tolist() == (~reference_may_match(
@@ -84,6 +92,9 @@ def assert_tiers_agree(plan, source, thread_sched, proc_sched, **opts):
         assert list(got.groups or ()) == list(expected.groups or ())
         assert_rows_equal(got, expected)
         assert count_fields(got.stats) == count_fields(expected.stats)
+    if want is not None:
+        assert_matches_reference(expected.n_rows, expected.groups,
+                                 expected.row_ids, expected.columns, want)
     return expected
 
 
@@ -115,8 +126,7 @@ def assert_limit_agrees(plan, source, **opts) -> None:
         assert count_fields(got.stats) == count_fields(full.stats), n
         # what a granule gathers — and ships off a lane — is at most n
         # rows, every column cut with its row ids
-        pipeline = GranulePipeline(plan.limit(n), source,
-                                   pushdown=opts.get("pushdown", True))
+        pipeline = GranulePipeline(plan.limit(n), source)
         for granule in source.granules():
             part = pipeline.run(granule)
             if part.row_ids is not None:
@@ -170,3 +180,101 @@ def reference_may_match(expr, zones, starts, counts) -> np.ndarray:
                            for c, (zmin, zmax) in zones.items()},
                     int(starts[i]), int(counts[i]))
         for i in range(len(starts))], dtype=bool)
+
+
+# --------------------------------------------------------- numpy reference
+def reference_mask(expr, columns: dict, n_rows: int) -> np.ndarray:
+    """The rows ``expr`` keeps among ``n_rows`` rows of ``columns``, read
+    from the expression tree's public fields alone."""
+    if isinstance(expr, Range):
+        values = columns[expr.column]
+        keep = np.ones(n_rows, dtype=bool)
+        if expr.lo is not None:
+            keep &= values >= expr.lo
+        if expr.hi is not None:
+            keep &= values < expr.hi
+        return keep
+    if isinstance(expr, InSet):
+        return np.isin(columns[expr.column], expr.values)
+    if isinstance(expr, Bitmap):
+        keep = np.zeros(n_rows, dtype=bool)  # rows past its end are unset
+        cut = min(n_rows, expr.bitmap.size)
+        keep[:cut] = expr.bitmap[:cut]
+        return keep
+    if isinstance(expr, (And, Or)):
+        masks = [reference_mask(c, columns, n_rows) for c in expr.children]
+        return (np.logical_and if isinstance(expr, And)
+                else np.logical_or).reduce(masks)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_result(plan, columns: dict, live: np.ndarray,
+                     starts) -> dict:
+    """What ``plan`` must return over the arrays ``columns`` with
+    ``live`` rows visible, computed in numpy and Python ints from the
+    plan's public fields: ``n_rows``, ``groups`` (an ordered dict, or
+    ``None``), ``row_ids`` and ``columns``.  Groups appear in the order
+    of their first row's granule (``starts``: each granule's first
+    row), sorted within it, as the executor's merge orders them."""
+    n = len(live)
+    keep = live.copy()
+    expr = plan.filter_expr()
+    if expr is not None:
+        keep &= reference_mask(expr, columns, n)
+    names = plan.scan_node.columns or tuple(columns)
+    for node in plan.nodes:
+        if isinstance(node, Project):
+            names = node.columns
+    tail = plan.nodes[-1]
+    if isinstance(tail, Aggregate):
+        keys = columns[tail.group_by] if tail.group_by is not None \
+            else np.zeros(n, dtype=np.int64)
+        order: list = []
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            for key in np.unique(keys[lo:hi][keep[lo:hi]]).tolist():
+                if key not in order:
+                    order.append(key)
+        groups = {}
+        for key in order:
+            rows = keep & (keys == key)
+            count = int(rows.sum())
+            row = {}
+            for out, op, column in tail.aggs:
+                values = columns[column][rows].tolist()
+                row[out] = {"sum": sum(values), "count": count,
+                            "avg": sum(values) / count,
+                            "min": min(values), "max": max(values)}[op]
+            groups[None if tail.group_by is None else key] = row
+        return {"n_rows": 0, "groups": groups,
+                "row_ids": np.empty(0, dtype=np.int64), "columns": {}}
+    payload = {}
+    if isinstance(tail, HashJoin):
+        keep &= np.isin(columns[tail.on], tail.keys)
+        if tail.how == "inner" and tail.build:
+            slot = {int(k): i for i, k in enumerate(tail.keys)}
+            at = [slot[int(v)] for v in columns[tail.on][keep]]
+            payload = {name: np.asarray(values)[at]
+                       for name, values in tail.build}
+    row_ids = np.flatnonzero(keep)
+    out = {name: columns[name][keep] for name in names} | payload
+    cut = tail.n if isinstance(tail, Limit) else len(row_ids)
+    return {"n_rows": len(row_ids), "groups": None,
+            "row_ids": row_ids[:cut],
+            "columns": {name: values[:cut] for name, values in out.items()}}
+
+
+def assert_matches_reference(n_rows, groups, row_ids, columns, want):
+    """One tier's answer — an ``ExecResult``'s fields or a served
+    reply's — is :func:`reference_result`'s ``want``: the same groups in
+    the same order, or the same rows with ``n_rows`` counting every
+    match."""
+    if want["groups"] is not None:
+        assert groups is not None
+        assert list(dict(groups).items()) == list(want["groups"].items())
+        return
+    assert groups is None
+    assert n_rows == want["n_rows"]
+    assert np.array_equal(row_ids, want["row_ids"])
+    assert set(columns) == set(want["columns"])
+    for name, values in want["columns"].items():
+        assert np.array_equal(np.asarray(columns[name]), values), name

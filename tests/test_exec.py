@@ -33,7 +33,6 @@ from repro.exec import (
     Plan,
     Range,
     col,
-    execute,
     split_pushdown,
 )
 from repro.exec.source import zone_arrays
@@ -303,7 +302,7 @@ class TestLimit:
 
     def test_agrees_with_the_unlimited_run(self, backends, tiers):
         """On the calling thread and the thread tier, over the store
-        (uncached) and memory, pushed down or naive, a pushed range with
+        (uncached) and memory, pruned or not, a pushed range with
         a residual, a residual alone, and no filter (every granule
         survives whole)."""
         columns, sources = backends
@@ -320,7 +319,7 @@ class TestLimit:
             for source in (StoreSource(table), sources["memory"]):
                 for plan in plans:
                     for opts in ({}, {"scheduler": tiers[0]},
-                                 {"pushdown": False, "prune": False}):
+                                 {"prune": False}):
                         assert_limit_agrees(plan, source, **opts)
 
     def test_deletion_vectors_and_a_memtable_tail(self, tmp_path):
@@ -399,49 +398,16 @@ class TestBackendEquivalence:
             assert f"{res.stats.granules_pruned} pruned" in text
             assert "Filter[pushed:" in text and "Scan[" in text
 
-    def test_pushdown_modes_and_threads_agree(self, backends, tiers):
-        columns, sources = backends
-        ts = columns["ts"]
-        expr = (col("ts").between(int(ts[500]), int(ts[4000]))
-                & (col("status") == 0))
-        plan = Plan.scan(["ts", "reading"]).where(expr)
-        reference = plan.execute(sources["store"])
-        variants = [
-            plan.execute(sources["store"], pushdown=False, prune=False),
-            plan.execute(sources["store"], prune=False),
-            plan.execute(sources["store"], scheduler=tiers[0]),
-            plan.execute(sources["memory"], pushdown=False, prune=False),
-        ]
-        for res in variants:
-            assert np.array_equal(res.row_ids, reference.row_ids)
-            for column in ("ts", "reading"):
-                assert np.array_equal(res.columns[column],
-                                      reference.columns[column])
-        # the same plans on the calling thread, a 2-worker thread tier
-        # and a 2-worker process tier: every granule examined exactly
-        # once wherever it ran, same answer, same counts (no chunk
-        # cache, so the read counts are tier-invariant too)
-        grouped = (Plan.scan().where(expr)
-                   .aggregate({"n": ("count", "reading"),
-                               "hi": ("max", "reading")},
-                              group_by="sensor_id"))
-        with Table.open(sources["store"].table.path,
-                        cache_bytes=0) as table:
-            source = StoreSource(table)
-            rows = assert_tiers_agree(plan, source, *tiers)
-            assert np.array_equal(rows.row_ids, reference.row_ids)
-            groups = assert_tiers_agree(grouped, source, *tiers).groups
-            assert len(groups) > 1
-
     @pytest.mark.parametrize("codec", INT_CODECS)
     def test_fully_selected_granules_decode_sequentially(
             self, codec, tmp_path, tiers):
         """A granule whose every row survives the filter is decoded
         whole, not gathered row by row — and nothing else changes: on
-        every tier the rows and every integer ``ExecStats`` field are
-        what naive decode-all-then-filter execution returns.  Granules
-        are 32 rows; the range covers rows 64–191, i.e. granules 2–5
-        exactly, and the rest are pruned by their zone maps."""
+        every tier the rows are the selected ones, and every integer
+        ``ExecStats`` field is the count of the chunks a surviving
+        granule must load.  Granules are 32 rows; the range covers rows
+        64–191, i.e. granules 2–5 exactly, and the rest are pruned by
+        their zone maps."""
         k = np.arange(256, dtype=np.int64)
         columns = {"k": k, "v": k * 3 + 7, "w": k // 5}  # all sorted
         whole = col("k").between(64, 192)
@@ -456,19 +422,33 @@ class TestBackendEquivalence:
         def check(path, live):
             with Table.open(path, cache_bytes=0) as table:
                 source = StoreSource(table)
+                # each surviving granule loads k (filter_range), v (the
+                # residual, or decoded whole) and w: three uncached reads
+                loaded = []
+                for shard in table.shards:
+                    for chunks in shard.by_column.values():
+                        for c in chunks:
+                            first = shard.footer.row_start + c.row_start - 64
+                            if 0 <= first < 128 and \
+                                    live[first: first + c.n_rows].any():
+                                loaded.append(c.nbytes)
+                survivors = len(loaded) // 3
+                want_counts = {
+                    "granules_total": 8, "granules_pruned": 8 - survivors,
+                    "chunks_scanned": len(loaded), "reads": len(loaded),
+                    "bytes_scanned": sum(loaded),
+                    "bytes_read": sum(loaded), "cache_hits": 0,
+                    "cache_misses": 0, "cache_evictions": 0,
+                    "rows_scanned": int(live.sum()), "rows_masked": 0,
+                    "chunks_corrupt": 0, "io_retries": 0}
                 for name, plan in plans.items():
-                    naive = plan.execute(source, pushdown=False)
                     fast = assert_tiers_agree(plan, source, *tiers)
                     assert np.array_equal(fast.row_ids,
                                           k[64:192][live]), name
-                    assert np.array_equal(fast.row_ids, naive.row_ids)
                     for column in fast.columns:
                         want = columns[column][64:192][live]
                         assert np.array_equal(fast.columns[column], want)
-                        assert np.array_equal(naive.columns[column], want)
-                    assert count_fields(fast.stats) \
-                        == count_fields(naive.stats), name
-                    assert fast.stats.rows_scanned == int(live.sum())
+                    assert count_fields(fast.stats) == want_counts, name
                 # only the residual's own column is ever gathered
                 gathers = []
                 spy = StoreSource(table)
@@ -967,79 +947,3 @@ class TestGroupMerge:
                 want = {None: row for row in want.values()}
             assert res.groups == want
             assert list(res.groups) == list(want)
-
-def _term(data, name, values):
-    """Draw one predicate term + its numpy reference mask."""
-    vmin, vmax = int(values.min()), int(values.max())
-    kind = data.draw(st.sampled_from(
-        ["range", "half_lo", "half_hi", "eq", "in"]))
-    a = data.draw(st.integers(vmin - 5, vmax + 5))
-    b = data.draw(st.integers(vmin - 5, vmax + 5))
-    lo, hi = min(a, b), max(a, b)
-    if kind == "range":
-        return col(name).between(lo, hi), (values >= lo) & (values < hi)
-    if kind == "half_lo":
-        return (col(name) >= lo), values >= lo
-    if kind == "half_hi":
-        return (col(name) < hi), values < hi
-    if kind == "eq":
-        return (col(name) == a), values == a
-    members = data.draw(st.lists(st.integers(vmin - 2, vmax + 2),
-                                 min_size=1, max_size=5))
-    return col(name).isin(members), np.isin(values, members)
-
-
-def _expression(data, columns):
-    """Random multi-predicate expression (AND of terms / OR pairs)."""
-    names = sorted(columns)
-    expr, mask = None, None
-    for _ in range(data.draw(st.integers(1, 3))):
-        name = data.draw(st.sampled_from(names))
-        term, term_mask = _term(data, name, columns[name])
-        if data.draw(st.booleans()):
-            other = data.draw(st.sampled_from(names))
-            alt, alt_mask = _term(data, other, columns[other])
-            term, term_mask = term | alt, term_mask | alt_mask
-        expr = term if expr is None else expr & term
-        mask = term_mask if mask is None else mask & term_mask
-    return expr, mask
-
-
-if HAVE_HYPOTHESIS:
-    class TestPushdownProperty:
-        """Pushdown execution == naive decode-all-then-filter, for random
-        multi-predicate expressions, for every integer codec in the
-        registry."""
-
-        @pytest.mark.parametrize("codec", INT_CODECS)
-        @given(data=st.data())
-        @settings(max_examples=6, deadline=None)
-        def test_store_backend(self, codec, tmp_path_factory, data):
-            raw = data.draw(st.lists(
-                st.integers(-(1 << 40), 1 << 40), min_size=1,
-                max_size=300))
-            values = np.array(raw, dtype=np.int64)
-            if codecs.info(codec).requires_sorted:
-                values = np.sort(np.abs(values))
-            columns = {"v": values,
-                       "w": np.arange(len(values), dtype=np.int64)}
-            expr, mask = _expression(data, columns)
-            path = str(tmp_path_factory.mktemp("prop") / "t")
-            write_table(path, columns, codec=codec, shard_rows=64,
-                        chunk_rows=16)
-            with Table.open(path) as table:
-                self._check(StoreSource(table), columns, expr, mask)
-
-        @staticmethod
-        def _check(source, columns, expr, mask):
-            plan = Plan.scan(["v", "w"]).where(expr)
-            pushed = plan.execute(source)
-            naive = plan.execute(source, prune=False, pushdown=False)
-            expected = np.flatnonzero(mask)
-            assert np.array_equal(pushed.row_ids, expected)
-            assert np.array_equal(naive.row_ids, expected)
-            for name in ("v", "w"):
-                assert np.array_equal(pushed.columns[name],
-                                      columns[name][mask])
-                assert np.array_equal(naive.columns[name],
-                                      pushed.columns[name])

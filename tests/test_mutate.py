@@ -1017,69 +1017,6 @@ class TestSharedShardFiles:
         assert not _shard_links(path)
 
 
-@pytest.fixture(scope="module")
-def live_view(tmp_path_factory):
-    """A mutable table's live view with everything that shapes it:
-    flushed deletion vectors (chunks dead whole and in part), pending
-    deletes and a memtable tail, over a warm chunk cache (so a scan
-    counts the same cache hits whichever in-process tier runs it).  It
-    is a ``ChainSource``, so no process tier runs it."""
-    path = str(tmp_path_factory.mktemp("view") / "t")
-    with MutableTable.create(path, schema=("k", "v"), shard_rows=100,
-                             chunk_rows=25) as table, \
-            MorselScheduler(workers=2, name="view-threads") as threads:
-        table.append({"k": np.arange(400), "v": (np.arange(400) * 7) % 50})
-        table.flush()
-        table.delete(("k", 25, 75))
-        table.delete(("k", 310, 340))
-        table.flush()
-        table.delete(("k", 150, 200))
-        table.update("k", 260, {"v": 99})
-        table.append({"k": np.arange(400, 470), "v": np.arange(70) % 9})
-        source = table.source()
-        # warm: the naive path decodes both columns of every granule,
-        # the all-dead ones included
-        Plan.scan().where((col("k") >= 0) & (col("v") >= 0)).execute(
-            source, prune=False, pushdown=False)
-        assert isinstance(source, ChainSource)
-        yield source, threads
-
-
-if HAVE_HYPOTHESIS:
-    class TestLiveViewTiers:
-        @given(data=st.data())
-        @settings(max_examples=15, deadline=None)
-        def test_tiers_agree_on_the_live_view(self, live_view, data):
-            """The calling thread (split before running) and the thread
-            tier (pruning in the granule) agree on rows, groups and
-            every integer ``ExecStats`` field."""
-            source, threads = live_view
-            a = data.draw(st.integers(-20, 490))
-            b = data.draw(st.integers(-20, 490))
-            terms = [col("k").between(min(a, b), max(a, b)),
-                     col("v") <= data.draw(st.integers(-1, 60)),
-                     InSet("v", data.draw(st.lists(
-                         st.integers(0, 99), max_size=4)))]
-            picked = data.draw(st.lists(st.sampled_from(terms),
-                                        max_size=2))
-            plan = Plan.scan(["k", "v"])
-            if picked:
-                plan = plan.where(And.of(*picked) if len(picked) > 1
-                                  else picked[0])
-            if data.draw(st.booleans()):
-                plan = plan.aggregate({"n": ("count", "v"),
-                                       "s": ("sum", "k")},
-                                      group_by=data.draw(st.sampled_from(
-                                          [None, "v"])))
-            opts = {"prune": data.draw(st.booleans()),
-                    "pushdown": data.draw(st.booleans())}
-            got = assert_tiers_agree(plan, source, threads, None, **opts)
-            naive = plan.execute(source, prune=False,
-                                 pushdown=False)
-            assert got.groups == naive.groups
-            assert np.array_equal(got.row_ids, naive.row_ids)
-
-
 # ------------------------------------------------------------- properties
 def _codec_values(codec: str, rng, n: int, hi: int = 1 << 40):
     if codecs.info(codec).requires_sorted:

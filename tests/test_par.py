@@ -10,9 +10,10 @@ Nine suites:
   (``to_json`` → ``json`` → ``pickle`` → :meth:`WorkerState.admit` →
   :meth:`WorkerState.run_granule`) with row-for-row identical results
   vs in-process execution;
-* **process equivalence** — filters, naive mode, row limits, grouped
-  aggregates, joins and deletion-vector snapshots all return the serial
-  answers through a real :class:`ProcessScheduler`;
+* **process tier** — what ``tests/test_oracle.py`` (every plan shape on
+  every tier against numpy) does not check: a row limit's counts, a
+  generation pinned under fork and spawn, a reaped one, admission and
+  a thrashed pipeline cache through a real :class:`ProcessScheduler`;
 * **lane descriptor cache** — driven by the driver's own send and evict
   decisions (:func:`cache_decision`), a :class:`WorkerState` holds
   exactly the lane's ``sent_descs`` after every task, late and
@@ -28,8 +29,8 @@ Nine suites:
   correct (stale results are discarded, not misattributed);
 * **driver-side pruning** (fork and spawn) — the driver's zone-map
   split is a partition of the granule set on the calling thread and on
-  lanes (hypothesis over bands, deletion vectors,
-  ``prune``/``pushdown``): only survivors run or cross a lane pipe, the pruned are charged once, a crash on a survivor is
+  lanes (hypothesis over bands, deletion vectors, ``prune``): only
+  survivors run or cross a lane pipe, the pruned are charged once, a crash on a survivor is
   retried once, a timeout counts the pruned as completed;
 * **lane runs** (fork and spawn) — a lane message carries a run of
   consecutive survivors: the runs partition the queue (hypothesis), a
@@ -46,6 +47,7 @@ Nine suites:
 """
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 from collections import OrderedDict, deque
@@ -192,8 +194,7 @@ def _merge_partials(parts, names):
 # ===================================================================
 class TestDescriptor:
     def test_json_and_pickle_round_trip(self, source):
-        desc = describe_query(FILTER_PLAN, source, pushdown=True,
-                              on_corruption="raise")
+        desc = describe_query(FILTER_PLAN, source, on_corruption="raise")
         assert desc is not None
         # an ingest-only table is pinned like any other: by the integer
         # generation it was opened at, never by "whatever is current"
@@ -203,20 +204,21 @@ class TestDescriptor:
         wire = json.loads(json.dumps(desc.to_json()))
         wire = pickle.loads(pickle.dumps(
             wire, protocol=pickle.HIGHEST_PROTOCOL))
-        assert wire["v"] == DESCRIPTOR_VERSION == 4
+        assert wire["v"] == DESCRIPTOR_VERSION == 5
         assert wire["version"] == 0
-        # the driver prunes before dispatch: nothing tells a worker to
-        assert "io_retries" not in wire and "prune" not in wire
+        # the driver prunes before dispatch: nothing tells a worker to;
+        # and there is one execution path, so no mode to tell either
+        assert not {"io_retries", "prune", "pushdown"} & set(wire)
         revived = QueryDescriptor.from_json(wire)
         assert revived == desc
         assert revived.build_plan().to_json() == FILTER_PLAN.to_json()
 
     def test_foreign_version_is_refused(self, source):
-        desc = describe_query(FILTER_PLAN, source, pushdown=True,
-                              on_corruption="raise")
+        desc = describe_query(FILTER_PLAN, source, on_corruption="raise")
         wire = desc.to_json()
-        # v2 carried "io_retries" and a nullable "version", v3 "prune"
-        for foreign in (2, 3, DESCRIPTOR_VERSION + 1):
+        # v2 carried "io_retries" and a nullable "version", v3 "prune",
+        # v4 "pushdown"
+        for foreign in (2, 3, 4, DESCRIPTOR_VERSION + 1):
             wire["v"] = foreign
             with pytest.raises(
                     ValueError,
@@ -227,7 +229,7 @@ class TestDescriptor:
     def test_memory_sources_are_not_describable(self):
         array = ArraySource({"v": np.arange(100)}, morsel_rows=10)
         with pytest.raises(TypeError, match="describe themselves"):
-            describe_query(Plan.scan(["v"]), array, pushdown=True,
+            describe_query(Plan.scan(["v"]), array,
                            on_corruption="raise")
 
     def test_fault_spec_round_trip(self):
@@ -296,8 +298,7 @@ if HAVE_HYPOTHESIS:
             with Table.open(path) as table:
                 src = StoreSource(table)
                 expected = plan.execute(src)
-                desc = describe_query(plan, src, pushdown=True,
-                                      on_corruption="raise")
+                desc = describe_query(plan, src, on_corruption="raise")
                 wire = pickle.loads(pickle.dumps(
                     json.loads(json.dumps(desc.to_json())),
                     protocol=pickle.HIGHEST_PROTOCOL))
@@ -322,90 +323,15 @@ if HAVE_HYPOTHESIS:
 # process equivalence
 # ===================================================================
 class TestProcessEquivalence:
-    def test_filter_scan_matches(self, source, cold_source,
-                                 thread_sched, sched):
-        expected = FILTER_PLAN.execute(source)
-        got = FILTER_PLAN.execute(source, scheduler=sched)
-        assert len(expected.row_ids) > 0
-        assert_rows_equal(got, expected)
-        assert_rows_equal(assert_tiers_agree(
-            FILTER_PLAN, cold_source, thread_sched, sched), expected)
-
-    def test_naive_mode_matches(self, source, cold_source, thread_sched,
-                                sched):
-        expected = FILTER_PLAN.execute(source)
-        got = FILTER_PLAN.execute(source, scheduler=sched,
-                                  prune=False, pushdown=False)
-        assert_rows_equal(got, expected)
-        assert_rows_equal(assert_tiers_agree(
-            FILTER_PLAN, cold_source, thread_sched, sched,
-            prune=False, pushdown=False), expected)
-
     def test_limit_matches(self, cold_source, sched):
         """``Plan.limit`` rides to the lanes inside the descriptor's
         plan: each lane gathers at most its first ``n`` survivors, and
         the rows, ``n_rows`` and counts are the unlimited run's."""
         desc = describe_query(FILTER_PLAN.limit(9), cold_source,
-                              pushdown=True, on_corruption="raise",
-                              trace_enabled=False)
+                              on_corruption="raise")
         assert desc.build_plan().row_limit == 9
         for plan in (FILTER_PLAN, Plan.scan(["ts", "reading"])):
             assert_limit_agrees(plan, cold_source, scheduler=sched)
-
-    def test_grouped_aggregate_matches(self, source, cold_source,
-                                       thread_sched, sched):
-        plan = (Plan.scan()
-                .where(col("status") <= 1)
-                .aggregate({"n": ("count", "reading"),
-                            "avg_reading": ("avg", "reading"),
-                            "max_ts": ("max", "ts")},
-                           group_by="sensor_id"))
-        expected = plan.execute(source)
-        got = plan.execute(source, scheduler=sched)
-        assert got.groups == expected.groups
-        assert len(got.groups) > 1
-        assert assert_tiers_agree(plan, cold_source, thread_sched,
-                                   sched).groups == expected.groups
-
-    def test_join_matches(self, source, cold_source, thread_sched,
-                          sched):
-        plan = (Plan.scan(["ts", "sensor_id"])
-                .where(col("reading") >= 1000)
-                .join(on="sensor_id",
-                      build={"sensor_id": [0, 1, 2, 3],
-                             "zone": [10, 11, 12, 13]}))
-        expected = plan.execute(source)
-        got = plan.execute(source, scheduler=sched)
-        assert_rows_equal(got, expected)
-        assert_rows_equal(assert_tiers_agree(
-            plan, cold_source, thread_sched, sched), expected)
-
-    def test_deletion_vector_snapshot_matches(self, tmp_path,
-                                              thread_sched, sched):
-        with MutableTable.create(str(tmp_path / "mt"),
-                                 schema=("k", "v"), shard_rows=200,
-                                 chunk_rows=50) as table:
-            table.append({"k": np.arange(1000),
-                          "v": np.arange(1000) * 3})
-            table.flush()
-            assert table.delete(col("k").between(100, 399)) == 299
-            table.flush()
-            with table.snapshot() as snap:
-                src = StoreSource(snap)
-                plan = Plan.scan(["k", "v"]).where(col("v") >= 30)
-                expected = plan.execute(src)
-                got = plan.execute(src, scheduler=sched)
-                # the DV bitmap is re-derived worker-side from the
-                # pinned generation, never shipped
-                assert len(expected.row_ids) == 691
-                assert_rows_equal(got, expected)
-            with Table.open(table.path, cache_bytes=0) as snap:
-                cold = assert_tiers_agree(plan, StoreSource(snap),
-                                           thread_sched, sched)
-                assert_rows_equal(cold, expected)
-                assert cold.stats.rows_masked > 0
-                assert_limit_agrees(plan, StoreSource(snap),
-                                    scheduler=sched)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_generation_zero_snapshot_stays_pinned(
@@ -451,8 +377,7 @@ class TestProcessEquivalence:
             with pytest.raises(GranuleError,
                                match="no manifest for version 0"):
                 plan.execute(src, scheduler=sched)
-            desc = describe_query(plan, src, pushdown=True,
-                                  on_corruption="raise")
+            desc = describe_query(plan, src, on_corruption="raise")
         # a manifest naming another generation than the one it is
         # published as is drift too, caught before any granule runs
         manifest_path = os.path.join(path, manifest_file_name(1))
@@ -614,8 +539,7 @@ class TestLaneDescriptorCache:
         before the worker started them, and descriptors that fail to
         build — and keeps open only the tables those pipelines read."""
         rng = np.random.default_rng(seed)
-        good = describe_query(FILTER_PLAN, source, pushdown=True,
-                              on_corruption="raise")
+        good = describe_query(FILTER_PLAN, source, on_corruption="raise")
         # generation drift: the worker opens the table, then refuses it
         drift = dataclasses.replace(good, n_rows=good.n_rows + 1)
         expected = GranulePipeline(FILTER_PLAN, source).run(
@@ -666,7 +590,8 @@ class TestLaneDescriptorCache:
                                                     start_method):
         """Queries over more generations of one table than a lane
         caches pipelines leave its worker holding open the shard files
-        of the cached generations' snapshots, and nothing else."""
+        of the cached generations' snapshots, and nothing else — each
+        file once, however many of those generations name it."""
         if not os.path.isdir("/proc/self/fd"):
             pytest.skip("no /proc here to list a worker's open files")
         path = os.path.realpath(str(tmp_path / "mt"))
@@ -692,7 +617,7 @@ class TestLaneDescriptorCache:
                     expected += [os.path.realpath(shard.path)
                                  for shard in snap.shards]
             assert _open_shard_links(lane._lanes[0].proc.pid, path) == \
-                sorted(expected)
+                sorted(set(expected))
 
 
 # ===================================================================
@@ -877,8 +802,7 @@ class TestDriverSidePruning:
         def test_split_is_a_partition_of_the_granule_set(
                 self, banded, thread_sched, lanes, data):
             src = banded[data.draw(st.sampled_from(["live", "dead"]))]
-            opts = {"prune": data.draw(st.booleans()),
-                    "pushdown": data.draw(st.booleans())}
+            opts = {"prune": data.draw(st.booleans())}
             if data.draw(st.integers(0, 4)) == 0:
                 plan = Plan.scan(["ts", "v"])  # no predicate at all
             else:
@@ -1254,20 +1178,27 @@ class TestCacheGauges:
         return used, entries
 
     def test_gauges_sum_over_live_caches(self):
-        used0, entries0 = self._gauges()
-        first = ChunkCache(capacity_bytes=1 << 20)
-        second = ChunkCache(capacity_bytes=1 << 20)
-        first.get_or_load("a", lambda: "x", 1000)
-        second.get_or_load("b", lambda: "y", 2000)
-        second.get_or_load("c", lambda: "z", 4000)
-        used1, entries1 = self._gauges()
-        # two instances add up instead of clobbering each other
-        assert used1 - used0 == 7000
-        assert entries1 - entries0 == 3
-        first.clear()
-        used2, entries2 = self._gauges()
-        assert used2 - used0 == 6000
-        assert entries2 - entries0 == 2
+        # the gauges sum every live cache: an earlier test's cache left
+        # in cyclic garbage must not die between this test's reads
+        gc.collect()
+        gc.disable()
+        try:
+            used0, entries0 = self._gauges()
+            first = ChunkCache(capacity_bytes=1 << 20)
+            second = ChunkCache(capacity_bytes=1 << 20)
+            first.get_or_load("a", lambda: "x", 1000)
+            second.get_or_load("b", lambda: "y", 2000)
+            second.get_or_load("c", lambda: "z", 4000)
+            used1, entries1 = self._gauges()
+            # two instances add up instead of clobbering each other
+            assert used1 - used0 == 7000
+            assert entries1 - entries0 == 3
+            first.clear()
+            used2, entries2 = self._gauges()
+            assert used2 - used0 == 6000
+            assert entries2 - entries0 == 2
+        finally:
+            gc.enable()
 
     def test_function_backed_gauges_refuse_mutation(self):
         from repro.store.cache import _M_ENTRIES, _M_USED
