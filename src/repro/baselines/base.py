@@ -10,6 +10,7 @@ contract is vectorised end to end:
 * ``EncodedSequence.decode_range(lo, hi)`` — contiguous range decode
 * ``EncodedSequence.decode_all()`` — full decompression
 * ``EncodedSequence.size_bytes()`` — serialised size
+* :func:`gather_many` — one read over many sequences at once
 * ``EncodedSequence.to_bytes()`` / ``repro.codecs.from_bytes`` —
   self-describing serialisation envelope
 
@@ -102,6 +103,23 @@ class EncodedSequence(SelfDescribing, ABC):
             return np.empty(0, dtype=np.int64)
         return self.decode_all()[indices]
 
+    @classmethod
+    def gather_many(cls, pairs) -> np.ndarray:
+        """Values of many sequences, end to end: for each ``(sequence,
+        positions)`` pair in order, ``sequence.gather(positions)``, or
+        ``sequence.decode_all()`` where ``positions`` is ``None``.
+
+        The default concatenates those per-sequence reads.  A format
+        whose reads share fixed costs across sequences (LeCo joins their
+        directories and decodes once) overrides it; :func:`gather_many`
+        calls the override only when every sequence is of its class."""
+        parts = [seq.decode_all() if positions is None
+                 else seq.gather(positions) for seq, positions in pairs]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts \
+            else np.empty(0, dtype=np.int64)
+
     def get(self, position: int) -> int:
         """Random access to one decoded value (negatives wrap once)."""
         return self._get(int(normalize_indices(position, len(self))))
@@ -153,6 +171,17 @@ class EncodedSequence(SelfDescribing, ABC):
     def size_bytes(self) -> int:
         """Serialised payload size in bytes (protocol name)."""
         return self.compressed_size_bytes()
+
+
+def gather_many(pairs) -> np.ndarray:
+    """One batched read over ``[(sequence, positions | None), ...]``:
+    :meth:`EncodedSequence.gather_many` of the sequences' class when
+    they share one that defines it, else its per-sequence default (which
+    reads any object with ``gather`` and ``decode_all``)."""
+    kind = type(pairs[0][0]) if pairs else EncodedSequence
+    if any(type(seq) is not kind for seq, _ in pairs):
+        kind = EncodedSequence
+    return getattr(kind, "gather_many", EncodedSequence.gather_many)(pairs)
 
 
 class Codec(ABC):

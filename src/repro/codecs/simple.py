@@ -16,6 +16,8 @@ from repro.bitio import BitPackedArray, decode_uvarint, encode_uvarint
 #: this is written plain, since its dictionary cannot pay for itself
 DICT_MAX_FRACTION = 0.5
 
+_INT64 = np.iinfo(np.int64)
+
 
 def natural_width(values: np.ndarray) -> int:
     """Bytes per value of the uncompressed image (4 for int32 ranges)."""
@@ -88,6 +90,31 @@ class DictEncodedSequence(EncodedSequence):
 
     def decode_all(self) -> np.ndarray:
         return self._uniques[self._codes.to_numpy().astype(np.int64)]
+
+    def filter_range(self, lo: int, hi: int) -> np.ndarray:
+        """``lo <= value < hi`` as a code range: the dictionary is
+        sorted, so the values in ``[lo, hi)`` are the codes in
+        ``[rank(lo), rank(hi))`` — compared unpacked, never mapped back
+        to values."""
+        first, stop = self._rank(lo), self._rank(hi)
+        if first >= stop:
+            return np.zeros(len(self), dtype=bool)
+        if first == 0 and stop == len(self._uniques):
+            return np.ones(len(self), dtype=bool)
+        codes = self._codes.to_numpy()
+        if first == 0:
+            return codes < stop
+        if stop == len(self._uniques):
+            return codes >= first
+        return (codes >= first) & (codes < stop)
+
+    def _rank(self, bound: int) -> int:
+        """Dictionary entries below ``bound`` (any Python int)."""
+        if bound > _INT64.max:
+            return len(self._uniques)
+        if bound < _INT64.min:
+            return 0
+        return int(self._uniques.searchsorted(bound))
 
     def compressed_size_bytes(self) -> int:
         return self._codes.nbytes + len(self._uniques) * 8 + 16

@@ -4,7 +4,10 @@
 :class:`~repro.exec.source.ColumnSource`, morsel-driven: each granule
 (row group / column chunk / memory slice) is an independent task — on the
 calling thread, or on the :class:`~repro.exec.pool.MorselScheduler` the
-caller passes — and per granule the pipeline is
+caller passes.  Granules run in **batches** of consecutive ones
+(:func:`batches`, at most :data:`BATCH_ROWS` rows; a thread-tier
+scheduler runs batches of one): steps 1–2 run for each granule alone,
+steps 3–5 once for the batch.
 
 1. **Zone-map pruning** — ``expr.may_match`` against the source's
    zone-map arrays, every granule in one vector pass when the query's
@@ -16,25 +19,31 @@ caller passes — and per granule the pipeline is
    lane round-trip; a granule on a thread-tier scheduler reads its own
    entry.
 2. **Pushdown filtering** — positional :class:`Bitmap` conjuncts are
-   applied for free, then each pushable range conjunct runs through the
-   encoded sequence's ``filter_range`` (LeCo-family codecs prune again
-   at partition granularity inside the chunk).
+   applied for free (rows past a bitmap's end are unset), then each
+   pushable range conjunct runs through the encoded sequence's
+   ``filter_range`` (LeCo-family codecs prune again at partition
+   granularity inside the chunk).  Each granule loads every chunk the
+   batch will read here, once, and keeps its own stats.
 3. **Residual predicate** — whatever the planner could not push (IN
-   terms, OR trees, half-unbounded ranges) is evaluated vectorized on
-   batches gathered at the surviving positions only.
-4. **Late materialization** — output columns ``gather`` the survivors
-   (or ``decode_all`` when the whole granule survived).  A plan ending in
-   ``Limit(n)`` counts every survivor but gathers only its first ``n``:
-   the same chunks load, so the stats equal the unlimited run's, and
-   the driver keeps the first ``n`` rows in granule order.
-5. **Operator partials** — every partial is arrays.  An Aggregate's
-   is its distinct keys plus one state array per aggregate (sums,
-   counts, extrema — never means); a global aggregate is the same
-   partial over zero keys, one group.  The driver merges them in one
-   pass with sums exact as Python ints.  HashJoin probes the granule's
-   batch against the build side, sorted once per query.  A granule
-   with nothing to add (pruned, quarantined, no surviving row) returns
-   only its stats.
+   terms, OR trees, half-unbounded ranges) is evaluated vectorized once
+   over the batch, on columns gathered at its surviving positions only.
+4. **Late materialization** — each output column is read once for the
+   batch: one :func:`~repro.baselines.base.gather_many` over its
+   granules' chunks, each at its survivors (or whole, where every row
+   of a granule survived).  A plan ending in ``Limit(n)`` counts every
+   survivor but gathers only the batch's first ``n``: the same chunks
+   load, so the stats equal the unlimited run's, and the driver keeps
+   the first ``n`` rows in granule order.
+5. **Operator partials** — every partial is arrays, built once per
+   batch.  A row partial is split back to the granules its rows came
+   from.  An Aggregate's is its distinct keys plus one state array per
+   aggregate (sums, counts, extrema — never means), counted densely
+   where the keys are narrow and sorted otherwise; a global aggregate is
+   the same partial over zero keys, one group.  It rides on one granule
+   of the batch, and the driver merges all of them in one pass with
+   sums exact as Python ints.  HashJoin probes the batch against the
+   build side, sorted once per query.  A granule with nothing to add
+   (pruned, quarantined, no surviving row) returns only its stats.
 
 :class:`ExecStats` is the one work-accounting type (granule/chunk/
 byte/cache counts plus the CPU/IO breakdown); :meth:`ExecResult.explain`
@@ -51,10 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.base import gather_many
 from repro.exec.errors import (CorruptChunkError, ExecTimeout,
                                GranuleError, ServerBusy)
-from repro.exec.expr import And, split_pushdown
+from repro.exec.expr import And, Bitmap, Or, split_pushdown
 from repro.exec.plan import Aggregate, HashJoin, Plan
+from repro.faults import SimulatedCrash
 from repro.obs import metrics as obs_metrics
 
 #: transient-read retry budget per granule load (EIO only)
@@ -295,6 +306,7 @@ class _Partial:
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 #: the one group of a global aggregate: key 0, starting at row 0
 _ONE_GROUP = np.zeros(1, dtype=np.int64)
 
@@ -321,37 +333,101 @@ def _ordered_unique(*column_lists) -> tuple:
 
 
 # --------------------------------------------------------------- aggregate
-def _agg_partial(node: Aggregate, batch: dict, n_rows: int):
-    """One granule's accumulator states for its surviving rows, or
+#: rows a dense partial may fold: its sums add each value's 32-bit halves
+#: as float64, exact while a half's total stays below 2**53 — so at most
+#: 2**21 rows of halves below 2**32
+DENSE_MAX_ROWS = 1 << 21
+
+
+def _agg_partial(node: Aggregate, batch: dict, n_rows: int,
+                 segments=None):
+    """One batch's accumulator states for its surviving rows, or
     ``None`` when no row survived (a group exists iff a row of it did).
 
-    The partial is ``(keys, counts, states)``: the sorted distinct keys,
-    their row counts and one int64 array per aggregate (the sums of
-    ``sum`` / ``avg``, the extrema of ``min`` / ``max``, ``counts``
-    itself for ``count``), a few buffers through a lane pipe however
-    many groups there are.  A global aggregate is a group-by over zero
-    keys: one group, key 0, starting at row 0, and nothing to sort.
-    ``n_rows`` is the surviving row count — the batch may be empty of
-    columns when every aggregate is a ``count``.
+    The partial is ``(keys, counts, states)``: the keys, their row
+    counts and one int64 array per aggregate (the sums of ``sum`` /
+    ``avg``, the extrema of ``min`` / ``max``, ``counts`` itself for
+    ``count``), a few buffers through a lane pipe however many groups
+    there are.  A global aggregate is a group-by over zero keys: one
+    group, key 0, starting at row 0, and nothing to sort.  ``n_rows`` is
+    the surviving row count — the batch may be empty of columns when
+    every aggregate is a ``count``.
+
+    ``segments`` is the row count of each granule the rows came from, in
+    order (``None``: one granule).  The partial equals what those
+    granules' partials would merge to: its keys are distinct, ordered by
+    the granule that first holds them and then by value, so the driver
+    lists groups as a granule-by-granule run would.  Where an int64 sum
+    over the batch could wrap (a summed column's largest magnitude times
+    the rows passes int64), it is instead the granules' own partials end
+    to end — keys repeating across them — since a granule's sums wrap as
+    a granule's would.
+
+    A group-by whose key span ``max - min + 1`` is at most its row count
+    and whose aggregates are all ``sum`` / ``avg`` / ``count`` counts its
+    groups (:func:`_dense_partial`, linear); any other sorts them
+    (:func:`_sorted_partial`).
     """
     if n_rows == 0:
         return None
+    # no int64 sum over these rows can pass a column's reach
+    reach = {c: max(-int(batch[c].min()), int(batch[c].max())) * n_rows
+             for _, op, c in node.aggs if op in ("sum", "avg")}
+    if segments is not None and len(segments) > 1 and \
+            max(reach.values(), default=0) > _INT64_MAX:
+        cuts = np.cumsum(segments)[:-1].tolist()
+        pieces = [_agg_partial(node, {c: v[lo:hi] for c, v in batch.items()},
+                               hi - lo)
+                  for lo, hi in zip([0, *cuts], [*cuts, n_rows])]
+        return (np.concatenate([keys for keys, _, _ in pieces]),
+                np.concatenate([counts for _, counts, _ in pieces]),
+                tuple(np.concatenate([states[j] for _, _, states in pieces])
+                      for j in range(len(node.aggs))))
     if node.group_by is None:
-        order, starts, keys = slice(None), _ONE_GROUP, _ONE_GROUP
         counts = np.array([n_rows], dtype=np.int64)
-    else:
-        # no state depends on the order of rows within a group (int64
-        # sums wrap alike in any order), so the sort need not be stable
-        order = np.argsort(batch[node.group_by])
-        sorted_keys = batch[node.group_by][order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
-        keys = sorted_keys[starts]
-        counts = np.diff(np.append(starts, n_rows))
+        states = []
+        for _, op, column in node.aggs:
+            if op == "count":
+                states.append(counts)
+            elif op in ("sum", "avg"):
+                states.append(np.add.reduceat(batch[column], _ONE_GROUP))
+            elif op == "min":
+                states.append(np.minimum.reduceat(batch[column], _ONE_GROUP))
+            else:  # max
+                states.append(np.maximum.reduceat(batch[column], _ONE_GROUP))
+        return _ONE_GROUP, counts, tuple(states)
+    keys = batch[node.group_by]
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    segments = None if segments is None or len(segments) < 2 else segments
+    if span <= n_rows <= DENSE_MAX_ROWS and all(
+            op in ("sum", "avg", "count") for _, op, _ in node.aggs):
+        return _dense_partial(node, batch, keys - low, low, span, segments,
+                              reach)
+    return _sorted_partial(node, batch, keys, segments)
+
+
+def _first_granule(first_rows: np.ndarray, segments) -> np.ndarray:
+    """The granule, of consecutive ones ``segments`` rows long, that
+    each of ``first_rows`` falls in."""
+    return np.searchsorted(np.cumsum(segments), first_rows, side="right")
+
+
+def _sorted_partial(node: Aggregate, batch: dict, keys: np.ndarray,
+                    segments) -> tuple:
+    """:func:`_agg_partial` by sorting the keys: one ``reduceat`` per
+    aggregate over the sorted runs — ``O(n log n)``."""
+    # no state depends on the order of rows within a group (int64 sums
+    # wrap alike in any order), so the sort need not be stable
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.concatenate(
+        [[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
     columns = {}
     for _, op, column in node.aggs:
         if op != "count" and column not in columns:
             columns[column] = batch[column][order]
+    counts = np.diff(np.append(starts, len(keys)))
     states = []
     for _, op, column in node.aggs:
         if op == "count":
@@ -362,7 +438,59 @@ def _agg_partial(node: Aggregate, batch: dict, n_rows: int):
             states.append(np.minimum.reduceat(columns[column], starts))
         else:  # max
             states.append(np.maximum.reduceat(columns[column], starts))
+    keys = sorted_keys[starts]
+    if segments is not None:
+        # each group's first granule, then its key: a stable sort of
+        # groups already in key order
+        perm = np.argsort(_first_granule(
+            np.minimum.reduceat(order, starts), segments), kind="stable")
+        return keys[perm], counts[perm], tuple(s[perm] for s in states)
     return keys, counts, tuple(states)
+
+
+def _dense_partial(node: Aggregate, batch: dict, codes: np.ndarray,
+                   low: int, span: int, segments, reach: dict) -> tuple:
+    """:func:`_agg_partial` by counting: ``codes`` are the keys minus
+    ``low``, all in ``[0, span)``, and every state is one ``bincount``
+    over them — linear in the rows.  A sum's ``bincount`` adds float64
+    weights, exact while the column's ``reach`` stays below 2**53;
+    beyond it the values' high and low 32-bit halves add apart, each
+    exact (see :data:`DENSE_MAX_ROWS`), and join modulo 2**64: the int64
+    a ``reduceat`` over the same rows wraps to."""
+    counts = np.bincount(codes, minlength=span)
+    present = np.flatnonzero(counts)
+    if segments is not None:
+        # each key's first row says which granule holds it first: the
+        # groups go by that granule, then by key (a stable sort of the
+        # present codes, which are in key order)
+        first = np.full(span, len(codes))
+        np.minimum.at(first, codes, np.arange(len(codes)))
+        present = present[np.argsort(
+            _first_granule(first[present], segments), kind="stable")]
+    counts = counts[present]
+    sums = {}
+    states = []
+    for _, op, column in node.aggs:
+        if op == "count":
+            states.append(counts)
+            continue
+        if column not in sums:
+            values = batch[column]
+            if reach[column] < 1 << 53:
+                sums[column] = np.bincount(
+                    codes, weights=values,
+                    minlength=span)[present].astype(np.int64)
+            else:
+                high = np.bincount(codes, weights=values >> 32,
+                                   minlength=span)[present]
+                low_half = np.bincount(codes, weights=values & 0xFFFFFFFF,
+                                       minlength=span)[present]
+                sums[column] = ((high.astype(np.int64).view(np.uint64)
+                                 << np.uint64(32))
+                                + low_half.astype(np.int64).view(np.uint64)
+                                ).view(np.int64)
+        states.append(sums[column])
+    return present + low, counts, tuple(states)
 
 
 def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
@@ -411,17 +539,89 @@ def _merge_aggregate(node: Aggregate, partials: list) -> dict:
 
 
 # ---------------------------------------------------------------- pipeline
+#: rows a batch of consecutive granules holds at most.  A batch is the
+#: unit the residual, late-materialisation and partial phases run on:
+#: each column is gathered once over the batch and the terminal builds
+#: one partial for it, so the fixed per-call cost of a decode and a
+#: group-by is paid once a batch, not once a granule.  A granule at
+#: least this large is a batch alone.  Swept on a 2-core box, the cold
+#: full aggregate of 496 2 048-row granules served on two lanes (server
+#: and lane CPU an op, median of 4 runs): 8 192 rows 192 ms, 16 384
+#: 192 ms, 32 768 170 ms, 65 536 169 ms; the calling thread's
+#: tracemalloc peak is 1.9, 2.4 and 3.4 MiB at the last three.
+BATCH_ROWS = 32_768
+
+
+def batches(granules) -> list[list]:
+    """``granules`` cut, in order, into runs of consecutive granules of
+    at most :data:`BATCH_ROWS` rows together (a larger granule is a run
+    alone): how the calling thread and a lane worker feed
+    :meth:`GranulePipeline.run_batch`."""
+    out: list[list] = []
+    rows = 0
+    for granule in granules:
+        if not out or rows + granule.n_rows > BATCH_ROWS:
+            out.append([])
+            rows = 0
+        out[-1].append(granule)
+        rows += granule.n_rows
+    return out
+
+
+def _fit_bitmaps(expr, n_rows: int):
+    """``expr`` with every :class:`Bitmap` shorter than the source's
+    ``n_rows`` padded with ``False``: rows past a bitmap's end are unset,
+    as :meth:`Bitmap.may_match` reads them, and once padded the mask
+    step and a residual's ``evaluate`` may index any row."""
+    if isinstance(expr, Bitmap):
+        if expr.bitmap.size >= n_rows:
+            return expr
+        bits = np.zeros(n_rows, dtype=bool)
+        bits[:expr.bitmap.size] = expr.bitmap
+        return Bitmap(bits)
+    if isinstance(expr, (And, Or)):
+        children = [_fit_bitmaps(c, n_rows) for c in expr.children]
+        if all(a is b for a, b in zip(children, expr.children)):
+            return expr
+        return type(expr)(*children)
+    return expr
+
+
+class _Scan:
+    """One granule's share of a batch: its own stats and error context,
+    the chunks it loaded (each once, kept for the batch's gathers), its
+    surviving positions (``None``: every row) and its span's times."""
+
+    __slots__ = ("granule", "st", "loaded", "column", "rng", "positions",
+                 "t_start", "t_end")
+
+    def __init__(self, granule, t_start: float):
+        self.granule = granule
+        self.st = ExecStats(granules_total=1)
+        self.loaded: dict[str, object] = {}
+        self.column: str | None = None  # last column touched
+        self.rng: random.Random | None = None
+        self.positions: np.ndarray | None = _EMPTY
+        self.t_start = self.t_end = t_start
+
+    @property
+    def matched(self) -> int:
+        return self.granule.n_rows if self.positions is None \
+            else len(self.positions)
+
+
 class GranulePipeline:
-    """One plan's per-granule pipeline, bound to a column source.
+    """One plan's pipeline, bound to a column source.
 
     Factored out of :func:`execute` so every execution tier runs the
-    *identical* code path: the in-process driver calls :meth:`run` from
-    its own or a scheduler's threads, and a :mod:`repro.par` worker
-    process rebuilds the same pipeline from a shipped descriptor (its
-    own mmap-opened copy of the table) and calls :meth:`run` there.
+    *identical* code path: the calling thread and a scheduler's threads
+    call it in-process, and a :mod:`repro.par` worker process rebuilds
+    the same pipeline from a shipped descriptor (its own mmap-opened
+    copy of the table) and calls it there — always
+    :meth:`run_batch`, of which :meth:`run` is the one-granule case.
     Construction does the plan/source validation, implicit-filter
-    composition and pushdown splitting once; :meth:`run` is pure
-    per-granule work and is safe to call concurrently from many threads.
+    composition and pushdown splitting once; running is pure per-batch
+    work and is safe to call concurrently from many threads.
     """
 
     def __init__(self, plan: Plan, source, *, prune: bool = True,
@@ -444,7 +644,7 @@ class GranulePipeline:
         if self.implicit_expr is not None:
             expr = self.implicit_expr if expr is None \
                 else And.of(expr, self.implicit_expr)
-        self.expr = expr
+        self.expr = expr = _fit_bitmaps(expr, source.n_rows)
         self.terminal = terminal = plan.terminal()
         self.limit = plan.row_limit
         self.output_cols = output_cols = plan.output_columns(names)
@@ -480,6 +680,8 @@ class GranulePipeline:
                 f"available: {', '.join(names)}")
 
         self.ranges, self.bitmaps, self.residual = split_pushdown(expr)
+        self.residual_cols = tuple(sorted(self.residual.columns())) \
+            if self.residual is not None else ()
 
         #: the zone-map decision for every granule, in ``granules()``
         #: order — ``True`` where no row can match — or ``None`` when
@@ -491,109 +693,215 @@ class GranulePipeline:
 
     def run(self, granule, *, cancel: threading.Event | None = None,
             deadline: float | None = None, trace=None) -> _Partial | None:
-        """Run one granule; returns its partial, or ``None`` when the
-        deadline passed before work started.  ``cancel`` may be ``None``
-        (a par worker has no shared event — its driver abandons the
-        lane instead)."""
-        # cooperative cancellation: a granule that starts after the
-        # deadline passed (or after a sibling failed) does no work
-        if cancel is not None and cancel.is_set():
-            return None
-        if deadline is not None and time.perf_counter() > deadline:
-            if cancel is not None:
-                cancel.set()
-            return None
-        source = self.source
-        st = ExecStats(granules_total=1)
-        loaded: dict[str, object] = {}
-        where = {"column": None}  # last column touched, for error context
-        rng: random.Random | None = None
+        """One granule: :meth:`run_batch` of a batch of one."""
+        return self.run_batch([granule], cancel=cancel, deadline=deadline,
+                              trace=trace)[0]
 
-        def load(column: str):
-            nonlocal rng
-            seq = loaded.get(column)
-            if seq is not None:
-                return seq
-            where["column"] = column
-            t_load = trace.now() if trace is not None else 0.0
-            pre_hits = st.cache_hits
-            attempt = 0
-            while True:
-                try:
-                    seq = source.load(granule, column, st)
-                    break
-                except OSError as err:
-                    # only EIO is plausibly transient; seeded jittered
-                    # backoff keeps a failing schedule replayable
-                    if err.errno != errno.EIO or attempt >= IO_RETRIES:
-                        raise
-                    attempt += 1
-                    st.io_retries += 1
-                    if rng is None:
-                        rng = random.Random(0x9E3779B9 ^ granule.index)
-                    time.sleep(rng.uniform(0.0005, 0.002) * attempt)
-            loaded[column] = seq
-            if trace is not None:
-                trace.add("load", t_load, trace.now(),
-                          granule=granule.index, column=column,
-                          cache_hit=st.cache_hits > pre_hits)
-            return seq
+    def run_batch(self, granules, *, cancel: threading.Event | None = None,
+                  deadline: float | None = None, trace=None,
+                  before=None) -> list:
+        """Run a batch of consecutive granules (see :func:`batches`):
+        one partial per granule, ``None`` for each that the deadline (or
+        a sibling's failure, through ``cancel``) stopped before it
+        started.  ``cancel`` may be ``None`` (a par worker has no shared
+        event — its driver abandons the lane instead).
 
-        t_span = trace.now() if trace is not None else 0.0
-        try:
-            part = self._pipeline(granule, st, load, trace)
-        except CorruptChunkError:
-            if self.on_corruption == "skip":
-                st.chunks_corrupt += 1
-                part = _Partial(st)
-            else:
+        Each granule's per-chunk phase runs alone — the deadline and
+        cancel test, ``before(granule)`` (a lane's fault hook), the
+        zone-map test, the bitmap mask, its loads and its
+        ``filter_range`` — so it keeps its own :class:`ExecStats` and
+        "granule" span, and a load or filter failure names it.  The
+        residual, the output gathers and the terminal then run once over
+        the batch's survivors: a row partial is split back to the
+        granules it came from, an aggregate partial rides on the last
+        granule with rows (the others carry stats only), and the
+        batch-wide CPU is charged to the granule that carries it.  A
+        failure there is re-run granule by granule to name its granule
+        and column."""
+        scans: list[_Scan] = []
+        pruned = self.pruned
+        for granule in granules:
+            # cooperative cancellation: a granule that starts after the
+            # deadline passed (or after a sibling failed) does no work
+            if cancel is not None and cancel.is_set():
+                break
+            if deadline is not None and time.perf_counter() > deadline:
                 if cancel is not None:
                     cancel.set()
-                raise
-        except GranuleError:
-            if cancel is not None:
-                cancel.set()
-            raise
-        except Exception as err:
-            if cancel is not None:
-                cancel.set()
-            shard_of = getattr(source, "granule_shard", None)
-            raise GranuleError(
-                err, granule=granule.index,
-                shard=shard_of(granule) if callable(shard_of) else None,
-                column=where["column"]) from err
-        if trace is not None:
-            # the raw record Trace.add would build, minus its **attrs
-            # re-pack (~0.5 µs): this runs once per granule, and the
-            # 15 % traced-overhead gate on a sub-millisecond scan
-            # (bench_obs.py) cannot spare it
-            trace._spans.append(
-                ("granule", t_span, trace.now(), threading.get_ident(),
-                 granule_span_attrs(granule.index, st)))
-        return part
+                break
+            if before is not None:
+                before(granule)
+            scan = _Scan(granule, trace.now() if trace is not None else 0.0)
+            scans.append(scan)
+            if pruned is not None and pruned[granule.index]:
+                scan.st.granules_pruned = 1
+            else:
+                self._guarded(scan, cancel, trace, self._select, scan, trace)
+        live = [s for s in scans if s.matched]
+        if not live and trace is None:
+            # nothing survived: stats only (a thread-tier granule the
+            # zone maps rule out comes this way, once a granule)
+            return [_Partial(s.st) for s in scans] \
+                + [None] * (len(granules) - len(scans))
+        reused: dict = {}
+        if self.residual is not None and live:
+            reused = self._batched(
+                live, cancel, trace,
+                lambda group: self._residual(group, trace))
+            live = [s for s in live if s.matched]
+            # the survivors' other columns load now, granule by granule
+            for scan in live:
+                for column in self.mat_cols:
+                    if column not in reused:
+                        self._guarded(scan, cancel, trace, self._load,
+                                      scan, column, trace, "gather")
+            kept = [s for s in live if s.matched]
+            if len(kept) < len(live):
+                # a quarantined granule's rows leave the batch, and the
+                # residual's values no longer line up with it
+                live, reused = kept, {}
+        results: dict = {}
+        if live:
+            for scan in live:
+                scan.st.rows_scanned += scan.matched
+            # the residual's values line up with the whole batch only
+            results = self._batched(
+                live, cancel, trace,
+                lambda group: self._materialize(
+                    group, reused if group is live else {}, trace))
+        parts: list = []
+        for scan in scans:
+            parts.append(results.get(id(scan)) or _Partial(scan.st))
+            if trace is not None:
+                # the raw record Trace.add would build, minus its **attrs
+                # re-pack (~0.5 µs): this runs once per granule, and the
+                # 15 % traced-overhead gate on a sub-millisecond scan
+                # (bench_obs.py) cannot spare it
+                trace._spans.append(
+                    ("granule", scan.t_start, scan.t_end,
+                     threading.get_ident(),
+                     granule_span_attrs(scan.granule.index, scan.st)))
+        return parts + [None] * (len(granules) - len(scans))
 
     def prunes(self, granule) -> bool:
         """The zone-map test: can no row of ``granule`` match?  Its
         entry of :attr:`pruned`, decided from the source's conservative
         zone maps (and positional bitmaps — an all-dead granule prunes
         through the implicit deletion-vector term), never from a chunk.
-        Asked per granule inside :meth:`run`; a driver that prunes
+        Asked per granule inside :meth:`run_batch`; a driver that prunes
         before dispatch reads :attr:`pruned` whole instead, and its
         workers build their pipelines with ``prune=False``."""
         return self.pruned is not None and bool(self.pruned[granule.index])
 
-    def _pipeline(self, granule, st: ExecStats, load, trace) -> _Partial:
-        expr = self.expr
-        terminal = self.terminal
-        residual = self.residual
-        n = granule.n_rows
-        if self.prunes(granule):
-            st.granules_pruned = 1
-            return _Partial(st)
+    # --------------------------------------------------- failure rules
+    def _fail(self, scan: _Scan, cancel, err: Exception) -> Exception:
+        """What a failure in ``scan``'s granule raises — a corrupt chunk
+        or an already-named failure as itself, anything else as a
+        :class:`GranuleError` naming the granule, its shard and the
+        column it touched last, caused by ``err`` — with the query's
+        other granules cancelled."""
+        if cancel is not None:
+            cancel.set()
+        if isinstance(err, (CorruptChunkError, GranuleError)):
+            return err
+        shard_of = getattr(self.source, "granule_shard", None)
+        failure = GranuleError(
+            err, granule=scan.granule.index,
+            shard=shard_of(scan.granule) if callable(shard_of) else None,
+            column=scan.column)
+        failure.__cause__ = err
+        return failure
 
-        residual_values: dict[str, np.ndarray] = {}
-        if expr is None:
-            positions = None
+    def _guarded(self, scan: _Scan, cancel, trace, step, *args):
+        """Run ``step`` for ``scan``'s granule alone.  A corrupt chunk
+        quarantines the granule under ``on_corruption="skip"`` (its rows
+        vanish, :attr:`ExecStats.chunks_corrupt` is charged); any other
+        failure raises :meth:`_fail`'s error.  A
+        :class:`~repro.faults.SimulatedCrash` is the process dying, not a
+        granule failing, and propagates as itself."""
+        try:
+            return step(*args)
+        except SimulatedCrash:
+            raise
+        except CorruptChunkError:
+            if self.on_corruption != "skip":
+                if cancel is not None:
+                    cancel.set()
+                raise
+            scan.st.chunks_corrupt += 1
+            scan.positions = _EMPTY
+        except Exception as err:
+            raise self._fail(scan, cancel, err)
+        finally:
+            if trace is not None:
+                scan.t_end = trace.now()
+
+    def _batched(self, scans: list, cancel, trace, step):
+        """``step(scans)``, a batch-wide step; the last granule carries
+        its time.  Should it fail, ``step([scan])`` runs for each granule
+        alone, so the failure is raised naming its granule (the batch's
+        first when none fails alone)."""
+        try:
+            return step(scans)
+        except SimulatedCrash:
+            raise
+        except Exception as err:
+            for scan in scans if len(scans) > 1 else ():
+                self._guarded(scan, cancel, None, step, [scan])
+            raise self._fail(scans[0], cancel, err)
+        finally:
+            if trace is not None:
+                scans[-1].t_end = trace.now()
+
+    # ------------------------------------------------------------ steps
+    def _load(self, scan: _Scan, column: str, trace,
+              bucket: str | None = None):
+        """``column``'s chunk of ``scan``'s granule, loaded once a query
+        (an EIO is retried with seeded jittered backoff).  ``bucket``
+        names the CPU phase a load outside any phase's timer is charged
+        to."""
+        seq = scan.loaded.get(column)
+        if seq is not None:
+            return seq
+        scan.column = column
+        st = scan.st
+        t0 = time.perf_counter()
+        pre_hits = st.cache_hits
+        attempt = 0
+        while True:
+            try:
+                seq = self.source.load(scan.granule, column, st)
+                break
+            except OSError as err:
+                # only EIO is plausibly transient; seeded jittered
+                # backoff keeps a failing schedule replayable
+                if err.errno != errno.EIO or attempt >= IO_RETRIES:
+                    raise
+                attempt += 1
+                st.io_retries += 1
+                if scan.rng is None:
+                    scan.rng = random.Random(
+                        0x9E3779B9 ^ scan.granule.index)
+                time.sleep(scan.rng.uniform(0.0005, 0.002) * attempt)
+        scan.loaded[column] = seq
+        t1 = time.perf_counter()
+        if bucket == "gather":
+            st.cpu_gather_s += t1 - t0
+        if trace is not None:
+            trace.add("load", t0 - trace.t0, t1 - trace.t0,
+                      granule=scan.granule.index, column=column,
+                      cache_hit=st.cache_hits > pre_hits)
+        return seq
+
+    def _select(self, scan: _Scan, trace) -> None:
+        """A granule's per-chunk phase after its zone-map test: the
+        bitmap mask and the pushed ranges, leaving its survivors in
+        ``scan.positions`` with the chunks the rest of the batch reads
+        loaded."""
+        granule, st = scan.granule, scan.st
+        n = granule.n_rows
+        if self.expr is None:
+            scan.positions = None
         else:
             t0 = time.perf_counter()
             mask = None
@@ -609,85 +917,136 @@ class GranulePipeline:
                 if rng.is_empty:
                     mask = np.zeros(n, dtype=bool)
                     break
-                part = load(column).filter_range(rng.lo, rng.hi)
+                part = self._load(scan, column, trace).filter_range(
+                    rng.lo, rng.hi)
                 mask = part if mask is None else mask & part
-            positions = np.arange(n, dtype=np.int64) if mask is None \
+            scan.positions = np.arange(n, dtype=np.int64) if mask is None \
                 else np.flatnonzero(mask)
-            if residual is not None and positions.size:
-                batch = {c: load(c).gather(positions)
-                         for c in sorted(residual.columns())}
-                keep = residual.evaluate(batch,
-                                         granule.row_start + positions)
-                positions = positions[keep]
-                # the residual gather already decoded these columns at
-                # the surviving positions; reuse instead of re-gathering
-                residual_values = {c: values[keep]
-                                   for c, values in batch.items()}
+            # the residual's columns load here, read batch-wide next
+            if scan.positions.size:
+                for column in self.residual_cols:
+                    self._load(scan, column, trace)
             st.cpu_filter_s += time.perf_counter() - t0
             if trace is not None:
                 trace.add("filter", t0 - trace.t0,
                           time.perf_counter() - trace.t0,
                           granule=granule.index)
+        if self.residual is None and scan.matched:
+            for column in self.mat_cols:
+                self._load(scan, column, trace, "gather")
 
-        matched = n if positions is None else len(positions)
-        st.rows_scanned += matched
-        if matched == 0:
-            return _Partial(st)
-        if positions is not None and positions.size == n:
-            # every row survived, so positions is arange(n): decode
-            # sequentially instead of gathering each one (the codecs'
-            # gather(idx) == decode_all()[idx] contract makes the two
-            # equal; the same chunks are loaded, so the counts are too)
-            positions = None
-        limit = self.limit
-        if limit is not None and limit < matched:
-            # gather only the first ``limit`` survivors; the chunks still
-            # load below, so the counts equal the unlimited run's
-            positions = np.arange(limit, dtype=np.int64) \
-                if positions is None else positions[:limit]
-            residual_values = {c: values[:limit]
-                               for c, values in residual_values.items()}
-
+    def _residual(self, scans: list, trace) -> dict:
+        """The residual predicate over the batch's survivors, which it
+        narrows in place; returns the columns it gathered, at the
+        positions that passed, for the output gather to reuse."""
         t0 = time.perf_counter()
+        batch = {c: gather_many([(s.loaded[c], s.positions) for s in scans])
+                 for c in self.residual_cols}
+        keep = self.residual.evaluate(batch, np.concatenate(
+            [s.granule.row_start + s.positions for s in scans]))
+        cuts = np.cumsum([len(s.positions) for s in scans])[:-1]
+        for scan, passed in zip(scans, np.split(keep, cuts)):
+            scan.positions = scan.positions[passed]
+        scans[-1].st.cpu_filter_s += time.perf_counter() - t0
+        if trace is not None:
+            trace.add("filter", t0 - trace.t0,
+                      time.perf_counter() - trace.t0,
+                      granule=scans[-1].granule.index)
+        return {c: values[keep] for c, values in batch.items()}
+
+    def _materialize(self, scans: list, reused: dict, trace) -> dict:
+        """Late materialisation and the terminal over the batch's
+        survivors: each output column gathered once (``decode_all`` for
+        a granule every row of which survived; a ``Limit(n)`` gathers
+        only the batch's first ``n`` survivors), then one partial.
+        Returns ``{id(scan): _Partial}`` of the granules it gave rows or
+        the aggregate partial to."""
+        t0 = time.perf_counter()
+        limit = self.limit
+        picks = []  # (scan, positions or None) to gather
+        for scan in scans:
+            if limit is not None and limit <= 0:
+                break
+            positions = scan.positions
+            if positions is not None and positions.size == \
+                    scan.granule.n_rows:
+                # every row survived, so positions is arange(n): decode
+                # sequentially instead of gathering each one (the
+                # codecs' gather(idx) == decode_all()[idx] contract makes
+                # the two equal)
+                positions = None
+            if limit is not None:
+                if limit < scan.matched:
+                    positions = np.arange(limit, dtype=np.int64) \
+                        if positions is None else positions[:limit]
+                limit -= scan.matched
+            picks.append((scan, positions))
+        if not picks:
+            return {}
+        carrier = picks[-1][0]
         out: dict[str, np.ndarray] = {}
+        sizes = [scan.granule.n_rows if positions is None
+                 else len(positions) for scan, positions in picks]
         for c in self.mat_cols:
-            if c in residual_values:
-                out[c] = residual_values[c]
-            elif positions is None:
-                out[c] = load(c).decode_all()
+            if c in reused:
+                out[c] = reused[c][:sum(sizes)]
             else:
-                out[c] = load(c).gather(positions)
-        st.cpu_gather_s += time.perf_counter() - t0
+                for scan, _ in picks:
+                    scan.column = c
+                out[c] = gather_many([(scan.loaded[c], positions)
+                                      for scan, positions in picks])
+        terminal = self.terminal
+        if not isinstance(terminal, Aggregate):
+            ids = [scan.granule.row_start + (
+                np.arange(scan.granule.n_rows, dtype=np.int64)
+                if positions is None else positions)
+                for scan, positions in picks]
+            row_ids = ids[0] if len(ids) == 1 else np.concatenate(ids)
+        carrier.st.cpu_gather_s += time.perf_counter() - t0
         if trace is not None:
             trace.add("gather", t0 - trace.t0,
                       time.perf_counter() - trace.t0,
-                      granule=granule.index)
-        row_ids = granule.row_start + (
-            np.arange(n, dtype=np.int64) if positions is None
-            else positions)
+                      granule=carrier.granule.index)
 
         if isinstance(terminal, Aggregate):
             t0 = time.perf_counter()
-            agg = _agg_partial(terminal, out, len(row_ids))
-            st.cpu_aggregate_s += time.perf_counter() - t0
+            agg = _agg_partial(terminal, out, sum(sizes),
+                               sizes if len(sizes) > 1 else None)
+            carrier.st.cpu_aggregate_s += time.perf_counter() - t0
             if trace is not None:
                 trace.add("aggregate", t0 - trace.t0,
                           time.perf_counter() - trace.t0,
-                          granule=granule.index)
-            return _Partial(st, agg=agg)
+                          granule=carrier.granule.index)
+            return {id(carrier): _Partial(carrier.st, agg=agg)}
         if isinstance(terminal, HashJoin):
             t0 = time.perf_counter()
             row_ids, columns = self._probe(out, row_ids)
-            st.cpu_join_s += time.perf_counter() - t0
+            carrier.st.cpu_join_s += time.perf_counter() - t0
             if trace is not None:
                 trace.add("join", t0 - trace.t0,
                           time.perf_counter() - trace.t0,
-                          granule=granule.index)
-            return _Partial(st, row_ids, columns)
-        return _Partial(st, row_ids, {c: out[c] for c in self.output_cols})
+                          granule=carrier.granule.index)
+        else:
+            columns = {c: out[c] for c in self.output_cols}
+        if len(picks) == 1:
+            return {id(carrier): _Partial(carrier.st, row_ids, columns)}
+        # back to the granules the rows came from: row ids ascend
+        # through a batch, so each granule's rows are one slice
+        cuts = np.searchsorted(row_ids, [scan.granule.row_start
+                                         for scan, _ in picks[1:]])
+        pieces = {name: np.split(values, cuts)
+                  for name, values in columns.items()}
+        results = {}
+        for j, (ids, (scan, _)) in enumerate(zip(np.split(row_ids, cuts),
+                                                 picks)):
+            if ids.size:
+                results[id(scan)] = _Partial(
+                    scan.st, ids,
+                    {name: parts[j] for name, parts in pieces.items()})
+        return results
 
     def _probe(self, out: dict, row_ids: np.ndarray):
-        """Probe one granule's batch against the sorted build keys;
+        """Probe one batch against the sorted build keys;
         returns (row_ids, columns).  One membership test serves both
         modes — the key at each probe value's clipped ``searchsorted``
         slot equals it, duplicated (semi) keys or not — and an inner
@@ -702,6 +1061,7 @@ class GranulePipeline:
         for name, payload in self.join_payload:
             columns[name] = payload[slot[positions]]
         return row_ids[positions], columns
+
 
 
 # ----------------------------------------------------------------- execute
@@ -818,7 +1178,10 @@ def execute(plan: Plan, source, threads: int | None = None,
         if scheduler is None:
             # lazy: once the deadline or a failure sets ``cancel``,
             # every later granule returns None without doing work
-            results = map(run_granule, items)
+            results = (part for batch in batches(items)
+                       for part in pipeline.run_batch(
+                           batch, cancel=cancel, deadline=deadline,
+                           trace=trace))
         else:
             # an all-pruned query still passes admission (ServerBusy
             # holds) and sends no lane message
@@ -873,8 +1236,8 @@ def execute(plan: Plan, source, threads: int | None = None,
                 *output_cols, *(name for name, _ in pipeline.join_payload))}
         limit = pipeline.limit
         if limit is not None:
-            # a granule with rows counted every match it gathered from
-            n_matched = sum(p.stats.rows_scanned for p in rows)
+            # every granule counted its matches, gathered or not
+            n_matched = stats.rows_scanned
             row_ids = row_ids[:limit]
             columns = {name: values[:limit]
                        for name, values in columns.items()}

@@ -42,7 +42,9 @@ sibling failure) *abandons* the wait instead: every granule of the run
 reads as not completed, and stale results are discarded by sequence
 number on the lane's next dispatch.  The task carries the query's
 remaining time, so the worker starts no granule of an abandoned run
-past the deadline and the lane is free again within one granule.
+past the deadline and the lane is free again within one batch (the
+worker runs a run as batches of consecutive granules, see
+:func:`repro.exec.run.batches`).
 
 **The driver owns each worker's pipeline cache.**  ``_Lane.sent_descs``
 is the one LRU of the descriptor ids a lane's worker holds, at most
@@ -492,7 +494,7 @@ class ProcessScheduler(MorselScheduler):
         """Fold a worker partial's spans into the query trace.  The
         wire carries ``(granule_start, granule_end, extra_spans)`` —
         the worker ships only the "granule" span's two timestamps (see
-        :meth:`repro.par.worker.WorkerState.run_granule`) and its attrs
+        :meth:`repro.par.worker.WorkerState.run_granules`) and its attrs
         are rebuilt here from ``part.stats``."""
         wire = getattr(part, "spans", None)
         if not wire:

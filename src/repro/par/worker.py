@@ -13,14 +13,16 @@ speaks a tiny length-prefixed pickle protocol over its duplex pipe::
 
 A task carries a *run* of consecutive granule indexes of one query
 (one, once the query's queue runs short — see
-:mod:`repro.par.scheduler`).  The worker runs them in order and replies
+:mod:`repro.par.scheduler`).  The worker cuts the run into batches
+(:func:`repro.exec.run.batches`) and runs them in order, each one
+:meth:`~repro.exec.run.GranulePipeline.run_batch` call, and replies
 once, with one partial per granule; the first failure ends the run
 with ``err`` naming the granule that failed.  ``budget_s`` is the
 query's remaining time when the driver sent the task (``None``: no
 deadline).  The worker adds it to its own clock, so no clock is shared,
 and starts no granule once that deadline has passed — each granule it
 skips replies ``None``, which the driver counts as not completed.  An
-abandoned run thus holds its lane for at most the granule it was in.
+abandoned run thus holds its lane for at most the batch it was in.
 
 Every worker → driver envelope carries an optional *telemetry delta* —
 a :func:`repro.obs.metrics.snapshot_delta` of the worker's own metrics
@@ -55,8 +57,10 @@ a worker-side :class:`~repro.exec.errors.CorruptChunkError` or
 :class:`~repro.exec.errors.GranuleError` surfaces to callers exactly
 like its in-process twin.
 
-Fault injection: the loop fires the ``granule.exec`` hook before each
-granule.  A ``crash`` rule there calls ``os._exit`` — the worker
+Fault injection: the ``granule.exec`` hook fires as each granule's
+work starts.  A ``crash`` rule there — or any
+:class:`~repro.faults.SimulatedCrash` the pipeline raises, a crash at
+``chunk.read`` say — calls ``os._exit``: the worker
 *really* dies mid-granule, so the crash matrix exercises the driver's
 true death-detection / respawn / retry path, not a simulation of it.
 A death part-way through a run loses the whole reply; the driver
@@ -67,6 +71,7 @@ workers inherit the installed injector; spawned ones receive a
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import threading
@@ -75,7 +80,7 @@ import traceback
 
 from repro import faults
 from repro.exec.errors import CorruptChunkError, GranuleError
-from repro.exec.run import GranulePipeline, _Partial
+from repro.exec.run import GranulePipeline, _Partial, batches
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Trace
@@ -94,6 +99,13 @@ IDLE_FLUSH_S = 0.5
 #: which dwarfs a microsecond granule, so result envelopes carry a
 #: delta at most this often (forced flushes — idle, exit — bypass it)
 TELEMETRY_MIN_INTERVAL_S = 0.05
+
+#: the heap a worker keeps: freed memory below this much at the top of
+#: its heap is not handed back to the kernel, and arrays up to
+#: ``_HEAP_MMAP_MAX`` come from that heap (glibc ``mallopt`` settings)
+_HEAP_KEEP = 32 << 20
+_HEAP_MMAP_MAX = 4 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 # Charged worker-side, merged into the driver under the lane's ``proc``
 # label — the per-lane work signal ``obs top`` reads (the driver never
@@ -259,36 +271,44 @@ class WorkerState:
                  budget_s: float | None) -> tuple:
         """One task message: ``("ok", [partial | None, ...])`` or
         ``("err", (granule_index, error_envelope))``.  The cache orders
-        apply first, whatever the deadline; no granule starts once
-        ``budget_s`` (seconds from now; ``None``: no deadline) is
-        spent, and each one skipped replies ``None``."""
+        apply first, whatever the deadline.  The run is cut into batches
+        (:func:`repro.exec.run.batches`), each one
+        :meth:`~repro.exec.run.GranulePipeline.run_batch` call; no
+        granule starts once ``budget_s`` (seconds from now; ``None``: no
+        deadline) is spent, and each one skipped replies ``None`` — so
+        an abandoned run holds its lane for at most the batch it was
+        in."""
         deadline = None if budget_s is None \
             else time.perf_counter() + budget_s
         self.admit(desc_id, desc_json, evict)
-        parts: list = []
-        started = 0
+        # [the granule whose work started last — what a failure naming
+        # no granule of its own is charged to —, granules started]
+        progress = [indices[0] if indices else None, 0]
         try:
-            for index in indices:
-                if deadline is not None and time.perf_counter() > deadline:
-                    # the driver has abandoned this run: start nothing
-                    parts.append(None)
-                    continue
-                started += 1
-                parts.append(self.run_granule(desc_id, index, deadline))
-            reply = "ok", parts
+            reply = "ok", self.run_granules(desc_id, indices, deadline,
+                                            progress)
         except SimulatedCrash:
             raise
         except BaseException as err:  # noqa: BLE001 — everything ships back
+            index = err.granule if isinstance(err, GranuleError) \
+                and err.granule is not None else progress[0]
             reply = "err", (index, encode_error(err))
-        if started:
-            _M_WORKER_GRANULES.inc(started)
+        if progress[1]:
+            _M_WORKER_GRANULES.inc(progress[1])
         return reply
 
-    def run_granule(self, desc_id: int, granule_index: int,
-                    deadline: float | None = None) -> _Partial | None:
-        """One granule's partial from the cached pipeline ``desc_id``;
-        ``None`` when ``deadline`` (this process's ``perf_counter``)
-        passed before its work started."""
+    def run_granules(self, desc_id: int, indices: list,
+                     deadline: float | None = None,
+                     progress: list | None = None) -> list:
+        """The partials of a run of granule ``indices`` from the cached
+        pipeline ``desc_id``, batch by batch; ``None`` for each granule
+        that ``deadline`` (this process's ``perf_counter``) passed
+        before its work started.  The ``granule.exec`` fault hook fires
+        as each granule's work starts, which ``progress`` records as
+        ``[its index, granules started]``."""
+        if deadline is not None and time.perf_counter() > deadline:
+            # the driver has abandoned this run: start nothing
+            return [None] * len(indices)
         entry = self._pipelines.get(desc_id)
         if entry is None:
             raise LookupError(
@@ -297,44 +317,59 @@ class WorkerState:
             raise entry
         pipeline, source, trace_enabled = entry
         granules = source.granules()
-        if not 0 <= granule_index < len(granules):
-            raise RuntimeError(
-                f"granule index {granule_index} out of range "
-                f"(worker sees {len(granules)} granules)")
-        # the crash-matrix hook: a crash rule here kills the *process*
-        faults.fire("granule.exec", granule=granule_index,
-                    table=os.path.basename(
-                        getattr(source.table, "path", "")))
-        if not trace_enabled:
-            return pipeline.run(granules[granule_index],
-                                deadline=deadline)
-        # Record spans into the reused local trace, then ship them
-        # re-based to *absolute* perf_counter timestamps — the driver
-        # turns those into trace offsets via the hello epoch.  The
-        # trailing "granule" span only repeats numbers that already
-        # travel in ``part.stats``, so it collapses to its two
-        # timestamps on the wire and the driver resynthesizes the
-        # attrs (a traced scan records one such span per granule; the
-        # pickle cost of its attrs dict is the bulk of the tracing
-        # overhead budget on the process tier).
-        local = self._trace
-        if local is None:
-            local = self._trace = Trace("granule")
-        spans = local._spans
-        spans.clear()
-        part = pipeline.run(granules[granule_index], deadline=deadline,
-                            trace=local)
+        for granule_index in indices:
+            if not 0 <= granule_index < len(granules):
+                raise RuntimeError(
+                    f"granule index {granule_index} out of range "
+                    f"(worker sees {len(granules)} granules)")
+        table = os.path.basename(getattr(source.table, "path", ""))
+
+        def before(granule) -> None:
+            if progress is not None:
+                progress[0] = granule.index
+                progress[1] += 1
+            # the crash-matrix hook: a crash rule here kills the *process*
+            faults.fire("granule.exec", granule=granule.index, table=table)
+
+        local = None
+        if trace_enabled:
+            local = self._trace
+            if local is None:
+                local = self._trace = Trace("granule")
+        parts: list = []
+        for batch in batches([granules[i] for i in indices]):
+            if local is not None:
+                local._spans.clear()
+            got = pipeline.run_batch(batch, deadline=deadline,
+                                     trace=local, before=before)
+            if local is not None:
+                _ship_spans(local, batch, got)
+            parts += got
+        return parts
+
+
+def _ship_spans(local: Trace, batch: list, parts: list) -> None:
+    """Attach each partial's spans, recorded into the reused local
+    trace, re-based to *absolute* perf_counter timestamps — the driver
+    turns those into trace offsets via the hello epoch.  The "granule"
+    span only repeats numbers that already travel in ``part.stats``, so
+    it collapses to its two timestamps on the wire and the driver
+    resynthesizes the attrs (a traced scan records one such span per
+    granule; the pickle cost of its attrs dict is the bulk of the
+    tracing overhead budget on the process tier)."""
+    t0 = local.t0
+    own: dict = {granule.index: [] for granule in batch}
+    bounds: dict = {}
+    for name, start, end, tid, attrs in local._spans:
+        index = attrs.get("granule")
+        if name == "granule":
+            bounds[index] = (t0 + start, t0 + end)
+        elif index in own:
+            own[index].append((name, t0 + start, t0 + end, tid, attrs))
+    for granule, part in zip(batch, parts):
         if part is not None:
-            # GranulePipeline.run appends the "granule" span last
-            # whenever it returns a partial
-            t0 = local.t0
-            _, g_start, g_end, _tid, _attrs = spans[-1]
-            part.spans = (
-                t0 + g_start, t0 + g_end,
-                [(name, t0 + start, t0 + end, tid, attrs)
-                 for name, start, end, tid, attrs in spans[:-1]]
-                or None)
-        return part
+            start, end = bounds[granule.index]
+            part.spans = (start, end, own[granule.index] or None)
 
 
 # ----------------------------------------------------------- main loop
@@ -352,6 +387,27 @@ def _telemetry_delta(prev: dict | None) -> tuple[dict | None, dict | None]:
     return (delta or None), snap
 
 
+def keep_freed_memory() -> None:
+    """Let this worker process reuse the heap its batches free.
+
+    A batch allocates and frees the same few arrays of up to a few
+    hundred KiB, thousands of times a query.  glibc's defaults hand a
+    freed heap top above 128 KiB back to the kernel (and serve larger
+    arrays by ``mmap``), so each next batch faults those pages in again:
+    on the benchmark's cold full aggregate, 13 000 minor faults an op a
+    lane, a fifth of its CPU.  A worker is long-lived and its working
+    set is bounded by one batch, so it raises both thresholds once at
+    start.  Where ``mallopt`` is missing (no glibc) nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_MAX)
+
+
 def worker_main(conn, fault_spec: dict | None = None,
                 obs_enabled: bool = True) -> None:
     """Run one worker process until ``("exit",)`` or pipe EOF.
@@ -361,6 +417,7 @@ def worker_main(conn, fault_spec: dict | None = None,
     globals, so the kill switch rides the ctor spec like ``fault_spec``
     does.
     """
+    keep_freed_memory()
     if not obs_enabled:
         obs_metrics.set_enabled(False)
     if fault_spec is not None and faults.active() is None:

@@ -15,6 +15,9 @@ contract — no test edits required:
 * every access path of a ``CompressedArray`` equals a per-position
   reference decoder, and its partitions cover each position exactly
   once, under every plan and regressor (:class:`TestBatchedDecode`);
+* ``gather_many`` over many sequences equals their own ``gather`` /
+  ``decode_all`` results end to end, codecs mixed or not
+  (:class:`TestGatherMany`);
 * the envelope rejects truncated and foreign-magic blobs with ValueError;
 * the envelope bytes of every LAPACK-free encoder equal the pinned golden
   digests (:class:`TestGoldenBytes`).
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro import codecs
+from repro.baselines.base import gather_many
 from repro.bitio import BitPackedArray
 from repro.core.encoding import CompressedArray
 from repro.core.regressors import (
@@ -809,6 +813,134 @@ class TestBatchedDecode:
             seq = codecs.get("leco", regressor=regressor,
                              partitioner=size).encode(values)
             check_batched_decode(seq, values, np.random.default_rng(size))
+
+
+def concatenated_reads(pairs) -> np.ndarray:
+    """What ``gather_many(pairs)`` must equal: each sequence's own read."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        np.asarray(seq.decode_all() if positions is None
+                   else seq.gather(positions), dtype=np.int64)
+        for seq, positions in pairs])
+
+
+def chunked(name: str, values: np.ndarray, sizes, **kwargs) -> list:
+    """``values`` cut into consecutive chunks of ``sizes`` rows, each
+    encoded alone, as a store column's chunks are."""
+    cuts = np.cumsum(sizes)[:-1]
+    return [(codecs.get(name, **kwargs).encode(chunk), chunk)
+            for chunk in np.split(values, cuts)]
+
+
+class TestGatherMany:
+    """``gather_many([(sequence, positions | None), ...])`` — the
+    executor's one read per column of a batch — equals the sequences'
+    own ``gather`` / ``decode_all`` results end to end, for every integer
+    codec, with empty and whole-chunk reads, across codecs, and (LeCo's
+    override, which joins the directories) across regressors, partition
+    plans and correction lists."""
+
+    @staticmethod
+    def reads(chunks, rng) -> list:
+        pairs = []
+        for seq, values in chunks:
+            kind = rng.integers(0, 4)
+            n = len(values)
+            positions = (None if kind == 0 else
+                         np.empty(0, dtype=np.int64) if kind == 1 else
+                         np.flatnonzero(rng.random(n) < 0.6) if kind == 2
+                         else rng.integers(-n, n, 9))
+            pairs.append((seq, positions))
+        return pairs
+
+    @pytest.mark.parametrize("name", INT_CODECS)
+    def test_matches_per_sequence_reads(self, name):
+        values = make_int_data(name, n=900)
+        chunks = chunked(name, values, [300, 1, 257, 342])
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            pairs = self.reads(chunks, rng)
+            assert np.array_equal(gather_many(pairs),
+                                  concatenated_reads(pairs))
+        whole = [(seq, None) for seq, _ in chunks]
+        assert np.array_equal(gather_many(whole), values)
+        assert gather_many([]).size == 0
+        assert gather_many([(seq, np.empty(0, dtype=np.int64))
+                            for seq, _ in chunks]).size == 0
+
+    def test_mixed_codecs(self):
+        values = make_int_data("leco", n=800)
+        chunks = [pair for i, name in enumerate(
+            ["leco", "delta", "leco-var", "for", "plain", "dict"])
+            for pair in chunked(name, values[i * 100:(i + 1) * 100],
+                                [60, 40])]
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            pairs = self.reads(chunks, rng)
+            assert np.array_equal(gather_many(pairs),
+                                  concatenated_reads(pairs))
+
+    def test_out_of_range_positions_raise(self):
+        chunks = chunked("leco", np.arange(200) * 3, [100, 100])
+        with pytest.raises(IndexError):
+            gather_many([(chunks[0][0], np.array([0])),
+                          (chunks[1][0], np.array([100]))])
+        # a negative position wraps once, in its own sequence
+        got = gather_many([(chunks[0][0], np.array([-1])),
+                           (chunks[1][0], np.array([-100]))])
+        assert got.tolist() == [297, 300]
+
+    def test_leco_directories_join(self):
+        """Mixed regressors, variable partitions, fixed sizes that do and
+        do not divide a chunk, and serial partitions whose correction
+        lists must follow their positions."""
+        from repro.datasets import sensor_fixture
+
+        reading = sensor_fixture(6000, seed=3)["reading"]
+        forms = [{"partitioner": 1024}, {"partitioner": "variable"},
+                 {"regressor": "auto", "partitioner": 64},
+                 {"partitioner": 700}, {"regressor": "constant",
+                                        "partitioner": 8}]
+        chunks = [pair for i, kwargs in enumerate(forms)
+                  for pair in chunked("leco", reading[i * 1200:
+                                                      (i + 1) * 1200],
+                                      [1024, 176], **kwargs)]
+        seqs = [seq for seq, _ in chunks]
+        assert any(len(seq.corrections) for seq in seqs)
+        assert any(len(seq.regressor_names) > 1 for seq in seqs)
+        assert any(seq.fixed_size is None for seq in seqs)
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            pairs = self.reads(chunks, rng)
+            assert np.array_equal(gather_many(pairs),
+                                  concatenated_reads(pairs))
+        # alike fixed sizes over whole partitions share one directory
+        same = chunked("leco", reading[:4096], [1024] * 4, partitioner=256)
+        pairs = [(seq, np.arange(0, 1024, 3)) for seq, _ in same]
+        assert np.array_equal(gather_many(pairs), concatenated_reads(pairs))
+
+    if HAVE_HYPOTHESIS:
+        @given(data=st.data())
+        @settings(max_examples=25, deadline=None)
+        def test_any_leco_batch(self, data):
+            values = np.cumsum(np.array(data.draw(st.lists(
+                st.one_of(st.integers(-50, 50),
+                          st.integers(-(1 << 40), 1 << 40)),
+                min_size=2, max_size=400)), dtype=np.int64))
+            cuts = sorted(set(data.draw(st.lists(
+                st.integers(1, len(values) - 1), max_size=5))))
+            chunks = []
+            for chunk in np.split(values, cuts):
+                kwargs = data.draw(st.sampled_from([
+                    {"partitioner": "variable"}, {"partitioner": 16},
+                    {"partitioner": 5}, {"regressor": "auto",
+                                         "partitioner": 8},
+                    {"regressor": "constant", "partitioner": "fixed"}]))
+                chunks.append((codecs.get("leco", **kwargs).encode(chunk),
+                               chunk))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            pairs = self.reads(chunks, rng)
+            assert np.array_equal(gather_many(pairs),
+                                  concatenated_reads(pairs))
 
 
 if HAVE_HYPOTHESIS:

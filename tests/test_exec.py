@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -20,8 +20,10 @@ from exec_checks import (
     assert_tiers_agree,
     count_fields,
     reference_may_match,
+    reference_result,
 )
 from repro import codecs
+from repro.baselines.base import gather_many
 from repro.exec import (
     And,
     ArraySource,
@@ -35,7 +37,8 @@ from repro.exec import (
     col,
     split_pushdown,
 )
-from repro.exec.source import zone_arrays
+from repro.exec import run as exec_run
+from repro.exec.source import Granule, zone_arrays
 from repro.mutate import MutableTable
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Trace
@@ -400,7 +403,7 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("codec", INT_CODECS)
     def test_fully_selected_granules_decode_sequentially(
-            self, codec, tmp_path, tiers):
+            self, codec, tmp_path, tiers, monkeypatch):
         """A granule whose every row survives the filter is decoded
         whole, not gathered row by row — and nothing else changes: on
         every tier the rows are the selected ones, and every integer
@@ -449,23 +452,33 @@ class TestBackendEquivalence:
                         want = columns[column][64:192][live]
                         assert np.array_equal(fast.columns[column], want)
                     assert count_fields(fast.stats) == want_counts, name
-                # only the residual's own column is ever gathered
+                # only the residual's own column is ever gathered: every
+                # read the executor makes is one batched gather_many,
+                # positions None where a chunk decodes whole
                 gathers = []
+                column_of = {}
                 spy = StoreSource(table)
                 load = spy.load
 
                 def spying_load(granule, column, st):
                     seq = load(granule, column, st)
-                    gather = seq.gather
-                    seq.gather = lambda idx: (gathers.append(column),
-                                              gather(idx))[1]
+                    column_of[id(seq)] = column
                     return seq
 
+                def spying_gather_many(pairs):
+                    gathers.extend(column_of[id(seq)]
+                                   for seq, positions in pairs
+                                   if positions is not None)
+                    return gather_many(pairs)
+
                 spy.load = spying_load
+                monkeypatch.setattr(exec_run, "gather_many",
+                                    spying_gather_many)
                 plans["pushed range only"].execute(spy)
                 assert gathers == []
                 plans["range + residual"].execute(spy)
                 assert set(gathers) == {"v"}
+                monkeypatch.undo()
 
         path = str(tmp_path / "t")
         with MutableTable.create(path, schema=("k", "v", "w"),
@@ -637,13 +650,14 @@ class TestCallingThread:
         plan = Plan.scan(["reading"]).where(
             col("ts").between(int(ts[3000]), int(ts[3030])))
         ran = []
-        run = GranulePipeline.run
+        run_batch = GranulePipeline.run_batch
 
-        def counting_run(self, granule, **kwargs):
-            ran.append(granule.index)
-            return run(self, granule, **kwargs)
+        def counting_run_batch(self, granules, **kwargs):
+            ran.extend(granule.index for granule in granules)
+            return run_batch(self, granules, **kwargs)
 
-        monkeypatch.setattr(GranulePipeline, "run", counting_run)
+        monkeypatch.setattr(GranulePipeline, "run_batch",
+                            counting_run_batch)
         res = plan.execute(sources["store"])
         pipeline = GranulePipeline(plan, sources["store"])
         assert ran == np.flatnonzero(~pipeline.pruned).tolist()
@@ -730,13 +744,14 @@ class TestDispatch:
 
         columns, sources = backends
         ran_on = set()
-        run = GranulePipeline.run
+        run_batch = GranulePipeline.run_batch
 
-        def recording_run(self, granule, **kwargs):
+        def recording_run_batch(self, granules, **kwargs):
             ran_on.add(threading.get_ident())
-            return run(self, granule, **kwargs)
+            return run_batch(self, granules, **kwargs)
 
-        monkeypatch.setattr(GranulePipeline, "run", recording_run)
+        monkeypatch.setattr(GranulePipeline, "run_batch",
+                            recording_run_batch)
         threads = threading.active_count()
         for source in sources.values():
             res = self.PLAN.execute(source)
@@ -947,3 +962,182 @@ class TestGroupMerge:
                 want = {None: row for row in want.values()}
             assert res.groups == want
             assert list(res.groups) == list(want)
+
+
+# ------------------------------------------------------------------ batches
+class TestBatches:
+    """A batch of consecutive granules runs each granule's per-chunk
+    phase alone and its gathers and partial once; whatever the batch
+    boundaries, every granule is run and charged exactly once."""
+
+    if HAVE_HYPOTHESIS:
+        # monkeypatch is set afresh by every example
+        @given(sizes=st.lists(st.integers(0, 40), max_size=30),
+               cap=st.integers(1, 100))
+        @settings(max_examples=60, deadline=None, suppress_health_check=[
+            HealthCheck.function_scoped_fixture])
+        def test_batches_partition_the_granules(self, sizes, cap,
+                                                monkeypatch):
+            monkeypatch.setattr(exec_run, "BATCH_ROWS", cap)
+            granules = [Granule(i, 0, n) for i, n in enumerate(sizes)]
+            cut = exec_run.batches(granules)
+            # every granule once, in order, none dropped or repeated
+            assert [g for batch in cut for g in batch] == granules
+            for batch in cut:
+                assert batch
+                rows = sum(g.n_rows for g in batch)
+                assert rows <= cap or len(batch) == 1
+
+        @given(data=st.data())
+        @settings(max_examples=15, deadline=None, suppress_health_check=[
+            HealthCheck.function_scoped_fixture])
+        def test_any_batch_size_runs_every_granule_once(self, data,
+                                                        monkeypatch):
+            """The calling thread's answer, counts and granule spans do
+            not depend on where batches are cut."""
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+            n = data.draw(st.integers(1, 300))
+            columns = {"k": rng.integers(0, 6, n),
+                       "v": np.cumsum(rng.integers(-3, 4, n)),
+                       "r": np.arange(n)}
+            source = ArraySource(columns,
+                                 morsel_rows=data.draw(st.integers(1, 40)))
+            plan = data.draw(st.sampled_from([
+                Plan.scan(["r", "v"]).where(col("v") >= 0),
+                Plan.scan(["r"]).where(col("k").isin([1, 4])
+                                       | (col("v") < -2)),
+                Plan.scan().where(col("r").between(3, 250)).aggregate(
+                    {"s": ("sum", "v"), "n": ("count", "v")},
+                    group_by="k"),
+                Plan.scan().aggregate({"lo": ("min", "v"),
+                                       "a": ("avg", "r")}, group_by="v"),
+                Plan.scan(["r"]).where(col("v") >= -1).limit(
+                    data.draw(st.integers(0, 40)))]))
+            runs = []
+            for cap in (1, data.draw(st.integers(1, 400)), 1 << 30):
+                monkeypatch.setattr(exec_run, "BATCH_ROWS", cap)
+                trace = Trace("batches")
+                res = plan.execute(source, trace=trace)
+                assert res.stats.granules_total == len(source.granules())
+                assert_granule_spans_match(trace, res.stats)
+                runs.append(res)
+            want = reference_result(plan, columns, np.ones(n, dtype=bool),
+                                    source.granule_extents()[0].tolist())
+            for res in runs:
+                assert res.groups == runs[0].groups
+                assert list(res.groups or ()) == list(runs[0].groups or ())
+                assert res.n_rows == want["n_rows"]
+                assert np.array_equal(res.row_ids, want["row_ids"])
+                for name, values in want["columns"].items():
+                    assert np.array_equal(res.columns[name], values)
+                assert count_fields(res.stats) == \
+                    count_fields(runs[0].stats)
+
+    def test_limit_ending_inside_a_batch(self, tmp_path, tiers):
+        """The limit's last row lies in the third granule of a batch of
+        many: the first n rows, every match counted, the later
+        granules' matches too."""
+        path = str(tmp_path / "t")
+        k = np.arange(4096, dtype=np.int64)
+        write_table(path, {"k": k, "v": k * 7}, shard_rows=1024,
+                    chunk_rows=64)
+        plan = Plan.scan(["k", "v"]).where(col("v") >= 0)
+        with Table.open(path, cache_bytes=0) as table:
+            source = StoreSource(table)
+            assert exec_run.BATCH_ROWS >= 4 * 64
+            for where in ({}, {"scheduler": tiers[1]}):
+                full = plan.execute(source, **where)
+                for n in (0, 1, 150, 4095, 4096, 5000):
+                    got = plan.limit(n).execute(source, **where)
+                    assert got.n_rows == 4096
+                    assert np.array_equal(got.row_ids, k[:n])
+                    assert np.array_equal(got.columns["v"], 7 * k[:n])
+                    assert count_fields(got.stats) == \
+                        count_fields(full.stats)
+            assert_limit_agrees(plan, source)
+
+    def test_cold_aggregate_loads_each_chunk_once(self, tmp_path, tiers):
+        """A cache smaller than one batch's chunks: each chunk loads
+        once a query — the batch's gathers read the chunks its granules
+        loaded, never the cache again — and no load hits."""
+        path = str(tmp_path / "t")
+        columns = sensor_columns(8192)
+        write_table(path, columns, shard_rows=4096, chunk_rows=256)
+        plan = Plan.scan().where(col("status").between(0, 1)).aggregate(
+            {"t": ("sum", "reading"), "n": ("count", "reading")},
+            group_by="sensor_id")
+        with Table.open(path, cache_bytes=4096) as table:
+            source = StoreSource(table)
+            granules = len(source.granules())
+            for where in ({}, {"scheduler": tiers[1]}):
+                stats = plan.execute(source, **where).stats
+                assert stats.chunks_scanned == 3 * granules
+                assert stats.cache_hits == 0
+                assert stats.cache_misses == stats.chunks_scanned
+        want = dict_merge_reference(
+            {"t": ("sum", "reading"), "n": ("count", "reading")},
+            columns["sensor_id"], columns["reading"],
+            columns["status"] == 0, 256)
+        with Table.open(path, cache_bytes=0) as table:
+            assert plan.execute(StoreSource(table)).groups == want
+
+    def test_a_bitmap_shorter_than_the_table(self, tmp_path, tiers):
+        """Rows past a bitmap's end are unset: in the pushed mask and in
+        a residual's evaluate alike, on every tier."""
+        path = str(tmp_path / "t")
+        k = np.arange(1000, dtype=np.int64)
+        write_table(path, {"k": k}, shard_rows=500, chunk_rows=100)
+        bits = np.zeros(650, dtype=bool)
+        bits[[5, 620]] = True
+        with Table.open(path, cache_bytes=0) as table:
+            source = StoreSource(table)
+            for expr, rows in (
+                    (Bitmap(bits) & col("k").between(0, 1000), [5, 620]),
+                    (Bitmap(bits) | (col("k") >= 997),
+                     [5, 620, 997, 998, 999])):
+                plan = Plan.scan(["k"]).where(expr)
+                got = assert_tiers_agree(
+                    plan, source, *tiers,
+                    want=reference_result(plan, {"k": k},
+                                          np.ones(1000, dtype=bool),
+                                          list(range(0, 1000, 100))))
+                assert got.row_ids.tolist() == rows
+
+    if HAVE_HYPOTHESIS:
+        @given(data=st.data())
+        @settings(max_examples=80, deadline=None)
+        def test_dense_partial_equals_sorted_partial(self, data):
+            """Counting and sorting fold a batch alike — keys, their
+            first-granule order, counts and int64 sums wrapped the same
+            way — whether the key span fits the rows or not."""
+            n = data.draw(st.integers(1, 120))
+            narrow = data.draw(st.booleans())
+            low = data.draw(st.integers(-(1 << 62), 1 << 62))
+            span = data.draw(st.integers(1, n if narrow else 4 * n + 50))
+            keys = low + np.array(data.draw(st.lists(
+                st.integers(0, span - 1), min_size=n, max_size=n)),
+                dtype=np.int64)
+            extreme = st.sampled_from([I64.min, I64.max, -1, 0])
+            values = np.array(data.draw(st.lists(
+                st.one_of(extreme, st.integers(I64.min, I64.max),
+                          st.integers(-1000, 1000)),
+                min_size=n, max_size=n)), dtype=np.int64)
+            cuts = sorted(set(data.draw(st.lists(st.integers(1, n),
+                                                 max_size=4))) - {n})
+            segments = np.diff([0, *cuts, n]).tolist()
+            segments = segments if len(segments) > 1 else None
+            node = Plan.scan().aggregate(
+                {"s": ("sum", "v"), "n": ("count", "v"),
+                 "a": ("avg", "v")}, group_by="k").terminal()
+            batch = {"k": keys, "v": values}
+            low = int(keys.min())
+            span = int(keys.max()) - low + 1
+            reach = {"v": max(-int(values.min()), int(values.max())) * n}
+            dense = exec_run._dense_partial(node, batch, keys - low, low,
+                                            span, segments, reach)
+            sort = exec_run._sorted_partial(node, batch, keys, segments)
+            assert dense[0].tolist() == sort[0].tolist()
+            assert dense[1].tolist() == sort[1].tolist()
+            for got, want in zip(dense[2], sort[2]):
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist()

@@ -46,6 +46,7 @@ from repro.exec.run import ExecStats
 from repro.faults import FaultInjector, SimulatedCrash
 from repro.mutate import MutableTable, recover_with_report
 from repro.mutate.wal import WriteAheadLog, wal_file_name
+from repro.par import ProcessScheduler
 from repro.store import Table, TableWriter, scrub_table, write_table
 from repro.store import cli as store_cli
 from repro.store import format as store_format
@@ -748,6 +749,58 @@ if HAVE_HYPOTHESIS:
 
 
 # -------------------------------------------------- executor resilience
+class TestReadPathCrash:
+    """A simulated crash on the read path is the process dying, not a
+    granule failing: it reaches the caller as :class:`SimulatedCrash`
+    from a scan and from an update's victim search, and on the process
+    tier the lane's worker really dies (its driver respawns it, and a
+    granule that kills two workers is a typed error)."""
+
+    def test_scan_on_the_calling_thread(self, small_table):
+        directory, _ = small_table
+        inj = FaultInjector().crash_at("chunk.read", at=3)
+        with inj, Table.open(directory, cache_bytes=0) as table:
+            with pytest.raises(SimulatedCrash, match="chunk.read"):
+                table.scan()
+        assert inj.fired("chunk.read") == 1
+
+    def test_scan_on_lanes_kills_the_worker(self, small_table):
+        directory, columns = small_table
+        inj = FaultInjector().crash_at("chunk.read")
+        with inj:
+            # forked lanes inherit the armed injector, spawned ones get
+            # its spec; each respawn starts armed again
+            lanes = ProcessScheduler(workers=1, fault_spec=inj.to_spec(),
+                                     name="t-faults-read-crash")
+        try:
+            with Table.open(directory, cache_bytes=0) as table:
+                with pytest.raises(GranuleError, match="died twice"):
+                    table.scan(scheduler=lanes)
+                # the driver read no chunk, and the lane lives on
+                assert inj.fired("chunk.read") == 0
+                assert lanes.stats()["workers_alive"] == 1
+        finally:
+            lanes.close()
+
+    def test_update_victim_search(self, tmp_path):
+        directory = str(tmp_path / "t")
+        table = MutableTable.create(directory, schema=("k", "v"),
+                                    shard_rows=1024, chunk_rows=256)
+        k = np.arange(3000, dtype=np.int64)
+        table.append({"k": k, "v": k * 3})
+        table.flush()
+        inj = FaultInjector().crash_at("chunk.read")
+        with inj, pytest.raises(SimulatedCrash, match="chunk.read"):
+            table.update("k", 2000, {"v": -1})
+        del table  # the process "died": no close, no cleanup
+        # the update was logged before its search: reopening replays it
+        with MutableTable.open(directory) as reopened:
+            res = reopened.scan(["k", "v"], where=("k", 1999, 2002))
+            got = dict(zip(res.columns["k"].tolist(),
+                           res.columns["v"].tolist()))
+        assert got == {1999: 5997, 2000: -1, 2001: 6003}
+
+
 class TestExecutorResilience:
     def test_timeout_raises_with_partial_stats(self, small_table):
         directory, _ = small_table

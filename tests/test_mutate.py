@@ -735,14 +735,15 @@ class TestSnapshotSource:
         thread: no thread starts, and every granule runs on the
         caller's."""
         ran_on = set()
-        run = GranulePipeline.run
+        run_batch = GranulePipeline.run_batch
 
-        def recording_run(self, granule, **kwargs):
+        def recording_run_batch(self, granules, **kwargs):
             ran_on.add(threading.get_ident())
-            return run(self, granule, **kwargs)
+            return run_batch(self, granules, **kwargs)
 
         with self.make(tmp_path) as table:
-            monkeypatch.setattr(GranulePipeline, "run", recording_run)
+            monkeypatch.setattr(GranulePipeline, "run_batch",
+                                recording_run_batch)
             threads = threading.active_count()
             assert table.delete(col("k").between(10, 300)) == 290
             assert table.update("k", 350, {"v": 0}) == 1

@@ -5,9 +5,11 @@ Hypothesis draws a table — under every integer registry codec, with
 random ``shard_rows`` / ``chunk_rows``, values with 40-bit jumps, a
 deletion vector, an earlier generation held open while a later one
 commits, and a live view with pending deletes and a memtable tail — and
-plans over it: range, IN, OR and bitmap filters, projections, grouped
-and global aggregates over every op in ``AGG_OPS``, semi and inner
-joins, limits.  Each plan runs
+plans over it: range, IN, OR and bitmap filters (a bitmap as long as
+the rows or shorter), projections, grouped and global aggregates over
+every op in ``AGG_OPS`` or only the ones a narrow key counts densely,
+semi and inner joins, limits — and on the calling thread a cap on a
+batch's rows of one granule, a few, or the whole table.  Each plan runs
 
 * over the held snapshot on the calling thread, a thread-tier
   :class:`MorselScheduler` and a :class:`ProcessScheduler` (its start
@@ -30,7 +32,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from exec_checks import (
@@ -42,6 +44,8 @@ from exec_checks import (
 )
 from repro import codecs
 from repro.exec import Bitmap, MorselScheduler, Plan, col
+from repro.exec.pool import auto_workers
+from repro.exec import run as exec_run
 from repro.exec.plan import AGG_OPS
 from repro.mutate import MutableTable
 from repro.par import ProcessScheduler
@@ -52,12 +56,15 @@ from repro.store.executor import StoreSource
 INT_CODECS = [n for n in codecs.available()
               if codecs.info(n).supports_integers]
 NAMES = ("v", "k", "r")
+#: every tier's width: two, or one where the process may use one CPU —
+#: one lane cuts a query into other runs, and so other batches
+WIDTH = min(2, auto_workers())
 
 
 @pytest.fixture(scope="module")
 def tiers():
-    with MorselScheduler(workers=2, name="oracle-threads") as threads, \
-            ProcessScheduler(workers=2, name="oracle-lanes") as lanes:
+    with MorselScheduler(workers=WIDTH, name="oracle-threads") as threads, \
+            ProcessScheduler(workers=WIDTH, name="oracle-lanes") as lanes:
         yield threads, lanes
 
 
@@ -66,8 +73,8 @@ def served(tmp_path_factory):
     """A root served uncached on both worker tiers, a client of each,
     and a counter naming each drawn table."""
     root = str(tmp_path_factory.mktemp("oracle"))
-    with TableServer(root, workers=2, cache_bytes=0) as on_threads, \
-            TableServer(root, workers=2, worker_tier="process",
+    with TableServer(root, workers=WIDTH, cache_bytes=0) as on_threads, \
+            TableServer(root, workers=WIDTH, worker_tier="process",
                         cache_bytes=0) as on_lanes, \
             ServeClient(*on_threads.address) as to_threads, \
             ServeClient(*on_lanes.address) as to_lanes:
@@ -115,7 +122,10 @@ def _term(data, rng, columns: dict, n_rows: int):
     kind = data.draw(st.sampled_from(
         ["range", "half_lo", "half_hi", "eq", "in", "bitmap"]))
     if kind == "bitmap":
-        return Bitmap(rng.random(n_rows) < data.draw(
+        # as long as the rows it selects from, or shorter: rows past its
+        # end are unset
+        size = data.draw(st.sampled_from([n_rows, n_rows // 2, 1]))
+        return Bitmap(rng.random(size) < data.draw(
             st.sampled_from([0.0, 0.3, 0.9])))
     name = data.draw(st.sampled_from(NAMES))
     values = columns[name]
@@ -148,9 +158,13 @@ def _plan(data, rng, columns: dict, n_rows: int) -> Plan:
     shape = data.draw(st.sampled_from(
         ["rows", "project", "grouped", "global", "semi", "inner"]))
     if shape in ("grouped", "global"):
+        # every op, or sum / count / avg alone — which a narrow key
+        # (k) counts densely and a wide one (v, with jumps) sorts
         column = data.draw(st.sampled_from(NAMES))
+        ops = data.draw(st.sampled_from(
+            [AGG_OPS, ("sum", "count", "avg"), ("count",)]))
         return plan.aggregate(
-            {op: (op, column) for op in AGG_OPS},
+            {op: (op, column) for op in ops},
             group_by=data.draw(st.sampled_from(["k", "v"]))
             if shape == "grouped" else None)
     if shape in ("semi", "inner"):
@@ -197,9 +211,16 @@ def _assert_served(clients, name: str, plan: Plan, want: dict,
 
 @pytest.mark.parametrize("codec", INT_CODECS)
 @given(data=st.data())
-@settings(max_examples=3, deadline=None)
-def test_every_tier_matches_numpy(codec, tiers, served, data):
+# monkeypatch is set afresh by every example
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_tier_matches_numpy(codec, tiers, served, data, monkeypatch):
     root, clients, names = served
+    # the calling thread's batches: a few granules, or every granule of
+    # the table — across its shard boundaries (a lane's batches are its
+    # runs, cut at the module's cap, and the tables here fit in one)
+    monkeypatch.setattr(exec_run, "BATCH_ROWS",
+                        data.draw(st.sampled_from([1, 50, 1 << 20])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     n = data.draw(st.integers(1, 200))
     chunk_rows = data.draw(st.integers(4, 48))

@@ -8,7 +8,7 @@ Nine suites:
 * **worker path property** (hypothesis) — for every integer codec in
   the registry, a plan's pushdown expression survives the real wire
   (``to_json`` → ``json`` → ``pickle`` → :meth:`WorkerState.admit` →
-  :meth:`WorkerState.run_granule`) with row-for-row identical results
+  :meth:`WorkerState.run_granules`) with row-for-row identical results
   vs in-process execution;
 * **process tier** — what ``tests/test_oracle.py`` (every plan shape on
   every tier against numpy) does not check: a row limit's counts, a
@@ -266,7 +266,7 @@ class TestDescriptor:
 if HAVE_HYPOTHESIS:
     class TestWorkerPathProperty:
         """The real wire — descriptor JSON through json+pickle into
-        :meth:`WorkerState.admit` and :meth:`WorkerState.run_granule` —
+        :meth:`WorkerState.admit` and :meth:`WorkerState.run_granules` —
         is row-for-row identical to in-process execution, for every
         integer codec."""
 
@@ -307,11 +307,8 @@ if HAVE_HYPOTHESIS:
 
                 state = WorkerState()
                 state.admit(1, wire, None)
-                parts = []
-                for index in range(len(src.granules())):
-                    part = state.run_granule(1, index)
-                    if part is not None:
-                        parts.append(part)
+                parts = [part for part in state.run_granules(
+                    1, list(range(len(src.granules())))) if part is not None]
             row_ids, cols = _merge_partials(parts, ("v", "w"))
             assert np.array_equal(row_ids, expected.row_ids)
             for name in ("v", "w"):
@@ -390,7 +387,7 @@ class TestProcessEquivalence:
         state.admit(1, dataclasses.replace(desc, version=1).to_json(),
                     None)
         with pytest.raises(RuntimeError, match="generation drift"):
-            state.run_granule(1, 0)
+            state.run_granules(1, [0])
 
     def test_unknown_bare_id_is_a_typed_error(self, source, monkeypatch):
         """A bare descriptor id the worker does not hold is a protocol
