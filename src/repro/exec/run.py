@@ -4,10 +4,10 @@
 :class:`~repro.exec.source.ColumnSource`, morsel-driven: each granule
 (row group / column chunk / memory slice) is an independent task — on the
 calling thread, or on the :class:`~repro.exec.pool.MorselScheduler` the
-caller passes.  Granules run in **batches** of consecutive ones
-(:func:`batches`, at most :data:`BATCH_ROWS` rows; a thread-tier
-scheduler runs batches of one): steps 1–2 run for each granule alone,
-steps 3–5 once for the batch.
+caller passes.  A process-tier lane runs granules in **batches** of
+consecutive ones (:func:`batches`, at most :data:`BATCH_ROWS` rows); the
+calling thread and a thread-tier scheduler run batches of one granule.
+Steps 1–2 run for each granule alone, steps 3–5 once for the batch.
 
 1. **Zone-map pruning** — ``expr.may_match`` against the source's
    zone-map arrays, every granule in one vector pass when the query's
@@ -370,11 +370,12 @@ def _agg_partial(node: Aggregate, batch: dict, n_rows: int,
     """
     if n_rows == 0:
         return None
-    # no int64 sum over these rows can pass a column's reach
-    reach = {c: max(-int(batch[c].min()), int(batch[c].max())) * n_rows
-             for _, op, c in node.aggs if op in ("sum", "avg")}
-    if segments is not None and len(segments) > 1 and \
-            max(reach.values(), default=0) > _INT64_MAX:
+    # a summed column's largest magnitude times the rows: no int64 sum
+    # over these rows can pass it
+    if segments is not None and len(segments) > 1 and max(
+            (max(-int(batch[c].min()), int(batch[c].max())) * n_rows
+             for _, op, c in node.aggs if op in ("sum", "avg")),
+            default=0) > _INT64_MAX:
         cuts = np.cumsum(segments)[:-1].tolist()
         pieces = [_agg_partial(node, {c: v[lo:hi] for c, v in batch.items()},
                                hi - lo)
@@ -402,8 +403,7 @@ def _agg_partial(node: Aggregate, batch: dict, n_rows: int,
     segments = None if segments is None or len(segments) < 2 else segments
     if span <= n_rows <= DENSE_MAX_ROWS and all(
             op in ("sum", "avg", "count") for _, op, _ in node.aggs):
-        return _dense_partial(node, batch, keys - low, low, span, segments,
-                              reach)
+        return _dense_partial(node, batch, keys - low, low, span, segments)
     return _sorted_partial(node, batch, keys, segments)
 
 
@@ -449,14 +449,13 @@ def _sorted_partial(node: Aggregate, batch: dict, keys: np.ndarray,
 
 
 def _dense_partial(node: Aggregate, batch: dict, codes: np.ndarray,
-                   low: int, span: int, segments, reach: dict) -> tuple:
+                   low: int, span: int, segments) -> tuple:
     """:func:`_agg_partial` by counting: ``codes`` are the keys minus
-    ``low``, all in ``[0, span)``, and every state is one ``bincount``
-    over them — linear in the rows.  A sum's ``bincount`` adds float64
-    weights, exact while the column's ``reach`` stays below 2**53;
-    beyond it the values' high and low 32-bit halves add apart, each
-    exact (see :data:`DENSE_MAX_ROWS`), and join modulo 2**64: the int64
-    a ``reduceat`` over the same rows wraps to."""
+    ``low``, all in ``[0, span)``, and every state is ``bincount``s over
+    them — linear in the rows.  A sum's values add as their high and low
+    32-bit halves apart, each exact in ``bincount``'s float64 weights
+    (see :data:`DENSE_MAX_ROWS`), and join modulo 2**64: the int64 a
+    ``reduceat`` over the same rows wraps to."""
     counts = np.bincount(codes, minlength=span)
     present = np.flatnonzero(counts)
     if segments is not None:
@@ -476,19 +475,14 @@ def _dense_partial(node: Aggregate, batch: dict, codes: np.ndarray,
             continue
         if column not in sums:
             values = batch[column]
-            if reach[column] < 1 << 53:
-                sums[column] = np.bincount(
-                    codes, weights=values,
-                    minlength=span)[present].astype(np.int64)
-            else:
-                high = np.bincount(codes, weights=values >> 32,
+            high = np.bincount(codes, weights=values >> 32,
+                               minlength=span)[present]
+            low_half = np.bincount(codes, weights=values & 0xFFFFFFFF,
                                    minlength=span)[present]
-                low_half = np.bincount(codes, weights=values & 0xFFFFFFFF,
-                                       minlength=span)[present]
-                sums[column] = ((high.astype(np.int64).view(np.uint64)
-                                 << np.uint64(32))
-                                + low_half.astype(np.int64).view(np.uint64)
-                                ).view(np.int64)
+            sums[column] = ((high.astype(np.int64).view(np.uint64)
+                             << np.uint64(32))
+                            + low_half.astype(np.int64).view(np.uint64)
+                            ).view(np.int64)
         states.append(sums[column])
     return present + low, counts, tuple(states)
 
@@ -539,24 +533,32 @@ def _merge_aggregate(node: Aggregate, partials: list) -> dict:
 
 
 # ---------------------------------------------------------------- pipeline
-#: rows a batch of consecutive granules holds at most.  A batch is the
-#: unit the residual, late-materialisation and partial phases run on:
-#: each column is gathered once over the batch and the terminal builds
-#: one partial for it, so the fixed per-call cost of a decode and a
-#: group-by is paid once a batch, not once a granule.  A granule at
-#: least this large is a batch alone.  Swept on a 2-core box, the cold
-#: full aggregate of 496 2 048-row granules served on two lanes (server
-#: and lane CPU an op, median of 4 runs): 8 192 rows 192 ms, 16 384
-#: 192 ms, 32 768 170 ms, 65 536 169 ms; the calling thread's
-#: tracemalloc peak is 1.9, 2.4 and 3.4 MiB at the last three.
+#: rows a lane worker's batch of consecutive granules holds at most.  A
+#: batch is the unit the residual, late-materialisation and partial
+#: phases run on: each column is gathered once over the batch and the
+#: terminal builds one partial for it, so the fixed per-call cost of a
+#: decode and a group-by is paid once a batch, not once a granule.  A
+#: granule at least this large is a batch alone.  Swept on a 2-core box,
+#: the cold full aggregate of 496 2 048-row granules served on two lanes
+#: (server and lane CPU an op, median of 4 runs): 8 192 rows 192 ms,
+#: 16 384 192 ms, 32 768 170 ms, 65 536 169 ms; the tracemalloc peak of
+#: one process is 1.9, 2.4 and 3.4 MiB at the last three.
+#:
+#: Only lanes batch: a batch's arrays are a few hundred KiB, and with
+#: glibc's default thresholds a process may hand them back to the kernel
+#: after each batch and fault them in again on the next — thousands of
+#: minor faults a query, 20–30 % of its CPU, depending on the heap's
+#: history.  A lane's allocator is the package's to tune
+#: (:func:`repro.par.worker.keep_freed_memory`); the calling thread's and
+#: a thread-tier pool's belong to the host process, so they run one
+#: granule a call, whose arrays stay at a granule's size.
 BATCH_ROWS = 32_768
 
 
 def batches(granules) -> list[list]:
     """``granules`` cut, in order, into runs of consecutive granules of
     at most :data:`BATCH_ROWS` rows together (a larger granule is a run
-    alone): how the calling thread and a lane worker feed
-    :meth:`GranulePipeline.run_batch`."""
+    alone): how a lane worker feeds :meth:`GranulePipeline.run_batch`."""
     out: list[list] = []
     rows = 0
     for granule in granules:
@@ -718,6 +720,10 @@ class GranulePipeline:
         batch-wide CPU is charged to the granule that carries it.  A
         failure there is re-run granule by granule to name its granule
         and column."""
+        # per granule started: its _Scan, or the finished partial of one
+        # the zone maps rule out untraced (a thread-tier granule comes
+        # this way, once a granule, and needs no scan state)
+        slots: list = []
         scans: list[_Scan] = []
         pruned = self.pruned
         for granule in granules:
@@ -731,18 +737,26 @@ class GranulePipeline:
                 break
             if before is not None:
                 before(granule)
-            scan = _Scan(granule, trace.now() if trace is not None else 0.0)
-            scans.append(scan)
             if pruned is not None and pruned[granule.index]:
+                if trace is None:
+                    slots.append(_Partial(ExecStats(granules_total=1,
+                                                    granules_pruned=1)))
+                    continue
+                scan = _Scan(granule, trace.now())
                 scan.st.granules_pruned = 1
             else:
+                scan = _Scan(granule,
+                             trace.now() if trace is not None else 0.0)
                 self._guarded(scan, cancel, trace, self._select, scan, trace)
+            slots.append(scan)
+            scans.append(scan)
+        if not scans:
+            return slots + [None] * (len(granules) - len(slots))
         live = [s for s in scans if s.matched]
         if not live and trace is None:
-            # nothing survived: stats only (a thread-tier granule the
-            # zone maps rule out comes this way, once a granule)
-            return [_Partial(s.st) for s in scans] \
-                + [None] * (len(granules) - len(scans))
+            # nothing survived: stats only
+            return [slot if isinstance(slot, _Partial) else _Partial(slot.st)
+                    for slot in slots] + [None] * (len(granules) - len(slots))
         reused: dict = {}
         if self.residual is not None and live:
             reused = self._batched(
@@ -770,7 +784,10 @@ class GranulePipeline:
                 lambda group: self._materialize(
                     group, reused if group is live else {}, trace))
         parts: list = []
-        for scan in scans:
+        for scan in slots:
+            if isinstance(scan, _Partial):
+                parts.append(scan)
+                continue
             parts.append(results.get(id(scan)) or _Partial(scan.st))
             if trace is not None:
                 # the raw record Trace.add would build, minus its **attrs
@@ -781,7 +798,7 @@ class GranulePipeline:
                     ("granule", scan.t_start, scan.t_end,
                      threading.get_ident(),
                      granule_span_attrs(scan.granule.index, scan.st)))
-        return parts + [None] * (len(granules) - len(scans))
+        return parts + [None] * (len(granules) - len(slots))
 
     def prunes(self, granule) -> bool:
         """The zone-map test: can no row of ``granule`` match?  Its
@@ -1177,11 +1194,10 @@ def execute(plan: Plan, source, threads: int | None = None,
                           pruned=driver_pruned, granules=len(granules))
         if scheduler is None:
             # lazy: once the deadline or a failure sets ``cancel``,
-            # every later granule returns None without doing work
-            results = (part for batch in batches(items)
-                       for part in pipeline.run_batch(
-                           batch, cancel=cancel, deadline=deadline,
-                           trace=trace))
+            # every later granule returns None without doing work.  One
+            # granule a call: the host's allocator is not tuned for
+            # batches (see BATCH_ROWS)
+            results = (run_granule(granule) for granule in items)
         else:
             # an all-pruned query still passes admission (ServerBusy
             # holds) and sends no lane message

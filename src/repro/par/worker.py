@@ -395,9 +395,13 @@ def keep_freed_memory() -> None:
     freed heap top above 128 KiB back to the kernel (and serve larger
     arrays by ``mmap``), so each next batch faults those pages in again:
     on the benchmark's cold full aggregate, 13 000 minor faults an op a
-    lane, a fifth of its CPU.  A worker is long-lived and its working
-    set is bounded by one batch, so it raises both thresholds once at
-    start.  Where ``mallopt`` is missing (no glibc) nothing changes."""
+    lane, a fifth of its CPU; smaller batches fault less but keep
+    little of their gain.  A worker is long-lived and its working set is
+    bounded by one batch, so it raises both thresholds once at start.
+    Where ``mallopt`` is missing (no glibc) nothing changes.  The calling
+    thread and a thread pool run in the host's process, whose allocator
+    this package leaves alone: they run one granule a call
+    (:data:`repro.exec.run.BATCH_ROWS`)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):

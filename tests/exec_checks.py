@@ -9,8 +9,9 @@ import numpy as np
 
 from repro.exec.expr import And, Bitmap, InSet, Or, Range
 from repro.exec.plan import Aggregate, HashJoin, Limit, Project
-from repro.exec.run import GranulePipeline
+from repro.exec.run import GranulePipeline, granule_span_attrs
 from repro.obs.trace import Trace
+from repro.par.worker import WorkerState
 
 #: the counts a chunk cache decides: equal across tiers only where no
 #: tier runs with a cache of its own
@@ -48,6 +49,34 @@ def assert_granule_spans_match(trace, stats) -> None:
                        ("cache_misses", stats.cache_misses),
                        ("rows", stats.rows_scanned)):
         assert sum(s.attrs[attr] for s in spans) == want, attr
+
+
+class InProcessLane:
+    """A process tier without a process: ``execute(scheduler=...)``
+    describes the query and hands this one lane every survivor, which
+    one in-process :class:`WorkerState` runs as a lane worker does — cut
+    into batches of at most ``repro.exec.run.BATCH_ROWS`` rows, read at
+    call time, so a test may set it.  Only the calling thread's own
+    process is touched, and a traced run's "granule" spans land in the
+    query trace as the driver would adopt them."""
+
+    tier = "process"
+
+    def run_query(self, fn, items, cancel, deadline=None, trace=None,
+                  descriptor=None) -> list:
+        state = WorkerState()
+        state.admit(1, descriptor.to_json(), None)
+        try:
+            parts = state.run_granules(1, [g.index for g in items])
+        finally:
+            state.admit(0, None, 1)  # drop it, closing its table
+        for granule, part in zip(items, parts):
+            if part is not None and part.spans:
+                start, end, _ = part.spans
+                part.spans = None
+                trace.add("granule", start - trace.t0, end - trace.t0,
+                          **granule_span_attrs(granule.index, part.stats))
+        return parts
 
 
 def assert_rows_equal(got, expected) -> None:

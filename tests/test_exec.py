@@ -15,6 +15,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     HAVE_HYPOTHESIS = False
 
 from exec_checks import (
+    InProcessLane,
     assert_granule_spans_match,
     assert_limit_agrees,
     assert_tiers_agree,
@@ -968,7 +969,9 @@ class TestGroupMerge:
 class TestBatches:
     """A batch of consecutive granules runs each granule's per-chunk
     phase alone and its gathers and partial once; whatever the batch
-    boundaries, every granule is run and charged exactly once."""
+    boundaries, every granule is run and charged exactly once.  Lanes
+    batch; the calling thread and the thread tier run one granule a
+    call."""
 
     if HAVE_HYPOTHESIS:
         # monkeypatch is set afresh by every example
@@ -991,17 +994,20 @@ class TestBatches:
         @given(data=st.data())
         @settings(max_examples=15, deadline=None, suppress_health_check=[
             HealthCheck.function_scoped_fixture])
-        def test_any_batch_size_runs_every_granule_once(self, data,
-                                                        monkeypatch):
-            """The calling thread's answer, counts and granule spans do
-            not depend on where batches are cut."""
+        def test_any_batch_size_runs_every_granule_once(
+                self, data, monkeypatch, tmp_path_factory):
+            """A lane's answer, counts and granule spans do not depend on
+            where its batches are cut, and equal the calling thread's."""
             rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
             n = data.draw(st.integers(1, 300))
             columns = {"k": rng.integers(0, 6, n),
                        "v": np.cumsum(rng.integers(-3, 4, n)),
                        "r": np.arange(n)}
-            source = ArraySource(columns,
-                                 morsel_rows=data.draw(st.integers(1, 40)))
+            chunk_rows = data.draw(st.integers(1, 40))
+            path = str(tmp_path_factory.mktemp("batches") / "t")
+            write_table(path, columns, chunk_rows=chunk_rows,
+                        shard_rows=chunk_rows * data.draw(
+                            st.integers(1, 4)))
             plan = data.draw(st.sampled_from([
                 Plan.scan(["r", "v"]).where(col("v") >= 0),
                 Plan.scan(["r"]).where(col("k").isin([1, 4])
@@ -1013,16 +1019,21 @@ class TestBatches:
                                        "a": ("avg", "r")}, group_by="v"),
                 Plan.scan(["r"]).where(col("v") >= -1).limit(
                     data.draw(st.integers(0, 40)))]))
-            runs = []
-            for cap in (1, data.draw(st.integers(1, 400)), 1 << 30):
-                monkeypatch.setattr(exec_run, "BATCH_ROWS", cap)
-                trace = Trace("batches")
-                res = plan.execute(source, trace=trace)
-                assert res.stats.granules_total == len(source.granules())
-                assert_granule_spans_match(trace, res.stats)
-                runs.append(res)
+            with Table.open(path, cache_bytes=0) as table:
+                source = StoreSource(table)
+                runs = [plan.execute(source)]
+                for cap in (1, data.draw(st.integers(1, 400)), 1 << 30):
+                    monkeypatch.setattr(exec_run, "BATCH_ROWS", cap)
+                    trace = Trace("batches")
+                    res = plan.execute(source, trace=trace,
+                                       scheduler=InProcessLane())
+                    assert res.stats.granules_total == \
+                        len(source.granules())
+                    assert_granule_spans_match(trace, res.stats)
+                    runs.append(res)
+                starts = source.granule_extents()[0].tolist()
             want = reference_result(plan, columns, np.ones(n, dtype=bool),
-                                    source.granule_extents()[0].tolist())
+                                    starts)
             for res in runs:
                 assert res.groups == runs[0].groups
                 assert list(res.groups or ()) == list(runs[0].groups or ())
@@ -1132,9 +1143,8 @@ class TestBatches:
             batch = {"k": keys, "v": values}
             low = int(keys.min())
             span = int(keys.max()) - low + 1
-            reach = {"v": max(-int(values.min()), int(values.max())) * n}
             dense = exec_run._dense_partial(node, batch, keys - low, low,
-                                            span, segments, reach)
+                                            span, segments)
             sort = exec_run._sorted_partial(node, batch, keys, segments)
             assert dense[0].tolist() == sort[0].tolist()
             assert dense[1].tolist() == sort[1].tolist()

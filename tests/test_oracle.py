@@ -8,12 +8,14 @@ commits, and a live view with pending deletes and a memtable tail — and
 plans over it: range, IN, OR and bitmap filters (a bitmap as long as
 the rows or shorter), projections, grouped and global aggregates over
 every op in ``AGG_OPS`` or only the ones a narrow key counts densely,
-semi and inner joins, limits — and on the calling thread a cap on a
-batch's rows of one granule, a few, or the whole table.  Each plan runs
+semi and inner joins, limits — and a cap on a lane's batch of one
+granule, a few, or the whole table.  Each plan runs
 
 * over the held snapshot on the calling thread, a thread-tier
   :class:`MorselScheduler` and a :class:`ProcessScheduler` (its start
-  method from ``REPRO_PAR_START_METHOD``);
+  method from ``REPRO_PAR_START_METHOD``), and through a lane worker's
+  code in-process (:class:`exec_checks.InProcessLane`) with its batches
+  cut at the drawn cap;
 * over the live view, which no process tier runs, on the first two;
 * over the wire, through :class:`ServeClient`, on a
   :class:`TableServer` of each ``worker_tier``, which serve the latest
@@ -37,6 +39,7 @@ from hypothesis import strategies as st
 
 from exec_checks import (
     CACHE_FIELDS,
+    InProcessLane,
     assert_matches_reference,
     assert_tiers_agree,
     count_fields,
@@ -216,9 +219,10 @@ def _assert_served(clients, name: str, plan: Plan, want: dict,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_tier_matches_numpy(codec, tiers, served, data, monkeypatch):
     root, clients, names = served
-    # the calling thread's batches: a few granules, or every granule of
-    # the table — across its shard boundaries (a lane's batches are its
-    # runs, cut at the module's cap, and the tables here fit in one)
+    # an in-process lane's batches: a granule each, a few, or every
+    # granule of the table — across its shard boundaries (a real lane's
+    # batches are its runs, cut at the module's cap, and the tables here
+    # fit in one)
     monkeypatch.setattr(exec_run, "BATCH_ROWS",
                         data.draw(st.sampled_from([1, 50, 1 << 20])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -275,9 +279,16 @@ def test_every_tier_matches_numpy(codec, tiers, served, data, monkeypatch):
             for _ in range(2):
                 # a bitmap covers the held snapshot's rows and the view's
                 plan = _plan(data, rng, at_view[0], n + len(tail["r"]))
-                got = assert_tiers_agree(
-                    plan, snapshot, *tiers, prune=prune,
-                    want=reference_result(plan, *at_held))
+                want = reference_result(plan, *at_held)
+                got = assert_tiers_agree(plan, snapshot, *tiers,
+                                         prune=prune, want=want)
+                batched = plan.execute(snapshot, prune=prune,
+                                       scheduler=InProcessLane())
+                assert_matches_reference(batched.n_rows, batched.groups,
+                                         batched.row_ids, batched.columns,
+                                         want)
+                assert count_fields(batched.stats) == \
+                    count_fields(got.stats)
                 if plan.row_limit is not None:
                     # a limit gathers fewer rows, never loads fewer
                     unlimited = Plan(plan.nodes[:-1]).execute(
