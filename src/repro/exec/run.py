@@ -1090,9 +1090,9 @@ def execute(plan: Plan, source, threads: int | None = None,
 
     Where it runs is one fact, ``scheduler``:
 
-    * ``None`` — on the calling thread.  Only the granules that survive
-      the zone-map decision run; the rest are charged together as one
-      partial and, traced, one ``"prune"`` span.
+    * ``None`` — on the calling thread, one granule a call.  Only the
+      granules that survive the zone-map decision run; the rest are
+      charged together as one partial and, traced, one ``"prune"`` span.
     * a thread-tier :class:`~repro.exec.pool.MorselScheduler` — its
       granules interleave with every other in-flight query's on that
       pool, under its admission control, so
