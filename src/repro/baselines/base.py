@@ -177,7 +177,12 @@ def gather_many(pairs) -> np.ndarray:
     """One batched read over ``[(sequence, positions | None), ...]``:
     :meth:`EncodedSequence.gather_many` of the sequences' class when
     they share one that defines it, else its per-sequence default (which
-    reads any object with ``gather`` and ``decode_all``)."""
+    reads any object with ``gather`` and ``decode_all``).  One pair is
+    that sequence's own read."""
+    if len(pairs) == 1:
+        seq, positions = pairs[0]
+        return seq.decode_all() if positions is None \
+            else seq.gather(positions)
     kind = type(pairs[0][0]) if pairs else EncodedSequence
     if any(type(seq) is not kind for seq, _ in pairs):
         kind = EncodedSequence

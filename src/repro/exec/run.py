@@ -765,10 +765,8 @@ class GranulePipeline:
             live = [s for s in live if s.matched]
             # the survivors' other columns load now, granule by granule
             for scan in live:
-                for column in self.mat_cols:
-                    if column not in reused:
-                        self._guarded(scan, cancel, trace, self._load,
-                                      scan, column, trace, "gather")
+                self._guarded(scan, cancel, trace, self._load_outputs,
+                              scan, trace, reused)
             kept = [s for s in live if s.matched]
             if len(kept) < len(live):
                 # a quarantined granule's rows leave the batch, and the
@@ -871,18 +869,15 @@ class GranulePipeline:
                 scans[-1].t_end = trace.now()
 
     # ------------------------------------------------------------ steps
-    def _load(self, scan: _Scan, column: str, trace,
-              bucket: str | None = None):
+    def _load(self, scan: _Scan, column: str, trace):
         """``column``'s chunk of ``scan``'s granule, loaded once a query
-        (an EIO is retried with seeded jittered backoff).  ``bucket``
-        names the CPU phase a load outside any phase's timer is charged
-        to."""
+        (an EIO is retried with seeded jittered backoff)."""
         seq = scan.loaded.get(column)
         if seq is not None:
             return seq
         scan.column = column
         st = scan.st
-        t0 = time.perf_counter()
+        t0 = trace.now() if trace is not None else 0.0
         pre_hits = st.cache_hits
         attempt = 0
         while True:
@@ -901,14 +896,21 @@ class GranulePipeline:
                         0x9E3779B9 ^ scan.granule.index)
                 time.sleep(scan.rng.uniform(0.0005, 0.002) * attempt)
         scan.loaded[column] = seq
-        t1 = time.perf_counter()
-        if bucket == "gather":
-            st.cpu_gather_s += t1 - t0
         if trace is not None:
-            trace.add("load", t0 - trace.t0, t1 - trace.t0,
+            trace.add("load", t0, trace.now(),
                       granule=scan.granule.index, column=column,
                       cache_hit=st.cache_hits > pre_hits)
         return seq
+
+    def _load_outputs(self, scan: _Scan, trace, skip=()) -> None:
+        """The chunks of ``scan``'s granule that the batch's gathers
+        read (bar ``skip``, columns the residual already holds), their
+        loads charged as gather CPU."""
+        t0 = time.perf_counter()
+        for column in self.mat_cols:
+            if column not in skip:
+                self._load(scan, column, trace)
+        scan.st.cpu_gather_s += time.perf_counter() - t0
 
     def _select(self, scan: _Scan, trace) -> None:
         """A granule's per-chunk phase after its zone-map test: the
@@ -949,8 +951,7 @@ class GranulePipeline:
                           time.perf_counter() - trace.t0,
                           granule=granule.index)
         if self.residual is None and scan.matched:
-            for column in self.mat_cols:
-                self._load(scan, column, trace, "gather")
+            self._load_outputs(scan, trace)
 
     def _residual(self, scans: list, trace) -> dict:
         """The residual predicate over the batch's survivors, which it
