@@ -35,15 +35,18 @@ Steps 1–2 run for each granule alone, steps 3–5 once for the batch.
    load, so the stats equal the unlimited run's, and the driver keeps
    the first ``n`` rows in granule order.
 5. **Operator partials** — every partial is arrays, built once per
-   batch.  A row partial is split back to the granules its rows came
-   from.  An Aggregate's is its distinct keys plus one state array per
-   aggregate (sums, counts, extrema — never means), counted densely
-   where the keys are narrow and sorted otherwise; a global aggregate is
-   the same partial over zero keys, one group.  It rides on one granule
-   of the batch, and the driver merges all of them in one pass with
-   sums exact as Python ints.  HashJoin probes the batch against the
-   build side, sorted once per query.  A granule with nothing to add
-   (pruned, quarantined, no surviving row) returns only its stats.
+   batch, and a batch's partial — rows or aggregate — rides on one
+   granule of it.  A row partial is the batch's row ids and columns;
+   the driver concatenates them in granule order.  An Aggregate's is
+   its distinct keys in ascending order plus one state array per
+   aggregate (counts, extrema, and sums as the sums of the values'
+   32-bit halves — never means), counted densely where the keys are
+   narrow and sorted otherwise; a global aggregate is the same partial
+   over zero keys, one group.  The driver merges them in one pass:
+   groups in ascending key order, sums exact as Python ints.  HashJoin
+   probes the batch against the build side, sorted once per query.  A
+   granule with nothing to add (pruned, quarantined, no surviving row,
+   or not its batch's carrier) returns only its stats.
 
 :class:`ExecStats` is the one work-accounting type (granule/chunk/
 byte/cache counts plus the CPU/IO breakdown); :meth:`ExecResult.explain`
@@ -281,10 +284,12 @@ class ExecResult:
 
 @dataclass
 class _Partial:
-    """One granule's contribution: its stats, plus its rows
-    (``row_ids`` + ``columns``) or its aggregate partial (``agg``, see
-    :func:`_agg_partial`).  A granule that contributes nothing — pruned,
-    quarantined, or left with no row — carries only its stats.
+    """One granule's contribution: its stats, plus — on the granule
+    that carries its batch's output — the batch's rows (``row_ids`` +
+    ``columns``) or its aggregate partial (``agg``, see
+    :func:`_agg_partial`).  Any other granule — pruned, quarantined,
+    left with no row, or not its batch's carrier — carries only its
+    stats.
 
     ``spans`` is only populated by a *worker process* running a traced
     descriptor: a ``(granule_start, granule_end, extra_spans)`` tuple
@@ -306,7 +311,6 @@ class _Partial:
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
-_INT64_MAX = int(np.iinfo(np.int64).max)
 #: the one group of a global aggregate: key 0, starting at row 0
 _ONE_GROUP = np.zeros(1, dtype=np.int64)
 
@@ -339,29 +343,20 @@ def _ordered_unique(*column_lists) -> tuple:
 DENSE_MAX_ROWS = 1 << 21
 
 
-def _agg_partial(node: Aggregate, batch: dict, n_rows: int,
-                 segments=None):
+def _agg_partial(node: Aggregate, batch: dict, n_rows: int):
     """One batch's accumulator states for its surviving rows, or
     ``None`` when no row survived (a group exists iff a row of it did).
 
-    The partial is ``(keys, counts, states)``: the keys, their row
-    counts and one int64 array per aggregate (the sums of ``sum`` /
-    ``avg``, the extrema of ``min`` / ``max``, ``counts`` itself for
-    ``count``), a few buffers through a lane pipe however many groups
-    there are.  A global aggregate is a group-by over zero keys: one
-    group, key 0, starting at row 0, and nothing to sort.  ``n_rows`` is
-    the surviving row count — the batch may be empty of columns when
-    every aggregate is a ``count``.
-
-    ``segments`` is the row count of each granule the rows came from, in
-    order (``None``: one granule).  The partial equals what those
-    granules' partials would merge to: its keys are distinct, ordered by
-    the granule that first holds them and then by value, so the driver
-    lists groups as a granule-by-granule run would.  Where an int64 sum
-    over the batch could wrap (a summed column's largest magnitude times
-    the rows passes int64), it is instead the granules' own partials end
-    to end — keys repeating across them — since a granule's sums wrap as
-    a granule's would.
+    The partial is ``(keys, counts, states)``: the distinct keys in
+    ascending order, their row counts and one int64 array per aggregate
+    — ``counts`` itself for ``count``, the extrema of ``min`` / ``max``,
+    and for ``sum`` / ``avg`` a ``(2, groups)`` array of the sums of the
+    values' high and low 32-bit halves, exact for any int64 values while
+    a partial holds fewer than 2**31 rows.  That is a few buffers
+    through a lane pipe however many groups there are.  A global
+    aggregate is a group-by over zero keys: one group, key 0, and
+    nothing to sort.  ``n_rows`` is the surviving row count — the batch
+    may be empty of columns when every aggregate is a ``count``.
 
     A group-by whose key span ``max - min + 1`` is at most its row count
     and whose aggregates are all ``sum`` / ``avg`` / ``count`` counts its
@@ -370,102 +365,62 @@ def _agg_partial(node: Aggregate, batch: dict, n_rows: int,
     """
     if n_rows == 0:
         return None
-    # a summed column's largest magnitude times the rows: no int64 sum
-    # over these rows can pass it
-    if segments is not None and len(segments) > 1 and max(
-            (max(-int(batch[c].min()), int(batch[c].max())) * n_rows
-             for _, op, c in node.aggs if op in ("sum", "avg")),
-            default=0) > _INT64_MAX:
-        cuts = np.cumsum(segments)[:-1].tolist()
-        pieces = [_agg_partial(node, {c: v[lo:hi] for c, v in batch.items()},
-                               hi - lo)
-                  for lo, hi in zip([0, *cuts], [*cuts, n_rows])]
-        return (np.concatenate([keys for keys, _, _ in pieces]),
-                np.concatenate([counts for _, counts, _ in pieces]),
-                tuple(np.concatenate([states[j] for _, _, states in pieces])
-                      for j in range(len(node.aggs))))
     if node.group_by is None:
         counts = np.array([n_rows], dtype=np.int64)
-        states = []
-        for _, op, column in node.aggs:
-            if op == "count":
-                states.append(counts)
-            elif op in ("sum", "avg"):
-                states.append(np.add.reduceat(batch[column], _ONE_GROUP))
-            elif op == "min":
-                states.append(np.minimum.reduceat(batch[column], _ONE_GROUP))
-            else:  # max
-                states.append(np.maximum.reduceat(batch[column], _ONE_GROUP))
-        return _ONE_GROUP, counts, tuple(states)
+        return _ONE_GROUP, counts, tuple(
+            counts if op == "count" else _fold(op, batch[column], _ONE_GROUP)
+            for _, op, column in node.aggs)
     keys = batch[node.group_by]
     low = int(keys.min())
     span = int(keys.max()) - low + 1
-    segments = None if segments is None or len(segments) < 2 else segments
     if span <= n_rows <= DENSE_MAX_ROWS and all(
             op in ("sum", "avg", "count") for _, op, _ in node.aggs):
-        return _dense_partial(node, batch, keys - low, low, span, segments)
-    return _sorted_partial(node, batch, keys, segments)
+        return _dense_partial(node, batch, keys - low, low, span)
+    return _sorted_partial(node, batch, keys)
 
 
-def _first_granule(first_rows: np.ndarray, segments) -> np.ndarray:
-    """The granule, of consecutive ones ``segments`` rows long, that
-    each of ``first_rows`` falls in."""
-    return np.searchsorted(np.cumsum(segments), first_rows, side="right")
+def _fold(op: str, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ``min`` / ``max`` / ``sum`` state of each run of ``values``
+    from ``starts`` (a sum as its two halves' sums, see
+    :func:`_agg_partial`)."""
+    if op == "min":
+        return np.minimum.reduceat(values, starts)
+    if op == "max":
+        return np.maximum.reduceat(values, starts)
+    return np.stack([np.add.reduceat(values >> 32, starts),
+                     np.add.reduceat(values & 0xFFFFFFFF, starts)])
 
 
-def _sorted_partial(node: Aggregate, batch: dict, keys: np.ndarray,
-                    segments) -> tuple:
+def _sorted_partial(node: Aggregate, batch: dict, keys: np.ndarray) -> tuple:
     """:func:`_agg_partial` by sorting the keys: one ``reduceat`` per
-    aggregate over the sorted runs — ``O(n log n)``."""
-    # no state depends on the order of rows within a group (int64 sums
-    # wrap alike in any order), so the sort need not be stable
+    state over the sorted runs — ``O(n log n)``."""
+    # no state depends on the order of rows within a group, so the sort
+    # need not be stable
     order = np.argsort(keys)
     sorted_keys = keys[order]
     starts = np.concatenate(
         [[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
-    columns = {}
-    for _, op, column in node.aggs:
-        if op != "count" and column not in columns:
-            columns[column] = batch[column][order]
     counts = np.diff(np.append(starts, len(keys)))
+    columns = {}
     states = []
     for _, op, column in node.aggs:
         if op == "count":
             states.append(counts)
-        elif op in ("sum", "avg"):
-            states.append(np.add.reduceat(columns[column], starts))
-        elif op == "min":
-            states.append(np.minimum.reduceat(columns[column], starts))
-        else:  # max
-            states.append(np.maximum.reduceat(columns[column], starts))
-    keys = sorted_keys[starts]
-    if segments is not None:
-        # each group's first granule, then its key: a stable sort of
-        # groups already in key order
-        perm = np.argsort(_first_granule(
-            np.minimum.reduceat(order, starts), segments), kind="stable")
-        return keys[perm], counts[perm], tuple(s[perm] for s in states)
-    return keys, counts, tuple(states)
+            continue
+        if column not in columns:
+            columns[column] = batch[column][order]
+        states.append(_fold(op, columns[column], starts))
+    return sorted_keys[starts], counts, tuple(states)
 
 
 def _dense_partial(node: Aggregate, batch: dict, codes: np.ndarray,
-                   low: int, span: int, segments) -> tuple:
+                   low: int, span: int) -> tuple:
     """:func:`_agg_partial` by counting: ``codes`` are the keys minus
     ``low``, all in ``[0, span)``, and every state is ``bincount``s over
-    them — linear in the rows.  A sum's values add as their high and low
-    32-bit halves apart, each exact in ``bincount``'s float64 weights
-    (see :data:`DENSE_MAX_ROWS`), and join modulo 2**64: the int64 a
-    ``reduceat`` over the same rows wraps to."""
+    them — linear in the rows.  A sum's halves add as ``bincount``'s
+    float64 weights, exact (see :data:`DENSE_MAX_ROWS`)."""
     counts = np.bincount(codes, minlength=span)
     present = np.flatnonzero(counts)
-    if segments is not None:
-        # each key's first row says which granule holds it first: the
-        # groups go by that granule, then by key (a stable sort of the
-        # present codes, which are in key order)
-        first = np.full(span, len(codes))
-        np.minimum.at(first, codes, np.arange(len(codes)))
-        present = present[np.argsort(
-            _first_granule(first[present], segments), kind="stable")]
     counts = counts[present]
     sums = {}
     states = []
@@ -475,14 +430,10 @@ def _dense_partial(node: Aggregate, batch: dict, codes: np.ndarray,
             continue
         if column not in sums:
             values = batch[column]
-            high = np.bincount(codes, weights=values >> 32,
-                               minlength=span)[present]
-            low_half = np.bincount(codes, weights=values & 0xFFFFFFFF,
-                                   minlength=span)[present]
-            sums[column] = ((high.astype(np.int64).view(np.uint64)
-                             << np.uint64(32))
-                            + low_half.astype(np.int64).view(np.uint64)
-                            ).view(np.int64)
+            sums[column] = np.stack([
+                np.bincount(codes, weights=half, minlength=span)[present]
+                for half in (values >> 32, values & 0xFFFFFFFF)
+            ]).astype(np.int64)
         states.append(sums[column])
     return present + low, counts, tuple(states)
 
@@ -497,39 +448,39 @@ def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
 
 
 def _merge_aggregate(node: Aggregate, partials: list) -> dict:
-    """``ExecResult.groups`` from every granule's partial, in granule
-    order, in one pass — one concatenate, stable argsort and
-    ``reduceat`` per aggregate — with sums exact as Python ints.  The
-    groups keep the order of their first appearance, as a dict merge
-    would; a global aggregate's one group is keyed ``None``.  No
-    partial, no group: ``{}``."""
+    """``ExecResult.groups`` from every partial in one pass — one
+    concatenate, argsort and ``reduceat`` per state — in ascending key
+    order and with sums exact as Python ints, whatever the partials are
+    and whatever order they come in.  A global aggregate's one group is
+    keyed ``None``.  No partial, no group: ``{}``."""
     states = [p.agg for p in partials if p.agg is not None]
     if not states:
         return {}
     keys = np.concatenate([keys for keys, _, _ in states])
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.concatenate(
         [[True], sorted_keys[1:] != sorted_keys[:-1]]))
-    counts = _exact_sums(np.concatenate(
-        [counts for _, counts, _ in states])[order], starts)
+    counts = np.add.reduceat(np.concatenate(
+        [counts for _, counts, _ in states])[order], starts).tolist()
     columns = []
     for j, (_, op, _) in enumerate(node.aggs):
-        values = np.concatenate([s[j] for _, _, s in states])[order]
-        if op in ("sum", "count", "avg"):
-            columns.append(_exact_sums(values, starts))
+        if op == "count":
+            columns.append(counts)
+            continue
+        values = np.concatenate([s[j] for _, _, s in states],
+                                axis=-1)[..., order]
+        if op in ("sum", "avg"):
+            high, low = (_exact_sums(half, starts) for half in values)
+            columns.append([(h << 32) + lo for h, lo in zip(high, low)])
         else:
             ufunc = np.minimum if op == "min" else np.maximum
             columns.append(ufunc.reduceat(values, starts).tolist())
     group_keys = [None] if node.group_by is None \
         else sorted_keys[starts].tolist()
-    out = {}
-    # the stable sort puts each key's first appearance at its run start
-    for g in np.argsort(order[starts]).tolist():
-        out[group_keys[g]] = {
-            name: column[g] / counts[g] if op == "avg" else column[g]
-            for (name, op, _), column in zip(node.aggs, columns)}
-    return out
+    return {key: {name: column[g] / counts[g] if op == "avg" else column[g]
+                  for (name, op, _), column in zip(node.aggs, columns)}
+            for g, key in enumerate(group_keys)}
 
 
 # ---------------------------------------------------------------- pipeline
@@ -714,12 +665,12 @@ class GranulePipeline:
         ``filter_range`` — so it keeps its own :class:`ExecStats` and
         "granule" span, and a load or filter failure names it.  The
         residual, the output gathers and the terminal then run once over
-        the batch's survivors: a row partial is split back to the
-        granules it came from, an aggregate partial rides on the last
-        granule with rows (the others carry stats only), and the
-        batch-wide CPU is charged to the granule that carries it.  A
-        failure there is re-run granule by granule to name its granule
-        and column."""
+        the batch's survivors: the batch's partial — rows or aggregate —
+        rides on one granule, the last it gathered from (the others
+        carry stats only), and the batch-wide CPU is charged to that
+        granule.  The driver concatenates row partials in granule order,
+        so the rows are a granule-by-granule run's.  A failure there is
+        re-run granule by granule to name its granule and column."""
         # per granule started: its _Scan, or the finished partial of one
         # the zone maps rule out untraced (a thread-tier granule comes
         # this way, once a granule, and needs no scan state)
@@ -797,16 +748,6 @@ class GranulePipeline:
                      threading.get_ident(),
                      granule_span_attrs(scan.granule.index, scan.st)))
         return parts + [None] * (len(granules) - len(slots))
-
-    def prunes(self, granule) -> bool:
-        """The zone-map test: can no row of ``granule`` match?  Its
-        entry of :attr:`pruned`, decided from the source's conservative
-        zone maps (and positional bitmaps — an all-dead granule prunes
-        through the implicit deletion-vector term), never from a chunk.
-        Asked per granule inside :meth:`run_batch`; a driver that prunes
-        before dispatch reads :attr:`pruned` whole instead, and its
-        workers build their pipelines with ``prune=False``."""
-        return self.pruned is not None and bool(self.pruned[granule.index])
 
     # --------------------------------------------------- failure rules
     def _fail(self, scan: _Scan, cancel, err: Exception) -> Exception:
@@ -976,9 +917,9 @@ class GranulePipeline:
         """Late materialisation and the terminal over the batch's
         survivors: each output column gathered once (``decode_all`` for
         a granule every row of which survived; a ``Limit(n)`` gathers
-        only the batch's first ``n`` survivors), then one partial.
-        Returns ``{id(scan): _Partial}`` of the granules it gave rows or
-        the aggregate partial to."""
+        only the batch's first ``n`` survivors), then one partial — rows
+        or aggregate — on the last granule gathered from.  Returns
+        ``{id(carrier): _Partial}``, or ``{}`` when it gathered nothing."""
         t0 = time.perf_counter()
         limit = self.limit
         picks = []  # (scan, positions or None) to gather
@@ -1028,8 +969,7 @@ class GranulePipeline:
 
         if isinstance(terminal, Aggregate):
             t0 = time.perf_counter()
-            agg = _agg_partial(terminal, out, sum(sizes),
-                               sizes if len(sizes) > 1 else None)
+            agg = _agg_partial(terminal, out, sum(sizes))
             carrier.st.cpu_aggregate_s += time.perf_counter() - t0
             if trace is not None:
                 trace.add("aggregate", t0 - trace.t0,
@@ -1046,22 +986,7 @@ class GranulePipeline:
                           granule=carrier.granule.index)
         else:
             columns = {c: out[c] for c in self.output_cols}
-        if len(picks) == 1:
-            return {id(carrier): _Partial(carrier.st, row_ids, columns)}
-        # back to the granules the rows came from: row ids ascend
-        # through a batch, so each granule's rows are one slice
-        cuts = np.searchsorted(row_ids, [scan.granule.row_start
-                                         for scan, _ in picks[1:]])
-        pieces = {name: np.split(values, cuts)
-                  for name, values in columns.items()}
-        results = {}
-        for j, (ids, (scan, _)) in enumerate(zip(np.split(row_ids, cuts),
-                                                 picks)):
-            if ids.size:
-                results[id(scan)] = _Partial(
-                    scan.st, ids,
-                    {name: parts[j] for name, parts in pieces.items()})
-        return results
+        return {id(carrier): _Partial(carrier.st, row_ids, columns)}
 
     def _probe(self, out: dict, row_ids: np.ndarray):
         """Probe one batch against the sorted build keys;

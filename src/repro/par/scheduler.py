@@ -27,9 +27,9 @@ runs shrink as the queue drains, so the lanes finish together, and its
 last ``RUN_DIVISOR * lanes`` granules go down one at a time.  On this
 tier fairness between concurrent queries is therefore one run per
 query per turn (the thread tier keeps one granule).  The driver
-completes each granule of a reply separately, so results,
-``ExecStats``, granule spans and ``repro_par_granules_total`` stay per
-granule.
+completes each granule of a reply separately, so ``ExecStats``, granule
+spans and ``repro_par_granules_total`` stay per granule; a batch's
+partial — rows or aggregate — rides on one granule of it.
 
 Death is a first-class event, not a hang: the lane thread polls with a
 short timeout and watches ``Process.is_alive()``.  A lane that dies in

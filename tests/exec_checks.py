@@ -4,6 +4,8 @@ par, mutate and oracle suites (imported as a plain module: pytest puts
 to (:func:`reference_result`)."""
 
 import dataclasses
+import json
+import pickle
 
 import numpy as np
 
@@ -11,6 +13,7 @@ from repro.exec.expr import And, Bitmap, InSet, Or, Range
 from repro.exec.plan import Aggregate, HashJoin, Limit, Project
 from repro.exec.run import GranulePipeline, granule_span_attrs
 from repro.obs.trace import Trace
+from repro.par.descriptor import QueryDescriptor
 from repro.par.worker import WorkerState
 
 #: the counts a chunk cache decides: equal across tiers only where no
@@ -56,16 +59,22 @@ class InProcessLane:
     describes the query and hands this one lane every survivor, which
     one in-process :class:`WorkerState` runs as a lane worker does — cut
     into batches of at most ``repro.exec.run.BATCH_ROWS`` rows, read at
-    call time, so a test may set it.  Only the calling thread's own
-    process is touched, and a traced run's "granule" spans land in the
-    query trace as the driver would adopt them."""
+    call time, so a test may set it.  The descriptor crosses as a
+    lane's pipe carries it — through JSON and pickle — and must revive
+    equal.  Only the calling thread's own process is touched, and a
+    traced run's "granule" spans land in the query trace as the driver
+    would adopt them."""
 
     tier = "process"
 
     def run_query(self, fn, items, cancel, deadline=None, trace=None,
                   descriptor=None) -> list:
+        wire = pickle.loads(pickle.dumps(
+            json.loads(json.dumps(descriptor.to_json())),
+            protocol=pickle.HIGHEST_PROTOCOL))
+        assert QueryDescriptor.from_json(wire) == descriptor
         state = WorkerState()
-        state.admit(1, descriptor.to_json(), None)
+        state.admit(1, wire, None)
         try:
             parts = state.run_granules(1, [g.index for g in items])
         finally:
@@ -163,6 +172,15 @@ def assert_limit_agrees(plan, source, **opts) -> None:
                 assert len(part.row_ids) == kept, (n, granule.index)
                 assert all(len(values) == kept
                            for values in part.columns.values())
+        # so is a batch's, whichever granules it spans: the first n
+        # rows, on one partial
+        shipped = [part for part in pipeline.run_batch(source.granules())
+                   if part.row_ids is not None]
+        assert len(shipped) == min(n, 1), n
+        for part in shipped:
+            assert np.array_equal(part.row_ids, full.row_ids[:n]), n
+            assert all(len(values) == len(part.row_ids)
+                       for values in part.columns.values())
 
 
 def maybe_match(expr, bounds, row_start: int, n_rows: int) -> bool:
@@ -237,14 +255,11 @@ def reference_mask(expr, columns: dict, n_rows: int) -> np.ndarray:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def reference_result(plan, columns: dict, live: np.ndarray,
-                     starts) -> dict:
+def reference_result(plan, columns: dict, live: np.ndarray) -> dict:
     """What ``plan`` must return over the arrays ``columns`` with
     ``live`` rows visible, computed in numpy and Python ints from the
-    plan's public fields: ``n_rows``, ``groups`` (an ordered dict, or
-    ``None``), ``row_ids`` and ``columns``.  Groups appear in the order
-    of their first row's granule (``starts``: each granule's first
-    row), sorted within it, as the executor's merge orders them."""
+    plan's public fields: ``n_rows``, ``groups`` (a dict in ascending
+    key order, or ``None``), ``row_ids`` and ``columns``."""
     n = len(live)
     keep = live.copy()
     expr = plan.filter_expr()
@@ -258,13 +273,8 @@ def reference_result(plan, columns: dict, live: np.ndarray,
     if isinstance(tail, Aggregate):
         keys = columns[tail.group_by] if tail.group_by is not None \
             else np.zeros(n, dtype=np.int64)
-        order: list = []
-        for lo, hi in zip(starts, [*starts[1:], n]):
-            for key in np.unique(keys[lo:hi][keep[lo:hi]]).tolist():
-                if key not in order:
-                    order.append(key)
         groups = {}
-        for key in order:
+        for key in np.unique(keys[keep]).tolist():
             rows = keep & (keys == key)
             count = int(rows.sum())
             row = {}

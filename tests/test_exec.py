@@ -812,36 +812,6 @@ ALL_AGGS = {"s": ("sum", "v"), "n": ("count", "v"), "a": ("avg", "v"),
             "lo": ("min", "v"), "hi": ("max", "v")}
 
 
-def dict_merge_reference(aggs: dict, keys, values, live, morsel_rows):
-    """What ``ExecResult.groups`` was while group-by partials were dicts:
-    per granule a ``{key: states}`` dict of Python ints over its live
-    rows (int64 per-granule sums, as the executor's ``reduceat``), merged
-    key by key in granule order — first appearance decides group order,
-    cross-granule sums are exact."""
-    merged: dict = {}
-    for start in range(0, len(keys), morsel_rows):
-        keep = live[start: start + morsel_rows]
-        k = keys[start: start + morsel_rows][keep]
-        v = values[start: start + morsel_rows][keep]
-        for key in np.unique(k).tolist():
-            sel = v[k == key]
-            states = {"sum": int(np.add.reduce(sel)), "count": len(sel),
-                      "min": int(sel.min()), "max": int(sel.max())}
-            prev = merged.setdefault(key, dict.fromkeys(states))
-            for op, state in states.items():
-                if prev[op] is None:
-                    prev[op] = state
-                elif op in ("sum", "count"):
-                    prev[op] += state
-                else:
-                    prev[op] = (min if op == "min" else max)(prev[op], state)
-    out = {}
-    for key, st_ in merged.items():
-        out[key] = {name: st_["sum"] / st_["count"] if op == "avg"
-                    else st_[op] for name, (op, _) in aggs.items()}
-    return out
-
-
 def grouped_plan(live=None, group_by="k") -> Plan:
     plan = Plan.scan()
     if live is not None:
@@ -852,23 +822,48 @@ def grouped_plan(live=None, group_by="k") -> Plan:
 
 class TestGroupMerge:
     """Aggregate partials are key + state arrays merged in one pass: the
-    result equals the dict merge — values, exactness, group order.  A
-    global aggregate is the same merge over one key, ``None``."""
+    result equals the numpy reference — values, exactness, groups in
+    ascending key order.  A global aggregate is the same merge over one
+    key, ``None``."""
 
-    def test_sums_past_int64_are_exact(self):
+    def test_sums_past_int64_are_exact(self, tmp_path, tiers,
+                                       monkeypatch):
+        """Sums past int64 across granules, and within one: 100-row
+        granules of 2**62 + 12 345 each, whose every granule's sum wraps
+        int64 — grouped and global, on every tier and in lane batches of
+        one granule and of all four."""
         big = (1 << 62) + 1
         keys = np.array([7, -3] * 5, dtype=np.int64)
         values = np.array([big, -big] * 5, dtype=np.int64)
-        source = ArraySource({"k": keys, "v": values}, morsel_rows=2)
-        groups = grouped_plan().execute(source).groups
-        # keys sort within a granule; granules keep first appearance
+        columns = {"k": keys, "v": values}
+        groups = grouped_plan().execute(
+            ArraySource(columns, morsel_rows=2)).groups
         assert list(groups) == [-3, 7]
         assert groups[7]["s"] == 5 * big > INT64_MAX
         assert groups[-3]["s"] == -5 * big < INT64_MIN
         assert groups[7]["a"] == 5 * big / 5
         assert groups[7]["n"] == 5
-        assert groups == dict_merge_reference(
-            ALL_AGGS, keys, values, np.ones(10, dtype=bool), 2)
+        assert groups == reference_result(
+            grouped_plan(), columns, np.ones(10, dtype=bool))["groups"]
+        columns = {"k": np.arange(400, dtype=np.int64) % 3,
+                   "v": np.full(400, (1 << 62) + 12_345, dtype=np.int64)}
+        path = str(tmp_path / "t")
+        write_table(path, columns, codec="plain", shard_rows=400,
+                    chunk_rows=100)
+        with Table.open(path, cache_bytes=0) as table:
+            source = StoreSource(table)
+            for group_by in ("k", None):
+                plan = grouped_plan(group_by=group_by)
+                want = reference_result(plan, columns,
+                                        np.ones(400, dtype=bool))
+                got = assert_tiers_agree(plan, source, *tiers, want=want)
+                assert sum(row["s"] for row in got.groups.values()) == \
+                    1_844_674_407_370_960_099_600
+                for cap in (100, 400):
+                    monkeypatch.setattr(exec_run, "BATCH_ROWS", cap)
+                    batched = plan.execute(source, scheduler=InProcessLane())
+                    assert list(batched.groups.items()) == \
+                        list(got.groups.items())
 
     def test_empty_granule_groups_nothing(self):
         source = ArraySource({"k": np.empty(0, dtype=np.int64),
@@ -899,9 +894,10 @@ class TestGroupMerge:
             table.flush()
         live = np.ones(n, dtype=bool)
         live[80:120] = live[130:135] = False
-        want = dict_merge_reference(ALL_AGGS, keys, values, live, 40)
-        assert max(g["s"] for g in want.values()) > INT64_MAX
         plan = Plan.scan().aggregate(ALL_AGGS, group_by="k")
+        want = reference_result(plan, {"k": keys, "v": values},
+                                live)["groups"]
+        assert max(g["s"] for g in want.values()) > INT64_MAX
         spawn = ProcessScheduler(workers=1, start_method="spawn",
                                  name="t-exec-spawn")
         try:
@@ -951,16 +947,10 @@ class TestGroupMerge:
             if not with_dv:
                 live[:] = True
             group_by = data.draw(st.sampled_from(["k", None]))
-            source = ArraySource({"k": keys, "v": values},
-                                 morsel_rows=morsel)
-            res = grouped_plan(live if with_dv else None,
-                               group_by).execute(source)
-            want = dict_merge_reference(
-                ALL_AGGS, keys if group_by else np.zeros_like(keys),
-                values, live, morsel)
-            if group_by is None:
-                # every key mapped to None: one group, or none at all
-                want = {None: row for row in want.values()}
+            columns = {"k": keys, "v": values}
+            plan = grouped_plan(live if with_dv else None, group_by)
+            res = plan.execute(ArraySource(columns, morsel_rows=morsel))
+            want = reference_result(plan, columns, live)["groups"]
             assert res.groups == want
             assert list(res.groups) == list(want)
 
@@ -1031,9 +1021,7 @@ class TestBatches:
                         len(source.granules())
                     assert_granule_spans_match(trace, res.stats)
                     runs.append(res)
-                starts = source.granule_extents()[0].tolist()
-            want = reference_result(plan, columns, np.ones(n, dtype=bool),
-                                    starts)
+            want = reference_result(plan, columns, np.ones(n, dtype=bool))
             for res in runs:
                 assert res.groups == runs[0].groups
                 assert list(res.groups or ()) == list(runs[0].groups or ())
@@ -1085,10 +1073,8 @@ class TestBatches:
                 assert stats.chunks_scanned == 3 * granules
                 assert stats.cache_hits == 0
                 assert stats.cache_misses == stats.chunks_scanned
-        want = dict_merge_reference(
-            {"t": ("sum", "reading"), "n": ("count", "reading")},
-            columns["sensor_id"], columns["reading"],
-            columns["status"] == 0, 256)
+        want = reference_result(plan, columns,
+                                np.ones(8192, dtype=bool))["groups"]
         with Table.open(path, cache_bytes=0) as table:
             assert plan.execute(StoreSource(table)).groups == want
 
@@ -1110,17 +1096,16 @@ class TestBatches:
                 got = assert_tiers_agree(
                     plan, source, *tiers,
                     want=reference_result(plan, {"k": k},
-                                          np.ones(1000, dtype=bool),
-                                          list(range(0, 1000, 100))))
+                                          np.ones(1000, dtype=bool)))
                 assert got.row_ids.tolist() == rows
 
     if HAVE_HYPOTHESIS:
         @given(data=st.data())
         @settings(max_examples=80, deadline=None)
         def test_dense_partial_equals_sorted_partial(self, data):
-            """Counting and sorting fold a batch alike — keys, their
-            first-granule order, counts and int64 sums wrapped the same
-            way — whether the key span fits the rows or not."""
+            """Counting and sorting fold a batch alike — keys ascending,
+            counts and the sums of the values' halves — whether the key
+            span fits the rows or not."""
             n = data.draw(st.integers(1, 120))
             narrow = data.draw(st.booleans())
             low = data.draw(st.integers(-(1 << 62), 1 << 62))
@@ -1133,10 +1118,6 @@ class TestBatches:
                 st.one_of(extreme, st.integers(I64.min, I64.max),
                           st.integers(-1000, 1000)),
                 min_size=n, max_size=n)), dtype=np.int64)
-            cuts = sorted(set(data.draw(st.lists(st.integers(1, n),
-                                                 max_size=4))) - {n})
-            segments = np.diff([0, *cuts, n]).tolist()
-            segments = segments if len(segments) > 1 else None
             node = Plan.scan().aggregate(
                 {"s": ("sum", "v"), "n": ("count", "v"),
                  "a": ("avg", "v")}, group_by="k").terminal()
@@ -1144,8 +1125,8 @@ class TestBatches:
             low = int(keys.min())
             span = int(keys.max()) - low + 1
             dense = exec_run._dense_partial(node, batch, keys - low, low,
-                                            span, segments)
-            sort = exec_run._sorted_partial(node, batch, keys, segments)
+                                            span)
+            sort = exec_run._sorted_partial(node, batch, keys)
             assert dense[0].tolist() == sort[0].tolist()
             assert dense[1].tolist() == sort[1].tolist()
             for got, want in zip(dense[2], sort[2]):

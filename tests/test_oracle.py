@@ -22,11 +22,11 @@ granule, a few, or the whole table.  Each plan runs
   generation;
 
 and every answer must be :func:`exec_checks.reference_result`'s: the
-rows, ``n_rows``, the groups in order, sums exact.  Across the tiers of
-one source every integer ``ExecStats`` count is equal (a server's bar
-the cache split: it keeps a cache of its own), every granule is run or
-pruned exactly once, and the zone-map decision is the per-granule
-rule's.
+rows, ``n_rows``, the groups in ascending key order, sums exact.
+Across the tiers of one source every integer ``ExecStats`` count is
+equal (a server's bar the cache split: it keeps a cache of its own),
+every granule is run or pruned exactly once, and the zone-map decision
+is the per-granule rule's.
 """
 
 import itertools
@@ -108,9 +108,10 @@ def _delete(data, table, n: int, live: np.ndarray) -> None:
 
 def _generation(columns: dict, live: np.ndarray, kept: np.ndarray,
                 shard_rows: int, chunk_rows: int) -> tuple:
-    """A generation as the reference sees it: the columns, live rows
-    and granule starts of the shards it ``kept`` (a flush folds away a
-    shard it leaves with no live row, and the rows after it move up)."""
+    """A generation as the reference sees it — the columns and live
+    rows of the shards it ``kept`` (a flush folds away a shard it leaves
+    with no live row, and the rows after it move up) — and its granule
+    starts."""
     starts, at = [], 0
     for shard in range(0, len(live), shard_rows):
         size = len(live[shard: shard + shard_rows])
@@ -118,7 +119,7 @@ def _generation(columns: dict, live: np.ndarray, kept: np.ndarray,
             starts += range(at, at + size, chunk_rows)
             at += size
     return ({c: values[kept] for c, values in columns.items()},
-            live[kept], starts)
+            live[kept]), starts
 
 
 def _term(data, rng, columns: dict, n_rows: int):
@@ -250,29 +251,29 @@ def test_every_tier_matches_numpy(codec, tiers, served, data, monkeypatch):
 
         if data.draw(st.booleans()):  # a deletion vector
             commit()
-        at_held = _generation(columns, live, kept, shard_rows, chunk_rows)
+        at_held, held_starts = _generation(columns, live, kept,
+                                           shard_rows, chunk_rows)
         with Table.open(path, cache_bytes=0) as held:
             later = data.draw(st.booleans())
             if later:  # a later generation commits behind the held one
                 commit()
-            latest = _generation(columns, live, kept, shard_rows,
-                                 chunk_rows)
+            latest, _ = _generation(columns, live, kept, shard_rows,
+                                    chunk_rows)
             # the live view: pending deletes, then a memtable tail
             _delete(data, table, n, live)
             tail = _columns(rng, n, data.draw(
                 st.integers(1, 2 * chunk_rows)), *shape, False)
             table.append(tail)
-            base, base_live, base_starts = _generation(
+            (base, base_live), base_starts = _generation(
                 columns, live, kept, shard_rows, chunk_rows)
             n_view = len(base_live) + len(tail["r"])
             at_view = (
                 {c: np.concatenate([base[c], tail[c]]) for c in NAMES},
-                np.concatenate([base_live, np.ones(len(tail["r"]), bool)]),
-                base_starts + list(range(len(base_live), n_view,
-                                         chunk_rows)))
+                np.concatenate([base_live, np.ones(len(tail["r"]), bool)]))
             snapshot, view = StoreSource(held), table.source()
-            assert snapshot.granule_extents()[0].tolist() == at_held[2]
-            assert view.granule_extents()[0].tolist() == at_view[2]
+            assert snapshot.granule_extents()[0].tolist() == held_starts
+            assert view.granule_extents()[0].tolist() == base_starts + list(
+                range(len(base_live), n_view, chunk_rows))
             # warm the view's cached base: every tier then counts hits
             Plan.scan().execute(view)
             prune = data.draw(st.booleans())
