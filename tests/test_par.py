@@ -1,13 +1,15 @@
 """Tests for ``repro.par`` — the process-tier worker pool (PR 9).
 
-Eight suites:
+Nine suites:
 
 * **descriptors** — :class:`QueryDescriptor` round-trips JSON and
   pickle losslessly, rejects foreign versions, and refuses sources
-  that cannot be rebuilt from a path with :class:`TypeError` (every
-  integer codec's descriptors cross that wire into a
-  :class:`WorkerState` in ``tests/test_oracle.py``, through
-  ``exec_checks.InProcessLane``);
+  that cannot be rebuilt from a path with :class:`TypeError`;
+* **worker path property** (hypothesis) — for every integer codec in
+  the registry, a plan's pushdown expression survives the real wire
+  (``to_json`` → ``json`` → ``pickle`` → :meth:`WorkerState.admit` →
+  :meth:`WorkerState.run_granules`) with row-for-row identical results
+  vs in-process execution;
 * **process tier** — what ``tests/test_oracle.py`` (every plan shape on
   every tier against numpy) does not check: a row limit's counts, a
   generation pinned under fork and spawn, a reaped one, admission and
@@ -73,7 +75,7 @@ from exec_checks import (
     assert_tiers_agree,
     count_fields,
 )
-from repro import faults
+from repro import codecs, faults
 from repro.datasets import sensor_fixture
 from repro.exec import (
     ArraySource,
@@ -116,6 +118,9 @@ from repro.store import Table, write_table
 from repro.store.cache import ChunkCache
 from repro.store.executor import StoreSource
 from repro.store.format import manifest_file_name
+
+INT_CODECS = [n for n in codecs.available()
+              if codecs.info(n).supports_integers]
 
 
 # ------------------------------------------------------------- fixtures
@@ -168,6 +173,20 @@ def thread_sched():
 FILTER_PLAN = (Plan.scan(["ts", "sensor_id", "reading"])
                .where(col("reading").between(950, 1100)
                       & (col("status") <= 1)))
+
+
+def _merge_partials(parts, names):
+    # a pruned or emptied granule's partial carries only its stats
+    parts = [p for p in parts if p.row_ids is not None]
+    empty = np.empty(0, dtype=np.int64)
+    row_ids = np.concatenate([p.row_ids for p in parts]) \
+        if parts else empty
+    columns = {
+        name: np.concatenate([np.asarray(p.columns[name]) for p in parts])
+        if parts else empty.copy()
+        for name in names
+    }
+    return row_ids, columns
 
 
 # ===================================================================
@@ -239,6 +258,62 @@ class TestDescriptor:
         assert isinstance(other, GranuleError)
         assert other.granule == 5
         assert "generation drift" in str(other)
+
+
+# ===================================================================
+# worker path property (hypothesis)
+# ===================================================================
+if HAVE_HYPOTHESIS:
+    class TestWorkerPathProperty:
+        """The real wire — descriptor JSON through json+pickle into
+        :meth:`WorkerState.admit` and :meth:`WorkerState.run_granules` —
+        is row-for-row identical to in-process execution, for every
+        integer codec."""
+
+        @pytest.mark.parametrize("codec", INT_CODECS)
+        @given(data=st.data())
+        @settings(max_examples=4, deadline=None)
+        def test_worker_matches_in_process(self, codec,
+                                           tmp_path_factory, data):
+            raw = data.draw(st.lists(
+                st.integers(-(1 << 40), 1 << 40), min_size=1,
+                max_size=300))
+            values = np.array(raw, dtype=np.int64)
+            if codecs.info(codec).requires_sorted:
+                values = np.sort(np.abs(values))
+            columns = {"v": values,
+                       "w": np.arange(len(values), dtype=np.int64)}
+            a = data.draw(st.integers(-(1 << 41), 1 << 41))
+            b = data.draw(st.integers(-(1 << 41), 1 << 41))
+            expr = col("v").between(min(a, b), max(a, b))
+            pivot = data.draw(st.integers(0, max(len(values) - 1, 0)))
+            other = col("w") >= pivot
+            expr = (expr | other) if data.draw(st.booleans()) \
+                else (expr & other)
+            plan = Plan.scan(["v", "w"]).where(expr)
+
+            path = str(tmp_path_factory.mktemp("wprop") / "t")
+            write_table(path, columns, codec=codec, shard_rows=64,
+                        chunk_rows=16)
+            with Table.open(path) as table:
+                src = StoreSource(table)
+                expected = plan.execute(src)
+                desc = describe_query(plan, src, on_corruption="raise")
+                wire = pickle.loads(pickle.dumps(
+                    json.loads(json.dumps(desc.to_json())),
+                    protocol=pickle.HIGHEST_PROTOCOL))
+                revived = QueryDescriptor.from_json(wire)
+                assert revived == desc
+
+                state = WorkerState()
+                state.admit(1, wire, None)
+                parts = [part for part in state.run_granules(
+                    1, list(range(len(src.granules())))) if part is not None]
+            row_ids, cols = _merge_partials(parts, ("v", "w"))
+            assert np.array_equal(row_ids, expected.row_ids)
+            for name in ("v", "w"):
+                assert np.array_equal(cols[name],
+                                      expected.columns[name]), name
 
 
 # ===================================================================
