@@ -438,13 +438,17 @@ def _dense_partial(node: Aggregate, batch: dict, codes: np.ndarray,
     return present + low, counts, tuple(states)
 
 
-def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
-    """Per-run sums of int64 ``values`` as exact Python ints: the high
-    and low 32-bit halves reduce separately (neither can leave int64
-    short of 2**31 partials) and combine per run."""
-    high = np.add.reduceat(values >> 32, starts).tolist()
-    low = np.add.reduceat(values & 0xFFFFFFFF, starts).tolist()
-    return [(h << 32) + lo for h, lo in zip(high, low)]
+def _exact_sums(halves: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Per-run totals, as exact Python ints, of the ``(2, n)`` half-sums
+    ``halves`` of sum states (see :func:`_agg_partial`): each row splits
+    again into its 32-bit halves, which reduce in int64 (none can leave
+    it short of 2**31 partials), and the four sums combine per run."""
+    high_high, low_high = np.add.reduceat(halves >> 32, starts,
+                                          axis=1).tolist()
+    high_low, low_low = np.add.reduceat(halves & 0xFFFFFFFF, starts,
+                                        axis=1).tolist()
+    return [(hh << 64) + ((hl + lh) << 32) + ll for hh, hl, lh, ll
+            in zip(high_high, high_low, low_high, low_low)]
 
 
 def _merge_aggregate(node: Aggregate, partials: list) -> dict:
@@ -457,7 +461,8 @@ def _merge_aggregate(node: Aggregate, partials: list) -> dict:
     if not states:
         return {}
     keys = np.concatenate([keys for keys, _, _ in states])
-    order = np.argsort(keys)
+    # each partial's keys ascend: a stable sort merges those runs
+    order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.concatenate(
         [[True], sorted_keys[1:] != sorted_keys[:-1]]))
@@ -469,10 +474,9 @@ def _merge_aggregate(node: Aggregate, partials: list) -> dict:
             columns.append(counts)
             continue
         values = np.concatenate([s[j] for _, _, s in states],
-                                axis=-1)[..., order]
+                                axis=-1).take(order, axis=-1)
         if op in ("sum", "avg"):
-            high, low = (_exact_sums(half, starts) for half in values)
-            columns.append([(h << 32) + lo for h, lo in zip(high, low)])
+            columns.append(_exact_sums(values, starts))
         else:
             ufunc = np.minimum if op == "min" else np.maximum
             columns.append(ufunc.reduceat(values, starts).tolist())
